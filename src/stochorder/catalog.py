@@ -216,8 +216,6 @@ class DensityFamily:
 
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
-    kernel_hints carry shape metadata ('monotone', 'second', 'mode') used only
-    for table reproduction, never by the criteria themselves.
     extras hold module-specific annotations (the compound module stores the
     normalizer derivative and affine kernel coefficients there).
     """
@@ -232,7 +230,6 @@ class DensityFamily:
     kernel: Callable[[float, np.ndarray], np.ndarray]
     log_normalizer: Callable[[float], float]
     quantile: Callable[[float, float], float] | None = None
-    kernel_hints: Mapping[str, object] = field(default_factory=dict)
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def validate_param(self, nu: float) -> float:
@@ -283,7 +280,6 @@ def _poisson(fixed: dict) -> DensityFamily:
         log_factor=lambda th, k: k * math.log(th) - log_factorial_vec(k),
         kernel=lambda th, k: k / th,
         log_normalizer=lambda th: th,
-        kernel_hints={"monotone": "nondecreasing", "second": "affine"},
     )
 
 
@@ -299,7 +295,6 @@ def _geometric(fixed: dict) -> DensityFamily:
         log_factor=lambda q, k: k * math.log(q),
         kernel=lambda q, k: k / q,
         log_normalizer=lambda q: -math.log1p(-q),
-        kernel_hints={"monotone": "nondecreasing", "second": "affine"},
     )
 
 
@@ -323,7 +318,6 @@ def _negbinomial_in_q(fixed: dict) -> DensityFamily:
         log_factor=log_factor,
         kernel=lambda q, k: k / q,
         log_normalizer=lambda q: -r * math.log1p(-q),
-        kernel_hints={"monotone": "nondecreasing", "second": "affine"},
     )
 
 
@@ -347,7 +341,6 @@ def _negbinomial_in_shape(fixed: dict) -> DensityFamily:
         log_factor=log_factor,
         kernel=lambda nu, k: digamma_vec(nu + k) - digamma_vec(np.full(k.shape, nu)),
         log_normalizer=lambda nu: -nu * math.log(p),
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -365,7 +358,6 @@ def _binomial_in_p(fixed: dict) -> DensityFamily:
         log_factor=lambda p, k: _log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p),
         kernel=lambda p, k: k / p - (n - k) / (1.0 - p),
         log_normalizer=lambda p: 0.0,
-        kernel_hints={"monotone": "nondecreasing", "second": "affine"},
     )
 
 
@@ -391,7 +383,6 @@ def _betabinomial_in_r(fixed: dict) -> DensityFamily:
         log_factor=log_factor,
         kernel=lambda r, k: digamma_vec(r + k) - digamma_vec(np.full(k.shape, r)),
         log_normalizer=lambda r: log_pochhammer(r + s, n),
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -417,7 +408,6 @@ def _betabinomial_in_s(fixed: dict) -> DensityFamily:
         log_factor=log_factor,
         kernel=lambda s, k: digamma_vec(s + n - k) - digamma_vec(np.full(k.shape, s)),
         log_normalizer=lambda s: log_pochhammer(r + s, n),
-        kernel_hints={"monotone": "nonincreasing", "second": "concave"},
     )
 
 
@@ -433,7 +423,6 @@ def _logseries(fixed: dict) -> DensityFamily:
         log_factor=lambda th, k: k * math.log(th) - np.log(k),
         kernel=lambda th, k: k / th,
         log_normalizer=lambda th: math.log(-math.log1p(-th)),
-        kernel_hints={"monotone": "nondecreasing", "second": "affine"},
     )
 
 
@@ -462,7 +451,6 @@ def _cmp_in_dispersion(fixed: dict) -> DensityFamily:
         log_factor=lambda nu, k: k * loglam - nu * log_factorial_vec(k),
         kernel=lambda nu, k: -log_factorial_vec(k),
         log_normalizer=log_normalizer,
-        kernel_hints={"monotone": "nonincreasing", "second": "concave"},
     )
 
 
@@ -512,7 +500,6 @@ def _gamma_in_shape(fixed: dict) -> DensityFamily:
         kernel=lambda r, x: np.log(x),
         log_normalizer=lambda r: math.lgamma(r) - r * math.log(rho),
         quantile=lambda r, u: float(gammaincinv(r, u)) / rho,
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -531,7 +518,6 @@ def _gamma_in_rate(fixed: dict) -> DensityFamily:
         kernel=lambda rho, x: -x,
         log_normalizer=lambda rho: math.lgamma(r) - r * math.log(rho),
         quantile=lambda rho, u: float(gammaincinv(r, u)) / rho,
-        kernel_hints={"monotone": "nonincreasing", "second": "affine"},
     )
 
 
@@ -548,7 +534,6 @@ def _exponential_in_rate(fixed: dict) -> DensityFamily:
         kernel=lambda th, x: -x,
         log_normalizer=lambda th: -math.log(th),
         quantile=lambda th, u: -math.log1p(-u) / th,
-        kernel_hints={"monotone": "nonincreasing", "second": "affine"},
     )
 
 
@@ -568,7 +553,6 @@ def _weibull_in_rate(fixed: dict) -> DensityFamily:
         kernel=lambda lam, x: -(x**beta),
         log_normalizer=lambda lam: -math.log(lam),
         quantile=lambda lam, u: (-math.log1p(-u) / lam) ** (1.0 / beta),
-        kernel_hints={"monotone": "nonincreasing"},
     )
 
 
@@ -587,7 +571,6 @@ def _beta_in_alpha(fixed: dict) -> DensityFamily:
         kernel=lambda a, x: np.log(x),
         log_normalizer=lambda a: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b),
         quantile=lambda a, u: float(betaincinv(a, b, u)),
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -606,7 +589,6 @@ def _beta_in_beta(fixed: dict) -> DensityFamily:
         kernel=lambda b, x: np.log1p(-x),
         log_normalizer=lambda b: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b),
         quantile=lambda b, u: float(betaincinv(a, b, u)),
-        kernel_hints={"monotone": "nonincreasing", "second": "concave"},
     )
 
 
@@ -625,7 +607,6 @@ def _pareto_in_shape(fixed: dict) -> DensityFamily:
         kernel=lambda a, x: -np.log(x),
         log_normalizer=lambda a: -a * math.log(xm) - math.log(a),
         quantile=lambda a, u: xm * (1.0 - u) ** (-1.0 / a),
-        kernel_hints={"monotone": "nonincreasing", "second": "convex"},
     )
 
 
@@ -643,7 +624,6 @@ def _halfnormal_in_scale(fixed: dict) -> DensityFamily:
         kernel=lambda s, x: x * x / s**3,
         log_normalizer=lambda s: math.log(s),
         quantile=lambda s, u: s * _NORMAL.inv_cdf((1.0 + u) / 2.0),
-        kernel_hints={"monotone": "nondecreasing", "second": "convex"},
     )
 
 
@@ -664,7 +644,6 @@ def _lognormal_in_mu(fixed: dict) -> DensityFamily:
         kernel=lambda mu, x: (np.log(x) - mu) / s2,
         log_normalizer=lambda mu: logz,
         quantile=lambda mu, u: math.exp(mu + sigma * _NORMAL.inv_cdf(u)),
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -688,7 +667,6 @@ def _gumbel_in_location(fixed: dict) -> DensityFamily:
         kernel=lambda mu, x: -np.exp(-(x - mu)),
         log_normalizer=lambda mu: -mu,
         quantile=lambda mu, u: mu - math.log(-math.log(u)),
-        kernel_hints={"monotone": "nondecreasing", "second": "concave"},
     )
 
 
@@ -721,7 +699,6 @@ def _half_student_in_df(fixed: dict) -> DensityFamily:
         kernel=kernel,
         log_normalizer=log_normalizer,
         quantile=lambda nu, u: float(stdtrit(nu, (1.0 + u) / 2.0)),
-        kernel_hints={"mode": 1.0},
     )
 
 
@@ -842,13 +819,6 @@ def density(f: DensityFamily, nu: float, grid: SupportGrid) -> Distribution:
     if not total > 0:
         raise ValueError(f"{f.name}: zero total mass on the grid at {f.param_name}={nu}")
     return Distribution(grid, vals / total)
-
-
-def unnormalized_grid_mass(f: DensityFamily, nu: float, grid: SupportGrid) -> float:
-    """Grid integral of the closed-form density (1 minus tail, pre-normalization)."""
-    nu = f.validate_param(nu)
-    vals = np.exp(f.log_factor(nu, grid.points) - f.log_normalizer(nu)) * grid.weights()
-    return float(vals.sum())
 
 
 # ---------------------------------------------------------------------------

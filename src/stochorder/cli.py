@@ -46,7 +46,10 @@ from .compound import (
     make_counting,
     summand_from_spec,
 )
-from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, check_hr, check_lc, check_lr, check_st, nu_scan
+from .criteria import (
+    NU_POINTS, TOL_SHAPE, TOL_TAIL, _slopes, check_lc, check_lr, nu_scan, order_probe,
+    scan_kernel, scan_orders,
+)
 from .oracle import oracle_for, oracle_lr, oracle_st
 from .pairwise import (
     betabin_bin_interpolation,
@@ -60,7 +63,7 @@ from .pairwise import (
     make_path,
     pairwise_kernel,
 )
-from .verdicts import ORDERS, OrderVerdict, Witness
+from .verdicts import ORDERS, OrderVerdict, reconcile
 
 __all__ = ["main", "dumps"]
 
@@ -109,12 +112,7 @@ def _cell(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".17g")
+        return _scalar(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
     if isinstance(x, dict):
         return ";".join(f"{k}={_cell(v)}" for k, v in x.items())
     return str(x)
@@ -211,17 +209,30 @@ def _parse_orders(text: str) -> list[str]:
     return orders
 
 
-def _parse_nu_list(text: str) -> list[float]:
+def _parse_nu_list(text: str, lo: float, hi: float) -> list[float]:
+    """The --nu-grid values; each must lie in the claimed range [lo, hi]."""
     out = []
     for token in text.split(","):
         token = token.strip()
         try:
-            out.append(float(token))
+            nu = float(token)
         except ValueError:
             raise ValueError(f"--nu-grid: non-numeric token {token!r}") from None
-    if len(out) < 1:
-        raise ValueError("--nu-grid must list at least one value")
+        if not lo <= nu <= hi:
+            raise ValueError(f"--nu-grid: value {token!r} outside [{lo:g}, {hi:g}]")
+        out.append(nu)
     return out
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance options: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def _report(command: str, inputs: dict, verdicts, tolerances: dict) -> dict:
@@ -261,6 +272,8 @@ def _cmd_check(args) -> tuple[dict, int]:
         "nu_grid": args.nu_grid,
     }
     verdicts: list[OrderVerdict] = []
+    lo, hi = sorted((nu1, nu2))
+    nu_list = _parse_nu_list(args.nu_grid, lo, hi) if args.nu_grid else None
 
     if nu1 == nu2:
         nu = fam.validate_param(nu1)
@@ -280,27 +293,20 @@ def _cmd_check(args) -> tuple[dict, int]:
             ok = ok and v.holds
         return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 
-    lo, hi = sorted((nu1, nu2))
-    nus = sorted(_parse_nu_list(args.nu_grid)) if args.nu_grid else nu_scan(lo, hi)
+    nus = sorted(nu_list) if nu_list else nu_scan(lo, hi)
     grid = default_grid(
         fam, nus, tail_eps=args.tail_eps, kmax=args.kmax, grid_points=args.grid_points
     )
     d_lo = density(fam, lo, grid)
     d_hi = density(fam, hi, grid)
+    scans = iter(scan_orders(
+        fam, nus, grid, [(o, d) for o in orders for d in ("up", "down")],
+        tol_shape=args.tol_shape, tol_tail=args.tol_tail,
+    ))
     ok = True
     for o in orders:
-        per_direction = []
-        for direction in ("up", "down"):
-            if o == "lr":
-                v = check_lr(fam, nus, grid, direction=direction, tol_shape=args.tol_shape)
-            elif o == "lc":
-                v = check_lc(fam, nus, grid, direction=direction, tol_shape=args.tol_shape)
-            elif o == "st":
-                v = check_st(fam, nus, grid, direction=direction, tol_tail=args.tol_tail)
-            else:
-                v = check_hr(fam, nus, grid, direction=direction, tol_tail=args.tol_tail)
-            per_direction.append(v)
-            verdicts.append(v)
+        per_direction = [next(scans), next(scans)]
+        verdicts.extend(per_direction)
         for first, second, direction, tag in (
             (d_lo, d_hi, "up", f"P[{fam.param_name}={lo:g}] <={o} P[{fam.param_name}={hi:g}]"),
             (d_hi, d_lo, "down", f"P[{fam.param_name}={hi:g}] <={o} P[{fam.param_name}={lo:g}]"),
@@ -412,9 +418,7 @@ def _sign_profile(vals: np.ndarray, tol: float) -> str:
 
 
 def _kernel_signs(fam, nu: float, grid: SupportGrid) -> tuple[str, str]:
-    k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
-    dk = np.diff(k)
-    slopes = dk if grid.kind == "discrete" else dk / np.diff(grid.points)
+    slopes = _slopes(grid, np.asarray(fam.kernel(nu, grid.points), dtype=float))
     return _sign_profile(slopes, TOL_SHAPE), _sign_profile(np.diff(slopes), TOL_SHAPE)
 
 
@@ -609,40 +613,19 @@ def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict
         raise ValueError(f"interpolation path: unknown parameters {extra}")
     n, r, s, p = int(params["n"]), params["r"], params["s"], params["p"]
     rep = betabin_bin_interpolation(n, r, s, p)
-    worst = min(rep.delta_margins.values())
-    witness = None
-    if worst < -tol:
-        for c in rep.c_values:
-            d = np.diff(rep.kernels[c])
-            bad = np.nonzero(d < -tol)[0]
-            if bad.size:
-                i = int(bad[0])
-                witness = Witness(x=float(i), margin=float(d[i]), nu=float(c), kind="adjacent-pair")
-                break
-    start = interpolation_law(n, r, s, p, 0.0)
-    target = law_distribution(make_law("binomial", n=n, p=p))
-    cross = oracle_lr(start, target)
-    status = "fails" if witness is not None else "holds"
-    note = (
-        f"lr threshold p >= {rep.threshold:.12g} "
-        f"{'met' if rep.condition else 'unmet'}; endpoint oracle {cross.status}"
+    [(witness, margin)] = scan_kernel(
+        lambda c: rep.kernels[c], rep.c_values, discrete_grid(0, n), [order_probe("lr", "up", tol)]
     )
-    if (cross.status == "holds") != (status == "holds"):
-        status = "inconclusive"
-        note += "; path test and oracle disagree"
-        witness = witness or cross.witness
-    verdict = OrderVerdict(
-        order="lr",
-        direction="up",
-        status=status,
-        method="path-kernel",
-        tolerances={"tol_shape": tol},
-        witness=witness,
-        margin=worst if witness is None else witness.margin,
+    criterion = OrderVerdict(
+        order="lr", direction="up", status="fails" if witness else "holds",
+        method="path-kernel", tolerances={"tol_shape": tol}, witness=witness, margin=margin,
         claim=f"betabinomial(n={n},r={r:g},s={s:g}) <=lr binomial(n={n},p={p:g}) "
               "along the pseudo-sample path",
-        note=note,
+        note=f"lr threshold p >= {rep.threshold:.12g} {'met' if rep.condition else 'unmet'}",
     )
+    start = interpolation_law(n, r, s, p, 0.0)
+    target = law_distribution(make_law("binomial", n=n, p=p))
+    verdict = reconcile(criterion, oracle_lr(start, target), "path test")
     extras = {
         "threshold": rep.threshold,
         "condition": rep.condition,
@@ -701,9 +684,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--nu2", type=float, required=True)
     check.add_argument("--orders", default="lr,lc,st,hr")
     check.add_argument("--kmax", type=int, default=10_000)
-    check.add_argument("--tail-eps", type=float, default=1e-12)
-    check.add_argument("--tol-shape", type=float, default=TOL_SHAPE)
-    check.add_argument("--tol-tail", type=float, default=TOL_TAIL)
+    check.add_argument("--tail-eps", type=_tolerance, default=1e-12)
+    check.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
+    check.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
     check.add_argument("--nu-grid", default=None, help="comma-separated scan values overriding the default")
     check.add_argument("--grid-points", type=int, default=2000)
     _add_common(check)
@@ -714,8 +697,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pairwise.add_argument("--q", required=True, help="law spec for the dominating side")
     pairwise.add_argument("--orders", default="lr,lc,st,hr")
     pairwise.add_argument("--kmax", type=int, default=200)
-    pairwise.add_argument("--tail-eps", type=float, default=1e-12)
-    pairwise.add_argument("--tol-shape", type=float, default=TOL_SHAPE)
+    pairwise.add_argument("--tail-eps", type=_tolerance, default=1e-12)
+    pairwise.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     _add_common(pairwise)
     pairwise.set_defaults(run=_cmd_pairwise)
 
@@ -725,7 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compound.add_argument("--nu1", type=float, required=True)
     compound.add_argument("--nu2", type=float, required=True)
     compound.add_argument("--nu-points", type=int, default=NU_POINTS)
-    compound.add_argument("--tol-shape", type=float, default=TOL_SHAPE)
+    compound.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     _add_common(compound)
     compound.set_defaults(run=_cmd_compound)
 
@@ -741,8 +724,8 @@ def _build_parser() -> argparse.ArgumentParser:
     path.add_argument("--t-points", type=int, default=33)
     path.add_argument("--kmax", type=int, default=400)
     path.add_argument("--grid-points", type=int, default=2000)
-    path.add_argument("--tol-shape", type=float, default=TOL_SHAPE)
-    path.add_argument("--tol-tail", type=float, default=TOL_TAIL)
+    path.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
+    path.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
     _add_common(path)
     path.set_defaults(run=_cmd_path)
     return ap

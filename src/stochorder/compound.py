@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .catalog import DensityFamily, Distribution, discrete_grid, parse_spec
+from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
 from .special import digamma_vec, log_factorial_vec, log_pochhammer
-from .verdicts import OrderVerdict, Witness
+from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
     "SummandLaw",
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _EPS_TAIL = 1e-12
-_TOL_SHAPE = 1e-9
 _MINOR_TOL = 1e-12
 _N_CAP = 500
 
@@ -485,7 +484,7 @@ def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
 # total positivity
 
 
-def is_pf2(pmf, tol: float = _TOL_SHAPE) -> tuple[bool, Witness | None]:
+def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
     """Polya frequency of order 2: interval support and log-concave there."""
     p = np.asarray(pmf, dtype=float)
     nz = np.nonzero(p > 0)[0]
@@ -604,8 +603,8 @@ def check_compound_lr(
     m: CompoundModel,
     nu1: float,
     nu2: float,
-    nu_points: int = 17,
-    tol_shape: float = _TOL_SHAPE,
+    nu_points: int = NU_POINTS,
+    tol_shape: float = TOL_SHAPE,
 ) -> OrderVerdict:
     """Monotone counting kernel + PF2 summand => compound lr order.
 
@@ -617,72 +616,40 @@ def check_compound_lr(
     from .oracle import oracle_lr  # local import keeps oracle kernel-free
 
     lo, hi = sorted((float(nu1), float(nu2)))
-    if lo == hi:
-        raise ValueError("check_compound_lr needs two distinct parameter values")
-    if lo > 0 and hi / lo >= 10.0:
-        nus = np.geomspace(lo, hi, nu_points)
-    else:
-        nus = np.linspace(lo, hi, nu_points)
+    nus = nu_scan(lo, hi, nu_points)
     tolerances = {"tol_shape": tol_shape, "nu_points": int(nu_points)}
+    claim = "C[nu1] <=lr C[nu2] whenever nu1 <= nu2 in the scanned range"
 
     ok, w = is_pf2(m.summand.pmf_from_zero())
     if not ok:
         return OrderVerdict(
             order="lr", direction="up", status="inconclusive", method="compound-kernel",
-            tolerances=tolerances, witness=w, margin=w.margin,
-            claim="C[nu1] <=lr C[nu2] whenever nu1 <= nu2 in the scanned range",
+            tolerances=tolerances, witness=w, margin=w.margin, claim=claim,
             note="summand is not a PF2 sequence; hypothesis unmet",
         )
 
-    n = np.arange(m.n_lo, m.n_max + 1, dtype=float)
-    up_margin = math.inf
-    down_margin = math.inf
-    up_w = down_w = None
-    for nu in nus:
-        dg = np.diff(np.asarray(m.counting.kernel(nu, n), dtype=float))
-        if up_w is None:
-            i = np.nonzero(dg < -tol_shape)[0]
-            if i.size:
-                j = int(i[0])
-                up_w = Witness(x=float(n[j]), margin=float(dg[j]), nu=float(nu),
-                               kind="adjacent-pair")
-            elif dg.size:
-                up_margin = min(up_margin, float(dg.min()))
-        if down_w is None:
-            i = np.nonzero(-dg < -tol_shape)[0]
-            if i.size:
-                j = int(i[0])
-                down_w = Witness(x=float(n[j]), margin=float(-dg[j]), nu=float(nu),
-                                 kind="adjacent-pair")
-            elif dg.size:
-                down_margin = min(down_margin, float(-dg.max()))
-
+    grid = discrete_grid(m.n_lo, m.n_max)
+    (up_w, up_margin), (down_w, down_margin) = scan_kernel(
+        lambda nu: m.counting.kernel(nu, grid.points), nus, grid,
+        [order_probe("lr", "up", tol_shape), order_probe("lr", "down", tol_shape)],
+    )
     if up_w is not None and down_w is not None:
         return OrderVerdict(
             order="lr", direction="up", status="inconclusive", method="compound-kernel",
-            tolerances=tolerances, witness=up_w, margin=up_w.margin,
-            claim="C[nu1] <=lr C[nu2] whenever nu1 <= nu2 in the scanned range",
+            tolerances=tolerances, witness=up_w, margin=up_w.margin, claim=claim,
             note="counting kernel is not monotone in n; hypothesis unmet",
         )
     direction = "up" if up_w is None else "down"
-    margin = up_margin if direction == "up" else down_margin
-    claim = (
-        "C[nu1] <=lr C[nu2] whenever nu1 <= nu2 in the scanned range"
-        if direction == "up"
-        else "C[nu2] <=lr C[nu1] whenever nu1 <= nu2 in the scanned range"
+    if direction == "down":
+        claim = "C[nu2] <=lr C[nu1] whenever nu1 <= nu2 in the scanned range"
+    criterion = OrderVerdict(
+        order="lr", direction=direction, status="holds", method="compound-kernel",
+        tolerances=tolerances, margin=up_margin if direction == "up" else down_margin,
+        claim=claim,
     )
     low, high = compound_pmf(m, lo), compound_pmf(m, hi)
     cross = oracle_lr(low, high) if direction == "up" else oracle_lr(high, low)
-    note = f"endpoint oracle {cross.status}"
-    status = "holds" if cross.holds else "inconclusive"
-    return OrderVerdict(
-        order="lr", direction=direction, status=status, method="compound-kernel",
-        tolerances=tolerances,
-        witness=None if cross.holds else cross.witness,
-        margin=(None if math.isinf(margin) else margin) if cross.holds else cross.margin,
-        claim=claim,
-        note=note if cross.holds else note + "; kernel criterion and oracle disagree",
-    )
+    return reconcile(criterion, cross, "kernel criterion")
 
 
 def poisson_binomial_pmf(p_vec) -> Distribution:

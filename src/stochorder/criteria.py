@@ -12,6 +12,12 @@ Direction semantics: 'up' claims P_{nu1} <= P_{nu2} whenever nu1 <= nu2,
 'down' the reverse. The log-concavity check defaults to 'down' because a
 concave kernel dominates the larger parameter; 'up' tests convexity.
 
+Every check is one pass of `scan_kernel` over the parameter grid: per nu it
+builds the kernel once, and the law and tail means only while a test that
+reads them is open, holding one nu at a time (O(grid) memory). Each test
+keeps its first witness, first in nu and then in x, and its worst margin.
+`scan_orders` runs several tests in one pass; `check_*` are one-test views.
+
 The quantifier over nu is scanned on a finite grid, so holds means "holds at
 every scanned parameter", exact in x per scanned value. The superlevel and
 unimodal-endpoint checks are sufficient conditions only: a violated
@@ -22,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +45,9 @@ __all__ = [
     "TailMeanProfile",
     "tail_mean_profile",
     "weighted_log_derivative",
+    "order_probe",
+    "scan_kernel",
+    "scan_orders",
     "check_lr",
     "check_lc",
     "check_st",
@@ -65,7 +76,105 @@ def nu_scan(nu_lo: float, nu_hi: float, n: int = NU_POINTS) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# three-levels quantities
+# the scan
+
+
+def _slopes(grid: SupportGrid, v: np.ndarray) -> np.ndarray:
+    """Adjacent-pair increments: plain differences for integer grids, divided
+    differences elsewhere so the uneven atom cell of mixed grids is handled."""
+    dv = np.diff(v)
+    if grid.kind == "discrete":
+        return dv
+    return dv / np.diff(grid.points)
+
+
+def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Survival P(X >= x), tail mean E[K | X >= x] (where the survival is
+    positive) and grand mean E[K], by one backward pass."""
+    surv = np.cumsum(masses[::-1])[::-1]
+    tail_num = np.cumsum((k * masses)[::-1])[::-1]
+    return surv, tail_num / np.where(surv > 0.0, surv, 1.0), float(np.dot(k, masses))
+
+
+class _Row(NamedTuple):
+    """One scanned nu: the kernel and its slopes, and tails(), the result of
+    `_tail_means` under the law at nu, evaluated on its first call only."""
+
+    nu: float
+    grid: SupportGrid
+    k: np.ndarray
+    slopes: np.ndarray
+    tails: Callable[[], tuple[np.ndarray, np.ndarray, float]]
+
+
+Step = tuple[np.ndarray, np.ndarray, float, str]  # points, margins, tolerance, witness kind
+Probe = Callable[[_Row], Iterator[Step]]
+
+
+def scan_kernel(
+    kernel: Callable[[float], np.ndarray],
+    nus,
+    grid: SupportGrid,
+    probes: Sequence[Probe],
+    law: Callable[[float], np.ndarray] | None = None,
+) -> list[tuple[Witness | None, float | None]]:
+    """Run every probe over one pass of nus; kernel(nu) gives K_nu on
+    grid.points and law(nu) the masses of P_nu there. Returns, per probe, its
+    first witness and that witness's margin, or None and the worst margin seen
+    (None when no margin was tested)."""
+    witnesses: list[Witness | None] = [None] * len(probes)
+    worst = [math.inf] * len(probes)
+    for nu in nus:
+        open_tests = [i for i, w in enumerate(witnesses) if w is None]
+        if not open_tests:
+            break
+        nu = float(nu)
+        k = np.asarray(kernel(nu), dtype=float)
+        tails = cache(lambda k=k, nu=nu: _tail_means(k, law(nu)))
+        row = _Row(nu, grid, k, _slopes(grid, k), tails)
+        for i in open_tests:
+            for xs, margins, tol, kind in probes[i](row):
+                bad = np.flatnonzero(margins < -tol)
+                if bad.size:
+                    j = bad[0]
+                    witnesses[i] = Witness(x=float(xs[j]), margin=float(margins[j]),
+                                           nu=row.nu, kind=kind)
+                    break
+                if margins.size:
+                    worst[i] = min(worst[i], float(margins.min()))
+    return [
+        (w, w.margin) if w is not None else (None, None if math.isinf(m) else m)
+        for w, m in zip(witnesses, worst)
+    ]
+
+
+def order_probe(
+    order: str,
+    direction: str,
+    tol_shape: float = TOL_SHAPE,
+    tol_tail: float = TOL_TAIL,
+    eps_tail: float = EPS_TAIL,
+) -> Probe:
+    """The kernel criterion of one order and direction (see the module docstring)."""
+    sign = +1.0 if direction == "up" else -1.0
+
+    def probe(row: _Row) -> Iterator[Step]:
+        pts = row.grid.points
+        if order == "lr":
+            yield pts[:-1], sign * row.slopes, tol_shape, "adjacent-pair"
+        elif order == "lc":
+            yield pts[1:-1], sign * np.diff(row.slopes), tol_shape, "triplet"
+        else:
+            surv, tail, grand = row.tails()
+            keep = surv > max(eps_tail, 0.0)
+            gap = tail - grand if order == "st" else -(row.k - tail)
+            yield pts[keep], sign * gap[keep], tol_tail, "grid-point"
+
+    return probe
+
+
+# ---------------------------------------------------------------------------
+# derivative identities
 
 
 @dataclass(frozen=True)
@@ -84,10 +193,6 @@ class TailMeanProfile:
     grand_mean: float
     survival: np.ndarray
 
-    @property
-    def values(self) -> list[tuple[float, float]]:
-        return list(zip(self.kernel_values.tolist(), self.tail_means.tolist()))
-
     def score(self) -> np.ndarray:
         """d/dnu log f_nu(x) = K_nu(x) - E[K_nu]."""
         return self.kernel_values - self.grand_mean
@@ -105,15 +210,13 @@ def tail_mean_profile(f: DensityFamily, nu: float, grid: SupportGrid) -> TailMea
     """One backward pass giving E[K | X >= x] at every positive-survival point."""
     d = density(f, nu, grid)
     k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-    grand = float(np.dot(k, d.masses))
-    surv = d.survival_all()
-    tail_num = np.cumsum((k * d.masses)[::-1])[::-1]
+    surv, tail, grand = _tail_means(k, d.masses)
     ok = surv > 0.0
     return TailMeanProfile(
         nu=float(nu),
         x=grid.points[ok],
         kernel_values=k[ok],
-        tail_means=tail_num[ok] / surv[ok],
+        tail_means=tail[ok],
         grand_mean=grand,
         survival=surv[ok],
     )
@@ -140,82 +243,72 @@ def weighted_log_derivative(f: DensityFamily, nu: float, u, grid: SupportGrid) -
 
 
 # ---------------------------------------------------------------------------
-# scan plumbing
+# verdicts of a family scan
 
 
-def _validate_scan(f: DensityFamily, nu_grid, grid: SupportGrid) -> list[float]:
+def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes):
+    """The scan of a family over nu_grid, and its size for the tolerances."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
     if not nus:
         raise ValueError("empty parameter grid")
     if grid.size < 3:
         raise ValueError("support grid needs at least three points")
-    return nus
-
-
-def _slopes(grid: SupportGrid, v: np.ndarray) -> np.ndarray:
-    """Adjacent-pair increments: plain differences for integer grids, divided
-    differences elsewhere so the uneven atom cell of mixed grids is handled."""
-    dv = np.diff(v)
-    if grid.kind == "discrete":
-        return dv
-    return dv / np.diff(grid.points)
-
-
-def _first_bad(margins: np.ndarray, tol: float) -> int:
-    bad = np.nonzero(margins < -tol)[0]
-    return int(bad[0]) if bad.size else -1
-
-
-def _claim(order: str, direction: str) -> str:
-    lohi = ("P[nu1]", "P[nu2]") if direction == "up" else ("P[nu2]", "P[nu1]")
-    return f"{lohi[0]} <={order} {lohi[1]} whenever nu1 <= nu2 in the scanned range"
+    results = scan_kernel(lambda nu: f.kernel(nu, grid.points), nus, grid, probes,
+                          law=lambda nu: density(f, nu, grid).masses)
+    return results, {"nu_points": len(nus), "grid_points": grid.size}
 
 
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"
+_CERTIFIES_ST = _SCANNED_NOTE + "; certifies st as well"
+
+# why a sufficient check is inconclusive, by the kind of its witness
+_UNMET = {
+    "endpoint-score": "score negative at the left endpoint",
+    "superlevel-return": "score returns above zero after going negative",
+    "tail-monotone": "score not nonincreasing beyond its superlevel set",
+    "rising": "kernel not nondecreasing left of the mode",
+    "falling": "kernel not nonincreasing right of the mode",
+    "triplet": "kernel not concave",
+}
 
 
-def _shape_check(
+def _verdict(order: str, direction: str, method: str, tolerances: dict, result,
+             note: str = _SCANNED_NOTE) -> OrderVerdict:
+    """A kernel criterion fails at its witness; a sufficient check whose
+    hypothesis is unmet there is inconclusive."""
+    witness, margin = result
+    if witness is None:
+        status = "holds"
+    elif method == "kernel-criterion":
+        status, note = "fails", ""
+    else:
+        status, note = "inconclusive", _UNMET[witness.kind]
+    lohi = ("P[nu1]", "P[nu2]") if direction == "up" else ("P[nu2]", "P[nu1]")
+    return OrderVerdict(
+        order=order, direction=direction, status=status, method=method,
+        tolerances=tolerances, witness=witness, margin=margin, note=note,
+        claim=f"{lohi[0]} <={order} {lohi[1]} whenever nu1 <= nu2 in the scanned range",
+    )
+
+
+def scan_orders(
     f: DensityFamily,
     nu_grid,
     grid: SupportGrid,
-    *,
-    order: str,
-    direction: str,
-    tol: float,
-    per_nu,
-    witness_kind: str,
-) -> OrderVerdict:
-    """Shared scan loop: per_nu(nu) -> (xs, margins); first violation wins."""
-    nus = _validate_scan(f, nu_grid, grid)
-    tolerances = {"tol_shape": tol, "nu_points": len(nus), "grid_points": grid.size}
-    worst = math.inf
-    for nu in nus:
-        xs, margins = per_nu(nu)
-        i = _first_bad(margins, tol)
-        if i >= 0:
-            w = Witness(x=float(xs[i]), margin=float(margins[i]), nu=nu, kind=witness_kind)
-            return OrderVerdict(
-                order=order,
-                direction=direction,
-                status="fails",
-                method="kernel-criterion",
-                tolerances=tolerances,
-                witness=w,
-                margin=w.margin,
-                claim=_claim(order, direction),
-            )
-        if margins.size:
-            worst = min(worst, float(margins.min()))
-    return OrderVerdict(
-        order=order,
-        direction=direction,
-        status="holds",
-        method="kernel-criterion",
-        tolerances=tolerances,
-        margin=None if math.isinf(worst) else worst,
-        claim=_claim(order, direction),
-        note=_SCANNED_NOTE,
-    )
+    tests: Sequence[tuple[str, str]],
+    tol_shape: float = TOL_SHAPE,
+    tol_tail: float = TOL_TAIL,
+    eps_tail: float = EPS_TAIL,
+) -> list[OrderVerdict]:
+    """Kernel-criterion verdicts of the (order, direction) tests from one scan;
+    each equals the verdict its `check_<order>` view gives alone."""
+    probes = [order_probe(o, d, tol_shape, tol_tail, eps_tail) for o, d in tests]
+    results, size = _family_scan(f, nu_grid, grid, probes)
+    shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
+    return [
+        _verdict(o, d, "kernel-criterion", {**(shape if o in ("lr", "lc") else tail), **size}, r)
+        for (o, d), r in zip(tests, results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +323,7 @@ def check_lr(
     tol_shape: float = TOL_SHAPE,
 ) -> OrderVerdict:
     """Likelihood-ratio order via kernel monotonicity on adjacent grid pairs."""
-    sign = +1.0 if direction == "up" else -1.0
-
-    def per_nu(nu: float):
-        k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-        return grid.points[:-1], sign * _slopes(grid, k)
-
-    return _shape_check(
-        f, nu_grid, grid,
-        order="lr", direction=direction, tol=tol_shape,
-        per_nu=per_nu, witness_kind="adjacent-pair",
-    )
+    return scan_orders(f, nu_grid, grid, [("lr", direction)], tol_shape=tol_shape)[0]
 
 
 def check_lc(
@@ -256,61 +339,7 @@ def check_lc(
     tests convexity. Triplet tests use increment differences: second
     differences on integer grids, slope differences otherwise.
     """
-    sign = -1.0 if direction == "down" else +1.0
-
-    def per_nu(nu: float):
-        k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-        d = _slopes(grid, k)
-        return grid.points[1:-1], sign * np.diff(d)
-
-    return _shape_check(
-        f, nu_grid, grid,
-        order="lc", direction=direction, tol=tol_shape,
-        per_nu=per_nu, witness_kind="triplet",
-    )
-
-
-def _tail_check(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    *,
-    order: str,
-    direction: str,
-    tol_tail: float,
-    eps_tail: float,
-    quantity,
-) -> OrderVerdict:
-    nus = _validate_scan(f, nu_grid, grid)
-    sign = +1.0 if direction == "up" else -1.0
-    tolerances = {
-        "tol_tail": tol_tail,
-        "eps_tail": eps_tail,
-        "nu_points": len(nus),
-        "grid_points": grid.size,
-    }
-    worst = math.inf
-    for nu in nus:
-        prof = tail_mean_profile(f, nu, grid)
-        keep = prof.survival > eps_tail
-        margins = sign * quantity(prof)[keep]
-        xs = prof.x[keep]
-        i = _first_bad(margins, tol_tail)
-        if i >= 0:
-            w = Witness(x=float(xs[i]), margin=float(margins[i]), nu=nu, kind="grid-point")
-            return OrderVerdict(
-                order=order, direction=direction, status="fails",
-                method="kernel-criterion", tolerances=tolerances,
-                witness=w, margin=w.margin, claim=_claim(order, direction),
-            )
-        if margins.size:
-            worst = min(worst, float(margins.min()))
-    return OrderVerdict(
-        order=order, direction=direction, status="holds",
-        method="kernel-criterion", tolerances=tolerances,
-        margin=None if math.isinf(worst) else worst,
-        claim=_claim(order, direction), note=_SCANNED_NOTE,
-    )
+    return scan_orders(f, nu_grid, grid, [("lc", direction)], tol_shape=tol_shape)[0]
 
 
 def check_st(
@@ -322,11 +351,8 @@ def check_st(
     eps_tail: float = EPS_TAIL,
 ) -> OrderVerdict:
     """Usual order via the sign of E[K | X >= x] - E[K] at every tail point."""
-    return _tail_check(
-        f, nu_grid, grid,
-        order="st", direction=direction, tol_tail=tol_tail, eps_tail=eps_tail,
-        quantity=lambda p: p.dlog_survival(),
-    )
+    return scan_orders(f, nu_grid, grid, [("st", direction)],
+                       tol_tail=tol_tail, eps_tail=eps_tail)[0]
 
 
 def check_hr(
@@ -338,28 +364,19 @@ def check_hr(
     eps_tail: float = EPS_TAIL,
 ) -> OrderVerdict:
     """Hazard-rate order via the sign of E[K | X >= x] - K(x)."""
-    return _tail_check(
-        f, nu_grid, grid,
-        order="hr", direction=direction, tol_tail=tol_tail, eps_tail=eps_tail,
-        quantity=lambda p: -p.dlog_hazard(),
-    )
+    return scan_orders(f, nu_grid, grid, [("hr", direction)],
+                       tol_tail=tol_tail, eps_tail=eps_tail)[0]
 
 
 # ---------------------------------------------------------------------------
 # sufficient conditions for the decreasing direction
 
 
-def _require_left_endpoint(f: DensityFamily) -> None:
+def _endpoint_verdict(f, nu_grid, grid, probe, order, method, tolerances, note) -> OrderVerdict:
     if not math.isfinite(f.support[0]):
         raise ValueError(f"{f.name}: support is unbounded below, no left endpoint")
-
-
-def _inconclusive(order, direction, method, tolerances, witness, note) -> OrderVerdict:
-    return OrderVerdict(
-        order=order, direction=direction, status="inconclusive", method=method,
-        tolerances=tolerances, witness=witness, margin=witness.margin,
-        claim=_claim(order, direction), note=note,
-    )
+    (result,), size = _family_scan(f, nu_grid, grid, [probe])
+    return _verdict(order, "down", method, {**tolerances, **size}, result, note)
 
 
 def check_superlevel(
@@ -378,56 +395,24 @@ def check_superlevel(
     hazard-rate order. Sufficient only: a violated hypothesis is reported as
     inconclusive, with the offending point attached.
     """
-    _require_left_endpoint(f)
-    nus = _validate_scan(f, nu_grid, grid)
-    order = "hr" if want_hr else "st"
-    tolerances = {
-        "tol_tail": tol_tail,
-        "tol_shape": tol_shape,
-        "nu_points": len(nus),
-        "grid_points": grid.size,
-    }
-    worst = math.inf
-    for nu in nus:
-        d = density(f, nu, grid)
-        k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-        s = k - float(np.dot(k, d.masses))
-        if s[0] < -tol_tail:
-            w = Witness(x=float(grid.points[0]), margin=float(s[0]), nu=nu, kind="endpoint-score")
-            return _inconclusive(order, "down", "superlevel", tolerances, w,
-                                 "score negative at the left endpoint")
-        worst = min(worst, float(s[0]))
-        neg = np.nonzero(s < -tol_tail)[0]
+
+    def probe(row: _Row) -> Iterator[Step]:
+        s, pts = row.k - row.tails()[2], row.grid.points
+        yield pts[:1], s[:1], tol_tail, "endpoint-score"
+        neg = np.flatnonzero(s < -tol_tail)
         if neg.size:
-            first_neg = int(neg[0])
-            returns = np.nonzero(s[first_neg:] > tol_tail)[0]
-            if returns.size:
-                j = first_neg + int(returns[0])
-                w = Witness(x=float(grid.points[j]), margin=float(-s[j]), nu=nu,
-                            kind="superlevel-return")
-                return _inconclusive(order, "down", "superlevel", tolerances, w,
-                                     "score returns above zero after going negative")
+            # the first return above zero is a witness but adds no margin
+            back = neg[0] + np.flatnonzero(s[neg[0]:] > tol_tail)[:1]
+            yield pts[back], -s[back], tol_tail, "superlevel-return"
         if want_hr:
-            nonneg = np.nonzero(s >= -tol_tail)[0]
+            nonneg = np.flatnonzero(s >= -tol_tail)
             m = int(nonneg[-1]) if nonneg.size else 0
-            if s.size - m >= 2:
-                dv = np.diff(s[m:])
-                dsl = dv if grid.kind == "discrete" else dv / np.diff(grid.points[m:])
-            else:
-                dsl = np.empty(0)
-            i = _first_bad(-dsl, tol_shape)
-            if i >= 0:
-                w = Witness(x=float(grid.points[m + i]), margin=float(-dsl[i]), nu=nu,
-                            kind="tail-monotone")
-                return _inconclusive(order, "down", "superlevel", tolerances, w,
-                                     "score not nonincreasing beyond its superlevel set")
-            if dsl.size:
-                worst = min(worst, float(-dsl.max()))
-    return OrderVerdict(
-        order=order, direction="down", status="holds", method="superlevel",
-        tolerances=tolerances, margin=None if math.isinf(worst) else worst,
-        claim=_claim(order, "down"),
-        note=_SCANNED_NOTE + ("; certifies st as well" if want_hr else ""),
+            yield pts[m:-1], -_slopes(row.grid, s)[m:], tol_shape, "tail-monotone"
+
+    return _endpoint_verdict(
+        f, nu_grid, grid, probe, "hr" if want_hr else "st", "superlevel",
+        {"tol_tail": tol_tail, "tol_shape": tol_shape},
+        _CERTIFIES_ST if want_hr else _SCANNED_NOTE,
     )
 
 
@@ -443,52 +428,20 @@ def check_unimodal_endpoint(
     score at the left endpoint is nonnegative, for every scanned nu. Certifies
     both the usual and hazard-rate orders in the decreasing direction;
     violated hypotheses give inconclusive."""
-    _require_left_endpoint(f)
-    nus = _validate_scan(f, nu_grid, grid)
     c = float(mode_c)
-    tolerances = {
-        "tol_tail": tol_tail,
-        "tol_shape": tol_shape,
-        "mode_c": c,
-        "nu_points": len(nus),
-        "grid_points": grid.size,
-    }
     pts = grid.points
     # adjacent pairs entirely left/right of c; pairs straddling c are exempt
-    left_pairs = np.nonzero(pts[1:] <= c)[0]
-    right_pairs = np.nonzero(pts[:-1] >= c)[0]
-    worst = math.inf
-    for nu in nus:
-        d = density(f, nu, grid)
-        k = np.asarray(f.kernel(nu, pts), dtype=float)
-        dsl = _slopes(grid, k)
-        i = _first_bad(dsl[left_pairs], tol_shape)
-        if i >= 0:
-            j = int(left_pairs[i])
-            w = Witness(x=float(pts[j]), margin=float(dsl[j]), nu=nu, kind="rising")
-            return _inconclusive("hr", "down", "unimodal-endpoint", tolerances, w,
-                                 "kernel not nondecreasing left of the mode")
-        i = _first_bad(-dsl[right_pairs], tol_shape)
-        if i >= 0:
-            j = int(right_pairs[i])
-            w = Witness(x=float(pts[j]), margin=float(-dsl[j]), nu=nu, kind="falling")
-            return _inconclusive("hr", "down", "unimodal-endpoint", tolerances, w,
-                                 "kernel not nonincreasing right of the mode")
-        s0 = float(k[0] - np.dot(k, d.masses))
-        if s0 < -tol_tail:
-            w = Witness(x=float(pts[0]), margin=s0, nu=nu, kind="endpoint-score")
-            return _inconclusive("hr", "down", "unimodal-endpoint", tolerances, w,
-                                 "score negative at the left endpoint")
-        worst = min(worst, s0)
-        if left_pairs.size:
-            worst = min(worst, float(dsl[left_pairs].min()))
-        if right_pairs.size:
-            worst = min(worst, float(-dsl[right_pairs].max()))
-    return OrderVerdict(
-        order="hr", direction="down", status="holds", method="unimodal-endpoint",
-        tolerances=tolerances, margin=None if math.isinf(worst) else worst,
-        claim=_claim("hr", "down"),
-        note=_SCANNED_NOTE + "; certifies st as well",
+    left_pairs = np.flatnonzero(pts[1:] <= c)
+    right_pairs = np.flatnonzero(pts[:-1] >= c)
+
+    def probe(row: _Row) -> Iterator[Step]:
+        yield pts[left_pairs], row.slopes[left_pairs], tol_shape, "rising"
+        yield pts[right_pairs], -row.slopes[right_pairs], tol_shape, "falling"
+        yield pts[:1], row.k[:1] - row.tails()[2], tol_tail, "endpoint-score"
+
+    return _endpoint_verdict(
+        f, nu_grid, grid, probe, "hr", "unimodal-endpoint",
+        {"tol_tail": tol_tail, "tol_shape": tol_shape, "mode_c": c}, _CERTIFIES_ST,
     )
 
 
@@ -504,36 +457,12 @@ def check_concave_endpoint(
     A concave function's superlevel set is an interval, so this is a special
     case of the superlevel test; kept separate because the hypothesis is
     cheaper to state and check."""
-    _require_left_endpoint(f)
-    nus = _validate_scan(f, nu_grid, grid)
-    tolerances = {
-        "tol_tail": tol_tail,
-        "tol_shape": tol_shape,
-        "nu_points": len(nus),
-        "grid_points": grid.size,
-    }
-    worst = math.inf
-    for nu in nus:
-        d = density(f, nu, grid)
-        k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-        curv = np.diff(_slopes(grid, k))
-        i = _first_bad(-curv, tol_shape)
-        if i >= 0:
-            w = Witness(x=float(grid.points[i + 1]), margin=float(-curv[i]), nu=nu,
-                        kind="triplet")
-            return _inconclusive("hr", "down", "concave-endpoint", tolerances, w,
-                                 "kernel not concave")
-        s0 = float(k[0] - np.dot(k, d.masses))
-        if s0 < -tol_tail:
-            w = Witness(x=float(grid.points[0]), margin=s0, nu=nu, kind="endpoint-score")
-            return _inconclusive("hr", "down", "concave-endpoint", tolerances, w,
-                                 "score negative at the left endpoint")
-        worst = min(worst, s0)
-        if curv.size:
-            worst = min(worst, float(-curv.max()))
-    return OrderVerdict(
-        order="hr", direction="down", status="holds", method="concave-endpoint",
-        tolerances=tolerances, margin=None if math.isinf(worst) else worst,
-        claim=_claim("hr", "down"),
-        note=_SCANNED_NOTE + "; certifies st as well",
+
+    def probe(row: _Row) -> Iterator[Step]:
+        yield row.grid.points[1:-1], -np.diff(row.slopes), tol_shape, "triplet"
+        yield row.grid.points[:1], row.k[:1] - row.tails()[2], tol_tail, "endpoint-score"
+
+    return _endpoint_verdict(
+        f, nu_grid, grid, probe, "hr", "concave-endpoint",
+        {"tol_tail": tol_tail, "tol_shape": tol_shape}, _CERTIFIES_ST,
     )

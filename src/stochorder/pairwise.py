@@ -28,9 +28,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .catalog import Distribution, SupportGrid, discrete_grid, parse_spec
+from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
 from .special import digamma, log_factorial_vec, log_pochhammer
-from .verdicts import OrderVerdict, Witness
+from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
 
 __all__ = [
     "PairwiseLaw",
@@ -55,7 +56,6 @@ __all__ = [
     "interpolation_law",
 ]
 
-_TOL_SHAPE = 1e-9
 _EPS_TAIL = 1e-12
 _KMAX_CAP = 10_000
 
@@ -293,8 +293,7 @@ def pairwise_kernel(
 def check_pairwise(
     pk: PairwiseKernel,
     order: str,
-    tol_shape: float = _TOL_SHAPE,
-    cross_check: bool = True,
+    tol_shape: float = TOL_SHAPE,
 ) -> OrderVerdict:
     """Decide the lr or lc relation from the pairwise kernel's shape.
 
@@ -337,23 +336,13 @@ def check_pairwise(
     margin = witness.margin if witness is not None else (
         float(margins.min()) if margins.size else None
     )
-    note = ""
-    if cross_check:
-        dp = law_distribution(p)
-        dq = law_distribution(q)
-        cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, dq)
-        note = f"endpoint oracle {cross.status}"
-        if (cross.status == "holds") != (status == "holds"):
-            return OrderVerdict(
-                order=order, direction="up", status="inconclusive",
-                method="pairwise-kernel", tolerances=tolerances, witness=witness,
-                margin=margin, claim=claim,
-                note=note + "; kernel test and oracle disagree",
-            )
-    return OrderVerdict(
+    criterion = OrderVerdict(
         order=order, direction="up", status=status, method="pairwise-kernel",
-        tolerances=tolerances, witness=witness, margin=margin, claim=claim, note=note,
+        tolerances=tolerances, witness=witness, margin=margin, claim=claim,
     )
+    dp, dq = law_distribution(p), law_distribution(q)
+    cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, dq)
+    return reconcile(criterion, cross, "kernel test")
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +469,8 @@ def check_path_order(
     t_grid=None,
     grid: SupportGrid | None = None,
     direction: str | None = None,
-    tol_shape: float = _TOL_SHAPE,
-    tol_tail: float = 1e-8,
+    tol_shape: float = TOL_SHAPE,
+    tol_tail: float = TOL_TAIL,
 ) -> OrderVerdict:
     """Run the kernel shape test for `order` on K_t over a t-scan.
 
@@ -492,7 +481,7 @@ def check_path_order(
     """
     if grid is None:
         raise ValueError("check_path_order needs an explicit support grid")
-    if order not in ("lr", "lc", "st", "hr"):
+    if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
     if direction is None:
         direction = "down" if order == "lc" else "up"
@@ -500,65 +489,21 @@ def check_path_order(
     ts = np.linspace(lo, hi, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
     path.validate(ts)
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
-    pts = grid.points
-    steps = np.ones(pts.size - 1) if grid.kind == "discrete" else np.diff(pts)
-
-    worst = math.inf
-    witness = None
-    for t in ts:
-        k = path_kernel(path, t, pts)
-        if order in ("lr", "lc"):
-            d = np.diff(k) / steps
-            if order == "lr":
-                margins = d if direction == "up" else -d
-                xs = pts[:-1]
-                kind = "adjacent-pair"
-            else:
-                dd = np.diff(d)
-                margins = -dd if direction == "down" else dd
-                xs = pts[1:-1]
-                kind = "triplet"
-            tol = tol_shape
-        else:
-            law = family_builder(path.theta(float(t)), grid)
-            grand = float(np.dot(k, law.masses))
-            surv = law.survival_all()
-            tail_mean = np.cumsum((k * law.masses)[::-1])[::-1] / np.where(surv > 0, surv, 1.0)
-            keep = surv > 1e-12
-            quantity = (tail_mean - grand) if order == "st" else (tail_mean - k)
-            margins = quantity[keep] if direction == "up" else -quantity[keep]
-            xs = pts[keep]
-            kind = "grid-point"
-            tol = tol_tail
-        bad = np.nonzero(margins < -tol)[0]
-        if bad.size:
-            i = int(bad[0])
-            witness = Witness(x=float(xs[i]), margin=float(margins[i]), nu=float(t), kind=kind)
-            break
-        if margins.size:
-            worst = min(worst, float(margins.min()))
-
+    [(witness, margin)] = scan_kernel(
+        lambda t: path_kernel(path, t, grid.points), ts, grid,
+        [order_probe(order, direction, tol_shape, tol_tail)],
+        law=lambda t: family_builder(path.theta(t), grid).masses,
+    )
+    lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
+    criterion = OrderVerdict(
+        order=order, direction=direction, status="fails" if witness else "holds",
+        method="path-kernel", tolerances=tolerances, witness=witness, margin=margin,
+        claim=f"{lohi[0]} <={order} {lohi[1]} along the path",
+    )
     a = family_builder(path.theta(lo), grid)
     b = family_builder(path.theta(hi), grid)
-    lo_law, hi_law = (a, b) if direction == "up" else (b, a)
-    cross = oracle_for(order)(lo_law, hi_law)
-    lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
-    claim = f"{lohi[0]} <={order} {lohi[1]} along the path"
-    status = "fails" if witness is not None else "holds"
-    note = f"endpoint oracle {cross.status}"
-    if (cross.status == "holds") != (status == "holds"):
-        return OrderVerdict(
-            order=order, direction=direction, status="inconclusive",
-            method="path-kernel", tolerances=tolerances, witness=witness or cross.witness,
-            margin=witness.margin if witness else cross.margin, claim=claim,
-            note=note + "; path test and oracle disagree",
-        )
-    return OrderVerdict(
-        order=order, direction=direction, status=status, method="path-kernel",
-        tolerances=tolerances, witness=witness,
-        margin=witness.margin if witness else (None if math.isinf(worst) else worst),
-        claim=claim, note=note,
-    )
+    cross = oracle_for(order)(*((a, b) if direction == "up" else (b, a)))
+    return reconcile(criterion, cross, "path test")
 
 
 def geometric_interpolation_path(P: PairwiseLaw, Q: PairwiseLaw) -> ParamPath:

@@ -3,13 +3,13 @@
 A verdict is pure data: which order was tested, in which direction, what came
 out, and where it broke if it broke. Keeping the type here means the kernel
 criteria and the brute-force oracle share no computational code, only the
-record they both emit.
+record they both emit, and `reconcile`, the one rule that downgrades a
+criterion verdict the oracle contradicts.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 ORDERS = ("lr", "lc", "st", "hr")
@@ -24,7 +24,6 @@ METHODS = (
     "pairwise-kernel",
     "compound-kernel",
     "path-kernel",
-    "closed-form",
 )
 
 
@@ -100,21 +99,18 @@ class OrderVerdict:
         }
 
 
-def aggregate_margin(margins) -> float:
-    """Worst slack over an iterable of per-point margins (inf when empty)."""
-    worst = math.inf
-    for m in margins:
-        if m < worst:
-            worst = m
-    return worst
-
-
-@dataclass(frozen=True)
-class ScanOutcome:
-    """Internal carrier for one monotone/shape scan: pass flag + evidence."""
-
-    ok: bool
-    margin: float
-    witness: Witness | None = None
-    note: str = ""
-    extras: Mapping[str, Any] = field(default_factory=dict)
+def reconcile(criterion: OrderVerdict, oracle: OrderVerdict, label: str) -> OrderVerdict:
+    """Cross-check a criterion verdict against the oracle's on the endpoint
+    laws. The note gains the oracle's status; when exactly one of the two
+    holds, the verdict becomes inconclusive and keeps the criterion's witness,
+    or else the oracle's, with that witness's margin."""
+    note = f"endpoint oracle {oracle.status}"
+    note = f"{criterion.note}; {note}" if criterion.note else note
+    if criterion.holds == oracle.holds:
+        return replace(criterion, note=note)
+    witness = criterion.witness or oracle.witness
+    return replace(
+        criterion, status="inconclusive", witness=witness,
+        margin=criterion.margin if witness is None else witness.margin,
+        note=f"{note}; {label} and oracle disagree",
+    )

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, report formats, byte determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -215,6 +217,10 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         (("path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--order", "xx"), "xx"),
         (("path", "--name", "interpolation:n=5,r=1,s=10"), "'p'"),
         (("path", "--name", "interpolation:n=5,r=1,s=10,p=0.5", "--order", "st"), "lr"),
+        (("check", "--family", "poisson", "--nu1", "1", "--nu2", "2", "--nu-grid", "50,60",
+          "--orders", "lr"), "'50'"),
+        (("check", "--family", "poisson", "--nu1", "2", "--nu2", "1", "--nu-grid", "1,1.5,2.5"),
+         "'2.5'"),
     ]
     for argv, token in cases:
         code = main(list(argv))
@@ -223,6 +229,30 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         assert err.startswith("error:"), argv
         assert token in err, argv
         assert out == ""
+
+
+TOLERANCE_OPTIONS = [
+    (["check", "--family", "poisson", "--nu1", "1", "--nu2", "2", "--orders", "lr"],
+     ("--tol-shape", "--tol-tail", "--tail-eps")),
+    (["pairwise", "--p", "poisson:lambda=1", "--q", "poisson:lambda=2", "--orders", "lr"],
+     ("--tol-shape", "--tail-eps")),
+    (["compound", "--counting", "poisson", "--summand", "geometric:p=0.5",
+      "--nu1", "1", "--nu2", "2"], ("--tol-shape",)),
+    (["path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--t-points", "5"],
+     ("--tol-shape", "--tol-tail")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [(argv, option) for argv, options in TOLERANCE_OPTIONS for option in options],
+)
+@pytest.mark.parametrize("value", ["-1", "-1e-12", "nan", "inf", "abc"])
+def test_tolerances_must_be_finite_and_nonnegative(capsys, argv, option, value):
+    code = main(argv + [f"{option}={value}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert option in err and repr(value) in err
 
 
 def test_argparse_failures_exit_two(capsys):
@@ -266,6 +296,17 @@ def test_text_format_is_human_readable(capsys):
     assert "lr up: holds [kernel-criterion]" in out
     assert "witness: x=0, nu=1, margin=-1, kind=adjacent-pair" in out
     assert out.rstrip().endswith("runtime_ms: 0")
+
+
+def test_text_and_csv_fold_negative_zero(capsys):
+    argv = ["check", "--family", "cmp-in-dispersion", "--nu1", "0.8", "--nu2", "1.6",
+            "--no-timing", "--format"]
+    _, text, _ = run_cli(capsys, *argv, "text")
+    assert "lr down: holds [kernel-criterion] margin=0\n" in text
+    assert "=-0\n" not in text and "=-0," not in text
+    _, table, _ = run_cli(capsys, *argv, "csv")
+    cells = [cell for row in csv.reader(io.StringIO(table)) for cell in row]
+    assert "-0" not in cells and "0" in cells
 
 
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):

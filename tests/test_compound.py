@@ -259,6 +259,16 @@ def test_check_compound_lr_directions():
     assert v.holds and v.direction == "down"
 
 
+def test_check_compound_lr_downgrades_on_oracle_disagreement():
+    # a tolerance that hides the decreasing kernel picks the up direction,
+    # which the endpoint oracle refutes
+    m_down = make_compound(make_counting("geometric"), geometric_summand(0.5), (0.3, 0.6))
+    v = check_compound_lr(m_down, 0.3, 0.6, tol_shape=1e6)
+    assert v.status == "inconclusive" and v.direction == "up"
+    assert v.note == "endpoint oracle fails; kernel criterion and oracle disagree"
+    assert v.witness is not None and v.margin == v.witness.margin
+
+
 def test_check_compound_lr_gates_on_pf2():
     bumpy = SummandLaw(np.array([0.5, 0.05, 0.45]), 0.0)
     model = make_compound(make_counting("poisson"), bumpy, (1.0, 2.0))

@@ -7,6 +7,7 @@ independently computed log densities, log survivals, and log hazards.
 import numpy as np
 import pytest
 
+from stochorder import cli, criteria
 from stochorder.catalog import (
     continuous_grid,
     default_grid,
@@ -25,6 +26,7 @@ from stochorder.criteria import (
     check_superlevel,
     check_unimodal_endpoint,
     nu_scan,
+    scan_orders,
     tail_mean_profile,
     weighted_log_derivative,
 )
@@ -315,3 +317,49 @@ def test_endpoint_checks_need_a_bounded_left_end(check):
     grid = default_grid(fam, nus)
     with pytest.raises(ValueError):
         check(fam, nus, grid)
+
+
+# ---------------------------------------------------------------------------
+# the one scan behind every criterion
+
+VIEWS = {"lr": check_lr, "lc": check_lc, "st": check_st, "hr": check_hr}
+ALL_TESTS = [(o, d) for o in ("lr", "lc", "st", "hr") for d in ("up", "down")]
+
+
+@pytest.mark.parametrize("spec,nus", [(row[0], row[1]) for row in cli._TABLE1])
+def test_multi_order_scan_matches_the_per_order_views(spec, nus):
+    fam = family_from_spec(spec)
+    scan = nu_scan(*nus)
+    grid = default_grid(fam, scan)
+    together = scan_orders(fam, scan, grid, ALL_TESTS)
+    alone = [VIEWS[o](fam, scan, grid, direction=d) for o, d in ALL_TESTS]
+    assert [v.to_dict() for v in together] == [v.to_dict() for v in alone]
+
+
+def test_check_evaluates_the_density_once_per_scanned_nu(monkeypatch):
+    calls = []
+
+    def counted(f, nu, grid):
+        calls.append(float(nu))
+        return density(f, nu, grid)
+
+    monkeypatch.setattr(criteria, "density", counted)
+    monkeypatch.setattr(cli, "density", counted)
+    # st and hr hold upwards for the Poisson family, so a tail test stays
+    # open over the whole scan
+    code = cli.main(["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--no-timing"])
+    assert code == 0
+    endpoints, scanned = calls[:2], calls[2:]
+    assert endpoints == [1.0, 3.0]
+    assert scanned == nu_scan(1.0, 3.0).tolist()
+
+
+def test_lr_only_scan_never_evaluates_the_density(monkeypatch):
+    def refuse(f, nu, grid):
+        raise AssertionError("the density is not needed for lr or lc")
+
+    monkeypatch.setattr(criteria, "density", refuse)
+    fam = make_family("poisson")
+    nus = nu_scan(1.0, 2.0)
+    verdicts = scan_orders(fam, nus, default_grid(fam, nus), [("lr", "up"), ("lc", "down")])
+    assert [v.status for v in verdicts] == ["holds", "holds"]

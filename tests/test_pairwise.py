@@ -240,12 +240,6 @@ def test_check_pairwise_flags_shape_oracle_disagreement():
     assert v.note.endswith("kernel test and oracle disagree")
 
 
-def test_check_pairwise_without_cross_check():
-    pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.05")
-    v = check_pairwise(pk, "lr", cross_check=False)
-    assert v.status == "holds" and v.note == ""
-
-
 def test_check_pairwise_identical_laws_hold_weakly():
     pk = pairwise_kernel("poisson:lambda=1.5", "poisson:lambda=1.5", kmax=40)
     v = check_pairwise(pk, "lr")
@@ -436,6 +430,18 @@ def test_path_failure_agrees_with_endpoint_oracle():
     assert v.status == "fails"
     assert v.witness.kind == "adjacent-pair"
     assert v.note == "endpoint oracle fails"
+
+
+def test_path_downgrades_when_a_wide_tolerance_hides_the_violation():
+    # the criterion holds under tol_shape=1e6, the oracle refutes: inconclusive,
+    # carrying the oracle's witness and margin
+    path, builder = make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0)
+    grid = continuous_grid(0.0, 60.0, n=3000)
+    v = check_path_order(path, builder, "lr", grid=grid, direction="down", tol_shape=1e6)
+    assert v.status == "inconclusive"
+    assert v.note == "endpoint oracle fails; path test and oracle disagree"
+    assert v.witness is not None and v.witness.nu is None
+    assert v.margin == v.witness.margin < 0
 
 
 def test_negbinomial_path_holds_lr():
