@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import betaincinv, gammaincinv, stdtrit
 
-from .special import digamma_vec, log_factorial_vec, log_pochhammer
+from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer, log_pochhammer_vec
 
 __all__ = [
     "SupportGrid",
@@ -304,9 +304,7 @@ def _negbinomial_in_q(fixed: dict) -> DensityFamily:
     _require(r > 0, "negbinomial-in-q needs r > 0")
 
     def log_factor(q: float, k: np.ndarray) -> np.ndarray:
-        ki = k.astype(np.int64)
-        poch = np.array([log_pochhammer(r, int(v)) for v in ki])
-        return poch - log_factorial_vec(k) + k * math.log(q)
+        return log_pochhammer_vec(r, k) - log_factorial_vec(k) + k * math.log(q)
 
     return DensityFamily(
         name="negbinomial-in-q",
@@ -328,8 +326,7 @@ def _negbinomial_in_shape(fixed: dict) -> DensityFamily:
     logq = math.log1p(-p)
 
     def log_factor(nu: float, k: np.ndarray) -> np.ndarray:
-        poch = np.array([log_pochhammer(nu, int(v)) for v in k.astype(np.int64)])
-        return poch - log_factorial_vec(k) + k * logq
+        return log_pochhammer_vec(nu, k) - log_factorial_vec(k) + k * logq
 
     return DensityFamily(
         name="negbinomial-in-shape",
@@ -339,7 +336,7 @@ def _negbinomial_in_shape(fixed: dict) -> DensityFamily:
         fixed_params={"p": p},
         support=(0.0, math.inf),
         log_factor=log_factor,
-        kernel=lambda nu, k: digamma_vec(nu + k) - digamma_vec(np.full(k.shape, nu)),
+        kernel=lambda nu, k: digamma_vec(nu + k) - digamma(nu),
         log_normalizer=lambda nu: -nu * math.log(p),
     )
 
@@ -368,10 +365,7 @@ def _betabinomial_in_r(fixed: dict) -> DensityFamily:
     _require(n >= 1 and s > 0, "betabinomial-in-r needs n >= 1, s > 0")
 
     def log_factor(r: float, k: np.ndarray) -> np.ndarray:
-        ki = k.astype(np.int64)
-        up = np.array([log_pochhammer(r, int(v)) for v in ki])
-        dn = np.array([log_pochhammer(s, n - int(v)) for v in ki])
-        return _log_binom(n, k) + up + dn
+        return _log_binom(n, k) + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
 
     return DensityFamily(
         name="betabinomial-in-r",
@@ -381,7 +375,7 @@ def _betabinomial_in_r(fixed: dict) -> DensityFamily:
         fixed_params={"n": n, "s": s},
         support=(0.0, float(n)),
         log_factor=log_factor,
-        kernel=lambda r, k: digamma_vec(r + k) - digamma_vec(np.full(k.shape, r)),
+        kernel=lambda r, k: digamma_vec(r + k) - digamma(r),
         log_normalizer=lambda r: log_pochhammer(r + s, n),
     )
 
@@ -393,10 +387,7 @@ def _betabinomial_in_s(fixed: dict) -> DensityFamily:
     _require(n >= 1 and r > 0, "betabinomial-in-s needs n >= 1, r > 0")
 
     def log_factor(s: float, k: np.ndarray) -> np.ndarray:
-        ki = k.astype(np.int64)
-        up = np.array([log_pochhammer(r, int(v)) for v in ki])
-        dn = np.array([log_pochhammer(s, n - int(v)) for v in ki])
-        return _log_binom(n, k) + up + dn
+        return _log_binom(n, k) + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
 
     return DensityFamily(
         name="betabinomial-in-s",
@@ -406,7 +397,7 @@ def _betabinomial_in_s(fixed: dict) -> DensityFamily:
         fixed_params={"n": n, "r": r},
         support=(0.0, float(n)),
         log_factor=log_factor,
-        kernel=lambda s, k: digamma_vec(s + n - k) - digamma_vec(np.full(k.shape, s)),
+        kernel=lambda s, k: digamma_vec(s + n - k) - digamma(s),
         log_normalizer=lambda s: log_pochhammer(r + s, n),
     )
 
@@ -825,23 +816,50 @@ def density(f: DensityFamily, nu: float, grid: SupportGrid) -> Distribution:
 # default grids
 
 
+_SPAN_WINDOW = 64  # points of the first window of the tail search
+
+
+def _tail_span(
+    pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float
+) -> tuple[int, float, np.ndarray] | None:
+    """Smallest k in [lo, hi] whose tail 1 - sum_{lo..k} pmf is <= tail_eps.
+
+    Returns (k, that tail, pmf on lo..k), or None when no k up to hi reaches
+    the target. pmf(ks) gives the masses at the float points ks. The search
+    evaluates a window of 64 points from lo and doubles it, evaluating only
+    the new points, until the target is met or hi is reached. np.cumsum adds
+    sequentially, so every prefix sum, and hence the answer, equals that of
+    one scan over all of lo..hi.
+    """
+    masses = np.empty(0)
+    width = _SPAN_WINDOW
+    while lo + masses.size <= hi:
+        top = min(lo + width - 1, hi)
+        masses = np.concatenate((masses, pmf(np.arange(lo + masses.size, top + 1, dtype=float))))
+        tail = 1.0 - np.cumsum(masses)
+        idx = np.flatnonzero(tail <= tail_eps)
+        if idx.size:
+            i = int(idx[0])
+            return lo + i, float(tail[i]), masses[: i + 1]
+        width *= 2
+    return None
+
+
 def _discrete_span(f: DensityFamily, nus, tail_eps: float, kmax: int) -> tuple[int, float]:
     """Smallest k with tail <= tail_eps, uniformly over the scanned nus."""
     lo = int(f.support[0])
     need = lo
     worst_tail = 0.0
     for nu in nus:
-        ks = np.arange(lo, kmax + 1, dtype=float)
-        logp = f.log_factor(nu, ks) - f.log_normalizer(nu)
-        pmf = np.exp(logp)
-        tail = 1.0 - np.cumsum(pmf)
-        idx = np.nonzero(tail <= tail_eps)[0]
-        if idx.size == 0:
+        span = _tail_span(
+            lambda ks: np.exp(f.log_factor(nu, ks) - f.log_normalizer(nu)), lo, kmax, tail_eps
+        )
+        if span is None:
             raise ValueError(
                 f"{f.name}: tail-mass target {tail_eps:g} unreachable within k_max={kmax}"
             )
-        need = max(need, lo + int(idx[0]))
-        worst_tail = max(worst_tail, max(float(tail[idx[0]]), 0.0))
+        need = max(need, span[0])
+        worst_tail = max(worst_tail, max(span[1], 0.0))
     return need, worst_tail
 
 

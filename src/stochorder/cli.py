@@ -235,6 +235,33 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# Size options: the least value that makes sense (three points for a second
+# difference, two for a scan) and a ceiling far above every default and
+# benchmark run, past which a command would allocate or scan without a
+# useful bound.
+MAX_KMAX = 100_000
+MAX_GRID_POINTS = 100_000
+MAX_NU_POINTS = 10_000
+MAX_T_POINTS = 10_000
+
+
+def _size(least: int, ceiling: int):
+    """argparse type of a size option: an integer in [least, ceiling]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if not least <= value <= ceiling:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer in [{least}, {ceiling}]"
+            )
+        return value
+
+    return parse
+
+
 def _report(command: str, inputs: dict, verdicts, tolerances: dict) -> dict:
     return {
         "command": command,
@@ -301,7 +328,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     d_hi = density(fam, hi, grid)
     scans = iter(scan_orders(
         fam, nus, grid, [(o, d) for o in orders for d in ("up", "down")],
-        tol_shape=args.tol_shape, tol_tail=args.tol_tail,
+        tol_shape=args.tol_shape, tol_tail=args.tol_tail, known_laws={lo: d_lo, hi: d_hi},
     ))
     ok = True
     for o in orders:
@@ -683,12 +710,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--nu1", type=float, required=True)
     check.add_argument("--nu2", type=float, required=True)
     check.add_argument("--orders", default="lr,lc,st,hr")
-    check.add_argument("--kmax", type=int, default=10_000)
+    check.add_argument("--kmax", type=_size(2, MAX_KMAX), default=10_000)
     check.add_argument("--tail-eps", type=_tolerance, default=1e-12)
     check.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     check.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
     check.add_argument("--nu-grid", default=None, help="comma-separated scan values overriding the default")
-    check.add_argument("--grid-points", type=int, default=2000)
+    check.add_argument("--grid-points", type=_size(3, MAX_GRID_POINTS), default=2000)
     _add_common(check)
     check.set_defaults(run=_cmd_check)
 
@@ -696,7 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pairwise.add_argument("--p", required=True, help="law spec for the dominated side")
     pairwise.add_argument("--q", required=True, help="law spec for the dominating side")
     pairwise.add_argument("--orders", default="lr,lc,st,hr")
-    pairwise.add_argument("--kmax", type=int, default=200)
+    pairwise.add_argument("--kmax", type=_size(2, MAX_KMAX), default=200)
     pairwise.add_argument("--tail-eps", type=_tolerance, default=1e-12)
     pairwise.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     _add_common(pairwise)
@@ -707,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compound.add_argument("--summand", required=True)
     compound.add_argument("--nu1", type=float, required=True)
     compound.add_argument("--nu2", type=float, required=True)
-    compound.add_argument("--nu-points", type=int, default=NU_POINTS)
+    compound.add_argument("--nu-points", type=_size(2, MAX_NU_POINTS), default=NU_POINTS)
     compound.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     _add_common(compound)
     compound.set_defaults(run=_cmd_compound)
@@ -721,9 +748,9 @@ def _build_parser() -> argparse.ArgumentParser:
     path.add_argument("--name", required=True,
                       help="path spec: negbinomial/betabinomial/gamma/interpolation with key=val params")
     path.add_argument("--order", default="lr")
-    path.add_argument("--t-points", type=int, default=33)
-    path.add_argument("--kmax", type=int, default=400)
-    path.add_argument("--grid-points", type=int, default=2000)
+    path.add_argument("--t-points", type=_size(2, MAX_T_POINTS), default=33)
+    path.add_argument("--kmax", type=_size(2, MAX_KMAX), default=400)
+    path.add_argument("--grid-points", type=_size(3, MAX_GRID_POINTS), default=2000)
     path.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     path.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
     _add_common(path)

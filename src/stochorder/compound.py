@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DensityFamily, Distribution, discrete_grid, parse_spec
+from .catalog import DensityFamily, Distribution, _tail_span, discrete_grid, parse_spec
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
-from .special import digamma_vec, log_factorial_vec, log_pochhammer
+from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer_vec
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -130,14 +130,13 @@ def poisson_shifted_summand(mu: float, eps_tail: float = _EPS_TAIL) -> SummandLa
     """J = 1 + M with M Poisson(mu), truncated at tail <= eps."""
     if not mu > 0:
         raise ValueError("shifted-poisson summand needs mu > 0")
-    n = np.arange(0, 2000)
-    pmf = np.exp(n * math.log(mu) - mu - log_factorial_vec(n.astype(float)))
-    tail = 1.0 - np.cumsum(pmf)
-    cut = np.nonzero(tail <= eps_tail)[0]
-    if cut.size == 0:
+    span = _tail_span(
+        lambda n: np.exp(n * math.log(mu) - mu - log_factorial_vec(n)), 0, 1999, eps_tail
+    )
+    if span is None:
         raise ValueError("shifted-poisson summand: tail target unreachable")
-    j_hi = int(cut[0]) + 1
-    return SummandLaw(pmf[:j_hi], max(1.0 - pmf[:j_hi].sum(), 0.0))
+    pmf = span[2]
+    return SummandLaw(pmf, max(1.0 - pmf.sum(), 0.0))
 
 
 def _required(ps: dict, key: str, name: str) -> float:
@@ -228,8 +227,10 @@ def _count_negbinomial(fixed: dict) -> DensityFamily:
         raise ValueError("negbinomial counting law needs alpha > 0")
 
     def log_factor(p: float, n: np.ndarray) -> np.ndarray:
-        poch = np.array([log_pochhammer(alpha, int(v)) for v in n.astype(np.int64)])
-        return poch - log_factorial_vec(n) + alpha * math.log(p) + n * math.log1p(-p)
+        return (
+            log_pochhammer_vec(alpha, n) - log_factorial_vec(n)
+            + alpha * math.log(p) + n * math.log1p(-p)
+        )
 
     return DensityFamily(
         name="negbinomial",
@@ -317,8 +318,7 @@ def _count_negbinomial_in_shape(fixed: dict) -> DensityFamily:
     logq = math.log1p(-p)
 
     def log_factor(alpha: float, n: np.ndarray) -> np.ndarray:
-        poch = np.array([log_pochhammer(alpha, int(v)) for v in n.astype(np.int64)])
-        return poch - log_factorial_vec(n) + n * logq
+        return log_pochhammer_vec(alpha, n) - log_factorial_vec(n) + n * logq
 
     return DensityFamily(
         name="negbinomial-in-shape",
@@ -328,7 +328,7 @@ def _count_negbinomial_in_shape(fixed: dict) -> DensityFamily:
         fixed_params={"p": p},
         support=(0.0, math.inf),
         log_factor=log_factor,
-        kernel=lambda a, n: digamma_vec(a + n) - digamma_vec(np.full(n.shape, a)),
+        kernel=lambda a, n: digamma_vec(a + n) - digamma(a),
         log_normalizer=lambda a: -a * math.log(p),
         extras={"dlogA": lambda a: -math.log(p)},
     )
@@ -424,16 +424,16 @@ def _counting_n_max(counting: DensityFamily, nus, eps_tail: float, n_cap: int) -
         return int(counting.support[1])
     need = n_lo
     for nu in nus:
-        n = np.arange(n_lo, n_cap + 1, dtype=float)
-        q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
-        tail = 1.0 - np.cumsum(q)
-        idx = np.nonzero(tail <= eps_tail)[0]
-        if idx.size == 0:
+        span = _tail_span(
+            lambda n: np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu)),
+            n_lo, n_cap, eps_tail,
+        )
+        if span is None:
             raise ValueError(
                 f"{counting.name}: counting tail target {eps_tail:g} "
                 f"unreachable within n_max={n_cap}"
             )
-        need = max(need, n_lo + int(idx[0]))
+        need = max(need, span[0])
     return need
 
 

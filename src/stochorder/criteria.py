@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import DensityFamily, SupportGrid, density
+from .catalog import DensityFamily, Distribution, SupportGrid, density
 from .verdicts import OrderVerdict, Witness
 
 __all__ = [
@@ -246,15 +246,22 @@ def weighted_log_derivative(f: DensityFamily, nu: float, u, grid: SupportGrid) -
 # verdicts of a family scan
 
 
-def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes):
-    """The scan of a family over nu_grid, and its size for the tolerances."""
+def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes,
+                 known_laws: Mapping[float, Distribution] | None = None):
+    """The scan of a family over nu_grid, and its size for the tolerances;
+    a law in known_laws (keyed by nu, on this grid) is not evaluated again."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
     if not nus:
         raise ValueError("empty parameter grid")
     if grid.size < 3:
         raise ValueError("support grid needs at least three points")
-    results = scan_kernel(lambda nu: f.kernel(nu, grid.points), nus, grid, probes,
-                          law=lambda nu: density(f, nu, grid).masses)
+    known = known_laws or {}
+
+    def law(nu: float) -> np.ndarray:
+        d = known.get(nu)
+        return (d if d is not None else density(f, nu, grid)).masses
+
+    results = scan_kernel(lambda nu: f.kernel(nu, grid.points), nus, grid, probes, law=law)
     return results, {"nu_points": len(nus), "grid_points": grid.size}
 
 
@@ -299,11 +306,13 @@ def scan_orders(
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
     eps_tail: float = EPS_TAIL,
+    known_laws: Mapping[float, Distribution] | None = None,
 ) -> list[OrderVerdict]:
     """Kernel-criterion verdicts of the (order, direction) tests from one scan;
-    each equals the verdict its `check_<order>` view gives alone."""
+    each equals the verdict its `check_<order>` view gives alone. known_laws
+    maps nu to `density(f, nu, grid)` already evaluated by the caller."""
     probes = [order_probe(o, d, tol_shape, tol_tail, eps_tail) for o, d in tests]
-    results, size = _family_scan(f, nu_grid, grid, probes)
+    results, size = _family_scan(f, nu_grid, grid, probes, known_laws)
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
     return [
         _verdict(o, d, "kernel-criterion", {**(shape if o in ("lr", "lc") else tail), **size}, r)

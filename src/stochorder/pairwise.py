@@ -30,7 +30,7 @@ import numpy as np
 from .catalog import Distribution, SupportGrid, discrete_grid, parse_spec
 from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
-from .special import digamma, log_factorial_vec, log_pochhammer
+from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer_vec
 from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -121,8 +121,7 @@ def _law_negbinomial(ps: dict) -> PairwiseLaw:
     logq = math.log1p(-p)
 
     def logw(k: np.ndarray) -> np.ndarray:
-        poch = np.array([log_pochhammer(r, int(v)) for v in k.astype(np.int64)])
-        return poch - log_factorial_vec(k) + k * logq
+        return log_pochhammer_vec(r, k) - log_factorial_vec(k) + k * logq
 
     return PairwiseLaw("negbinomial", (0, math.inf), logw, {"r": r, "p": p})
 
@@ -156,15 +155,12 @@ def _law_betabinomial(ps: dict) -> PairwiseLaw:
         raise ValueError("betabinomial law needs n >= 1 and r, s > 0")
 
     def logw(k: np.ndarray) -> np.ndarray:
-        ki = k.astype(np.int64)
         lb = (
             log_factorial_vec(np.full(k.shape, float(n)))
             - log_factorial_vec(k)
             - log_factorial_vec(n - k)
         )
-        up = np.array([log_pochhammer(r, int(v)) for v in ki])
-        dn = np.array([log_pochhammer(s, n - int(v)) for v in ki])
-        return lb + up + dn
+        return lb + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
 
     return PairwiseLaw("betabinomial", (0, n), logw, {"n": n, "r": r, "s": s})
 
@@ -341,8 +337,24 @@ def check_pairwise(
         tolerances=tolerances, witness=witness, margin=margin, claim=claim,
     )
     dp, dq = law_distribution(p), law_distribution(q)
-    cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, dq)
+    if order == "lr":
+        cross = oracle_lr(dq, _reaching(p, dp, dq))
+    else:
+        cross = oracle_lc(dp, _reaching(q, dq, dp))
     return reconcile(criterion, cross, "kernel test")
+
+
+def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distribution:
+    """d, the law cut at its own tail point, extended when needed to the point
+    where the other law is cut. Given as the dominating side to the oracle, so
+    the oracle does not read the earlier cut as the end of its support."""
+    lo, hi = int(law.support[0]), int(other.support.upper)
+    if math.isfinite(law.support[1]) or d.support.upper >= hi:
+        return d
+    k = np.arange(lo, hi + 1, dtype=float)
+    logw = law.log_weight(k)
+    w = np.exp(logw - logw.max())
+    return Distribution(discrete_grid(lo, hi), w / w.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +546,7 @@ def _nb_path(ps: dict):
         raise ValueError("negbinomial path needs 0 < r1 <= r2 and 0 < q1 <= q2 < 1")
 
     def k_shape(th, k):
-        return np.array([digamma(th[0] + v) - digamma(th[0]) for v in k])
+        return digamma_vec(th[0] + k) - digamma(th[0])
 
     def k_power(th, k):
         return k / th[1]
@@ -543,11 +555,7 @@ def _nb_path(ps: dict):
 
     def builder(th, grid: SupportGrid) -> Distribution:
         k = grid.points
-        logw = (
-            np.array([log_pochhammer(th[0], int(v)) for v in k.astype(np.int64)])
-            - log_factorial_vec(k)
-            + k * math.log(th[1])
-        )
+        logw = log_pochhammer_vec(th[0], k) - log_factorial_vec(k) + k * math.log(th[1])
         w = np.exp(logw - logw.max())
         return Distribution(grid, w / w.sum())
 
@@ -562,10 +570,10 @@ def _bb_path(ps: dict):
         raise ValueError("betabinomial path needs n >= 1, r nondecreasing, s nonincreasing")
 
     def k_r(th, k):
-        return np.array([digamma(th[0] + v) - digamma(th[0]) for v in k])
+        return digamma_vec(th[0] + k) - digamma(th[0])
 
     def k_s(th, k):
-        return np.array([digamma(th[1] + n - v) - digamma(th[1]) for v in k])
+        return digamma_vec(th[1] + n - k) - digamma(th[1])
 
     path = _linear_path((r0, s0), (r1, s1), (k_r, k_s))
 
@@ -665,8 +673,8 @@ def betabin_bin_interpolation(
     for c in c_values:
         a = r + c * p
         b = s + c * (1.0 - p)
-        vals = p * np.array([digamma(a + v) - digamma(a) for v in k]) + (1.0 - p) * np.array(
-            [digamma(b + n - v) - digamma(b) for v in k]
+        vals = p * (digamma_vec(a + k) - digamma(a)) + (1.0 - p) * (
+            digamma_vec(b + n - k) - digamma(b)
         )
         kernels[float(c)] = vals
         delta_margins[float(c)] = float(np.diff(vals).min())

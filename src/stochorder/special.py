@@ -1,9 +1,12 @@
-"""Scalar special functions used by the kernel catalogue.
+"""Special functions used by the kernel catalogue.
 
 Only three functions are needed: the digamma function (kernels of shape-type
 families), log-Pochhammer (rising factorials in negative-binomial and
 beta-binomial factors), and log-factorial (base measures of count families).
-All are plain-float implementations with no dependencies beyond math/numpy.
+Each has a scalar form and an array form built on math and numpy only. The
+array forms give the scalar's result bit for bit: they perform the same
+floating-point operations in the same order per element, and take
+logarithms with math.log, whose last bit np.log does not always match.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ import math
 
 import numpy as np
 
-__all__ = ["digamma", "log_pochhammer", "log_factorial"]
+__all__ = [
+    "digamma",
+    "digamma_vec",
+    "log_pochhammer",
+    "log_pochhammer_vec",
+    "log_factorial",
+    "log_factorial_vec",
+]
 
 # Upward recurrence is applied until the argument reaches this threshold, after
 # which the asymptotic series (terms through x**-14) is accurate to < 1e-13.
@@ -28,6 +38,13 @@ _DIGAMMA_TAIL = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
+
+# digamma_vec calls the scalar per entry up to this size: below it the array
+# series' fixed cost (some twenty numpy calls) exceeds the scalar loop's.
+_DIGAMMA_LOOP_MAX = 32
+
+# log (a)_k is summed term by term up to this k, lgamma(a+k) - lgamma(a) beyond.
+_POCH_SUM_MAX = 64
 
 # log-factorial lookup: exact compensated cumulative sums for k <= _LOG_FACT_N.
 _LOG_FACT_N = 10_000
@@ -86,11 +103,14 @@ def log_pochhammer(a: float, k: int) -> float:
     if k != int(k) or k < 0:
         raise ValueError(f"log_pochhammer requires integer k >= 0, got {k!r}")
     k = int(k)
-    if k == 0:
-        return 0.0
-    if k <= 64:
-        return float(sum(math.log(a + j) for j in range(k)))
-    return math.lgamma(a + k) - math.lgamma(a)
+    if k > _POCH_SUM_MAX:
+        return math.lgamma(a + k) - math.lgamma(a)
+    # a plain left-to-right sum, as np.cumsum in log_pochhammer_vec adds;
+    # builtin sum() compensates from Python 3.12 on
+    total = 0.0
+    for j in range(k):
+        total += math.log(a + j)
+    return total
 
 
 def log_factorial(k: int) -> float:
@@ -103,14 +123,61 @@ def log_factorial(k: int) -> float:
     return math.lgamma(k + 1.0)
 
 
+def _math_log(x: np.ndarray) -> np.ndarray:
+    """math.log per element."""
+    return np.fromiter(map(math.log, x.ravel()), float, x.size).reshape(x.shape)
+
+
 def digamma_vec(x: np.ndarray) -> np.ndarray:
-    """Elementwise digamma for positive arrays (thin loop over the scalar)."""
-    arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = digamma(flat_in[i])
+    """Elementwise digamma for positive arrays, equal to `digamma` bit for bit.
+
+    Small arrays go through the scalar entry by entry. Otherwise the scalar's
+    recurrence runs per entry, on the entries below the series start only,
+    and the series then runs on the whole array at once.
+    """
+    x = np.array(x, dtype=float)
+    if x.size <= _DIGAMMA_LOOP_MAX:
+        return np.array([digamma(v) for v in x.flat]).reshape(x.shape)
+    if not np.all(x > 0.0):
+        raise ValueError("digamma_vec requires x > 0")
+    acc = np.zeros(x.shape)
+    flat_x, flat_acc = x.reshape(-1), acc.reshape(-1)
+    for i in np.flatnonzero(flat_x < _DIGAMMA_SERIES_START):
+        xi, ai = float(flat_x[i]), 0.0
+        while xi < _DIGAMMA_SERIES_START:
+            ai -= 1.0 / xi
+            xi += 1.0
+        flat_x[i], flat_acc[i] = xi, ai
+    inv2 = 1.0 / (x * x)
+    tail = np.zeros(x.shape)
+    power = inv2
+    for c in _DIGAMMA_TAIL:
+        tail += c * power
+        power = power * inv2
+    return acc + _math_log(x) - 0.5 / x - tail
+
+
+def log_pochhammer_vec(a: float, k: np.ndarray) -> np.ndarray:
+    """Elementwise log (a)_k over nonnegative integers k, equal to
+    `log_pochhammer` bit for bit.
+
+    For k <= 64 the entries index one running sum of log(a + j), which adds
+    the same terms in the same order as the scalar; beyond, lgamma(a + k) -
+    lgamma(a) as the scalar does.
+    """
+    a = float(a)
+    if not a > 0.0:
+        raise ValueError(f"log_pochhammer_vec requires a > 0, got {a!r}")
+    arr = np.asarray(k)
+    if arr.size and (arr.min() < 0 or np.any(arr != np.floor(arr))):
+        raise ValueError("log_pochhammer_vec requires nonnegative integers k")
+    ki = arr.astype(np.int64)
+    top = min(int(ki.max(initial=0)), _POCH_SUM_MAX)
+    terms = _math_log(a + np.arange(top, dtype=float))
+    out = np.concatenate(([0.0], np.cumsum(terms)))[np.minimum(ki, _POCH_SUM_MAX)]
+    big = ki > _POCH_SUM_MAX
+    if np.any(big):
+        out[big] = np.fromiter(map(math.lgamma, a + ki[big]), float) - math.lgamma(a)
     return out
 
 

@@ -4,6 +4,7 @@ Discrete pmfs and continuous cell masses are compared against scipy.stats,
 which shares no code with the weight-function catalogue.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,3 +277,75 @@ def test_density_rejects_zero_mass_grid():
     grid = discrete_grid(0, 5)
     with pytest.raises(ValueError):
         density(fam, math.nan, grid)
+
+
+# ---------------------------------------------------------------------------
+# the tail-span search of infinite discrete supports
+
+# every infinite-support discrete Table-1 row; the wider scans reach past the
+# first 64-point window, the negative-binomial ones into the lgamma branch
+INFINITE_DISCRETE = [
+    ("poisson", (1.0, 3.0)),
+    ("poisson", (20.0, 80.0)),
+    ("geometric", (0.3, 0.95)),
+    ("negbinomial-in-q", (0.3, 0.95)),
+    ("negbinomial-in-shape", (1.5, 80.0)),
+    ("logseries", (0.3, 0.9)),
+    ("cmp-in-dispersion", (0.8, 1.6)),
+    ("zero-inflated-poisson", (3.0, 5.0)),
+]
+
+
+def full_range_span(fam, nu, kmax, tail_eps):
+    """(first k with tail <= tail_eps, that tail) from one scan over all of
+    lo..kmax, or None when no k reaches the target."""
+    lo = int(fam.support[0])
+    ks = np.arange(lo, kmax + 1, dtype=float)
+    tail = 1.0 - np.cumsum(np.exp(fam.log_factor(nu, ks) - fam.log_normalizer(nu)))
+    idx = np.nonzero(tail <= tail_eps)[0]
+    return None if idx.size == 0 else (lo + int(idx[0]), float(tail[idx[0]]))
+
+
+@pytest.mark.parametrize("name,span", INFINITE_DISCRETE)
+@pytest.mark.parametrize("tail_eps", [1e-12, 1e-6])
+def test_span_search_equals_a_full_range_scan(name, span, tail_eps):
+    fam = make_family(name)
+    nus = nu_scan(*span)
+    lo = int(fam.support[0])
+    need, worst = lo, 0.0
+    for nu in nus:
+        k, tail = full_range_span(fam, nu, 10_000, tail_eps)
+        need, worst = max(need, k), max(worst, tail, 0.0)
+    grid = default_grid(fam, nus, tail_eps=tail_eps)
+    assert (grid.lower, grid.upper, grid.truncation_tail_mass) == (lo, need, worst)
+    assert default_grid(fam, nus, tail_eps=tail_eps, kmax=need).upper == need
+    with pytest.raises(ValueError, match=f"unreachable within k_max={need - 1}$"):
+        default_grid(fam, nus, tail_eps=tail_eps, kmax=need - 1)
+
+
+def counted_log_factor(fam):
+    """fam with its log_factor counting the points it is evaluated at."""
+    points = []
+
+    def log_factor(nu, ks):
+        points.append(ks.size)
+        return fam.log_factor(nu, ks)
+
+    return dataclasses.replace(fam, log_factor=log_factor), points
+
+
+@pytest.mark.parametrize("name,span", INFINITE_DISCRETE)
+def test_span_search_evaluates_at_most_twice_the_span(name, span):
+    counted, points = counted_log_factor(make_family(name))
+    lo = int(counted.support[0])
+    for nu in nu_scan(*span):
+        points.clear()
+        need = int(default_grid(counted, [nu]).upper)
+        assert sum(points) <= 2 * (need - lo + 1) + 64, (nu, need, points)
+
+
+def test_span_search_walks_to_kmax_when_the_target_is_unreachable():
+    counted, points = counted_log_factor(make_family("negbinomial-in-q"))
+    with pytest.raises(ValueError, match="unreachable within k_max=300"):
+        default_grid(counted, [0.95], kmax=300)
+    assert points == [64, 64, 128, 45]  # windows 0..63, ..127, ..255, ..300

@@ -129,6 +129,21 @@ def test_pairwise_exits_one_when_the_claim_fails(capsys):
     assert v["witness"]["kind"] == "support"
 
 
+@pytest.mark.parametrize("p,q", [
+    # cut at k = 11 and k = 10; the log ratio of the pmfs is linear in k
+    ("poisson:lambda=2", "poisson:lambda=0.4"),
+    # cut at k = 16 and k = 150; carried to k = 150, the cmp masses would
+    # sink below the smallest normal double and fake a convex triplet
+    ("cmp:mu=7.66,nu=1.81", "negbinomial:r=12.5,p=0.299"),
+])
+def test_pairwise_lc_is_not_refuted_by_different_truncation_points(capsys, p, q):
+    code, out, _ = run_cli(capsys, "pairwise", "--p", p, "--q", q, "--orders", "lc", "--no-timing")
+    assert code == 0
+    [v] = json.loads(out)["verdicts"]
+    assert v["status"] == "holds" and v["witness"] is None
+    assert v["note"] == "endpoint oracle holds"
+
+
 def test_compound_subcommand_reports_model_sizes(capsys):
     code, out, _ = run_cli(
         capsys, "compound", "--counting", "poisson", "--summand", "geometric:p=0.5",
@@ -253,6 +268,25 @@ def test_tolerances_must_be_finite_and_nonnegative(capsys, argv, option, value):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert option in err and repr(value) in err
+
+
+SIZE_OPTIONS = [
+    (["check", "--family", "poisson", "--nu1", "1", "--nu2", "2"], "--kmax", "1", "100001"),
+    (["check", "--family", "gamma-in-rate", "--nu1", "1", "--nu2", "2"],
+     "--grid-points", "2", "100001"),
+    (["compound", "--counting", "poisson", "--summand", "geometric:p=0.5",
+      "--nu1", "1", "--nu2", "2"], "--nu-points", "1", "10001"),
+    (["path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1"], "--t-points", "1", "10001"),
+]
+
+
+@pytest.mark.parametrize("argv,option,too_small,too_large", SIZE_OPTIONS)
+def test_sizes_outside_their_range_exit_two(capsys, argv, option, too_small, too_large):
+    for value in (too_small, too_large, "1e9", "abc"):
+        code = main(argv + [f"{option}={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert option in err and repr(value) in err
 
 
 def test_argparse_failures_exit_two(capsys):

@@ -33,6 +33,7 @@ from stochorder.compound import (
     summand_from_spec,
     two_point_summand,
 )
+from stochorder.special import log_factorial_vec
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,16 @@ def test_poisson_shifted_summand_matches_scipy():
     s = poisson_shifted_summand(1.5)
     j = np.arange(1, s.j_max + 1)
     assert np.allclose(s.masses, stats.poisson(1.5).pmf(j - 1), atol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.5, 40.0, 300.0])
+def test_poisson_shifted_summand_equals_a_full_range_scan(mu):
+    n = np.arange(0, 2000, dtype=float)
+    pmf = np.exp(n * math.log(mu) - mu - log_factorial_vec(n))
+    cut = int(np.nonzero(1.0 - np.cumsum(pmf) <= 1e-12)[0][0])
+    s = poisson_shifted_summand(mu)
+    assert np.array_equal(s.masses, pmf[: cut + 1])
+    assert s.tail_mass == max(1.0 - pmf[: cut + 1].sum(), 0.0)
 
 
 def test_summand_spec_parsing():
@@ -156,6 +167,34 @@ def test_compound_truncation_tail_within_budget():
         make_counting("geometric"), geometric_summand(0.5), (0.3, 0.6), eps_tail=1e-8
     )
     assert smaller.k_max <= model.k_max
+
+
+# every Table-2 counting law with an infinite support, at scans reaching past
+# the first 64-point window of the span search
+INFINITE_COUNTING = [
+    ("poisson", {}, (1.0, 2.0)),
+    ("poisson", {}, (40.0, 120.0)),
+    ("geometric", {}, (0.3, 0.9)),
+    ("negbinomial", {}, (0.3, 0.6)),
+    ("negbinomial", {"alpha": 40.0}, (0.2, 0.5)),
+    ("logseries", {}, (0.3, 0.9)),
+    ("negbinomial-in-shape", {}, (1.5, 60.0)),
+]
+
+
+@pytest.mark.parametrize("name,fixed,span", INFINITE_COUNTING)
+def test_counting_n_max_equals_a_full_range_scan(name, fixed, span):
+    counting = make_counting(name, **fixed)
+    lo = int(counting.support[0])
+    n = np.arange(lo, 501, dtype=float)
+    need = lo
+    for nu in span:
+        q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
+        need = max(need, lo + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
+    summand = delta_summand(1)
+    assert make_compound(counting, summand, span, k_cap=600).n_max == need
+    with pytest.raises(ValueError, match=f"unreachable within n_max={need - 1}$"):
+        make_compound(counting, summand, span, n_cap=need - 1)
 
 
 def test_finite_counting_support_caps_n_max():

@@ -17,6 +17,7 @@ from stochorder.special import (
     log_factorial,
     log_factorial_vec,
     log_pochhammer,
+    log_pochhammer_vec,
 )
 
 # mpmath.digamma at 30 digits
@@ -88,6 +89,33 @@ def test_digamma_vec_matches_scalar():
         assert v == digamma(x)
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=1e-3, max_value=8.5),
+            st.floats(min_value=8.5, max_value=1e6),
+        ),
+        max_size=80,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_digamma_vec_equals_the_scalar_bit_for_bit(xs):
+    # sizes on both sides of the scalar-loop cutoff, entries on both sides
+    # of the series start
+    arr = np.array(xs, dtype=float)
+    vec = digamma_vec(arr)
+    assert vec.shape == arr.shape
+    assert [float(v) for v in vec] == [digamma(x) for x in xs]
+
+
+def test_digamma_vec_keeps_the_shape_and_rejects_nonpositive():
+    xs = np.linspace(0.05, 40.0, 60).reshape(3, 20)
+    assert np.array_equal(digamma_vec(xs), np.vectorize(digamma)(xs))
+    for bad in (np.array([1.0, 0.0]), np.linspace(-1.0, 5.0, 40)):
+        with pytest.raises(ValueError):
+            digamma_vec(bad)
+
+
 def test_log_pochhammer_small_k_exact_products():
     # (1)_4 = 24, (2.5)_3 = 2.5 * 3.5 * 4.5
     assert log_pochhammer(1.0, 4) == pytest.approx(3.178053830347945619647, rel=1e-15)
@@ -121,6 +149,34 @@ def test_log_pochhammer_rejects_bad_arguments():
         log_pochhammer(1.0, -1)
     with pytest.raises(ValueError):
         log_pochhammer(1.0, 2.5)
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.lists(st.integers(min_value=0, max_value=300), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_pochhammer_vec_matches_the_scalar(a, ks):
+    # empty, unsorted and straddling the k = 64 switch to lgamma
+    vec = log_pochhammer_vec(a, np.array(ks, dtype=float))
+    assert vec.shape == (len(ks),)
+    for k, v in zip(ks, vec):
+        if k <= 64:
+            assert v == log_pochhammer(a, k)
+        else:
+            direct = math.fsum(math.log(a + j) for j in range(k))
+            assert v == pytest.approx(direct, rel=1e-12)
+            assert v == pytest.approx(log_pochhammer(a, k), rel=1e-12)
+
+
+def test_log_pochhammer_vec_rejects_bad_arguments():
+    for a in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            log_pochhammer_vec(a, np.arange(5.0))
+    with pytest.raises(ValueError):
+        log_pochhammer_vec(1.0, np.array([3.0, -1.0]))
+    with pytest.raises(ValueError):
+        log_pochhammer_vec(1.0, np.array([2.5]))
 
 
 def test_log_factorial_reference_values():

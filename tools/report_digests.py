@@ -14,7 +14,12 @@ Each command runs in-process through `stochorder.cli.main` with
 - the first pass of each workload of `perfbench/workloads.py` at seed 7, and
   of closed-forms at seed 8;
 - the gamma, negbinomial and betabinomial paths with each of the four orders;
-- `half-student-in-df` as CSV with each of the four orders.
+- `half-student-in-df` as CSV with each of the four orders;
+- commands whose laws reach past the first 64-point window of the tail
+  search and into the lgamma branch of `log_pochhammer`: the two
+  negative-binomial Table-1 rows over wide ranges, a pairwise and a compound
+  negative binomial with shape 40, and a pairwise lc pair of Poisson laws
+  cut at different points.
 
 No digest is committed: the script compares two checkouts, so a correctness
 fix that changes a report shows as a diff to explain, not a failing test.
@@ -37,6 +42,16 @@ PATHS = (
 )
 
 
+FAR_TAILS = (
+    ["check", "--family", "negbinomial-in-q", "--nu1=0.3", "--nu2=0.95"],
+    ["check", "--family", "negbinomial-in-shape", "--nu1=1.5", "--nu2=80"],
+    ["pairwise", "--p", "poisson:lambda=15", "--q", "negbinomial:r=40,p=0.6"],
+    ["compound", "--counting", "negbinomial:alpha=40", "--summand", "geometric:p=0.5",
+     "--nu1=0.3", "--nu2=0.6"],
+    ["pairwise", "--p", "poisson:lambda=2", "--q", "poisson:lambda=0.4", "--orders", "lc"],
+)
+
+
 def commands(table1, workloads) -> list[list[str]]:
     """The fixed command list; `table1` is `cli._TABLE1`, `workloads` the
     benchmark's generator module."""
@@ -53,6 +68,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(["path", "--name", p, "--order", o] for p in PATHS for o in ORDERS)
     out.extend(["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5",
                 "--orders", o, "--format", "csv"] for o in ORDERS)
+    out.extend(FAR_TAILS)
     return [argv + ["--no-timing"] for argv in out]
 
 
