@@ -40,12 +40,16 @@ __all__ = [
     "discrete_grid",
     "continuous_grid",
     "mixed_grid",
+    "MAX_GRID_POINTS",
 ]
 
 # Quantile span for continuous supports; the grid covers [q(CONT_TAIL),
 # q(1 - CONT_TAIL)] padded by 5% a side, so the omitted mass is ~2e-9.
 _CONT_TAIL = 1e-9
 _PAD = 0.05
+
+# Most points default_grid puts on a continuous or mixed support.
+MAX_GRID_POINTS = 100_000
 
 _NORMAL = NormalDist()
 
@@ -870,9 +874,9 @@ def default_grid(
     tail_eps: float = 1e-12,
     kmax: int = 10_000,
     grid_points: int = 2000,
-    max_points: int = 100_000,
 ) -> SupportGrid:
-    """Grid valid for every nu in `nus`: tail-complete and cap-respecting."""
+    """Grid valid for every nu in `nus`: tail-complete, with at most
+    MAX_GRID_POINTS points on a continuous or mixed support."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
@@ -888,7 +892,7 @@ def default_grid(
         # atom at 0 plus the continuous part truncated at its upper quantile
         u = 1.0 - _CONT_TAIL
         upper = max(f.quantile(nu, u) for nu in nus) * (1.0 + _PAD)
-        n = min(max(grid_points, 1), max_points)
+        n = min(max(grid_points, 1), MAX_GRID_POINTS)
         return mixed_grid(upper, n=n, tail_mass=_CONT_TAIL)
 
     # continuous
@@ -901,5 +905,5 @@ def default_grid(
         lo = max(lo - pad, lo_s)
         hi = hi + pad if not math.isfinite(hi_s) else min(hi + pad, hi_s)
         tail = 2.0 * _CONT_TAIL
-    n = min(max(grid_points, 1), max_points)
+    n = min(max(grid_points, 1), MAX_GRID_POINTS)
     return continuous_grid(lo, hi, n=n, tail_mass=tail)

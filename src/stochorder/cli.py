@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .catalog import (
+    MAX_GRID_POINTS,
     SupportGrid,
     continuous_grid,
     default_grid,
@@ -238,9 +239,8 @@ def _tolerance(text: str) -> float:
 # Size options: the least value that makes sense (three points for a second
 # difference, two for a scan) and a ceiling far above every default and
 # benchmark run, past which a command would allocate or scan without a
-# useful bound.
+# useful bound. --grid-points is capped at catalog.MAX_GRID_POINTS.
 MAX_KMAX = 100_000
-MAX_GRID_POINTS = 100_000
 MAX_NU_POINTS = 10_000
 MAX_T_POINTS = 10_000
 

@@ -231,8 +231,14 @@ def law_distribution(law: PairwiseLaw, eps_tail: float = _EPS_TAIL) -> Distribut
     idx = np.nonzero(tail <= eps_tail)[0]
     if idx.size == 0:
         raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
-    hi = lo + int(idx[0])
-    w = w[: idx[0] + 1]
+    return _normalized(law, lo, lo + int(idx[0]))
+
+
+def _normalized(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
+    """The law's pmf on lo..hi, normalized over that range."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    logw = law.log_weight(k)
+    w = np.exp(logw - logw.max())
     return Distribution(discrete_grid(lo, hi), w / w.sum())
 
 
@@ -337,24 +343,18 @@ def check_pairwise(
         tolerances=tolerances, witness=witness, margin=margin, claim=claim,
     )
     dp, dq = law_distribution(p), law_distribution(q)
-    if order == "lr":
-        cross = oracle_lr(dq, _reaching(p, dp, dq))
-    else:
-        cross = oracle_lc(dp, _reaching(q, dq, dp))
+    cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, _reaching(q, dq, dp))
     return reconcile(criterion, cross, "kernel test")
 
 
 def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distribution:
     """d, the law cut at its own tail point, extended when needed to the point
-    where the other law is cut. Given as the dominating side to the oracle, so
-    the oracle does not read the earlier cut as the end of its support."""
-    lo, hi = int(law.support[0]), int(other.support.upper)
+    where the other law is cut. Given as the dominating side to the lc oracle,
+    so the oracle does not read the earlier cut as the end of its support."""
+    hi = int(other.support.upper)
     if math.isfinite(law.support[1]) or d.support.upper >= hi:
         return d
-    k = np.arange(lo, hi + 1, dtype=float)
-    logw = law.log_weight(k)
-    w = np.exp(logw - logw.max())
-    return Distribution(discrete_grid(lo, hi), w / w.sum())
+    return _normalized(law, int(law.support[0]), hi)
 
 
 # ---------------------------------------------------------------------------

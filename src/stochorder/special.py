@@ -39,10 +39,6 @@ _DIGAMMA_TAIL = (
     1.0 / 12.0,
 )
 
-# digamma_vec calls the scalar per entry up to this size: below it the array
-# series' fixed cost (some twenty numpy calls) exceeds the scalar loop's.
-_DIGAMMA_LOOP_MAX = 32
-
 # log (a)_k is summed term by term up to this k, lgamma(a+k) - lgamma(a) beyond.
 _POCH_SUM_MAX = 64
 
@@ -131,13 +127,10 @@ def _math_log(x: np.ndarray) -> np.ndarray:
 def digamma_vec(x: np.ndarray) -> np.ndarray:
     """Elementwise digamma for positive arrays, equal to `digamma` bit for bit.
 
-    Small arrays go through the scalar entry by entry. Otherwise the scalar's
-    recurrence runs per entry, on the entries below the series start only,
-    and the series then runs on the whole array at once.
+    The scalar's recurrence runs per entry, on the entries below the series
+    start only; the series then runs on the whole array at once.
     """
     x = np.array(x, dtype=float)
-    if x.size <= _DIGAMMA_LOOP_MAX:
-        return np.array([digamma(v) for v in x.flat]).reshape(x.shape)
     if not np.all(x > 0.0):
         raise ValueError("digamma_vec requires x > 0")
     acc = np.zeros(x.shape)

@@ -100,8 +100,7 @@ def test_digamma_vec_matches_scalar():
 )
 @settings(max_examples=200, deadline=None)
 def test_digamma_vec_equals_the_scalar_bit_for_bit(xs):
-    # sizes on both sides of the scalar-loop cutoff, entries on both sides
-    # of the series start
+    # empty to long arrays, entries on both sides of the series start
     arr = np.array(xs, dtype=float)
     vec = digamma_vec(arr)
     assert vec.shape == arr.shape
