@@ -1,17 +1,26 @@
-"""Family catalogue: support grids, parameter-indexed densities, and kernels.
+"""Law table, family catalogue, support grids, densities and kernels.
 
-Each family is a triple (log_factor, kernel, log_normalizer) over an open
-parameter interval: the density in nu is f_nu(x) = exp(log_factor(nu, x) -
-log_normalizer(nu)) with respect to counting measure (discrete), Lebesgue
-measure (continuous), or delta_0 + Lebesgue (mixed). The kernel equals
-d/dnu log_factor, so the centred kernel is the score. Grids discretize the
-support: integers for discrete laws, uniform midpoint cells for continuous
-ones, an exact atom plus midpoint cells for the mixed kind.
+`LAWS` declares each law once, as a multi-parameter entry: its kind, the
+parameters with their domains, the support, the log factor, one kernel
+d/dtheta_i log_factor per parameter that some view varies, the log
+normalizer and, for continuous kinds, the quantile. The density is
+exp(log_factor - log_normalizer) with respect to counting measure
+(discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
 
-Parametrization notes: `geometric` and `negbinomial-in-q` vary the
-power-series argument q (mass proportional to a(k) q^k, kernel k/q); the
-success-probability parametrizations used by the compound counting table
-live in the compound module.
+Everything else is a `View` of an entry: a catalogue family (`make_family`)
+fixes all parameters but one, nu, and its centred kernel is the score; the
+compound counting laws and the pairwise laws and paths are views too.
+Grids discretize the support: integers for discrete laws, uniform midpoint
+cells for continuous ones, an exact atom plus midpoint cells for the mixed
+kind. `normalized` is the one numeric normalizer over a grid.
+
+Parametrization notes: geometric and the negative binomial each have two
+entries. The q-forms use the power-series argument q (factor q^k, kernel
+k/q): the families `geometric` and `negbinomial-in-q` and the negbinomial
+path. The p-forms use the success probability p (factor (1-p)^k, kernel
+-k/(1-p)): `negbinomial-in-shape`, the pairwise and the counting laws. They
+agree at q = 1 - p in exact arithmetic only: deriving one from the other
+takes log(1 - p) for log1p(-p), or the reverse, and moves tail cuts.
 """
 
 from __future__ import annotations
@@ -29,11 +38,15 @@ from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer, lo
 __all__ = [
     "SupportGrid",
     "Distribution",
+    "Law",
+    "LAWS",
+    "View",
     "DensityFamily",
     "FAMILY_NAMES",
     "make_family",
     "parse_spec",
     "density",
+    "normalized",
     "survival",
     "hazard",
     "default_grid",
@@ -211,7 +224,344 @@ def hazard(d: Distribution, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# families
+# the law table
+
+Theta = Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class Law:
+    """A multi-parameter law with factor w_theta(x) = exp(log_factor(theta, x)).
+
+    domains         parameter -> open interval, in the order views list the
+                    parameters; those named in `integers` are whole numbers
+                    from the lower end up.
+    support         theta -> (lower, upper); it reads only parameters that
+                    no view varies.
+    kernels         parameter -> d/dtheta_i log_factor, for every parameter
+                    that some view varies.
+    log_normalizer  theta -> log of the factor's total mass.
+    quantile        (theta, u) -> u-quantile, for continuous and mixed kinds.
+    """
+
+    kind: str
+    domains: Mapping[str, tuple[float, float]]
+    support: Callable[[Theta], tuple[float, float]]
+    log_factor: Callable[[Theta, np.ndarray], np.ndarray]
+    kernels: Mapping[str, Callable[[Theta, np.ndarray], np.ndarray]]
+    log_normalizer: Callable[[Theta], float]
+    quantile: Callable[[Theta, float], float] | None = None
+    integers: tuple[str, ...] = ()
+
+
+_POSITIVE = (0.0, math.inf)
+_UNIT = (0.0, 1.0)
+_REAL = (-math.inf, math.inf)
+_HALFNORMAL_LOG_C = 0.5 * math.log(2.0 / math.pi)
+
+
+def _from_zero(th: Theta) -> tuple[float, float]:
+    return 0.0, math.inf
+
+
+def _up_to_n(th: Theta) -> tuple[float, float]:
+    return 0.0, float(th["n"])
+
+
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    return (
+        log_factorial_vec(np.full(k.shape, n))
+        - log_factorial_vec(k)
+        - log_factorial_vec(n - k)
+    )
+
+
+def _digamma_step(a: float, k: np.ndarray) -> np.ndarray:
+    """psi(a + k) - psi(a): the kernel of a Pochhammer factor (a)_k in a."""
+    return digamma_vec(a + k) - digamma(a)
+
+
+def _binomial_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
+    n, p = th["n"], th["p"]
+    return _log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
+
+
+def _betabinomial_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
+    n = th["n"]
+    return _log_binom(n, k) + log_pochhammer_vec(th["r"], k) + log_pochhammer_vec(th["s"], n - k)
+
+
+def _hypergeometric_support(th: Theta) -> tuple[float, float]:
+    B, W, n = th["B"], th["W"], th["n"]
+    if n > B + W:
+        raise ValueError("hypergeometric law needs B, W >= 0 and 1 <= n <= B + W")
+    return float(max(0, n - W)), float(min(n, B))
+
+
+def _cmp_log_normalizer(th: Theta) -> float:
+    # series terms lam^k (k!)^-nu: geometric envelope, converges for lam < 1
+    loglam = math.log(th["lam"])
+    ks = np.arange(max(2000, int(-60.0 / loglam) + 1), dtype=float)
+    logs = ks * loglam - th["nu"] * log_factorial_vec(ks)
+    m = logs.max()
+    return float(m + math.log(np.exp(logs - m).sum()))
+
+
+# factorization w(0) = (1-pi)e^theta + pi, w(k) = pi theta^k/k!, A = e^theta
+def _zip_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
+    pi, theta = th["pi"], th["theta"]
+    body = math.log(pi) + k * math.log(theta) - log_factorial_vec(np.maximum(k, 0))
+    at0 = np.logaddexp(math.log1p(-pi) + theta, math.log(pi))
+    return np.where(k == 0, at0, body)
+
+
+def _zip_kernel(th: Theta, k: np.ndarray) -> np.ndarray:
+    pi, theta = th["pi"], th["theta"]
+    a = math.exp(math.log(pi) - np.logaddexp(math.log1p(-pi) + theta, math.log(pi)))
+    return np.where(k == 0, 1.0 - a, k / theta)
+
+
+def _lognormal_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
+    s2 = th["sigma"] * th["sigma"]
+    return -((np.log(x) - th["mu"]) ** 2) / (2.0 * s2) - np.log(x)
+
+
+# w_mu(x) = f0(x - mu) e^{-mu}, A = e^{-mu}: the extra e^{-mu} makes
+# d/dmu log w equal the table kernel -e^{-(x-mu)} exactly.
+def _gumbel_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
+    z = x - th["mu"]
+    return -z - np.exp(-z) - th["mu"]
+
+
+def _half_student_kernel(th: Theta, x: np.ndarray) -> np.ndarray:
+    nu, x2 = th["nu"], x * x
+    return -0.5 * np.log1p(x2 / nu) + (nu + 1.0) * x2 / (2.0 * nu * (nu + x2))
+
+
+def _half_student_log_normalizer(th: Theta) -> float:
+    nu = th["nu"]
+    return (
+        0.5 * (math.log(nu) + math.log(math.pi))
+        + math.lgamma(nu / 2.0)
+        - math.log(2.0)
+        - math.lgamma((nu + 1.0) / 2.0)
+    )
+
+
+# density w.r.t. delta_0 + Lebesgue: f(0) = 1-pi, f(x) = pi theta e^{-theta x}
+def _zie_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
+    pi, theta = th["pi"], th["theta"]
+    body = math.log(pi) + math.log(theta) - theta * x
+    return np.where(x == 0.0, math.log1p(-pi), body)
+
+
+LAWS: dict[str, Law] = {
+    # -- discrete --
+    "poisson": Law(
+        kind="discrete",
+        domains={"theta": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, k: k * math.log(th["theta"]) - log_factorial_vec(k),
+        kernels={"theta": lambda th, k: k / th["theta"]},
+        log_normalizer=lambda th: th["theta"],
+    ),
+    "geometric-q": Law(
+        kind="discrete",
+        domains={"q": _UNIT},
+        support=_from_zero,
+        log_factor=lambda th, k: k * math.log(th["q"]),
+        kernels={"q": lambda th, k: k / th["q"]},
+        log_normalizer=lambda th: -math.log1p(-th["q"]),
+    ),
+    "geometric-p": Law(
+        kind="discrete",
+        domains={"p": _UNIT},
+        support=_from_zero,
+        log_factor=lambda th, k: k * math.log1p(-th["p"]),
+        kernels={"p": lambda th, k: -k / (1.0 - th["p"])},
+        log_normalizer=lambda th: -math.log(th["p"]),
+    ),
+    "negbinomial-q": Law(
+        kind="discrete",
+        domains={"r": _POSITIVE, "q": _UNIT},
+        support=_from_zero,
+        log_factor=lambda th, k: (
+            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k) + k * math.log(th["q"])
+        ),
+        kernels={
+            "r": lambda th, k: _digamma_step(th["r"], k),
+            "q": lambda th, k: k / th["q"],
+        },
+        log_normalizer=lambda th: -th["r"] * math.log1p(-th["q"]),
+    ),
+    "negbinomial-p": Law(
+        kind="discrete",
+        domains={"r": _POSITIVE, "p": _UNIT},
+        support=_from_zero,
+        log_factor=lambda th, k: (
+            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k) + k * math.log1p(-th["p"])
+        ),
+        kernels={
+            "r": lambda th, k: _digamma_step(th["r"], k),
+            "p": lambda th, k: -k / (1.0 - th["p"]),
+        },
+        log_normalizer=lambda th: -th["r"] * math.log(th["p"]),
+    ),
+    "binomial": Law(
+        kind="discrete",
+        domains={"n": (1, math.inf), "p": _UNIT},
+        support=_up_to_n,
+        log_factor=_binomial_log_factor,
+        kernels={"p": lambda th, k: k / th["p"] - (th["n"] - k) / (1.0 - th["p"])},
+        log_normalizer=lambda th: 0.0,
+        integers=("n",),
+    ),
+    "betabinomial": Law(
+        kind="discrete",
+        domains={"n": (1, math.inf), "r": _POSITIVE, "s": _POSITIVE},
+        support=_up_to_n,
+        log_factor=_betabinomial_log_factor,
+        kernels={
+            "r": lambda th, k: _digamma_step(th["r"], k),
+            "s": lambda th, k: digamma_vec(th["s"] + th["n"] - k) - digamma(th["s"]),
+        },
+        log_normalizer=lambda th: log_pochhammer(th["r"] + th["s"], th["n"]),
+        integers=("n",),
+    ),
+    "hypergeometric": Law(
+        kind="discrete",
+        domains={"B": (0, math.inf), "W": (0, math.inf), "n": (1, math.inf)},
+        support=_hypergeometric_support,
+        log_factor=lambda th, k: _log_binom(th["B"], k) + _log_binom(th["W"], th["n"] - k),
+        kernels={},
+        log_normalizer=lambda th: float(_log_binom(th["B"] + th["W"], np.asarray(th["n"]))),
+        integers=("B", "W", "n"),
+    ),
+    "logseries": Law(
+        kind="discrete",
+        domains={"theta": _UNIT},
+        support=lambda th: (1.0, math.inf),
+        log_factor=lambda th, k: k * math.log(th["theta"]) - np.log(k),
+        kernels={"theta": lambda th, k: k / th["theta"]},
+        log_normalizer=lambda th: math.log(-math.log1p(-th["theta"])),
+    ),
+    "cmp": Law(
+        kind="discrete",
+        domains={"lam": _POSITIVE, "nu": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, k: k * math.log(th["lam"]) - th["nu"] * log_factorial_vec(k),
+        kernels={"nu": lambda th, k: -log_factorial_vec(k)},
+        log_normalizer=_cmp_log_normalizer,
+    ),
+    "zero-inflated-poisson": Law(
+        kind="discrete",
+        domains={"pi": _UNIT, "theta": _POSITIVE},
+        support=_from_zero,
+        log_factor=_zip_log_factor,
+        kernels={"theta": _zip_kernel},
+        log_normalizer=lambda th: th["theta"],
+    ),
+    # -- continuous --
+    "gamma": Law(
+        kind="continuous",
+        domains={"r": _POSITIVE, "rho": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, x: (th["r"] - 1.0) * np.log(x) - th["rho"] * x,
+        kernels={"r": lambda th, x: np.log(x), "rho": lambda th, x: -x},
+        log_normalizer=lambda th: math.lgamma(th["r"]) - th["r"] * math.log(th["rho"]),
+        quantile=lambda th, u: float(gammaincinv(th["r"], u)) / th["rho"],
+    ),
+    "exponential": Law(
+        kind="continuous",
+        domains={"theta": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, x: -th["theta"] * x,
+        kernels={"theta": lambda th, x: -x},
+        log_normalizer=lambda th: -math.log(th["theta"]),
+        quantile=lambda th, u: -math.log1p(-u) / th["theta"],
+    ),
+    "weibull": Law(
+        kind="continuous",
+        domains={"beta": _POSITIVE, "lam": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, x: (
+            math.log(th["beta"]) + (th["beta"] - 1.0) * np.log(x) - th["lam"] * x ** th["beta"]
+        ),
+        kernels={"lam": lambda th, x: -(x ** th["beta"])},
+        log_normalizer=lambda th: -math.log(th["lam"]),
+        quantile=lambda th, u: (-math.log1p(-u) / th["lam"]) ** (1.0 / th["beta"]),
+    ),
+    "beta": Law(
+        kind="continuous",
+        domains={"alpha": _POSITIVE, "beta": _POSITIVE},
+        support=lambda th: (0.0, 1.0),
+        log_factor=lambda th, x: (th["alpha"] - 1.0) * np.log(x) + (th["beta"] - 1.0) * np.log1p(-x),
+        kernels={"alpha": lambda th, x: np.log(x), "beta": lambda th, x: np.log1p(-x)},
+        log_normalizer=lambda th: (
+            math.lgamma(th["alpha"]) + math.lgamma(th["beta"]) - math.lgamma(th["alpha"] + th["beta"])
+        ),
+        quantile=lambda th, u: float(betaincinv(th["alpha"], th["beta"], u)),
+    ),
+    "pareto": Law(
+        kind="continuous",
+        domains={"xm": _POSITIVE, "alpha": _POSITIVE},
+        support=lambda th: (th["xm"], math.inf),
+        log_factor=lambda th, x: -(th["alpha"] + 1.0) * np.log(x),
+        kernels={"alpha": lambda th, x: -np.log(x)},
+        log_normalizer=lambda th: -th["alpha"] * math.log(th["xm"]) - math.log(th["alpha"]),
+        quantile=lambda th, u: th["xm"] * (1.0 - u) ** (-1.0 / th["alpha"]),
+    ),
+    "halfnormal": Law(
+        kind="continuous",
+        domains={"sigma": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, x: _HALFNORMAL_LOG_C - x * x / (2.0 * th["sigma"] * th["sigma"]),
+        kernels={"sigma": lambda th, x: x * x / th["sigma"] ** 3},
+        log_normalizer=lambda th: math.log(th["sigma"]),
+        quantile=lambda th, u: th["sigma"] * _NORMAL.inv_cdf((1.0 + u) / 2.0),
+    ),
+    "lognormal": Law(
+        kind="continuous",
+        domains={"sigma": _POSITIVE, "mu": _REAL},
+        support=_from_zero,
+        log_factor=_lognormal_log_factor,
+        kernels={"mu": lambda th, x: (np.log(x) - th["mu"]) / (th["sigma"] * th["sigma"])},
+        log_normalizer=lambda th: 0.5 * math.log(2.0 * math.pi) + math.log(th["sigma"]),
+        quantile=lambda th, u: math.exp(th["mu"] + th["sigma"] * _NORMAL.inv_cdf(u)),
+    ),
+    "gumbel": Law(
+        kind="continuous",
+        domains={"mu": _REAL},
+        support=lambda th: _REAL,
+        log_factor=_gumbel_log_factor,
+        kernels={"mu": lambda th, x: -np.exp(-(x - th["mu"]))},
+        log_normalizer=lambda th: -th["mu"],
+        quantile=lambda th, u: th["mu"] - math.log(-math.log(u)),
+    ),
+    "half-student": Law(
+        kind="continuous",
+        domains={"nu": _POSITIVE},
+        support=_from_zero,
+        log_factor=lambda th, x: -((th["nu"] + 1.0) / 2.0) * np.log1p(x * x / th["nu"]),
+        kernels={"nu": _half_student_kernel},
+        log_normalizer=_half_student_log_normalizer,
+        quantile=lambda th, u: float(stdtrit(th["nu"], (1.0 + u) / 2.0)),
+    ),
+    # -- mixed: an atom at 0 plus a density on (0, inf) --
+    "zero-inflated-exponential": Law(
+        kind="mixed",
+        domains={"pi": _UNIT, "theta": _POSITIVE},
+        support=_from_zero,
+        log_factor=_zie_log_factor,
+        kernels={"theta": lambda th, x: np.where(x == 0.0, 0.0, 1.0 / th["theta"] - x)},
+        log_normalizer=lambda th: 0.0,
+        quantile=lambda th, u: -math.log1p(-u) / th["theta"],
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# views: families, counting laws and pairwise laws
 
 
 @dataclass(frozen=True)
@@ -221,7 +571,7 @@ class DensityFamily:
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
     extras hold module-specific annotations (the compound module stores the
-    normalizer derivative and affine kernel coefficients there).
+    normalizer derivative and the kernel's slope in n there).
     """
 
     name: str
@@ -250,516 +600,124 @@ class DensityFamily:
         return f"{self.name}({fixed})" if fixed else self.name
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
-def _as_int(value: float, what: str) -> int:
-    if value != int(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    return (
-        log_factorial_vec(np.full(k.shape, n))
-        - log_factorial_vec(k)
-        - log_factorial_vec(n - k)
-    )
-
-
-# -- discrete builders -------------------------------------------------------
-
-
-def _poisson(fixed: dict) -> DensityFamily:
-    _require(not fixed, "poisson takes no fixed parameters")
-    return DensityFamily(
-        name="poisson",
-        kind="discrete",
-        param_name="theta",
-        param_interval=(0.0, math.inf),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda th, k: k * math.log(th) - log_factorial_vec(k),
-        kernel=lambda th, k: k / th,
-        log_normalizer=lambda th: th,
-    )
-
-
-def _geometric(fixed: dict) -> DensityFamily:
-    _require(not fixed, "geometric takes no fixed parameters")
-    return DensityFamily(
-        name="geometric",
-        kind="discrete",
-        param_name="q",
-        param_interval=(0.0, 1.0),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda q, k: k * math.log(q),
-        kernel=lambda q, k: k / q,
-        log_normalizer=lambda q: -math.log1p(-q),
-    )
-
-
-def _negbinomial_in_q(fixed: dict) -> DensityFamily:
-    r = float(fixed.pop("r", 2.0))
-    _require(not fixed, f"negbinomial-in-q: unknown fixed params {sorted(fixed)}")
-    _require(r > 0, "negbinomial-in-q needs r > 0")
-
-    def log_factor(q: float, k: np.ndarray) -> np.ndarray:
-        return log_pochhammer_vec(r, k) - log_factorial_vec(k) + k * math.log(q)
-
-    return DensityFamily(
-        name="negbinomial-in-q",
-        kind="discrete",
-        param_name="q",
-        param_interval=(0.0, 1.0),
-        fixed_params={"r": r},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=lambda q, k: k / q,
-        log_normalizer=lambda q: -r * math.log1p(-q),
-    )
-
-
-def _negbinomial_in_shape(fixed: dict) -> DensityFamily:
-    p = float(fixed.pop("p", 0.5))
-    _require(not fixed, f"negbinomial-in-shape: unknown fixed params {sorted(fixed)}")
-    _require(0 < p < 1, "negbinomial-in-shape needs p in (0,1)")
-    logq = math.log1p(-p)
-
-    def log_factor(nu: float, k: np.ndarray) -> np.ndarray:
-        return log_pochhammer_vec(nu, k) - log_factorial_vec(k) + k * logq
-
-    return DensityFamily(
-        name="negbinomial-in-shape",
-        kind="discrete",
-        param_name="nu",
-        param_interval=(0.0, math.inf),
-        fixed_params={"p": p},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=lambda nu, k: digamma_vec(nu + k) - digamma(nu),
-        log_normalizer=lambda nu: -nu * math.log(p),
-    )
-
-
-def _binomial_in_p(fixed: dict) -> DensityFamily:
-    n = _as_int(float(fixed.pop("n", 10)), "binomial-in-p n")
-    _require(not fixed, f"binomial-in-p: unknown fixed params {sorted(fixed)}")
-    _require(n >= 1, "binomial-in-p needs n >= 1")
-    return DensityFamily(
-        name="binomial-in-p",
-        kind="discrete",
-        param_name="p",
-        param_interval=(0.0, 1.0),
-        fixed_params={"n": n},
-        support=(0.0, float(n)),
-        log_factor=lambda p, k: _log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p),
-        kernel=lambda p, k: k / p - (n - k) / (1.0 - p),
-        log_normalizer=lambda p: 0.0,
-    )
-
-
-def _betabinomial_in_r(fixed: dict) -> DensityFamily:
-    n = _as_int(float(fixed.pop("n", 5)), "betabinomial-in-r n")
-    s = float(fixed.pop("s", 2.0))
-    _require(not fixed, f"betabinomial-in-r: unknown fixed params {sorted(fixed)}")
-    _require(n >= 1 and s > 0, "betabinomial-in-r needs n >= 1, s > 0")
-
-    def log_factor(r: float, k: np.ndarray) -> np.ndarray:
-        return _log_binom(n, k) + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
-
-    return DensityFamily(
-        name="betabinomial-in-r",
-        kind="discrete",
-        param_name="r",
-        param_interval=(0.0, math.inf),
-        fixed_params={"n": n, "s": s},
-        support=(0.0, float(n)),
-        log_factor=log_factor,
-        kernel=lambda r, k: digamma_vec(r + k) - digamma(r),
-        log_normalizer=lambda r: log_pochhammer(r + s, n),
-    )
-
-
-def _betabinomial_in_s(fixed: dict) -> DensityFamily:
-    n = _as_int(float(fixed.pop("n", 5)), "betabinomial-in-s n")
-    r = float(fixed.pop("r", 2.0))
-    _require(not fixed, f"betabinomial-in-s: unknown fixed params {sorted(fixed)}")
-    _require(n >= 1 and r > 0, "betabinomial-in-s needs n >= 1, r > 0")
-
-    def log_factor(s: float, k: np.ndarray) -> np.ndarray:
-        return _log_binom(n, k) + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
-
-    return DensityFamily(
-        name="betabinomial-in-s",
-        kind="discrete",
-        param_name="s",
-        param_interval=(0.0, math.inf),
-        fixed_params={"n": n, "r": r},
-        support=(0.0, float(n)),
-        log_factor=log_factor,
-        kernel=lambda s, k: digamma_vec(s + n - k) - digamma(s),
-        log_normalizer=lambda s: log_pochhammer(r + s, n),
-    )
-
-
-def _logseries(fixed: dict) -> DensityFamily:
-    _require(not fixed, "logseries takes no fixed parameters")
-    return DensityFamily(
-        name="logseries",
-        kind="discrete",
-        param_name="theta",
-        param_interval=(0.0, 1.0),
-        fixed_params={},
-        support=(1.0, math.inf),
-        log_factor=lambda th, k: k * math.log(th) - np.log(k),
-        kernel=lambda th, k: k / th,
-        log_normalizer=lambda th: math.log(-math.log1p(-th)),
-    )
-
-
-def _cmp_in_dispersion(fixed: dict) -> DensityFamily:
-    lam = float(fixed.pop("lam", 0.5))
-    _require(not fixed, f"cmp-in-dispersion: unknown fixed params {sorted(fixed)}")
-    _require(0 < lam < 1, "cmp-in-dispersion needs lam in (0,1)")
-    loglam = math.log(lam)
-    # series terms lam^k (k!)^-nu: geometric envelope, converges for lam < 1
-    n_terms = max(2000, int(-60.0 / loglam) + 1)
-    ks = np.arange(n_terms, dtype=float)
-    logfact = log_factorial_vec(ks)
-
-    def log_normalizer(nu: float) -> float:
-        logs = ks * loglam - nu * logfact
-        m = logs.max()
-        return float(m + math.log(np.exp(logs - m).sum()))
-
-    return DensityFamily(
-        name="cmp-in-dispersion",
-        kind="discrete",
-        param_name="nu",
-        param_interval=(0.0, math.inf),
-        fixed_params={"lam": lam},
-        support=(0.0, math.inf),
-        log_factor=lambda nu, k: k * loglam - nu * log_factorial_vec(k),
-        kernel=lambda nu, k: -log_factorial_vec(k),
-        log_normalizer=log_normalizer,
-    )
-
-
-def _zero_inflated_poisson(fixed: dict) -> DensityFamily:
-    pi = float(fixed.pop("pi", 0.5))
-    _require(not fixed, f"zero-inflated-poisson: unknown fixed params {sorted(fixed)}")
-    _require(0 < pi < 1, "zero-inflated-poisson needs pi in (0,1)")
-
-    # factorization w(0) = (1-pi)e^theta + pi, w(k) = pi theta^k/k!, A = e^theta
-    def log_factor(th: float, k: np.ndarray) -> np.ndarray:
-        body = math.log(pi) + k * math.log(th) - log_factorial_vec(np.maximum(k, 0))
-        at0 = np.logaddexp(math.log1p(-pi) + th, math.log(pi))
-        return np.where(k == 0, at0, body)
-
-    def kernel(th: float, k: np.ndarray) -> np.ndarray:
-        a = math.exp(math.log(pi) - np.logaddexp(math.log1p(-pi) + th, math.log(pi)))
-        return np.where(k == 0, 1.0 - a, k / th)
-
-    return DensityFamily(
-        name="zero-inflated-poisson",
-        kind="discrete",
-        param_name="theta",
-        param_interval=(0.0, math.inf),
-        fixed_params={"pi": pi},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=kernel,
-        log_normalizer=lambda th: th,
-    )
-
-
-# -- continuous builders ------------------------------------------------------
-
-
-def _gamma_in_shape(fixed: dict) -> DensityFamily:
-    rho = float(fixed.pop("rho", 1.0))
-    _require(not fixed, f"gamma-in-shape: unknown fixed params {sorted(fixed)}")
-    _require(rho > 0, "gamma-in-shape needs rho > 0")
-    return DensityFamily(
-        name="gamma-in-shape",
-        kind="continuous",
-        param_name="r",
-        param_interval=(0.0, math.inf),
-        fixed_params={"rho": rho},
-        support=(0.0, math.inf),
-        log_factor=lambda r, x: (r - 1.0) * np.log(x) - rho * x,
-        kernel=lambda r, x: np.log(x),
-        log_normalizer=lambda r: math.lgamma(r) - r * math.log(rho),
-        quantile=lambda r, u: float(gammaincinv(r, u)) / rho,
-    )
-
-
-def _gamma_in_rate(fixed: dict) -> DensityFamily:
-    r = float(fixed.pop("r", 2.0))
-    _require(not fixed, f"gamma-in-rate: unknown fixed params {sorted(fixed)}")
-    _require(r > 0, "gamma-in-rate needs r > 0")
-    return DensityFamily(
-        name="gamma-in-rate",
-        kind="continuous",
-        param_name="rho",
-        param_interval=(0.0, math.inf),
-        fixed_params={"r": r},
-        support=(0.0, math.inf),
-        log_factor=lambda rho, x: (r - 1.0) * np.log(x) - rho * x,
-        kernel=lambda rho, x: -x,
-        log_normalizer=lambda rho: math.lgamma(r) - r * math.log(rho),
-        quantile=lambda rho, u: float(gammaincinv(r, u)) / rho,
-    )
-
-
-def _exponential_in_rate(fixed: dict) -> DensityFamily:
-    _require(not fixed, "exponential-in-rate takes no fixed parameters")
-    return DensityFamily(
-        name="exponential-in-rate",
-        kind="continuous",
-        param_name="theta",
-        param_interval=(0.0, math.inf),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda th, x: -th * x,
-        kernel=lambda th, x: -x,
-        log_normalizer=lambda th: -math.log(th),
-        quantile=lambda th, u: -math.log1p(-u) / th,
-    )
-
-
-def _weibull_in_rate(fixed: dict) -> DensityFamily:
-    beta = float(fixed.pop("beta", 2.0))
-    _require(not fixed, f"weibull-in-rate: unknown fixed params {sorted(fixed)}")
-    _require(beta > 0, "weibull-in-rate needs beta > 0")
-    logbeta = math.log(beta)
-    return DensityFamily(
-        name="weibull-in-rate",
-        kind="continuous",
-        param_name="lam",
-        param_interval=(0.0, math.inf),
-        fixed_params={"beta": beta},
-        support=(0.0, math.inf),
-        log_factor=lambda lam, x: logbeta + (beta - 1.0) * np.log(x) - lam * x**beta,
-        kernel=lambda lam, x: -(x**beta),
-        log_normalizer=lambda lam: -math.log(lam),
-        quantile=lambda lam, u: (-math.log1p(-u) / lam) ** (1.0 / beta),
-    )
-
-
-def _beta_in_alpha(fixed: dict) -> DensityFamily:
-    b = float(fixed.pop("beta", 2.0))
-    _require(not fixed, f"beta-in-alpha: unknown fixed params {sorted(fixed)}")
-    _require(b > 0, "beta-in-alpha needs beta > 0")
-    return DensityFamily(
-        name="beta-in-alpha",
-        kind="continuous",
-        param_name="alpha",
-        param_interval=(0.0, math.inf),
-        fixed_params={"beta": b},
-        support=(0.0, 1.0),
-        log_factor=lambda a, x: (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x),
-        kernel=lambda a, x: np.log(x),
-        log_normalizer=lambda a: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b),
-        quantile=lambda a, u: float(betaincinv(a, b, u)),
-    )
-
-
-def _beta_in_beta(fixed: dict) -> DensityFamily:
-    a = float(fixed.pop("alpha", 2.0))
-    _require(not fixed, f"beta-in-beta: unknown fixed params {sorted(fixed)}")
-    _require(a > 0, "beta-in-beta needs alpha > 0")
-    return DensityFamily(
-        name="beta-in-beta",
-        kind="continuous",
-        param_name="beta",
-        param_interval=(0.0, math.inf),
-        fixed_params={"alpha": a},
-        support=(0.0, 1.0),
-        log_factor=lambda b, x: (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x),
-        kernel=lambda b, x: np.log1p(-x),
-        log_normalizer=lambda b: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b),
-        quantile=lambda b, u: float(betaincinv(a, b, u)),
-    )
-
-
-def _pareto_in_shape(fixed: dict) -> DensityFamily:
-    xm = float(fixed.pop("xm", 1.0))
-    _require(not fixed, f"pareto-in-shape: unknown fixed params {sorted(fixed)}")
-    _require(xm > 0, "pareto-in-shape needs xm > 0")
-    return DensityFamily(
-        name="pareto-in-shape",
-        kind="continuous",
-        param_name="alpha",
-        param_interval=(0.0, math.inf),
-        fixed_params={"xm": xm},
-        support=(xm, math.inf),
-        log_factor=lambda a, x: -(a + 1.0) * np.log(x),
-        kernel=lambda a, x: -np.log(x),
-        log_normalizer=lambda a: -a * math.log(xm) - math.log(a),
-        quantile=lambda a, u: xm * (1.0 - u) ** (-1.0 / a),
-    )
-
-
-def _halfnormal_in_scale(fixed: dict) -> DensityFamily:
-    _require(not fixed, "halfnormal-in-scale takes no fixed parameters")
-    c = 0.5 * math.log(2.0 / math.pi)
-    return DensityFamily(
-        name="halfnormal-in-scale",
-        kind="continuous",
-        param_name="sigma",
-        param_interval=(0.0, math.inf),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda s, x: c - x * x / (2.0 * s * s),
-        kernel=lambda s, x: x * x / s**3,
-        log_normalizer=lambda s: math.log(s),
-        quantile=lambda s, u: s * _NORMAL.inv_cdf((1.0 + u) / 2.0),
-    )
-
-
-def _lognormal_in_mu(fixed: dict) -> DensityFamily:
-    sigma = float(fixed.pop("sigma", 1.0))
-    _require(not fixed, f"lognormal-in-mu: unknown fixed params {sorted(fixed)}")
-    _require(sigma > 0, "lognormal-in-mu needs sigma > 0")
-    s2 = sigma * sigma
-    logz = 0.5 * math.log(2.0 * math.pi) + math.log(sigma)
-    return DensityFamily(
-        name="lognormal-in-mu",
-        kind="continuous",
-        param_name="mu",
-        param_interval=(-math.inf, math.inf),
-        fixed_params={"sigma": sigma},
-        support=(0.0, math.inf),
-        log_factor=lambda mu, x: -((np.log(x) - mu) ** 2) / (2.0 * s2) - np.log(x),
-        kernel=lambda mu, x: (np.log(x) - mu) / s2,
-        log_normalizer=lambda mu: logz,
-        quantile=lambda mu, u: math.exp(mu + sigma * _NORMAL.inv_cdf(u)),
-    )
-
-
-def _gumbel_in_location(fixed: dict) -> DensityFamily:
-    _require(not fixed, "gumbel-in-location takes no fixed parameters")
-
-    # w_mu(x) = f0(x - mu) e^{-mu}, A = e^{-mu}: the extra e^{-mu} makes
-    # d/dmu log w equal the table kernel -e^{-(x-mu)} exactly.
-    def log_factor(mu: float, x: np.ndarray) -> np.ndarray:
-        z = x - mu
-        return -z - np.exp(-z) - mu
-
-    return DensityFamily(
-        name="gumbel-in-location",
-        kind="continuous",
-        param_name="mu",
-        param_interval=(-math.inf, math.inf),
-        fixed_params={},
-        support=(-math.inf, math.inf),
-        log_factor=log_factor,
-        kernel=lambda mu, x: -np.exp(-(x - mu)),
-        log_normalizer=lambda mu: -mu,
-        quantile=lambda mu, u: mu - math.log(-math.log(u)),
-    )
-
-
-def _half_student_in_df(fixed: dict) -> DensityFamily:
-    _require(not fixed, "half-student-in-df takes no fixed parameters")
-
-    def log_factor(nu: float, x: np.ndarray) -> np.ndarray:
-        return -((nu + 1.0) / 2.0) * np.log1p(x * x / nu)
-
-    def kernel(nu: float, x: np.ndarray) -> np.ndarray:
-        x2 = x * x
-        return -0.5 * np.log1p(x2 / nu) + (nu + 1.0) * x2 / (2.0 * nu * (nu + x2))
-
-    def log_normalizer(nu: float) -> float:
-        return (
-            0.5 * (math.log(nu) + math.log(math.pi))
-            + math.lgamma(nu / 2.0)
-            - math.log(2.0)
-            - math.lgamma((nu + 1.0) / 2.0)
+@dataclass(frozen=True)
+class View:
+    """A table law as seen by one family, counting law or pairwise law.
+
+    varied    the parameter the view varies (None: every one is fixed).
+    defaults  values of fixed parameters that may be left out.
+    shown     the view's own name of a law parameter, where it differs.
+    domains   narrower domains than the law's, where the view needs them.
+    Defaults and given values use the view's names.
+    """
+
+    law: str
+    varied: str | None = None
+    defaults: Mapping[str, float] = field(default_factory=dict)
+    shown: Mapping[str, str] = field(default_factory=dict)
+    domains: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+
+    def named(self, theta: Theta) -> dict[str, float]:
+        """theta under the view's names."""
+        return {self.shown.get(p, p): v for p, v in theta.items()}
+
+    def bind(self, label: str, given: Mapping[str, float]) -> dict[str, float]:
+        """The fixed parameters, checked against their domains, under the
+        law's names; errors start with `label` and use the view's names."""
+        law = LAWS[self.law]
+        values = {**self.defaults, **given}
+        theta: dict[str, float] = {}
+        for p, (lo, hi) in law.domains.items():
+            if p == self.varied:
+                continue
+            name = self.shown.get(p, p)
+            if name not in values:
+                raise ValueError(f"{label} needs parameter {name!r}")
+            v = float(values.pop(name))
+            lo, hi = self.domains.get(p, (lo, hi))
+            if p in law.integers:
+                if not v.is_integer():
+                    raise ValueError(f"{label}: {name} must be an integer, got {v!r}")
+                v = int(v)
+                ok, need = lo <= v, f"{name} >= {lo:g}"
+            else:
+                ok = lo < v < hi
+                need = f"{name} > {lo:g}" if hi == math.inf else f"{name} in ({lo:g},{hi:g})"
+            if not ok:
+                raise ValueError(f"{label} needs {need}")
+            theta[p] = v
+        if values:
+            raise ValueError(f"{label}: unknown parameters {sorted(values)}")
+        return theta
+
+    def family(
+        self,
+        name: str,
+        label: str,
+        given: Mapping[str, float],
+        extras: Mapping[str, Callable[[Theta], float]] | None = None,
+    ) -> DensityFamily:
+        """The one-parameter family in `varied`, the other parameters fixed
+        at `given` or their defaults. extras are functions of the law's
+        parameters, bound to nu like the log factor."""
+        law = LAWS[self.law]
+        fixed = self.bind(label, given)
+        free = self.varied
+
+        def at(nu: float) -> dict[str, float]:
+            return {**fixed, free: nu}
+
+        return DensityFamily(
+            name=name,
+            kind=law.kind,
+            param_name=self.shown.get(free, free),
+            param_interval=law.domains[free],
+            fixed_params=self.named(fixed),
+            support=law.support(fixed),
+            log_factor=lambda nu, x: law.log_factor(at(nu), x),
+            kernel=lambda nu, x: law.kernels[free](at(nu), x),
+            log_normalizer=lambda nu: law.log_normalizer(at(nu)),
+            quantile=None if law.quantile is None else lambda nu, u: law.quantile(at(nu), u),
+            extras={k: (lambda nu, g=g: g(at(nu))) for k, g in (extras or {}).items()},
         )
 
-    return DensityFamily(
-        name="half-student-in-df",
-        kind="continuous",
-        param_name="nu",
-        param_interval=(0.0, math.inf),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=kernel,
-        log_normalizer=log_normalizer,
-        quantile=lambda nu, u: float(stdtrit(nu, (1.0 + u) / 2.0)),
-    )
 
-
-def _zero_inflated_exponential(fixed: dict) -> DensityFamily:
-    pi = float(fixed.pop("pi", 0.4))
-    _require(not fixed, f"zero-inflated-exponential: unknown fixed params {sorted(fixed)}")
-    _require(0 < pi < 1, "zero-inflated-exponential needs pi in (0,1)")
-    logpi = math.log(pi)
-    log1mpi = math.log1p(-pi)
-
-    # density w.r.t. delta_0 + Lebesgue: f(0) = 1-pi, f(x) = pi theta e^{-theta x}
-    def log_factor(th: float, x: np.ndarray) -> np.ndarray:
-        body = logpi + math.log(th) - th * x
-        return np.where(x == 0.0, log1mpi, body)
-
-    def kernel(th: float, x: np.ndarray) -> np.ndarray:
-        return np.where(x == 0.0, 0.0, 1.0 / th - x)
-
-    return DensityFamily(
-        name="zero-inflated-exponential",
-        kind="mixed",
-        param_name="theta",
-        param_interval=(0.0, math.inf),
-        fixed_params={"pi": pi},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=kernel,
-        log_normalizer=lambda th: 0.0,
-        quantile=lambda th, u: -math.log1p(-u) / th,
-    )
-
-
-_BUILDERS: dict[str, Callable[[dict], DensityFamily]] = {
-    "poisson": _poisson,
-    "geometric": _geometric,
-    "negbinomial-in-q": _negbinomial_in_q,
-    "negbinomial-in-shape": _negbinomial_in_shape,
-    "binomial-in-p": _binomial_in_p,
-    "betabinomial-in-r": _betabinomial_in_r,
-    "betabinomial-in-s": _betabinomial_in_s,
-    "logseries": _logseries,
-    "cmp-in-dispersion": _cmp_in_dispersion,
-    "zero-inflated-poisson": _zero_inflated_poisson,
-    "gamma-in-shape": _gamma_in_shape,
-    "gamma-in-rate": _gamma_in_rate,
-    "exponential-in-rate": _exponential_in_rate,
-    "weibull-in-rate": _weibull_in_rate,
-    "beta-in-alpha": _beta_in_alpha,
-    "beta-in-beta": _beta_in_beta,
-    "pareto-in-shape": _pareto_in_shape,
-    "halfnormal-in-scale": _halfnormal_in_scale,
-    "lognormal-in-mu": _lognormal_in_mu,
-    "gumbel-in-location": _gumbel_in_location,
-    "half-student-in-df": _half_student_in_df,
-    "zero-inflated-exponential": _zero_inflated_exponential,
+# the Table-1 families: the law each one views, the parameter it varies and
+# the defaults of the fixed ones
+_FAMILIES: dict[str, View] = {
+    "poisson": View("poisson", "theta"),
+    "geometric": View("geometric-q", "q"),
+    "negbinomial-in-q": View("negbinomial-q", "q", {"r": 2.0}),
+    "negbinomial-in-shape": View("negbinomial-p", "r", {"p": 0.5}, {"r": "nu"}),
+    "binomial-in-p": View("binomial", "p", {"n": 10}),
+    "betabinomial-in-r": View("betabinomial", "r", {"n": 5, "s": 2.0}),
+    "betabinomial-in-s": View("betabinomial", "s", {"n": 5, "r": 2.0}),
+    "logseries": View("logseries", "theta"),
+    "cmp-in-dispersion": View("cmp", "nu", {"lam": 0.5}, domains={"lam": _UNIT}),
+    "zero-inflated-poisson": View("zero-inflated-poisson", "theta", {"pi": 0.5}),
+    "gamma-in-shape": View("gamma", "r", {"rho": 1.0}),
+    "gamma-in-rate": View("gamma", "rho", {"r": 2.0}),
+    "exponential-in-rate": View("exponential", "theta"),
+    "weibull-in-rate": View("weibull", "lam", {"beta": 2.0}),
+    "beta-in-alpha": View("beta", "alpha", {"beta": 2.0}),
+    "beta-in-beta": View("beta", "beta", {"alpha": 2.0}),
+    "pareto-in-shape": View("pareto", "alpha", {"xm": 1.0}),
+    "halfnormal-in-scale": View("halfnormal", "sigma"),
+    "lognormal-in-mu": View("lognormal", "mu", {"sigma": 1.0}),
+    "gumbel-in-location": View("gumbel", "mu"),
+    "half-student-in-df": View("half-student", "nu"),
+    "zero-inflated-exponential": View("zero-inflated-exponential", "theta", {"pi": 0.4}),
 }
 
-FAMILY_NAMES = tuple(sorted(_BUILDERS))
+FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
 def make_family(name: str, **fixed_params: float) -> DensityFamily:
     """Build a catalogue family; unknown names and bad parameters error."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    view = _FAMILIES.get(name)
+    if view is None:
         raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}")
-    return builder(dict(fixed_params))
+    return view.family(name, name, fixed_params)
 
 
 def parse_spec(text: str) -> tuple[str, dict[str, float]]:
@@ -814,6 +772,17 @@ def density(f: DensityFamily, nu: float, grid: SupportGrid) -> Distribution:
     if not total > 0:
         raise ValueError(f"{f.name}: zero total mass on the grid at {f.param_name}={nu}")
     return Distribution(grid, vals / total)
+
+
+def normalized(grid: SupportGrid, log_weights: np.ndarray) -> Distribution:
+    """The law with density exp(log_weights) w.r.t. the grid's measure,
+    normalized numerically over the grid: exp(logw - max) * weights / sum.
+
+    Subtracting the maximum keeps every weight finite however large the
+    factor; laws without a closed-form normalizer on the grid use this.
+    """
+    w = np.exp(log_weights - log_weights.max()) * grid.weights()
+    return Distribution(grid, w / w.sum())
 
 
 # ---------------------------------------------------------------------------

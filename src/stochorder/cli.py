@@ -26,7 +26,6 @@ from dataclasses import replace
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .catalog import (
     MAX_GRID_POINTS,
@@ -63,6 +62,7 @@ from .pairwise import (
     make_law,
     make_path,
     pairwise_kernel,
+    path_grid,
 )
 from .verdicts import ORDERS, OrderVerdict, reconcile
 
@@ -510,8 +510,7 @@ def _build_table2() -> tuple[dict, list[OrderVerdict], bool]:
         model = make_compound(counting, summand, (lo, hi))
         v = check_compound_lr(model, lo, hi)
         verdicts.append(v)
-        _, b_fn = counting.extras["affine"]
-        sign = "+" if float(b_fn(0.5 * (lo + hi))) > 0 else "-"
+        sign = "+" if float(counting.extras["slope"](0.5 * (lo + hi))) > 0 else "-"
         rows.append(
             {"counting": name, "slope_sign": sign, "direction": v.direction, "status": v.status}
         )
@@ -618,18 +617,6 @@ def _cmd_table(args) -> tuple[dict, int]:
 # paths
 
 
-def _path_grid(name: str, params: dict, args) -> SupportGrid:
-    if name == "betabinomial":
-        return discrete_grid(0, int(params["n"]))
-    if name == "negbinomial":
-        return discrete_grid(0, int(args.kmax))
-    # gamma: span the widest endpoint law, clipped below at the origin
-    shapes = (params["r1"], params["r2"])
-    rates = (params["rho1"], params["rho2"])
-    hi = max(float(gammaincinv(r, 1.0 - 1e-9)) / rho for r, rho in zip(shapes, rates))
-    return continuous_grid(0.0, hi * 1.05, n=int(args.grid_points))
-
-
 def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict]:
     needed = {"n", "r", "s", "p"}
     missing = sorted(needed - params.keys())
@@ -675,7 +662,7 @@ def _cmd_path(args) -> tuple[dict, int]:
         report = _report("path", {**inputs, **extras}, [v], tolerances)
         return report, 0 if v.holds else 1
     path, builder = make_path(name, **params)
-    grid = _path_grid(name, params, args)
+    grid = path_grid(name, params, args.kmax, args.grid_points)
     t_grid = np.linspace(path.t_interval[0], path.t_interval[1], int(args.t_points))
     v = check_path_order(
         path, builder, args.order,

@@ -9,8 +9,13 @@ for the counting kernel, the compound law has kernel
 so monotonicity of G_nu in n transfers to K_nu in k whenever the posterior
 P(N = . | X = k) is stochastically increasing in k, which holds when the
 summand pmf is a Polya frequency sequence of order 2. For the catalogued
-counting laws G_nu(n) = a(nu) + b(nu) n is affine and the lr direction is
-the sign of b.
+counting laws G_nu(n) is affine in n and the lr direction is the sign of
+its slope b(nu).
+
+Each counting law is a one-parameter view of an entry of `catalog.LAWS`
+(the p-forms for geometric and the negative binomial), with two extras:
+`dlogA`, the derivative of the log normalizer (for the score), and, on the
+Table-2 rows, `slope`, the closed-form b(nu).
 
 All arrays are truncated: summands at tail eps, counting at n_max, the
 compound support at k_max; truncation budgets are recorded on the objects.
@@ -20,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .catalog import DensityFamily, Distribution, _tail_span, discrete_grid, parse_spec
+from .catalog import DensityFamily, Distribution, View, _tail_span, discrete_grid, parse_spec
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
-from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer_vec
+from .special import log_factorial_vec
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -179,178 +185,49 @@ TABLE2_ROWS = (
 )
 
 
-def _count_poisson(fixed: dict) -> DensityFamily:
-    if fixed:
-        raise ValueError("poisson counting law takes no fixed parameters")
-    return DensityFamily(
-        name="poisson",
-        kind="discrete",
-        param_name="lam",
-        param_interval=(0.0, math.inf),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda lam, n: n * math.log(lam) - log_factorial_vec(n),
-        kernel=lambda lam, n: n / lam,
-        log_normalizer=lambda lam: lam,
-        extras={
-            "dlogA": lambda lam: 1.0,
-            "affine": (lambda lam: 0.0, lambda lam: 1.0 / lam),
+# counting law: its view of a table law and its extras, functions of the
+# law's parameters: dlogA = d/dnu log A and, for the Table-2 rows, the slope
+# b of the kernel in n
+_COUNTING: dict[str, tuple[View, dict[str, Callable]]] = {
+    "poisson": (
+        View("poisson", "theta", shown={"theta": "lam"}),
+        {"dlogA": lambda th: 1.0, "slope": lambda th: 1.0 / th["theta"]},
+    ),
+    "geometric": (
+        View("geometric-p", "p"),
+        {"dlogA": lambda th: -1.0 / th["p"], "slope": lambda th: -1.0 / (1.0 - th["p"])},
+    ),
+    "negbinomial": (
+        View("negbinomial-p", "p", {"alpha": 2.0}, {"r": "alpha"}),
+        {"dlogA": lambda th: -th["r"] / th["p"], "slope": lambda th: -1.0 / (1.0 - th["p"])},
+    ),
+    "binomial": (
+        View("binomial", "p", {"n0": 10}, {"n": "n0"}),
+        {"dlogA": lambda th: 0.0, "slope": lambda th: 1.0 / (th["p"] * (1.0 - th["p"]))},
+    ),
+    "logseries": (
+        View("logseries", "theta"),
+        {
+            "dlogA": lambda th: 1.0 / ((1.0 - th["theta"]) * (-math.log1p(-th["theta"]))),
+            "slope": lambda th: 1.0 / th["theta"],
         },
-    )
-
-
-def _count_geometric(fixed: dict) -> DensityFamily:
-    if fixed:
-        raise ValueError("geometric counting law takes no fixed parameters")
-    return DensityFamily(
-        name="geometric",
-        kind="discrete",
-        param_name="p",
-        param_interval=(0.0, 1.0),
-        fixed_params={},
-        support=(0.0, math.inf),
-        log_factor=lambda p, n: n * math.log1p(-p),
-        kernel=lambda p, n: -n / (1.0 - p),
-        log_normalizer=lambda p: -math.log(p),
-        extras={
-            "dlogA": lambda p: -1.0 / p,
-            "affine": (lambda p: 0.0, lambda p: -1.0 / (1.0 - p)),
-        },
-    )
-
-
-def _count_negbinomial(fixed: dict) -> DensityFamily:
-    alpha = float(fixed.pop("alpha", 2.0))
-    if fixed:
-        raise ValueError(f"negbinomial counting law: unknown parameters {sorted(fixed)}")
-    if not alpha > 0:
-        raise ValueError("negbinomial counting law needs alpha > 0")
-
-    def log_factor(p: float, n: np.ndarray) -> np.ndarray:
-        return (
-            log_pochhammer_vec(alpha, n) - log_factorial_vec(n)
-            + alpha * math.log(p) + n * math.log1p(-p)
-        )
-
-    return DensityFamily(
-        name="negbinomial",
-        kind="discrete",
-        param_name="p",
-        param_interval=(0.0, 1.0),
-        fixed_params={"alpha": alpha},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=lambda p, n: alpha / p - n / (1.0 - p),
-        log_normalizer=lambda p: 0.0,
-        extras={
-            "dlogA": lambda p: 0.0,
-            "affine": (lambda p: alpha / p, lambda p: -1.0 / (1.0 - p)),
-        },
-    )
-
-
-def _count_binomial(fixed: dict) -> DensityFamily:
-    n0 = float(fixed.pop("n0", 10))
-    if fixed:
-        raise ValueError(f"binomial counting law: unknown parameters {sorted(fixed)}")
-    if n0 < 1 or n0 != int(n0):
-        raise ValueError("binomial counting law needs integer n0 >= 1")
-    n0 = int(n0)
-
-    def log_factor(p: float, n: np.ndarray) -> np.ndarray:
-        lb = (
-            log_factorial_vec(np.full(n.shape, float(n0)))
-            - log_factorial_vec(n)
-            - log_factorial_vec(n0 - n)
-        )
-        return lb + n * math.log(p) + (n0 - n) * math.log1p(-p)
-
-    return DensityFamily(
-        name="binomial",
-        kind="discrete",
-        param_name="p",
-        param_interval=(0.0, 1.0),
-        fixed_params={"n0": n0},
-        support=(0.0, float(n0)),
-        log_factor=log_factor,
-        kernel=lambda p, n: n / (p * (1.0 - p)) - n0 / (1.0 - p),
-        log_normalizer=lambda p: 0.0,
-        extras={
-            "dlogA": lambda p: 0.0,
-            "affine": (lambda p: -n0 / (1.0 - p), lambda p: 1.0 / (p * (1.0 - p))),
-        },
-    )
-
-
-def _count_logseries(fixed: dict) -> DensityFamily:
-    if fixed:
-        raise ValueError("logseries counting law takes no fixed parameters")
-
-    def log_factor(th: float, n: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return n * math.log(th) - np.log(n)
-
-    return DensityFamily(
-        name="logseries",
-        kind="discrete",
-        param_name="theta",
-        param_interval=(0.0, 1.0),
-        fixed_params={},
-        support=(1.0, math.inf),
-        log_factor=log_factor,
-        kernel=lambda th, n: n / th,
-        log_normalizer=lambda th: math.log(-math.log1p(-th)),
-        extras={
-            "dlogA": lambda th: 1.0 / ((1.0 - th) * (-math.log1p(-th))),
-            "affine": (lambda th: 0.0, lambda th: 1.0 / th),
-        },
-    )
-
-
-def _count_negbinomial_in_shape(fixed: dict) -> DensityFamily:
-    p = float(fixed.pop("p", 0.5))
-    if fixed:
-        raise ValueError(
-            f"negbinomial-in-shape counting law: unknown parameters {sorted(fixed)}"
-        )
-    if not 0 < p < 1:
-        raise ValueError("negbinomial-in-shape counting law needs p in (0,1)")
-    logq = math.log1p(-p)
-
-    def log_factor(alpha: float, n: np.ndarray) -> np.ndarray:
-        return log_pochhammer_vec(alpha, n) - log_factorial_vec(n) + n * logq
-
-    return DensityFamily(
-        name="negbinomial-in-shape",
-        kind="discrete",
-        param_name="alpha",
-        param_interval=(0.0, math.inf),
-        fixed_params={"p": p},
-        support=(0.0, math.inf),
-        log_factor=log_factor,
-        kernel=lambda a, n: digamma_vec(a + n) - digamma(a),
-        log_normalizer=lambda a: -a * math.log(p),
-        extras={"dlogA": lambda a: -math.log(p)},
-    )
-
-
-_COUNTING_BUILDERS = {
-    "poisson": _count_poisson,
-    "geometric": _count_geometric,
-    "negbinomial": _count_negbinomial,
-    "binomial": _count_binomial,
-    "logseries": _count_logseries,
-    "negbinomial-in-shape": _count_negbinomial_in_shape,
+    ),
+    "negbinomial-in-shape": (
+        View("negbinomial-p", "r", {"p": 0.5}, {"r": "alpha"}),
+        {"dlogA": lambda th: -math.log(th["p"])},
+    ),
 }
 
-COUNTING_NAMES = tuple(sorted(_COUNTING_BUILDERS))
+COUNTING_NAMES = tuple(sorted(_COUNTING))
 
 
 def make_counting(name: str, **fixed: float) -> DensityFamily:
-    builder = _COUNTING_BUILDERS.get(name)
-    if builder is None:
+    """A counting law: a family view with its `dlogA` (and `slope`) extras."""
+    row = _COUNTING.get(name)
+    if row is None:
         raise ValueError(f"unknown counting law {name!r}; valid: {', '.join(COUNTING_NAMES)}")
-    return builder(dict(fixed))
+    view, extras = row
+    return view.family(name, f"{name} counting law", fixed, extras)
 
 
 def counting_from_spec(text: str) -> DensityFamily:

@@ -12,6 +12,13 @@ For joint moves of several parameters, ParamPath carries theta(t) and its
 velocity; the chain-rule kernel K_t = sum_i theta_i'(t) K^(i) feeds the same
 shape tests.
 
+The concrete laws and the named paths are views of `catalog.LAWS`: a
+PairwiseLaw fixes every parameter of an entry and takes its log factor as
+log_weight; a named path is the line between two end points in two of an
+entry's parameters, with the entry's kernels as component kernels and its
+support (or quantile) giving the grid. Laws are normalized numerically by
+`catalog.normalized`.
+
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
 W(r+n-1) <= s(B-n+1) certifies the lr order, and the beta-binomial to
@@ -23,14 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .catalog import Distribution, SupportGrid, discrete_grid, parse_spec
+from .catalog import (
+    LAWS, Distribution, SupportGrid, View, continuous_grid, discrete_grid, normalized, parse_spec,
+)
 from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
-from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer_vec
 from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -51,6 +60,7 @@ __all__ = [
     "geometric_interpolation_path",
     "PATH_NAMES",
     "make_path",
+    "path_grid",
     "InterpolationReport",
     "betabin_bin_interpolation",
     "interpolation_law",
@@ -69,7 +79,7 @@ class PairwiseLaw:
     """A discrete law given by a positive factor w_k on an integer support."""
 
     name: str
-    support: tuple[int, float]  # upper end may be inf
+    support: tuple[float, float]  # upper end may be inf
     log_weight: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, float] = field(default_factory=dict)
 
@@ -78,136 +88,28 @@ class PairwiseLaw:
         return f"{self.name}({ps})" if ps else self.name
 
 
-def _need(params: dict, key: str, law: str) -> float:
-    if key not in params:
-        raise ValueError(f"{law} law needs parameter {key!r}")
-    return float(params.pop(key))
-
-
-def _law_binomial(ps: dict) -> PairwiseLaw:
-    n = int(_need(ps, "n", "binomial"))
-    p = _need(ps, "p", "binomial")
-    if n < 1 or not 0 < p < 1:
-        raise ValueError("binomial law needs n >= 1 and p in (0,1)")
-    logit = math.log(p) - math.log1p(-p)
-
-    def logw(k: np.ndarray) -> np.ndarray:
-        lb = (
-            log_factorial_vec(np.full(k.shape, float(n)))
-            - log_factorial_vec(k)
-            - log_factorial_vec(n - k)
-        )
-        return lb + k * logit
-
-    return PairwiseLaw("binomial", (0, n), logw, {"n": n, "p": p})
-
-
-def _law_poisson(ps: dict) -> PairwiseLaw:
-    lam = _need(ps, "lambda", "poisson")
-    if not lam > 0:
-        raise ValueError("poisson law needs lambda > 0")
-    return PairwiseLaw(
-        "poisson", (0, math.inf),
-        lambda k: k * math.log(lam) - log_factorial_vec(k),
-        {"lambda": lam},
-    )
-
-
-def _law_negbinomial(ps: dict) -> PairwiseLaw:
-    r = _need(ps, "r", "negbinomial")
-    p = _need(ps, "p", "negbinomial")
-    if not (r > 0 and 0 < p < 1):
-        raise ValueError("negbinomial law needs r > 0 and p in (0,1)")
-    logq = math.log1p(-p)
-
-    def logw(k: np.ndarray) -> np.ndarray:
-        return log_pochhammer_vec(r, k) - log_factorial_vec(k) + k * logq
-
-    return PairwiseLaw("negbinomial", (0, math.inf), logw, {"r": r, "p": p})
-
-
-def _law_geometric(ps: dict) -> PairwiseLaw:
-    p = _need(ps, "p", "geometric")
-    if not 0 < p < 1:
-        raise ValueError("geometric law needs p in (0,1)")
-    return PairwiseLaw(
-        "geometric", (0, math.inf), lambda k: k * math.log1p(-p), {"p": p}
-    )
-
-
-def _law_cmp(ps: dict) -> PairwiseLaw:
-    mu = _need(ps, "mu", "cmp")
-    nu = _need(ps, "nu", "cmp")
-    if not (mu > 0 and nu > 0):
-        raise ValueError("cmp law needs mu > 0 and nu > 0")
-    return PairwiseLaw(
-        "cmp", (0, math.inf),
-        lambda k: k * math.log(mu) - nu * log_factorial_vec(k),
-        {"mu": mu, "nu": nu},
-    )
-
-
-def _law_betabinomial(ps: dict) -> PairwiseLaw:
-    n = int(_need(ps, "n", "betabinomial"))
-    r = _need(ps, "r", "betabinomial")
-    s = _need(ps, "s", "betabinomial")
-    if n < 1 or not (r > 0 and s > 0):
-        raise ValueError("betabinomial law needs n >= 1 and r, s > 0")
-
-    def logw(k: np.ndarray) -> np.ndarray:
-        lb = (
-            log_factorial_vec(np.full(k.shape, float(n)))
-            - log_factorial_vec(k)
-            - log_factorial_vec(n - k)
-        )
-        return lb + log_pochhammer_vec(r, k) + log_pochhammer_vec(s, n - k)
-
-    return PairwiseLaw("betabinomial", (0, n), logw, {"n": n, "r": r, "s": s})
-
-
-def _law_hypergeometric(ps: dict) -> PairwiseLaw:
-    B = int(_need(ps, "B", "hypergeometric"))
-    W = int(_need(ps, "W", "hypergeometric"))
-    n = int(_need(ps, "n", "hypergeometric"))
-    if min(B, W) < 0 or n < 1 or n > B + W:
-        raise ValueError("hypergeometric law needs B, W >= 0 and 1 <= n <= B + W")
-    lo, hi = max(0, n - W), min(n, B)
-
-    def logw(k: np.ndarray) -> np.ndarray:
-        def logc(m: int, j: np.ndarray) -> np.ndarray:
-            return (
-                log_factorial_vec(np.full(j.shape, float(m)))
-                - log_factorial_vec(j)
-                - log_factorial_vec(m - j)
-            )
-
-        return logc(B, k) + logc(W, n - k)
-
-    return PairwiseLaw("hypergeometric", (lo, hi), logw, {"B": B, "W": W, "n": n})
-
-
-_LAW_BUILDERS = {
-    "binomial": _law_binomial,
-    "poisson": _law_poisson,
-    "negbinomial": _law_negbinomial,
-    "geometric": _law_geometric,
-    "cmp": _law_cmp,
-    "betabinomial": _law_betabinomial,
-    "hypergeometric": _law_hypergeometric,
+# pairwise law: its view of a table law, every parameter fixed
+_LAW_VIEWS: dict[str, View] = {
+    "binomial": View("binomial"),
+    "poisson": View("poisson", shown={"theta": "lambda"}),
+    "negbinomial": View("negbinomial-p"),
+    "geometric": View("geometric-p"),
+    "cmp": View("cmp", shown={"lam": "mu"}),
+    "betabinomial": View("betabinomial"),
+    "hypergeometric": View("hypergeometric"),
 }
 
-LAW_NAMES = tuple(sorted(_LAW_BUILDERS))
+LAW_NAMES = tuple(sorted(_LAW_VIEWS))
 
 
 def make_law(name: str, **params: float) -> PairwiseLaw:
-    builder = _LAW_BUILDERS.get(name)
-    if builder is None:
+    """The named law with every parameter fixed; its factor is the table's."""
+    view = _LAW_VIEWS.get(name)
+    if view is None:
         raise ValueError(f"unknown law {name!r}; valid names: {', '.join(LAW_NAMES)}")
-    ps = dict(params)
-    law = builder(ps)
-    if ps:
-        raise ValueError(f"law {name!r}: unknown parameters {sorted(ps)}")
-    return law
+    theta = view.bind(f"{name} law", params)
+    law = LAWS[view.law]
+    return PairwiseLaw(name, law.support(theta), partial(law.log_factor, theta), view.named(theta))
 
 
 def law_from_spec(text: str) -> PairwiseLaw:
@@ -218,28 +120,22 @@ def law_from_spec(text: str) -> PairwiseLaw:
 def law_distribution(law: PairwiseLaw, eps_tail: float = _EPS_TAIL) -> Distribution:
     """Normalize the factor into a pmf, truncating infinite supports at the
     point where the remaining mass is below eps_tail."""
-    lo = int(law.support[0])
-    if math.isfinite(law.support[1]):
-        hi = int(law.support[1])
-        k = np.arange(lo, hi + 1, dtype=float)
-        w = np.exp(law.log_weight(k))
-        return Distribution(discrete_grid(lo, hi), w / w.sum())
-    k = np.arange(lo, _KMAX_CAP + 1, dtype=float)
-    logw = law.log_weight(k)
-    w = np.exp(logw - logw.max())
-    tail = 1.0 - np.cumsum(w) / w.sum()
-    idx = np.nonzero(tail <= eps_tail)[0]
-    if idx.size == 0:
-        raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
-    return _normalized(law, lo, lo + int(idx[0]))
+    lo, hi = int(law.support[0]), law.support[1]
+    if not math.isfinite(hi):
+        k = np.arange(lo, _KMAX_CAP + 1, dtype=float)
+        logw = law.log_weight(k)
+        w = np.exp(logw - logw.max())
+        idx = np.nonzero(1.0 - np.cumsum(w) / w.sum() <= eps_tail)[0]
+        if idx.size == 0:
+            raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
+        hi = lo + int(idx[0])
+    return _on_range(law, lo, int(hi))
 
 
-def _normalized(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
+def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
     """The law's pmf on lo..hi, normalized over that range."""
-    k = np.arange(lo, hi + 1, dtype=float)
-    logw = law.log_weight(k)
-    w = np.exp(logw - logw.max())
-    return Distribution(discrete_grid(lo, hi), w / w.sum())
+    grid = discrete_grid(lo, hi)
+    return normalized(grid, law.log_weight(grid.points))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +250,7 @@ def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distrib
     hi = int(other.support.upper)
     if math.isfinite(law.support[1]) or d.support.upper >= hi:
         return d
-    return _normalized(law, int(law.support[0]), hi)
+    return _on_range(law, int(law.support[0]), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -539,95 +435,67 @@ def geometric_interpolation_path(P: PairwiseLaw, Q: PairwiseLaw) -> ParamPath:
 # -- named paths for the CLI --------------------------------------------------
 
 
-def _nb_path(ps: dict):
-    r0, r1 = _need(ps, "r1", "negbinomial path"), _need(ps, "r2", "negbinomial path")
-    q0, q1 = _need(ps, "q1", "negbinomial path"), _need(ps, "q2", "negbinomial path")
-    if not (0 < r0 <= r1 and 0 < q0 <= q1 < 1):
-        raise ValueError("negbinomial path needs 0 < r1 <= r2 and 0 < q1 <= q2 < 1")
-
-    def k_shape(th, k):
-        return digamma_vec(th[0] + k) - digamma(th[0])
-
-    def k_power(th, k):
-        return k / th[1]
-
-    path = _linear_path((r0, q0), (r1, q1), (k_shape, k_power))
-
-    def builder(th, grid: SupportGrid) -> Distribution:
-        k = grid.points
-        logw = log_pochhammer_vec(th[0], k) - log_factorial_vec(k) + k * math.log(th[1])
-        w = np.exp(logw - logw.max())
-        return Distribution(grid, w / w.sum())
-
-    return path, builder
-
-
-def _bb_path(ps: dict):
-    n = int(_need(ps, "n", "betabinomial path"))
-    r0, r1 = _need(ps, "r1", "betabinomial path"), _need(ps, "r2", "betabinomial path")
-    s0, s1 = _need(ps, "s1", "betabinomial path"), _need(ps, "s2", "betabinomial path")
-    if not (n >= 1 and 0 < r0 <= r1 and s0 >= s1 > 0):
-        raise ValueError("betabinomial path needs n >= 1, r nondecreasing, s nonincreasing")
-
-    def k_r(th, k):
-        return digamma_vec(th[0] + k) - digamma(th[0])
-
-    def k_s(th, k):
-        return digamma_vec(th[1] + n - k) - digamma(th[1])
-
-    path = _linear_path((r0, s0), (r1, s1), (k_r, k_s))
-
-    def builder(th, grid: SupportGrid) -> Distribution:
-        law = make_law("betabinomial", n=n, r=th[0], s=th[1])
-        k = grid.points
-        w = np.exp(law.log_weight(k))
-        return Distribution(grid, w / w.sum())
-
-    return path, builder
-
-
-def _gamma_path(ps: dict):
-    r0, r1 = _need(ps, "r1", "gamma path"), _need(ps, "r2", "gamma path")
-    rho0, rho1 = _need(ps, "rho1", "gamma path"), _need(ps, "rho2", "gamma path")
-    if not (0 < r0 <= r1 and rho0 >= rho1 > 0):
-        raise ValueError("gamma path needs shape nondecreasing and rate nonincreasing")
-
-    def k_shape(th, x):
-        return np.log(x)
-
-    def k_rate(th, x):
-        return -x
-
-    path = _linear_path((r0, rho0), (r1, rho1), (k_shape, k_rate))
-
-    def builder(th, grid: SupportGrid) -> Distribution:
-        x = grid.points
-        logf = (th[0] - 1.0) * np.log(x) - th[1] * x
-        w = np.exp(logf - logf.max()) * grid.weights()
-        return Distribution(grid, w / w.sum())
-
-    return path, builder
-
-
-_PATH_BUILDERS = {
-    "negbinomial": _nb_path,
-    "betabinomial": _bb_path,
-    "gamma": _gamma_path,
+# path: the table law it moves through and the two parameters it moves,
+# each +1 when it must not decrease along the path and -1 when it must not
+# increase; the spec gives each moved parameter p as p1 and p2
+_PATHS: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {
+    "negbinomial": ("negbinomial-q", (("r", 1), ("q", 1))),
+    "betabinomial": ("betabinomial", (("r", 1), ("s", -1))),
+    "gamma": ("gamma", (("r", 1), ("rho", -1))),
 }
 
-PATH_NAMES = tuple(sorted(_PATH_BUILDERS))
+PATH_NAMES = tuple(sorted(_PATHS))
+
+
+def _path_ends(name: str, params: Mapping[str, float]):
+    """(law, moved parameters, theta at t=0, theta at t=1) of a named path."""
+    row = _PATHS.get(name)
+    if row is None:
+        raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
+    law_name, moves = row
+    ends = []
+    for end, other in (("1", "2"), ("2", "1")):
+        skip = {p + other for p, _ in moves}
+        view = View(law_name, shown={p: p + end for p, _ in moves})
+        ends.append(view.bind(f"{name} path", {k: v for k, v in params.items() if k not in skip}))
+    for p, sign in moves:
+        if sign * (ends[1][p] - ends[0][p]) < 0:
+            trend = "nondecreasing" if sign > 0 else "nonincreasing"
+            raise ValueError(f"{name} path needs {p} {trend}")
+    return LAWS[law_name], [p for p, _ in moves], ends[0], ends[1]
 
 
 def make_path(name: str, **params: float):
-    """(ParamPath, family_builder) for a named two-parameter move."""
-    builder = _PATH_BUILDERS.get(name)
-    if builder is None:
-        raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
-    ps = dict(params)
-    out = builder(ps)
-    if ps:
-        raise ValueError(f"path {name!r}: unknown parameters {sorted(ps)}")
-    return out
+    """(ParamPath, family_builder) for a named two-parameter move: the line
+    between the two end points in the moved parameters, with the table law's
+    kernels as component kernels; the builder normalizes the law on a grid."""
+    law, moved, start, end = _path_ends(name, params)
+
+    def at(th: tuple[float, ...]) -> dict[str, float]:
+        return {**start, **dict(zip(moved, th))}
+
+    path = _linear_path(
+        [start[p] for p in moved],
+        [end[p] for p in moved],
+        [lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved],
+    )
+
+    def builder(th, grid: SupportGrid) -> Distribution:
+        return normalized(grid, law.log_factor(at(th), grid.points))
+
+    return path, builder
+
+
+def path_grid(name: str, params: Mapping[str, float], kmax: int, grid_points: int) -> SupportGrid:
+    """The grid a named path is checked on: the whole support when it is
+    finite, 0..kmax on an infinite discrete one, and on a continuous one from
+    the lower end to 5% past the larger 1 - 1e-9 quantile of the end laws."""
+    law, _, start, end = _path_ends(name, params)
+    lo, hi = law.support(start)
+    if law.kind == "discrete":
+        return discrete_grid(int(lo), int(hi) if math.isfinite(hi) else kmax)
+    top = max(law.quantile(th, 1.0 - 1e-9) for th in (start, end))
+    return continuous_grid(lo, top * 1.05, n=grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +504,7 @@ def make_path(name: str, **params: float):
 
 def interpolation_law(n: int, r: float, s: float, p: float, c: float) -> Distribution:
     """The normalized pseudo-sample law at c: BetaBin(n, r + cp, s + c(1-p))."""
-    law = make_law("betabinomial", n=n, r=r + c * p, s=s + c * (1.0 - p))
-    k = np.arange(0, n + 1, dtype=float)
-    w = np.exp(law.log_weight(k) - law.log_weight(k).max())
-    return Distribution(discrete_grid(0, n), w / w.sum())
+    return law_distribution(make_law("betabinomial", n=n, r=r + c * p, s=s + c * (1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -668,14 +533,12 @@ def betabin_bin_interpolation(
         raise ValueError("need n >= 1, r, s > 0 and p in (0,1)")
     threshold = (r + n - 1.0) / (r + s + n - 1.0)
     k = np.arange(0, n + 1, dtype=float)
+    bb = LAWS["betabinomial"]
     kernels: dict[float, np.ndarray] = {}
     delta_margins: dict[float, float] = {}
     for c in c_values:
-        a = r + c * p
-        b = s + c * (1.0 - p)
-        vals = p * (digamma_vec(a + k) - digamma(a)) + (1.0 - p) * (
-            digamma_vec(b + n - k) - digamma(b)
-        )
+        th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
+        vals = p * bb.kernels["r"](th, k) + (1.0 - p) * bb.kernels["s"](th, k)
         kernels[float(c)] = vals
         delta_margins[float(c)] = float(np.diff(vals).min())
     return InterpolationReport(

@@ -246,6 +246,23 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv,code,status,note", [
+    # log factors past the largest finite exponent (about 709): normalized
+    # without subtracting their maximum, these pmfs became NaN and exited 2
+    (("pairwise", "--p", "binomial:n=1200,p=0.5", "--q", "poisson:lambda=600", "--orders", "st"),
+     1, "fails", ""),
+    (("pairwise", "--p", "betabinomial:n=179,r=5.06,s=25.85", "--q", "poisson:lambda=20",
+      "--orders", "lr"), 1, "fails", "endpoint oracle fails"),
+    (("path", "--name", "betabinomial:n=200,r1=2,r2=3,s1=3,s2=2", "--order", "st"),
+     0, "holds", "endpoint oracle holds"),
+])
+def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note):
+    got, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (got, err) == (code, "")
+    [v] = json.loads(out)["verdicts"]
+    assert (v["status"], v["note"]) == (status, note)
+
+
 TOLERANCE_OPTIONS = [
     (["check", "--family", "poisson", "--nu1", "1", "--nu2", "2", "--orders", "lr"],
      ("--tol-shape", "--tol-tail", "--tail-eps")),
