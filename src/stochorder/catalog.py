@@ -84,6 +84,10 @@ class SupportGrid:
     truncation_tail_mass
                 mass of the true law outside [lower, upper] (estimate for
                 continuous kinds, exact bound for discrete ones).
+    cell_widths np.diff(points), computed once per grid.
+
+    points, cell_widths and weights() are read-only arrays, so the per-grid
+    constants derived from the points stay valid for the grid's lifetime.
     """
 
     kind: str
@@ -92,28 +96,37 @@ class SupportGrid:
     points: np.ndarray
     step: float | None
     truncation_tail_mass: float = 0.0
+    cell_widths: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "continuous", "mixed"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid needs a nonempty 1-d point array")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        widths = np.diff(pts)
+        if not np.all(widths > 0):
             raise ValueError("grid points must be strictly increasing")
         if self.kind == "discrete":
             if self.step is not None:
                 raise ValueError("discrete grids carry no step")
             if not np.all(pts == np.floor(pts)):
                 raise ValueError("discrete grid points must be integers")
-            if pts.size > 1 and not np.all(np.diff(pts) == 1.0):
+            if not np.all(widths == 1.0):
                 raise ValueError("discrete grid points must be consecutive")
+            weights = np.ones(pts.size)
         else:
             if self.step is None or not self.step > 0:
                 raise ValueError("continuous/mixed grids need a positive step")
-        if self.kind == "mixed" and pts[0] != self.lower:
-            raise ValueError("mixed grid must start at its atom")
+            weights = np.full(pts.size, float(self.step))
+        if self.kind == "mixed":
+            if pts[0] != self.lower:
+                raise ValueError("mixed grid must start at its atom")
+            weights[0] = 1.0  # the atom
+        for name, a in (("points", pts), ("cell_widths", widths), ("_weights", weights)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
@@ -121,13 +134,7 @@ class SupportGrid:
 
     def weights(self) -> np.ndarray:
         """Measure weight per point: 1 for atoms/integers, step for cells."""
-        if self.kind == "discrete":
-            return np.ones(self.size)
-        if self.kind == "continuous":
-            return np.full(self.size, float(self.step))
-        w = np.full(self.size, float(self.step))
-        w[0] = 1.0  # the atom
-        return w
+        return self._weights
 
 
 def discrete_grid(lo: int, hi: int, tail_mass: float = 0.0) -> SupportGrid:

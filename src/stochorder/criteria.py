@@ -18,6 +18,17 @@ reads them is open, holding one nu at a time (O(grid) memory). Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
 `scan_orders` runs several tests in one pass; `check_*` are one-test views.
 
+A direction is a sign carried with each step, not a negated copy: a probe
+yields unsigned margins m and a sign, and the test reads sign * m. Both
+directions of an order thus share one vector per nu. The test takes one
+reduction, min(m) or -max(m), and searches for the first point with
+sign * m < -tol only when that falls below -tol; both are exact, so the
+witness and worst margin equal those of the signed copy bit for bit.
+Tail tests keep the points whose survival exceeds eps_tail. The survival is
+a reversed running sum of nonnegative masses, so it is nonincreasing and
+those points are a prefix of the grid, found by one binary search and read
+as slices.
+
 The quantifier over nu is scanned on a finite grid, so holds means "holds at
 every scanned parameter", exact in x per scanned value. The superlevel and
 unimodal-endpoint checks are sufficient conditions only: a violated
@@ -28,8 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,29 +96,60 @@ def _slopes(grid: SupportGrid, v: np.ndarray) -> np.ndarray:
     dv = np.diff(v)
     if grid.kind == "discrete":
         return dv
-    return dv / np.diff(grid.points)
+    return dv / grid.cell_widths
+
+
+def _prefix_length(surv: np.ndarray, eps: float) -> int:
+    """How many leading entries of a nonincreasing survival exceed eps: for
+    such an array `surv > eps` is exactly the prefix of that length."""
+    return surv.size - int(np.searchsorted(surv[::-1], eps, side="right"))
 
 
 def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Survival P(X >= x), tail mean E[K | X >= x] (where the survival is
-    positive) and grand mean E[K], by one backward pass."""
+    """Survival P(X >= x), tail mean E[K | X >= x] on the prefix where the
+    survival is positive, and grand mean E[K], by one backward pass."""
     surv = np.cumsum(masses[::-1])[::-1]
     tail_num = np.cumsum((k * masses)[::-1])[::-1]
-    return surv, tail_num / np.where(surv > 0.0, surv, 1.0), float(np.dot(k, masses))
+    n = _prefix_length(surv, 0.0)
+    return surv, tail_num[:n] / surv[:n], float(np.dot(k, masses))
 
 
-class _Row(NamedTuple):
-    """One scanned nu: the kernel and its slopes, and tails(), the result of
-    `_tail_means` under the law at nu, evaluated on its first call only."""
+class _Row:
+    """One scanned nu: the kernel K_nu on the grid and its slopes. The rest is
+    derived on first use and shared by every probe of the row: curvature,
+    tails (the result of `_tail_means` under the law at nu) and tail_gap."""
 
-    nu: float
-    grid: SupportGrid
-    k: np.ndarray
-    slopes: np.ndarray
-    tails: Callable[[], tuple[np.ndarray, np.ndarray, float]]
+    def __init__(self, nu: float, grid: SupportGrid, k: np.ndarray,
+                 law: Callable[[float], np.ndarray] | None) -> None:
+        self.nu, self.grid, self.k = nu, grid, k
+        self.slopes = _slopes(grid, k)
+        self._law = law
+        self._gaps: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Increment differences: second differences on integer grids, slope
+        differences otherwise."""
+        return np.diff(self.slopes)
+
+    @cached_property
+    def tails(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return _tail_means(self.k, self._law(self.nu))
+
+    def tail_gap(self, order: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The points whose survival exceeds eps, a prefix of the grid, and
+        there E[K | X >= x] - E[K] (st) or K(x) - E[K | X >= x] (hr)."""
+        key = (order, eps)
+        if key not in self._gaps:
+            surv, tail, grand = self.tails
+            n = _prefix_length(surv, eps)
+            gap = tail[:n] - grand if order == "st" else self.k[:n] - tail[:n]
+            self._gaps[key] = self.grid.points[:n], gap
+        return self._gaps[key]
 
 
-Step = tuple[np.ndarray, np.ndarray, float, str]  # points, margins, tolerance, witness kind
+# points, margins, tolerance, witness kind, sign: the test reads sign * margins
+Step = tuple[np.ndarray, np.ndarray, float, str, float]
 Probe = Callable[[_Row], Iterator[Step]]
 
 
@@ -128,20 +170,23 @@ def scan_kernel(
         open_tests = [i for i, w in enumerate(witnesses) if w is None]
         if not open_tests:
             break
-        nu = float(nu)
-        k = np.asarray(kernel(nu), dtype=float)
-        tails = cache(lambda k=k, nu=nu: _tail_means(k, law(nu)))
-        row = _Row(nu, grid, k, _slopes(grid, k), tails)
+        row = _Row(float(nu), grid, np.asarray(kernel(float(nu)), dtype=float), law)
         for i in open_tests:
-            for xs, margins, tol, kind in probes[i](row):
-                bad = np.flatnonzero(margins < -tol)
+            for xs, m, tol, kind, sign in probes[i](row):
+                if not m.size:
+                    continue
+                # min(sign * m) without the signed copy: -max(m) == min(-m)
+                low = float(m.min() if sign > 0 else -m.max())
+                if low >= -tol:
+                    worst[i] = min(worst[i], low)
+                    continue
+                bad = np.flatnonzero(sign * m < -tol)
                 if bad.size:
                     j = bad[0]
-                    witnesses[i] = Witness(x=float(xs[j]), margin=float(margins[j]),
+                    witnesses[i] = Witness(x=float(xs[j]), margin=float(sign * m[j]),
                                            nu=row.nu, kind=kind)
                     break
-                if margins.size:
-                    worst[i] = min(worst[i], float(margins.min()))
+                # a NaN margin: no witness, and the worst margin stays
     return [
         (w, w.margin) if w is not None else (None, None if math.isinf(m) else m)
         for w, m in zip(witnesses, worst)
@@ -157,18 +202,18 @@ def order_probe(
 ) -> Probe:
     """The kernel criterion of one order and direction (see the module docstring)."""
     sign = +1.0 if direction == "up" else -1.0
+    eps = max(eps_tail, 0.0)
 
     def probe(row: _Row) -> Iterator[Step]:
         pts = row.grid.points
         if order == "lr":
-            yield pts[:-1], sign * row.slopes, tol_shape, "adjacent-pair"
+            yield pts[:-1], row.slopes, tol_shape, "adjacent-pair", sign
         elif order == "lc":
-            yield pts[1:-1], sign * np.diff(row.slopes), tol_shape, "triplet"
+            yield pts[1:-1], row.curvature, tol_shape, "triplet", sign
         else:
-            surv, tail, grand = row.tails()
-            keep = surv > max(eps_tail, 0.0)
-            gap = tail - grand if order == "st" else -(row.k - tail)
-            yield pts[keep], sign * gap[keep], tol_tail, "grid-point"
+            xs, gap = row.tail_gap(order, eps)
+            # hr's margin is E[K | X >= x] - K(x), the negated gap
+            yield xs, gap, tol_tail, "grid-point", sign if order == "st" else -sign
 
     return probe
 
@@ -211,14 +256,14 @@ def tail_mean_profile(f: DensityFamily, nu: float, grid: SupportGrid) -> TailMea
     d = density(f, nu, grid)
     k = np.asarray(f.kernel(nu, grid.points), dtype=float)
     surv, tail, grand = _tail_means(k, d.masses)
-    ok = surv > 0.0
+    n = tail.size  # the positive-survival prefix
     return TailMeanProfile(
         nu=float(nu),
-        x=grid.points[ok],
-        kernel_values=k[ok],
-        tail_means=tail[ok],
+        x=grid.points[:n],
+        kernel_values=k[:n],
+        tail_means=tail,
         grand_mean=grand,
-        survival=surv[ok],
+        survival=surv[:n],
     )
 
 
@@ -406,17 +451,17 @@ def check_superlevel(
     """
 
     def probe(row: _Row) -> Iterator[Step]:
-        s, pts = row.k - row.tails()[2], row.grid.points
-        yield pts[:1], s[:1], tol_tail, "endpoint-score"
+        s, pts = row.k - row.tails[2], row.grid.points
+        yield pts[:1], s[:1], tol_tail, "endpoint-score", 1.0
         neg = np.flatnonzero(s < -tol_tail)
         if neg.size:
             # the first return above zero is a witness but adds no margin
             back = neg[0] + np.flatnonzero(s[neg[0]:] > tol_tail)[:1]
-            yield pts[back], -s[back], tol_tail, "superlevel-return"
+            yield pts[back], s[back], tol_tail, "superlevel-return", -1.0
         if want_hr:
             nonneg = np.flatnonzero(s >= -tol_tail)
             m = int(nonneg[-1]) if nonneg.size else 0
-            yield pts[m:-1], -_slopes(row.grid, s)[m:], tol_shape, "tail-monotone"
+            yield pts[m:-1], _slopes(row.grid, s)[m:], tol_shape, "tail-monotone", -1.0
 
     return _endpoint_verdict(
         f, nu_grid, grid, probe, "hr" if want_hr else "st", "superlevel",
@@ -444,9 +489,9 @@ def check_unimodal_endpoint(
     right_pairs = np.flatnonzero(pts[:-1] >= c)
 
     def probe(row: _Row) -> Iterator[Step]:
-        yield pts[left_pairs], row.slopes[left_pairs], tol_shape, "rising"
-        yield pts[right_pairs], -row.slopes[right_pairs], tol_shape, "falling"
-        yield pts[:1], row.k[:1] - row.tails()[2], tol_tail, "endpoint-score"
+        yield pts[left_pairs], row.slopes[left_pairs], tol_shape, "rising", 1.0
+        yield pts[right_pairs], row.slopes[right_pairs], tol_shape, "falling", -1.0
+        yield pts[:1], row.k[:1] - row.tails[2], tol_tail, "endpoint-score", 1.0
 
     return _endpoint_verdict(
         f, nu_grid, grid, probe, "hr", "unimodal-endpoint",
@@ -468,8 +513,8 @@ def check_concave_endpoint(
     cheaper to state and check."""
 
     def probe(row: _Row) -> Iterator[Step]:
-        yield row.grid.points[1:-1], -np.diff(row.slopes), tol_shape, "triplet"
-        yield row.grid.points[:1], row.k[:1] - row.tails()[2], tol_tail, "endpoint-score"
+        yield row.grid.points[1:-1], row.curvature, tol_shape, "triplet", -1.0
+        yield row.grid.points[:1], row.k[:1] - row.tails[2], tol_tail, "endpoint-score", 1.0
 
     return _endpoint_verdict(
         f, nu_grid, grid, probe, "hr", "concave-endpoint",

@@ -5,10 +5,11 @@ the two mass vectors, with no kernel or family information. Each op decides
 "first argument below second", e.g. oracle_st(P, Q) decides P <=st Q.
 
 Ratio conventions for the likelihood ratio l = f_P/f_Q on the union support:
-positive/0 is +infinity and 0/0 is 0. Monotonicity scans work in log space
-with relative tolerance; points where both laws carry less than eps_tail are
-skipped so truncation noise cannot create false witnesses. Verdicts on
-continuous or mixed grids certify the discretized laws, noted as such.
+positive/0 is +infinity, as is a ratio past the largest double, and 0/0 is
+0. Monotonicity scans work in log space with relative tolerance; points where
+both laws carry less than eps_tail are skipped so truncation noise cannot
+create false witnesses. Verdicts on continuous or mixed grids certify the
+discretized laws, noted as such.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class LikelihoodRatioSeq:
 def _ratio(mp: np.ndarray, mq: np.ndarray) -> np.ndarray:
     out = np.zeros(mp.shape)  # covers 0/0 -> 0 and 0/positive -> 0
     pos = mq > 0
-    out[pos] = mp[pos] / mq[pos]
+    with np.errstate(over="ignore"):  # mass / subnormal mass: +inf, as for mass / 0
+        out[pos] = mp[pos] / mq[pos]
     out[(mp > 0) & ~pos] = np.inf
     return out
 

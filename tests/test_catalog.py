@@ -61,6 +61,28 @@ def test_mixed_grid_has_atom_then_cells():
     assert np.allclose(w[1:], 0.5)
 
 
+@pytest.mark.parametrize("grid", [discrete_grid(2, 7), continuous_grid(0.0, 1.0, n=5),
+                                  mixed_grid(2.0, n=4)], ids=lambda g: g.kind)
+def test_grid_constants_are_cached_and_read_only(grid):
+    assert np.array_equal(grid.cell_widths, np.diff(grid.points))
+    assert grid.weights() is grid.weights()
+    for a in (grid.points, grid.cell_widths, grid.weights()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    assert np.array_equal(dataclasses.replace(grid).weights(), grid.weights())
+    if grid.kind == "mixed":
+        assert grid.weights()[0] == 1.0
+        assert np.all(grid.weights()[1:] == grid.step)
+
+
+def test_grid_keeps_its_own_copy_of_the_points():
+    pts = np.arange(4.0)
+    g = discrete_grid(0, 3)
+    g2 = dataclasses.replace(g, points=pts)
+    pts[0] = -1.0  # the caller's array stays writable and the grid unchanged
+    assert g2.points[0] == 0.0 and g2.cell_widths[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # spec parsing
 

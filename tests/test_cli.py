@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ def test_check_with_identical_endpoints_is_reflexive(capsys):
         assert v["status"] == "holds"
         assert "identical parameter endpoints: reflexive" in v["note"]
         assert "itself" in v["claim"]
+
+
+def test_subnormal_oracle_masses_leave_stderr_empty(capsys):
+    # the oracle divides masses near the smallest double by one another here
+    argv = ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341",
+            "--nu2=0.883407", "--no-timing"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, *argv) == (code, out, err)
 
 
 def test_check_exits_one_when_no_direction_holds(capsys):

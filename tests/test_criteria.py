@@ -4,20 +4,28 @@ The derivative identities are validated against central finite differences of
 independently computed log densities, log survivals, and log hazards.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stochorder import cli, criteria
 from stochorder.catalog import (
     continuous_grid,
     default_grid,
     density,
+    discrete_grid,
     family_from_spec,
     make_family,
     mixed_grid,
 )
 from stochorder.criteria import (
+    EPS_TAIL,
     NU_POINTS,
+    TOL_SHAPE,
     check_concave_endpoint,
     check_hr,
     check_lc,
@@ -26,6 +34,8 @@ from stochorder.criteria import (
     check_superlevel,
     check_unimodal_endpoint,
     nu_scan,
+    order_probe,
+    scan_kernel,
     scan_orders,
     tail_mean_profile,
     weighted_log_derivative,
@@ -363,3 +373,209 @@ def test_lr_only_scan_never_evaluates_the_density(monkeypatch):
     nus = nu_scan(1.0, 2.0)
     verdicts = scan_orders(fam, nus, default_grid(fam, nus), [("lr", "up"), ("lc", "down")])
     assert [v.status for v in verdicts] == ["holds", "holds"]
+
+
+# ---------------------------------------------------------------------------
+# the scan against the formulas it replaced: signed copies of the margins,
+# boolean `surv > eps` masks and np.where division
+
+
+def _ref_slopes(grid, v):
+    dv = np.diff(v)
+    return dv if grid.kind == "discrete" else dv / np.diff(grid.points)
+
+
+def _ref_tail_means(k, masses):
+    surv = np.cumsum(masses[::-1])[::-1]
+    tail_num = np.cumsum((k * masses)[::-1])[::-1]
+    return surv, tail_num / np.where(surv > 0.0, surv, 1.0), float(np.dot(k, masses))
+
+
+def _ref_scan(grid, nus, kernels, laws, probe):
+    """The first witness (x, nu, kind, margin) of one probe, or None, and its
+    margin or the worst margin tested."""
+    worst = math.inf
+    for nu in nus:
+        k = kernels[nu]
+        tails = functools.cache(lambda k=k, nu=nu: _ref_tail_means(k, laws[nu]))
+        for xs, margins, tol, kind in probe(grid, k, _ref_slopes(grid, k), tails):
+            bad = np.flatnonzero(margins < -tol)
+            if bad.size:
+                j = bad[0]
+                return (float(xs[j]), nu, kind, float(margins[j])), float(margins[j])
+            if margins.size:
+                worst = min(worst, float(margins.min()))
+    return None, None if math.isinf(worst) else worst
+
+
+def _ref_order(order, direction, tol, eps):
+    sign = 1.0 if direction == "up" else -1.0
+
+    def probe(grid, k, slopes, tails):
+        pts = grid.points
+        if order == "lr":
+            yield pts[:-1], sign * slopes, tol, "adjacent-pair"
+        elif order == "lc":
+            yield pts[1:-1], sign * np.diff(slopes), tol, "triplet"
+        else:
+            surv, tail, grand = tails()
+            keep = surv > max(eps, 0.0)
+            gap = tail - grand if order == "st" else -(k - tail)
+            yield pts[keep], sign * gap[keep], tol, "grid-point"
+
+    return probe
+
+
+def _ref_superlevel(want_hr, tol):
+    def probe(grid, k, slopes, tails):
+        s, pts = k - tails()[2], grid.points
+        yield pts[:1], s[:1], tol, "endpoint-score"
+        neg = np.flatnonzero(s < -tol)
+        if neg.size:
+            back = neg[0] + np.flatnonzero(s[neg[0]:] > tol)[:1]
+            yield pts[back], -s[back], tol, "superlevel-return"
+        if want_hr:
+            nonneg = np.flatnonzero(s >= -tol)
+            m = int(nonneg[-1]) if nonneg.size else 0
+            yield pts[m:-1], -_ref_slopes(grid, s)[m:], tol, "tail-monotone"
+
+    return probe
+
+
+def _ref_unimodal(c, tol):
+    def probe(grid, k, slopes, tails):
+        pts = grid.points
+        left, right = np.flatnonzero(pts[1:] <= c), np.flatnonzero(pts[:-1] >= c)
+        yield pts[left], slopes[left], tol, "rising"
+        yield pts[right], -slopes[right], tol, "falling"
+        yield pts[:1], k[:1] - tails()[2], tol, "endpoint-score"
+
+    return probe
+
+
+def _ref_concave(tol):
+    def probe(grid, k, slopes, tails):
+        yield grid.points[1:-1], -np.diff(slopes), tol, "triplet"
+        yield grid.points[:1], k[:1] - tails()[2], tol, "endpoint-score"
+
+    return probe
+
+
+def _bits(witness, margin):
+    """A scan result with every float as its bit pattern."""
+
+    def b(x):
+        return None if x is None else np.float64(x).tobytes()
+
+    if witness is not None and not isinstance(witness, tuple):
+        witness = (witness.x, witness.nu, witness.kind, witness.margin)
+    return (None if witness is None else (b(witness[0]), witness[1], witness[2], b(witness[3])),
+            b(margin))
+
+
+class _TableFamily:
+    """A stand-in family whose kernel and masses at each nu are given arrays."""
+
+    name, param_name = "table", "nu"
+
+    def __init__(self, grid, kernels, masses):
+        self.support = (float(grid.points[0]), math.inf)
+        self.kernels = kernels
+        with np.errstate(divide="ignore"):
+            self.logs = {nu: np.log(m) for nu, m in masses.items()}
+
+    def validate_param(self, nu):
+        return float(nu)
+
+    def kernel(self, nu, x):
+        return self.kernels[nu]
+
+    def log_factor(self, nu, x):
+        return self.logs[nu]
+
+    def log_normalizer(self, nu):
+        return 0.0
+
+
+@st.composite
+def scan_cases(draw):
+    """A discrete, continuous or mixed grid, one to four nus, and per nu a
+    kernel and nonnegative masses. Kernel values include multiples of the
+    tolerance, so margins land on exactly -tol, 0 and +tol, and the odd NaN;
+    masses include exact zeros and subnormals."""
+    kind = draw(st.sampled_from(["discrete", "continuous", "mixed"]))
+    n = draw(st.integers(3, 24))
+    step = draw(st.sampled_from([0.5, 0.1, 1.0 / 3.0]))
+    if kind == "discrete":
+        lo = draw(st.integers(0, 3))
+        grid = discrete_grid(lo, lo + n - 1)
+    elif kind == "continuous":
+        grid = continuous_grid(0.0, n * step, n=n)
+    else:
+        grid = mixed_grid((n - 1) * step, n=n - 1)
+    tol = draw(st.sampled_from([TOL_SHAPE, 0.25, 0.0]))
+    value = st.one_of(
+        st.integers(-3, 3).map(lambda i: i * tol),
+        st.integers(-16, 16).map(lambda i: i / 8),
+        st.just(-0.0),
+        st.floats(-4.0, 4.0),
+    )
+    mass = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.125, 0.5]), st.floats(0.0, 1.0))
+    nus = [float(i) for i in range(1, draw(st.integers(1, 4)) + 1)]
+    kernels, laws = {}, {}
+    for nu in nus:
+        k = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+        if draw(st.integers(0, 9)) == 0:
+            k[draw(st.integers(0, n - 1))] = math.nan
+        kernels[nu] = k
+        laws[nu] = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    return grid, nus, kernels, laws, tol
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=scan_cases(), eps=st.sampled_from([EPS_TAIL, 0.0, 0.125, -1.0]))
+def test_scan_equals_the_signed_copy_formulas(case, eps):
+    grid, nus, kernels, laws, tol = case
+    # all eight tests in one scan, as `check` runs them, sharing each row
+    got = scan_kernel(kernels.__getitem__, nus, grid,
+                      [order_probe(o, d, tol, tol, eps) for o, d in ALL_TESTS],
+                      law=laws.__getitem__)
+    for (o, d), result in zip(ALL_TESTS, got):
+        want = _ref_scan(grid, nus, kernels, laws, _ref_order(o, d, tol, eps))
+        assert _bits(*result) == _bits(*want), (o, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scan_cases(), want_hr=st.booleans(), c_at=st.floats(-0.5, 1.5))
+def test_sufficient_checks_equal_the_signed_copy_formulas(case, want_hr, c_at):
+    grid, nus, kernels, masses, tol = case
+    assume(all(m.max() > 1e-300 for m in masses.values()))
+    fam = _TableFamily(grid, kernels, masses)
+    laws = {nu: density(fam, nu, grid).masses for nu in nus}
+    c = grid.points[0] + c_at * (grid.points[-1] - grid.points[0])
+    for verdict, ref in [
+        (check_superlevel(fam, nus, grid, want_hr, tol, tol), _ref_superlevel(want_hr, tol)),
+        (check_unimodal_endpoint(fam, nus, grid, c, tol, tol), _ref_unimodal(c, tol)),
+        (check_concave_endpoint(fam, nus, grid, tol, tol), _ref_concave(tol)),
+    ]:
+        want = _ref_scan(grid, nus, kernels, laws, ref)
+        assert _bits(verdict.witness, verdict.margin) == _bits(*want), verdict.method
+    prof = tail_mean_profile(fam, nus[0], grid)
+    surv, tail, grand = _ref_tail_means(kernels[nus[0]], laws[nus[0]])
+    ok = surv > 0.0
+    for a, b in [(prof.x, grid.points[ok]), (prof.kernel_values, kernels[nus[0]][ok]),
+                 (prof.tail_means, tail[ok]), (prof.survival, surv[ok])]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert _bits(None, prof.grand_mean) == _bits(None, grand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    masses=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 2.5e-323, 1e-310]),
+                              st.floats(0.0, 1.0), st.floats(0.0, 1e300)), max_size=40),
+    eps=st.sampled_from([0.0, EPS_TAIL, 1e-320, 0.5]),
+)
+def test_survival_above_eps_is_a_prefix(masses, eps):
+    surv = np.cumsum(np.array(masses, dtype=float)[::-1])[::-1]
+    n = criteria._prefix_length(surv, eps)
+    assert (surv > eps).tolist() == [True] * n + [False] * (surv.size - n)

@@ -1,6 +1,7 @@
 """Brute-force oracle checks on hand-built and randomized distributions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def test_likelihood_ratio_extended_conventions():
     assert seq.values[0] == math.inf
     assert seq.values[1] == pytest.approx(1.0)
     assert seq.values[2] == 0.0
+
+
+def test_ratio_past_the_largest_double_is_inf_without_a_warning():
+    p = disc(0, [0.5, 0.5])
+    q = Distribution(discrete_grid(0, 1), np.array([1.0, 5e-324]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = likelihood_ratio_seq(p, q)
+    assert seq.values.tolist() == [0.5, math.inf]
 
 
 def test_discrete_alignment_unions_supports():

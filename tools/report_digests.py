@@ -30,9 +30,13 @@ Each command runs in-process through `stochorder.cli.main` with
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
-`check` on the two negative-binomial families with random fixed parameters,
-and the betabinomial and negbinomial paths. The ranges keep every factor
-below the overflow point, so each command gives a report in both checkouts.
+`check` on the two negative-binomial families with random fixed parameters
+and on all 22 Table-1 rows inside their ranges with a random
+`--grid-points` (up to 24 000) and, half the time, a random `--nu-grid` of
+2 to 70 values inside `[nu1, nu2]`, and the betabinomial and negbinomial
+paths and gamma paths with a random `--t-points` and `--grid-points`. The
+ranges keep every factor below the overflow point, so each command gives a
+report in both checkouts.
 
 With `--against ROOT` both checkouts run the same commands, built in this
 one, one checkout after the other in this process. For each command whose
@@ -54,6 +58,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -165,34 +170,56 @@ def _random_compound(rng: random.Random) -> list[str]:
             "--summand", rng.choice(_SUMMANDS)(rng), f"--nu1={nu1:.6g}", f"--nu2={nu2:.6g}"]
 
 
-def _random_check(rng: random.Random) -> list[str]:
+def _grid_points(rng: random.Random) -> str:
+    """A `--grid-points` option, log-uniform from 50 to 24 000."""
+    return f"--grid-points={int(10.0 ** rng.uniform(1.7, math.log10(24_000)))}"
+
+
+def _random_check(rng: random.Random, table1) -> list[str]:
+    if rng.random() < 0.3:
+        if rng.random() < 0.5:
+            family = _spec("negbinomial-in-shape", p=rng.uniform(0.05, 0.95))
+            nu1, nu2 = sorted(10.0 ** rng.uniform(-0.5, 2.0) for _ in range(2))
+        else:
+            family = _spec("negbinomial-in-q", r=10.0 ** rng.uniform(-0.7, 1.7))
+            nu1, nu2 = _pair(rng, 0.05, 0.97)
+        return ["check", "--family", family, f"--nu1={nu1:.6g}", f"--nu2={nu2:.6g}"]
+    # a Table-1 row inside its range, on a grid of up to 24 000 points and,
+    # half the time, a scan of 2 to 70 values inside [nu1, nu2]
+    family, (lo, hi), *_ = rng.choice(table1)
+    nu1, nu2 = (float(f"{v:.6g}") for v in _pair(rng, lo, hi))
+    argv = ["check", "--family", family, f"--nu1={nu1!r}", f"--nu2={nu2!r}", _grid_points(rng)]
     if rng.random() < 0.5:
-        family = _spec("negbinomial-in-shape", p=rng.uniform(0.05, 0.95))
-        nu1, nu2 = sorted(10.0 ** rng.uniform(-0.5, 2.0) for _ in range(2))
-    else:
-        family = _spec("negbinomial-in-q", r=10.0 ** rng.uniform(-0.7, 1.7))
-        nu1, nu2 = _pair(rng, 0.05, 0.97)
-    return ["check", "--family", family, f"--nu1={nu1:.6g}", f"--nu2={nu2:.6g}"]
+        nus = sorted(rng.uniform(nu1, nu2) for _ in range(rng.randint(2, 70)))
+        argv.append("--nu-grid=" + ",".join(f"{v:.6g}" for v in nus))
+    return argv
 
 
 def _random_path(rng: random.Random) -> list[str]:
-    if rng.random() < 0.5:
+    u, extra = rng.random(), []
+    if u < 0.35:
         r1, r2 = _pair(rng, 0.2, 10.0)
         s2, s1 = _pair(rng, 0.2, 10.0)
         spec = _spec("betabinomial", n=rng.randint(1, 60), r1=r1, r2=r2, s1=s1, s2=s2)
-    else:
+    elif u < 0.7:
         r1, r2 = _pair(rng, 0.3, 20.0)
         q1, q2 = _pair(rng, 0.05, 0.9)
         spec = _spec("negbinomial", r1=r1, r2=r2, q1=q1, q2=q2)
-    return ["path", "--name", spec, "--order", rng.choice(ORDERS)]
+    else:
+        r1, r2 = _pair(rng, 0.5, 5.0)
+        rho2, rho1 = _pair(rng, 0.5, 4.0)
+        spec = _spec("gamma", r1=r1, r2=r2, rho1=rho1, rho2=rho2)
+        extra = [f"--t-points={rng.randint(2, 140)}", _grid_points(rng)]
+    return ["path", "--name", spec, "--order", rng.choice(ORDERS), *extra]
 
 
-def random_commands(count: int, seed: int) -> list[list[str]]:
-    """`count` commands drawn from `seed`, in the proportions 40:25:15:20."""
+def random_commands(count: int, seed: int, table1) -> list[list[str]]:
+    """`count` commands drawn from `seed`, in the proportions 35:20:25:20;
+    `table1` is `cli._TABLE1`."""
     rng = random.Random(seed)
     makers = rng.choices(
-        (_random_pairwise, _random_compound, _random_check, _random_path),
-        weights=(40, 25, 15, 20), k=count,
+        (_random_pairwise, _random_compound, lambda rng: _random_check(rng, table1), _random_path),
+        weights=(35, 20, 25, 20), k=count,
     )
     return [make(rng) + ["--no-timing"] for make in makers]
 
@@ -301,7 +328,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cli, workloads = load(args.root.resolve())
-    argvs = (random_commands(args.random, args.seed) if args.random
+    argvs = (random_commands(args.random, args.seed, cli._TABLE1) if args.random
              else commands(cli._TABLE1, workloads))
     if args.against is None:
         for argv in argvs:
