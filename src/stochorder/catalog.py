@@ -305,13 +305,25 @@ def _hypergeometric_support(th: Theta) -> tuple[float, float]:
     return float(max(0, n - W)), float(min(n, B))
 
 
+# the fewest and the most terms the cmp series normalizer sums
+_CMP_TERMS = (2000, 2000 * 2**9)
+
+
 def _cmp_log_normalizer(th: Theta) -> float:
-    # series terms lam^k (k!)^-nu: geometric envelope, converges for lam < 1
-    loglam = math.log(th["lam"])
-    ks = np.arange(max(2000, int(-60.0 / loglam) + 1), dtype=float)
-    logs = ks * loglam - th["nu"] * log_factorial_vec(ks)
-    m = logs.max()
-    return float(m + math.log(np.exp(logs - m).sum()))
+    """log sum_k lam^k (k!)^-nu. The log terms are concave in k, so once the
+    last term summed is past the peak and more than 60 below the largest (a
+    share under 1e-26), every later term is too. The count of terms doubles
+    from 2000 until that holds."""
+    loglam, nu = math.log(th["lam"]), th["nu"]
+    n, most = _CMP_TERMS
+    while n <= most:
+        ks = np.arange(n, dtype=float)
+        logs = ks * loglam - nu * log_factorial_vec(ks)
+        m = logs.max()
+        if logs[-1] < min(m - 60.0, logs[-2]):
+            return float(m + math.log(np.exp(logs - m).sum()))
+        n *= 2
+    raise ValueError(f"cmp normalizer: the series needs more than {most} terms")
 
 
 # factorization w(0) = (1-pi)e^theta + pi, w(k) = pi theta^k/k!, A = e^theta
@@ -825,9 +837,14 @@ def _tail_span(
     return None
 
 
-def _discrete_span(f: DensityFamily, nus, tail_eps: float, kmax: int) -> tuple[int, float]:
-    """Smallest k with tail <= tail_eps, uniformly over the scanned nus."""
-    lo = int(f.support[0])
+def _discrete_span(f: DensityFamily, nus, tail_eps: float, kmax: int) -> tuple[int, float] | None:
+    """(upper end, largest tail beyond it) of a discrete support, uniformly
+    over the scanned nus: the support's own end when finite, else the
+    smallest k with tail <= tail_eps at every nu; None when some nu needs a
+    k past kmax."""
+    lo, hi = int(f.support[0]), f.support[1]
+    if math.isfinite(hi):
+        return int(hi), 0.0
     need = lo
     worst_tail = 0.0
     for nu in nus:
@@ -835,9 +852,7 @@ def _discrete_span(f: DensityFamily, nus, tail_eps: float, kmax: int) -> tuple[i
             lambda ks: np.exp(f.log_factor(nu, ks) - f.log_normalizer(nu)), lo, kmax, tail_eps
         )
         if span is None:
-            raise ValueError(
-                f"{f.name}: tail-mass target {tail_eps:g} unreachable within k_max={kmax}"
-            )
+            return None
         need = max(need, span[0])
         worst_tail = max(worst_tail, max(span[1], 0.0))
     return need, worst_tail
@@ -859,10 +874,12 @@ def default_grid(
     lo_s, hi_s = f.support
 
     if f.kind == "discrete":
-        if math.isfinite(hi_s):
-            return discrete_grid(int(lo_s), int(hi_s))
-        hi, tail = _discrete_span(f, nus, tail_eps, kmax)
-        return discrete_grid(int(lo_s), hi, tail)
+        span = _discrete_span(f, nus, tail_eps, kmax)
+        if span is None:
+            raise ValueError(
+                f"{f.name}: tail-mass target {tail_eps:g} unreachable within k_max={kmax}"
+            )
+        return discrete_grid(int(lo_s), *span)
 
     if f.kind == "mixed":
         # atom at 0 plus the continuous part truncated at its upper quantile

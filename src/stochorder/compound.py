@@ -29,7 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import DensityFamily, Distribution, View, _tail_span, discrete_grid, parse_spec
+from .catalog import (
+    DensityFamily, Distribution, View, _discrete_span, _tail_span, discrete_grid, parse_spec,
+)
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
 from .special import log_factorial_vec
 from .verdicts import OrderVerdict, Witness, reconcile
@@ -295,25 +297,6 @@ class CompoundModel:
         return self.counting_pmf(nu) @ self.conv
 
 
-def _counting_n_max(counting: DensityFamily, nus, eps_tail: float, n_cap: int) -> int:
-    n_lo = int(counting.support[0])
-    if math.isfinite(counting.support[1]):
-        return int(counting.support[1])
-    need = n_lo
-    for nu in nus:
-        span = _tail_span(
-            lambda n: np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu)),
-            n_lo, n_cap, eps_tail,
-        )
-        if span is None:
-            raise ValueError(
-                f"{counting.name}: counting tail target {eps_tail:g} "
-                f"unreachable within n_max={n_cap}"
-            )
-        need = max(need, span[0])
-    return need
-
-
 def make_compound(
     counting: DensityFamily,
     summand: SummandLaw,
@@ -326,7 +309,12 @@ def make_compound(
 ) -> CompoundModel:
     """Build the model with truncations valid for every nu in `nus`."""
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
-    n_max = _counting_n_max(counting, nus, eps_tail, n_cap)
+    span = _discrete_span(counting, nus, eps_tail, n_cap)
+    if span is None:
+        raise ValueError(
+            f"{counting.name}: counting tail target {eps_tail:g} unreachable within n_max={n_cap}"
+        )
+    n_max = span[0]
     hi = k_max if k_max is not None else k_cap
     conv = _conv_table(summand, n_max, hi)
     model = CompoundModel(counting, summand, hi, n_max, conv, eps_tail)

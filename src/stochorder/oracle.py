@@ -93,12 +93,22 @@ def _log_decrements(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(m), 0.0, m)
 
 
-def _pair_claim(order: str) -> str:
-    return f"P <={order} Q for the given pair (first argument below second)"
-
-
-def _grid_note(kind: str) -> str:
-    return "" if kind == "discrete" else "grid-certified on the shared discretization"
+def _verdict(
+    order: str,
+    kind: str,
+    tolerances: dict,
+    witness: Witness | None = None,
+    margin: float | None = None,
+) -> OrderVerdict:
+    """The oracle's verdict on "P <=order Q": fails with the witness (and its
+    margin) when there is one, holds with `margin` otherwise."""
+    return OrderVerdict(
+        order=order, direction="up", status="holds" if witness is None else "fails",
+        method="oracle", tolerances=tolerances, witness=witness,
+        margin=margin if witness is None else witness.margin,
+        claim=f"P <={order} Q for the given pair (first argument below second)",
+        note="" if kind == "discrete" else "grid-certified on the shared discretization",
+    )
 
 
 def _monotone_verdict(
@@ -114,18 +124,9 @@ def _monotone_verdict(
     if bad.size:
         i = int(bad[0])
         w = Witness(x=float(pts[i]), margin=float(margins[i]), kind=witness_kind)
-        return OrderVerdict(
-            order=order, direction="up", status="fails", method="oracle",
-            tolerances=tolerances, witness=w, margin=w.margin,
-            claim=_pair_claim(order), note=_grid_note(kind),
-        )
+        return _verdict(order, kind, tolerances, w)
     finite = margins[np.isfinite(margins)]
-    margin = float(finite.min()) if finite.size else None
-    return OrderVerdict(
-        order=order, direction="up", status="holds", method="oracle",
-        tolerances=tolerances, margin=margin,
-        claim=_pair_claim(order), note=_grid_note(kind),
-    )
+    return _verdict(order, kind, tolerances, margin=float(finite.min()) if finite.size else None)
 
 
 def oracle_lr(
@@ -150,19 +151,8 @@ def oracle_st(P: Distribution, Q: Distribution, tol: float = ORACLE_ABS_TOL) -> 
     slack = np.cumsum(mq[::-1])[::-1] - np.cumsum(mp[::-1])[::-1]
     i = int(np.argmin(slack))
     margin = float(slack[i])
-    tolerances = {"abs_tol": tol}
-    if margin < -tol:
-        w = Witness(x=float(pts[i]), margin=margin, kind="worst-point")
-        return OrderVerdict(
-            order="st", direction="up", status="fails", method="oracle",
-            tolerances=tolerances, witness=w, margin=margin,
-            claim=_pair_claim("st"), note=_grid_note(kind),
-        )
-    return OrderVerdict(
-        order="st", direction="up", status="holds", method="oracle",
-        tolerances=tolerances, margin=margin,
-        claim=_pair_claim("st"), note=_grid_note(kind),
-    )
+    w = Witness(x=float(pts[i]), margin=margin, kind="worst-point") if margin < -tol else None
+    return _verdict("st", kind, {"abs_tol": tol}, w, margin)
 
 
 def oracle_hr(
@@ -197,12 +187,7 @@ def oracle_lc(
     tolerances = {"tol": tol, "eps_tail": eps_tail}
 
     def refuted(x: float, which: str) -> OrderVerdict:
-        w = Witness(x=x, margin=-math.inf, kind=which)
-        return OrderVerdict(
-            order="lc", direction="up", status="fails", method="oracle",
-            tolerances=tolerances, witness=w, margin=w.margin,
-            claim=_pair_claim("lc"), note=_grid_note(kind),
-        )
+        return _verdict("lc", kind, tolerances, Witness(x=x, margin=-math.inf, kind=which))
 
     supp = np.nonzero(mp > 0)[0]
     if supp.size == 0:
@@ -224,17 +209,8 @@ def oracle_lc(
     if bad.size:
         i = int(bad[0])
         w = Witness(x=float(x[i + 1]), margin=float(margins[i]), kind="triplet")
-        return OrderVerdict(
-            order="lc", direction="up", status="fails", method="oracle",
-            tolerances=tolerances, witness=w, margin=w.margin,
-            claim=_pair_claim("lc"), note=_grid_note(kind),
-        )
-    return OrderVerdict(
-        order="lc", direction="up", status="holds", method="oracle",
-        tolerances=tolerances,
-        margin=float(margins.min()) if margins.size else None,
-        claim=_pair_claim("lc"), note=_grid_note(kind),
-    )
+        return _verdict("lc", kind, tolerances, w)
+    return _verdict("lc", kind, tolerances, margin=float(margins.min()) if margins.size else None)
 
 
 def total_variation(P: Distribution, Q: Distribution) -> float:

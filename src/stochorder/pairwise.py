@@ -14,10 +14,12 @@ shape tests.
 
 The concrete laws and the named paths are views of `catalog.LAWS`: a
 PairwiseLaw fixes every parameter of an entry and takes its log factor as
-log_weight; a named path is the line between two end points in two of an
-entry's parameters, with the entry's kernels as component kernels and its
-support (or quantile) giving the grid. Laws are normalized numerically by
-`catalog.normalized`.
+log_weight and its log normalizer; a named path is the line between two end
+points in two of an entry's parameters, with the entry's kernels as component
+kernels and its support (or quantile) giving the grid. An infinite support is
+cut by `catalog._tail_span`, the tail search of the catalogue families, under
+the pmf exp(log_weight - log_normalizer); the masses on the kept range are
+normalized numerically by `catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -36,7 +38,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .catalog import (
-    LAWS, Distribution, SupportGrid, View, continuous_grid, discrete_grid, normalized, parse_spec,
+    LAWS, Distribution, SupportGrid, View, _tail_span, continuous_grid, discrete_grid, normalized,
+    parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
@@ -76,12 +79,21 @@ _KMAX_CAP = 10_000
 
 @dataclass(frozen=True)
 class PairwiseLaw:
-    """A discrete law given by a positive factor w_k on an integer support."""
+    """A discrete law given by a positive factor w_k on an integer support.
+
+    log_normalizer is log sum_k w_k, which an infinite support needs: its
+    tail is cut under the pmf exp(log_weight - log_normalizer).
+    """
 
     name: str
     support: tuple[float, float]  # upper end may be inf
     log_weight: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, float] = field(default_factory=dict)
+    log_normalizer: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.log_normalizer is None and not math.isfinite(self.support[1]):
+            raise ValueError(f"{self.name}: a law on an infinite support needs its log normalizer")
 
     def describe(self) -> str:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -109,7 +121,10 @@ def make_law(name: str, **params: float) -> PairwiseLaw:
         raise ValueError(f"unknown law {name!r}; valid names: {', '.join(LAW_NAMES)}")
     theta = view.bind(f"{name} law", params)
     law = LAWS[view.law]
-    return PairwiseLaw(name, law.support(theta), partial(law.log_factor, theta), view.named(theta))
+    return PairwiseLaw(
+        name, law.support(theta), partial(law.log_factor, theta), view.named(theta),
+        law.log_normalizer(theta),
+    )
 
 
 def law_from_spec(text: str) -> PairwiseLaw:
@@ -118,17 +133,18 @@ def law_from_spec(text: str) -> PairwiseLaw:
 
 
 def law_distribution(law: PairwiseLaw, eps_tail: float = _EPS_TAIL) -> Distribution:
-    """Normalize the factor into a pmf, truncating infinite supports at the
-    point where the remaining mass is below eps_tail."""
+    """The law's pmf, normalized over its support. An infinite support is
+    first cut at the smallest k whose tail under the pmf
+    exp(log_weight - log_normalizer) is at most eps_tail, found by
+    `catalog._tail_span` as for the catalogue families."""
     lo, hi = int(law.support[0]), law.support[1]
     if not math.isfinite(hi):
-        k = np.arange(lo, _KMAX_CAP + 1, dtype=float)
-        logw = law.log_weight(k)
-        w = np.exp(logw - logw.max())
-        idx = np.nonzero(1.0 - np.cumsum(w) / w.sum() <= eps_tail)[0]
-        if idx.size == 0:
+        span = _tail_span(
+            lambda ks: np.exp(law.log_weight(ks) - law.log_normalizer), lo, _KMAX_CAP, eps_tail
+        )
+        if span is None:
             raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
-        hi = lo + int(idx[0])
+        hi = span[0]
     return _on_range(law, lo, int(hi))
 
 

@@ -79,6 +79,16 @@ def test_check_with_identical_endpoints_is_reflexive(capsys):
         assert "itself" in v["claim"]
 
 
+def test_pairwise_cmp_at_unit_mu_gives_a_report(capsys):
+    # lam = 1: the cmp series normalizer has log(lam) = 0
+    code, out, err = run_cli(
+        capsys, "pairwise", "--p", "cmp:mu=1,nu=2", "--q", "poisson:lambda=5",
+        "--orders", "st,hr", "--no-timing",
+    )
+    assert (code, err) == (0, "")
+    assert [v["status"] for v in json.loads(out)["verdicts"]] == ["holds", "holds"]
+
+
 def test_subnormal_oracle_masses_leave_stderr_empty(capsys):
     # the oracle divides masses near the smallest double by one another here
     argv = ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341",

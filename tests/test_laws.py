@@ -3,6 +3,7 @@ checks and path grids."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaincinv
 
+from stochorder import catalog
 from stochorder.catalog import (
     LAWS,
     continuous_grid,
@@ -123,3 +125,54 @@ def test_path_grids_come_from_the_entry():
     hi = max(float(gammaincinv(r, 1.0 - 1e-9)) / rho for r, rho in ((1, 2), (2, 1)))
     expected = continuous_grid(0.0, hi * 1.05, n=500)
     assert np.array_equal(gamma.points, expected.points) and gamma.step == expected.step
+
+
+# ---------------------------------------------------------------------------
+# the cmp series normalizer
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9999, 1.0, 9.0])
+@pytest.mark.parametrize("nu", [0.3, 1.0, 2.0])
+def test_cmp_log_normalizer_matches_mpmath(lam, nu):
+    def term(k):
+        return mpmath.exp(k * mpmath.log(lam) - nu * mpmath.loggamma(k + 1))
+
+    with mpmath.workdps(30):
+        # direct summation of the first 5000 terms: at lam = 9, nu = 0.3 the
+        # terms rise until k ~ 1500, which defeats the extrapolating methods
+        ref = float(mpmath.log(mpmath.nsum(term, [0, mpmath.inf], method="direct", steps=[5000])))
+    got = LAWS["cmp"].log_normalizer({"lam": lam, "nu": nu})
+    assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+
+def counted_log_factorial(monkeypatch):
+    """The sizes of the arrays the cmp normalizer takes log-factorials of."""
+    sizes = []
+
+    def log_factorial_vec(k):
+        sizes.append(np.asarray(k).size)
+        return real(k)
+
+    real = catalog.log_factorial_vec
+    monkeypatch.setattr(catalog, "log_factorial_vec", log_factorial_vec)
+    return sizes
+
+
+def test_cmp_log_normalizer_near_unit_lam_sums_a_bounded_series(monkeypatch):
+    sizes = counted_log_factorial(monkeypatch)
+    for lam in (0.9999, 0.9999999, 1.0):
+        sizes.clear()
+        LAWS["cmp"].log_normalizer({"lam": lam, "nu": 0.8})
+        assert sizes == [2000], lam
+
+
+def test_cmp_log_normalizer_doubles_its_series_past_the_peak(monkeypatch):
+    sizes = counted_log_factorial(monkeypatch)
+    # the terms peak near k = 9**(1/0.3) ~ 1500 and fall 60 below it by ~2300
+    LAWS["cmp"].log_normalizer({"lam": 9.0, "nu": 0.3})
+    assert sizes == [2000, 4000]
+    monkeypatch.setattr(catalog, "_CMP_TERMS", (2000, 8000))
+    sizes.clear()
+    with pytest.raises(ValueError, match="cmp normalizer: the series needs more than 8000 terms"):
+        LAWS["cmp"].log_normalizer({"lam": 2.0, "nu": 0.05})  # peak near 2**20
+    assert sizes == [2000, 4000, 8000]

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochorder.catalog import continuous_grid, discrete_grid
+from stochorder.catalog import continuous_grid, discrete_grid, normalized
 from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
@@ -117,6 +117,77 @@ def test_law_validation_and_spec_parsing():
 def test_law_describe():
     assert make_law("binomial", n=10, p=0.05).describe() == "binomial(n=10,p=0.05)"
     assert PairwiseLaw("flat", (0, 3), lambda k: 0.0 * k).describe() == "flat"
+
+
+def full_range_cut(law, eps_tail=1e-12):
+    """(cut, tails, points) of one scan over lo..10 000 whose weights are
+    normalized by their own sum: the reference for the tail search."""
+    lo = int(law.support[0])
+    k = np.arange(lo, 10_001, dtype=float)
+    logw = law.log_weight(k)
+    w = np.exp(logw - logw.max())
+    tail = 1.0 - np.cumsum(w) / w.sum()
+    return lo + int(np.nonzero(tail <= eps_tail)[0][0]), tail, k
+
+
+INFINITE_LAWS = st.one_of(
+    st.builds(lambda lam: make_law("poisson", **{"lambda": lam}), st.floats(0.1, 200.0)),
+    st.builds(lambda p: make_law("geometric", p=p), st.floats(0.02, 0.98)),
+    st.builds(
+        lambda r, p: make_law("negbinomial", r=r, p=p),
+        st.floats(0.2, 50.0),
+        st.floats(0.05, 0.95),
+    ),
+    st.builds(
+        lambda mu, nu: make_law("cmp", mu=mu, nu=nu),
+        st.just(1.0) | st.floats(0.2, 12.0),
+        st.floats(0.3, 3.0),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INFINITE_LAWS)
+def test_law_distribution_cut_is_the_full_range_cut(law):
+    """The tail search reads tails 1 - cumsum(pmf) under the law's log
+    normalizer, the full-range scan tails normalized by their own sum. The two
+    differ by the distance of the pmf's total from 1 (log weights in the
+    thousands carry absolute rounding near 1e-13, and the total of a large
+    negative binomial misses 1 by up to ~5e-13) plus the rounding of the
+    running sums, so the cuts agree unless a full-range tail lies that close
+    to eps_tail."""
+    ref, tail, k = full_range_cut(law)
+    cut = int(law_distribution(law).support.upper)
+    slack = abs(np.exp(law.log_weight(k) - law.log_normalizer).sum() - 1.0) + 1e-14
+    i = cut - int(law.support[0])
+    assert tail[i] <= 1e-12 + slack, (ref, cut)
+    assert i == 0 or tail[i - 1] > 1e-12 - slack, (ref, cut)
+
+
+@pytest.mark.parametrize("spec,cut", [
+    ("cmp:mu=9,nu=0.3", 2044),  # series terms peak near k = 1500
+    ("cmp:mu=1,nu=2", 9),
+    ("poisson:lambda=3", 22),
+    ("geometric:p=0.35", 64),
+])
+def test_law_distribution_cuts_where_the_full_range_scan_does(spec, cut):
+    law = law_from_spec(spec)
+    assert full_range_cut(law)[0] == cut
+    d = law_distribution(law)
+    assert d.support.upper == cut
+    grid = discrete_grid(0, cut)
+    assert np.array_equal(d.masses, normalized(grid, law.log_weight(grid.points)).masses)
+
+
+def test_hand_built_infinite_law_needs_its_log_normalizer():
+    msg = "^tail: a law on an infinite support needs its log normalizer$"
+    with pytest.raises(ValueError, match=msg):
+        PairwiseLaw("tail", (0, math.inf), lambda k: -k)
+    # w_k = e^-k sums to 1 / (1 - e^-1): the geometric law with p = 1 - e^-1
+    log_a = -math.log1p(-math.exp(-1.0))
+    law = PairwiseLaw("tail", (0, math.inf), lambda k: -k, log_normalizer=log_a)
+    geometric = make_law("geometric", p=-math.expm1(-1.0))
+    assert law_distribution(law).support.upper == law_distribution(geometric).support.upper
 
 
 def test_law_distribution_truncation_follows_tail_target():

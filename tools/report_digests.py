@@ -26,7 +26,11 @@ Each command runs in-process through `stochorder.cli.main` with
   cut at different points;
 - laws whose log factors pass the largest finite exponent (about 709): a
   binomial with n = 1200 and two beta-binomials, as a pairwise law and as a
-  path.
+  path;
+- Conway-Maxwell-Poisson laws whose series normalizer needs more than 2000
+  terms or has lam at or near 1: a pairwise cmp with mu = 9, nu = 0.3 (its
+  terms peak near k = 1500), one with mu = 1, and the cmp-in-dispersion
+  row at lam = 0.99.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -82,6 +86,9 @@ FAR_TAILS = (
     ["pairwise", "--p", "betabinomial:n=179,r=5.06,s=25.85", "--q", "poisson:lambda=20",
      "--orders", "lr"],
     ["path", "--name", "betabinomial:n=200,r1=2,r2=3,s1=3,s2=2", "--order", "st"],
+    ["pairwise", "--p", "cmp:mu=9,nu=0.3", "--q", "poisson:lambda=5", "--orders", "st"],
+    ["pairwise", "--p", "cmp:mu=1,nu=2", "--q", "poisson:lambda=5", "--orders", "st,hr"],
+    ["check", "--family", "cmp-in-dispersion:lam=0.99", "--nu1=0.8", "--nu2=1.6"],
 )
 
 TOL = 1e-12
