@@ -305,8 +305,7 @@ def _hypergeometric_support(th: Theta) -> tuple[float, float]:
     return float(max(0, n - W)), float(min(n, B))
 
 
-# the fewest and the most terms the cmp series normalizer sums
-_CMP_TERMS = (2000, 2000 * 2**9)
+_CMP_TERMS = (2000, 2000 * 2**9)  # the fewest and the most terms the cmp series sums
 
 
 def _cmp_log_normalizer(th: Theta) -> float:
@@ -812,7 +811,8 @@ _SPAN_WINDOW = 64  # points of the first window of the tail search
 
 
 def _tail_span(
-    pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float
+    pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
+    own_total: bool = False,
 ) -> tuple[int, float, np.ndarray] | None:
     """Smallest k in [lo, hi] whose tail 1 - sum_{lo..k} pmf is <= tail_eps.
 
@@ -822,18 +822,29 @@ def _tail_span(
     the new points, until the target is met or hi is reached. np.cumsum adds
     sequentially, so every prefix sum, and hence the answer, equals that of
     one scan over all of lo..hi.
+
+    With own_total the tail is read relative to the (pairwise) sum S of the
+    masses evaluated so far, so a pmf whose total misses 1 by more than
+    tail_eps (rounding in large log weights) still meets its target. It is
+    read once 1 - S <= max(tail_eps, 1e-9) and the last window added at most
+    1e-4 * tail_eps * S or ended at hi.
     """
     masses = np.empty(0)
     width = _SPAN_WINDOW
     while lo + masses.size <= hi:
         top = min(lo + width - 1, hi)
-        masses = np.concatenate((masses, pmf(np.arange(lo + masses.size, top + 1, dtype=float))))
-        tail = 1.0 - np.cumsum(masses)
+        new = pmf(np.arange(lo + masses.size, top + 1, dtype=float))
+        masses, width = np.concatenate((masses, new)), 2 * width
+        total = masses.sum() if own_total else 1.0
+        if own_total and (
+            1.0 - total > max(tail_eps, 1e-9) or top < hi and new.sum() > 1e-4 * tail_eps * total
+        ):
+            continue
+        tail = 1.0 - np.cumsum(masses) / total
         idx = np.flatnonzero(tail <= tail_eps)
         if idx.size:
             i = int(idx[0])
             return lo + i, float(tail[i]), masses[: i + 1]
-        width *= 2
     return None
 
 

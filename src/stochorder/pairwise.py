@@ -17,9 +17,8 @@ PairwiseLaw fixes every parameter of an entry and takes its log factor as
 log_weight and its log normalizer; a named path is the line between two end
 points in two of an entry's parameters, with the entry's kernels as component
 kernels and its support (or quantile) giving the grid. An infinite support is
-cut by `catalog._tail_span`, the tail search of the catalogue families, under
-the pmf exp(log_weight - log_normalizer); the masses on the kept range are
-normalized numerically by `catalog.normalized`.
+cut by `catalog._tail_span`, the catalogue's tail search; laws are normalized
+numerically by `catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -79,17 +78,13 @@ _KMAX_CAP = 10_000
 
 @dataclass(frozen=True)
 class PairwiseLaw:
-    """A discrete law given by a positive factor w_k on an integer support.
-
-    log_normalizer is log sum_k w_k, which an infinite support needs: its
-    tail is cut under the pmf exp(log_weight - log_normalizer).
-    """
+    """A discrete law given by a positive factor w_k on an integer support."""
 
     name: str
     support: tuple[float, float]  # upper end may be inf
     log_weight: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, float] = field(default_factory=dict)
-    log_normalizer: float | None = None
+    log_normalizer: float | None = None  # log sum_k w_k, which an infinite support needs
 
     def __post_init__(self) -> None:
         if self.log_normalizer is None and not math.isfinite(self.support[1]):
@@ -121,10 +116,8 @@ def make_law(name: str, **params: float) -> PairwiseLaw:
         raise ValueError(f"unknown law {name!r}; valid names: {', '.join(LAW_NAMES)}")
     theta = view.bind(f"{name} law", params)
     law = LAWS[view.law]
-    return PairwiseLaw(
-        name, law.support(theta), partial(law.log_factor, theta), view.named(theta),
-        law.log_normalizer(theta),
-    )
+    return PairwiseLaw(name, law.support(theta), partial(law.log_factor, theta),
+                       view.named(theta), law.log_normalizer(theta))
 
 
 def law_from_spec(text: str) -> PairwiseLaw:
@@ -133,15 +126,13 @@ def law_from_spec(text: str) -> PairwiseLaw:
 
 
 def law_distribution(law: PairwiseLaw, eps_tail: float = _EPS_TAIL) -> Distribution:
-    """The law's pmf, normalized over its support. An infinite support is
-    first cut at the smallest k whose tail under the pmf
-    exp(log_weight - log_normalizer) is at most eps_tail, found by
-    `catalog._tail_span` as for the catalogue families."""
+    """The law's pmf, normalized over its support; an infinite support is first
+    cut by `catalog._tail_span` on exp(log_weight - log_normalizer), at the
+    first k whose tail relative to the evaluated masses' sum is <= eps_tail."""
     lo, hi = int(law.support[0]), law.support[1]
     if not math.isfinite(hi):
-        span = _tail_span(
-            lambda ks: np.exp(law.log_weight(ks) - law.log_normalizer), lo, _KMAX_CAP, eps_tail
-        )
+        span = _tail_span(lambda ks: np.exp(law.log_weight(ks) - law.log_normalizer), lo,
+                          _KMAX_CAP, eps_tail, own_total=True)
         if span is None:
             raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
         hi = span[0]

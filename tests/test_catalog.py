@@ -13,6 +13,7 @@ from scipy import stats
 
 from stochorder.catalog import (
     FAMILY_NAMES,
+    _tail_span,
     continuous_grid,
     default_grid,
     density,
@@ -371,3 +372,26 @@ def test_span_search_walks_to_kmax_when_the_target_is_unreachable():
     with pytest.raises(ValueError, match="unreachable within k_max=300"):
         default_grid(counted, [0.95], kmax=300)
     assert points == [64, 64, 128, 45]  # windows 0..63, ..127, ..255, ..300
+
+
+def geometric_pmf(scale):
+    """scale * the geometric pmf with p = 1/2 on 0, 1, ..."""
+    return lambda ks: scale * 0.5 ** (ks + 1.0)
+
+
+def test_own_total_search_reads_tails_of_the_masses_it_kept():
+    # a pmf summing to 1 - 5e-13 never brings 1 - sum below 5e-13
+    pmf = geometric_pmf(1.0 - 5e-13)
+    assert _tail_span(pmf, 0, 10_000, 1e-13) is None
+    k, tail, _ = _tail_span(pmf, 0, 10_000, 1e-13, own_total=True)
+    assert k == 43 and tail == pytest.approx(0.5 ** 44, rel=1e-3)
+    assert _tail_span(geometric_pmf(1.0 + 5e-13), 0, 10_000, 1e-13, own_total=True)[0] == 43
+
+
+def test_own_total_search_waits_for_mass_the_pmf_has_not_yielded():
+    # half the mass on 0..~45, half at k = 1000: the window 64..127 adds
+    # nothing, but 1 - sum is still 1/2 there
+    def pmf(ks):
+        return np.where(ks == 1000.0, 0.5, geometric_pmf(0.5)(ks))
+
+    assert _tail_span(pmf, 0, 10_000, 1e-12, own_total=True)[0] == 1000

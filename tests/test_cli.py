@@ -89,6 +89,16 @@ def test_pairwise_cmp_at_unit_mu_gives_a_report(capsys):
     assert [v["status"] for v in json.loads(out)["verdicts"]] == ["holds", "holds"]
 
 
+def test_pairwise_reaches_a_tail_target_below_the_error_in_the_pmf_total(capsys):
+    # this negative binomial's pmf sums to 1 - 4.75e-13 over 0..10 000
+    code, out, err = run_cli(
+        capsys, "pairwise", "--p", "negbinomial:r=48.4884,p=0.0579789", "--q",
+        "poisson:lambda=5", "--orders", "st", "--tail-eps", "1e-13", "--no-timing",
+    )
+    assert (code, err) == (1, "")
+    assert [v["status"] for v in json.loads(out)["verdicts"]] == ["fails"]
+
+
 def test_subnormal_oracle_masses_leave_stderr_empty(capsys):
     # the oracle divides masses near the smallest double by one another here
     argv = ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -120,14 +120,14 @@ def test_law_describe():
 
 
 def full_range_cut(law, eps_tail=1e-12):
-    """(cut, tails, points) of one scan over lo..10 000 whose weights are
-    normalized by their own sum: the reference for the tail search."""
+    """(cut, tails) of one scan over lo..10 000 whose weights are normalized
+    by their own sum: the reference for the tail search."""
     lo = int(law.support[0])
     k = np.arange(lo, 10_001, dtype=float)
     logw = law.log_weight(k)
     w = np.exp(logw - logw.max())
     tail = 1.0 - np.cumsum(w) / w.sum()
-    return lo + int(np.nonzero(tail <= eps_tail)[0][0]), tail, k
+    return lo + int(np.nonzero(tail <= eps_tail)[0][0]), tail
 
 
 INFINITE_LAWS = st.one_of(
@@ -148,20 +148,33 @@ INFINITE_LAWS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(INFINITE_LAWS)
+@example(make_law("geometric", p=0.003))  # cut near 9 170, in the window that ends at 10 000
 def test_law_distribution_cut_is_the_full_range_cut(law):
-    """The tail search reads tails 1 - cumsum(pmf) under the law's log
-    normalizer, the full-range scan tails normalized by their own sum. The two
-    differ by the distance of the pmf's total from 1 (log weights in the
-    thousands carry absolute rounding near 1e-13, and the total of a large
-    negative binomial misses 1 by up to ~5e-13) plus the rounding of the
-    running sums, so the cuts agree unless a full-range tail lies that close
-    to eps_tail."""
-    ref, tail, k = full_range_cut(law)
+    """Both read tails relative to the masses' own sum: the reference over
+    lo..10 000 with weights scaled by their maximum, the search over its
+    settled range with masses under the normalizer. Their running sums of a
+    few thousand terms round differently (by under 2e-14 in a 2000-draw
+    probe), so the cuts agree unless a reference tail lies within 5e-14 of
+    eps_tail."""
+    ref, tail = full_range_cut(law)
     cut = int(law_distribution(law).support.upper)
-    slack = abs(np.exp(law.log_weight(k) - law.log_normalizer).sum() - 1.0) + 1e-14
     i = cut - int(law.support[0])
-    assert tail[i] <= 1e-12 + slack, (ref, cut)
-    assert i == 0 or tail[i - 1] > 1e-12 - slack, (ref, cut)
+    assert tail[i] <= 1e-12 + 5e-14, (ref, cut)
+    assert i == 0 or tail[i - 1] > 1e-12 - 5e-14, (ref, cut)
+
+
+@pytest.mark.parametrize("spec,cut", [
+    ("negbinomial:r=38.86958350399432,p=0.050452162431594796", 1912),  # sums to 1 + 4.5e-13
+    ("negbinomial:r=48.4884,p=0.0579789", 1895),  # sums to 1 - 4.75e-13
+])
+def test_law_distribution_cut_ignores_the_error_in_the_pmf_total(spec, cut):
+    law = law_from_spec(spec)
+    assert full_range_cut(law)[0] == cut
+    assert law_distribution(law).support.upper == cut
+    for shift in (-1e-11, 1e-11):  # a normalizer off by far more than eps_tail
+        off = PairwiseLaw(law.name, law.support, law.log_weight, law.params,
+                          law.log_normalizer + shift)
+        assert law_distribution(off).support.upper == cut
 
 
 @pytest.mark.parametrize("spec,cut", [
