@@ -54,6 +54,7 @@ __all__ = [
     "continuous_grid",
     "mixed_grid",
     "MAX_GRID_POINTS",
+    "MAX_KMAX",
 ]
 
 # Quantile span for continuous supports; the grid covers [q(CONT_TAIL),
@@ -63,6 +64,11 @@ _PAD = 0.05
 
 # Most points default_grid puts on a continuous or mixed support.
 MAX_GRID_POINTS = 100_000
+
+# Largest upper end of a discrete support: the ceiling of the integer law
+# parameters (n, B, W) and of the CLI's --kmax, far above every default and
+# benchmark run, past which a command would allocate without a useful bound.
+MAX_KMAX = 100_000
 
 _NORMAL = NormalDist()
 
@@ -242,7 +248,7 @@ class Law:
 
     domains         parameter -> open interval, in the order views list the
                     parameters; those named in `integers` are whole numbers
-                    from the lower end up.
+                    in the closed interval, at most MAX_KMAX.
     support         theta -> (lower, upper); it reads only parameters that
                     no view varies.
     kernels         parameter -> d/dtheta_i log_factor, for every parameter
@@ -264,6 +270,8 @@ class Law:
 _POSITIVE = (0.0, math.inf)
 _UNIT = (0.0, 1.0)
 _REAL = (-math.inf, math.inf)
+_COUNT = (0, MAX_KMAX)
+_POSITIVE_COUNT = (1, MAX_KMAX)
 _HALFNORMAL_LOG_C = 0.5 * math.log(2.0 / math.pi)
 
 
@@ -427,7 +435,7 @@ LAWS: dict[str, Law] = {
     ),
     "binomial": Law(
         kind="discrete",
-        domains={"n": (1, math.inf), "p": _UNIT},
+        domains={"n": _POSITIVE_COUNT, "p": _UNIT},
         support=_up_to_n,
         log_factor=_binomial_log_factor,
         kernels={"p": lambda th, k: k / th["p"] - (th["n"] - k) / (1.0 - th["p"])},
@@ -436,7 +444,7 @@ LAWS: dict[str, Law] = {
     ),
     "betabinomial": Law(
         kind="discrete",
-        domains={"n": (1, math.inf), "r": _POSITIVE, "s": _POSITIVE},
+        domains={"n": _POSITIVE_COUNT, "r": _POSITIVE, "s": _POSITIVE},
         support=_up_to_n,
         log_factor=_betabinomial_log_factor,
         kernels={
@@ -448,7 +456,7 @@ LAWS: dict[str, Law] = {
     ),
     "hypergeometric": Law(
         kind="discrete",
-        domains={"B": (0, math.inf), "W": (0, math.inf), "n": (1, math.inf)},
+        domains={"B": _COUNT, "W": _COUNT, "n": _POSITIVE_COUNT},
         support=_hypergeometric_support,
         log_factor=lambda th, k: _log_binom(th["B"], k) + _log_binom(th["W"], th["n"] - k),
         kernels={},
@@ -657,7 +665,7 @@ class View:
                 if not v.is_integer():
                     raise ValueError(f"{label}: {name} must be an integer, got {v!r}")
                 v = int(v)
-                ok, need = lo <= v, f"{name} >= {lo:g}"
+                ok, need = lo <= v <= hi, f"{name} >= {lo:g}" if v < lo else f"{name} <= {hi:g}"
             else:
                 ok = lo < v < hi
                 need = f"{name} > {lo:g}" if hi == math.inf else f"{name} in ({lo:g},{hi:g})"

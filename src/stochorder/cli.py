@@ -29,7 +29,8 @@ import numpy as np
 
 from .catalog import (
     MAX_GRID_POINTS,
-    SupportGrid,
+    MAX_KMAX,
+    View,
     continuous_grid,
     default_grid,
     density,
@@ -47,8 +48,7 @@ from .compound import (
     summand_from_spec,
 )
 from .criteria import (
-    NU_POINTS, TOL_SHAPE, TOL_TAIL, _slopes, check_lc, check_lr, nu_scan, order_probe,
-    scan_kernel, scan_orders,
+    NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, order_probe, scan_kernel, scan_orders,
 )
 from .oracle import oracle_for, oracle_lr, oracle_st
 from .pairwise import (
@@ -239,8 +239,8 @@ def _tolerance(text: str) -> float:
 # Size options: the least value that makes sense (three points for a second
 # difference, two for a scan) and a ceiling far above every default and
 # benchmark run, past which a command would allocate or scan without a
-# useful bound. --grid-points is capped at catalog.MAX_GRID_POINTS.
-MAX_KMAX = 100_000
+# useful bound. --grid-points is capped at catalog.MAX_GRID_POINTS and
+# --kmax at catalog.MAX_KMAX, the ceiling of the integer law parameters.
 MAX_NU_POINTS = 10_000
 MAX_T_POINTS = 10_000
 
@@ -430,23 +430,10 @@ _TABLE1 = (
 _SLOPE_DIR = {"+": "up", "-": "down", "0": "both", "mixed": "none"}
 _CURV_DIR = {"-": "down", "+": "up", "0": "both", "mixed": "none"}
 
-
-def _sign_profile(vals: np.ndarray, tol: float) -> str:
-    if vals.size == 0:
-        return "0"
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo >= -tol and hi <= tol:
-        return "0"
-    if lo >= -tol:
-        return "+"
-    if hi <= tol:
-        return "-"
-    return "mixed"
-
-
-def _kernel_signs(fam, nu: float, grid: SupportGrid) -> tuple[str, str]:
-    slopes = _slopes(grid, np.asarray(fam.kernel(nu, grid.points), dtype=float))
-    return _sign_profile(slopes, TOL_SHAPE), _sign_profile(np.diff(slopes), TOL_SHAPE)
+# kernel sign of a slope or curvature column, from (up holds, down holds) of
+# its order: lr up is a nondecreasing kernel, lc up a convex one
+_SIGN = {(True, True): "0", (True, False): "+", (False, True): "-", (False, False): "mixed"}
+_TABLE1_TESTS = [(o, d) for o in ("lr", "lc") for d in ("up", "down")]
 
 
 def _build_table1() -> tuple[dict, list[OrderVerdict], bool]:
@@ -460,11 +447,8 @@ def _build_table1() -> tuple[dict, list[OrderVerdict], bool]:
         else:
             g_lo, g_hi, g_n = grid_override
             grid = continuous_grid(g_lo, g_hi, n=g_n)
-        per_nu = {_kernel_signs(fam, nu, grid) for nu in nus}
-        if len(per_nu) == 1:
-            slope, curv = per_nu.pop()
-        else:
-            slope = curv = "mixed"
+        scan = dict(zip(_TABLE1_TESTS, scan_orders(fam, nus, grid, _TABLE1_TESTS)))
+        slope, curv = (_SIGN[scan[o, "up"].holds, scan[o, "down"].holds] for o in ("lr", "lc"))
         rows.append(
             {
                 "family": fam.name,
@@ -475,17 +459,12 @@ def _build_table1() -> tuple[dict, list[OrderVerdict], bool]:
             }
         )
         verified = verified and slope == slope_exp and curv == curv_exp
-        if _SLOPE_DIR[slope_exp] in ("up", "down"):
-            v = check_lr(fam, nus, grid, direction=_SLOPE_DIR[slope_exp])
-            verdicts.append(v)
-            verified = verified and v.holds
-        lc_dirs = (
-            ("down", "up") if curv_exp == "0"
-            else (_CURV_DIR[curv_exp],) if _CURV_DIR[curv_exp] in ("up", "down")
-            else ()
-        )
-        for direction in lc_dirs:
-            v = check_lc(fam, nus, grid, direction=direction)
+        # the verdicts of the expected directions: lr's when it is one
+        # direction, lc's in each direction its expected sign allows
+        listed = [("lr", _SLOPE_DIR[slope_exp])] + [
+            ("lc", d) for d in ("down", "up") if _CURV_DIR[curv_exp] in (d, "both")
+        ]
+        for v in (scan[t] for t in listed if t in scan):
             verdicts.append(v)
             verified = verified and v.holds
     return {"id": "table1", "rows": rows}, verdicts, verified
@@ -618,14 +597,11 @@ def _cmd_table(args) -> tuple[dict, int]:
 
 
 def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict]:
-    needed = {"n", "r", "s", "p"}
-    missing = sorted(needed - params.keys())
-    if missing:
-        raise ValueError(f"interpolation path needs parameters {missing}")
-    extra = sorted(params.keys() - needed)
-    if extra:
-        raise ValueError(f"interpolation path: unknown parameters {extra}")
-    n, r, s, p = int(params["n"]), params["r"], params["s"], params["p"]
+    # n, r, s are the beta-binomial start's parameters and n, p the binomial target's
+    label = "interpolation path"
+    bb = View("betabinomial").bind(label, {k: v for k, v in params.items() if k != "p"})
+    n, r, s = bb["n"], bb["r"], bb["s"]
+    p = View("binomial").bind(label, {k: params[k] for k in ("n", "p") if k in params})["p"]
     rep = betabin_bin_interpolation(n, r, s, p)
     [(witness, margin)] = scan_kernel(
         lambda c: rep.kernels[c], rep.c_values, discrete_grid(0, n), [order_probe("lr", "up", tol)]

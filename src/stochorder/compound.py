@@ -315,6 +315,10 @@ def make_compound(
             f"{counting.name}: counting tail target {eps_tail:g} unreachable within n_max={n_cap}"
         )
     n_max = span[0]
+    if n_max > n_cap:  # only a finite support, which the span returns whole
+        raise ValueError(
+            f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
+        )
     hi = k_max if k_max is not None else k_cap
     conv = _conv_table(summand, n_max, hi)
     model = CompoundModel(counting, summand, hi, n_max, conv, eps_tail)

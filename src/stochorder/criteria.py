@@ -17,6 +17,8 @@ builds the kernel once, and the law and tail means only while a test that
 reads them is open, holding one nu at a time (O(grid) memory). Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
 `scan_orders` runs several tests in one pass; `check_*` are one-test views.
+It is the criterion route's one first-witness search: the pairwise, path and
+compound kernel tests and the Table-1 sign columns run through it as well.
 
 A direction is a sign carried with each step, not a negated copy: a probe
 yields unsigned margins m and a sign, and the test reads sign * m. Both

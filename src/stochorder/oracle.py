@@ -120,6 +120,8 @@ def _monotone_verdict(
     tolerances: dict,
     witness_kind: str,
 ) -> OrderVerdict:
+    """The oracle's one first-witness search: fails at the first margin below
+    -rel_tol, holds otherwise with the least finite margin."""
     bad = np.nonzero(margins < -rel_tol)[0]
     if bad.size:
         i = int(bad[0])
@@ -204,13 +206,7 @@ def oracle_lc(
     x = pts[keep]
     logl = np.log(mp[keep]) - np.log(mq[keep])
     slopes = np.diff(logl) / np.diff(x)
-    margins = -np.diff(slopes)
-    bad = np.nonzero(margins < -tol)[0]
-    if bad.size:
-        i = int(bad[0])
-        w = Witness(x=float(x[i + 1]), margin=float(margins[i]), kind="triplet")
-        return _verdict("lc", kind, tolerances, w)
-    return _verdict("lc", kind, tolerances, margin=float(margins.min()) if margins.size else None)
+    return _monotone_verdict("lc", x[1:-1], -np.diff(slopes), tol, kind, tolerances, "triplet")
 
 
 def total_variation(P: Distribution, Q: Distribution) -> float:

@@ -30,7 +30,7 @@ path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping
 
@@ -203,9 +203,10 @@ def check_pairwise(
     """Decide the lr or lc relation from the pairwise kernel's shape.
 
     order 'lr' tests K nondecreasing, claiming Q <=lr P; order 'lc' tests K
-    concave, claiming P <=lc Q. A claim whose dominated side out-reaches the
-    dominating support fails outright. Holds/fails verdicts are cross-checked
-    against the brute oracle on the normalized laws.
+    concave, claiming P <=lc Q; either test is one `scan_kernel` pass. A claim
+    whose dominated side out-reaches the dominating support fails outright.
+    Holds/fails verdicts are cross-checked against the brute oracle on the
+    normalized laws.
     """
     if order not in ("lr", "lc"):
         raise ValueError("pairwise checks decide 'lr' or 'lc' only")
@@ -214,15 +215,11 @@ def check_pairwise(
     if order == "lr":
         claim = f"{q.describe()} <=lr {p.describe()}"
         support_ok = q.support[1] <= p.support[1]
-        margins = pk.d1
-        xs = pk.grid.points[:-1]
-        kind = "adjacent-pair"
+        probe = order_probe("lr", "up", tol_shape)
     else:
         claim = f"{p.describe()} <=lc {q.describe()}"
         support_ok = q.support[0] <= p.support[0] and p.support[1] <= q.support[1]
-        margins = -pk.d2
-        xs = pk.grid.points[1:-1]
-        kind = "triplet"
+        probe = order_probe("lc", "down", tol_shape)
 
     if not support_ok:
         w = Witness(x=float(pk.grid.points[-1]), margin=-math.inf, kind="support")
@@ -232,18 +229,14 @@ def check_pairwise(
             note="dominated support reaches beyond the dominating support",
         )
 
-    bad = np.nonzero(margins < -tol_shape)[0]
-    witness = None
-    if bad.size:
-        i = int(bad[0])
-        witness = Witness(x=float(xs[i]), margin=float(margins[i]), kind=kind)
-    status = "fails" if witness is not None else "holds"
-    margin = witness.margin if witness is not None else (
-        float(margins.min()) if margins.size else None
-    )
+    # the kernel is constant, so one scanned point; a two-law witness has no nu
+    [(witness, margin)] = scan_kernel(lambda _: pk.values, [0.0], pk.grid, [probe])
+    if witness is not None:
+        witness = replace(witness, nu=None)
     criterion = OrderVerdict(
-        order=order, direction="up", status=status, method="pairwise-kernel",
-        tolerances=tolerances, witness=witness, margin=margin, claim=claim,
+        order=order, direction="up", status="fails" if witness else "holds",
+        method="pairwise-kernel", tolerances=tolerances, witness=witness, margin=margin,
+        claim=claim,
     )
     dp, dq = law_distribution(p), law_distribution(q)
     cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, _reaching(q, dq, dp))

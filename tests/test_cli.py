@@ -10,7 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
+from stochorder import cli
+from stochorder.catalog import continuous_grid, default_grid, family_from_spec
 from stochorder.cli import dumps, main
+from stochorder.criteria import check_lc, check_lr
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +211,26 @@ def test_table_matches_golden_and_verifies(table_id, capsys):
     assert report["table"]["rows"]
 
 
+def test_table1_verdicts_are_the_rows_own_checks(capsys):
+    code, out, _ = run_cli(capsys, "table", "--id", "table1", "--no-timing")
+    assert code == 0
+    listed = iter(json.loads(out)["verdicts"])
+    for spec, (lo, hi), slope, curv, window in cli._TABLE1:
+        fam = family_from_spec(spec)
+        nus = (lo, 0.5 * (lo + hi), hi)
+        grid = default_grid(fam, nus) if window is None else continuous_grid(
+            window[0], window[1], n=window[2])
+        # lr in the direction of the expected slope sign; lc in that of the
+        # expected curvature sign, and both ways for a flat one
+        alone = [check_lr(fam, nus, grid, direction=d)
+                 for d in {"+": ["up"], "-": ["down"]}.get(slope, [])]
+        alone += [check_lc(fam, nus, grid, direction=d)
+                  for d in {"-": ["down"], "+": ["up"], "0": ["down", "up"]}.get(curv, [])]
+        for v in alone:
+            assert next(listed) == json.loads(dumps(v.to_dict())), spec
+    assert next(listed, None) is None
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -278,6 +301,21 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         assert err.startswith("error:"), argv
         assert token in err, argv
         assert out == ""
+
+
+@pytest.mark.parametrize("argv,token", [
+    # a fractional binomial size was truncated to n = 10
+    (("path", "--name", "interpolation:n=10.5,r=1,s=1,p=0.5"), "n must be an integer"),
+    # integer law parameters are capped by catalog.MAX_KMAX
+    (("pairwise", "--p", "binomial:n=100001,p=0.5", "--q", "poisson:lambda=3"), "n <= 100000"),
+    # a finite counting support is capped by n_max like an infinite one
+    (("compound", "--counting", "binomial:n0=501", "--summand", "geometric:p=0.5",
+      "--nu1=0.1", "--nu2=0.2"), "binomial(n0=501): counting support reaches 501, past n_max=500"),
+])
+def test_integer_parameters_are_bound_or_refused(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, out) == (2, "")
+    assert token in err
 
 
 @pytest.mark.parametrize("argv,code,status,note", [

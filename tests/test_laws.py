@@ -105,6 +105,17 @@ def test_integer_parameters_must_be_whole_in_every_view():
         make_path("betabinomial", n=8.5, r1=1.0, r2=2.0, s1=3.0, s2=2.0)
 
 
+def test_integer_parameters_stop_at_the_support_ceiling():
+    assert catalog.MAX_KMAX == 100_000
+    assert make_law("binomial", n=100_000, p=0.5).support == (0.0, 100_000.0)
+    for params, name in (({"B": 100_001, "W": 3, "n": 2}, "B"),
+                         ({"B": 3, "W": 100_001, "n": 2}, "W")):
+        with pytest.raises(ValueError, match=f"hypergeometric law needs {name} <= 100000"):
+            make_law("hypergeometric", **params)
+    with pytest.raises(ValueError, match="betabinomial-in-r needs n <= 100000"):
+        make_family("betabinomial-in-r", n=100_001)
+
+
 def test_views_show_their_own_parameter_names_in_errors():
     with pytest.raises(ValueError, match="cmp-in-dispersion needs lam in"):
         make_family("cmp-in-dispersion", lam=2.0)

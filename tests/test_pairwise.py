@@ -336,6 +336,70 @@ def test_check_pairwise_rejects_other_orders():
         check_pairwise(pk, "st")
 
 
+@st.composite
+def any_law(draw):
+    """One of the seven pairwise laws, with parameters whose log factors stay
+    far below the overflow point and a support that starts at 0."""
+    name = draw(st.sampled_from(LAW_NAMES))
+    unit = st.floats(0.05, 0.95)
+    if name == "binomial":
+        params = {"n": draw(st.integers(1, 60)), "p": draw(unit)}
+    elif name == "poisson":
+        params = {"lambda": draw(st.floats(0.1, 50.0))}
+    elif name == "negbinomial":
+        params = {"r": draw(st.floats(0.2, 20.0)), "p": draw(unit)}
+    elif name == "geometric":
+        params = {"p": draw(unit)}
+    elif name == "cmp":
+        params = {"mu": draw(st.floats(0.2, 12.0)), "nu": draw(st.floats(0.3, 3.0))}
+    elif name == "betabinomial":
+        params = {"n": draw(st.integers(1, 40)), "r": draw(st.floats(0.2, 10.0)),
+                  "s": draw(st.floats(0.2, 10.0))}
+    else:
+        # n <= W: the support starts at 0, like every other law's
+        W = draw(st.integers(1, 40))
+        params = {"B": draw(st.integers(0, 40)), "W": W, "n": draw(st.integers(1, W))}
+    return make_law(name, **params)
+
+
+def first_index_reference(pk, order, tol=1e-9):
+    """(status, witness, margin) of the kernel test by the first-index rule:
+    the first margin below -tol is the witness, else the least margin holds."""
+    if order == "lr":
+        margins, xs, kind = np.diff(pk.values), pk.grid.points[:-1], "adjacent-pair"
+    else:
+        margins, xs, kind = -np.diff(pk.values, 2), pk.grid.points[1:-1], "triplet"
+    bad = np.nonzero(margins < -tol)[0]
+    if bad.size:
+        i = int(bad[0])
+        return "fails", (float(xs[i]), float(margins[i]).hex(), None, kind), float(margins[i])
+    return "holds", None, float(margins.min()) if margins.size else None
+
+
+def witness_bits(w):
+    return None if w is None else (w.x, w.margin.hex(), w.nu, w.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_law(), any_law(), st.sampled_from(["lr", "lc"]))
+@example(make_law("negbinomial", r=3, p=0.5), make_law("poisson", **{"lambda": 2.0}), "lc")
+@example(make_law("poisson", **{"lambda": 2.0}), make_law("negbinomial", r=3, p=0.5), "lc")
+def test_check_pairwise_finds_the_first_index_witness(p_law, q_law, order):
+    pk = pairwise_kernel(p_law, q_law, kmax=60)
+    v = check_pairwise(pk, order)
+    # the support guard decides before any kernel margin is read
+    assume(v.witness is None or v.witness.kind != "support")
+    status, witness, margin = first_index_reference(pk, order)
+    if v.note.endswith("kernel test and oracle disagree"):
+        # reconciled: the criterion's witness is kept when it has one
+        assert v.status == "inconclusive"
+        if witness is not None:
+            assert (witness_bits(v.witness), v.margin) == (witness, margin)
+        return
+    assert (v.status, witness_bits(v.witness)) == (status, witness)
+    assert (v.margin is None and margin is None) or v.margin.hex() == margin.hex()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     lam1=st.floats(min_value=0.2, max_value=4.0),

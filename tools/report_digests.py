@@ -30,7 +30,10 @@ Each command runs in-process through `stochorder.cli.main` with
 - Conway-Maxwell-Poisson laws whose series normalizer needs more than 2000
   terms or has lam at or near 1: a pairwise cmp with mu = 9, nu = 0.3 (its
   terms peak near k = 1500), one with mu = 1, and the cmp-in-dispersion
-  row at lam = 0.99.
+  row at lam = 0.99;
+- every branch of the pairwise lr and lc kernel tests (both fail with a
+  kernel witness; lr fails and lc holds; both fail by support reach) and
+  the interpolation path on either side of its threshold.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -91,6 +94,14 @@ FAR_TAILS = (
     ["check", "--family", "cmp-in-dispersion:lam=0.99", "--nu1=0.8", "--nu2=1.6"],
 )
 
+KERNEL_BRANCHES = (
+    ["pairwise", "--p", "negbinomial:r=3,p=0.5", "--q", "poisson:lambda=2", "--orders", "lr,lc"],
+    ["pairwise", "--p", "poisson:lambda=2", "--q", "negbinomial:r=3,p=0.5", "--orders", "lr,lc"],
+    ["pairwise", "--p", "poisson:lambda=0.6", "--q", "binomial:n=10,p=0.05", "--orders", "lr,lc"],
+    ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"],
+    ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.2"],
+)
+
 TOL = 1e-12
 
 
@@ -111,6 +122,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5",
                 "--orders", o, "--format", "csv"] for o in ORDERS)
     out.extend(FAR_TAILS)
+    out.extend(KERNEL_BRANCHES)
     return [argv + ["--no-timing"] for argv in out]
 
 
