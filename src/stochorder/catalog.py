@@ -8,8 +8,8 @@ exp(log_factor - log_normalizer) with respect to counting measure
 (discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
 
 Everything else is a `View` of an entry: a catalogue family (`make_family`)
-fixes all parameters but one, nu, and its centred kernel is the score; the
-compound counting laws and the pairwise laws and paths are views too.
+fixes all parameters but one, nu, and a named path moves two along a line in
+t; both are `View.curve`s. The counting and pairwise laws are views too.
 Grids discretize the support: integers for discrete laws, uniform midpoint
 cells for continuous ones, an exact atom plus midpoint cells for the mixed
 kind. `normalized` is the one numeric normalizer over a grid.
@@ -41,6 +41,7 @@ __all__ = [
     "Law",
     "LAWS",
     "View",
+    "checked",
     "DensityFamily",
     "FAMILY_NAMES",
     "make_family",
@@ -626,9 +627,28 @@ class DensityFamily:
         return f"{self.name}({fixed})" if fixed else self.name
 
 
+def checked(label: str, name: str, value: float, domain: tuple[float, float],
+            integer: bool = False) -> float:
+    """value, checked against its domain: the open interval, or for a whole
+    number the closed one. Errors start with `label` and name `name`."""
+    lo, hi = domain
+    v = float(value)
+    if integer:
+        if not v.is_integer():
+            raise ValueError(f"{label}: {name} must be an integer, got {v!r}")
+        v = int(v)
+        ok, need = lo <= v <= hi, f"{name} >= {lo:g}" if v < lo else f"{name} <= {hi:g}"
+    else:
+        ok = lo < v < hi
+        need = f"{name} > {lo:g}" if hi == math.inf else f"{name} in ({lo:g},{hi:g})"
+    if not ok:
+        raise ValueError(f"{label} needs {need}")
+    return v
+
+
 @dataclass(frozen=True)
 class View:
-    """A table law as seen by one family, counting law or pairwise law.
+    """A table law as seen by one family, counting law, pairwise law or path.
 
     varied    the parameter the view varies (None: every one is fixed).
     defaults  values of fixed parameters that may be left out.
@@ -653,39 +673,38 @@ class View:
         law = LAWS[self.law]
         values = {**self.defaults, **given}
         theta: dict[str, float] = {}
-        for p, (lo, hi) in law.domains.items():
+        for p, domain in law.domains.items():
             if p == self.varied:
                 continue
             name = self.shown.get(p, p)
             if name not in values:
                 raise ValueError(f"{label} needs parameter {name!r}")
-            v = float(values.pop(name))
-            lo, hi = self.domains.get(p, (lo, hi))
-            if p in law.integers:
-                if not v.is_integer():
-                    raise ValueError(f"{label}: {name} must be an integer, got {v!r}")
-                v = int(v)
-                ok, need = lo <= v <= hi, f"{name} >= {lo:g}" if v < lo else f"{name} <= {hi:g}"
-            else:
-                ok = lo < v < hi
-                need = f"{name} > {lo:g}" if hi == math.inf else f"{name} in ({lo:g},{hi:g})"
-            if not ok:
-                raise ValueError(f"{label} needs {need}")
-            theta[p] = v
+            theta[p] = checked(label, name, values.pop(name), self.domains.get(p, domain),
+                               p in law.integers)
         if values:
             raise ValueError(f"{label}: unknown parameters {sorted(values)}")
         return theta
 
-    def family(
-        self,
-        name: str,
-        label: str,
-        given: Mapping[str, float],
-        extras: Mapping[str, Callable[[Theta], float]] | None = None,
-    ) -> DensityFamily:
+    def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
+              at: Callable[[float], Theta], kernel: Callable[[float, np.ndarray], np.ndarray],
+              extras: Mapping[str, Callable[[Theta], float]] | None = None) -> DensityFamily:
+        """The family s -> the law at at(s), s in `interval`, with kernel(s, x) =
+        d/ds log_factor; the unmoved parameters `fixed` give the support. extras
+        are functions of the law's parameters, bound to s like the log factor."""
+        law = LAWS[self.law]
+        return DensityFamily(
+            name=name, kind=law.kind, param_name=param, param_interval=interval,
+            fixed_params=self.named(fixed), support=law.support(fixed),
+            log_factor=lambda s, x: law.log_factor(at(s), x), kernel=kernel,
+            log_normalizer=lambda s: law.log_normalizer(at(s)),
+            quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
+            extras={k: (lambda s, g=g: g(at(s))) for k, g in (extras or {}).items()},
+        )
+
+    def family(self, name: str, label: str, given: Mapping[str, float],
+               extras: Mapping[str, Callable[[Theta], float]] | None = None) -> DensityFamily:
         """The one-parameter family in `varied`, the other parameters fixed
-        at `given` or their defaults. extras are functions of the law's
-        parameters, bound to nu like the log factor."""
+        at `given` or their defaults."""
         law = LAWS[self.law]
         fixed = self.bind(label, given)
         free = self.varied
@@ -693,19 +712,8 @@ class View:
         def at(nu: float) -> dict[str, float]:
             return {**fixed, free: nu}
 
-        return DensityFamily(
-            name=name,
-            kind=law.kind,
-            param_name=self.shown.get(free, free),
-            param_interval=law.domains[free],
-            fixed_params=self.named(fixed),
-            support=law.support(fixed),
-            log_factor=lambda nu, x: law.log_factor(at(nu), x),
-            kernel=lambda nu, x: law.kernels[free](at(nu), x),
-            log_normalizer=lambda nu: law.log_normalizer(at(nu)),
-            quantile=None if law.quantile is None else lambda nu, u: law.quantile(at(nu), u),
-            extras={k: (lambda nu, g=g: g(at(nu))) for k, g in (extras or {}).items()},
-        )
+        return self.curve(name, fixed, self.shown.get(free, free), law.domains[free], at,
+                          lambda nu, x: law.kernels[free](at(nu), x), extras)
 
 
 # the Table-1 families: the law each one views, the parameter it varies and

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import replace
@@ -62,7 +63,7 @@ from .pairwise import (
     make_law,
     make_path,
     pairwise_kernel,
-    path_grid,
+    path_family,
 )
 from .verdicts import ORDERS, OrderVerdict, reconcile
 
@@ -638,8 +639,9 @@ def _cmd_path(args) -> tuple[dict, int]:
         report = _report("path", {**inputs, **extras}, [v], tolerances)
         return report, 0 if v.holds else 1
     path, builder = make_path(name, **params)
-    grid = path_grid(name, params, args.kmax, args.grid_points)
     t_grid = np.linspace(path.t_interval[0], path.t_interval[1], int(args.t_points))
+    grid = default_grid(path_family(name, params), t_grid, kmax=args.kmax,
+                        grid_points=args.grid_points)
     v = check_path_order(
         path, builder, args.order,
         t_grid=t_grid, grid=grid,
@@ -712,12 +714,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="path spec: negbinomial/betabinomial/gamma/interpolation with key=val params")
     path.add_argument("--order", default="lr")
     path.add_argument("--t-points", type=_size(2, MAX_T_POINTS), default=33)
-    path.add_argument("--kmax", type=_size(2, MAX_KMAX), default=400)
+    path.add_argument("--kmax", type=_size(2, MAX_KMAX), default=10_000)
     path.add_argument("--grid-points", type=_size(3, MAX_GRID_POINTS), default=2000)
     path.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
     path.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
     _add_common(path)
     path.set_defaults(run=_cmd_path)
+    for p in sub.choices.values():  # read -4.6e-05 or -.5 as a value, not an option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .catalog import (
-    DensityFamily, Distribution, View, _discrete_span, _tail_span, discrete_grid, parse_spec,
+    MAX_KMAX, DensityFamily, Distribution, View, _discrete_span, _tail_span, checked,
+    discrete_grid, parse_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
 from .special import log_factorial_vec
@@ -120,9 +121,8 @@ def geometric_summand(p: float, eps_tail: float = _EPS_TAIL) -> SummandLaw:
 
 
 def delta_summand(j0: int) -> SummandLaw:
-    if j0 < 1 or j0 != int(j0):
-        raise ValueError("delta summand needs an integer j0 >= 1")
-    masses = np.zeros(int(j0))
+    """The point mass at j0, a whole number in [1, MAX_KMAX]."""
+    masses = np.zeros(checked("delta summand", "j", j0, (1, MAX_KMAX), integer=True))
     masses[-1] = 1.0
     return SummandLaw(masses, 0.0)
 
@@ -155,7 +155,7 @@ def _required(ps: dict, key: str, name: str) -> float:
 
 _SUMMAND_BUILDERS = {
     "geometric": lambda ps: geometric_summand(_required(ps, "p", "geometric")),
-    "delta": lambda ps: delta_summand(int(ps.pop("j", 1))),
+    "delta": lambda ps: delta_summand(ps.pop("j", 1)),
     "two-point": lambda ps: two_point_summand(_required(ps, "w1", "two-point")),
     "poisson-shifted": lambda ps: poisson_shifted_summand(_required(ps, "mu", "poisson-shifted")),
 }
@@ -245,12 +245,7 @@ def convolution_power(F: SummandLaw, n: int, k_max: int) -> np.ndarray:
     """F^{*n} restricted to {0..k_max}; F^{*0} is the point mass at 0."""
     if n < 0:
         raise ValueError("convolution power needs n >= 0")
-    base = F.pmf_from_zero()
-    out = np.zeros(k_max + 1)
-    out[0] = 1.0
-    for _ in range(n):
-        out = np.convolve(out, base)[: k_max + 1]
-    return out
+    return _conv_table(F, n, k_max)[n]
 
 
 def _conv_table(F: SummandLaw, n_max: int, k_max: int) -> np.ndarray:
@@ -305,7 +300,6 @@ def make_compound(
     eps_tail: float = _EPS_TAIL,
     k_cap: int = 2000,
     n_cap: int = _N_CAP,
-    k_max: int | None = None,
 ) -> CompoundModel:
     """Build the model with truncations valid for every nu in `nus`."""
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
@@ -319,11 +313,8 @@ def make_compound(
         raise ValueError(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
         )
-    hi = k_max if k_max is not None else k_cap
-    conv = _conv_table(summand, n_max, hi)
-    model = CompoundModel(counting, summand, hi, n_max, conv, eps_tail)
-    if k_max is not None:
-        return model
+    conv = _conv_table(summand, n_max, k_cap)
+    model = CompoundModel(counting, summand, k_cap, n_max, conv, eps_tail)
     # shrink k_max to the smallest k keeping every scanned law's tail in budget;
     # the tail is measured within the computed table (the counting and summand
     # truncation deficits carry their own budgets and never shrink with k)
@@ -332,8 +323,7 @@ def make_compound(
         masses = model.compound_masses(nu)
         if masses.sum() < 1.0 - 1e-6:
             raise ValueError(
-                f"compound mass beyond k_max={k_cap} exceeds 1e-6 at nu={nu:g}; "
-                "raise k_cap or pass k_max explicitly"
+                f"compound mass beyond k_max={k_cap} exceeds 1e-6 at nu={nu:g}; raise k_cap"
             )
         beyond = np.cumsum(masses[::-1])[::-1] - masses
         need = max(need, int(np.nonzero(beyond <= eps_tail)[0][0]))

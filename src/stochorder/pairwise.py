@@ -16,9 +16,10 @@ The concrete laws and the named paths are views of `catalog.LAWS`: a
 PairwiseLaw fixes every parameter of an entry and takes its log factor as
 log_weight and its log normalizer; a named path is the line between two end
 points in two of an entry's parameters, with the entry's kernels as component
-kernels and its support (or quantile) giving the grid. An infinite support is
-cut by `catalog._tail_span`, the catalogue's tail search; laws are normalized
-numerically by `catalog.normalized`.
+kernels. As a one-parameter family in t (`path_family`) it takes its grid
+from `catalog.default_grid` over the scanned t, as a catalogue family does
+over nu. An infinite support is cut by `catalog._tail_span`, the catalogue's
+tail search; laws are normalized numerically by `catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -37,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .catalog import (
-    LAWS, Distribution, SupportGrid, View, _tail_span, continuous_grid, discrete_grid, normalized,
+    LAWS, DensityFamily, Distribution, SupportGrid, View, _tail_span, discrete_grid, normalized,
     parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
@@ -62,7 +63,7 @@ __all__ = [
     "geometric_interpolation_path",
     "PATH_NAMES",
     "make_path",
-    "path_grid",
+    "path_family",
     "InterpolationReport",
     "betabin_bin_interpolation",
     "interpolation_law",
@@ -447,8 +448,10 @@ _PATHS: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {
 PATH_NAMES = tuple(sorted(_PATHS))
 
 
-def _path_ends(name: str, params: Mapping[str, float]):
-    """(law, moved parameters, theta at t=0, theta at t=1) of a named path."""
+def _named_path(name: str, params: Mapping[str, float]):
+    """(law name, unmoved parameters, ParamPath, theta -> the law's parameters)
+    of a named path: the line between its two end points in the moved
+    parameters, with the table law's kernels as component kernels."""
     row = _PATHS.get(name)
     if row is None:
         raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
@@ -462,14 +465,7 @@ def _path_ends(name: str, params: Mapping[str, float]):
         if sign * (ends[1][p] - ends[0][p]) < 0:
             trend = "nondecreasing" if sign > 0 else "nonincreasing"
             raise ValueError(f"{name} path needs {p} {trend}")
-    return LAWS[law_name], [p for p, _ in moves], ends[0], ends[1]
-
-
-def make_path(name: str, **params: float):
-    """(ParamPath, family_builder) for a named two-parameter move: the line
-    between the two end points in the moved parameters, with the table law's
-    kernels as component kernels; the builder normalizes the law on a grid."""
-    law, moved, start, end = _path_ends(name, params)
+    law, moved, (start, end) = LAWS[law_name], [p for p, _ in moves], ends
 
     def at(th: tuple[float, ...]) -> dict[str, float]:
         return {**start, **dict(zip(moved, th))}
@@ -479,23 +475,24 @@ def make_path(name: str, **params: float):
         [end[p] for p in moved],
         [lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved],
     )
-
-    def builder(th, grid: SupportGrid) -> Distribution:
-        return normalized(grid, law.log_factor(at(th), grid.points))
-
-    return path, builder
+    return law_name, {p: v for p, v in start.items() if p not in moved}, path, at
 
 
-def path_grid(name: str, params: Mapping[str, float], kmax: int, grid_points: int) -> SupportGrid:
-    """The grid a named path is checked on: the whole support when it is
-    finite, 0..kmax on an infinite discrete one, and on a continuous one from
-    the lower end to 5% past the larger 1 - 1e-9 quantile of the end laws."""
-    law, _, start, end = _path_ends(name, params)
-    lo, hi = law.support(start)
-    if law.kind == "discrete":
-        return discrete_grid(int(lo), int(hi) if math.isfinite(hi) else kmax)
-    top = max(law.quantile(th, 1.0 - 1e-9) for th in (start, end))
-    return continuous_grid(lo, top * 1.05, n=grid_points)
+def make_path(name: str, **params: float):
+    """(ParamPath, family_builder) for a named two-parameter move; the
+    builder normalizes the law on a grid."""
+    law_name, _, path, at = _named_path(name, params)
+    log_factor = LAWS[law_name].log_factor
+    return path, lambda th, grid: normalized(grid, log_factor(at(th), grid.points))
+
+
+def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
+    """A named path as the one-parameter family in t: the law at theta(t), with
+    the chain-rule kernel path_kernel(path, t, x). For t in [0, 1], theta(t)
+    lies between the two ends, inside the law's domains, which are intervals."""
+    law_name, fixed, path, at = _named_path(name, params)
+    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf),
+                                lambda t: at(path.theta(t)), partial(path_kernel, path))
 
 
 # ---------------------------------------------------------------------------

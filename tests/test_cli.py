@@ -270,8 +270,34 @@ def test_path_interpolation_below_threshold_fails(capsys):
     assert v["witness"]["kind"] == "adjacent-pair"
 
 
+def test_path_tail_search_stops_at_kmax(capsys):
+    # --kmax is the ceiling of the tail search, as for check, not the grid's end
+    code, out, err = run_cli(capsys, "path", "--name", "negbinomial:r1=2,r2=40,q1=0.5,q2=0.9",
+                             "--order", "st", "--kmax", "400", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == "error: negbinomial path: tail-mass target 1e-12 unreachable within k_max=400\n"
+
+
+def test_negbinomial_lc_path_reaches_past_the_fixed_grid(capsys):
+    # on 0..400 the t = 0 law underflowed to zeros, which the lc oracle read
+    # as a gap in its support and so made the report inconclusive
+    code, out, _ = run_cli(capsys, "path", "--name",
+                           "negbinomial:r1=2.33098,r2=4.23971,q1=0.054447,q2=0.677158",
+                           "--order", "lc", "--no-timing")
+    [v] = json.loads(out)["verdicts"]
+    assert (code, v["status"], v["note"]) == (0, "holds", "endpoint oracle holds")
+
+
 # ---------------------------------------------------------------------------
 # diagnostics and exit codes
+
+
+def test_negative_numbers_in_exponent_notation_are_values(capsys):
+    argv = ["check", "--family", "gumbel-in-location", "--nu2", "0.5", "--no-timing"]
+    code, spaced, err = run_cli(capsys, *argv, "--nu1", "-4.6e-05")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--nu1=-4.6e-05") == (0, spaced, "")
+    assert json.loads(spaced)["inputs"]["nu1"] == -4.6e-05
 
 
 def test_errors_exit_two_and_name_the_offending_token(capsys):
@@ -311,6 +337,11 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
     # a finite counting support is capped by n_max like an infinite one
     (("compound", "--counting", "binomial:n0=501", "--summand", "geometric:p=0.5",
       "--nu1=0.1", "--nu2=0.2"), "binomial(n0=501): counting support reaches 501, past n_max=500"),
+    # the delta summand's j was truncated to 2, and had no ceiling
+    (("compound", "--counting", "poisson", "--summand", "delta:j=2.5", "--nu1", "1", "--nu2", "2"),
+     "delta summand: j must be an integer, got 2.5"),
+    (("compound", "--counting", "poisson", "--summand", "delta:j=100001", "--nu1", "1",
+      "--nu2", "2"), "delta summand needs j <= 100000"),
 ])
 def test_integer_parameters_are_bound_or_refused(capsys, argv, token):
     code, out, err = run_cli(capsys, *argv, "--no-timing")

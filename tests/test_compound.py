@@ -83,6 +83,11 @@ def test_summand_spec_parsing():
         summand_from_spec("delta:j=2,q=1")
     with pytest.raises(ValueError, match="needs parameter 'p'"):
         summand_from_spec("geometric:q=0.5")
+    with pytest.raises(ValueError, match="delta summand: j must be an integer, got 2.5"):
+        summand_from_spec("delta:j=2.5")
+    for j, need in ((0, "j >= 1"), (100_001, "j <= 100000")):
+        with pytest.raises(ValueError, match=f"delta summand needs {need}"):
+            summand_from_spec(f"delta:j={j}")
 
 
 def test_summand_validation_rejects_support_gaps():
@@ -111,6 +116,15 @@ def test_geometric_convolution_is_shifted_negative_binomial():
         k = np.arange(61)
         expected = np.where(k >= n, stats.nbinom(n, 0.4).pmf(k - n), 0.0)
         assert np.allclose(out, expected, atol=1e-10)
+
+
+def test_convolution_power_is_a_row_of_the_table():
+    s = geometric_summand(0.3)
+    out = np.zeros(41)
+    out[0] = 1.0
+    for n in range(6):
+        assert np.array_equal(convolution_power(s, n, 40), out)
+        out = np.convolve(out, s.pmf_from_zero())[:41]
 
 
 def test_delta_convolution_shifts():

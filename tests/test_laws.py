@@ -1,5 +1,5 @@
 """The law table and its views: parametrizations, normalizers, parameter
-checks and path grids."""
+checks, path families and path grids."""
 
 import math
 
@@ -9,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaincinv
 
-from stochorder import catalog
+from stochorder import catalog, cli
 from stochorder.catalog import (
     LAWS,
-    continuous_grid,
+    default_grid,
     discrete_grid,
     make_family,
     normalized,
+    parse_spec,
 )
 from stochorder.compound import make_counting
-from stochorder.pairwise import law_distribution, make_law, make_path, path_grid
+from stochorder.pairwise import (
+    law_distribution, make_law, make_path, path_family, path_kernel,
+)
+from test_catalog import full_range_span
 
 # (q-form, p-form, shared parameters): the two laws declared twice
 TWO_FORMS = [
@@ -127,15 +130,77 @@ def test_views_show_their_own_parameter_names_in_errors():
         make_path("gamma", r1=1.0, r2=2.0, rho1=2.0)
 
 
+class GridSeen(Exception):
+    pass
+
+
+def cli_path_grid(spec, *options):
+    """The grid `path --name spec` checks its path on, caught before the check."""
+
+    def stop(*args, grid, **kwargs):
+        raise GridSeen(grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "check_path_order", stop)
+        with pytest.raises(GridSeen) as seen:
+            cli.main(["path", "--name", spec, *options])
+    return seen.value.args[0]
+
+
+def same_grid(a, b):
+    return (a.kind, a.lower, a.upper, a.step, a.truncation_tail_mass) == (
+        b.kind, b.lower, b.upper, b.step, b.truncation_tail_mass
+    ) and np.array_equal(a.points, b.points)
+
+
+T_SCAN = np.linspace(0.0, 1.0, 33)  # the default --t-points scan
+
+
 def test_path_grids_come_from_the_entry():
-    bb = path_grid("betabinomial", {"n": 9, "r1": 1, "r2": 2, "s1": 3, "s2": 2}, 400, 2000)
+    bb = cli_path_grid("betabinomial:n=9,r1=1,r2=2,s1=3,s2=2")
     assert (bb.kind, bb.lower, bb.upper, bb.size) == ("discrete", 0.0, 9.0, 10)
-    nb = path_grid("negbinomial", {"r1": 1, "r2": 2, "q1": 0.3, "q2": 0.4}, 250, 2000)
-    assert (nb.lower, nb.upper, nb.size) == (0.0, 250.0, 251)
-    gamma = path_grid("gamma", {"r1": 1, "r2": 2, "rho1": 2, "rho2": 1}, 400, 500)
-    hi = max(float(gammaincinv(r, 1.0 - 1e-9)) / rho for r, rho in ((1, 2), (2, 1)))
-    expected = continuous_grid(0.0, hi * 1.05, n=500)
-    assert np.array_equal(gamma.points, expected.points) and gamma.step == expected.step
+    # the path family's default_grid over the scan, as `check` takes over nu
+    for spec, kmax, points in (("negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", 250, 2000),
+                               ("gamma:r1=1,r2=2,rho1=2,rho2=1", 10_000, 500)):
+        grid = cli_path_grid(spec, f"--kmax={kmax}", f"--grid-points={points}")
+        fam = path_family(*parse_spec(spec))
+        assert same_grid(grid, default_grid(fam, T_SCAN, kmax=kmax, grid_points=points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.lists(st.floats(0.3, 20.0), min_size=2, max_size=2).map(sorted),
+       q=st.lists(st.floats(0.05, 0.9), min_size=2, max_size=2).map(sorted))
+def test_negbinomial_path_grids_end_at_the_largest_tail_cut(r, q):
+    spec = f"negbinomial:r1={r[0]!r},r2={r[1]!r},q1={q[0]!r},q2={q[1]!r}"
+    fam = path_family(*parse_spec(spec))
+    cuts = [full_range_span(fam, t, 10_000, 1e-12) for t in T_SCAN]
+    grid = cli_path_grid(spec)
+    assert (grid.lower, grid.upper) == (0.0, max(k for k, _ in cuts))
+    assert grid.truncation_tail_mass == max(0.0, *(tail for _, tail in cuts))
+
+
+def test_path_grids_leave_no_tail_past_the_cut():
+    # the grid used to stop at --kmax = 400, where the law at t = 1 still
+    # had 24% of its mass to the right
+    grid = cli_path_grid("negbinomial:r1=2,r2=40,q1=0.5,q2=0.9")
+    for r, q in ((2, 0.5), (40, 0.9)):
+        assert stats.nbinom.sf(grid.upper, r, 1.0 - q) <= 1e-12
+    assert stats.nbinom.sf(400, 40, 0.1) > 0.24
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 1.0), which=st.sampled_from([
+    "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4",
+    "betabinomial:n=9,r1=1,r2=2,s1=3,s2=2",
+    "gamma:r1=1,r2=2,rho1=2,rho2=1",
+]))
+def test_path_family_kernel_is_the_chain_rule_kernel(t, which):
+    name, params = parse_spec(which)
+    fam = path_family(name, params)
+    path, _ = make_path(name, **params)
+    x = np.linspace(0.5, 9.0, 18) if name == "gamma" else np.arange(10.0)
+    assert np.array_equal(fam.kernel(t, x), path_kernel(path, t, x))
+    assert fam.validate_param(t) == t
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ Each command runs in-process through `stochorder.cli.main` with
   terms or has lam at or near 1: a pairwise cmp with mu = 9, nu = 0.3 (its
   terms peak near k = 1500), one with mu = 1, and the cmp-in-dispersion
   row at lam = 0.99;
+- a negative-binomial path whose law at t = 1 keeps 24% of its mass past
+  k = 400, with the default `--kmax` and with `--kmax 400` (the tail search
+  cannot reach its target there); a negative-binomial lc path whose t = 0
+  law underflows to zero before the other law's tail cut; and a compound
+  with the non-integer summand `delta:j=2.5`;
 - every branch of the pairwise lr and lc kernel tests (both fail with a
   kernel witness; lr fails and lc holds; both fail by support reach) and
   the interpolation path on either side of its threshold.
@@ -92,6 +97,11 @@ FAR_TAILS = (
     ["pairwise", "--p", "cmp:mu=9,nu=0.3", "--q", "poisson:lambda=5", "--orders", "st"],
     ["pairwise", "--p", "cmp:mu=1,nu=2", "--q", "poisson:lambda=5", "--orders", "st,hr"],
     ["check", "--family", "cmp-in-dispersion:lam=0.99", "--nu1=0.8", "--nu2=1.6"],
+    ["path", "--name", "negbinomial:r1=2,r2=40,q1=0.5,q2=0.9", "--order", "st"],
+    ["path", "--name", "negbinomial:r1=2,r2=40,q1=0.5,q2=0.9", "--order", "st", "--kmax", "400"],
+    ["path", "--name", "negbinomial:r1=2.33098,r2=4.23971,q1=0.054447,q2=0.677158",
+     "--order", "lc"],
+    ["compound", "--counting", "poisson", "--summand", "delta:j=2.5", "--nu1", "1", "--nu2", "2"],
 )
 
 KERNEL_BRANCHES = (
