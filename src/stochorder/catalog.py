@@ -12,7 +12,10 @@ fixes all parameters but one, nu, and a named path moves two along a line in
 t; both are `View.curve`s. The counting and pairwise laws are views too.
 Grids discretize the support: integers for discrete laws, uniform midpoint
 cells for continuous ones, an exact atom plus midpoint cells for the mixed
-kind. `normalized` is the one numeric normalizer over a grid.
+kind. `normalized` is the one numeric normalizer over a grid. scipy is
+imported only inside the gamma, beta and half-student quantiles, on the
+first call of one; grid spans call the gamma and half-student ones (a beta
+grid spans its whole support [0, 1]).
 
 Parametrization notes: geometric and the negative binomial each have two
 entries. The q-forms use the power-series argument q (factor q^k, kernel
@@ -31,7 +34,6 @@ from statistics import NormalDist
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import betaincinv, gammaincinv, stdtrit
 
 from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer, log_pochhammer_vec
 
@@ -276,6 +278,12 @@ _POSITIVE_COUNT = (1, MAX_KMAX)
 _HALFNORMAL_LOG_C = 0.5 * math.log(2.0 / math.pi)
 
 
+def _scipy_special():
+    """`scipy.special`, imported by the first quantile that needs it."""
+    import scipy.special
+    return scipy.special
+
+
 def _from_zero(th: Theta) -> tuple[float, float]:
     return 0.0, math.inf
 
@@ -496,7 +504,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: (th["r"] - 1.0) * np.log(x) - th["rho"] * x,
         kernels={"r": lambda th, x: np.log(x), "rho": lambda th, x: -x},
         log_normalizer=lambda th: math.lgamma(th["r"]) - th["r"] * math.log(th["rho"]),
-        quantile=lambda th, u: float(gammaincinv(th["r"], u)) / th["rho"],
+        quantile=lambda th, u: float(_scipy_special().gammaincinv(th["r"], u)) / th["rho"],
     ),
     "exponential": Law(
         kind="continuous",
@@ -527,7 +535,7 @@ LAWS: dict[str, Law] = {
         log_normalizer=lambda th: (
             math.lgamma(th["alpha"]) + math.lgamma(th["beta"]) - math.lgamma(th["alpha"] + th["beta"])
         ),
-        quantile=lambda th, u: float(betaincinv(th["alpha"], th["beta"], u)),
+        quantile=lambda th, u: float(_scipy_special().betaincinv(th["alpha"], th["beta"], u)),
     ),
     "pareto": Law(
         kind="continuous",
@@ -572,7 +580,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: -((th["nu"] + 1.0) / 2.0) * np.log1p(x * x / th["nu"]),
         kernels={"nu": _half_student_kernel},
         log_normalizer=_half_student_log_normalizer,
-        quantile=lambda th, u: float(stdtrit(th["nu"], (1.0 + u) / 2.0)),
+        quantile=lambda th, u: float(_scipy_special().stdtrit(th["nu"], (1.0 + u) / 2.0)),
     ),
     # -- mixed: an atom at 0 plus a density on (0, inf) --
     "zero-inflated-exponential": Law(

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +507,57 @@ def test_module_entry_points_run_as_subprocesses():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["verdicts"][0]["status"] == "holds"
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is imported only by the inverse CDFs that need it
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `cli.main` on its arguments (or only imports the package when there
+# are none) and writes to stderr whether scipy was loaded
+_COLD_START = """
+import sys
+import stochorder
+code = 0
+if sys.argv[1:]:
+    from stochorder.cli import main
+    code = main(sys.argv[1:])
+sys.stderr.write(repr("scipy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def cold_start(*argv):
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", _COLD_START, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    run = cold_start()
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "False")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        (["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"], False),
+        (["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"], False),
+        (["compound", "--counting", "poisson", "--summand", "delta:j=1",
+          "--nu1", "1", "--nu2", "2"], False),
+        (["table", "--id", "katz"], False),
+        (["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"], False),
+        (["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3"], True),
+        # the beta law lives on [0, 1]: its grid needs no quantile
+        (["check", "--family", "beta-in-alpha", "--nu1=1.5", "--nu2=3"], False),
+        (["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5"], True),
+    ],
+    ids=["check-poisson", "pairwise", "compound", "table-katz", "path-negbinomial",
+         "check-gamma", "check-beta", "check-half-student"],
+)
+def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv, loads_scipy):
+    run = cold_start(*argv, "--no-timing")
+    assert run.stderr == repr(loads_scipy)
+    code, out, _ = run_cli(capsys, *argv, "--no-timing")
+    assert (run.returncode, run.stdout) == (code, out)

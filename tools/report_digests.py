@@ -38,7 +38,10 @@ Each command runs in-process through `stochorder.cli.main` with
   with the non-integer summand `delta:j=2.5`;
 - every branch of the pairwise lr and lc kernel tests (both fail with a
   kernel witness; lr fails and lc holds; both fail by support reach) and
-  the interpolation path on either side of its threshold.
+  the interpolation path on either side of its threshold;
+- `half-student-in-df` lr over 2.5..3.9, which reports `lr down holds`
+  although the kernel rises in x on [0, 1): the default grid's first
+  midpoint lies past that rise.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -112,6 +115,10 @@ KERNEL_BRANCHES = (
     ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.2"],
 )
 
+COARSE_GRIDS = (
+    ["check", "--family", "half-student-in-df", "--nu1=2.5", "--nu2=3.9", "--orders", "lr"],
+)
+
 TOL = 1e-12
 
 
@@ -133,6 +140,7 @@ def commands(table1, workloads) -> list[list[str]]:
                 "--orders", o, "--format", "csv"] for o in ORDERS)
     out.extend(FAR_TAILS)
     out.extend(KERNEL_BRANCHES)
+    out.extend(COARSE_GRIDS)
     return [argv + ["--no-timing"] for argv in out]
 
 
