@@ -61,7 +61,6 @@ from .pairwise import (
     law_distribution,
     law_from_spec,
     make_law,
-    make_path,
     pairwise_kernel,
     path_family,
 )
@@ -638,12 +637,11 @@ def _cmd_path(args) -> tuple[dict, int]:
         v, extras = _interpolation_verdict(params, args.tol_shape)
         report = _report("path", {**inputs, **extras}, [v], tolerances)
         return report, 0 if v.holds else 1
-    path, builder = make_path(name, **params)
-    t_grid = np.linspace(path.t_interval[0], path.t_interval[1], int(args.t_points))
-    grid = default_grid(path_family(name, params), t_grid, kmax=args.kmax,
-                        grid_points=args.grid_points)
+    family = path_family(name, params)
+    t_grid = np.linspace(0.0, 1.0, int(args.t_points))
+    grid = default_grid(family, t_grid, kmax=args.kmax, grid_points=args.grid_points)
     v = check_path_order(
-        path, builder, args.order,
+        family, args.order,
         t_grid=t_grid, grid=grid,
         tol_shape=args.tol_shape, tol_tail=args.tol_tail,
     )

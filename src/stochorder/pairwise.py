@@ -16,10 +16,12 @@ The concrete laws and the named paths are views of `catalog.LAWS`: a
 PairwiseLaw fixes every parameter of an entry and takes its log factor as
 log_weight and its log normalizer; a named path is the line between two end
 points in two of an entry's parameters, with the entry's kernels as component
-kernels. As a one-parameter family in t (`path_family`) it takes its grid
-from `catalog.default_grid` over the scanned t, as a catalogue family does
-over nu. An infinite support is cut by `catalog._tail_span`, the catalogue's
-tail search; laws are normalized numerically by `catalog.normalized`.
+kernels. It is one object, the one-parameter family in t (`path_family`): it
+takes its grid from `catalog.default_grid` over the scanned t, as a catalogue
+family does over nu, and `check_path_order` reads its kernel K_t and its law
+at each t from it. An infinite support is cut by `catalog._tail_span`, the
+catalogue's tail search; laws are normalized numerically by
+`catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -62,7 +64,6 @@ __all__ = [
     "check_path_order",
     "geometric_interpolation_path",
     "PATH_NAMES",
-    "make_path",
     "path_family",
     "InterpolationReport",
     "betabin_bin_interpolation",
@@ -322,29 +323,18 @@ def betabin_hyp_condition(B: int, W: int, n: int, r: float, s: float) -> bool:
 
 @dataclass(frozen=True)
 class ParamPath:
-    """A moving parameter vector theta(t) with per-component kernels.
+    """A moving parameter vector theta(t), t in [0, 1], with its exact
+    velocity theta_dot(t) and per-component kernels.
 
     component_kernels[i](theta, x) is the kernel of the i-th coordinate at
-    the full parameter point; the chain rule weights it by theta_i'(t).
+    the full parameter point; the chain rule weights it by theta_i'(t). A
+    named path turns its ParamPath into a family in t (`path_family`).
     """
 
     dim: int
     theta: Callable[[float], tuple[float, ...]]
     theta_dot: Callable[[float], tuple[float, ...]]
-    t_interval: tuple[float, float]
     component_kernels: tuple[Callable, ...]
-
-    def validate(self, ts, fd_tol: float = 1e-6, h: float = 1e-7) -> None:
-        """theta_dot must match central differences of theta at the samples."""
-        for t in ts:
-            th_dot = np.asarray(self.theta_dot(float(t)), dtype=float)
-            fd = (
-                np.asarray(self.theta(float(t) + h), dtype=float)
-                - np.asarray(self.theta(float(t) - h), dtype=float)
-            ) / (2.0 * h)
-            err = float(np.max(np.abs(th_dot - fd)))
-            if err > fd_tol * max(1.0, float(np.max(np.abs(th_dot)))):
-                raise ValueError(f"theta_dot mismatches finite differences at t={t}: {err:g}")
 
 
 def path_kernel(path: ParamPath, t: float, x) -> np.ndarray:
@@ -359,21 +349,8 @@ def path_kernel(path: ParamPath, t: float, x) -> np.ndarray:
     return out
 
 
-def _linear_path(theta0, theta1, kernels) -> ParamPath:
-    a = np.asarray(theta0, dtype=float)
-    b = np.asarray(theta1, dtype=float)
-    return ParamPath(
-        dim=a.size,
-        theta=lambda t: tuple(a + t * (b - a)),
-        theta_dot=lambda t: tuple(b - a),
-        t_interval=(0.0, 1.0),
-        component_kernels=tuple(kernels),
-    )
-
-
 def check_path_order(
-    path: ParamPath,
-    family_builder: Callable[[tuple[float, ...], SupportGrid], Distribution],
+    family: DensityFamily,
     order: str,
     t_grid=None,
     grid: SupportGrid | None = None,
@@ -381,12 +358,14 @@ def check_path_order(
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
 ) -> OrderVerdict:
-    """Run the kernel shape test for `order` on K_t over a t-scan.
+    """Run the kernel shape test for `order` on a path family's kernel K_t over
+    a t-scan in [0, 1], 33 points by default; the law at t is the family's
+    factor at t, normalized on the grid.
 
     direction defaults to 'up' (law at smaller t below law at larger t) for
-    lr/st/hr and 'down' for lc. The two endpoint laws are compared by the
-    brute oracle; disagreement with a conclusive shape verdict downgrades the
-    status to inconclusive.
+    lr/st/hr and 'down' for lc. The laws at t = 0 and t = 1 are compared by
+    the brute oracle; disagreement with a conclusive shape verdict downgrades
+    the status to inconclusive.
     """
     if grid is None:
         raise ValueError("check_path_order needs an explicit support grid")
@@ -394,14 +373,19 @@ def check_path_order(
         raise ValueError(f"unknown order {order!r}")
     if direction is None:
         direction = "down" if order == "lc" else "up"
-    lo, hi = path.t_interval
-    ts = np.linspace(lo, hi, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
-    path.validate(ts)
+    ts = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
+    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{family.name}: t={float(outside[0])!r} outside [0, 1]")
+
+    def law(t: float) -> Distribution:
+        return normalized(grid, family.log_factor(t, grid.points))
+
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
     [(witness, margin)] = scan_kernel(
-        lambda t: path_kernel(path, t, grid.points), ts, grid,
+        lambda t: family.kernel(t, grid.points), ts, grid,
         [order_probe(order, direction, tol_shape, tol_tail)],
-        law=lambda t: family_builder(path.theta(t), grid).masses,
+        law=lambda t: law(t).masses,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(
@@ -409,8 +393,7 @@ def check_path_order(
         method="path-kernel", tolerances=tolerances, witness=witness, margin=margin,
         claim=f"{lohi[0]} <={order} {lohi[1]} along the path",
     )
-    a = family_builder(path.theta(lo), grid)
-    b = family_builder(path.theta(hi), grid)
+    a, b = law(0.0), law(1.0)
     cross = oracle_for(order)(*((a, b) if direction == "up" else (b, a)))
     return reconcile(criterion, cross, "path test")
 
@@ -428,7 +411,6 @@ def geometric_interpolation_path(P: PairwiseLaw, Q: PairwiseLaw) -> ParamPath:
         dim=1,
         theta=lambda t: (t,),
         theta_dot=lambda t: (1.0,),
-        t_interval=(0.0, 1.0),
         component_kernels=(kern,),
     )
 
@@ -448,10 +430,12 @@ _PATHS: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {
 PATH_NAMES = tuple(sorted(_PATHS))
 
 
-def _named_path(name: str, params: Mapping[str, float]):
-    """(law name, unmoved parameters, ParamPath, theta -> the law's parameters)
-    of a named path: the line between its two end points in the moved
-    parameters, with the table law's kernels as component kernels."""
+def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
+    """A named path as the one-parameter family in t: the law at theta(t), on
+    the line between its two end points in the moved parameters, with the
+    chain-rule kernel path_kernel(path, t, x) over the table law's kernels.
+    For t in [0, 1], theta(t) lies between the two ends, inside the law's
+    domains, which are intervals."""
     row = _PATHS.get(name)
     if row is None:
         raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
@@ -465,32 +449,19 @@ def _named_path(name: str, params: Mapping[str, float]):
         if sign * (ends[1][p] - ends[0][p]) < 0:
             trend = "nondecreasing" if sign > 0 else "nonincreasing"
             raise ValueError(f"{name} path needs {p} {trend}")
-    law, moved, (start, end) = LAWS[law_name], [p for p, _ in moves], ends
+    law, moved, start = LAWS[law_name], [p for p, _ in moves], ends[0]
+    a, b = (np.array([e[p] for p in moved], dtype=float) for e in ends)
 
     def at(th: tuple[float, ...]) -> dict[str, float]:
         return {**start, **dict(zip(moved, th))}
 
-    path = _linear_path(
-        [start[p] for p in moved],
-        [end[p] for p in moved],
-        [lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved],
+    path = ParamPath(
+        dim=len(moved),
+        theta=lambda t: tuple(a + t * (b - a)),
+        theta_dot=lambda t: tuple(b - a),
+        component_kernels=tuple(lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved),
     )
-    return law_name, {p: v for p, v in start.items() if p not in moved}, path, at
-
-
-def make_path(name: str, **params: float):
-    """(ParamPath, family_builder) for a named two-parameter move; the
-    builder normalizes the law on a grid."""
-    law_name, _, path, at = _named_path(name, params)
-    log_factor = LAWS[law_name].log_factor
-    return path, lambda th, grid: normalized(grid, log_factor(at(th), grid.points))
-
-
-def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
-    """A named path as the one-parameter family in t: the law at theta(t), with
-    the chain-rule kernel path_kernel(path, t, x). For t in [0, 1], theta(t)
-    lies between the two ends, inside the law's domains, which are intervals."""
-    law_name, fixed, path, at = _named_path(name, params)
+    fixed = {p: v for p, v in start.items() if p not in moved}
     return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf),
                                 lambda t: at(path.theta(t)), partial(path_kernel, path))
 

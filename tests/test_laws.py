@@ -21,7 +21,7 @@ from stochorder.catalog import (
 )
 from stochorder.compound import make_counting
 from stochorder.pairwise import (
-    law_distribution, make_law, make_path, path_family, path_kernel,
+    PATH_NAMES, law_distribution, make_law, path_family,
 )
 from test_catalog import full_range_span
 
@@ -105,7 +105,7 @@ def test_integer_parameters_must_be_whole_in_every_view():
     with pytest.raises(ValueError, match="binomial counting law: n0 must be an integer"):
         make_counting("binomial", n0=2.5)
     with pytest.raises(ValueError, match="betabinomial path: n must be an integer"):
-        make_path("betabinomial", n=8.5, r1=1.0, r2=2.0, s1=3.0, s2=2.0)
+        path_family("betabinomial", {"n": 8.5, "r1": 1.0, "r2": 2.0, "s1": 3.0, "s2": 2.0})
 
 
 def test_integer_parameters_stop_at_the_support_ceiling():
@@ -127,7 +127,7 @@ def test_views_show_their_own_parameter_names_in_errors():
     with pytest.raises(ValueError, match="negbinomial counting law needs alpha > 0"):
         make_counting("negbinomial", alpha=0.0)
     with pytest.raises(ValueError, match="gamma path needs parameter 'rho2'"):
-        make_path("gamma", r1=1.0, r2=2.0, rho1=2.0)
+        path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0})
 
 
 class GridSeen(Exception):
@@ -188,19 +188,59 @@ def test_path_grids_leave_no_tail_past_the_cut():
     assert stats.nbinom.sf(400, 40, 0.1) > 0.24
 
 
+# named path: (the table law it moves through, its two moved parameters)
+PATH_MOVES = {
+    "negbinomial": ("negbinomial-q", ("r", "q")),
+    "betabinomial": ("betabinomial", ("r", "s")),
+    "gamma": ("gamma", ("r", "rho")),
+}
+PATH_SPECS = {
+    "negbinomial": "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4",
+    "betabinomial": "betabinomial:n=9,r1=1,r2=2,s1=3,s2=2",
+    "gamma": "gamma:r1=1,r2=2,rho1=2,rho2=1",
+}
+
+
+def path_end(params, end):
+    """The law's parameters at end "1" or "2" of a named path's spec."""
+    return {k[:-1] if k[-1] in "12" else k: v for k, v in params.items()
+            if k[-1] not in "12" or k[-1] == end}
+
+
+def path_points(name):
+    return np.linspace(0.5, 9.0, 18) if name == "gamma" else np.arange(10.0)
+
+
 @settings(max_examples=40, deadline=None)
-@given(t=st.floats(0.0, 1.0), which=st.sampled_from([
-    "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4",
-    "betabinomial:n=9,r1=1,r2=2,s1=3,s2=2",
-    "gamma:r1=1,r2=2,rho1=2,rho2=1",
-]))
-def test_path_family_kernel_is_the_chain_rule_kernel(t, which):
-    name, params = parse_spec(which)
+@given(t=st.floats(0.0, 1.0), name=st.sampled_from(sorted(PATH_SPECS)))
+def test_path_family_kernel_is_the_chain_rule_kernel(t, name):
+    # K_t = sum_i (end_i - start_i) K^(i)(theta(t), x), built from the spec here
+    assert sorted(PATH_SPECS) == sorted(PATH_MOVES) == sorted(PATH_NAMES)
+    _, params = parse_spec(PATH_SPECS[name])
     fam = path_family(name, params)
-    path, _ = make_path(name, **params)
-    x = np.linspace(0.5, 9.0, 18) if name == "gamma" else np.arange(10.0)
-    assert np.array_equal(fam.kernel(t, x), path_kernel(path, t, x))
+    law_name, moved = PATH_MOVES[name]
+    start, end = path_end(params, "1"), path_end(params, "2")
+    theta = {**start, **{p: start[p] + t * (end[p] - start[p]) for p in moved}}
+    x = path_points(name)
+    kernels = LAWS[law_name].kernels
+    reference = sum((end[p] - start[p]) * kernels[p](theta, x) for p in moved)
+    assert np.allclose(fam.kernel(t, x), reference, rtol=1e-13, atol=1e-13)
+    # and the kernel is d/dt of the family's log factor
+    h = 1e-5
+    slope = (fam.log_factor(t + h, x) - fam.log_factor(t - h, x)) / (2.0 * h)
+    assert np.allclose(fam.kernel(t, x), slope, rtol=1e-6, atol=1e-6)
     assert fam.validate_param(t) == t
+
+
+@pytest.mark.parametrize("name", sorted(PATH_SPECS))
+def test_path_family_ends_are_the_table_laws_at_the_spec_ends(name):
+    _, params = parse_spec(PATH_SPECS[name])
+    fam = path_family(name, params)
+    law = LAWS[PATH_MOVES[name][0]]
+    x = path_points(name)
+    assert np.array_equal(fam.log_factor(0.0, x), law.log_factor(path_end(params, "1"), x))
+    assert np.allclose(fam.log_factor(1.0, x), law.log_factor(path_end(params, "2"), x),
+                       rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from stochorder.pairwise import (
     law_distribution,
     law_from_spec,
     make_law,
-    make_path,
     pairwise_kernel,
+    path_family,
     path_kernel,
 )
 
@@ -533,14 +533,6 @@ def test_betabin_hyp_condition_validates():
 # parameter paths
 
 
-def test_param_path_validates_velocity():
-    good = ParamPath(1, lambda t: (2.0 * t,), lambda t: (2.0,), (0.0, 1.0), (lambda th, x: x,))
-    good.validate(np.linspace(0.0, 1.0, 5))
-    bad = ParamPath(1, lambda t: (t * t,), lambda t: (1.0,), (0.0, 1.0), (lambda th, x: x,))
-    with pytest.raises(ValueError, match="mismatches finite differences"):
-        bad.validate([1.0])
-
-
 def test_path_kernel_weights_components_and_skips_idle_ones():
     def boom(th, x):
         raise AssertionError("a zero-velocity component must not be evaluated")
@@ -549,7 +541,6 @@ def test_path_kernel_weights_components_and_skips_idle_ones():
         2,
         lambda t: (t, 5.0),
         lambda t: (3.0, 0.0),
-        (0.0, 1.0),
         (lambda th, x: np.log(x), boom),
     )
     x = np.array([1.0, 2.0, 4.0])
@@ -561,9 +552,9 @@ def test_path_kernel_weights_components_and_skips_idle_ones():
 )
 def test_gamma_path_orders(order, direction):
     # shape up, rate down: K_t(x) = log(x) + x for every t
-    path, builder = make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0)
+    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
     grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(path, builder, order, grid=grid)
+    v = check_path_order(fam, order, grid=grid)
     assert v.status == "holds"
     assert v.direction == direction
     assert v.margin > -1e-8
@@ -572,9 +563,9 @@ def test_gamma_path_orders(order, direction):
 
 
 def test_path_failure_agrees_with_endpoint_oracle():
-    path, builder = make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0)
+    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
     grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(path, builder, "lr", grid=grid, direction="down")
+    v = check_path_order(fam, "lr", grid=grid, direction="down")
     assert v.status == "fails"
     assert v.witness.kind == "adjacent-pair"
     assert v.note == "endpoint oracle fails"
@@ -583,9 +574,9 @@ def test_path_failure_agrees_with_endpoint_oracle():
 def test_path_downgrades_when_a_wide_tolerance_hides_the_violation():
     # the criterion holds under tol_shape=1e6, the oracle refutes: inconclusive,
     # carrying the oracle's witness and margin
-    path, builder = make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0)
+    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
     grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(path, builder, "lr", grid=grid, direction="down", tol_shape=1e6)
+    v = check_path_order(fam, "lr", grid=grid, direction="down", tol_shape=1e6)
     assert v.status == "inconclusive"
     assert v.note == "endpoint oracle fails; path test and oracle disagree"
     assert v.witness is not None and v.witness.nu is None
@@ -593,40 +584,51 @@ def test_path_downgrades_when_a_wide_tolerance_hides_the_violation():
 
 
 def test_negbinomial_path_holds_lr():
-    path, builder = make_path("negbinomial", r1=2.0, r2=3.0, q1=0.4, q2=0.5)
-    v = check_path_order(
-        path, builder, "lr", t_grid=np.linspace(0.0, 1.0, 9), grid=discrete_grid(0, 120)
-    )
+    fam = path_family("negbinomial", {"r1": 2.0, "r2": 3.0, "q1": 0.4, "q2": 0.5})
+    v = check_path_order(fam, "lr", t_grid=np.linspace(0.0, 1.0, 9), grid=discrete_grid(0, 120))
     assert v.status == "holds" and v.margin > 0.0
     assert v.tolerances["t_points"] == 9
     assert v.note == "endpoint oracle holds"
 
 
 def test_betabinomial_path_holds_lr():
-    path, builder = make_path("betabinomial", n=8, r1=1.0, r2=2.0, s1=3.0, s2=2.0)
-    v = check_path_order(path, builder, "lr", grid=discrete_grid(0, 8))
+    fam = path_family("betabinomial", {"n": 8, "r1": 1.0, "r2": 2.0, "s1": 3.0, "s2": 2.0})
+    v = check_path_order(fam, "lr", grid=discrete_grid(0, 8))
     assert v.status == "holds" and v.note == "endpoint oracle holds"
 
 
 def test_check_path_order_validates_input():
-    path, builder = make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0)
+    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
     with pytest.raises(ValueError, match="explicit support grid"):
-        check_path_order(path, builder, "lr")
+        check_path_order(fam, "lr")
     with pytest.raises(ValueError, match="unknown order"):
-        check_path_order(path, builder, "total", grid=continuous_grid(0.0, 10.0, n=10))
+        check_path_order(fam, "total", grid=continuous_grid(0.0, 10.0, n=10))
 
 
-def test_make_path_validates_parameters():
+def test_check_path_order_rejects_t_outside_the_unit_interval():
+    # q(t) = 0.4 + 0.5 t leaves the negative binomial's domain past t = 1.2,
+    # and the scan used to report `st holds` on such non-laws
+    fam = path_family("negbinomial", {"r1": 2, "r2": 3, "q1": 0.4, "q2": 0.9})
+    grid = discrete_grid(0, 300)
+    with pytest.raises(ValueError, match=r"negbinomial path: t=1\.25 outside \[0, 1\]"):
+        check_path_order(fam, "st", t_grid=np.linspace(0.0, 2.0, 9), grid=grid)
+    for ts in ([-0.5, 0.5], [0.0, math.nan, 1.0]):
+        with pytest.raises(ValueError, match=r"t=(-0\.5|nan) outside"):
+            check_path_order(fam, "st", t_grid=ts, grid=grid)
+    assert check_path_order(fam, "st", t_grid=[0.0, 1.0], grid=grid).status == "holds"
+
+
+def test_path_family_validates_parameters():
     with pytest.raises(ValueError, match="unknown path"):
-        make_path("weibull", a=1.0)
+        path_family("weibull", {"a": 1.0})
     with pytest.raises(ValueError, match="unknown parameters"):
-        make_path("gamma", r1=1.0, r2=2.0, rho1=2.0, rho2=1.0, bogus=3.0)
+        path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0, "bogus": 3.0})
     with pytest.raises(ValueError, match="negbinomial path needs"):
-        make_path("negbinomial", r1=1.0, r2=2.0, q1=0.5, q2=1.0)
+        path_family("negbinomial", {"r1": 1.0, "r2": 2.0, "q1": 0.5, "q2": 1.0})
     with pytest.raises(ValueError, match="betabinomial path needs"):
-        make_path("betabinomial", n=8, r1=1.0, r2=2.0, s1=1.0, s2=3.0)
+        path_family("betabinomial", {"n": 8, "r1": 1.0, "r2": 2.0, "s1": 1.0, "s2": 3.0})
     with pytest.raises(ValueError, match="gamma path needs"):
-        make_path("gamma", r1=1.0, r2=2.0, rho1=1.0, rho2=2.0)
+        path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 1.0, "rho2": 2.0})
 
 
 def test_geometric_interpolation_has_constant_pairwise_kernel():
@@ -634,7 +636,7 @@ def test_geometric_interpolation_has_constant_pairwise_kernel():
     q = make_law("geometric", p=0.5)
     pk = pairwise_kernel(p, q, kmax=40)
     path = geometric_interpolation_path(p, q)
-    path.validate([0.25, 0.75])
+    assert path.theta(0.25) == (0.25,) and path.theta_dot(0.25) == (1.0,)
     k = pk.grid.points
     assert np.allclose(path_kernel(path, 0.2, k), pk.values, atol=0)
     assert np.allclose(path_kernel(path, 0.9, k), pk.values, atol=0)

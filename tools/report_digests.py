@@ -17,7 +17,8 @@ Each command runs in-process through `stochorder.cli.main` with
 - `table --id` table1, table2 and katz;
 - the first pass of each workload of `perfbench/workloads.py` at seed 7, and
   of closed-forms at seed 8;
-- the gamma, negbinomial and betabinomial paths with each of the four orders;
+- the gamma, negbinomial and betabinomial paths with each of the four orders,
+  and with `--t-points 2` for st, a scan of the two end laws alone;
 - `half-student-in-df` as CSV with each of the four orders;
 - commands whose laws reach past the first 64-point window of the tail
   search and into the lgamma branch of `log_pochhammer`: the two
@@ -136,6 +137,7 @@ def commands(table1, workloads) -> list[list[str]]:
     for name, seed in [(w, 7) for w in workloads.WORKLOADS] + [("closed-forms", 8)]:
         out.extend(next(workloads.passes(name, seed)))
     out.extend(["path", "--name", p, "--order", o] for p in PATHS for o in ORDERS)
+    out.extend(["path", "--name", p, "--t-points", "2", "--order", "st"] for p in PATHS)
     out.extend(["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5",
                 "--orders", o, "--format", "csv"] for o in ORDERS)
     out.extend(FAR_TAILS)
