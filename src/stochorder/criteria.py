@@ -14,7 +14,16 @@ concave kernel dominates the larger parameter; 'up' tests convexity.
 
 Every check is one pass of `scan_kernel` over the parameter grid: per nu it
 builds the kernel once, and the law and tail means only while a test that
-reads them is open, holding one nu at a time (O(grid) memory). Each test
+reads them is open and not already settled by the kernel's shape, holding
+one nu at a time (O(grid) memory). That shape settles st and hr at every nu
+where sign * K_nu is nondecreasing on the grid, tested exactly (min of the
+signed slopes >= 0, no tolerance; a NaN slope says no): by Chebyshev's sum
+inequality on the grid law, a nondecreasing K has E[K | X >= x] >= E[K] and
+E[K | X >= x] >= K(x) at every x, the step behind lr => hr => st, so every
+tail margin there is >= 0 up to rounding and the tail pass is skipped. A
+skipped nu adds no margin, and a tail test skipped at every scanned nu holds
+with no margin and a note saying so. Tolerances must be >= 0: a negative one
+would demand positive margins, which the skip does not check. Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
 `scan_orders` runs several tests in one pass; `check_*` are one-test views.
 It is the criterion route's one first-witness search: the pairwise, path and
@@ -202,7 +211,11 @@ def order_probe(
     tol_tail: float = TOL_TAIL,
     eps_tail: float = EPS_TAIL,
 ) -> Probe:
-    """The kernel criterion of one order and direction (see the module docstring)."""
+    """The kernel criterion of one order and direction (see the module docstring);
+    its `implied` attribute counts the rows whose st or hr test it skipped."""
+    for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
+        if not tol >= 0:
+            raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
     sign = +1.0 if direction == "up" else -1.0
     eps = max(eps_tail, 0.0)
 
@@ -212,11 +225,14 @@ def order_probe(
             yield pts[:-1], row.slopes, tol_shape, "adjacent-pair", sign
         elif order == "lc":
             yield pts[1:-1], row.curvature, tol_shape, "triplet", sign
+        elif row.slopes.size and (row.slopes.min() if sign > 0 else -row.slopes.max()) >= 0:
+            probe.implied += 1  # lr => hr => st at this nu: no tail pass
         else:
             xs, gap = row.tail_gap(order, eps)
             # hr's margin is E[K | X >= x] - K(x), the negated gap
             yield xs, gap, tol_tail, "grid-point", sign if order == "st" else -sign
 
+    probe.implied = 0  # rows whose st or hr test the kernel's shape settled
     return probe
 
 
@@ -314,6 +330,8 @@ def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes,
 
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"
 _CERTIFIES_ST = _SCANNED_NOTE + "; certifies st as well"
+_IMPLIED_NOTE = ("holds on the scanned parameter grid; "
+                 "implied by lr: the kernel is monotone at every scanned nu")
 
 # why a sufficient check is inconclusive, by the kind of its witness
 _UNMET = {
@@ -362,8 +380,9 @@ def scan_orders(
     results, size = _family_scan(f, nu_grid, grid, probes, known_laws)
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
     return [
-        _verdict(o, d, "kernel-criterion", {**(shape if o in ("lr", "lc") else tail), **size}, r)
-        for (o, d), r in zip(tests, results)
+        _verdict(o, d, "kernel-criterion", {**(shape if o in ("lr", "lc") else tail), **size}, r,
+                 _IMPLIED_NOTE if p.implied == size["nu_points"] else _SCANNED_NOTE)
+        for (o, d), p, r in zip(tests, probes, results)
     ]
 
 

@@ -382,16 +382,17 @@ def check_path_order(
         return normalized(grid, family.log_factor(t, grid.points))
 
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
+    probe = order_probe(order, direction, tol_shape, tol_tail)
     [(witness, margin)] = scan_kernel(
-        lambda t: family.kernel(t, grid.points), ts, grid,
-        [order_probe(order, direction, tol_shape, tol_tail)],
-        law=lambda t: law(t).masses,
+        lambda t: family.kernel(t, grid.points), ts, grid, [probe], law=lambda t: law(t).masses,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(
         order=order, direction=direction, status="fails" if witness else "holds",
         method="path-kernel", tolerances=tolerances, witness=witness, margin=margin,
         claim=f"{lohi[0]} <={order} {lohi[1]} along the path",
+        note="implied by lr: the kernel is monotone at every scanned t"
+        if ts.size and probe.implied == ts.size else "",
     )
     a, b = law(0.0), law(1.0)
     cross = oracle_for(order)(*((a, b) if direction == "up" else (b, a)))
@@ -435,7 +436,7 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     the line between its two end points in the moved parameters, with the
     chain-rule kernel path_kernel(path, t, x) over the table law's kernels.
     For t in [0, 1], theta(t) lies between the two ends, inside the law's
-    domains, which are intervals."""
+    domains, which are intervals; any other t raises ValueError naming it."""
     row = _PATHS.get(name)
     if row is None:
         raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
@@ -462,8 +463,16 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
         component_kernels=tuple(lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved),
     )
     fixed = {p: v for p, v in start.items() if p not in moved}
+
+    def unit(t: float) -> float:
+        # theta(t) leaves the law's domains outside [0, 1]
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"{name} path: t={float(t)!r} outside [0, 1]")
+        return t
+
     return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf),
-                                lambda t: at(path.theta(t)), partial(path_kernel, path))
+                                lambda t: at(path.theta(unit(t))),
+                                lambda t, x: path_kernel(path, unit(t), x))
 
 
 # ---------------------------------------------------------------------------

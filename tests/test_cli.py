@@ -359,7 +359,7 @@ def test_integer_parameters_are_bound_or_refused(capsys, argv, token):
     (("pairwise", "--p", "betabinomial:n=179,r=5.06,s=25.85", "--q", "poisson:lambda=20",
       "--orders", "lr"), 1, "fails", "endpoint oracle fails"),
     (("path", "--name", "betabinomial:n=200,r1=2,r2=3,s1=3,s2=2", "--order", "st"),
-     0, "holds", "endpoint oracle holds"),
+     0, "holds", "implied by lr: the kernel is monotone at every scanned t; endpoint oracle holds"),
 ])
 def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note):
     got, out, err = run_cli(capsys, *argv, "--no-timing")

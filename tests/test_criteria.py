@@ -5,6 +5,7 @@ independently computed log densities, log survivals, and log hazards.
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from stochorder.criteria import (
     EPS_TAIL,
     NU_POINTS,
     TOL_SHAPE,
+    TOL_TAIL,
     check_concave_endpoint,
     check_hr,
     check_lc,
@@ -355,13 +357,71 @@ def test_check_evaluates_the_density_once_per_scanned_nu(monkeypatch):
 
     monkeypatch.setattr(criteria, "density", counted)
     monkeypatch.setattr(cli, "density", counted)
-    # st and hr hold upwards for the Poisson family, so a tail test stays
-    # open over the whole scan
     code = cli.main(["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--no-timing"])
     assert code == 0
-    # the endpoint laws of the oracle are the scan's first and last laws too
-    assert calls[:2] == [1.0, 3.0]
-    assert sorted(calls) == nu_scan(1.0, 3.0).tolist()
+    # the oracle's endpoint laws; st and hr down fail at the first scanned nu,
+    # whose law is the endpoint law at nu1, and st and hr up skip the tail
+    # pass at every nu, where K = x/nu - 1 rises
+    assert calls == [1.0, 3.0]
+
+
+def test_a_wide_shape_tolerance_does_not_skip_a_failing_tail_pass(capsys):
+    # the tail pass is skipped only where sign * K is nondecreasing exactly;
+    # K = x/nu - 1 falls nowhere, so st and hr down must still fail under a
+    # shape tolerance that would excuse every slope
+    code = cli.main(["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--orders", "st,hr",
+                     "--tol-shape=1e6", "--no-timing"])
+    report = json.loads(capsys.readouterr().out)
+    kernel = {(v["order"], v["direction"]): v for v in report["verdicts"]
+              if v["method"] == "kernel-criterion"}
+    assert code == 0
+    for order in ("st", "hr"):
+        assert kernel[order, "down"]["status"] == "fails"
+        assert kernel[order, "down"]["witness"]["nu"] == 1.0
+        assert kernel[order, "up"]["status"] == "holds" and kernel[order, "up"]["margin"] is None
+
+
+@pytest.mark.parametrize("name", ["tol_shape", "tol_tail"])
+@pytest.mark.parametrize("value", [-0.5, -1e-300, math.nan])
+def test_order_probe_refuses_negative_or_nan_tolerances(name, value):
+    with pytest.raises(ValueError, match=name):
+        order_probe("st", "up", **{name: value})
+    fam = make_family("poisson")
+    view = check_st if name == "tol_tail" else check_lr
+    with pytest.raises(ValueError, match=name):
+        view(fam, [1.0, 2.0, 3.0], discrete_grid(0, 40), **{name: value})
+
+
+def _full_tail_margins(k, masses, order, direction, eps=EPS_TAIL):
+    """The signed st or hr margins of one row by the full tail pass."""
+    surv, tail, grand = _ref_tail_means(k, masses)
+    keep = surv > eps
+    gap = tail - grand if order == "st" else tail - k
+    return (1.0 if direction == "up" else -1.0) * gap[keep]
+
+
+def _skipped(grid, nu, k, masses):
+    """The (order, direction) tail tests whose pass the scan skips at this row."""
+    out = []
+    for o, d in [(o, d) for o in ("st", "hr") for d in ("up", "down")]:
+        probe = order_probe(o, d)
+        scan_kernel(lambda _: k, [nu], grid, [probe], law=lambda _: masses)
+        if probe.implied:
+            out.append((o, d))
+    return out
+
+
+@pytest.mark.parametrize("spec,nus", [(row[0], row[1]) for row in cli._TABLE1])
+def test_a_skipped_tail_pass_finds_no_failure_on_table1_rows(spec, nus):
+    fam = family_from_spec(spec)
+    scan = nu_scan(*nus)
+    grid = default_grid(fam, scan)
+    for nu in scan:
+        k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
+        masses = density(fam, nu, grid).masses
+        for o, d in _skipped(grid, nu, k, masses):
+            m = _full_tail_margins(k, masses, o, d)
+            assert not (m < -TOL_TAIL).any(), (nu, o, d, m.min())
 
 
 def test_lr_only_scan_never_evaluates_the_density(monkeypatch):
@@ -417,6 +477,9 @@ def _ref_order(order, direction, tol, eps):
             yield pts[:-1], sign * slopes, tol, "adjacent-pair"
         elif order == "lc":
             yield pts[1:-1], sign * np.diff(slopes), tol, "triplet"
+        elif slopes.size and np.all(sign * slopes >= 0):
+            # lr => hr => st at this nu: no tail margin
+            return
         else:
             surv, tail, grand = tails()
             keep = surv > max(eps, 0.0)
@@ -543,6 +606,20 @@ def test_scan_equals_the_signed_copy_formulas(case, eps):
     for (o, d), result in zip(ALL_TESTS, got):
         want = _ref_scan(grid, nus, kernels, laws, _ref_order(o, d, tol, eps))
         assert _bits(*result) == _bits(*want), (o, d)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=scan_cases(), order=st.sampled_from([None, 1.0, -1.0]))
+def test_a_skipped_tail_pass_finds_no_failure(case, order):
+    grid, nus, kernels, laws, _ = case
+    assume(all(m.sum() > 1e-300 for m in laws.values()))
+    for nu in nus:
+        # a sorted kernel is monotone, so the skip fires on most of these rows
+        k = kernels[nu] if order is None else order * np.sort(kernels[nu])
+        masses = laws[nu] / laws[nu].sum()
+        for o, d in _skipped(grid, nu, k, masses):
+            m = _full_tail_margins(k, masses, o, d)
+            assert not (m < -TOL_TAIL).any(), (nu, o, d, m.min())
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -213,6 +213,8 @@ def path_points(name):
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(0.0, 1.0), name=st.sampled_from(sorted(PATH_SPECS)))
+@example(t=0.0, name="negbinomial")
+@example(t=1.0, name="negbinomial")
 def test_path_family_kernel_is_the_chain_rule_kernel(t, name):
     # K_t = sum_i (end_i - start_i) K^(i)(theta(t), x), built from the spec here
     assert sorted(PATH_SPECS) == sorted(PATH_MOVES) == sorted(PATH_NAMES)
@@ -225,9 +227,15 @@ def test_path_family_kernel_is_the_chain_rule_kernel(t, name):
     kernels = LAWS[law_name].kernels
     reference = sum((end[p] - start[p]) * kernels[p](theta, x) for p in moved)
     assert np.allclose(fam.kernel(t, x), reference, rtol=1e-13, atol=1e-13)
-    # and the kernel is d/dt of the family's log factor
+    # and the kernel is d/dt of the family's log factor, by a second-order
+    # difference whose points stay in [0, 1], where the family is defined
     h = 1e-5
-    slope = (fam.log_factor(t + h, x) - fam.log_factor(t - h, x)) / (2.0 * h)
+    if h <= t <= 1.0 - h:
+        slope = (fam.log_factor(t + h, x) - fam.log_factor(t - h, x)) / (2.0 * h)
+    else:
+        d = h if t < h else -h
+        slope = (-3.0 * fam.log_factor(t, x) + 4.0 * fam.log_factor(t + d, x)
+                 - fam.log_factor(t + 2.0 * d, x)) / (2.0 * d)
     assert np.allclose(fam.kernel(t, x), slope, rtol=1e-6, atol=1e-6)
     assert fam.validate_param(t) == t
 

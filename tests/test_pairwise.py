@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochorder.catalog import continuous_grid, discrete_grid, normalized
+from stochorder.catalog import continuous_grid, default_grid, density, discrete_grid, normalized
 from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
@@ -557,8 +557,14 @@ def test_gamma_path_orders(order, direction):
     v = check_path_order(fam, order, grid=grid)
     assert v.status == "holds"
     assert v.direction == direction
-    assert v.margin > -1e-8
-    assert v.note == "endpoint oracle holds"
+    if order in ("st", "hr"):
+        # K_t rises in x at every t, so lr settles st and hr without a tail pass
+        assert v.margin is None
+        assert v.note == ("implied by lr: the kernel is monotone at every scanned t; "
+                          "endpoint oracle holds")
+    else:
+        assert v.margin > -1e-8
+        assert v.note == "endpoint oracle holds"
     assert v.tolerances["t_points"] == 33
 
 
@@ -616,6 +622,20 @@ def test_check_path_order_rejects_t_outside_the_unit_interval():
         with pytest.raises(ValueError, match=r"t=(-0\.5|nan) outside"):
             check_path_order(fam, "st", t_grid=ts, grid=grid)
     assert check_path_order(fam, "st", t_grid=[0.0, 1.0], grid=grid).status == "holds"
+
+
+def test_path_family_names_a_t_outside_the_unit_interval():
+    # theta(t) leaves the law's domains there; the family says so itself,
+    # where a grid or a density used to fail with a bare math domain error
+    fam = path_family("negbinomial", {"r1": 2, "r2": 3, "q1": 0.4, "q2": 0.9})
+    with pytest.raises(ValueError, match=r"negbinomial path: t=2\.0 outside \[0, 1\]"):
+        default_grid(fam, [0.0, 2.0], kmax=300)
+    grid = discrete_grid(0, 40)
+    for t in (-0.5, 1.5, math.nan):
+        for call in (lambda: density(fam, t, grid), lambda: fam.kernel(t, grid.points)):
+            with pytest.raises(ValueError, match=r"t=(-0\.5|1\.5|nan) outside"):
+                call()
+    assert density(fam, 1.0, grid).masses.sum() > 0.9
 
 
 def test_path_family_validates_parameters():
