@@ -14,16 +14,13 @@ concave kernel dominates the larger parameter; 'up' tests convexity.
 
 Every check is one pass of `scan_kernel` over the parameter grid: per nu it
 builds the kernel once, and the law and tail means only while a test that
-reads them is open and not already settled by the kernel's shape, holding
-one nu at a time (O(grid) memory). That shape settles st and hr at every nu
-where sign * K_nu is nondecreasing on the grid, tested exactly (min of the
-signed slopes >= 0, no tolerance; a NaN slope says no): by Chebyshev's sum
-inequality on the grid law, a nondecreasing K has E[K | X >= x] >= E[K] and
-E[K | X >= x] >= K(x) at every x, the step behind lr => hr => st, so every
-tail margin there is >= 0 up to rounding and the tail pass is skipped. A
-skipped nu adds no margin, and a tail test skipped at every scanned nu holds
-with no margin and a note saying so. Tolerances must be >= 0: a negative one
-would demand positive margins, which the skip does not check. Each test
+reads them is open, holding one nu at a time (O(grid) memory). Where
+sign * K_nu is nondecreasing on the grid (min of the signed slopes >= 0,
+exactly; a NaN slope says no), Chebyshev's sum inequality on the grid law
+gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step behind
+lr => hr => st, so st and hr skip that nu: it adds no margin, and a test
+skipped at every nu holds with no margin and says so. Tolerances are >= 0,
+as the skip demands no positive margin. Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
 `scan_orders` runs several tests in one pass; `check_*` are one-test views.
 It is the criterion route's one first-witness search: the pairwise, path and

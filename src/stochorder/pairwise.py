@@ -359,8 +359,8 @@ def check_path_order(
     tol_tail: float = TOL_TAIL,
 ) -> OrderVerdict:
     """Run the kernel shape test for `order` on a path family's kernel K_t over
-    a t-scan in [0, 1], 33 points by default; the law at t is the family's
-    factor at t, normalized on the grid.
+    a t-scan in [0, 1] (the family refuses any other t), 33 points by
+    default; the law at t is the family's factor at t, normalized on the grid.
 
     direction defaults to 'up' (law at smaller t below law at larger t) for
     lr/st/hr and 'down' for lc. The laws at t = 0 and t = 1 are compared by
@@ -374,9 +374,6 @@ def check_path_order(
     if direction is None:
         direction = "down" if order == "lc" else "up"
     ts = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
-    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
-    if outside.size:
-        raise ValueError(f"{family.name}: t={float(outside[0])!r} outside [0, 1]")
 
     def law(t: float) -> Distribution:
         return normalized(grid, family.log_factor(t, grid.points))
@@ -465,8 +462,7 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     fixed = {p: v for p, v in start.items() if p not in moved}
 
     def unit(t: float) -> float:
-        # theta(t) leaves the law's domains outside [0, 1]
-        if not 0.0 <= t <= 1.0:
+        if not 0.0 <= t <= 1.0:  # theta(t) may leave the law's domains
             raise ValueError(f"{name} path: t={float(t)!r} outside [0, 1]")
         return t
 
