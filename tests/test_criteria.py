@@ -609,13 +609,13 @@ def test_scan_equals_the_signed_copy_formulas(case, eps):
 
 
 @settings(max_examples=250, deadline=None)
-@given(case=scan_cases(), order=st.sampled_from([None, 1.0, -1.0]))
-def test_a_skipped_tail_pass_finds_no_failure(case, order):
+@given(case=scan_cases(), trend=st.sampled_from([None, 1.0, -1.0]))
+def test_a_skipped_tail_pass_finds_no_failure(case, trend):
     grid, nus, kernels, laws, _ = case
     assume(all(m.sum() > 1e-300 for m in laws.values()))
     for nu in nus:
         # a sorted kernel is monotone, so the skip fires on most of these rows
-        k = kernels[nu] if order is None else order * np.sort(kernels[nu])
+        k = kernels[nu] if trend is None else trend * np.sort(kernels[nu])
         masses = laws[nu] / laws[nu].sum()
         for o, d in _skipped(grid, nu, k, masses):
             m = _full_tail_margins(k, masses, o, d)
