@@ -9,22 +9,23 @@ Every subcommand emits one report:
 deterministic: fixed key order, floats at 17 significant digits, inf/nan as
 strings; --no-timing zeroes runtime_ms so identical invocations are
 byte-identical. Exit status: 0 when every requested order holds, 1 when some
-check fails or a table diff mismatches, 2 on malformed input (the diagnostic
-names the offending token).
+check fails or a table diff mismatches, 2 on malformed input or an --out path
+that cannot be written (the diagnostic names the offending token).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import math
 import re
 import sys
 import time
 from dataclasses import replace
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -90,14 +91,14 @@ def _scalar(x) -> str:
             v = 0.0  # fold -0.0 so load/dump cycles are stable
         return format(v, ".17g")
     if isinstance(x, str):
-        return json.dumps(x)
+        return encode_basestring_ascii(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def dumps(obj) -> str:
     """Render a report as JSON with insertion key order and fixed float format."""
     if isinstance(obj, dict):
-        body = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
+        body = ", ".join(f"{encode_basestring_ascii(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + body + "}"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
@@ -651,15 +652,52 @@ def _cmd_path(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# every subcommand option, declared once
+_OPTIONS = {
+    "--family": {"required": True, "help": "family spec, name[:key=val,...]"},
+    "--p": {"required": True, "help": "law spec for the dominated side"},
+    "--q": {"required": True, "help": "law spec for the dominating side"},
+    "--counting": {"required": True},
+    "--summand": {"required": True},
+    "--id": {"required": True, "choices": sorted(_TABLE_BUILDERS)},
+    "--name": {"required": True, "help": "path spec: negbinomial/betabinomial/gamma/"
+                                         "interpolation with key=val params"},
+    "--nu1": {"type": float, "required": True},
+    "--nu2": {"type": float, "required": True},
+    "--orders": {"default": "lr,lc,st,hr"},
+    "--order": {"default": "lr"},
+    "--kmax": {"type": _size(2, MAX_KMAX), "default": 10_000},
+    "--tail-eps": {"type": _tolerance, "default": 1e-12},
+    "--tol-shape": {"type": _tolerance, "default": TOL_SHAPE},
+    "--tol-tail": {"type": _tolerance, "default": TOL_TAIL},
+    "--nu-grid": {"help": "comma-separated scan values overriding the default"},
+    "--grid-points": {"type": _size(3, MAX_GRID_POINTS), "default": 2000},
+    "--nu-points": {"type": _size(2, MAX_NU_POINTS), "default": NU_POINTS},
+    "--t-points": {"type": _size(2, MAX_T_POINTS), "default": 33},
+    "--format": {"choices": ("json", "csv", "text"), "default": "json",
+                 "help": "report rendering (default json)"},
+    "--out": {"help": "write the report to a file instead of stdout"},
+    "--no-timing": {"action": "store_true", "help": "report runtime_ms as 0 for byte-stable output"},
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json",
-                   help="report rendering (default json)")
-    p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-    p.add_argument("--no-timing", action="store_true",
-                   help="report runtime_ms as 0 for byte-stable output")
+# name: help, runner, its options in help order (--format, --out and
+# --no-timing follow them) and its defaults that differ from _OPTIONS's
+_COMMANDS = {
+    "check": ("scan one family's kernel criteria plus endpoint oracle", _cmd_check,
+              "--family --nu1 --nu2 --orders --kmax --tail-eps --tol-shape --tol-tail --nu-grid "
+              "--grid-points", {}),
+    "pairwise": ("compare two concrete laws (claim: p below q)", _cmd_pairwise,
+                 "--p --q --orders --kmax --tail-eps --tol-shape", {"kmax": 200}),
+    "compound": ("lr direction of a random sum in the counting parameter", _cmd_compound,
+                 "--counting --summand --nu1 --nu2 --nu-points --tol-shape", {}),
+    "table": ("reproduce a reference table and diff against its golden file", _cmd_table,
+              "--id", {}),
+    "path": ("order along a named multi-parameter path", _cmd_path,
+             "--name --order --t-points --kmax --grid-points --tol-shape --tol-tail", {}),
+}
 
 
+@functools.cache  # built once: argparse's add_argument made it a third of a short command
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stochorder",
@@ -667,66 +705,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "closed-form thresholds, and table reproductions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="scan one family's kernel criteria plus endpoint oracle")
-    check.add_argument("--family", required=True, help="family spec, name[:key=val,...]")
-    check.add_argument("--nu1", type=float, required=True)
-    check.add_argument("--nu2", type=float, required=True)
-    check.add_argument("--orders", default="lr,lc,st,hr")
-    check.add_argument("--kmax", type=_size(2, MAX_KMAX), default=10_000)
-    check.add_argument("--tail-eps", type=_tolerance, default=1e-12)
-    check.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
-    check.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
-    check.add_argument("--nu-grid", default=None, help="comma-separated scan values overriding the default")
-    check.add_argument("--grid-points", type=_size(3, MAX_GRID_POINTS), default=2000)
-    _add_common(check)
-    check.set_defaults(run=_cmd_check)
-
-    pairwise = sub.add_parser("pairwise", help="compare two concrete laws (claim: p below q)")
-    pairwise.add_argument("--p", required=True, help="law spec for the dominated side")
-    pairwise.add_argument("--q", required=True, help="law spec for the dominating side")
-    pairwise.add_argument("--orders", default="lr,lc,st,hr")
-    pairwise.add_argument("--kmax", type=_size(2, MAX_KMAX), default=200)
-    pairwise.add_argument("--tail-eps", type=_tolerance, default=1e-12)
-    pairwise.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
-    _add_common(pairwise)
-    pairwise.set_defaults(run=_cmd_pairwise)
-
-    compound = sub.add_parser("compound", help="lr direction of a random sum in the counting parameter")
-    compound.add_argument("--counting", required=True)
-    compound.add_argument("--summand", required=True)
-    compound.add_argument("--nu1", type=float, required=True)
-    compound.add_argument("--nu2", type=float, required=True)
-    compound.add_argument("--nu-points", type=_size(2, MAX_NU_POINTS), default=NU_POINTS)
-    compound.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
-    _add_common(compound)
-    compound.set_defaults(run=_cmd_compound)
-
-    table = sub.add_parser("table", help="reproduce a reference table and diff against its golden file")
-    table.add_argument("--id", required=True, choices=sorted(_TABLE_BUILDERS))
-    _add_common(table)
-    table.set_defaults(run=_cmd_table)
-
-    path = sub.add_parser("path", help="order along a named multi-parameter path")
-    path.add_argument("--name", required=True,
-                      help="path spec: negbinomial/betabinomial/gamma/interpolation with key=val params")
-    path.add_argument("--order", default="lr")
-    path.add_argument("--t-points", type=_size(2, MAX_T_POINTS), default=33)
-    path.add_argument("--kmax", type=_size(2, MAX_KMAX), default=10_000)
-    path.add_argument("--grid-points", type=_size(3, MAX_GRID_POINTS), default=2000)
-    path.add_argument("--tol-shape", type=_tolerance, default=TOL_SHAPE)
-    path.add_argument("--tol-tail", type=_tolerance, default=TOL_TAIL)
-    _add_common(path)
-    path.set_defaults(run=_cmd_path)
-    for p in sub.choices.values():  # read -4.6e-05 or -.5 as a value, not an option
+    for name, (help_text, run, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags.split(), "--format", "--out", "--no-timing"):
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(run=run, **defaults)
+        # read -4.6e-05 or -.5 as a value, not an option
         p._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already written its diagnostic
         return int(exc.code or 0)
     started = time.perf_counter()
@@ -739,8 +730,12 @@ def main(argv=None) -> int:
         report["runtime_ms"] = int(round((time.perf_counter() - started) * 1000.0))
     text = _emit(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -561,3 +561,200 @@ def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, arg
     assert run.stderr == repr(loads_scipy)
     code, out, _ = run_cli(capsys, *argv, "--no-timing")
     assert (run.returncode, run.stdout) == (code, out)
+
+
+# ---------------------------------------------------------------------------
+# help and usage bytes at 80 columns, and one process running many commands
+
+HELP = {
+    "": """\
+usage: stochorder [-h] {check,pairwise,compound,table,path} ...
+
+Stochastic-order checks: kernel criteria, brute oracles, closed-form
+thresholds, and table reproductions.
+
+positional arguments:
+  {check,pairwise,compound,table,path}
+    check               scan one family's kernel criteria plus endpoint oracle
+    pairwise            compare two concrete laws (claim: p below q)
+    compound            lr direction of a random sum in the counting parameter
+    table               reproduce a reference table and diff against its
+                        golden file
+    path                order along a named multi-parameter path
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": """\
+usage: stochorder check [-h] --family FAMILY --nu1 NU1 --nu2 NU2
+                        [--orders ORDERS] [--kmax KMAX] [--tail-eps TAIL_EPS]
+                        [--tol-shape TOL_SHAPE] [--tol-tail TOL_TAIL]
+                        [--nu-grid NU_GRID] [--grid-points GRID_POINTS]
+                        [--format {json,csv,text}] [--out OUT] [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --family FAMILY       family spec, name[:key=val,...]
+  --nu1 NU1
+  --nu2 NU2
+  --orders ORDERS
+  --kmax KMAX
+  --tail-eps TAIL_EPS
+  --tol-shape TOL_SHAPE
+  --tol-tail TOL_TAIL
+  --nu-grid NU_GRID     comma-separated scan values overriding the default
+  --grid-points GRID_POINTS
+  --format {json,csv,text}
+                        report rendering (default json)
+  --out OUT             write the report to a file instead of stdout
+  --no-timing           report runtime_ms as 0 for byte-stable output
+""",
+    "pairwise": """\
+usage: stochorder pairwise [-h] --p P --q Q [--orders ORDERS] [--kmax KMAX]
+                           [--tail-eps TAIL_EPS] [--tol-shape TOL_SHAPE]
+                           [--format {json,csv,text}] [--out OUT]
+                           [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 law spec for the dominated side
+  --q Q                 law spec for the dominating side
+  --orders ORDERS
+  --kmax KMAX
+  --tail-eps TAIL_EPS
+  --tol-shape TOL_SHAPE
+  --format {json,csv,text}
+                        report rendering (default json)
+  --out OUT             write the report to a file instead of stdout
+  --no-timing           report runtime_ms as 0 for byte-stable output
+""",
+    "compound": """\
+usage: stochorder compound [-h] --counting COUNTING --summand SUMMAND --nu1
+                           NU1 --nu2 NU2 [--nu-points NU_POINTS]
+                           [--tol-shape TOL_SHAPE] [--format {json,csv,text}]
+                           [--out OUT] [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --counting COUNTING
+  --summand SUMMAND
+  --nu1 NU1
+  --nu2 NU2
+  --nu-points NU_POINTS
+  --tol-shape TOL_SHAPE
+  --format {json,csv,text}
+                        report rendering (default json)
+  --out OUT             write the report to a file instead of stdout
+  --no-timing           report runtime_ms as 0 for byte-stable output
+""",
+    "table": """\
+usage: stochorder table [-h] --id {katz,table1,table2}
+                        [--format {json,csv,text}] [--out OUT] [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --id {katz,table1,table2}
+  --format {json,csv,text}
+                        report rendering (default json)
+  --out OUT             write the report to a file instead of stdout
+  --no-timing           report runtime_ms as 0 for byte-stable output
+""",
+    "path": """\
+usage: stochorder path [-h] --name NAME [--order ORDER] [--t-points T_POINTS]
+                       [--kmax KMAX] [--grid-points GRID_POINTS]
+                       [--tol-shape TOL_SHAPE] [--tol-tail TOL_TAIL]
+                       [--format {json,csv,text}] [--out OUT] [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --name NAME           path spec:
+                        negbinomial/betabinomial/gamma/interpolation with
+                        key=val params
+  --order ORDER
+  --t-points T_POINTS
+  --kmax KMAX
+  --grid-points GRID_POINTS
+  --tol-shape TOL_SHAPE
+  --tol-tail TOL_TAIL
+  --format {json,csv,text}
+                        report rendering (default json)
+  --out OUT             write the report to a file instead of stdout
+  --no-timing           report runtime_ms as 0 for byte-stable output
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "stochorder")
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert run_cli(capsys, *argv) == (0, HELP[command], "")
+
+
+USAGE_ERRORS = [
+    ("", [], "the following arguments are required: command"),
+    ("", ["nope"], "argument command: invalid choice: 'nope' "
+                   "(choose from 'check', 'pairwise', 'compound', 'table', 'path')"),
+    ("check", ["--kmax", "1"], "argument --kmax: '1' is not an integer in [2, 100000]"),
+    ("pairwise", ["--p", "poisson:lambda=1"], "the following arguments are required: --q"),
+    ("compound", ["--counting", "poisson", "--summand", "delta:j=1", "--nu1", "1", "--nu2", "2",
+                  "--tol-shape=-1"], "argument --tol-shape: '-1' is not a finite number >= 0"),
+    ("table", ["--id", "nope"],
+     "argument --id: invalid choice: 'nope' (choose from 'katz', 'table1', 'table2')"),
+    ("path", [], "the following arguments are required: --name"),
+]
+
+
+@pytest.mark.parametrize("command, argv, message", USAGE_ERRORS,
+                         ids=["no-command", "unknown-command", "check", "pairwise", "compound",
+                              "table", "path"])
+def test_usage_error_bytes_are_pinned(capsys, monkeypatch, command, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = HELP[command].split("\n\n")[0]  # a help text opens with its usage block
+    prog = f"stochorder {command}".strip()
+    argv = [command, *argv] if command else argv
+    assert run_cli(capsys, *argv) == (2, "", f"{usage}\n{prog}: error: {message}\n")
+
+
+def fresh(*argv):
+    """Run one command in a new interpreter: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "stochorder", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_one_process_runs_each_command_as_a_fresh_interpreter_does(capsys, monkeypatch, tmp_path):
+    pairwise = ["pairwise", "--p", "poisson:lambda=1", "--q", "poisson:lambda=2", "--orders",
+                "lr,st", "--no-timing"]
+    target = tmp_path / "report.txt"
+    steps = [
+        (["check", "--kmax", "1"], "80"),
+        (pairwise, "80"),
+        (["check", "--help"], "80"),
+        (pairwise, "80"),
+        ([*pairwise, "--format", "text", "--out", str(target)], "80"),
+        (pairwise, "80"),
+        (["--help"], "60"),
+        (["--help"], "120"),
+    ]
+    for argv, columns in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        in_process = run_cli(capsys, *argv)
+        written = target.read_text(encoding="utf-8") if "--out" in argv else None
+        assert in_process == fresh(*argv), argv
+        if written is not None:
+            assert written.startswith("command: pairwise\n")
+            assert target.read_text(encoding="utf-8") == written
+    assert json.loads(run_cli(capsys, *pairwise)[1])["command"] == "pairwise"
+    assert run_cli(capsys, "--help")[1] != HELP[""]  # the width is read at print time
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_out_that_cannot_be_written_exits_two(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "check", "--family", "poisson", "--nu1=1", "--nu2=2",
+                             "--orders", "lr", "--out", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --out {path!r}: ") and err.count("\n") == 1
