@@ -729,7 +729,7 @@ def main(argv=None) -> int:
     if not args.no_timing:
         report["runtime_ms"] = int(round((time.perf_counter() - started) * 1000.0))
     text = _emit(report, args.format)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

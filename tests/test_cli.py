@@ -751,9 +751,10 @@ def test_one_process_runs_each_command_as_a_fresh_interpreter_does(capsys, monke
     assert cli._build_parser() is cli._build_parser()
 
 
-@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("target", ["{tmp}/missing/report.json", "{tmp}", ""],
+                         ids=["missing-dir", "a-dir", "empty"])
 def test_out_that_cannot_be_written_exits_two(capsys, tmp_path, target):
-    path = str(tmp_path / target)
+    path = target.format(tmp=tmp_path)
     code, out, err = run_cli(capsys, "check", "--family", "poisson", "--nu1=1", "--nu2=2",
                              "--orders", "lr", "--out", path)
     assert (code, out) == (2, "")
