@@ -38,8 +38,13 @@ Each command runs in-process through `stochorder.cli.main` with
   law underflows to zero before the other law's tail cut; and a compound
   with the non-integer summand `delta:j=2.5`;
 - every branch of the pairwise lr and lc kernel tests (both fail with a
-  kernel witness; lr fails and lc holds; both fail by support reach) and
-  the interpolation path on either side of its threshold;
+  kernel witness; lr fails and lc holds; both fail by support reach; lr
+  with a dominating hypergeometric law whose support starts above the
+  dominated binomial's) and the interpolation path on either side of its
+  threshold;
+- paths with one idle parameter, whose chain-rule kernel skips that
+  parameter's component: a negbinomial path with r1 = r2 and a gamma path
+  with rho1 = rho2;
 - `half-student-in-df` lr over 2.5..3.9, which reports `lr down holds`
   although the kernel rises in x on [0, 1): the default grid's first
   midpoint lies past that rise;
@@ -118,6 +123,13 @@ KERNEL_BRANCHES = (
     ["pairwise", "--p", "poisson:lambda=0.6", "--q", "binomial:n=10,p=0.05", "--orders", "lr,lc"],
     ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"],
     ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.2"],
+    ["pairwise", "--p", "hypergeometric:B=10,W=2,n=5", "--q", "binomial:n=5,p=0.9",
+     "--orders", "lr"],
+)
+
+IDLE_PARAMETERS = (
+    ["path", "--name", "negbinomial:r1=2,r2=2,q1=0.2,q2=0.6", "--order", "lc"],
+    ["path", "--name", "gamma:r1=1,r2=2,rho1=1.5,rho2=1.5", "--order", "lr"],
 )
 
 COARSE_GRIDS = (
@@ -152,6 +164,7 @@ def commands(table1, workloads) -> list[list[str]]:
                 "--orders", o, "--format", "csv"] for o in ORDERS)
     out.extend(FAR_TAILS)
     out.extend(KERNEL_BRANCHES)
+    out.extend(IDLE_PARAMETERS)
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
     return [argv + ["--no-timing"] for argv in out]
