@@ -1,5 +1,5 @@
-"""Cross-family comparisons: pairwise log-factor kernels, parameter paths,
-and closed-form order thresholds.
+"""Cross-family comparisons: pairwise log-factor kernels, named parameter
+paths, and closed-form order thresholds.
 
 Two laws with positive factors w^P, w^Q on a common support J are compared
 through the pairwise kernel K(k) = log(w^P_k / w^Q_k), the (constant-in-t)
@@ -8,20 +8,17 @@ path kernel of the geometric interpolation between them:
     Q <=lr P  <=>  K nondecreasing on J
     P <=lc Q  <=>  K concave on J
 
-For joint moves of several parameters, ParamPath carries theta(t) and its
-velocity; the chain-rule kernel K_t = sum_i theta_i'(t) K^(i) feeds the same
-shape tests.
-
 The concrete laws and the named paths are views of `catalog.LAWS`: a
 PairwiseLaw fixes every parameter of an entry and takes its log factor as
-log_weight and its log normalizer; a named path is the line between two end
-points in two of an entry's parameters, with the entry's kernels as component
-kernels. It is one object, the one-parameter family in t (`path_family`): it
-takes its grid from `catalog.default_grid` over the scanned t, as a catalogue
-family does over nu, and `check_path_order` reads its kernel K_t and its law
-at each t from it. An infinite support is cut by `catalog._tail_span`, the
-catalogue's tail search; laws are normalized numerically by
-`catalog.normalized`.
+log_weight and its log normalizer; a named path is the line theta(t) between
+two end points in two of an entry's parameters. It is one object, the
+one-parameter family in t (`path_family`), whose kernel is the chain rule
+K_t = sum_i theta_i'(t) K^(i) over the entry's kernels of the moved
+parameters. It takes its grid from `catalog.default_grid` over the scanned t,
+as a catalogue family does over nu, and `check_path_order` reads its kernel
+K_t and its law at each t from it. An infinite support is cut by
+`catalog._tail_span`, the catalogue's tail search; laws are normalized
+numerically by `catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -59,10 +56,7 @@ __all__ = [
     "katz_threshold",
     "betabin_hyp_condition",
     "betabin_hyp_delta",
-    "ParamPath",
-    "path_kernel",
     "check_path_order",
-    "geometric_interpolation_path",
     "PATH_NAMES",
     "path_family",
     "InterpolationReport",
@@ -153,33 +147,23 @@ def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
 
 @dataclass(frozen=True)
 class PairwiseKernel:
-    """K(k) = log(w^P_k / w^Q_k) on the common support, with differences."""
+    """K(k) = log(w^P_k / w^Q_k) on the common support."""
 
     grid: SupportGrid
     values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
     p_law: PairwiseLaw
     q_law: PairwiseLaw
 
 
 def pairwise_kernel(
-    P_spec: str | PairwiseLaw,
-    Q_spec: str | PairwiseLaw,
-    grid: SupportGrid | None = None,
-    kmax: int = 200,
+    P_spec: str | PairwiseLaw, Q_spec: str | PairwiseLaw, kmax: int = 200,
 ) -> PairwiseKernel:
-    """Build the pairwise kernel on the intersection of the two supports,
-    clipped to `grid` (or to kmax points when both supports are infinite)."""
+    """Build the pairwise kernel on the intersection of the two supports, cut
+    to kmax + 1 points when both supports are infinite."""
     p = law_from_spec(P_spec) if isinstance(P_spec, str) else P_spec
     q = law_from_spec(Q_spec) if isinstance(Q_spec, str) else Q_spec
     lo = max(int(p.support[0]), int(q.support[0]))
     hi = min(p.support[1], q.support[1])
-    if grid is not None:
-        if grid.kind != "discrete":
-            raise ValueError("pairwise kernels live on discrete grids")
-        lo = max(lo, int(grid.lower))
-        hi = min(hi, grid.upper)
     hi = int(hi) if math.isfinite(hi) else lo + int(kmax)
     if hi < lo:
         raise ValueError(f"{p.name} and {q.name} have no common support")
@@ -187,14 +171,7 @@ def pairwise_kernel(
     vals = np.asarray(p.log_weight(k), dtype=float) - np.asarray(q.log_weight(k), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pairwise kernel undefined: factor vanishes on the common support")
-    return PairwiseKernel(
-        grid=discrete_grid(lo, hi),
-        values=vals,
-        d1=np.diff(vals),
-        d2=np.diff(vals, 2),
-        p_law=p,
-        q_law=q,
-    )
+    return PairwiseKernel(grid=discrete_grid(lo, hi), values=vals, p_law=p, q_law=q)
 
 
 def check_pairwise(
@@ -321,39 +298,11 @@ def betabin_hyp_condition(B: int, W: int, n: int, r: float, s: float) -> bool:
 # parameter paths
 
 
-@dataclass(frozen=True)
-class ParamPath:
-    """A moving parameter vector theta(t), t in [0, 1], with its exact
-    velocity theta_dot(t) and per-component kernels.
-
-    component_kernels[i](theta, x) is the kernel of the i-th coordinate at
-    the full parameter point; the chain rule weights it by theta_i'(t). A
-    named path turns its ParamPath into a family in t (`path_family`).
-    """
-
-    dim: int
-    theta: Callable[[float], tuple[float, ...]]
-    theta_dot: Callable[[float], tuple[float, ...]]
-    component_kernels: tuple[Callable, ...]
-
-
-def path_kernel(path: ParamPath, t: float, x) -> np.ndarray:
-    """K_t(x) = sum_i theta_i'(t) K^(i)_theta(t)(x)."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    th = path.theta(float(t))
-    dot = path.theta_dot(float(t))
-    out = np.zeros(pts.shape)
-    for i in range(path.dim):
-        if dot[i] != 0.0:
-            out += dot[i] * np.asarray(path.component_kernels[i](th, pts), dtype=float)
-    return out
-
-
 def check_path_order(
     family: DensityFamily,
     order: str,
+    grid: SupportGrid,
     t_grid=None,
-    grid: SupportGrid | None = None,
     direction: str | None = None,
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
@@ -367,8 +316,6 @@ def check_path_order(
     the brute oracle; disagreement with a conclusive shape verdict downgrades
     the status to inconclusive.
     """
-    if grid is None:
-        raise ValueError("check_path_order needs an explicit support grid")
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
     if direction is None:
@@ -396,23 +343,6 @@ def check_path_order(
     return reconcile(criterion, cross, "path test")
 
 
-def geometric_interpolation_path(P: PairwiseLaw, Q: PairwiseLaw) -> ParamPath:
-    """w_t = (w^P)^t (w^Q)^(1-t): its path kernel is the pairwise kernel,
-    constant in t."""
-
-    def kern(th: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-        return np.asarray(P.log_weight(x), dtype=float) - np.asarray(
-            Q.log_weight(x), dtype=float
-        )
-
-    return ParamPath(
-        dim=1,
-        theta=lambda t: (t,),
-        theta_dot=lambda t: (1.0,),
-        component_kernels=(kern,),
-    )
-
-
 # -- named paths for the CLI --------------------------------------------------
 
 
@@ -431,7 +361,8 @@ PATH_NAMES = tuple(sorted(_PATHS))
 def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     """A named path as the one-parameter family in t: the law at theta(t), on
     the line between its two end points in the moved parameters, with the
-    chain-rule kernel path_kernel(path, t, x) over the table law's kernels.
+    chain-rule kernel K_t(x) = sum_i theta_i'(t) K^(i)_theta(t)(x) over the
+    table law's kernels of the moved parameters.
     For t in [0, 1], theta(t) lies between the two ends, inside the law's
     domains, which are intervals; any other t raises ValueError naming it."""
     row = _PATHS.get(name)
@@ -449,26 +380,23 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
             raise ValueError(f"{name} path needs {p} {trend}")
     law, moved, start = LAWS[law_name], [p for p, _ in moves], ends[0]
     a, b = (np.array([e[p] for p in moved], dtype=float) for e in ends)
-
-    def at(th: tuple[float, ...]) -> dict[str, float]:
-        return {**start, **dict(zip(moved, th))}
-
-    path = ParamPath(
-        dim=len(moved),
-        theta=lambda t: tuple(a + t * (b - a)),
-        theta_dot=lambda t: tuple(b - a),
-        component_kernels=tuple(lambda th, x, p=p: law.kernels[p](at(th), x) for p in moved),
-    )
+    velocity = b - a
     fixed = {p: v for p, v in start.items() if p not in moved}
 
-    def unit(t: float) -> float:
+    def at(t: float) -> dict[str, float]:
         if not 0.0 <= t <= 1.0:  # theta(t) may leave the law's domains
             raise ValueError(f"{name} path: t={float(t)!r} outside [0, 1]")
-        return t
+        return {**start, **dict(zip(moved, a + t * velocity))}
 
-    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf),
-                                lambda t: at(path.theta(unit(t))),
-                                lambda t, x: path_kernel(path, unit(t), x))
+    def kernel(t: float, x) -> np.ndarray:
+        theta, pts = at(t), np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros(pts.shape)
+        for p, v in zip(moved, velocity):
+            if v != 0.0:  # an idle parameter's kernel is not evaluated
+                out += v * np.asarray(law.kernels[p](theta, pts), dtype=float)
+        return out
+
+    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochorder.catalog import continuous_grid, default_grid, density, discrete_grid, normalized
+from stochorder.catalog import LAWS, continuous_grid, default_grid, density, discrete_grid, normalized
 from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
     PairwiseLaw,
-    ParamPath,
     betabin_bin_interpolation,
     betabin_hyp_condition,
     betabin_hyp_delta,
     check_pairwise,
     check_path_order,
-    geometric_interpolation_path,
     interpolation_law,
     katz_threshold,
     law_distribution,
@@ -27,7 +25,6 @@ from stochorder.pairwise import (
     make_law,
     pairwise_kernel,
     path_family,
-    path_kernel,
 )
 
 
@@ -223,8 +220,6 @@ def test_pairwise_kernel_on_support_intersection():
     k = pk.grid.points
     direct = pk.p_law.log_weight(k) - pk.q_law.log_weight(k)
     assert np.allclose(pk.values, direct, atol=1e-14)
-    assert np.allclose(pk.d1, np.diff(pk.values), atol=0)
-    assert np.allclose(pk.d2, np.diff(pk.values, 2), atol=0)
 
 
 def test_pairwise_kernel_closed_form_differences():
@@ -233,21 +228,20 @@ def test_pairwise_kernel_closed_form_differences():
     pk = pairwise_kernel(f"poisson:lambda={lam}", f"binomial:n={n},p={p}")
     k = np.arange(n, dtype=float)
     expected = math.log(lam) - np.log(n - k) - (math.log(p) - math.log1p(-p))
-    assert np.allclose(pk.d1, expected, atol=1e-12)
+    assert np.allclose(np.diff(pk.values), expected, atol=1e-12)
 
 
 def test_pairwise_kernel_kmax_and_grid_clip():
+    # kmax cuts a common infinite support; a finite one ends the grid whatever kmax is
     pk = pairwise_kernel("poisson:lambda=2", "geometric:p=0.5", kmax=50)
     assert pk.grid.points[0] == 0.0 and pk.grid.points[-1] == 50.0
-    clipped = pairwise_kernel("poisson:lambda=2", "geometric:p=0.5", grid=discrete_grid(3, 7))
-    assert np.array_equal(clipped.grid.points, np.arange(3.0, 8.0))
-    inner = pairwise_kernel("binomial:n=4,p=0.5", "poisson:lambda=1", grid=discrete_grid(0, 99))
-    assert inner.grid.points[-1] == 4.0
+    inner = pairwise_kernel("binomial:n=4,p=0.5", "poisson:lambda=1", kmax=99)
+    assert np.array_equal(inner.grid.points, np.arange(0.0, 5.0))
+    shifted = pairwise_kernel(make_law("hypergeometric", B=10, W=2, n=5), "poisson:lambda=1")
+    assert np.array_equal(shifted.grid.points, np.arange(3.0, 6.0))
 
 
 def test_pairwise_kernel_rejects_bad_input():
-    with pytest.raises(ValueError, match="discrete grids"):
-        pairwise_kernel("poisson:lambda=1", "poisson:lambda=2", grid=continuous_grid(0.0, 10.0, n=10))
     with pytest.raises(ValueError, match="no common support"):
         pairwise_kernel(make_law("hypergeometric", B=6, W=3, n=5), "binomial:n=1,p=0.5")
     holed = PairwiseLaw("holed", (0, 5), lambda k: np.where(k == 2.0, -np.inf, 0.0))
@@ -261,7 +255,7 @@ def test_poisson_and_unit_cmp_share_pairwise_kernels():
     a = pairwise_kernel(law_from_spec("poisson:lambda=2"), q, kmax=60)
     b = pairwise_kernel(make_law("cmp", mu=2.0, nu=1.0), q, kmax=60)
     assert np.allclose(a.values, b.values, atol=1e-12)
-    assert np.allclose(a.d1, b.d1, atol=1e-12)
+    assert np.allclose(np.diff(a.values), np.diff(b.values), atol=1e-12)
 
 
 def test_geometric_and_unit_negbinomial_share_pairwise_kernels():
@@ -269,7 +263,7 @@ def test_geometric_and_unit_negbinomial_share_pairwise_kernels():
     a = pairwise_kernel(make_law("geometric", p=0.3), q, kmax=60)
     b = pairwise_kernel(make_law("negbinomial", r=1.0, p=0.3), q, kmax=60)
     assert np.allclose(a.values, b.values, atol=1e-12)
-    assert np.allclose(a.d1, b.d1, atol=1e-12)
+    assert np.allclose(np.diff(a.values), np.diff(b.values), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +500,7 @@ def test_betabin_hyp_delta_matches_kernel_differences():
         make_law("hypergeometric", B=B, W=W, n=n), make_law("betabinomial", n=n, r=r, s=s)
     )
     d = betabin_hyp_delta(B, W, n, r, s, np.arange(n, dtype=float))
-    assert np.allclose(pk.d1, d, atol=1e-12)
+    assert np.allclose(np.diff(pk.values), d, atol=1e-12)
     assert np.all(np.diff(d) <= 0.0)  # the k = n-1 cell governs
 
 
@@ -533,18 +527,27 @@ def test_betabin_hyp_condition_validates():
 # parameter paths
 
 
-def test_path_kernel_weights_components_and_skips_idle_ones():
+def test_path_family_kernel_is_the_chain_rule_sum(monkeypatch):
+    # K_t = sum_i theta_i'(t) K^(i)_theta(t), bit for bit; an idle parameter
+    # (theta_i' = 0) adds nothing and its kernel is not evaluated
     def boom(th, x):
         raise AssertionError("a zero-velocity component must not be evaluated")
 
-    path = ParamPath(
-        2,
-        lambda t: (t, 5.0),
-        lambda t: (3.0, 0.0),
-        (lambda th, x: np.log(x), boom),
-    )
-    x = np.array([1.0, 2.0, 4.0])
-    assert np.allclose(path_kernel(path, 0.5, x), 3.0 * np.log(x))
+    nb = LAWS["negbinomial-q"]
+    idle = path_family("negbinomial", {"r1": 2.0, "r2": 2.0, "q1": 0.2, "q2": 0.6})
+    monkeypatch.setitem(nb.kernels, "r", boom)
+    x = discrete_grid(0, 60).points
+    for t in (0.0, 0.3, 1.0):
+        theta = {"r": 2.0, "q": 0.2 + t * (0.6 - 0.2)}
+        assert np.array_equal(idle.kernel(t, x), (0.6 - 0.2) * nb.kernels["q"](theta, x))
+    gamma = LAWS["gamma"]
+    both = path_family("gamma", {"r1": 1.0, "r2": 2.5, "rho1": 2.0, "rho2": 0.5})
+    x = continuous_grid(0.0, 30.0, n=200).points
+    for t in (0.0, 0.3, 1.0):
+        theta = {"r": 1.0 + t * (2.5 - 1.0), "rho": 2.0 + t * (0.5 - 2.0)}
+        chain = ((2.5 - 1.0) * gamma.kernels["r"](theta, x)
+                 + (0.5 - 2.0) * gamma.kernels["rho"](theta, x))
+        assert np.array_equal(both.kernel(t, x), chain)
 
 
 @pytest.mark.parametrize(
@@ -605,7 +608,7 @@ def test_betabinomial_path_holds_lr():
 
 def test_check_path_order_validates_input():
     fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
-    with pytest.raises(ValueError, match="explicit support grid"):
+    with pytest.raises(TypeError, match="grid"):
         check_path_order(fam, "lr")
     with pytest.raises(ValueError, match="unknown order"):
         check_path_order(fam, "total", grid=continuous_grid(0.0, 10.0, n=10))
@@ -649,17 +652,6 @@ def test_path_family_validates_parameters():
         path_family("betabinomial", {"n": 8, "r1": 1.0, "r2": 2.0, "s1": 1.0, "s2": 3.0})
     with pytest.raises(ValueError, match="gamma path needs"):
         path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 1.0, "rho2": 2.0})
-
-
-def test_geometric_interpolation_has_constant_pairwise_kernel():
-    p = law_from_spec("poisson:lambda=2")
-    q = make_law("geometric", p=0.5)
-    pk = pairwise_kernel(p, q, kmax=40)
-    path = geometric_interpolation_path(p, q)
-    assert path.theta(0.25) == (0.25,) and path.theta_dot(0.25) == (1.0,)
-    k = pk.grid.points
-    assert np.allclose(path_kernel(path, 0.2, k), pk.values, atol=0)
-    assert np.allclose(path_kernel(path, 0.9, k), pk.values, atol=0)
 
 
 # ---------------------------------------------------------------------------
