@@ -58,6 +58,7 @@ from .pairwise import (
     check_pairwise,
     check_path_order,
     interpolation_law,
+    katz_laws,
     katz_threshold,
     law_distribution,
     law_from_spec,
@@ -508,29 +509,12 @@ _KATZ_CELLS = (
 )
 
 
-def _katz_laws(pair: str, params: dict):
-    if pair == "bin-poi":
-        return (
-            make_law("binomial", n=params["n"], p=params["p"]),
-            make_law("poisson", **{"lambda": params["lambda"]}),
-        )
-    if pair == "bin-nb":
-        return (
-            make_law("binomial", n=params["n"], p=params["p"]),
-            make_law("negbinomial", r=params["r"], p=params["pi"]),
-        )
-    return (
-        make_law("poisson", **{"lambda": params["lambda"]}),
-        make_law("negbinomial", r=params["r"], p=params["p"]),
-    )
-
-
 def _build_katz() -> tuple[dict, list[OrderVerdict], bool]:
     rows, verdicts = [], []
     verified = True
     for pair, params in _KATZ_CELLS:
         conds = katz_threshold(pair, params)
-        p_law, q_law = _katz_laws(pair, params)
+        p_law, q_law = katz_laws(pair, params)
         dp, dq = law_distribution(p_law), law_distribution(q_law)
         v_lr = replace(oracle_lr(dp, dq), claim=f"{p_law.describe()} <=lr {q_law.describe()}")
         v_st = replace(oracle_st(dp, dq), claim=f"{p_law.describe()} <=st {q_law.describe()}")
@@ -573,21 +557,19 @@ def _golden_text(table_id: str) -> str | None:
 
 def _cmd_table(args) -> tuple[dict, int]:
     payload, verdicts, verified = _build_table(args.id)
-    live = dumps(payload) + "\n"
     golden = _golden_text(args.id)
-    matches = golden is not None and golden == live
-    report = _report("table", {"id": args.id}, verdicts, {"tol_shape": TOL_SHAPE})
+    matches = golden is not None and golden == dumps(payload) + "\n"
     report = {
-        "command": report["command"],
-        "inputs": report["inputs"],
+        "command": "table",
+        "inputs": {"id": args.id},
         "table": {"id": args.id, "rows": payload["rows"], "verified": verified},
         "golden": {
             "file": f"golden/v1/{args.id}.json",
             "matches": matches,
             "note": "" if golden is not None else "golden file missing",
         },
-        "verdicts": report["verdicts"],
-        "tolerances": report["tolerances"],
+        "verdicts": [v.to_dict() for v in verdicts],
+        "tolerances": {"tol_shape": TOL_SHAPE},
         "runtime_ms": 0,
     }
     return report, 0 if (verified and matches) else 1

@@ -53,6 +53,7 @@ __all__ = [
     "PairwiseKernel",
     "pairwise_kernel",
     "check_pairwise",
+    "katz_laws",
     "katz_threshold",
     "betabin_hyp_condition",
     "betabin_hyp_delta",
@@ -236,6 +237,37 @@ def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distrib
 # closed-form thresholds
 
 
+# Katz pair: the two laws it compares, each with the pair parameter that
+# gives each of the law's parameters
+_KATZ_PAIRS: dict[str, tuple[tuple[str, dict[str, str]], ...]] = {
+    "bin-poi": (("binomial", {"n": "n", "p": "p"}), ("poisson", {"lambda": "lambda"})),
+    "bin-nb": (("binomial", {"n": "n", "p": "p"}), ("negbinomial", {"r": "r", "p": "pi"})),
+    "poi-nb": (("poisson", {"lambda": "lambda"}), ("negbinomial", {"r": "r", "p": "p"})),
+}
+
+
+def _katz_params(pair: str, params: Mapping[str, float]) -> dict[str, float]:
+    """The pair's parameters, in `_KATZ_PAIRS` order; a missing or unknown one raises."""
+    row = _KATZ_PAIRS.get(pair)
+    if row is None:
+        raise ValueError(f"unknown katz pair {pair!r}; valid: {', '.join(_KATZ_PAIRS)}")
+    keys = [key for _, given in row for key in given.values()]
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"katz pair {pair!r} needs parameter {key!r}")
+    if set(params) - set(keys):
+        raise ValueError(f"katz pair {pair!r}: unknown parameters {sorted(set(params) - set(keys))}")
+    return {key: float(params[key]) for key in keys}
+
+
+def katz_laws(pair: str, params: Mapping[str, float]) -> tuple[PairwiseLaw, PairwiseLaw]:
+    """The pair's two laws at `params`, in the pair's order."""
+    ps = _katz_params(pair, params)
+    first, second = (make_law(law, **{k: ps[v] for k, v in given.items()})
+                     for law, given in _KATZ_PAIRS[pair])
+    return first, second
+
+
 def katz_threshold(pair: str, params: Mapping[str, float]) -> dict[str, bool]:
     """Exact lr/st boundary inequalities for the three Katz-class pairings.
 
@@ -243,38 +275,26 @@ def katz_threshold(pair: str, params: Mapping[str, float]) -> dict[str, bool]:
     poi-nb: Poi(lambda) against NB(r,p). Weak inequalities: boundary cases
     count as ordered.
     """
-    ps = dict(params)
-
-    def take(key: str) -> float:
-        if key not in ps:
-            raise ValueError(f"katz pair {pair!r} needs parameter {key!r}")
-        return float(ps.pop(key))
-
+    ps = _katz_params(pair, params)
     if pair == "bin-poi":
-        n, p, lam = take("n"), take("p"), take("lambda")
-        out = {
+        n, p, lam = ps["n"], ps["p"], ps["lambda"]
+        return {
             "lr_condition": n * p <= (1.0 - p) * lam,
             "st_condition": (1.0 - p) ** n >= math.exp(-lam),
         }
-    elif pair == "bin-nb":
-        n, p, r, pi = take("n"), take("p"), take("r"), take("pi")
+    if pair == "bin-nb":
+        n, p, r, pi = ps["n"], ps["p"], ps["r"], ps["pi"]
         # the odds form np <= r(1-pi)(1-p): the binomial power parameter is
         # p/(1-p), so the slope comparison keeps the (1-p) factor
-        out = {
+        return {
             "lr_condition": n * p <= r * (1.0 - pi) * (1.0 - p),
             "st_condition": (1.0 - p) ** n >= pi**r,
         }
-    elif pair == "poi-nb":
-        lam, r, p = take("lambda"), take("r"), take("p")
-        out = {
-            "lr_condition": lam <= r * (1.0 - p),
-            "st_condition": math.exp(-lam) >= p**r,
-        }
-    else:
-        raise ValueError(f"unknown katz pair {pair!r}; valid: bin-poi, bin-nb, poi-nb")
-    if ps:
-        raise ValueError(f"katz pair {pair!r}: unknown parameters {sorted(ps)}")
-    return out
+    lam, r, p = ps["lambda"], ps["r"], ps["p"]
+    return {
+        "lr_condition": lam <= r * (1.0 - p),
+        "st_condition": math.exp(-lam) >= p**r,
+    }
 
 
 def betabin_hyp_delta(B: int, W: int, n: int, r: float, s: float, k) -> np.ndarray:

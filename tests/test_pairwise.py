@@ -19,6 +19,7 @@ from stochorder.pairwise import (
     check_pairwise,
     check_path_order,
     interpolation_law,
+    katz_laws,
     katz_threshold,
     law_distribution,
     law_from_spec,
@@ -492,6 +493,16 @@ def test_katz_validates_input():
         katz_threshold("bin-poi", {"n": 5, "p": 0.2})
     with pytest.raises(ValueError, match="unknown parameters"):
         katz_threshold("poi-nb", {"lambda": 1.0, "r": 2.0, "p": 0.5, "q": 0.5})
+
+
+def test_katz_laws_take_each_parameter_from_the_pair():
+    # bin-nb gives the negative binomial its p from the pair's pi
+    b, nb = katz_laws("bin-nb", {"n": 10, "p": 0.05, "r": 5.0, "pi": 0.5})
+    assert (b.describe(), nb.describe()) == ("binomial(n=10,p=0.05)", "negbinomial(r=5,p=0.5)")
+    poi, nb = katz_laws("poi-nb", {"lambda": 0.5, "r": 2.0, "p": 0.25})
+    assert (poi.describe(), nb.describe()) == ("poisson(lambda=0.5)", "negbinomial(r=2,p=0.25)")
+    with pytest.raises(ValueError, match="katz pair 'bin-nb' needs parameter 'pi'"):
+        katz_laws("bin-nb", {"n": 10, "p": 0.05, "r": 5.0})
 
 
 def test_betabin_hyp_delta_matches_kernel_differences():
