@@ -5,7 +5,8 @@ Two laws with positive factors w^P, w^Q on a common support J are compared
 through the pairwise kernel K(k) = log(w^P_k / w^Q_k), the (constant-in-t)
 path kernel of the geometric interpolation between them:
 
-    Q <=lr P  <=>  K nondecreasing on J
+    Q <=lr P  <=>  K nondecreasing on J, and neither end of P's support lies
+                   below the same end of Q's
     P <=lc Q  <=>  K concave on J
 
 The concrete laws and the named paths are views of `catalog.LAWS`: a
@@ -184,17 +185,22 @@ def check_pairwise(
 
     order 'lr' tests K nondecreasing, claiming Q <=lr P; order 'lc' tests K
     concave, claiming P <=lc Q; either test is one `scan_kernel` pass. A claim
-    whose dominated side out-reaches the dominating support fails outright.
-    Holds/fails verdicts are cross-checked against the brute oracle on the
-    normalized laws.
+    whose dominated side out-reaches the dominating support fails outright, as
+    does an lr claim whose dominating law starts below the dominated one (Q <=lr
+    P implies Q <=st P). Holds/fails verdicts are cross-checked against the
+    brute oracle on the normalized laws.
     """
     if order not in ("lr", "lc"):
         raise ValueError("pairwise checks decide 'lr' or 'lc' only")
     p, q = pk.p_law, pk.q_law
     tolerances = {"tol_shape": tol_shape, "grid_points": pk.grid.size}
+    reach, x = "dominated support reaches beyond the dominating support", pk.grid.points[-1]
     if order == "lr":
         claim = f"{q.describe()} <=lr {p.describe()}"
         support_ok = q.support[1] <= p.support[1]
+        if support_ok and p.support[0] < q.support[0]:
+            support_ok = False
+            reach, x = "dominating support starts below the dominated support", pk.grid.points[0]
         probe = order_probe("lr", "up", tol_shape)
     else:
         claim = f"{p.describe()} <=lc {q.describe()}"
@@ -202,11 +208,10 @@ def check_pairwise(
         probe = order_probe("lc", "down", tol_shape)
 
     if not support_ok:
-        w = Witness(x=float(pk.grid.points[-1]), margin=-math.inf, kind="support")
+        w = Witness(x=float(x), margin=-math.inf, kind="support")
         return OrderVerdict(
             order=order, direction="up", status="fails", method="pairwise-kernel",
-            tolerances=tolerances, witness=w, margin=w.margin, claim=claim,
-            note="dominated support reaches beyond the dominating support",
+            tolerances=tolerances, witness=w, margin=w.margin, claim=claim, note=reach,
         )
 
     # the kernel is constant, so one scanned point; a two-law witness has no nu

@@ -311,6 +311,22 @@ def test_check_pairwise_guards_support_reach():
     assert w.status == "fails" and w.witness.kind == "support"
 
 
+def test_check_pairwise_lr_fails_when_the_dominating_law_starts_lower():
+    # Q <=lr P implies Q <=st P, so P cannot put mass below Q's support. The
+    # kernel holds on the common range 3..5, where the binomial P also puts
+    # mass on 0..2; the lr claim used to come out inconclusive
+    hyp = make_law("hypergeometric", B=10, W=2, n=5)
+    v = check_pairwise(pairwise_kernel(law_from_spec("binomial:n=5,p=0.9"), hyp), "lr")
+    assert v.claim == "hypergeometric(B=10,W=2,n=5) <=lr binomial(n=5,p=0.9)"
+    assert v.status == "fails" and v.method == "pairwise-kernel"
+    assert v.witness.kind == "support" and v.witness.x == 3.0
+    assert v.margin == v.witness.margin == -math.inf
+    assert v.note == "dominating support starts below the dominated support"
+    # reversed, the dominating hypergeometric starts above: the kernel decides
+    w = check_pairwise(pairwise_kernel(hyp, law_from_spec("binomial:n=5,p=0.9")), "lr")
+    assert w.witness.kind == "adjacent-pair" and w.note == "endpoint oracle fails"
+
+
 def test_check_pairwise_flags_shape_oracle_disagreement():
     # a tolerance wide enough to swallow real violations must not go unnoticed
     pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.5")
