@@ -63,7 +63,6 @@ from .pairwise import (
     law_distribution,
     law_from_spec,
     make_law,
-    pairwise_kernel,
     path_family,
 )
 from .verdicts import ORDERS, OrderVerdict, reconcile
@@ -351,30 +350,11 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_pairwise(args) -> tuple[dict, int]:
-    p_law = law_from_spec(args.p)
-    q_law = law_from_spec(args.q)
-    orders = _parse_orders(args.orders)
+    p_law, q_law, orders = law_from_spec(args.p), law_from_spec(args.q), _parse_orders(args.orders)
+    verdicts = check_pairwise(p_law, q_law, orders, args.kmax, args.tol_shape, args.tail_eps)
     tolerances = {"tol_shape": args.tol_shape, "tail_eps": args.tail_eps, "kmax": args.kmax}
-    inputs = {"p": args.p, "q": args.q, "orders": orders}
-    verdicts: list[OrderVerdict] = []
-    dp = dq = None
-    ok = True
-    for o in orders:
-        if o == "lr":
-            pk = pairwise_kernel(q_law, p_law, kmax=args.kmax)
-            v = check_pairwise(pk, "lr", tol_shape=args.tol_shape)
-        elif o == "lc":
-            pk = pairwise_kernel(p_law, q_law, kmax=args.kmax)
-            v = check_pairwise(pk, "lc", tol_shape=args.tol_shape)
-        else:
-            if dp is None:
-                dp = law_distribution(p_law, args.tail_eps)
-                dq = law_distribution(q_law, args.tail_eps)
-            v = oracle_for(o)(dp, dq)
-            v = replace(v, claim=f"{p_law.describe()} <={o} {q_law.describe()}")
-        verdicts.append(v)
-        ok = ok and v.holds
-    return _report("pairwise", inputs, verdicts, tolerances), 0 if ok else 1
+    report = _report("pairwise", {"p": args.p, "q": args.q, "orders": orders}, verdicts, tolerances)
+    return report, 0 if all(v.holds for v in verdicts) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ Two laws with positive factors w^P, w^Q on a common support J are compared
 through the pairwise kernel K(k) = log(w^P_k / w^Q_k), the (constant-in-t)
 path kernel of the geometric interpolation between them:
 
-    Q <=lr P  <=>  K nondecreasing on J, and neither end of P's support lies
-                   below the same end of Q's
-    P <=lc Q  <=>  K concave on J
+    P <=lr Q  <=>  K nonincreasing on J, and neither end of P's support lies
+                   above the same end of Q's
+    P <=lc Q  <=>  K concave on J, and P's support lies inside Q's
+
+`check_pairwise` decides all four orders of one pair from the one kernel K
+and one cut of each law.
 
 The concrete laws and the named paths are views of `catalog.LAWS`: a
 PairwiseLaw fixes every parameter of an entry and takes its log factor as
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Mapping
+from functools import cache, partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,7 +147,7 @@ def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
 
 
 # ---------------------------------------------------------------------------
-# the pairwise kernel
+# the pairwise comparison
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,14 @@ class PairwiseKernel:
 
     grid: SupportGrid
     values: np.ndarray
-    p_law: PairwiseLaw
-    q_law: PairwiseLaw
+
+
+def _common_range(p: PairwiseLaw, q: PairwiseLaw, kmax: int) -> tuple[int, int]:
+    """lo..hi, the intersection of the two supports, cut to kmax + 1 points
+    when both are infinite; hi < lo when they are disjoint."""
+    lo = max(int(p.support[0]), int(q.support[0]))
+    hi = min(p.support[1], q.support[1])
+    return lo, int(hi) if math.isfinite(hi) else lo + int(kmax)
 
 
 def pairwise_kernel(
@@ -164,68 +173,78 @@ def pairwise_kernel(
     to kmax + 1 points when both supports are infinite."""
     p = law_from_spec(P_spec) if isinstance(P_spec, str) else P_spec
     q = law_from_spec(Q_spec) if isinstance(Q_spec, str) else Q_spec
-    lo = max(int(p.support[0]), int(q.support[0]))
-    hi = min(p.support[1], q.support[1])
-    hi = int(hi) if math.isfinite(hi) else lo + int(kmax)
+    lo, hi = _common_range(p, q, kmax)
     if hi < lo:
         raise ValueError(f"{p.name} and {q.name} have no common support")
     k = np.arange(lo, hi + 1, dtype=float)
     vals = np.asarray(p.log_weight(k), dtype=float) - np.asarray(q.log_weight(k), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pairwise kernel undefined: factor vanishes on the common support")
-    return PairwiseKernel(grid=discrete_grid(lo, hi), values=vals, p_law=p, q_law=q)
+    return PairwiseKernel(grid=discrete_grid(lo, hi), values=vals)
+
+
+def _support_refusal(order: str, p: PairwiseLaw, q: PairwiseLaw, lo: int, hi: int):
+    """(x, note) when the supports alone refute P <=order Q, else None: P's
+    upper end first (x = hi), then the lower ends (x = lo)."""
+    if p.support[1] > q.support[1]:
+        return hi, "dominated support reaches beyond the dominating support"
+    if order == "lr" and q.support[0] < p.support[0]:
+        return lo, "dominating support starts below the dominated support"
+    if order == "lc" and p.support[0] < q.support[0]:
+        return lo, "dominated support starts below the dominating support"
+    return None
 
 
 def check_pairwise(
-    pk: PairwiseKernel,
-    order: str,
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Decide the lr or lc relation from the pairwise kernel's shape.
+    p: PairwiseLaw, q: PairwiseLaw, orders: Sequence[str], kmax: int = 200,
+    tol_shape: float = TOL_SHAPE, eps_tail: float = _EPS_TAIL,
+) -> list[OrderVerdict]:
+    """Decide P <=o Q for each order o in `orders`, in that order.
 
-    order 'lr' tests K nondecreasing, claiming Q <=lr P; order 'lc' tests K
-    concave, claiming P <=lc Q; either test is one `scan_kernel` pass. A claim
-    whose dominated side out-reaches the dominating support fails outright, as
-    does an lr claim whose dominating law starts below the dominated one (Q <=lr
-    P implies Q <=st P). Holds/fails verdicts are cross-checked against the
-    brute oracle on the normalized laws.
+    st and hr are the brute oracle's verdicts; any other order but lr and lc
+    raises ValueError. lr and lc read the one kernel K = log(w^P/w^Q), built
+    on first use: P <=lr Q needs K nonincreasing and P <=lc Q K concave, each
+    one `scan_kernel` pass cross-checked against the oracle, unless the
+    supports alone refute the claim (`_support_refusal`). An lr claim whose P
+    lies wholly below Q's support holds with no kernel margin. Each law is
+    cut once, at eps_tail, when an order first reaches the oracle.
     """
-    if order not in ("lr", "lc"):
-        raise ValueError("pairwise checks decide 'lr' or 'lc' only")
-    p, q = pk.p_law, pk.q_law
-    tolerances = {"tol_shape": tol_shape, "grid_points": pk.grid.size}
-    reach, x = "dominated support reaches beyond the dominating support", pk.grid.points[-1]
-    if order == "lr":
-        claim = f"{q.describe()} <=lr {p.describe()}"
-        support_ok = q.support[1] <= p.support[1]
-        if support_ok and p.support[0] < q.support[0]:
-            support_ok = False
-            reach, x = "dominating support starts below the dominated support", pk.grid.points[0]
-        probe = order_probe("lr", "up", tol_shape)
-    else:
-        claim = f"{p.describe()} <=lc {q.describe()}"
-        support_ok = q.support[0] <= p.support[0] and p.support[1] <= q.support[1]
-        probe = order_probe("lc", "down", tol_shape)
+    lo, hi = _common_range(p, q, kmax)
+    tolerances = {"tol_shape": tol_shape, "grid_points": max(hi - lo + 1, 0)}
+    kernel, verdicts = None, []
 
-    if not support_ok:
-        w = Witness(x=float(x), margin=-math.inf, kind="support")
-        return OrderVerdict(
-            order=order, direction="up", status="fails", method="pairwise-kernel",
-            tolerances=tolerances, witness=w, margin=w.margin, claim=claim, note=reach,
+    @cache
+    def cut() -> tuple[Distribution, Distribution]:
+        return law_distribution(p, eps_tail), law_distribution(q, eps_tail)
+
+    for o in orders:
+        claim = f"{p.describe()} <={o} {q.describe()}"
+        if o not in ("lr", "lc"):  # st or hr; oracle_for refuses any other order
+            verdicts.append(replace(oracle_for(o)(*cut()), claim=claim))
+            continue
+        refusal = _support_refusal(o, p, q, lo, hi)
+        witness, margin, note = None, None, ""
+        if refusal is not None:
+            witness = Witness(x=float(refusal[0]), margin=-math.inf, kind="support")
+            margin, note = witness.margin, refusal[1]
+        elif hi < lo:  # lr only: lc's support test needs P's support inside Q's
+            note = "dominated support wholly below the dominating one: f_P/f_Q is +inf, then 0"
+        else:
+            kernel = kernel or pairwise_kernel(p, q, kmax)
+            probe = order_probe(o, "down", tol_shape)
+            [(witness, margin)] = scan_kernel(lambda _: kernel.values, [0.0], kernel.grid, [probe])
+            witness = witness and replace(witness, nu=None)  # a two-law witness has no nu
+        v = OrderVerdict(
+            order=o, direction="up", status="fails" if witness else "holds",
+            method="pairwise-kernel", tolerances=tolerances, witness=witness, margin=margin,
+            claim=claim, note=note,
         )
-
-    # the kernel is constant, so one scanned point; a two-law witness has no nu
-    [(witness, margin)] = scan_kernel(lambda _: pk.values, [0.0], pk.grid, [probe])
-    if witness is not None:
-        witness = replace(witness, nu=None)
-    criterion = OrderVerdict(
-        order=order, direction="up", status="fails" if witness else "holds",
-        method="pairwise-kernel", tolerances=tolerances, witness=witness, margin=margin,
-        claim=claim,
-    )
-    dp, dq = law_distribution(p), law_distribution(q)
-    cross = oracle_lr(dq, dp) if order == "lr" else oracle_lc(dp, _reaching(q, dq, dp))
-    return reconcile(criterion, cross, "kernel test")
+        if refusal is None:
+            dp, dq = cut()
+            cross = oracle_lr(dp, dq) if o == "lr" else oracle_lc(dp, _reaching(q, dq, dp))
+            v = reconcile(v, cross, "kernel test")
+        verdicts.append(v)
+    return verdicts
 
 
 def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distribution:

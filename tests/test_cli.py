@@ -183,6 +183,73 @@ def test_pairwise_lc_is_not_refuted_by_different_truncation_points(capsys, p, q)
     assert v["note"] == "endpoint oracle holds"
 
 
+def test_pairwise_lc_support_witness_sits_where_the_dominating_support_starts(capsys):
+    # the binomial P puts mass on 0..2, below the hypergeometric Q's support
+    # 3..5; both end at 5, where the witness used to sit
+    code, out, _ = run_cli(capsys, "pairwise", "--p", "binomial:n=5,p=0.9",
+                           "--q", "hypergeometric:B=10,W=2,n=5", "--orders", "lc", "--no-timing")
+    [v] = json.loads(out)["verdicts"]
+    assert code == 1 and v["status"] == "fails"
+    assert v["witness"] == {"x": 3, "nu": None, "margin": "-inf", "kind": "support"}
+    assert v["note"] == "dominated support starts below the dominating support"
+
+
+BETABIN_LOW = "betabinomial:n=38,r=4.85272,s=5.12533"  # support 0..38
+HYP_HIGH = "hypergeometric:B=50,W=4,n=52"  # support 48..50
+
+
+@pytest.mark.parametrize("p,q,statuses,x,note", [
+    # f_P/f_Q is +inf on 0..38, then 0 on 48..50: nonincreasing, so lr, st
+    # and hr hold; lc fails, P's support not lying inside Q's
+    (BETABIN_LOW, HYP_HIGH, ["holds", "fails", "holds", "holds"], 48,
+     "dominated support starts below the dominating support"),
+    (HYP_HIGH, BETABIN_LOW, ["fails", "fails", "fails", "fails"], 38,
+     "dominated support reaches beyond the dominating support"),
+])
+def test_pairwise_disjoint_supports_give_verdicts(capsys, p, q, statuses, x, note):
+    # both exited 2 with "no common support"
+    code, out, err = run_cli(capsys, "pairwise", "--p", p, "--q", q, "--no-timing")
+    assert (code, err) == (1, "")
+    lr, lc, st, hr = json.loads(out)["verdicts"]
+    assert [v["status"] for v in (lr, lc, st, hr)] == statuses
+    assert (lc["witness"]["kind"], lc["witness"]["x"], lc["note"]) == ("support", x, note)
+    if lr["status"] == "holds":
+        assert (lr["witness"], lr["margin"], lr["tolerances"]["grid_points"]) == (None, None, 0)
+        assert lr["note"] == ("dominated support wholly below the dominating one: "
+                              "f_P/f_Q is +inf, then 0; endpoint oracle holds")
+    else:
+        assert (lr["witness"]["kind"], lr["witness"]["x"], lr["note"]) == ("support", x, note)
+
+
+def test_pairwise_cuts_each_law_once_and_builds_one_kernel(capsys, monkeypatch):
+    from stochorder import pairwise
+
+    calls = {"law_distribution": 0, "pairwise_kernel": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(pairwise, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (pairwise, cli):  # wherever the function is imported
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(capsys, "pairwise", "--p", "poisson:lambda=2",
+                         "--q", "negbinomial:r=3,p=0.5", "--orders", "lr,lc,st,hr")
+    assert code == 1 and calls == {"law_distribution": 2, "pairwise_kernel": 1}
+    # an lr claim the supports alone refute cuts no law and builds no kernel
+    calls.update(law_distribution=0, pairwise_kernel=0)
+    code, _, _ = run_cli(capsys, "pairwise", "--p", "poisson:lambda=0.6",
+                         "--q", "binomial:n=10,p=0.05", "--orders", "lr")
+    assert code == 1 and calls == {"law_distribution": 0, "pairwise_kernel": 0}
+
+
+@pytest.mark.parametrize("order", ["lr", "lc", "st", "hr"])
+def test_pairwise_cuts_every_order_at_the_tail_target(capsys, order):
+    # lr and lc used to cut their laws at 1e-12, whatever --tail-eps said
+    code, out, err = run_cli(capsys, "pairwise", "--p", "geometric:p=0.5",
+                             "--q", "poisson:lambda=1", "--orders", order, "--tail-eps", "0")
+    assert (code, out, err) == (2, "", "error: geometric: tail target 0 unreachable\n")
+
+
 def test_compound_subcommand_reports_model_sizes(capsys):
     code, out, _ = run_cli(
         capsys, "compound", "--counting", "poisson", "--summand", "geometric:p=0.5",

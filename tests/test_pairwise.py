@@ -1,6 +1,7 @@
 """Cross-family kernels, closed-form thresholds, parameter paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochorder.catalog import LAWS, continuous_grid, default_grid, density, discrete_grid, normalized
+from stochorder.criteria import order_probe, scan_kernel
 from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
@@ -215,11 +217,12 @@ def test_law_distribution_truncation_follows_tail_target():
 
 
 def test_pairwise_kernel_on_support_intersection():
-    pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.05")
+    p, q = law_from_spec("poisson:lambda=0.6"), law_from_spec("binomial:n=10,p=0.05")
+    pk = pairwise_kernel(p, q)
     assert pk.grid.kind == "discrete"
     assert np.array_equal(pk.grid.points, np.arange(11, dtype=float))
     k = pk.grid.points
-    direct = pk.p_law.log_weight(k) - pk.q_law.log_weight(k)
+    direct = p.log_weight(k) - q.log_weight(k)
     assert np.allclose(pk.values, direct, atol=1e-14)
 
 
@@ -271,9 +274,16 @@ def test_geometric_and_unit_negbinomial_share_pairwise_kernels():
 # pairwise verdicts
 
 
+BIN_SMALL = "binomial:n=10,p=0.05"
+POI_06 = "poisson:lambda=0.6"
+
+
+def pair(p_spec, q_spec, orders, **kw):
+    return check_pairwise(law_from_spec(p_spec), law_from_spec(q_spec), orders, **kw)
+
+
 def test_check_pairwise_lr_holds_for_small_binomial_under_poisson():
-    pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.05")
-    v = check_pairwise(pk, "lr")
+    [v] = pair(BIN_SMALL, POI_06, ["lr"])
     assert v.status == "holds" and v.witness is None
     assert v.claim == "binomial(n=10,p=0.05) <=lr poisson(lambda=0.6)"
     assert v.direction == "up" and v.method == "pairwise-kernel"
@@ -284,8 +294,7 @@ def test_check_pairwise_lr_holds_for_small_binomial_under_poisson():
 
 
 def test_check_pairwise_lc_holds_for_binomial_within_poisson():
-    pk = pairwise_kernel("binomial:n=10,p=0.05", "poisson:lambda=0.6")
-    v = check_pairwise(pk, "lc")
+    [v] = pair(BIN_SMALL, POI_06, ["lc"])
     assert v.status == "holds"
     assert v.claim == "binomial(n=10,p=0.05) <=lc poisson(lambda=0.6)"
     assert v.margin == pytest.approx(math.log(10.0 / 9.0), abs=1e-12)
@@ -293,8 +302,7 @@ def test_check_pairwise_lc_holds_for_binomial_within_poisson():
 
 
 def test_check_pairwise_lr_failure_carries_witness():
-    pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.5")
-    v = check_pairwise(pk, "lr")
+    [v] = pair("binomial:n=10,p=0.5", POI_06, ["lr"])
     assert v.status == "fails"
     assert v.witness.kind == "adjacent-pair" and v.witness.x == 0.0
     assert v.margin == pytest.approx(math.log(0.06), abs=1e-12)
@@ -302,49 +310,44 @@ def test_check_pairwise_lr_failure_carries_witness():
 
 
 def test_check_pairwise_guards_support_reach():
-    pk = pairwise_kernel("binomial:n=10,p=0.05", "poisson:lambda=0.6")
-    v = check_pairwise(pk, "lr")  # claims poisson <=lr binomial
+    v, w = pair(POI_06, BIN_SMALL, ["lr", "lc"])  # claims poisson below binomial
     assert v.status == "fails" and v.witness.kind == "support"
     assert v.margin == -math.inf
     assert v.note == "dominated support reaches beyond the dominating support"
-    w = check_pairwise(pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.05"), "lc")
     assert w.status == "fails" and w.witness.kind == "support"
 
 
 def test_check_pairwise_lr_fails_when_the_dominating_law_starts_lower():
-    # Q <=lr P implies Q <=st P, so P cannot put mass below Q's support. The
-    # kernel holds on the common range 3..5, where the binomial P also puts
+    # P <=lr Q implies P <=st Q, so Q cannot put mass below P's support. The
+    # kernel holds on the common range 3..5, where the binomial Q also puts
     # mass on 0..2; the lr claim used to come out inconclusive
-    hyp = make_law("hypergeometric", B=10, W=2, n=5)
-    v = check_pairwise(pairwise_kernel(law_from_spec("binomial:n=5,p=0.9"), hyp), "lr")
+    hyp = "hypergeometric:B=10,W=2,n=5"
+    [v] = pair(hyp, "binomial:n=5,p=0.9", ["lr"])
     assert v.claim == "hypergeometric(B=10,W=2,n=5) <=lr binomial(n=5,p=0.9)"
     assert v.status == "fails" and v.method == "pairwise-kernel"
     assert v.witness.kind == "support" and v.witness.x == 3.0
     assert v.margin == v.witness.margin == -math.inf
     assert v.note == "dominating support starts below the dominated support"
     # reversed, the dominating hypergeometric starts above: the kernel decides
-    w = check_pairwise(pairwise_kernel(hyp, law_from_spec("binomial:n=5,p=0.9")), "lr")
+    [w] = pair("binomial:n=5,p=0.9", hyp, ["lr"])
     assert w.witness.kind == "adjacent-pair" and w.note == "endpoint oracle fails"
 
 
 def test_check_pairwise_flags_shape_oracle_disagreement():
     # a tolerance wide enough to swallow real violations must not go unnoticed
-    pk = pairwise_kernel("poisson:lambda=0.6", "binomial:n=10,p=0.5")
-    v = check_pairwise(pk, "lr", tol_shape=10.0)
+    [v] = pair("binomial:n=10,p=0.5", POI_06, ["lr"], tol_shape=10.0)
     assert v.status == "inconclusive"
     assert v.note.endswith("kernel test and oracle disagree")
 
 
 def test_check_pairwise_identical_laws_hold_weakly():
-    pk = pairwise_kernel("poisson:lambda=1.5", "poisson:lambda=1.5", kmax=40)
-    v = check_pairwise(pk, "lr")
+    [v] = pair("poisson:lambda=1.5", "poisson:lambda=1.5", ["lr"], kmax=40)
     assert v.status == "holds" and v.margin == 0.0
 
 
 def test_check_pairwise_rejects_other_orders():
-    pk = pairwise_kernel("poisson:lambda=1", "poisson:lambda=2", kmax=20)
-    with pytest.raises(ValueError, match="'lr' or 'lc'"):
-        check_pairwise(pk, "st")
+    with pytest.raises(ValueError, match="unknown order 'ht'"):
+        pair("poisson:lambda=1", "poisson:lambda=2", ["ht"], kmax=20)
 
 
 @st.composite
@@ -375,9 +378,10 @@ def any_law(draw):
 
 def first_index_reference(pk, order, tol=1e-9):
     """(status, witness, margin) of the kernel test by the first-index rule:
-    the first margin below -tol is the witness, else the least margin holds."""
+    the first margin below -tol is the witness, else the least margin holds.
+    P <=lr Q reads K = log(w^P/w^Q) nonincreasing, P <=lc Q reads it concave."""
     if order == "lr":
-        margins, xs, kind = np.diff(pk.values), pk.grid.points[:-1], "adjacent-pair"
+        margins, xs, kind = -np.diff(pk.values), pk.grid.points[:-1], "adjacent-pair"
     else:
         margins, xs, kind = -np.diff(pk.values, 2), pk.grid.points[1:-1], "triplet"
     bad = np.nonzero(margins < -tol)[0]
@@ -397,7 +401,7 @@ def witness_bits(w):
 @example(make_law("poisson", **{"lambda": 2.0}), make_law("negbinomial", r=3, p=0.5), "lc")
 def test_check_pairwise_finds_the_first_index_witness(p_law, q_law, order):
     pk = pairwise_kernel(p_law, q_law, kmax=60)
-    v = check_pairwise(pk, order)
+    [v] = check_pairwise(p_law, q_law, [order], kmax=60)
     # the support guard decides before any kernel margin is read
     assume(v.witness is None or v.witness.kind != "support")
     status, witness, margin = first_index_reference(pk, order)
@@ -411,6 +415,22 @@ def test_check_pairwise_finds_the_first_index_witness(p_law, q_law, order):
     assert (v.margin is None and margin is None) or v.margin.hex() == margin.hex()
 
 
+@settings(max_examples=150, deadline=None)
+@given(any_law(), any_law())
+def test_check_pairwise_lr_reads_the_reversed_kernel_bit_for_bit(p_law, q_law):
+    # fl(a - b) == -fl(b - a): K = log(w^P/w^Q) read as nonincreasing gives
+    # the margins and witness of log(w^Q/w^P) read as nondecreasing
+    [v] = check_pairwise(p_law, q_law, ["lr"], kmax=60)
+    assume(v.witness is None or v.witness.kind != "support")
+    rk = pairwise_kernel(q_law, p_law, kmax=60)
+    [(witness, margin)] = scan_kernel(lambda _: rk.values, [0.0], rk.grid,
+                                      [order_probe("lr", "up")])
+    if witness is None and v.status == "inconclusive":
+        return  # the oracle refuted a kernel that holds; its witness is reported
+    assert v.margin == margin
+    assert v.witness == (witness and replace(witness, nu=None))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     lam1=st.floats(min_value=0.2, max_value=4.0),
@@ -418,8 +438,7 @@ def test_check_pairwise_finds_the_first_index_witness(p_law, q_law, order):
 )
 def test_poisson_pair_lr_margin_is_log_rate_ratio(lam1, bump):
     lam2 = lam1 + bump
-    pk = pairwise_kernel(f"poisson:lambda={lam2!r}", f"poisson:lambda={lam1!r}", kmax=60)
-    v = check_pairwise(pk, "lr")
+    [v] = pair(f"poisson:lambda={lam1!r}", f"poisson:lambda={lam2!r}", ["lr"], kmax=60)
     assert v.status == "holds"
     assert v.margin == pytest.approx(math.log(lam2 / lam1), abs=1e-12)
 

@@ -40,8 +40,11 @@ Each command runs in-process through `stochorder.cli.main` with
 - every branch of the pairwise lr and lc kernel tests (both fail with a
   kernel witness; lr fails and lc holds; both fail by support reach; lr
   with a dominating hypergeometric law whose support starts above the
-  dominated binomial's) and the interpolation path on either side of its
-  threshold;
+  dominated binomial's; lc with a dominated binomial whose support starts
+  below the dominating hypergeometric's; all four orders on a beta-binomial
+  and a hypergeometric law with disjoint supports, either way round; all four
+  orders at `--tail-eps 1e-6`) and the interpolation path on either side of
+  its threshold;
 - paths with one idle parameter, whose chain-rule kernel skips that
   parameter's component: a negbinomial path with r1 = r2 and a gamma path
   with rho1 = rho2;
@@ -125,6 +128,14 @@ KERNEL_BRANCHES = (
     ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.2"],
     ["pairwise", "--p", "hypergeometric:B=10,W=2,n=5", "--q", "binomial:n=5,p=0.9",
      "--orders", "lr"],
+    ["pairwise", "--p", "binomial:n=5,p=0.9", "--q", "hypergeometric:B=10,W=2,n=5",
+     "--orders", "lc"],
+    ["pairwise", "--p", "betabinomial:n=38,r=4.85272,s=5.12533",
+     "--q", "hypergeometric:B=50,W=4,n=52", "--orders", "lr,lc,st,hr"],
+    ["pairwise", "--p", "hypergeometric:B=50,W=4,n=52",
+     "--q", "betabinomial:n=38,r=4.85272,s=5.12533", "--orders", "lr,lc,st,hr"],
+    ["pairwise", "--p", "poisson:lambda=2", "--q", "negbinomial:r=3,p=0.5",
+     "--tail-eps", "1e-6", "--orders", "lr,lc,st,hr"],
 )
 
 IDLE_PARAMETERS = (
