@@ -13,171 +13,21 @@ hazard-rate orders three ways that deliberately share no code path:
 `catalog` carries the law table, the families and grid policy, `compound` the
 random-sum layer (posterior-averaged kernels, PF2/TP2 certificates), and
 `cli` a deterministic JSON/CSV front end with golden-file table checks.
+The package exports the `__all__` of each module but `cli`, which importing
+the package does not load.
 """
 
-from .catalog import (
-    Distribution,
-    DensityFamily,
-    FAMILY_NAMES,
-    SupportGrid,
-    continuous_grid,
-    default_grid,
-    density,
-    discrete_grid,
-    family_from_spec,
-    hazard,
-    make_family,
-    mixed_grid,
-    parse_spec,
-    survival,
-)
-from .compound import (
-    COUNTING_NAMES,
-    CompoundModel,
-    TABLE2_ROWS,
-    check_compound_lr,
-    compound_kernel,
-    compound_kernel_all,
-    compound_pmf,
-    compound_score_all,
-    convolution_power,
-    counting_from_spec,
-    delta_summand,
-    geometric_summand,
-    is_pf2,
-    is_tp2,
-    make_compound,
-    make_counting,
-    poisson_binomial_pmf,
-    posterior_matrix,
-    posterior_mean,
-    summand_from_spec,
-)
-from .criteria import (
-    EPS_TAIL,
-    NU_POINTS,
-    TOL_SHAPE,
-    TOL_TAIL,
-    TailMeanProfile,
-    check_concave_endpoint,
-    check_hr,
-    check_lc,
-    check_lr,
-    check_st,
-    check_superlevel,
-    check_unimodal_endpoint,
-    nu_scan,
-    tail_mean_profile,
-    weighted_log_derivative,
-)
-from .oracle import (
-    LikelihoodRatioSeq,
-    likelihood_ratio_seq,
-    oracle_for,
-    oracle_hr,
-    oracle_lc,
-    oracle_lr,
-    oracle_st,
-    total_variation,
-)
-from .pairwise import (
-    LAW_NAMES,
-    PATH_NAMES,
-    PairwiseKernel,
-    PairwiseLaw,
-    betabin_bin_interpolation,
-    betabin_hyp_condition,
-    betabin_hyp_delta,
-    check_pairwise,
-    check_path_order,
-    interpolation_law,
-    katz_threshold,
-    law_distribution,
-    law_from_spec,
-    make_law,
-    pairwise_kernel,
-)
-from .verdicts import DIRECTIONS, METHODS, ORDERS, STATUSES, OrderVerdict, Witness
+from . import catalog, compound, criteria, oracle, pairwise, verdicts
+from .catalog import *  # noqa: F403
+from .compound import *  # noqa: F403
+from .criteria import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .pairwise import *  # noqa: F403
+from .verdicts import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Distribution",
-    "DensityFamily",
-    "FAMILY_NAMES",
-    "SupportGrid",
-    "continuous_grid",
-    "default_grid",
-    "density",
-    "discrete_grid",
-    "family_from_spec",
-    "hazard",
-    "make_family",
-    "mixed_grid",
-    "parse_spec",
-    "survival",
-    "COUNTING_NAMES",
-    "CompoundModel",
-    "TABLE2_ROWS",
-    "check_compound_lr",
-    "compound_kernel",
-    "compound_kernel_all",
-    "compound_pmf",
-    "compound_score_all",
-    "convolution_power",
-    "counting_from_spec",
-    "delta_summand",
-    "geometric_summand",
-    "is_pf2",
-    "is_tp2",
-    "make_compound",
-    "make_counting",
-    "poisson_binomial_pmf",
-    "posterior_matrix",
-    "posterior_mean",
-    "summand_from_spec",
-    "EPS_TAIL",
-    "NU_POINTS",
-    "TOL_SHAPE",
-    "TOL_TAIL",
-    "TailMeanProfile",
-    "check_concave_endpoint",
-    "check_hr",
-    "check_lc",
-    "check_lr",
-    "check_st",
-    "check_superlevel",
-    "check_unimodal_endpoint",
-    "nu_scan",
-    "tail_mean_profile",
-    "weighted_log_derivative",
-    "LikelihoodRatioSeq",
-    "likelihood_ratio_seq",
-    "oracle_for",
-    "oracle_hr",
-    "oracle_lc",
-    "oracle_lr",
-    "oracle_st",
-    "total_variation",
-    "LAW_NAMES",
-    "PATH_NAMES",
-    "PairwiseKernel",
-    "PairwiseLaw",
-    "betabin_bin_interpolation",
-    "betabin_hyp_condition",
-    "betabin_hyp_delta",
-    "check_pairwise",
-    "check_path_order",
-    "interpolation_law",
-    "katz_threshold",
-    "law_distribution",
-    "law_from_spec",
-    "make_law",
-    "pairwise_kernel",
-    "DIRECTIONS",
-    "METHODS",
-    "ORDERS",
-    "STATUSES",
-    "OrderVerdict",
-    "Witness",
+    *catalog.__all__, *compound.__all__, *criteria.__all__, *oracle.__all__, *pairwise.__all__,
+    *verdicts.__all__,
 ]

@@ -48,6 +48,7 @@ __all__ = [
     "FAMILY_NAMES",
     "make_family",
     "parse_spec",
+    "family_from_spec",
     "density",
     "normalized",
     "survival",
@@ -58,6 +59,8 @@ __all__ = [
     "mixed_grid",
     "MAX_GRID_POINTS",
     "MAX_KMAX",
+    "TAIL_CUT_EPS",
+    "TAIL_CUT_KMAX",
 ]
 
 # Quantile span for continuous supports; the grid covers [q(CONT_TAIL),
@@ -72,6 +75,11 @@ MAX_GRID_POINTS = 100_000
 # parameters (n, B, W) and of the CLI's --kmax, far above every default and
 # benchmark run, past which a command would allocate without a useful bound.
 MAX_KMAX = 100_000
+
+# Default cut of an infinite discrete support: the tail mass left past the
+# cut, and the largest k the tail search reaches for it.
+TAIL_CUT_EPS = 1e-12
+TAIL_CUT_KMAX = 10_000
 
 _NORMAL = NormalDist()
 
@@ -605,8 +613,6 @@ class DensityFamily:
 
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
-    extras hold module-specific annotations (the compound module stores the
-    normalizer derivative and the kernel's slope in n there).
     """
 
     name: str
@@ -619,7 +625,6 @@ class DensityFamily:
     kernel: Callable[[float, np.ndarray], np.ndarray]
     log_normalizer: Callable[[float], float]
     quantile: Callable[[float, float], float] | None = None
-    extras: Mapping[str, object] = field(default_factory=dict)
 
     def validate_param(self, nu: float) -> float:
         nu = float(nu)
@@ -694,11 +699,10 @@ class View:
         return theta
 
     def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
-              at: Callable[[float], Theta], kernel: Callable[[float, np.ndarray], np.ndarray],
-              extras: Mapping[str, Callable[[Theta], float]] | None = None) -> DensityFamily:
+              at: Callable[[float], Theta],
+              kernel: Callable[[float, np.ndarray], np.ndarray]) -> DensityFamily:
         """The family s -> the law at at(s), s in `interval`, with kernel(s, x) =
-        d/ds log_factor; the unmoved parameters `fixed` give the support. extras
-        are functions of the law's parameters, bound to s like the log factor."""
+        d/ds log_factor; the unmoved parameters `fixed` give the support."""
         law = LAWS[self.law]
         return DensityFamily(
             name=name, kind=law.kind, param_name=param, param_interval=interval,
@@ -706,11 +710,9 @@ class View:
             log_factor=lambda s, x: law.log_factor(at(s), x), kernel=kernel,
             log_normalizer=lambda s: law.log_normalizer(at(s)),
             quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
-            extras={k: (lambda s, g=g: g(at(s))) for k, g in (extras or {}).items()},
         )
 
-    def family(self, name: str, label: str, given: Mapping[str, float],
-               extras: Mapping[str, Callable[[Theta], float]] | None = None) -> DensityFamily:
+    def family(self, name: str, label: str, given: Mapping[str, float]) -> DensityFamily:
         """The one-parameter family in `varied`, the other parameters fixed
         at `given` or their defaults."""
         law = LAWS[self.law]
@@ -721,7 +723,7 @@ class View:
             return {**fixed, free: nu}
 
         return self.curve(name, fixed, self.shown.get(free, free), law.domains[free], at,
-                          lambda nu, x: law.kernels[free](at(nu), x), extras)
+                          lambda nu, x: law.kernels[free](at(nu), x))
 
 
 # the Table-1 families: the law each one views, the parameter it varies and
@@ -897,8 +899,8 @@ def default_grid(
     f: DensityFamily,
     nus,
     *,
-    tail_eps: float = 1e-12,
-    kmax: int = 10_000,
+    tail_eps: float = TAIL_CUT_EPS,
+    kmax: int = TAIL_CUT_KMAX,
     grid_points: int = 2000,
 ) -> SupportGrid:
     """Grid valid for every nu in `nus`: tail-complete, with at most

@@ -32,6 +32,8 @@ import numpy as np
 from .catalog import (
     MAX_GRID_POINTS,
     MAX_KMAX,
+    TAIL_CUT_EPS,
+    TAIL_CUT_KMAX,
     View,
     continuous_grid,
     default_grid,
@@ -366,6 +368,9 @@ def _cmd_compound(args) -> tuple[dict, int]:
     summand = summand_from_spec(args.summand)
     nu1, nu2 = float(args.nu1), float(args.nu2)
     model = make_compound(counting, summand, (nu1, nu2))
+    if nu1 == nu2:
+        raise ValueError(f"--nu1 and --nu2 are both {nu1:g}; the compound scan needs two "
+                         "distinct values")
     v = check_compound_lr(model, nu1, nu2, nu_points=args.nu_points, tol_shape=args.tol_shape)
     tolerances = {"tol_shape": args.tol_shape, "nu_points": args.nu_points}
     inputs = {
@@ -471,7 +476,10 @@ def _build_table2() -> tuple[dict, list[OrderVerdict], bool]:
         model = make_compound(counting, summand, (lo, hi))
         v = check_compound_lr(model, lo, hi)
         verdicts.append(v)
-        sign = "+" if float(counting.extras["slope"](0.5 * (lo + hi))) > 0 else "-"
+        # b(nu), the kernel's step in n, at the middle of the scan
+        n0 = counting.support[0]
+        g = counting.kernel(0.5 * (lo + hi), np.array([n0, n0 + 1.0]))
+        sign = "+" if float(g[1] - g[0]) > 0 else "-"
         rows.append(
             {"counting": name, "slope_sign": sign, "direction": v.direction, "status": v.status}
         )
@@ -579,13 +587,13 @@ def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict
     start = interpolation_law(n, r, s, p, 0.0)
     target = law_distribution(make_law("binomial", n=n, p=p))
     verdict = reconcile(criterion, oracle_lr(start, target), "path test")
-    extras = {
+    path_inputs = {
         "threshold": rep.threshold,
         "condition": rep.condition,
         "c_values": list(rep.c_values),
         "delta_margins": {format(c, "g"): rep.delta_margins[c] for c in rep.c_values},
     }
-    return verdict, extras
+    return verdict, path_inputs
 
 
 def _cmd_path(args) -> tuple[dict, int]:
@@ -597,8 +605,8 @@ def _cmd_path(args) -> tuple[dict, int]:
     if name == "interpolation":
         if args.order != "lr":
             raise ValueError("the interpolation path reports the lr order only")
-        v, extras = _interpolation_verdict(params, args.tol_shape)
-        report = _report("path", {**inputs, **extras}, [v], tolerances)
+        v, path_inputs = _interpolation_verdict(params, args.tol_shape)
+        report = _report("path", {**inputs, **path_inputs}, [v], tolerances)
         return report, 0 if v.holds else 1
     family = path_family(name, params)
     t_grid = np.linspace(0.0, 1.0, int(args.t_points))
@@ -628,8 +636,8 @@ _OPTIONS = {
     "--nu2": {"type": float, "required": True},
     "--orders": {"default": "lr,lc,st,hr"},
     "--order": {"default": "lr"},
-    "--kmax": {"type": _size(2, MAX_KMAX), "default": 10_000},
-    "--tail-eps": {"type": _tolerance, "default": 1e-12},
+    "--kmax": {"type": _size(2, MAX_KMAX), "default": TAIL_CUT_KMAX},
+    "--tail-eps": {"type": _tolerance, "default": TAIL_CUT_EPS},
     "--tol-shape": {"type": _tolerance, "default": TOL_SHAPE},
     "--tol-tail": {"type": _tolerance, "default": TOL_TAIL},
     "--nu-grid": {"help": "comma-separated scan values overriding the default"},

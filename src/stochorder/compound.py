@@ -13,9 +13,9 @@ counting laws G_nu(n) is affine in n and the lr direction is the sign of
 its slope b(nu).
 
 Each counting law is a one-parameter view of an entry of `catalog.LAWS`
-(the p-forms for geometric and the negative binomial), with two extras:
-`dlogA`, the derivative of the log normalizer (for the score), and, on the
-Table-2 rows, `slope`, the closed-form b(nu).
+(the p-forms for geometric and the negative binomial); its kernel is its only
+per-law input. The score centres the compound kernel under the compound law,
+and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
 
 All arrays are truncated: summands at tail eps, counting at n_max, the
 compound support at k_max; truncation budgets are recorded on the objects.
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .catalog import (
-    MAX_KMAX, DensityFamily, Distribution, View, _discrete_span, _tail_span, checked,
-    discrete_grid, parse_spec,
+    MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, View, _discrete_span, _tail_span,
+    checked, discrete_grid, parse_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
 from .special import log_factorial_vec
@@ -64,7 +63,6 @@ __all__ = [
     "poisson_binomial_pmf",
 ]
 
-_EPS_TAIL = 1e-12
 _MINOR_TOL = 1e-12
 _N_CAP = 500
 
@@ -110,7 +108,7 @@ class SummandLaw:
         return float(np.dot(np.arange(1, self.j_max + 1), self.masses))
 
 
-def geometric_summand(p: float, eps_tail: float = _EPS_TAIL) -> SummandLaw:
+def geometric_summand(p: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
     """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}, truncated at tail <= eps."""
     if not 0 < p < 1:
         raise ValueError("geometric summand needs p in (0,1)")
@@ -134,7 +132,7 @@ def two_point_summand(w1: float) -> SummandLaw:
     return SummandLaw(np.array([w1, 1.0 - w1]), 0.0)
 
 
-def poisson_shifted_summand(mu: float, eps_tail: float = _EPS_TAIL) -> SummandLaw:
+def poisson_shifted_summand(mu: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
     """J = 1 + M with M Poisson(mu), truncated at tail <= eps."""
     if not mu > 0:
         raise ValueError("shifted-poisson summand needs mu > 0")
@@ -187,49 +185,25 @@ TABLE2_ROWS = (
 )
 
 
-# counting law: its view of a table law and its extras, functions of the
-# law's parameters: dlogA = d/dnu log A and, for the Table-2 rows, the slope
-# b of the kernel in n
-_COUNTING: dict[str, tuple[View, dict[str, Callable]]] = {
-    "poisson": (
-        View("poisson", "theta", shown={"theta": "lam"}),
-        {"dlogA": lambda th: 1.0, "slope": lambda th: 1.0 / th["theta"]},
-    ),
-    "geometric": (
-        View("geometric-p", "p"),
-        {"dlogA": lambda th: -1.0 / th["p"], "slope": lambda th: -1.0 / (1.0 - th["p"])},
-    ),
-    "negbinomial": (
-        View("negbinomial-p", "p", {"alpha": 2.0}, {"r": "alpha"}),
-        {"dlogA": lambda th: -th["r"] / th["p"], "slope": lambda th: -1.0 / (1.0 - th["p"])},
-    ),
-    "binomial": (
-        View("binomial", "p", {"n0": 10}, {"n": "n0"}),
-        {"dlogA": lambda th: 0.0, "slope": lambda th: 1.0 / (th["p"] * (1.0 - th["p"]))},
-    ),
-    "logseries": (
-        View("logseries", "theta"),
-        {
-            "dlogA": lambda th: 1.0 / ((1.0 - th["theta"]) * (-math.log1p(-th["theta"]))),
-            "slope": lambda th: 1.0 / th["theta"],
-        },
-    ),
-    "negbinomial-in-shape": (
-        View("negbinomial-p", "r", {"p": 0.5}, {"r": "alpha"}),
-        {"dlogA": lambda th: -math.log(th["p"])},
-    ),
+# counting law: its view of a table law
+_COUNTING: dict[str, View] = {
+    "poisson": View("poisson", "theta", shown={"theta": "lam"}),
+    "geometric": View("geometric-p", "p"),
+    "negbinomial": View("negbinomial-p", "p", {"alpha": 2.0}, {"r": "alpha"}),
+    "binomial": View("binomial", "p", {"n0": 10}, {"n": "n0"}),
+    "logseries": View("logseries", "theta"),
+    "negbinomial-in-shape": View("negbinomial-p", "r", {"p": 0.5}, {"r": "alpha"}),
 }
 
 COUNTING_NAMES = tuple(sorted(_COUNTING))
 
 
 def make_counting(name: str, **fixed: float) -> DensityFamily:
-    """A counting law: a family view with its `dlogA` (and `slope`) extras."""
-    row = _COUNTING.get(name)
-    if row is None:
+    """A counting law: a family view of a table law."""
+    view = _COUNTING.get(name)
+    if view is None:
         raise ValueError(f"unknown counting law {name!r}; valid: {', '.join(COUNTING_NAMES)}")
-    view, extras = row
-    return view.family(name, f"{name} counting law", fixed, extras)
+    return view.family(name, f"{name} counting law", fixed)
 
 
 def counting_from_spec(text: str) -> DensityFamily:
@@ -297,7 +271,7 @@ def make_compound(
     summand: SummandLaw,
     nus,
     *,
-    eps_tail: float = _EPS_TAIL,
+    eps_tail: float = TAIL_CUT_EPS,
     k_cap: int = 2000,
     n_cap: int = _N_CAP,
 ) -> CompoundModel:
@@ -446,12 +420,11 @@ def compound_kernel(m: CompoundModel, nu: float, k: int) -> float:
 
 
 def compound_score_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, d/dnu log f_nu(k)): the posterior-averaged centred kernel."""
-    dlogA = m.counting.extras.get("dlogA")
-    if dlogA is None:
-        raise ValueError(f"{m.counting.name}: no normalizer derivative registered")
+    """(k, d/dnu log f_nu(k)): the posterior-averaged kernel K less its mean
+    E[K] under the compound law at nu."""
     ks, vals = compound_kernel_all(m, nu)
-    return ks, vals - float(dlogA(nu))
+    f = compound_pmf(m, nu).masses[ks.astype(int)]
+    return ks, vals - float(np.dot(f, vals))
 
 
 # ---------------------------------------------------------------------------

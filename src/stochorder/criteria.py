@@ -9,10 +9,12 @@ K_nu(x) = d/dnu log w_nu(x) and of the score s_nu = K_nu - E[K_nu(X)]:
   hazard rate        up  <=>  K_nu(x) <= E[K_nu | X >= x] for every nu, x
 
 Direction semantics: 'up' claims P_{nu1} <= P_{nu2} whenever nu1 <= nu2,
-'down' the reverse. The log-concavity check defaults to 'down' because a
-concave kernel dominates the larger parameter; 'up' tests convexity.
+'down' the reverse. The log-concavity test in direction 'down' is concavity,
+because a concave kernel dominates the larger parameter; 'up' tests convexity.
+Triplet tests use increment differences: second differences on integer
+grids, slope differences otherwise.
 
-Every check is one pass of `scan_kernel` over the parameter grid: per nu it
+Every test is one pass of `scan_kernel` over the parameter grid: per nu it
 builds the kernel once, and the law and tail means only while a test that
 reads them is open, holding one nu at a time (O(grid) memory). Where
 sign * K_nu is nondecreasing on the grid (min of the signed slopes >= 0,
@@ -22,9 +24,10 @@ lr => hr => st, so st and hr skip that nu: it adds no margin, and a test
 skipped at every nu holds with no margin and says so. Tolerances are >= 0,
 as the skip demands no positive margin. Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
-`scan_orders` runs several tests in one pass; `check_*` are one-test views.
-It is the criterion route's one first-witness search: the pairwise, path and
-compound kernel tests and the Table-1 sign columns run through it as well.
+`scan_orders` runs any list of (order, direction) tests in one pass, and a
+one-test list alone. `scan_kernel` is the criterion route's one first-witness
+search: the pairwise, path and compound kernel tests and the Table-1 sign
+columns run through it as well.
 
 A direction is a sign carried with each step, not a negated copy: a probe
 yields unsigned margins m and a sign, and the test reads sign * m. Both
@@ -67,10 +70,6 @@ __all__ = [
     "order_probe",
     "scan_kernel",
     "scan_orders",
-    "check_lr",
-    "check_lc",
-    "check_st",
-    "check_hr",
     "check_superlevel",
     "check_unimodal_endpoint",
     "check_concave_endpoint",
@@ -371,7 +370,7 @@ def scan_orders(
     known_laws: Mapping[float, Distribution] | None = None,
 ) -> list[OrderVerdict]:
     """Kernel-criterion verdicts of the (order, direction) tests from one scan;
-    each equals the verdict its `check_<order>` view gives alone. known_laws
+    each equals the verdict a scan of that test alone gives. known_laws
     maps nu to `density(f, nu, grid)` already evaluated by the caller."""
     probes = [order_probe(o, d, tol_shape, tol_tail, eps_tail) for o, d in tests]
     results, size = _family_scan(f, nu_grid, grid, probes, known_laws)
@@ -381,63 +380,6 @@ def scan_orders(
                  _IMPLIED_NOTE if p.implied == size["nu_points"] else _SCANNED_NOTE)
         for (o, d), p, r in zip(tests, probes, results)
     ]
-
-
-# ---------------------------------------------------------------------------
-# the four kernel criteria
-
-
-def check_lr(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    direction: str = "up",
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Likelihood-ratio order via kernel monotonicity on adjacent grid pairs."""
-    return scan_orders(f, nu_grid, grid, [("lr", direction)], tol_shape=tol_shape)[0]
-
-
-def check_lc(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    direction: str = "down",
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Relative log-concavity via the kernel's second shape.
-
-    direction 'down' tests concavity (larger parameter is dominated), 'up'
-    tests convexity. Triplet tests use increment differences: second
-    differences on integer grids, slope differences otherwise.
-    """
-    return scan_orders(f, nu_grid, grid, [("lc", direction)], tol_shape=tol_shape)[0]
-
-
-def check_st(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    direction: str = "up",
-    tol_tail: float = TOL_TAIL,
-    eps_tail: float = EPS_TAIL,
-) -> OrderVerdict:
-    """Usual order via the sign of E[K | X >= x] - E[K] at every tail point."""
-    return scan_orders(f, nu_grid, grid, [("st", direction)],
-                       tol_tail=tol_tail, eps_tail=eps_tail)[0]
-
-
-def check_hr(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    direction: str = "up",
-    tol_tail: float = TOL_TAIL,
-    eps_tail: float = EPS_TAIL,
-) -> OrderVerdict:
-    """Hazard-rate order via the sign of E[K | X >= x] - K(x)."""
-    return scan_orders(f, nu_grid, grid, [("hr", direction)],
-                       tol_tail=tol_tail, eps_tail=eps_tail)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (
-    LAWS, DensityFamily, Distribution, SupportGrid, View, _tail_span, discrete_grid, normalized,
-    parse_spec,
+    LAWS, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid, View,
+    _tail_span, discrete_grid, normalized, parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
@@ -68,10 +68,6 @@ __all__ = [
     "betabin_bin_interpolation",
     "interpolation_law",
 ]
-
-_EPS_TAIL = 1e-12
-_KMAX_CAP = 10_000
-
 
 # ---------------------------------------------------------------------------
 # concrete discrete laws with explicit factors
@@ -126,14 +122,14 @@ def law_from_spec(text: str) -> PairwiseLaw:
     return make_law(name, **params)
 
 
-def law_distribution(law: PairwiseLaw, eps_tail: float = _EPS_TAIL) -> Distribution:
+def law_distribution(law: PairwiseLaw, eps_tail: float = TAIL_CUT_EPS) -> Distribution:
     """The law's pmf, normalized over its support; an infinite support is first
     cut by `catalog._tail_span` on exp(log_weight - log_normalizer), at the
     first k whose tail relative to the evaluated masses' sum is <= eps_tail."""
     lo, hi = int(law.support[0]), law.support[1]
     if not math.isfinite(hi):
         span = _tail_span(lambda ks: np.exp(law.log_weight(ks) - law.log_normalizer), lo,
-                          _KMAX_CAP, eps_tail, own_total=True)
+                          TAIL_CUT_KMAX, eps_tail, own_total=True)
         if span is None:
             raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
         hi = span[0]
@@ -197,7 +193,7 @@ def _support_refusal(order: str, p: PairwiseLaw, q: PairwiseLaw, lo: int, hi: in
 
 def check_pairwise(
     p: PairwiseLaw, q: PairwiseLaw, orders: Sequence[str], kmax: int = 200,
-    tol_shape: float = TOL_SHAPE, eps_tail: float = _EPS_TAIL,
+    tol_shape: float = TOL_SHAPE, eps_tail: float = TAIL_CUT_EPS,
 ) -> list[OrderVerdict]:
     """Decide P <=o Q for each order o in `orders`, in that order.
 

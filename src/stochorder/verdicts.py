@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
+__all__ = ["ORDERS", "DIRECTIONS", "STATUSES", "METHODS", "Witness", "OrderVerdict", "reconcile"]
+
 ORDERS = ("lr", "lc", "st", "hr")
 DIRECTIONS = ("up", "down")
 STATUSES = ("holds", "fails", "inconclusive")

@@ -28,13 +28,7 @@ from stochorder.compound import (
     posterior_matrix,
     posterior_mean,
 )
-from stochorder.criteria import (
-    check_hr,
-    check_lc,
-    check_lr,
-    check_st,
-    check_unimodal_endpoint,
-)
+from stochorder.criteria import check_unimodal_endpoint, scan_orders
 from stochorder.oracle import oracle_hr, oracle_lc, oracle_lr, oracle_st
 from stochorder.pairwise import (
     betabin_bin_interpolation,
@@ -75,8 +69,8 @@ CATALOG_ROWS = (
     ("zero-inflated-exponential", (1.0, 2.0), "mixed", "-", None),
 )
 
-SHAPE_CHECKS = {"lr": check_lr, "lc": check_lc, "st": check_st, "hr": check_hr}
 ORACLES = {"lr": oracle_lr, "lc": oracle_lc, "st": oracle_st, "hr": oracle_hr}
+SHAPE_TESTS = [(o, d) for o in ORACLES for d in ("up", "down")]
 
 
 def _row_grid(fam, nus, window):
@@ -132,13 +126,12 @@ def test_shape_criteria_agree_with_density_oracles_across_catalog():
         grid = _row_grid(fam, nus, window)
         dens = {nu: density(fam, nu, grid) for nu in nus}
         for a, b in zip(nus[:-1], nus[1:]):
-            for order in ("lr", "lc", "st", "hr"):
-                for direction in ("up", "down"):
-                    verdict = SHAPE_CHECKS[order](fam, [a, b], grid, direction=direction)
-                    first, second = (a, b) if direction == "up" else (b, a)
-                    brute = ORACLES[order](dens[first], dens[second])
-                    if verdict.holds != brute.holds:
-                        disagreements.append((spec, (a, b), order, direction))
+            verdicts = scan_orders(fam, [a, b], grid, SHAPE_TESTS)
+            for (order, direction), verdict in zip(SHAPE_TESTS, verdicts):
+                first, second = (a, b) if direction == "up" else (b, a)
+                brute = ORACLES[order](dens[first], dens[second])
+                if verdict.holds != brute.holds:
+                    disagreements.append((spec, (a, b), order, direction))
     assert disagreements == []
 
 
@@ -200,11 +193,12 @@ def test_zero_inflated_poisson_orders_st_and_hr_but_not_lr():
     fam = family_from_spec("zero-inflated-poisson")
     assert fam.fixed_params == {"pi": 0.5}
     grid = default_grid(fam, (3.0, 5.0))
-    v_lr = check_lr(fam, [3.0, 5.0], grid, direction="up")
+    v_lr, v_st, v_hr = scan_orders(fam, [3.0, 5.0], grid, [("lr", "up"), ("st", "up"),
+                                                          ("hr", "up")])
     assert v_lr.status == "fails"
     assert v_lr.witness is not None and v_lr.witness.x <= 1.0
-    assert check_st(fam, [3.0, 5.0], grid, direction="up").holds
-    assert check_hr(fam, [3.0, 5.0], grid, direction="up").holds
+    assert v_st.holds
+    assert v_hr.holds
     d3 = density(fam, 3.0, grid)
     d5 = density(fam, 5.0, grid)
     assert oracle_lr(d3, d5).status == "fails"

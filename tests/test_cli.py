@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochorder
 from stochorder import cli
 from stochorder.catalog import continuous_grid, default_grid, family_from_spec
 from stochorder.cli import dumps, main
-from stochorder.criteria import check_lc, check_lr
+from stochorder.criteria import scan_orders
 
 
 def run_cli(capsys, *argv):
@@ -291,10 +292,10 @@ def test_table1_verdicts_are_the_rows_own_checks(capsys):
             window[0], window[1], n=window[2])
         # lr in the direction of the expected slope sign; lc in that of the
         # expected curvature sign, and both ways for a flat one
-        alone = [check_lr(fam, nus, grid, direction=d)
-                 for d in {"+": ["up"], "-": ["down"]}.get(slope, [])]
-        alone += [check_lc(fam, nus, grid, direction=d)
+        tests = [("lr", d) for d in {"+": ["up"], "-": ["down"]}.get(slope, [])]
+        tests += [("lc", d)
                   for d in {"-": ["down"], "+": ["up"], "0": ["down", "up"]}.get(curv, [])]
+        alone = [scan_orders(fam, nus, grid, [test])[0] for test in tests]
         for v in alone:
             assert next(listed) == json.loads(dumps(v.to_dict())), spec
     assert next(listed, None) is None
@@ -379,6 +380,11 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
             ("compound", "--counting", "poisson", "--summand", "geometric:q=0.5",
              "--nu1", "1", "--nu2", "2"),
             "'p'",
+        ),
+        (
+            ("compound", "--counting", "poisson", "--summand", "geometric:p=0.5",
+             "--nu1", "2", "--nu2", "2"),
+            "--nu1 and --nu2 are both 2",
         ),
         (("path", "--name", "spiral:a=1"), "spiral"),
         (("path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--order", "xx"), "xx"),
@@ -604,6 +610,16 @@ def cold_start(*argv):
 def test_importing_the_package_leaves_scipy_unloaded():
     run = cold_start()
     assert (run.returncode, run.stdout, run.stderr) == (0, "", "False")
+
+
+def test_the_package_exports_each_module_list_once():
+    modules = [stochorder.catalog, stochorder.compound, stochorder.criteria, stochorder.oracle,
+               stochorder.pairwise, stochorder.verdicts]
+    assert stochorder.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(stochorder.__all__)) == len(stochorder.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(stochorder, name) is getattr(m, name), name
 
 
 @pytest.mark.parametrize(

@@ -288,6 +288,23 @@ def test_compound_score_matches_finite_difference():
     assert np.allclose(score[on], fd, atol=1e-5)
 
 
+@pytest.mark.parametrize("name,nu", [("poisson", 2.0), ("geometric", 0.4), ("negbinomial", 0.4),
+                                     ("binomial", 0.3), ("logseries", 0.5),
+                                     ("negbinomial-in-shape", 2.0)])
+def test_compound_score_is_centred_under_the_compound_law(name, nu):
+    h = 1e-5
+    model = make_compound(make_counting(name), geometric_summand(0.5), (nu - h, nu + h))
+    ks, score = compound_score_all(model, nu)
+    k = ks.astype(int)
+    masses = compound_pmf(model, nu).masses[k]
+    assert abs(float(np.dot(masses, score))) <= 1e-12, name
+    # the centring is the derivative of the log normalizer: d/dnu log f_nu(k)
+    keep = masses > 1e-8
+    above, below = model.compound_masses(nu + h)[k], model.compound_masses(nu - h)[k]
+    fd = (np.log(above[keep]) - np.log(below[keep])) / (2 * h)
+    assert np.allclose(score[keep], fd, atol=1e-5), name
+
+
 def test_compound_kernel_scalar_accessor():
     model = make_compound(make_counting("poisson"), geometric_summand(0.5), (2.0,))
     ks, vals = compound_kernel_all(model, 2.0)

@@ -29,10 +29,6 @@ from stochorder.criteria import (
     TOL_SHAPE,
     TOL_TAIL,
     check_concave_endpoint,
-    check_hr,
-    check_lc,
-    check_lr,
-    check_st,
     check_superlevel,
     check_unimodal_endpoint,
     nu_scan,
@@ -182,9 +178,8 @@ def test_poisson_lr_holds_up_and_fails_down():
     fam = make_family("poisson")
     nus = nu_scan(1.0, 2.0)
     grid = default_grid(fam, nus)
-    up = check_lr(fam, nus, grid)
+    up, down = scan_orders(fam, nus, grid, [("lr", "up"), ("lr", "down")])
     assert up.holds and up.direction == "up" and up.witness is None
-    down = check_lr(fam, nus, grid, direction="down")
     assert down.status == "fails"
     assert down.witness is not None and down.witness.nu is not None
 
@@ -193,19 +188,18 @@ def test_affine_kernel_is_log_concave_both_ways():
     fam = make_family("geometric")
     nus = nu_scan(0.3, 0.6)
     grid = default_grid(fam, nus)
-    assert check_lc(fam, nus, grid, direction="down").holds
-    assert check_lc(fam, nus, grid, direction="up").holds
+    down, up = scan_orders(fam, nus, grid, [("lc", "down"), ("lc", "up")])
+    assert down.holds and up.holds
 
 
 def test_gamma_rate_family_decreases_in_every_order():
     fam = family_from_spec("gamma-in-rate:r=2")
     nus = nu_scan(1.0, 2.0)
     grid = default_grid(fam, nus)
-    for chk in (check_lr, check_st, check_hr):
-        v = chk(fam, nus, grid, direction="down")
-        assert v.holds, chk.__name__
-        v = chk(fam, nus, grid, direction="up")
-        assert v.status == "fails", chk.__name__
+    for order in ("lr", "st", "hr"):
+        down, up = scan_orders(fam, nus, grid, [(order, "down"), (order, "up")])
+        assert down.holds, order
+        assert up.status == "fails", order
 
 
 MONOTONE_UP = ["poisson", "binomial-in-p", "gamma-in-shape", "lognormal-in-mu"]
@@ -217,22 +211,22 @@ def test_ratio_order_implies_hazard_and_usual(name):
     lo, hi = fam.param_interval
     nus = nu_scan(0.2, 0.5) if hi <= 1.0 else nu_scan(max(lo, 0.0) + 1.0, max(lo, 0.0) + 2.0)
     grid = default_grid(fam, nus)
-    assert check_lr(fam, nus, grid).holds
-    assert check_hr(fam, nus, grid).holds
-    assert check_st(fam, nus, grid).holds
+    lr, hr, st = scan_orders(fam, nus, grid, [("lr", "up"), ("hr", "up"), ("st", "up")])
+    assert lr.holds and hr.holds and st.holds
 
 
 def test_zero_inflated_poisson_blocks_ratio_but_not_tails():
     fam = family_from_spec("zero-inflated-poisson:pi=0.5")
     nus = nu_scan(3.0, 5.0)
     grid = default_grid(fam, nus)
-    lr_up = check_lr(fam, nus, grid)
-    lr_down = check_lr(fam, nus, grid, direction="down")
+    lr_up, lr_down, st, hr = scan_orders(
+        fam, nus, grid, [("lr", "up"), ("lr", "down"), ("st", "up"), ("hr", "up")]
+    )
     assert lr_up.status == "fails" and lr_down.status == "fails"
     # the fixed atom is the obstruction, so the witness sits at the origin
     assert lr_up.witness.x <= 1.0
-    assert check_st(fam, nus, grid).holds
-    assert check_hr(fam, nus, grid).holds
+    assert st.holds
+    assert hr.holds
 
 
 def test_criterion_scan_needs_at_least_three_support_points():
@@ -240,14 +234,14 @@ def test_criterion_scan_needs_at_least_three_support_points():
     from stochorder.catalog import discrete_grid
 
     with pytest.raises(ValueError):
-        check_lr(fam, [1.0, 2.0], discrete_grid(0, 1))
+        scan_orders(fam, [1.0, 2.0], discrete_grid(0, 1), [("lr", "up")])
 
 
 def test_criterion_rejects_parameters_outside_domain():
     fam = make_family("geometric")
     grid = default_grid(fam, [0.5])
     with pytest.raises(ValueError):
-        check_lr(fam, [0.5, 1.5], grid)
+        scan_orders(fam, [0.5, 1.5], grid, [("lr", "up")])
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +274,9 @@ def test_unimodal_endpoint_certifies_half_student_decrease():
     nus = nu_scan(2.0, 5.0)
     grid = continuous_grid(0.0, 40.0, step=1e-3)
     # the kernel rises on [0, 1) and falls beyond, so plain monotonicity fails
-    assert check_lr(fam, nus, grid).status == "fails"
-    assert check_lr(fam, nus, grid, direction="down").status == "fails"
+    up, down = scan_orders(fam, nus, grid, [("lr", "up"), ("lr", "down")])
+    assert up.status == "fails"
+    assert down.status == "fails"
     v = check_unimodal_endpoint(fam, nus, grid, mode_c=1.0)
     assert v.holds and v.direction == "down"
     assert "st" in v.note
@@ -303,8 +298,9 @@ def test_concave_endpoint_certifies_zero_inflated_exponential():
     grid = mixed_grid(30.0, step=1e-3)
     v = check_concave_endpoint(fam, nus, grid)
     assert v.holds and v.direction == "down"
-    assert check_st(fam, nus, grid, direction="down").holds
-    assert check_hr(fam, nus, grid, direction="down").holds
+    st, hr = scan_orders(fam, nus, grid, [("st", "down"), ("hr", "down")])
+    assert st.holds
+    assert hr.holds
 
 
 def test_concave_endpoint_inconclusive_for_convex_kernel():
@@ -334,7 +330,6 @@ def test_endpoint_checks_need_a_bounded_left_end(check):
 # ---------------------------------------------------------------------------
 # the one scan behind every criterion
 
-VIEWS = {"lr": check_lr, "lc": check_lc, "st": check_st, "hr": check_hr}
 ALL_TESTS = [(o, d) for o in ("lr", "lc", "st", "hr") for d in ("up", "down")]
 
 
@@ -344,7 +339,7 @@ def test_multi_order_scan_matches_the_per_order_views(spec, nus):
     scan = nu_scan(*nus)
     grid = default_grid(fam, scan)
     together = scan_orders(fam, scan, grid, ALL_TESTS)
-    alone = [VIEWS[o](fam, scan, grid, direction=d) for o, d in ALL_TESTS]
+    alone = [scan_orders(fam, scan, grid, [test])[0] for test in ALL_TESTS]
     assert [v.to_dict() for v in together] == [v.to_dict() for v in alone]
 
 
@@ -387,9 +382,9 @@ def test_order_probe_refuses_negative_or_nan_tolerances(name, value):
     with pytest.raises(ValueError, match=name):
         order_probe("st", "up", **{name: value})
     fam = make_family("poisson")
-    view = check_st if name == "tol_tail" else check_lr
+    order = "st" if name == "tol_tail" else "lr"
     with pytest.raises(ValueError, match=name):
-        view(fam, [1.0, 2.0, 3.0], discrete_grid(0, 40), **{name: value})
+        scan_orders(fam, [1.0, 2.0, 3.0], discrete_grid(0, 40), [(order, "up")], **{name: value})
 
 
 def _full_tail_margins(k, masses, order, direction, eps=EPS_TAIL):

@@ -14,12 +14,13 @@ from stochorder import catalog, cli
 from stochorder.catalog import (
     LAWS,
     default_grid,
+    density,
     discrete_grid,
     make_family,
     normalized,
     parse_spec,
 )
-from stochorder.compound import make_counting
+from stochorder.compound import TABLE2_ROWS, make_counting
 from stochorder.pairwise import (
     PATH_NAMES, law_distribution, make_law, path_family,
 )
@@ -77,16 +78,22 @@ def test_views_share_the_entry_factor():
     assert (fam.param_name, counting.param_name) == ("nu", "alpha")
 
 
-def test_counting_extras_are_the_normalizer_derivative_and_the_slope():
+def test_counting_kernel_carries_the_normalizer_derivative_and_the_slope():
+    # d/dnu log A = E_nu[G_nu(N)] under the counting pmf, and on the Table-2
+    # rows G's step in n is the constant slope b(nu) of the recorded sign
     h = 1e-6
+    signs = {name: sign for name, sign, _ in TABLE2_ROWS}
     for name, nu in (("poisson", 2.0), ("geometric", 0.4), ("negbinomial", 0.4),
                      ("binomial", 0.3), ("logseries", 0.5), ("negbinomial-in-shape", 2.0)):
         c = make_counting(name)
         fd = (c.log_normalizer(nu + h) - c.log_normalizer(nu - h)) / (2.0 * h)
-        assert c.extras["dlogA"](nu) == pytest.approx(fd, rel=1e-6), name
-        if "slope" in c.extras:
-            n = np.array([1.0, 2.0, 3.0])
-            assert np.allclose(np.diff(c.kernel(nu, n)), c.extras["slope"](nu), rtol=1e-12), name
+        grid = default_grid(c, [nu])
+        mean = float(np.dot(density(c, nu, grid).masses, c.kernel(nu, grid.points)))
+        assert mean == pytest.approx(fd, rel=1e-6), name
+        if name in signs:
+            steps = np.diff(c.kernel(nu, c.support[0] + np.arange(4.0)))
+            assert np.allclose(steps, steps[0], rtol=1e-12), name
+            assert ("+" if steps[0] > 0 else "-") == signs[name], name
 
 
 def test_normalized_keeps_huge_factors_finite():

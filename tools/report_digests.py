@@ -54,7 +54,9 @@ Each command runs in-process through `stochorder.cli.main` with
 - the tail tests at the edges of the st/hr skip, on a Poisson row whose
   kernel rises at every scanned nu: with `--tol-tail=0`, where a full tail
   pass reads a rounding-only st up margin of -1.1e-16 as a failure, and with
-  `--tol-shape=1e6`, where st and hr down must still fail.
+  `--tol-shape=1e6`, where st and hr down must still fail;
+- a compound with equal endpoints (`--nu1 2 --nu2 2`), which exits 2 and
+  names both options.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -153,6 +155,11 @@ SKIPPED_TAILS = (
      "--tol-shape=1e6"],
 )
 
+EQUAL_ENDPOINTS = (
+    ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1", "2",
+     "--nu2", "2"],
+)
+
 TOL = 1e-12
 
 
@@ -178,6 +185,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(IDLE_PARAMETERS)
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
+    out.extend(EQUAL_ENDPOINTS)
     return [argv + ["--no-timing"] for argv in out]
 
 
