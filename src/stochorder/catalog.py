@@ -3,7 +3,9 @@
 `LAWS` declares each law once, as a multi-parameter entry: its kind, the
 parameters with their domains, the support, the log factor, one kernel
 d/dtheta_i log_factor per parameter that some view varies, the log
-normalizer and, for continuous kinds, the quantile. The density is
+normalizer and, for continuous kinds, the quantile. It also names the kernels
+that read only x and parameters no view varies: such a kernel is the same
+array at every point of a view, so a scan builds it once. The density is
 exp(log_factor - log_normalizer) with respect to counting measure
 (discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
 
@@ -15,7 +17,8 @@ cells for continuous ones, an exact atom plus midpoint cells for the mixed
 kind. `normalized` is the one numeric normalizer over a grid. scipy is
 imported only inside the gamma, beta and half-student quantiles, on the
 first call of one; grid spans call the gamma and half-student ones (a beta
-grid spans its whole support [0, 1]).
+grid spans its whole support [0, 1]). `statistics` is imported likewise,
+inside the half-normal and lognormal quantiles.
 
 Parametrization notes: geometric and the negative binomial each have two
 entries. The q-forms use the power-series argument q (factor q^k, kernel
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Callable, Mapping
 
 import numpy as np
@@ -80,8 +82,6 @@ MAX_KMAX = 100_000
 # cut, and the largest k the tail search reaches for it.
 TAIL_CUT_EPS = 1e-12
 TAIL_CUT_KMAX = 10_000
-
-_NORMAL = NormalDist()
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,9 @@ class Law:
                     no view varies.
     kernels         parameter -> d/dtheta_i log_factor, for every parameter
                     that some view varies.
+    fixed_kernels   the parameters whose kernel reads only x and parameters
+                    that no view varies, as `support` does: that kernel
+                    gives the same bits at every point of a view.
     log_normalizer  theta -> log of the factor's total mass.
     quantile        (theta, u) -> u-quantile, for continuous and mixed kinds.
     """
@@ -276,6 +279,7 @@ class Law:
     log_normalizer: Callable[[Theta], float]
     quantile: Callable[[Theta, float], float] | None = None
     integers: tuple[str, ...] = ()
+    fixed_kernels: tuple[str, ...] = ()
 
 
 _POSITIVE = (0.0, math.inf)
@@ -290,6 +294,12 @@ def _scipy_special():
     """`scipy.special`, imported by the first quantile that needs it."""
     import scipy.special
     return scipy.special
+
+
+def _normal_quantile(u: float) -> float:
+    """The standard normal u-quantile; `statistics` is imported on the first call."""
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(u)
 
 
 def _from_zero(th: Theta) -> tuple[float, float]:
@@ -495,6 +505,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log(th["lam"]) - th["nu"] * log_factorial_vec(k),
         kernels={"nu": lambda th, k: -log_factorial_vec(k)},
         log_normalizer=_cmp_log_normalizer,
+        fixed_kernels=("nu",),
     ),
     "zero-inflated-poisson": Law(
         kind="discrete",
@@ -513,6 +524,7 @@ LAWS: dict[str, Law] = {
         kernels={"r": lambda th, x: np.log(x), "rho": lambda th, x: -x},
         log_normalizer=lambda th: math.lgamma(th["r"]) - th["r"] * math.log(th["rho"]),
         quantile=lambda th, u: float(_scipy_special().gammaincinv(th["r"], u)) / th["rho"],
+        fixed_kernels=("r", "rho"),
     ),
     "exponential": Law(
         kind="continuous",
@@ -522,6 +534,7 @@ LAWS: dict[str, Law] = {
         kernels={"theta": lambda th, x: -x},
         log_normalizer=lambda th: -math.log(th["theta"]),
         quantile=lambda th, u: -math.log1p(-u) / th["theta"],
+        fixed_kernels=("theta",),
     ),
     "weibull": Law(
         kind="continuous",
@@ -533,6 +546,7 @@ LAWS: dict[str, Law] = {
         kernels={"lam": lambda th, x: -(x ** th["beta"])},
         log_normalizer=lambda th: -math.log(th["lam"]),
         quantile=lambda th, u: (-math.log1p(-u) / th["lam"]) ** (1.0 / th["beta"]),
+        fixed_kernels=("lam",),
     ),
     "beta": Law(
         kind="continuous",
@@ -544,6 +558,7 @@ LAWS: dict[str, Law] = {
             math.lgamma(th["alpha"]) + math.lgamma(th["beta"]) - math.lgamma(th["alpha"] + th["beta"])
         ),
         quantile=lambda th, u: float(_scipy_special().betaincinv(th["alpha"], th["beta"], u)),
+        fixed_kernels=("alpha", "beta"),
     ),
     "pareto": Law(
         kind="continuous",
@@ -553,6 +568,7 @@ LAWS: dict[str, Law] = {
         kernels={"alpha": lambda th, x: -np.log(x)},
         log_normalizer=lambda th: -th["alpha"] * math.log(th["xm"]) - math.log(th["alpha"]),
         quantile=lambda th, u: th["xm"] * (1.0 - u) ** (-1.0 / th["alpha"]),
+        fixed_kernels=("alpha",),
     ),
     "halfnormal": Law(
         kind="continuous",
@@ -561,7 +577,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: _HALFNORMAL_LOG_C - x * x / (2.0 * th["sigma"] * th["sigma"]),
         kernels={"sigma": lambda th, x: x * x / th["sigma"] ** 3},
         log_normalizer=lambda th: math.log(th["sigma"]),
-        quantile=lambda th, u: th["sigma"] * _NORMAL.inv_cdf((1.0 + u) / 2.0),
+        quantile=lambda th, u: th["sigma"] * _normal_quantile((1.0 + u) / 2.0),
     ),
     "lognormal": Law(
         kind="continuous",
@@ -570,7 +586,7 @@ LAWS: dict[str, Law] = {
         log_factor=_lognormal_log_factor,
         kernels={"mu": lambda th, x: (np.log(x) - th["mu"]) / (th["sigma"] * th["sigma"])},
         log_normalizer=lambda th: 0.5 * math.log(2.0 * math.pi) + math.log(th["sigma"]),
-        quantile=lambda th, u: math.exp(th["mu"] + th["sigma"] * _NORMAL.inv_cdf(u)),
+        quantile=lambda th, u: math.exp(th["mu"] + th["sigma"] * _normal_quantile(u)),
     ),
     "gumbel": Law(
         kind="continuous",
@@ -613,6 +629,7 @@ class DensityFamily:
 
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
+    fixed_kernel says that kernel(nu, x) gives the same bits at every nu.
     """
 
     name: str
@@ -625,6 +642,7 @@ class DensityFamily:
     kernel: Callable[[float, np.ndarray], np.ndarray]
     log_normalizer: Callable[[float], float]
     quantile: Callable[[float, float], float] | None = None
+    fixed_kernel: bool = False
 
     def validate_param(self, nu: float) -> float:
         nu = float(nu)
@@ -700,9 +718,11 @@ class View:
 
     def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
               at: Callable[[float], Theta],
-              kernel: Callable[[float, np.ndarray], np.ndarray]) -> DensityFamily:
+              kernel: Callable[[float, np.ndarray], np.ndarray],
+              fixed_kernel: bool = False) -> DensityFamily:
         """The family s -> the law at at(s), s in `interval`, with kernel(s, x) =
-        d/ds log_factor; the unmoved parameters `fixed` give the support."""
+        d/ds log_factor, the same at every s when fixed_kernel; the unmoved
+        parameters `fixed` give the support."""
         law = LAWS[self.law]
         return DensityFamily(
             name=name, kind=law.kind, param_name=param, param_interval=interval,
@@ -710,6 +730,7 @@ class View:
             log_factor=lambda s, x: law.log_factor(at(s), x), kernel=kernel,
             log_normalizer=lambda s: law.log_normalizer(at(s)),
             quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
+            fixed_kernel=fixed_kernel,
         )
 
     def family(self, name: str, label: str, given: Mapping[str, float]) -> DensityFamily:
@@ -723,7 +744,7 @@ class View:
             return {**fixed, free: nu}
 
         return self.curve(name, fixed, self.shown.get(free, free), law.domains[free], at,
-                          lambda nu, x: law.kernels[free](at(nu), x))
+                          lambda nu, x: law.kernels[free](at(nu), x), free in law.fixed_kernels)
 
 
 # the Table-1 families: the law each one views, the parameter it varies and

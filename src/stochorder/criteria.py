@@ -16,7 +16,14 @@ grids, slope differences otherwise.
 
 Every test is one pass of `scan_kernel` over the parameter grid: per nu it
 builds the kernel once, and the law and tail means only while a test that
-reads them is open, holding one nu at a time (O(grid) memory). Where
+reads them is open, holding one nu at a time (O(grid) memory). A kernel that
+does not depend on nu (`DensityFamily.fixed_kernel`, declared per law in
+`catalog.Law.fixed_kernels`; a pairwise kernel) is one array built for the
+whole scan, and so are its slopes, its curvature and their extremes: after
+the first nu, lr, lc and the st/hr skip below make no pass over the grid
+(but for the witness search past a NaN margin, which finds none), and only
+a tail pass that runs reads the law at its nu. The kernel at any nu
+has the same bits, so every verdict is the one a rebuild per nu gives. Where
 sign * K_nu is nondecreasing on the grid (min of the signed slopes >= 0,
 exactly; a NaN slope says no), Chebyshev's sum inequality on the grid law
 gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step behind
@@ -121,23 +128,52 @@ def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return surv, tail_num[:n] / surv[:n], float(np.dot(k, masses))
 
 
-class _Row:
-    """One scanned nu: the kernel K_nu on the grid and its slopes. The rest is
-    derived on first use and shared by every probe of the row: curvature,
-    tails (the result of `_tail_means` under the law at nu) and tail_gap."""
+class _Kernel:
+    """K on the grid and what is read from K alone: its slopes, its curvature
+    (derived on first use) and their least signed margins, each taken once.
+    A scan builds one per nu, or one for every nu when K does not depend on
+    nu; it holds no array of the law."""
 
-    def __init__(self, nu: float, grid: SupportGrid, k: np.ndarray,
-                 law: Callable[[float], np.ndarray] | None) -> None:
-        self.nu, self.grid, self.k = nu, grid, k
+    def __init__(self, grid: SupportGrid, k: np.ndarray) -> None:
+        self.grid, self.k = grid, k
         self.slopes = _slopes(grid, k)
-        self._law = law
-        self._gaps: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._lows: dict[tuple[bool, float], float] = {}
 
     @cached_property
     def curvature(self) -> np.ndarray:
         """Increment differences: second differences on integer grids, slope
         differences otherwise."""
         return np.diff(self.slopes)
+
+    def low(self, m: np.ndarray, sign: float) -> float:
+        """min(sign * m) without the signed copy: -max(m) == min(-m). Kept
+        per sign for the kernel's own slopes and curvature; any other m is a
+        probe's own array and is not kept."""
+        own = m is self.slopes or m is self.__dict__.get("curvature")
+        key = (m is self.slopes, sign)
+        if own and key in self._lows:
+            return self._lows[key]
+        value = float(m.min() if sign > 0 else -m.max())
+        if own:
+            self._lows[key] = value
+        return value
+
+
+class _Row:
+    """One scanned nu: the kernel there, shared by every nu when K does not
+    depend on nu. tails (the result of `_tail_means` under the law at nu) and
+    tail_gap are derived on first use and shared by every probe of the row."""
+
+    def __init__(self, nu: float, kernel: _Kernel,
+                 law: Callable[[float], np.ndarray] | None) -> None:
+        self.nu, self.kernel = nu, kernel
+        self.grid, self.k, self.slopes = kernel.grid, kernel.k, kernel.slopes
+        self._law = law
+        self._gaps: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def curvature(self) -> np.ndarray:
+        return self.kernel.curvature
 
     @cached_property
     def tails(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -161,29 +197,31 @@ Probe = Callable[[_Row], Iterator[Step]]
 
 
 def scan_kernel(
-    kernel: Callable[[float], np.ndarray],
+    kernel: Callable[[float], np.ndarray] | np.ndarray,
     nus,
     grid: SupportGrid,
     probes: Sequence[Probe],
     law: Callable[[float], np.ndarray] | None = None,
 ) -> list[tuple[Witness | None, float | None]]:
     """Run every probe over one pass of nus; kernel(nu) gives K_nu on
-    grid.points and law(nu) the masses of P_nu there. Returns, per probe, its
-    first witness and that witness's margin, or None and the worst margin seen
+    grid.points, or kernel is the one array K that holds at every nu, and
+    law(nu) gives the masses of P_nu there. Returns, per probe, its first
+    witness and that witness's margin, or None and the worst margin seen
     (None when no margin was tested)."""
+    fixed = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
     witnesses: list[Witness | None] = [None] * len(probes)
     worst = [math.inf] * len(probes)
     for nu in nus:
         open_tests = [i for i, w in enumerate(witnesses) if w is None]
         if not open_tests:
             break
-        row = _Row(float(nu), grid, np.asarray(kernel(float(nu)), dtype=float), law)
+        row = _Row(float(nu), fixed if fixed is not None
+                   else _Kernel(grid, np.asarray(kernel(float(nu)), dtype=float)), law)
         for i in open_tests:
             for xs, m, tol, kind, sign in probes[i](row):
                 if not m.size:
                     continue
-                # min(sign * m) without the signed copy: -max(m) == min(-m)
-                low = float(m.min() if sign > 0 else -m.max())
+                low = row.kernel.low(m, sign)
                 if low >= -tol:
                     worst[i] = min(worst[i], low)
                     continue
@@ -221,7 +259,7 @@ def order_probe(
             yield pts[:-1], row.slopes, tol_shape, "adjacent-pair", sign
         elif order == "lc":
             yield pts[1:-1], row.curvature, tol_shape, "triplet", sign
-        elif row.slopes.size and (row.slopes.min() if sign > 0 else -row.slopes.max()) >= 0:
+        elif row.slopes.size and row.kernel.low(row.slopes, sign) >= 0:
             probe.implied += 1  # lr => hr => st at this nu: no tail pass
         else:
             xs, gap = row.tail_gap(order, eps)
@@ -305,6 +343,16 @@ def weighted_log_derivative(f: DensityFamily, nu: float, u, grid: SupportGrid) -
 # verdicts of a family scan
 
 
+def _family_kernel(f: DensityFamily, grid: SupportGrid,
+                   nus) -> Callable[[float], np.ndarray] | np.ndarray:
+    """f's kernel on grid.points as `scan_kernel` reads it over nus: the one
+    array, built at the first nu, when f.fixed_kernel says it holds at every
+    nu; else the callable of nu."""
+    if f.fixed_kernel and len(nus):
+        return np.asarray(f.kernel(nus[0], grid.points), dtype=float)
+    return lambda nu: f.kernel(nu, grid.points)
+
+
 def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes,
                  known_laws: Mapping[float, Distribution] | None = None):
     """The scan of a family over nu_grid, and its size for the tolerances;
@@ -320,7 +368,7 @@ def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes,
         d = known.get(nu)
         return (d if d is not None else density(f, nu, grid)).masses
 
-    results = scan_kernel(lambda nu: f.kernel(nu, grid.points), nus, grid, probes, law=law)
+    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, probes, law=law)
     return results, {"nu_points": len(nus), "grid_points": grid.size}
 
 

@@ -43,7 +43,7 @@ ORACLE_EPS_TAIL = 1e-12
 
 def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Common point set with aligned masses: integer union for discrete laws,
-    an identical shared grid required otherwise."""
+    an identical shared grid required otherwise (one grid object is one)."""
     gp, gq = P.support, Q.support
     if gp.kind == "discrete" and gq.kind == "discrete":
         lo = int(min(gp.lower, gq.lower))
@@ -56,7 +56,9 @@ def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, 
         return pts, mp, mq, "discrete"
     if gp.kind != gq.kind:
         raise ValueError(f"cannot align a {gp.kind} law with a {gq.kind} law")
-    if gp.size != gq.size or not np.allclose(gp.points, gq.points, rtol=0, atol=1e-12):
+    if gp is not gq and (
+        gp.size != gq.size or not np.allclose(gp.points, gq.points, rtol=0, atol=1e-12)
+    ):
         raise ValueError(f"{gp.kind} laws must share an identical grid")
     return gp.points, P.masses, Q.masses, gp.kind
 

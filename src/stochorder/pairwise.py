@@ -44,7 +44,7 @@ from .catalog import (
     LAWS, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid, View,
     _tail_span, discrete_grid, normalized, parse_spec,
 )
-from .criteria import TOL_SHAPE, TOL_TAIL, order_probe, scan_kernel
+from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, order_probe, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
 from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
 
@@ -228,7 +228,7 @@ def check_pairwise(
         else:
             kernel = kernel or pairwise_kernel(p, q, kmax)
             probe = order_probe(o, "down", tol_shape)
-            [(witness, margin)] = scan_kernel(lambda _: kernel.values, [0.0], kernel.grid, [probe])
+            [(witness, margin)] = scan_kernel(kernel.values, [0.0], kernel.grid, [probe])
             witness = witness and replace(witness, nu=None)  # a two-law witness has no nu
         v = OrderVerdict(
             order=o, direction="up", status="fails" if witness else "holds",
@@ -354,13 +354,17 @@ def check_path_order(
     direction defaults to 'up' (law at smaller t below law at larger t) for
     lr/st/hr and 'down' for lc. The laws at t = 0 and t = 1 are compared by
     the brute oracle; disagreement with a conclusive shape verdict downgrades
-    the status to inconclusive.
+    the status to inconclusive. A t outside [0, 1] raises before the scan,
+    which may read a kernel that does not depend on t at the first t alone.
     """
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
     if direction is None:
         direction = "down" if order == "lc" else "up"
     ts = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
+    outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{family.name}: t={float(outside[0])!r} outside [0, 1]")
 
     def law(t: float) -> Distribution:
         return normalized(grid, family.log_factor(t, grid.points))
@@ -368,7 +372,7 @@ def check_path_order(
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
     probe = order_probe(order, direction, tol_shape, tol_tail)
     [(witness, margin)] = scan_kernel(
-        lambda t: family.kernel(t, grid.points), ts, grid, [probe], law=lambda t: law(t).masses,
+        _family_kernel(family, grid, ts), ts, grid, [probe], law=lambda t: law(t).masses,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(
@@ -402,7 +406,9 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     """A named path as the one-parameter family in t: the law at theta(t), on
     the line between its two end points in the moved parameters, with the
     chain-rule kernel K_t(x) = sum_i theta_i'(t) K^(i)_theta(t)(x) over the
-    table law's kernels of the moved parameters.
+    table law's kernels of the moved parameters. The velocity theta' is
+    constant, so K_t does not depend on t when every moved parameter's kernel
+    is one of the law's `fixed_kernels`, as for the gamma path.
     For t in [0, 1], theta(t) lies between the two ends, inside the law's
     domains, which are intervals; any other t raises ValueError naming it."""
     row = _PATHS.get(name)
@@ -436,7 +442,8 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
                 out += v * np.asarray(law.kernels[p](theta, pts), dtype=float)
         return out
 
-    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at, kernel)
+    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at, kernel,
+                                set(moved) <= set(law.fixed_kernels))
 
 
 # ---------------------------------------------------------------------------

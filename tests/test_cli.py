@@ -583,20 +583,22 @@ def test_module_entry_points_run_as_subprocesses():
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is imported only by the inverse CDFs that need it
+# cold start: scipy and statistics are imported only by the inverse CDFs that
+# need them
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs `cli.main` on its arguments (or only imports the package when there
-# are none) and writes to stderr whether scipy was loaded
+# runs `cli.main` on its arguments (or only imports the package and the CLI
+# when there are none) and writes to stderr which of scipy and statistics
+# were loaded
 _COLD_START = """
 import sys
 import stochorder
+import stochorder.cli
 code = 0
 if sys.argv[1:]:
-    from stochorder.cli import main
-    code = main(sys.argv[1:])
-sys.stderr.write(repr("scipy" in sys.modules))
+    code = stochorder.cli.main(sys.argv[1:])
+sys.stderr.write(repr([m for m in ("scipy", "statistics") if m in sys.modules]))
 sys.exit(code)
 """
 
@@ -609,7 +611,7 @@ def cold_start(*argv):
 
 def test_importing_the_package_leaves_scipy_unloaded():
     run = cold_start()
-    assert (run.returncode, run.stdout, run.stderr) == (0, "", "False")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "[]")
 
 
 def test_the_package_exports_each_module_list_once():
@@ -623,25 +625,27 @@ def test_the_package_exports_each_module_list_once():
 
 
 @pytest.mark.parametrize(
-    "argv, loads_scipy",
+    "argv, loaded",
     [
-        (["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"], False),
-        (["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"], False),
+        (["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"], []),
+        (["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"], []),
         (["compound", "--counting", "poisson", "--summand", "delta:j=1",
-          "--nu1", "1", "--nu2", "2"], False),
-        (["table", "--id", "katz"], False),
-        (["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"], False),
-        (["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3"], True),
+          "--nu1", "1", "--nu2", "2"], []),
+        (["table", "--id", "katz"], []),
+        (["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"], []),
+        (["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3"], ["scipy"]),
         # the beta law lives on [0, 1]: its grid needs no quantile
-        (["check", "--family", "beta-in-alpha", "--nu1=1.5", "--nu2=3"], False),
-        (["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5"], True),
+        (["check", "--family", "beta-in-alpha", "--nu1=1.5", "--nu2=3"], []),
+        (["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5"], ["scipy"]),
+        # the normal quantile comes from statistics
+        (["check", "--family", "halfnormal-in-scale", "--nu1=0.8", "--nu2=1.6"], ["statistics"]),
     ],
     ids=["check-poisson", "pairwise", "compound", "table-katz", "path-negbinomial",
-         "check-gamma", "check-beta", "check-half-student"],
+         "check-gamma", "check-beta", "check-half-student", "check-halfnormal"],
 )
-def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv, loads_scipy):
+def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv, loaded):
     run = cold_start(*argv, "--no-timing")
-    assert run.stderr == repr(loads_scipy)
+    assert run.stderr == repr(loaded)
     code, out, _ = run_cli(capsys, *argv, "--no-timing")
     assert (run.returncode, run.stdout) == (code, out)
 

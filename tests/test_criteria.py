@@ -4,6 +4,7 @@ The derivative identities are validated against central finite differences of
 independently computed log densities, log survivals, and log hazards.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from stochorder import cli, criteria
 from stochorder.catalog import (
+    _FAMILIES,
+    LAWS,
     continuous_grid,
     default_grid,
     density,
@@ -38,6 +41,7 @@ from stochorder.criteria import (
     tail_mean_profile,
     weighted_log_derivative,
 )
+from stochorder.pairwise import check_path_order, path_family
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
@@ -360,6 +364,91 @@ def test_check_evaluates_the_density_once_per_scanned_nu(monkeypatch):
     assert calls == [1.0, 3.0]
 
 
+# the Table-1 rows whose kernel does not depend on nu, with their scanned ranges
+FIXED_ROWS = [(spec, nus) for spec, nus, *_ in cli._TABLE1
+              if family_from_spec(spec).fixed_kernel]
+
+
+@st.composite
+def random_grids(draw, support, kind):
+    """A grid of 3 to 3000 points inside a support."""
+    lo, hi = support
+    if kind == "discrete":
+        return discrete_grid(int(lo), int(lo) + draw(st.integers(2, 300)))
+    top = hi if math.isfinite(hi) else lo + 40.0
+    a = lo + draw(st.floats(0.0, 0.5)) * (top - lo)
+    return continuous_grid(a, a + draw(st.floats(0.05, 1.0)) * (top - a),
+                           n=draw(st.integers(3, 3000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), row=st.sampled_from(FIXED_ROWS),
+       tol=st.sampled_from([TOL_SHAPE, 0.0, 0.25]), eps=st.sampled_from([EPS_TAIL, 0.0, 0.125]))
+def test_a_kernel_built_once_scans_as_one_rebuilt_per_nu(data, row, tol, eps):
+    spec, (lo, hi) = row
+    fam = family_from_spec(spec)
+    grid = data.draw(random_grids(fam.support, fam.kind))
+    # unsorted, with repeats: the scan reads the nus in the order given
+    nus = data.draw(st.lists(st.sampled_from(list(np.linspace(lo, hi, 7))), min_size=1,
+                             max_size=9))
+    rebuilt = dataclasses.replace(fam, fixed_kernel=False)
+    once, per_nu = (scan_orders(f, nus, grid, ALL_TESTS, tol, tol, eps) for f in (fam, rebuilt))
+    assert [repr(v) for v in once] == [repr(v) for v in per_nu]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.lists(st.floats(0.3, 6.0), min_size=2, max_size=2).map(sorted),
+       rho=st.lists(st.floats(0.3, 6.0), min_size=2, max_size=2).map(sorted))
+def test_a_gamma_path_kernel_built_once_scans_as_one_rebuilt_per_t(data, r, rho):
+    fam = path_family("gamma", {"r1": r[0], "r2": r[1], "rho1": rho[1], "rho2": rho[0]})
+    assert fam.fixed_kernel
+    grid = data.draw(random_grids(fam.support, fam.kind))
+    ts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+    rebuilt = dataclasses.replace(fam, fixed_kernel=False)
+    for o, d in ALL_TESTS:
+        once, per_t = (check_path_order(f, o, grid, ts, d) for f in (fam, rebuilt))
+        assert repr(once) == repr(per_t), (o, d)
+
+
+def _count_kernel_calls(monkeypatch, law, params):
+    """The list that gets the parameter's name at each call of one of the
+    law's kernels in params."""
+    calls = []
+    for p in params:
+        def counted(theta, x, p=p, kernel=LAWS[law].kernels[p]):
+            calls.append(p)
+            return kernel(theta, x)
+
+        monkeypatch.setitem(LAWS[law].kernels, p, counted)
+    return calls
+
+
+# and one row whose kernel depends on nu
+COUNTED_ROWS = FIXED_ROWS + [("halfnormal-in-scale", (0.8, 1.6))]
+
+
+@pytest.mark.parametrize("spec,nus", COUNTED_ROWS, ids=[spec for spec, _ in COUNTED_ROWS])
+def test_a_fixed_kernel_is_evaluated_once_per_check(monkeypatch, capsys, spec, nus):
+    view = _FAMILIES[spec.partition(":")[0]]
+    calls = _count_kernel_calls(monkeypatch, view.law, [view.varied])
+    lo, hi = nus
+    grid = ",".join(repr(float(nu)) for nu in np.linspace(lo, hi, 65))
+    cli.main(["check", "--family", spec, f"--nu1={lo!r}", f"--nu2={hi!r}", f"--nu-grid={grid}",
+              "--no-timing"])
+    capsys.readouterr()
+    # a kernel that depends on nu is built at every scanned nu
+    assert len(calls) == (1 if family_from_spec(spec).fixed_kernel else 65)
+
+
+@pytest.mark.parametrize("order", ["lr", "lc", "st", "hr"])
+def test_a_fixed_path_kernel_is_evaluated_once_per_path(monkeypatch, capsys, order):
+    calls = _count_kernel_calls(monkeypatch, "gamma", ["r", "rho"])
+    cli.main(["path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--order", order,
+              "--t-points", "129", "--no-timing"])
+    capsys.readouterr()
+    assert sorted(calls) == ["r", "rho"]
+
+
 def test_a_wide_shape_tolerance_does_not_skip_a_failing_tail_pass(capsys):
     # the tail pass is skipped only where sign * K is nondecreasing exactly;
     # K = x/nu - 1 falls nowhere, so st and hr down must still fail under a
@@ -535,6 +624,7 @@ class _TableFamily:
     """A stand-in family whose kernel and masses at each nu are given arrays."""
 
     name, param_name = "table", "nu"
+    fixed_kernel = False  # a kernel array per nu
 
     def __init__(self, grid, kernels, masses):
         self.support = (float(grid.points[0]), math.inf)
@@ -600,6 +690,20 @@ def test_scan_equals_the_signed_copy_formulas(case, eps):
                       law=laws.__getitem__)
     for (o, d), result in zip(ALL_TESTS, got):
         want = _ref_scan(grid, nus, kernels, laws, _ref_order(o, d, tol, eps))
+        assert _bits(*result) == _bits(*want), (o, d)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=scan_cases(), eps=st.sampled_from([EPS_TAIL, 0.0, 0.125, -1.0]))
+def test_a_fixed_kernel_scan_equals_the_signed_copy_formulas(case, eps):
+    # one kernel array for every nu: the slopes, the curvature and their
+    # extremes are read once, and each nu's law only by a tail pass
+    grid, nus, kernels, laws, tol = case
+    k = kernels[nus[0]]
+    got = scan_kernel(k, nus, grid, [order_probe(o, d, tol, tol, eps) for o, d in ALL_TESTS],
+                      law=laws.__getitem__)
+    for (o, d), result in zip(ALL_TESTS, got):
+        want = _ref_scan(grid, nus, {nu: k for nu in nus}, laws, _ref_order(o, d, tol, eps))
         assert _bits(*result) == _bits(*want), (o, d)
 
 

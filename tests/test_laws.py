@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochorder import catalog, cli
+from stochorder import catalog, cli, compound, pairwise
 from stochorder.catalog import (
     LAWS,
     default_grid,
@@ -256,6 +256,59 @@ def test_path_family_ends_are_the_table_laws_at_the_spec_ends(name):
     assert np.array_equal(fam.log_factor(0.0, x), law.log_factor(path_end(params, "1"), x))
     assert np.allclose(fam.log_factor(1.0, x), law.log_factor(path_end(params, "2"), x),
                        rtol=1e-14, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# kernels that do not depend on the varied parameters
+
+
+def varied_parameters():
+    """law -> the parameters some family, counting law or named path varies."""
+    out: dict[str, set] = {}
+    views = [*catalog._FAMILIES.values(), *compound._COUNTING.values()]
+    for law, p in [(v.law, v.varied) for v in views if v.varied is not None] + [
+            (law, p) for law, moves in pairwise._PATHS.values() for p, _ in moves]:
+        out.setdefault(law, set()).add(p)
+    return out
+
+
+def parameter_values(law, p):
+    """Values inside the domain of the law's parameter p."""
+    lo, hi = LAWS[law].domains[p]
+    if p in LAWS[law].integers:
+        return st.integers(int(lo), min(int(hi), 50))
+    return st.floats(max(lo, -20.0) + 0.01, min(hi - 0.01, 20.0))
+
+
+FIXED = sorted((law, p) for law, entry in LAWS.items() for p in entry.fixed_kernels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), entry=st.sampled_from(FIXED))
+def test_declared_kernels_give_the_same_bits_at_every_varied_parameter(data, entry):
+    law_name, declared = entry
+    law, varied = LAWS[law_name], varied_parameters()[law_name]
+    assert declared in law.kernels and declared in varied
+    a = {p: data.draw(parameter_values(law_name, p)) for p in law.domains}
+    b = {p: data.draw(parameter_values(law_name, p).filter(lambda v, p=p: v != a[p]))
+         if p in varied else v for p, v in a.items()}
+    lo, hi = law.support(a)  # it reads no varied parameter
+    x = lo + (np.arange(200.0) if law.kind == "discrete"
+              else np.linspace(0.0, min(hi - lo, 30.0), 202)[1:-1])
+    ka, kb = (np.asarray(law.kernels[declared](th, x), dtype=float) for th in (a, b))
+    assert ka.tobytes() == kb.tobytes()
+
+
+def test_families_and_paths_carry_the_declaration():
+    assert sorted(name for name in catalog.FAMILY_NAMES
+                  if catalog.make_family(name).fixed_kernel) == [
+        "beta-in-alpha", "beta-in-beta", "cmp-in-dispersion", "exponential-in-rate",
+        "gamma-in-rate", "gamma-in-shape", "pareto-in-shape", "weibull-in-rate"]
+    assert not any(make_counting(name).fixed_kernel for name in compound.COUNTING_NAMES)
+    # a path's kernel is fixed when every moved parameter's kernel is
+    assert {name: path_family(*parse_spec(spec)).fixed_kernel
+            for name, spec in PATH_SPECS.items()} == {
+        "negbinomial": False, "betabinomial": False, "gamma": True}
 
 
 # ---------------------------------------------------------------------------

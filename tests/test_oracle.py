@@ -15,6 +15,7 @@ from stochorder.catalog import (
     density,
     discrete_grid,
     make_family,
+    mixed_grid,
 )
 from stochorder.oracle import (
     likelihood_ratio_seq,
@@ -70,6 +71,30 @@ def test_nonidentical_continuous_grids_are_rejected():
     b = Distribution(continuous_grid(0.0, 2.0, n=4), np.full(4, 0.25))
     with pytest.raises(ValueError, match="identical grid"):
         oracle_lr(a, b)
+
+
+def test_one_grid_object_aligns_without_a_point_comparison(monkeypatch):
+    compared = []
+
+    def allclose(*args, **kwargs):
+        compared.append(args)
+        return np.isclose(*args, **kwargs).all()
+
+    monkeypatch.setattr(np, "allclose", allclose)
+    grid = continuous_grid(0.0, 1.0, n=4)
+    a = Distribution(grid, np.full(4, 0.25))
+    b = Distribution(grid, np.array([0.1, 0.2, 0.3, 0.4]))
+    assert oracle_lr(a, b).holds and compared == []
+    # a distinct grid, equal or not, is still compared point by point
+    assert oracle_lr(a, Distribution(continuous_grid(0.0, 1.0, n=4), b.masses)).holds
+    assert len(compared) == 1
+    # distinct unequal grids still raise, continuous or mixed
+    shifted = Distribution(continuous_grid(0.0, 1.0 + 1e-9, n=4), b.masses)
+    with pytest.raises(ValueError, match="identical grid"):
+        oracle_st(a, shifted)
+    m1, m2 = (Distribution(mixed_grid(upper, n=3), np.full(4, 0.25)) for upper in (1.0, 2.0))
+    with pytest.raises(ValueError, match="identical grid"):
+        oracle_lc(m1, m2)
 
 
 def test_kind_mismatch_is_rejected():

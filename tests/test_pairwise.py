@@ -671,6 +671,11 @@ def test_check_path_order_rejects_t_outside_the_unit_interval():
         with pytest.raises(ValueError, match=r"t=(-0\.5|nan) outside"):
             check_path_order(fam, "st", t_grid=ts, grid=grid)
     assert check_path_order(fam, "st", t_grid=[0.0, 1.0], grid=grid).status == "holds"
+    # a gamma path's kernel does not depend on t and its lr scan reads no law
+    # past t = 0, so the t grid is checked before the scan
+    gamma = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 0.5})
+    with pytest.raises(ValueError, match=r"gamma path: t=1\.5 outside \[0, 1\]"):
+        check_path_order(gamma, "lr", continuous_grid(0.0, 10.0, n=50), t_grid=[0.0, 1.0, 1.5])
 
 
 def test_path_family_names_a_t_outside_the_unit_interval():

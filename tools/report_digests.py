@@ -48,6 +48,11 @@ Each command runs in-process through `stochorder.cli.main` with
 - paths with one idle parameter, whose chain-rule kernel skips that
   parameter's component: a negbinomial path with r1 = r2 and a gamma path
   with rho1 = rho2;
+- kernels that do not depend on the scanned parameter, built once per scan:
+  `weibull-in-rate` with beta = 0.5 and `pareto-in-shape` with xm = 3, both
+  kernels reading a fixed parameter off its default, the latter on an
+  unsorted `--nu-grid` that repeats a value; and the gamma path with both
+  parameters idle, whose kernel is zero, under lc;
 - `half-student-in-df` lr over 2.5..3.9, which reports `lr down holds`
   although the kernel rises in x on [0, 1): the default grid's first
   midpoint lies past that rise;
@@ -145,6 +150,13 @@ IDLE_PARAMETERS = (
     ["path", "--name", "gamma:r1=1,r2=2,rho1=1.5,rho2=1.5", "--order", "lr"],
 )
 
+FIXED_KERNELS = (
+    ["check", "--family", "weibull-in-rate:beta=0.5", "--nu1=0.8", "--nu2=1.6"],
+    ["check", "--family", "pareto-in-shape:xm=3", "--nu1=1.5", "--nu2=3",
+     "--nu-grid=2.5,1.5,3,2,2.5"],
+    ["path", "--name", "gamma:r1=1.5,r2=1.5,rho1=2,rho2=2", "--order", "lc"],
+)
+
 COARSE_GRIDS = (
     ["check", "--family", "half-student-in-df", "--nu1=2.5", "--nu2=3.9", "--orders", "lr"],
 )
@@ -183,6 +195,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(FAR_TAILS)
     out.extend(KERNEL_BRANCHES)
     out.extend(IDLE_PARAMETERS)
+    out.extend(FIXED_KERNELS)
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
