@@ -719,7 +719,7 @@ class View:
     def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
               at: Callable[[float], Theta],
               kernel: Callable[[float, np.ndarray], np.ndarray],
-              fixed_kernel: bool = False) -> DensityFamily:
+              fixed_kernel: bool) -> DensityFamily:
         """The family s -> the law at at(s), s in `interval`, with kernel(s, x) =
         d/ds log_factor, the same at every s when fixed_kernel; the unmoved
         parameters `fixed` give the support."""

@@ -43,7 +43,8 @@ ORACLE_EPS_TAIL = 1e-12
 
 def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Common point set with aligned masses: integer union for discrete laws,
-    an identical shared grid required otherwise (one grid object is one)."""
+    an identical shared grid required otherwise, whose points are compared
+    unless both laws hold the same grid object."""
     gp, gq = P.support, Q.support
     if gp.kind == "discrete" and gq.kind == "discrete":
         lo = int(min(gp.lower, gq.lower))
