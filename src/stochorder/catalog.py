@@ -53,8 +53,6 @@ __all__ = [
     "family_from_spec",
     "density",
     "normalized",
-    "survival",
-    "hazard",
     "default_grid",
     "discrete_grid",
     "continuous_grid",
@@ -222,29 +220,6 @@ class Distribution:
         ok = surv > 0
         out[ok] = dens[ok] / surv[ok]
         return out
-
-
-def _locate(d: Distribution, x: float) -> int:
-    pts = d.support.points
-    i = int(np.searchsorted(pts, x))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < pts.size and math.isclose(pts[j], x, rel_tol=1e-12, abs_tol=1e-12):
-            return j
-    raise ValueError(f"{x!r} is not a grid point of this distribution")
-
-
-def survival(d: Distribution, x: float) -> float:
-    """P(X >= x) for a grid point x (right tail, inclusive)."""
-    return float(d.survival_all()[_locate(d, x)])
-
-
-def hazard(d: Distribution, x: float) -> float:
-    """density(x) / P(X >= x); error where the survival is zero."""
-    i = _locate(d, x)
-    surv = float(d.survival_all()[i])
-    if surv <= 0.0:
-        raise ValueError(f"hazard undefined at {x!r}: survival is zero")
-    return float(d.density_all()[i]) / surv
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +761,8 @@ def make_family(name: str, **fixed_params: float) -> DensityFamily:
 
 
 def parse_spec(text: str) -> tuple[str, dict[str, float]]:
-    """Parse `name[:key=val[,key=val]*]` into (name, params)."""
+    """Parse `name[:key=val[,key=val]*]` into (name, params); a key may appear
+    once."""
     text = text.strip()
     if not text:
         raise ValueError("empty spec string")
@@ -803,6 +779,8 @@ def parse_spec(text: str) -> tuple[str, dict[str, float]]:
             key = key.strip()
             if not eq or not key:
                 raise ValueError(f"spec {text!r}: malformed token {token.strip()!r}")
+            if key in params:
+                raise ValueError(f"spec {text!r}: parameter {key!r} given twice")
             try:
                 params[key] = float(val)
             except ValueError:

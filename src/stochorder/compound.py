@@ -49,18 +49,14 @@ __all__ = [
     "counting_from_spec",
     "CompoundModel",
     "make_compound",
-    "convolution_power",
     "compound_pmf",
-    "compound_kernel",
     "compound_kernel_all",
     "compound_score_all",
     "PosteriorMatrix",
     "posterior_matrix",
-    "posterior_mean",
     "is_pf2",
     "is_tp2",
     "check_compound_lr",
-    "poisson_binomial_pmf",
 ]
 
 _MINOR_TOL = 1e-12
@@ -112,7 +108,11 @@ def geometric_summand(p: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
     """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}, truncated at tail <= eps."""
     if not 0 < p < 1:
         raise ValueError("geometric summand needs p in (0,1)")
-    j_max = max(1, math.ceil(math.log(eps_tail) / math.log1p(-p)))
+    terms = math.log(eps_tail) / math.log1p(-p)
+    if terms > MAX_KMAX:
+        raise ValueError(f"geometric summand: p={p:g} needs more than {MAX_KMAX} terms "
+                         f"to cut its tail at {eps_tail:g}")
+    j_max = max(1, math.ceil(terms))
     j = np.arange(1, j_max + 1)
     masses = p * (1.0 - p) ** (j - 1)
     return SummandLaw(masses, max(1.0 - masses.sum(), 0.0))
@@ -215,14 +215,9 @@ def counting_from_spec(text: str) -> DensityFamily:
 # convolution and the compound law
 
 
-def convolution_power(F: SummandLaw, n: int, k_max: int) -> np.ndarray:
-    """F^{*n} restricted to {0..k_max}; F^{*0} is the point mass at 0."""
-    if n < 0:
-        raise ValueError("convolution power needs n >= 0")
-    return _conv_table(F, n, k_max)[n]
-
-
 def _conv_table(F: SummandLaw, n_max: int, k_max: int) -> np.ndarray:
+    """Row n is F^{*n} on {0..k_max}, for n = 0..n_max; F^{*0} is the point
+    mass at 0."""
     base = F.pmf_from_zero()
     table = np.zeros((n_max + 1, k_max + 1))
     table[0, 0] = 1.0
@@ -235,9 +230,9 @@ def _conv_table(F: SummandLaw, n_max: int, k_max: int) -> np.ndarray:
 class CompoundModel:
     """Counting law + summand with a precomputed convolution table.
 
-    conv[n, k] = F^{*n}({k}) for n <= n_max, k <= k_max; k_max is chosen so
-    the compound law at every construction-time parameter keeps tail mass
-    below eps_tail.
+    conv[n, k] = F^{*n}({k}) for n <= n_max, k <= k_max; `make_compound`
+    chooses k_max so the compound law at every construction-time parameter
+    keeps its tail mass below that call's eps_tail.
     """
 
     counting: DensityFamily
@@ -245,7 +240,6 @@ class CompoundModel:
     k_max: int
     n_max: int
     conv: np.ndarray
-    eps_tail: float
 
     @property
     def n_lo(self) -> int:
@@ -288,7 +282,7 @@ def make_compound(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
         )
     conv = _conv_table(summand, n_max, k_cap)
-    model = CompoundModel(counting, summand, k_cap, n_max, conv, eps_tail)
+    model = CompoundModel(counting, summand, k_cap, n_max, conv)
     # shrink k_max to the smallest k keeping every scanned law's tail in budget;
     # the tail is measured within the computed table (the counting and summand
     # truncation deficits carry their own budgets and never shrink with k)
@@ -301,7 +295,7 @@ def make_compound(
             )
         beyond = np.cumsum(masses[::-1])[::-1] - masses
         need = max(need, int(np.nonzero(beyond <= eps_tail)[0][0]))
-    return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1], eps_tail)
+    return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
 
 
 def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
@@ -338,7 +332,10 @@ def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
 def is_tp2(M, tol: float = _MINOR_TOL) -> tuple[bool, Witness | None]:
     """All 2x2 minors nonnegative: adjacent minors when strictly positive,
     all row/column pairs otherwise (adjacency is only sufficient without
-    zeros)."""
+    zeros). A TP2 posterior P(N = n | X = k) is stochastically increasing in
+    k, the step that carries a monotone counting kernel to the compound
+    kernel (Karlin, Total Positivity, 1968, ch. 3); the PF2 summand that
+    `check_compound_lr` requires makes the posterior TP2."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or min(A.shape) < 1:
         raise ValueError("is_tp2 needs a 2-d matrix")
@@ -385,6 +382,9 @@ class PosteriorMatrix:
 
 
 def posterior_matrix(m: CompoundModel, nu: float) -> PosteriorMatrix:
+    """Bayes' rule on the convolution table: P(N = n | X = k) =
+    q_nu(n) F^{*n}(k) / f_nu(k), the weights that average the counting kernel
+    into the compound kernel."""
     q = m.counting_pmf(nu)
     joint = q[:, None] * m.conv
     f = joint.sum(axis=0)
@@ -396,14 +396,10 @@ def posterior_matrix(m: CompoundModel, nu: float) -> PosteriorMatrix:
     )
 
 
-def posterior_mean(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(support points k, E[N | X = k]) over the compound support."""
-    pm = posterior_matrix(m, nu)
-    return pm.k_values, pm.n_values @ pm.matrix
-
-
 def compound_kernel_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(support points k, E[G_nu(N) | X = k]) over the compound support."""
+    """(support points k, E[G_nu(N) | X = k]) over the compound support: the
+    compound kernel K_nu(k) = d/dnu log of the unnormalized compound mass
+    sum_n w_n(nu) F^{*n}(k), the posterior average of the counting kernel."""
     pm = posterior_matrix(m, nu)
     g = np.zeros(m.n_max + 1)
     n = np.arange(m.n_lo, m.n_max + 1, dtype=float)
@@ -411,17 +407,10 @@ def compound_kernel_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.nda
     return pm.k_values, g @ pm.matrix
 
 
-def compound_kernel(m: CompoundModel, nu: float, k: int) -> float:
-    ks, vals = compound_kernel_all(m, nu)
-    idx = np.nonzero(ks == float(k))[0]
-    if idx.size == 0:
-        raise ValueError(f"k={k} is outside the compound support")
-    return float(vals[int(idx[0])])
-
-
 def compound_score_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """(k, d/dnu log f_nu(k)): the posterior-averaged kernel K less its mean
-    E[K] under the compound law at nu."""
+    E[K] under the compound law at nu. This is the compound centring: the
+    normalizer's log derivative is E[K], so the score has mean zero."""
     ks, vals = compound_kernel_all(m, nu)
     f = compound_pmf(m, nu).masses[ks.astype(int)]
     return ks, vals - float(np.dot(f, vals))
@@ -482,14 +471,3 @@ def check_compound_lr(
     low, high = compound_pmf(m, lo), compound_pmf(m, hi)
     cross = oracle_lr(low, high) if direction == "up" else oracle_lr(high, low)
     return reconcile(criterion, cross, "kernel criterion")
-
-
-def poisson_binomial_pmf(p_vec) -> Distribution:
-    """Law of a sum of independent Bernoulli(p_i), by exact convolution."""
-    ps = np.atleast_1d(np.asarray(p_vec, dtype=float))
-    if ps.size == 0 or np.any((ps < 0) | (ps > 1)):
-        raise ValueError("need a nonempty vector of probabilities in [0,1]")
-    pmf = np.array([1.0])
-    for p in ps:
-        pmf = np.convolve(pmf, np.array([1.0 - p, p]))
-    return Distribution(discrete_grid(0, ps.size), pmf)

@@ -48,9 +48,7 @@ those points are a prefix of the grid, found by one binary search and read
 as slices.
 
 The quantifier over nu is scanned on a finite grid, so holds means "holds at
-every scanned parameter", exact in x per scanned value. The superlevel and
-unimodal-endpoint checks are sufficient conditions only: a violated
-hypothesis yields status 'inconclusive', never 'fails'.
+every scanned parameter", exact in x per scanned value.
 """
 
 from __future__ import annotations
@@ -73,13 +71,9 @@ __all__ = [
     "nu_scan",
     "TailMeanProfile",
     "tail_mean_profile",
-    "weighted_log_derivative",
     "order_probe",
     "scan_kernel",
     "scan_orders",
-    "check_superlevel",
-    "check_unimodal_endpoint",
-    "check_concave_endpoint",
 ]
 
 TOL_SHAPE = 1e-9  # sign tests on analytic kernel values
@@ -304,7 +298,13 @@ class TailMeanProfile:
 
 
 def tail_mean_profile(f: DensityFamily, nu: float, grid: SupportGrid) -> TailMeanProfile:
-    """One backward pass giving E[K | X >= x] at every positive-survival point."""
+    """One backward pass giving E[K | X >= x] at every positive-survival point.
+
+    The profile states the identities behind the st and hr criteria (Shaked
+    & Shanthikumar, Stochastic Orders, 2007, ch. 1): differentiating
+    log E_nu[u(X)] gives E^u[K_nu] - E[K_nu], so the weight u = 1[X >= x]
+    gives `dlog_survival`, and the hazard f / survival gives `dlog_hazard`.
+    The scan reads the same tail means, by the same pass."""
     d = density(f, nu, grid)
     k = np.asarray(f.kernel(nu, grid.points), dtype=float)
     surv, tail, grand = _tail_means(k, d.masses)
@@ -317,26 +317,6 @@ def tail_mean_profile(f: DensityFamily, nu: float, grid: SupportGrid) -> TailMea
         grand_mean=grand,
         survival=surv[:n],
     )
-
-
-def weighted_log_derivative(f: DensityFamily, nu: float, u, grid: SupportGrid) -> float:
-    """d/dnu log E[u(X)] under P_nu, via the reweighted score mean.
-
-    Equals E^u[K_nu] - E[K_nu] where E^u is the u-tilted law; u may be a
-    callable on the grid points or an aligned nonnegative array.
-    """
-    d = density(f, nu, grid)
-    w = np.asarray(u(grid.points) if callable(u) else u, dtype=float)
-    if w.shape != grid.points.shape:
-        raise ValueError("weight must align with the grid points")
-    if np.any(w < 0):
-        raise ValueError("weight must be nonnegative")
-    wm = w * d.masses
-    total = wm.sum()
-    if not total > 0:
-        raise ValueError("weighted mass is zero")
-    k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-    return float(np.dot(k, wm) / total - np.dot(k, d.masses))
 
 
 # ---------------------------------------------------------------------------
@@ -353,55 +333,18 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid,
     return lambda nu: f.kernel(nu, grid.points)
 
 
-def _family_scan(f: DensityFamily, nu_grid, grid: SupportGrid, probes,
-                 known_laws: Mapping[float, Distribution] | None = None):
-    """The scan of a family over nu_grid, and its size for the tolerances;
-    a law in known_laws (keyed by nu, on this grid) is not evaluated again."""
-    nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
-    if not nus:
-        raise ValueError("empty parameter grid")
-    if grid.size < 3:
-        raise ValueError("support grid needs at least three points")
-    known = known_laws or {}
-
-    def law(nu: float) -> np.ndarray:
-        d = known.get(nu)
-        return (d if d is not None else density(f, nu, grid)).masses
-
-    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, probes, law=law)
-    return results, {"nu_points": len(nus), "grid_points": grid.size}
-
-
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"
-_CERTIFIES_ST = _SCANNED_NOTE + "; certifies st as well"
 _IMPLIED_NOTE = ("holds on the scanned parameter grid; "
                  "implied by lr: the kernel is monotone at every scanned nu")
 
-# why a sufficient check is inconclusive, by the kind of its witness
-_UNMET = {
-    "endpoint-score": "score negative at the left endpoint",
-    "superlevel-return": "score returns above zero after going negative",
-    "tail-monotone": "score not nonincreasing beyond its superlevel set",
-    "rising": "kernel not nondecreasing left of the mode",
-    "falling": "kernel not nonincreasing right of the mode",
-    "triplet": "kernel not concave",
-}
 
-
-def _verdict(order: str, direction: str, method: str, tolerances: dict, result,
-             note: str = _SCANNED_NOTE) -> OrderVerdict:
-    """A kernel criterion fails at its witness; a sufficient check whose
-    hypothesis is unmet there is inconclusive."""
+def _verdict(order: str, direction: str, tolerances: dict, result, note: str) -> OrderVerdict:
+    """The kernel criterion's verdict: fails at its witness, else holds."""
     witness, margin = result
-    if witness is None:
-        status = "holds"
-    elif method == "kernel-criterion":
-        status, note = "fails", ""
-    else:
-        status, note = "inconclusive", _UNMET[witness.kind]
+    status, note = ("holds", note) if witness is None else ("fails", "")
     lohi = ("P[nu1]", "P[nu2]") if direction == "up" else ("P[nu2]", "P[nu1]")
     return OrderVerdict(
-        order=order, direction=direction, status=status, method=method,
+        order=order, direction=direction, status=status, method="kernel-criterion",
         tolerances=tolerances, witness=witness, margin=margin, note=note,
         claim=f"{lohi[0]} <={order} {lohi[1]} whenever nu1 <= nu2 in the scanned range",
     )
@@ -417,114 +360,27 @@ def scan_orders(
     eps_tail: float = EPS_TAIL,
     known_laws: Mapping[float, Distribution] | None = None,
 ) -> list[OrderVerdict]:
-    """Kernel-criterion verdicts of the (order, direction) tests from one scan;
-    each equals the verdict a scan of that test alone gives. known_laws
-    maps nu to `density(f, nu, grid)` already evaluated by the caller."""
+    """Kernel-criterion verdicts of the (order, direction) tests from one scan
+    of f over nu_grid; each equals the verdict a scan of that test alone
+    gives. known_laws maps nu to `density(f, nu, grid)` already evaluated by
+    the caller, which the scan does not evaluate again."""
     probes = [order_probe(o, d, tol_shape, tol_tail, eps_tail) for o, d in tests]
-    results, size = _family_scan(f, nu_grid, grid, probes, known_laws)
+    nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
+    if not nus:
+        raise ValueError("empty parameter grid")
+    if grid.size < 3:
+        raise ValueError("support grid needs at least three points")
+    known = known_laws or {}
+
+    def law(nu: float) -> np.ndarray:
+        d = known.get(nu)
+        return (d if d is not None else density(f, nu, grid)).masses
+
+    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, probes, law=law)
+    size = {"nu_points": len(nus), "grid_points": grid.size}
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
     return [
-        _verdict(o, d, "kernel-criterion", {**(shape if o in ("lr", "lc") else tail), **size}, r,
+        _verdict(o, d, {**(shape if o in ("lr", "lc") else tail), **size}, r,
                  _IMPLIED_NOTE if p.implied == size["nu_points"] else _SCANNED_NOTE)
         for (o, d), p, r in zip(tests, probes, results)
     ]
-
-
-# ---------------------------------------------------------------------------
-# sufficient conditions for the decreasing direction
-
-
-def _endpoint_verdict(f, nu_grid, grid, probe, order, method, tolerances, note) -> OrderVerdict:
-    if not math.isfinite(f.support[0]):
-        raise ValueError(f"{f.name}: support is unbounded below, no left endpoint")
-    (result,), size = _family_scan(f, nu_grid, grid, [probe])
-    return _verdict(order, "down", method, {**tolerances, **size}, result, note)
-
-
-def check_superlevel(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    want_hr: bool = False,
-    tol_tail: float = TOL_TAIL,
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Score-superlevel test certifying the decreasing usual order.
-
-    For each scanned nu the set {s_nu >= 0} must be a nonempty initial
-    interval of the grid; with want_hr the score must also be nonincreasing
-    from its last nonnegative point on, upgrading the claim to the
-    hazard-rate order. Sufficient only: a violated hypothesis is reported as
-    inconclusive, with the offending point attached.
-    """
-
-    def probe(row: _Row) -> Iterator[Step]:
-        s, pts = row.k - row.tails[2], row.grid.points
-        yield pts[:1], s[:1], tol_tail, "endpoint-score", 1.0
-        neg = np.flatnonzero(s < -tol_tail)
-        if neg.size:
-            # the first return above zero is a witness but adds no margin
-            back = neg[0] + np.flatnonzero(s[neg[0]:] > tol_tail)[:1]
-            yield pts[back], s[back], tol_tail, "superlevel-return", -1.0
-        if want_hr:
-            nonneg = np.flatnonzero(s >= -tol_tail)
-            m = int(nonneg[-1]) if nonneg.size else 0
-            yield pts[m:-1], _slopes(row.grid, s)[m:], tol_shape, "tail-monotone", -1.0
-
-    return _endpoint_verdict(
-        f, nu_grid, grid, probe, "hr" if want_hr else "st", "superlevel",
-        {"tol_tail": tol_tail, "tol_shape": tol_shape},
-        _CERTIFIES_ST if want_hr else _SCANNED_NOTE,
-    )
-
-
-def check_unimodal_endpoint(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    mode_c: float,
-    tol_tail: float = TOL_TAIL,
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Unimodal-kernel test: K rises to a fixed mode c, falls after, and the
-    score at the left endpoint is nonnegative, for every scanned nu. Certifies
-    both the usual and hazard-rate orders in the decreasing direction;
-    violated hypotheses give inconclusive."""
-    c = float(mode_c)
-    pts = grid.points
-    # adjacent pairs entirely left/right of c; pairs straddling c are exempt
-    left_pairs = np.flatnonzero(pts[1:] <= c)
-    right_pairs = np.flatnonzero(pts[:-1] >= c)
-
-    def probe(row: _Row) -> Iterator[Step]:
-        yield pts[left_pairs], row.slopes[left_pairs], tol_shape, "rising", 1.0
-        yield pts[right_pairs], row.slopes[right_pairs], tol_shape, "falling", -1.0
-        yield pts[:1], row.k[:1] - row.tails[2], tol_tail, "endpoint-score", 1.0
-
-    return _endpoint_verdict(
-        f, nu_grid, grid, probe, "hr", "unimodal-endpoint",
-        {"tol_tail": tol_tail, "tol_shape": tol_shape, "mode_c": c}, _CERTIFIES_ST,
-    )
-
-
-def check_concave_endpoint(
-    f: DensityFamily,
-    nu_grid,
-    grid: SupportGrid,
-    tol_tail: float = TOL_TAIL,
-    tol_shape: float = TOL_SHAPE,
-) -> OrderVerdict:
-    """Concave kernel plus nonnegative endpoint score: st and hr, decreasing.
-
-    A concave function's superlevel set is an interval, so this is a special
-    case of the superlevel test; kept separate because the hypothesis is
-    cheaper to state and check."""
-
-    def probe(row: _Row) -> Iterator[Step]:
-        yield row.grid.points[1:-1], row.curvature, tol_shape, "triplet", -1.0
-        yield row.grid.points[:1], row.k[:1] - row.tails[2], tol_tail, "endpoint-score", 1.0
-
-    return _endpoint_verdict(
-        f, nu_grid, grid, probe, "hr", "concave-endpoint",
-        {"tol_tail": tol_tail, "tol_shape": tol_shape}, _CERTIFIES_ST,
-    )

@@ -15,7 +15,6 @@ discretized laws, noted as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "ORACLE_REL_TOL",
     "ORACLE_ABS_TOL",
     "ORACLE_EPS_TAIL",
-    "LikelihoodRatioSeq",
-    "likelihood_ratio_seq",
     "oracle_lr",
     "oracle_st",
     "oracle_hr",
@@ -64,27 +61,14 @@ def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, 
     return gp.points, P.masses, Q.masses, gp.kind
 
 
-@dataclass(frozen=True)
-class LikelihoodRatioSeq:
-    """l(x) = f_P(x)/f_Q(x) over the union support, extended-real valued."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-
 def _ratio(mp: np.ndarray, mq: np.ndarray) -> np.ndarray:
+    """l = mp / mq, extended-real valued by the conventions above."""
     out = np.zeros(mp.shape)  # covers 0/0 -> 0 and 0/positive -> 0
     pos = mq > 0
     with np.errstate(over="ignore"):  # mass / subnormal mass: +inf, as for mass / 0
         out[pos] = mp[pos] / mq[pos]
     out[(mp > 0) & ~pos] = np.inf
     return out
-
-
-def likelihood_ratio_seq(P: Distribution, Q: Distribution) -> LikelihoodRatioSeq:
-    pts, mp, mq, _ = _aligned(P, Q)
-    keep = (mp > 0) | (mq > 0)
-    return LikelihoodRatioSeq(points=pts[keep], values=_ratio(mp[keep], mq[keep]))
 
 
 def _log_decrements(values: np.ndarray) -> np.ndarray:
@@ -213,7 +197,8 @@ def oracle_lc(
 
 
 def total_variation(P: Distribution, Q: Distribution) -> float:
-    """TV distance between two aligned laws: half the L1 mass difference."""
+    """TV distance between two aligned laws: half the L1 mass difference,
+    which equals sup_A |P(A) - Q(A)|, attained at A = {x: f_P(x) > f_Q(x)}."""
     _, mp, mq, _ = _aligned(P, Q)
     return 0.5 * float(np.abs(mp - mq).sum())
 

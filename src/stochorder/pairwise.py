@@ -162,13 +162,9 @@ def _common_range(p: PairwiseLaw, q: PairwiseLaw, kmax: int) -> tuple[int, int]:
     return lo, int(hi) if math.isfinite(hi) else lo + int(kmax)
 
 
-def pairwise_kernel(
-    P_spec: str | PairwiseLaw, Q_spec: str | PairwiseLaw, kmax: int = 200,
-) -> PairwiseKernel:
+def pairwise_kernel(p: PairwiseLaw, q: PairwiseLaw, kmax: int = 200) -> PairwiseKernel:
     """Build the pairwise kernel on the intersection of the two supports, cut
     to kmax + 1 points when both supports are infinite."""
-    p = law_from_spec(P_spec) if isinstance(P_spec, str) else P_spec
-    q = law_from_spec(Q_spec) if isinstance(Q_spec, str) else Q_spec
     lo, hi = _common_range(p, q, kmax)
     if hi < lo:
         raise ValueError(f"{p.name} and {q.name} have no common support")
@@ -318,7 +314,9 @@ def katz_threshold(pair: str, params: Mapping[str, float]) -> dict[str, bool]:
 
 
 def betabin_hyp_delta(B: int, W: int, n: int, r: float, s: float, k) -> np.ndarray:
-    """Forward difference of log(w^Hyp / w^BetaBin) at k, in closed form."""
+    """Forward difference of log(w^Hyp / w^BetaBin) at k, in closed form: the
+    step K(k + 1) - K(k) of the pairwise kernel of Hyp(B, W, n) against
+    BetaBin(n, r, s), whose sign decides lr between the two laws."""
     k = np.asarray(k, dtype=float)
     return np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
 
@@ -326,7 +324,8 @@ def betabin_hyp_delta(B: int, W: int, n: int, r: float, s: float, k) -> np.ndarr
 def betabin_hyp_condition(B: int, W: int, n: int, r: float, s: float) -> bool:
     """W(r+n-1) <= s(B-n+1): the endpoint slope test certifying
     BetaBin(n,r,s) <=lr Hyp(B,W,n). The slope profile is nonincreasing in k,
-    so the k = n-1 cell governs."""
+    so the k = n-1 cell governs: the condition is
+    betabin_hyp_delta(..., n - 1) >= 0, exponentiated."""
     if not (B >= n and W >= n and n >= 1):
         raise ValueError("need B, W >= n >= 1 so the hypergeometric support is {0..n}")
     if not (r > 0 and s > 0):

@@ -17,16 +17,7 @@ __all__ = ["ORDERS", "DIRECTIONS", "STATUSES", "METHODS", "Witness", "OrderVerdi
 ORDERS = ("lr", "lc", "st", "hr")
 DIRECTIONS = ("up", "down")
 STATUSES = ("holds", "fails", "inconclusive")
-METHODS = (
-    "kernel-criterion",
-    "superlevel",
-    "concave-endpoint",
-    "unimodal-endpoint",
-    "oracle",
-    "pairwise-kernel",
-    "compound-kernel",
-    "path-kernel",
-)
+METHODS = ("kernel-criterion", "oracle", "pairwise-kernel", "compound-kernel", "path-kernel")
 
 
 @dataclass(frozen=True)
@@ -36,8 +27,10 @@ class Witness:
     x: offending grid point (left point of the offending pair/triple).
     nu: scanned parameter value at the violation; None for two-law checks.
     margin: signed slack at the violation (negative beyond the tolerance).
-    kind: which quantity was violated (first-difference, second-difference,
-          tail-mean, survival, ratio-step, endpoint-score, shape-hypothesis).
+    kind: which quantity was violated: adjacent-pair (a kernel or ratio
+          step), triplet (a second difference), grid-point (a tail mean),
+          support, support-gap or support-containment (a support test),
+          worst-point (a survival gap) or minor (a 2x2 minor).
     """
 
     x: float
@@ -57,8 +50,9 @@ class OrderVerdict:
     below second" for two-law checks); "down" is the reverse. margin is the
     worst signed slack observed over every scanned test point, so
     status == "holds" iff margin >= -tol and status == "fails" comes with a
-    witness whose margin is < -tol. Inconclusive verdicts (hypothesis of a
-    sufficient criterion unmet) carry a note instead of a witness margin claim.
+    witness whose margin is < -tol. An inconclusive verdict comes from
+    `reconcile`, when the criterion and the oracle disagree, or from
+    `check_compound_lr`, when its hypotheses are unmet; its note says which.
     """
 
     order: str

@@ -24,11 +24,9 @@ from stochorder.compound import (
     is_pf2,
     make_compound,
     make_counting,
-    poisson_binomial_pmf,
     posterior_matrix,
-    posterior_mean,
 )
-from stochorder.criteria import check_unimodal_endpoint, scan_orders
+from stochorder.criteria import scan_orders
 from stochorder.oracle import oracle_hr, oracle_lc, oracle_lr, oracle_st
 from stochorder.pairwise import (
     betabin_bin_interpolation,
@@ -224,12 +222,15 @@ def test_zero_inflated_exponential_atom_breaks_lr_but_not_st_or_hr():
     assert np.all(h2[mask] >= h1[mask] - 1e-6)
 
 
-def test_half_student_unimodal_endpoint_certifies_hr_and_st():
+def test_half_student_tail_criterion_decides_hr_and_st():
     fam = family_from_spec("half-student-in-df")
     grid = continuous_grid(0.0, 40.0, step=1e-3)
-    verdict = check_unimodal_endpoint(fam, [2.0, 5.0], grid, mode_c=1.0)
-    assert verdict.status == "holds"
-    assert "certifies st as well" in verdict.note
+    # the kernel rises to x = 1 and falls after: no lr order either way, yet
+    # the tail criterion decides hr, and with it st, down
+    tests = [("st", "down"), ("hr", "down"), ("lr", "up"), ("lr", "down")]
+    st, hr, lr_up, lr_down = scan_orders(fam, [2.0, 5.0], grid, tests)
+    assert st.holds and hr.holds
+    assert lr_up.status == "fails" and lr_down.status == "fails"
     d2 = density(fam, 2.0, grid)
     d5 = density(fam, 5.0, grid)
     s2, s5 = d2.survival_all(), d5.survival_all()
@@ -275,11 +276,12 @@ def test_posterior_matrices_are_tp2_with_nondecreasing_means():
     summand = geometric_summand(0.5)
     for name, kwargs, nu in (("poisson", {}, 2.0), ("negbinomial", {"alpha": 3.0}, 0.5)):
         model = make_compound(make_counting(name, **kwargs), summand, (nu,), eps_tail=1e-10)
-        matrix = posterior_matrix(model, nu).matrix
+        pm = posterior_matrix(model, nu)
+        matrix = pm.matrix
         minors = (matrix[:-1, :-1] * matrix[1:, 1:]
                   - matrix[:-1, 1:] * matrix[1:, :-1])
         assert float(minors.min()) >= -1e-12, name
-        _, mean = posterior_mean(model, nu)
+        mean = pm.n_values @ matrix  # E[N | X = k]
         assert float(np.diff(mean).min()) >= -1e-12, name
 
 
@@ -357,10 +359,18 @@ def test_lr_order_implies_hr_and_st_on_randomized_pairs():
             assert oracle_st(first, second).holds
 
 
+def _poisson_binomial(ps):
+    """The law of a sum of independent Bernoulli(p_i), by exact convolution."""
+    pmf = np.array([1.0])
+    for p in ps:
+        pmf = np.convolve(pmf, [1.0 - p, p])
+    return Distribution(discrete_grid(0, len(ps)), pmf)
+
+
 def test_poisson_binomial_is_lr_monotone_in_componentwise_success_rates():
     rng = np.random.default_rng(77)
     for _ in range(10):
         p = rng.uniform(0.05, 0.9, size=5)
         q = p + (1.0 - p) * rng.uniform(0.05, 0.95, size=5)
         assert np.all(p <= q) and np.all(q < 1.0)
-        assert oracle_lr(poisson_binomial_pmf(p), poisson_binomial_pmf(q)).holds
+        assert oracle_lr(_poisson_binomial(p), _poisson_binomial(q)).holds

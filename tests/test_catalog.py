@@ -22,7 +22,6 @@ from stochorder.catalog import (
     make_family,
     mixed_grid,
     parse_spec,
-    survival,
 )
 from stochorder.criteria import nu_scan
 
@@ -281,7 +280,6 @@ def test_survival_is_inclusive_and_monotone():
     assert s[0] == pytest.approx(1.0)
     assert s[1] == pytest.approx(1.0 - d.masses[0])
     assert np.all(np.diff(s) <= 1e-15)
-    assert survival(d, grid.points[3]) == pytest.approx(s[3])
 
 
 def test_hazard_of_exponential_is_flat_at_the_rate():

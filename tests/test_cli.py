@@ -394,6 +394,21 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
           "--orders", "lr"), "'50'"),
         (("check", "--family", "poisson", "--nu1", "2", "--nu2", "1", "--nu-grid", "1,1.5,2.5"),
          "'2.5'"),
+        # a repeated spec key kept its last value, while the report's inputs echoed both
+        (("check", "--family", "binomial-in-p:n=10,n=12", "--nu1", "0.1", "--nu2", "0.2"),
+         "parameter 'n' given twice"),
+        (("pairwise", "--p", "binomial:n=10,p=0.05,p=0.9", "--q", "poisson:lambda=1"),
+         "parameter 'p' given twice"),
+        (("pairwise", "--p", "poisson:lambda=1", "--q", "poisson:lambda=2, lambda=3"),
+         "parameter 'lambda' given twice"),
+        (("compound", "--counting", "binomial:n0=10,n0=12", "--summand", "geometric:p=0.5",
+          "--nu1", "0.1", "--nu2", "0.2"), "parameter 'n0' given twice"),
+        (("compound", "--counting", "poisson", "--summand", "geometric:p=0.5,p=0.4",
+          "--nu1", "1", "--nu2", "2"), "parameter 'p' given twice"),
+        (("path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1,r1=3"), "parameter 'r1' given twice"),
+        # about 2.8e10 summand terms: the summand asked numpy for a 206 GiB array
+        (("compound", "--counting", "poisson", "--summand", "geometric:p=1e-9",
+          "--nu1", "1", "--nu2", "2"), "p=1e-09 needs more than 100000 terms"),
     ]
     for argv, token in cases:
         code = main(list(argv))

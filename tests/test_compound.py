@@ -15,23 +15,20 @@ from stochorder.compound import (
     SummandLaw,
     TABLE2_ROWS,
     check_compound_lr,
-    compound_kernel,
     compound_kernel_all,
     compound_pmf,
     compound_score_all,
-    convolution_power,
     delta_summand,
     geometric_summand,
     is_pf2,
     is_tp2,
     make_compound,
     make_counting,
-    poisson_binomial_pmf,
     poisson_shifted_summand,
     posterior_matrix,
-    posterior_mean,
     summand_from_spec,
     two_point_summand,
+    _conv_table,
 )
 from stochorder.special import log_factorial_vec
 
@@ -90,6 +87,15 @@ def test_summand_spec_parsing():
             summand_from_spec(f"delta:j={j}")
 
 
+def test_geometric_summand_refuses_more_terms_than_the_largest_kmax():
+    # p = 1e-9 needs about 2.8e10 terms to cut its tail at 1e-12; the refusal
+    # comes before any array is allocated
+    for p in (1e-9, 2.7e-4, 5e-324):
+        with pytest.raises(ValueError, match=f"p={p:g} needs more than 100000 terms"):
+            summand_from_spec(f"geometric:p={p!r}")
+    assert geometric_summand(2.8e-4).j_max <= 100_000
+
+
 def test_summand_validation_rejects_support_gaps():
     with pytest.raises(ValueError, match="interval"):
         SummandLaw(np.array([0.5, 0.0, 0.5]), 0.0)
@@ -105,14 +111,14 @@ def test_summand_validation_rejects_support_gaps():
 
 def test_convolution_power_zero_is_point_mass():
     s = geometric_summand(0.5)
-    out = convolution_power(s, 0, 10)
+    out = _conv_table(s, 0, 10)[0]
     assert out[0] == 1.0 and np.all(out[1:] == 0.0)
 
 
 def test_geometric_convolution_is_shifted_negative_binomial():
     s = geometric_summand(0.4)
     for n in (1, 2, 5):
-        out = convolution_power(s, n, 60)
+        out = _conv_table(s, n, 60)[n]
         k = np.arange(61)
         expected = np.where(k >= n, stats.nbinom(n, 0.4).pmf(k - n), 0.0)
         assert np.allclose(out, expected, atol=1e-10)
@@ -120,15 +126,16 @@ def test_geometric_convolution_is_shifted_negative_binomial():
 
 def test_convolution_power_is_a_row_of_the_table():
     s = geometric_summand(0.3)
+    table = _conv_table(s, 5, 40)
     out = np.zeros(41)
     out[0] = 1.0
     for n in range(6):
-        assert np.array_equal(convolution_power(s, n, 40), out)
+        assert np.array_equal(table[n], out)
         out = np.convolve(out, s.pmf_from_zero())[:41]
 
 
 def test_delta_convolution_shifts():
-    out = convolution_power(delta_summand(2), 3, 10)
+    out = _conv_table(delta_summand(2), 3, 10)[3]
     assert out[6] == 1.0 and out.sum() == 1.0
 
 
@@ -268,7 +275,7 @@ def test_posterior_is_tp2_and_mean_monotone(name, fixed, nu):
     pm = posterior_matrix(model, nu)
     ok, w = is_tp2(pm.matrix)
     assert ok, w
-    ks, means = posterior_mean(model, nu)
+    means = pm.n_values @ pm.matrix  # E[N | X = k]
     assert np.all(np.diff(means) >= -1e-10)
 
 
@@ -303,14 +310,6 @@ def test_compound_score_is_centred_under_the_compound_law(name, nu):
     above, below = model.compound_masses(nu + h)[k], model.compound_masses(nu - h)[k]
     fd = (np.log(above[keep]) - np.log(below[keep])) / (2 * h)
     assert np.allclose(score[keep], fd, atol=1e-5), name
-
-
-def test_compound_kernel_scalar_accessor():
-    model = make_compound(make_counting("poisson"), geometric_summand(0.5), (2.0,))
-    ks, vals = compound_kernel_all(model, 2.0)
-    assert compound_kernel(model, 2.0, 3) == pytest.approx(vals[3])
-    with pytest.raises(ValueError):
-        compound_kernel(model, 2.0, model.k_max + 5)
 
 
 def test_compound_kernel_monotone_for_poisson_counting():
@@ -352,27 +351,3 @@ def test_table2_rows_cover_the_five_counting_laws():
     assert names == ["poisson", "geometric", "negbinomial", "binomial", "logseries"]
     for name, sign, direction in TABLE2_ROWS:
         assert (sign == "+") == (direction == "up")
-
-
-# ---------------------------------------------------------------------------
-# poisson-binomial
-
-
-def test_poisson_binomial_enumeration():
-    d = poisson_binomial_pmf([0.2, 0.5, 0.8])
-    # P(X=0) = 0.8*0.5*0.2 etc.
-    assert d.masses[0] == pytest.approx(0.8 * 0.5 * 0.2)
-    assert d.masses[3] == pytest.approx(0.2 * 0.5 * 0.8)
-    assert d.masses.sum() == pytest.approx(1.0)
-
-
-def test_poisson_binomial_equal_ps_is_binomial():
-    d = poisson_binomial_pmf([0.3] * 6)
-    assert np.allclose(d.masses, stats.binom(6, 0.3).pmf(np.arange(7)), atol=1e-12)
-
-
-def test_poisson_binomial_validates_input():
-    with pytest.raises(ValueError):
-        poisson_binomial_pmf([])
-    with pytest.raises(ValueError):
-        poisson_binomial_pmf([0.5, 1.2])

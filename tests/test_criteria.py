@@ -1,4 +1,5 @@
-"""Order-criterion checks: derivative identities, scans, sufficient tests.
+"""Order-criterion checks: derivative identities, scans, and the exact tail
+criterion where a sufficient condition is met or none applies.
 
 The derivative identities are validated against central finite differences of
 independently computed log densities, log survivals, and log hazards.
@@ -31,15 +32,11 @@ from stochorder.criteria import (
     NU_POINTS,
     TOL_SHAPE,
     TOL_TAIL,
-    check_concave_endpoint,
-    check_superlevel,
-    check_unimodal_endpoint,
     nu_scan,
     order_probe,
     scan_kernel,
     scan_orders,
     tail_mean_profile,
-    weighted_log_derivative,
 )
 from stochorder.pairwise import check_path_order, path_family
 
@@ -145,33 +142,18 @@ def test_profile_tail_mean_boundary_values():
     assert prof.tail_means[-1] == pytest.approx(prof.kernel_values[-1], rel=1e-9)
 
 
-def test_weighted_log_derivative_constant_weight_is_zero():
-    fam = make_family("poisson")
-    grid = default_grid(fam, [2.0])
-    assert weighted_log_derivative(fam, 2.0, np.ones(grid.size), grid) == pytest.approx(
-        0.0, abs=1e-12
-    )
-
-
 def test_weighted_log_derivative_tail_indicator_recovers_survival_derivative():
+    # d/dnu log E[u(X)] = E^u[K] - E[K] under the u-tilted law E^u; the weight
+    # u = 1[X >= x] makes it d/dnu log P(X >= x), the profile's dlog_survival
     fam = make_family("poisson")
     grid = default_grid(fam, [2.0])
     prof = tail_mean_profile(fam, 2.0, grid)
+    masses = density(fam, 2.0, grid).masses
+    k = np.asarray(fam.kernel(2.0, grid.points), dtype=float)
     cut = 4
-    u = (grid.points >= grid.points[cut]).astype(float)
-    got = weighted_log_derivative(fam, 2.0, u, grid)
+    wm = (grid.points >= grid.points[cut]) * masses
+    got = float(np.dot(k, wm) / wm.sum() - np.dot(k, masses))
     assert got == pytest.approx(prof.dlog_survival()[cut], rel=1e-10)
-
-
-def test_weighted_log_derivative_rejects_bad_weights():
-    fam = make_family("poisson")
-    grid = default_grid(fam, [2.0])
-    with pytest.raises(ValueError):
-        weighted_log_derivative(fam, 2.0, np.ones(3), grid)
-    with pytest.raises(ValueError):
-        weighted_log_derivative(fam, 2.0, -np.ones(grid.size), grid)
-    with pytest.raises(ValueError):
-        weighted_log_derivative(fam, 2.0, np.zeros(grid.size), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +231,37 @@ def test_criterion_rejects_parameters_outside_domain():
 
 
 # ---------------------------------------------------------------------------
-# sufficient-only checks
+# the exact tail criterion where a sufficient condition is met, or none applies
 
 
 def test_superlevel_certifies_exponential_decrease():
     fam = make_family("exponential-in-rate")
     nus = nu_scan(1.0, 2.0)
     grid = default_grid(fam, nus)
-    st_only = check_superlevel(fam, nus, grid)
-    assert st_only.holds and st_only.direction == "down" and st_only.order == "st"
-    with_hr = check_superlevel(fam, nus, grid, want_hr=True)
-    assert with_hr.holds and with_hr.order == "hr"
-    assert "st" in with_hr.note
+    # a nonincreasing score, nonnegative at the left endpoint, has an initial
+    # interval as its superlevel set: the sufficient condition for st and hr down
+    for nu in nus:
+        s = tail_mean_profile(fam, nu, grid).score()
+        assert s[0] >= -TOL_TAIL and np.all(np.diff(s) <= TOL_SHAPE)
+    st_down, hr_down, st_up, hr_up = scan_orders(
+        fam, nus, grid, [("st", "down"), ("hr", "down"), ("st", "up"), ("hr", "up")])
+    assert st_down.holds and hr_down.holds
+    assert st_up.status == "fails" and hr_up.status == "fails"
 
 
-def test_superlevel_inconclusive_when_not_initial_interval():
-    # rising scores at large k: the superlevel set is a final interval instead
+def test_exact_criterion_decides_st_where_no_certificate_applies():
+    # the poisson score rises in k: it is negative at the left endpoint and its
+    # superlevel set is a final interval, so no sufficient condition for the
+    # decreasing direction applies, while the tail criterion decides both ways
     fam = make_family("poisson")
     nus = nu_scan(1.0, 2.0)
     grid = default_grid(fam, nus)
-    v = check_superlevel(fam, nus, grid)
-    assert v.status == "inconclusive"
-    assert v.witness is not None
+    for nu in nus:
+        s = tail_mean_profile(fam, nu, grid).score()
+        assert s[0] < -TOL_TAIL and s[-1] > TOL_TAIL
+    up, down = scan_orders(fam, nus, grid, [("st", "up"), ("st", "down")])
+    assert up.holds
+    assert down.status == "fails" and down.witness is not None
 
 
 def test_unimodal_endpoint_certifies_half_student_decrease():
@@ -281,17 +272,16 @@ def test_unimodal_endpoint_certifies_half_student_decrease():
     up, down = scan_orders(fam, nus, grid, [("lr", "up"), ("lr", "down")])
     assert up.status == "fails"
     assert down.status == "fails"
-    v = check_unimodal_endpoint(fam, nus, grid, mode_c=1.0)
-    assert v.holds and v.direction == "down"
-    assert "st" in v.note
-
-
-def test_unimodal_endpoint_inconclusive_for_wrong_mode():
-    fam = make_family("half-student-in-df")
-    nus = nu_scan(2.0, 5.0)
-    grid = continuous_grid(0.0, 40.0, step=1e-3)
-    v = check_unimodal_endpoint(fam, nus, grid, mode_c=5.0)
-    assert v.status == "inconclusive"
+    # a kernel rising to the mode 1 and falling after, with a nonnegative score
+    # at the left endpoint: the sufficient condition for st and hr down
+    pts = grid.points
+    for nu in nus:
+        slopes = _ref_slopes(grid, np.asarray(fam.kernel(nu, pts), dtype=float))
+        assert np.all(slopes[pts[1:] <= 1.0] >= -TOL_SHAPE)
+        assert np.all(slopes[pts[:-1] >= 1.0] <= TOL_SHAPE)
+        assert tail_mean_profile(fam, nu, grid).score()[0] >= -TOL_TAIL
+    st, hr = scan_orders(fam, nus, grid, [("st", "down"), ("hr", "down")])
+    assert st.holds and hr.holds
 
 
 def test_concave_endpoint_certifies_zero_inflated_exponential():
@@ -300,35 +290,15 @@ def test_concave_endpoint_certifies_zero_inflated_exponential():
     # the window must hold essentially all the mass: truncating the far tail
     # biases the grand mean and with it the endpoint score
     grid = mixed_grid(30.0, step=1e-3)
-    v = check_concave_endpoint(fam, nus, grid)
-    assert v.holds and v.direction == "down"
+    # a concave kernel with a nonnegative score at the left endpoint: the
+    # sufficient condition for st and hr down
+    for nu in nus:
+        k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
+        assert np.all(np.diff(_ref_slopes(grid, k)) <= TOL_SHAPE)
+        assert tail_mean_profile(fam, nu, grid).score()[0] >= -TOL_TAIL
     st, hr = scan_orders(fam, nus, grid, [("st", "down"), ("hr", "down")])
     assert st.holds
     assert hr.holds
-
-
-def test_concave_endpoint_inconclusive_for_convex_kernel():
-    fam = make_family("poisson")  # affine kernel, but endpoint score is negative
-    nus = nu_scan(1.0, 2.0)
-    grid = default_grid(fam, nus)
-    v = check_concave_endpoint(fam, nus, grid)
-    assert v.status == "inconclusive"
-
-
-ENDPOINT_CHECKS = [
-    lambda fam, nus, grid: check_superlevel(fam, nus, grid),
-    lambda fam, nus, grid: check_unimodal_endpoint(fam, nus, grid, mode_c=0.0),
-    lambda fam, nus, grid: check_concave_endpoint(fam, nus, grid),
-]
-
-
-@pytest.mark.parametrize("check", ENDPOINT_CHECKS)
-def test_endpoint_checks_need_a_bounded_left_end(check):
-    fam = make_family("gumbel-in-location")
-    nus = nu_scan(0.0, 1.0)
-    grid = default_grid(fam, nus)
-    with pytest.raises(ValueError):
-        check(fam, nus, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -573,41 +543,6 @@ def _ref_order(order, direction, tol, eps):
     return probe
 
 
-def _ref_superlevel(want_hr, tol):
-    def probe(grid, k, slopes, tails):
-        s, pts = k - tails()[2], grid.points
-        yield pts[:1], s[:1], tol, "endpoint-score"
-        neg = np.flatnonzero(s < -tol)
-        if neg.size:
-            back = neg[0] + np.flatnonzero(s[neg[0]:] > tol)[:1]
-            yield pts[back], -s[back], tol, "superlevel-return"
-        if want_hr:
-            nonneg = np.flatnonzero(s >= -tol)
-            m = int(nonneg[-1]) if nonneg.size else 0
-            yield pts[m:-1], -_ref_slopes(grid, s)[m:], tol, "tail-monotone"
-
-    return probe
-
-
-def _ref_unimodal(c, tol):
-    def probe(grid, k, slopes, tails):
-        pts = grid.points
-        left, right = np.flatnonzero(pts[1:] <= c), np.flatnonzero(pts[:-1] >= c)
-        yield pts[left], slopes[left], tol, "rising"
-        yield pts[right], -slopes[right], tol, "falling"
-        yield pts[:1], k[:1] - tails()[2], tol, "endpoint-score"
-
-    return probe
-
-
-def _ref_concave(tol):
-    def probe(grid, k, slopes, tails):
-        yield grid.points[1:-1], -np.diff(slopes), tol, "triplet"
-        yield grid.points[:1], k[:1] - tails()[2], tol, "endpoint-score"
-
-    return probe
-
-
 def _bits(witness, margin):
     """A scan result with every float as its bit pattern."""
 
@@ -722,24 +657,16 @@ def test_a_skipped_tail_pass_finds_no_failure(case, trend):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=scan_cases(), want_hr=st.booleans(), c_at=st.floats(-0.5, 1.5))
-def test_sufficient_checks_equal_the_signed_copy_formulas(case, want_hr, c_at):
-    grid, nus, kernels, masses, tol = case
-    assume(all(m.max() > 1e-300 for m in masses.values()))
+@given(case=scan_cases())
+def test_tail_mean_profile_equals_the_reference_tail_means(case):
+    grid, nus, kernels, masses, _ = case
+    nu = nus[0]
+    assume(masses[nu].max() > 1e-300)
     fam = _TableFamily(grid, kernels, masses)
-    laws = {nu: density(fam, nu, grid).masses for nu in nus}
-    c = grid.points[0] + c_at * (grid.points[-1] - grid.points[0])
-    for verdict, ref in [
-        (check_superlevel(fam, nus, grid, want_hr, tol, tol), _ref_superlevel(want_hr, tol)),
-        (check_unimodal_endpoint(fam, nus, grid, c, tol, tol), _ref_unimodal(c, tol)),
-        (check_concave_endpoint(fam, nus, grid, tol, tol), _ref_concave(tol)),
-    ]:
-        want = _ref_scan(grid, nus, kernels, laws, ref)
-        assert _bits(verdict.witness, verdict.margin) == _bits(*want), verdict.method
-    prof = tail_mean_profile(fam, nus[0], grid)
-    surv, tail, grand = _ref_tail_means(kernels[nus[0]], laws[nus[0]])
+    prof = tail_mean_profile(fam, nu, grid)
+    surv, tail, grand = _ref_tail_means(kernels[nu], density(fam, nu, grid).masses)
     ok = surv > 0.0
-    for a, b in [(prof.x, grid.points[ok]), (prof.kernel_values, kernels[nus[0]][ok]),
+    for a, b in [(prof.x, grid.points[ok]), (prof.kernel_values, kernels[nu][ok]),
                  (prof.tail_means, tail[ok]), (prof.survival, surv[ok])]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert _bits(None, prof.grand_mean) == _bits(None, grand)

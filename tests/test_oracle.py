@@ -18,7 +18,7 @@ from stochorder.catalog import (
     mixed_grid,
 )
 from stochorder.oracle import (
-    likelihood_ratio_seq,
+    _ratio,
     oracle_for,
     oracle_hr,
     oracle_lc,
@@ -38,23 +38,16 @@ def disc(lo, masses):
 
 
 def test_likelihood_ratio_extended_conventions():
-    p = disc(0, [0.5, 0.5, 0.0, 0.0])
-    q = disc(0, [0.0, 0.5, 0.5, 0.0])
-    seq = likelihood_ratio_seq(p, q)
-    # 0.5/0 -> inf, 0.5/0.5 -> 1, 0/0.5 -> 0; the shared zero point is dropped
-    assert np.array_equal(seq.points, [0.0, 1.0, 2.0])
-    assert seq.values[0] == math.inf
-    assert seq.values[1] == pytest.approx(1.0)
-    assert seq.values[2] == 0.0
+    # 0.5/0 -> inf, 0.5/0.5 -> 1, 0/0.5 -> 0 and 0/0 -> 0
+    values = _ratio(np.array([0.5, 0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.5, 0.0]))
+    assert values.tolist() == [math.inf, 1.0, 0.0, 0.0]
 
 
 def test_ratio_past_the_largest_double_is_inf_without_a_warning():
-    p = disc(0, [0.5, 0.5])
-    q = Distribution(discrete_grid(0, 1), np.array([1.0, 5e-324]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seq = likelihood_ratio_seq(p, q)
-    assert seq.values.tolist() == [0.5, math.inf]
+        values = _ratio(np.array([0.5, 0.5]), np.array([1.0, 5e-324]))
+    assert values.tolist() == [0.5, math.inf]
 
 
 def test_discrete_alignment_unions_supports():

@@ -229,7 +229,8 @@ def test_pairwise_kernel_on_support_intersection():
 def test_pairwise_kernel_closed_form_differences():
     # log w^Poi - log w^Bin steps by log(lam) - log(n-k) - logit(p)
     n, p, lam = 10, 0.05, 0.6
-    pk = pairwise_kernel(f"poisson:lambda={lam}", f"binomial:n={n},p={p}")
+    pk = pairwise_kernel(law_from_spec(f"poisson:lambda={lam}"),
+                         law_from_spec(f"binomial:n={n},p={p}"))
     k = np.arange(n, dtype=float)
     expected = math.log(lam) - np.log(n - k) - (math.log(p) - math.log1p(-p))
     assert np.allclose(np.diff(pk.values), expected, atol=1e-12)
@@ -237,20 +238,22 @@ def test_pairwise_kernel_closed_form_differences():
 
 def test_pairwise_kernel_kmax_and_grid_clip():
     # kmax cuts a common infinite support; a finite one ends the grid whatever kmax is
-    pk = pairwise_kernel("poisson:lambda=2", "geometric:p=0.5", kmax=50)
+    poisson1 = law_from_spec("poisson:lambda=1")
+    pk = pairwise_kernel(law_from_spec("poisson:lambda=2"), make_law("geometric", p=0.5), kmax=50)
     assert pk.grid.points[0] == 0.0 and pk.grid.points[-1] == 50.0
-    inner = pairwise_kernel("binomial:n=4,p=0.5", "poisson:lambda=1", kmax=99)
+    inner = pairwise_kernel(make_law("binomial", n=4, p=0.5), poisson1, kmax=99)
     assert np.array_equal(inner.grid.points, np.arange(0.0, 5.0))
-    shifted = pairwise_kernel(make_law("hypergeometric", B=10, W=2, n=5), "poisson:lambda=1")
+    shifted = pairwise_kernel(make_law("hypergeometric", B=10, W=2, n=5), poisson1)
     assert np.array_equal(shifted.grid.points, np.arange(3.0, 6.0))
 
 
 def test_pairwise_kernel_rejects_bad_input():
     with pytest.raises(ValueError, match="no common support"):
-        pairwise_kernel(make_law("hypergeometric", B=6, W=3, n=5), "binomial:n=1,p=0.5")
+        pairwise_kernel(make_law("hypergeometric", B=6, W=3, n=5),
+                        make_law("binomial", n=1, p=0.5))
     holed = PairwiseLaw("holed", (0, 5), lambda k: np.where(k == 2.0, -np.inf, 0.0))
     with pytest.raises(ValueError, match="factor vanishes"):
-        pairwise_kernel(holed, "poisson:lambda=1")
+        pairwise_kernel(holed, law_from_spec("poisson:lambda=1"))
 
 
 def test_poisson_and_unit_cmp_share_pairwise_kernels():

@@ -41,6 +41,6 @@ def test_criterion_fails_oracle_holds_keeps_the_criterion_witness():
 
 
 def test_inconclusive_criterion_against_holding_oracle_keeps_its_own_margin():
-    crit = verdict("inconclusive", "superlevel", margin=0.2, note="hypothesis unmet")
+    crit = verdict("inconclusive", "compound-kernel", margin=0.2, note="hypothesis unmet")
     v = reconcile(crit, verdict("holds", "oracle", margin=0.1), "kernel test")
     assert v.status == "inconclusive" and v.witness is None and v.margin == 0.2
