@@ -215,15 +215,44 @@ def counting_from_spec(text: str) -> DensityFamily:
 # convolution and the compound law
 
 
-def _conv_table(F: SummandLaw, n_max: int, k_max: int) -> np.ndarray:
+def _conv_table(
+    F: SummandLaw, n_max: int, k_max: int, table: np.ndarray | None = None
+) -> np.ndarray:
     """Row n is F^{*n} on {0..k_max}, for n = 0..n_max; F^{*0} is the point
-    mass at 0."""
+    mass at 0.
+
+    Given `table`, the same rows on {0..w-1} with w > F.j_max, only columns
+    w..k_max are computed, each row from the previous row's columns
+    w - j_max onward. np.convolve takes entry k >= j_max of a row as the dot
+    product of the previous row's entries k - j_max..k with the reversed
+    summand, in the same order whatever the row's length, so every bit
+    equals one pass over 0..k_max. A row shorter than the summand would make
+    np.convolve swap its operands and sum each product in reverse order,
+    which is why w must exceed j_max.
+    """
     base = F.pmf_from_zero()
-    table = np.zeros((n_max + 1, k_max + 1))
-    table[0, 0] = 1.0
+    out = np.zeros((n_max + 1, k_max + 1))
+    if table is None:
+        out[0, 0] = 1.0
+        for n in range(1, n_max + 1):
+            out[n] = np.convolve(out[n - 1], base)[: k_max + 1]
+        return out
+    w, j = table.shape[1], F.j_max
+    if not j < w <= k_max:
+        raise ValueError(f"a convolution table grows only from w columns, j_max={j} < w "
+                         f"<= k_max={k_max}; got w={w}")
+    out[:, :w] = table
     for n in range(1, n_max + 1):
-        table[n] = np.convolve(table[n - 1], base)[: k_max + 1]
-    return table
+        out[n, w:] = np.convolve(out[n - 1, w - j :], base, mode="valid")
+    return out
+
+
+def _counting_pmf(counting: DensityFamily, n_max: int, nu: float) -> np.ndarray:
+    n_lo = int(counting.support[0])
+    n = np.arange(n_lo, n_max + 1, dtype=float)
+    q = np.zeros(n_max + 1)
+    q[n_lo:] = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
+    return q
 
 
 @dataclass(frozen=True)
@@ -232,7 +261,9 @@ class CompoundModel:
 
     conv[n, k] = F^{*n}({k}) for n <= n_max, k <= k_max; `make_compound`
     chooses k_max so the compound law at every construction-time parameter
-    keeps its tail mass below that call's eps_tail.
+    keeps its tail mass below that call's eps_tail, and computes the table
+    only in windows of columns until that cut; its bits equal those of one
+    pass to k_max.
     """
 
     counting: DensityFamily
@@ -247,17 +278,14 @@ class CompoundModel:
 
     def counting_pmf(self, nu: float) -> np.ndarray:
         """q_nu(n) for n = 0..n_max (zero below the counting support)."""
-        nu = self.counting.validate_param(nu)
-        n = np.arange(self.n_lo, self.n_max + 1, dtype=float)
-        q = np.zeros(self.n_max + 1)
-        q[self.n_lo :] = np.exp(
-            self.counting.log_factor(nu, n) - self.counting.log_normalizer(nu)
-        )
-        return q
+        return _counting_pmf(self.counting, self.n_max, self.counting.validate_param(nu))
 
     def compound_masses(self, nu: float) -> np.ndarray:
         """Unnormalized compound pmf on {0..k_max}; deficit <= eps budgets."""
         return self.counting_pmf(nu) @ self.conv
+
+
+_CONV_WINDOW = 64  # columns of the first window of the convolution table
 
 
 def make_compound(
@@ -269,7 +297,20 @@ def make_compound(
     k_cap: int = 2000,
     n_cap: int = _N_CAP,
 ) -> CompoundModel:
-    """Build the model with truncations valid for every nu in `nus`."""
+    """Build the model with truncations valid for every nu in `nus`.
+
+    k_max is the smallest k whose compound tail past k is at most eps_tail
+    at every nu. The table is grown in windows of columns: the first holds
+    max(64, j_max + 1), never fewer than the summand (see `_conv_table`),
+    and each later one doubles, up to k_cap + 1. Each window's columns are
+    bit for bit those of one pass to k_cap. The cut is read inside each
+    window, and the search stops once it lies in the window's first half and
+    the window holds at least 1 - 1e-6 of the mass at every nu. The mass
+    left out then lies past twice the cut, where a decaying compound tail
+    is far below eps_tail, so the tail sums that place the cut match those
+    of the full table. A window that reaches k_cap is the one-pass table,
+    with its rule and its error.
+    """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
     span = _discrete_span(counting, nus, eps_tail, n_cap)
     if span is None:
@@ -281,21 +322,28 @@ def make_compound(
         raise ValueError(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
         )
-    conv = _conv_table(summand, n_max, k_cap)
-    model = CompoundModel(counting, summand, k_cap, n_max, conv)
-    # shrink k_max to the smallest k keeping every scanned law's tail in budget;
-    # the tail is measured within the computed table (the counting and summand
-    # truncation deficits carry their own budgets and never shrink with k)
-    need = 1
-    for nu in nus:
-        masses = model.compound_masses(nu)
-        if masses.sum() < 1.0 - 1e-6:
-            raise ValueError(
-                f"compound mass beyond k_max={k_cap} exceeds 1e-6 at nu={nu:g}; raise k_cap"
-            )
-        beyond = np.cumsum(masses[::-1])[::-1] - masses
-        need = max(need, int(np.nonzero(beyond <= eps_tail)[0][0]))
-    return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
+    qs = [_counting_pmf(counting, n_max, nu) for nu in nus]
+    width = min(max(_CONV_WINDOW, summand.j_max + 1), k_cap + 1)
+    conv = _conv_table(summand, n_max, width - 1)
+    while True:
+        # the tail is measured within the computed table (the counting and
+        # summand truncation deficits carry their own budgets and never
+        # shrink with k)
+        need, held = 1, True
+        for nu, q in zip(nus, qs):
+            masses = q @ conv
+            if masses.sum() < 1.0 - 1e-6:
+                if width > k_cap:
+                    raise ValueError(f"compound mass beyond k_max={k_cap} exceeds 1e-6 "
+                                     f"at nu={nu:g}; raise k_cap")
+                held = False
+                break
+            beyond = np.cumsum(masses[::-1])[::-1] - masses
+            need = max(need, int(np.nonzero(beyond <= eps_tail)[0][0]))
+        if width > k_cap or held and 2 * need <= width:
+            return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
+        width = min(2 * width, k_cap + 1)
+        conv = _conv_table(summand, n_max, width - 1, conv)
 
 
 def compound_pmf(m: CompoundModel, nu: float) -> Distribution:

@@ -409,6 +409,9 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         # about 2.8e10 summand terms: the summand asked numpy for a 206 GiB array
         (("compound", "--counting", "poisson", "--summand", "geometric:p=1e-9",
           "--nu1", "1", "--nu2", "2"), "p=1e-09 needs more than 100000 terms"),
+        # a summand longer than the table: the one window is the whole table
+        (("compound", "--counting", "poisson", "--summand", "geometric:p=0.01",
+          "--nu1", "1", "--nu2", "2"), "compound mass beyond k_max=2000 exceeds 1e-6 at nu=2"),
     ]
     for argv, token in cases:
         code = main(list(argv))

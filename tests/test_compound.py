@@ -8,11 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stochorder.compound import (
     CompoundModel,
     SummandLaw,
+    COUNTING_NAMES,
     TABLE2_ROWS,
     check_compound_lr,
     compound_kernel_all,
@@ -139,6 +142,36 @@ def test_delta_convolution_shifts():
     assert out[6] == 1.0 and out.sum() == 1.0
 
 
+# summands drawn over the four kinds the CLI parses; geometric summands with
+# p < 0.35 have more terms than a 64-column window
+SUMMANDS = st.one_of(
+    st.floats(0.05, 0.95).map(geometric_summand),
+    st.floats(0.2, 5.0).map(poisson_shifted_summand),
+    st.integers(1, 300).map(delta_summand),
+    st.floats(0.05, 0.95).map(two_point_summand),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SUMMANDS, st.integers(0, 30), st.integers(0, 200), st.integers(1, 600))
+@example(geometric_summand(0.2), 20, 0, 300)
+@example(geometric_summand(0.05), 10, 0, 600)
+def test_conv_table_grown_from_a_narrower_table_equals_one_pass(summand, n_max, extra, more):
+    # both widths hold the whole summand, so np.convolve never swaps operands
+    width = summand.j_max + 1 + extra
+    k_max = width - 1 + more
+    narrow = _conv_table(summand, n_max, width - 1)
+    assert np.array_equal(_conv_table(summand, n_max, k_max, narrow),
+                          _conv_table(summand, n_max, k_max))
+
+
+def test_conv_table_grows_only_from_more_columns_than_the_summand():
+    s = geometric_summand(0.2)  # 124 terms
+    for width, k_max in ((s.j_max, 300), (s.j_max + 1, s.j_max)):
+        with pytest.raises(ValueError, match=f"j_max={s.j_max} < w <= k_max={k_max}; got w="):
+            _conv_table(s, 3, k_max, _conv_table(s, 3, width - 1))
+
+
 # ---------------------------------------------------------------------------
 # compound models
 
@@ -188,6 +221,77 @@ def test_compound_truncation_tail_within_budget():
         make_counting("geometric"), geometric_summand(0.5), (0.3, 0.6), eps_tail=1e-8
     )
     assert smaller.k_max <= model.k_max
+
+
+def test_k_cap_guard_names_the_cap():
+    with pytest.raises(ValueError, match="compound mass beyond k_max=5 exceeds 1e-6 at nu=2;"):
+        make_compound(make_counting("poisson"), geometric_summand(0.5), (2.0,), k_cap=5)
+
+
+# counting law: fixed parameters and the range of the scanned one
+COUNTING_DRAWS = {
+    "poisson": (st.just({}), (0.2, 20.0)),
+    "geometric": (st.just({}), (0.1, 0.9)),
+    "negbinomial": (st.fixed_dictionaries({"alpha": st.floats(0.3, 20.0)}), (0.15, 0.9)),
+    "binomial": (st.fixed_dictionaries({"n0": st.integers(1, 60)}), (0.05, 0.95)),
+    "logseries": (st.just({}), (0.05, 0.9)),
+    "negbinomial-in-shape": (st.fixed_dictionaries({"p": st.floats(0.2, 0.8)}), (0.3, 20.0)),
+}
+
+
+@st.composite
+def counting_scans(draw):
+    name = draw(st.sampled_from(COUNTING_NAMES))
+    fixed, (lo, hi) = COUNTING_DRAWS[name]
+    nus = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+    return make_counting(name, **draw(fixed)), tuple(nus)
+
+
+def _full_cap_reference(counting, summand, nus, k_cap=2000):
+    """(k_max, n_max, conv) from one table to k_cap and the reversed-cumsum
+    cut, or None where the compound mass past k_cap exceeds 1e-6."""
+    lo, hi = counting.support
+    qs = []
+    if math.isfinite(hi):
+        n_max = int(hi)
+    else:
+        n = np.arange(lo, 501, dtype=float)
+        for nu in nus:
+            q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
+            qs.append(int(lo) + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
+        n_max = max(qs)
+    table = np.zeros((n_max + 1, k_cap + 1))
+    table[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        table[n] = np.convolve(table[n - 1], summand.pmf_from_zero())[: k_cap + 1]
+    need = 1
+    n = np.arange(lo, n_max + 1, dtype=float)
+    for nu in nus:
+        q = np.zeros(n_max + 1)
+        q[int(lo):] = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
+        masses = q @ table
+        if masses.sum() < 1.0 - 1e-6:
+            return None
+        beyond = np.cumsum(masses[::-1])[::-1] - masses
+        need = max(need, int(np.nonzero(beyond <= 1e-12)[0][0]))
+    return need, n_max, table[:, : need + 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(counting_scans(), SUMMANDS)
+@example((make_counting("poisson"), (1.0, 2.0)), geometric_summand(0.2))
+@example((make_counting("geometric"), (0.5, 0.8)), geometric_summand(0.05))
+def test_make_compound_equals_the_full_cap_table_and_cut(scan, summand):
+    counting, nus = scan
+    reference = _full_cap_reference(counting, summand, nus)
+    if reference is None:
+        with pytest.raises(ValueError, match="compound mass beyond k_max=2000 exceeds 1e-6"):
+            make_compound(counting, summand, nus)
+        return
+    model = make_compound(counting, summand, nus)
+    k_max, n_max, conv = reference
+    assert (model.k_max, model.n_max) == (k_max, n_max)
+    assert np.array_equal(model.conv, conv)
 
 
 # every Table-2 counting law with an infinite support, at scans reaching past

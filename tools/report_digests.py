@@ -61,7 +61,13 @@ Each command runs in-process through `stochorder.cli.main` with
   pass reads a rounding-only st up margin of -1.1e-16 as a failure, and with
   `--tol-shape=1e6`, where st and hr down must still fail;
 - a compound with equal endpoints (`--nu1 2 --nu2 2`), which exits 2 and
-  names both options.
+  names both options;
+- compounds whose convolution table grows past its first column windows:
+  a Poisson count of `delta:j=40` atoms (k_max 720), a 527-term
+  `geometric:p=0.05` summand (k_max 1063) and a log-series count of
+  two-point summands; and two that exit 2 at the table's cap of 2000
+  columns, a `geometric:p=0.01` summand longer than the cap and Poisson
+  counts of `delta:j=300` atoms.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -172,6 +178,18 @@ EQUAL_ENDPOINTS = (
      "--nu2", "2"],
 )
 
+COMPOUND_WINDOWS = (
+    ["compound", "--counting", "poisson", "--summand", "delta:j=40", "--nu1", "1", "--nu2", "2"],
+    ["compound", "--counting", "geometric", "--summand", "geometric:p=0.05", "--nu1", "0.5",
+     "--nu2", "0.8"],
+    ["compound", "--counting", "logseries", "--summand", "two-point:w1=0.3", "--nu1", "0.2",
+     "--nu2", "0.7"],
+    ["compound", "--counting", "poisson", "--summand", "geometric:p=0.01", "--nu1", "1",
+     "--nu2", "2"],
+    ["compound", "--counting", "poisson", "--summand", "delta:j=300", "--nu1", "0.2",
+     "--nu2", "0.5"],
+)
+
 TOL = 1e-12
 
 
@@ -199,6 +217,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
+    out.extend(COMPOUND_WINDOWS)
     return [argv + ["--no-timing"] for argv in out]
 
 
