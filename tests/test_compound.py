@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochorder.compound import (
+    COUNTING_NAMES,
     CompoundModel,
     SummandLaw,
-    COUNTING_NAMES,
     TABLE2_ROWS,
     check_compound_lr,
     compound_kernel_all,
@@ -251,15 +251,13 @@ def _full_cap_reference(counting, summand, nus, k_cap=2000):
     """(k_max, n_max, conv) from one table to k_cap and the reversed-cumsum
     cut, or None where the compound mass past k_cap exceeds 1e-6."""
     lo, hi = counting.support
-    qs = []
     if math.isfinite(hi):
         n_max = int(hi)
     else:
-        n = np.arange(lo, 501, dtype=float)
+        n, n_max = np.arange(lo, 501, dtype=float), 0
         for nu in nus:
             q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
-            qs.append(int(lo) + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
-        n_max = max(qs)
+            n_max = max(n_max, int(lo) + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
     table = np.zeros((n_max + 1, k_cap + 1))
     table[0, 0] = 1.0
     for n in range(1, n_max + 1):
