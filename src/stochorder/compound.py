@@ -304,12 +304,14 @@ def make_compound(
     max(64, j_max + 1), never fewer than the summand (see `_conv_table`),
     and each later one doubles, up to k_cap + 1. Each window's columns are
     bit for bit those of one pass to k_cap. The cut is read inside each
-    window, and the search stops once it lies in the window's first half and
-    the window holds at least 1 - 1e-6 of the mass at every nu. The mass
-    left out then lies past twice the cut, where a decaying compound tail
-    is far below eps_tail, so the tail sums that place the cut match those
-    of the full table. A window that reaches k_cap is the one-pass table,
-    with its rule and its error.
+    window, and the search stops once, at every nu, the tail past the cut
+    plus the mass past the window is at most eps_tail. Row n of the full
+    table holds at most s^n past the window's row sum, s being the summand's
+    kept mass, so that bound is exact arithmetic's and the full table's cut
+    is the window's, except where a tail sum lies within rounding of
+    eps_tail (random comparisons against the full table have met no such
+    case). A window that reaches k_cap is the one-pass table, with its rule
+    and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
     span = _discrete_span(counting, nus, eps_tail, n_cap)
@@ -323,12 +325,14 @@ def make_compound(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
         )
     qs = [_counting_pmf(counting, n_max, nu) for nu in nus]
+    reach = summand.masses.sum() ** np.arange(n_max + 1)  # row n's mass over all k
     width = min(max(_CONV_WINDOW, summand.j_max + 1), k_cap + 1)
     conv = _conv_table(summand, n_max, width - 1)
     while True:
         # the tail is measured within the computed table (the counting and
         # summand truncation deficits carry their own budgets and never
-        # shrink with k)
+        # shrink with k); `outside` bounds each row's mass past the window
+        outside = np.maximum(reach - conv.sum(axis=1), 0.0)
         need, held = 1, True
         for nu, q in zip(nus, qs):
             masses = q @ conv
@@ -339,8 +343,10 @@ def make_compound(
                 held = False
                 break
             beyond = np.cumsum(masses[::-1])[::-1] - masses
-            need = max(need, int(np.nonzero(beyond <= eps_tail)[0][0]))
-        if width > k_cap or held and 2 * need <= width:
+            cut = int(np.nonzero(beyond <= eps_tail)[0][0])
+            held = held and beyond[cut] + q @ outside <= eps_tail
+            need = max(need, cut)
+        if width > k_cap or held:
             return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
         width = min(2 * width, k_cap + 1)
         conv = _conv_table(summand, n_max, width - 1, conv)

@@ -67,7 +67,9 @@ Each command runs in-process through `stochorder.cli.main` with
   `geometric:p=0.05` summand (k_max 1063) and a log-series count of
   two-point summands; and two that exit 2 at the table's cap of 2000
   columns, a `geometric:p=0.01` summand longer than the cap and Poisson
-  counts of `delta:j=300` atoms.
+  counts of `delta:j=300` atoms; and a rare Poisson count of `delta:j=32`
+  atoms over 1e-4..2e-4, whose first 64 columns hold all but 2e-8 of the
+  mass while the atom at 96 still holds 1.3e-12 (k_max 96).
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -188,6 +190,8 @@ COMPOUND_WINDOWS = (
      "--nu2", "2"],
     ["compound", "--counting", "poisson", "--summand", "delta:j=300", "--nu1", "0.2",
      "--nu2", "0.5"],
+    ["compound", "--counting", "poisson", "--summand", "delta:j=32", "--nu1", "0.0001",
+     "--nu2", "0.0002"],
 )
 
 TOL = 1e-12
