@@ -305,13 +305,15 @@ def make_compound(
     and each later one doubles, up to k_cap + 1. Each window's columns are
     bit for bit those of one pass to k_cap. The cut is read inside each
     window, and the search stops once, at every nu, the tail past the cut
-    plus the mass past the window is at most eps_tail. Row n of the full
-    table holds at most s^n past the window's row sum, s being the summand's
-    kept mass, so that bound is exact arithmetic's and the full table's cut
-    is the window's, except where a tail sum lies within rounding of
-    eps_tail (random comparisons against the full table have met no such
-    case). A window that reaches k_cap is the one-pass table, with its rule
-    and its error.
+    plus the mass past the window is at most eps_tail. Past the window, row
+    n of the full table holds at most s^n less the row's sum in the window,
+    s being the summand's kept mass. With that bound the full table's cut
+    equals the window's in exact arithmetic, and in floating point too
+    except where a tail sum lies within rounding of eps_tail, which random
+    comparisons against the full table have not met. A window missing more
+    than 1e-6 of the mass never stops the search, as its bound then exceeds
+    eps_tail. A window that reaches k_cap is the one-pass table, with its
+    rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
     span = _discrete_span(counting, nus, eps_tail, n_cap)
@@ -336,12 +338,9 @@ def make_compound(
         need, held = 1, True
         for nu, q in zip(nus, qs):
             masses = q @ conv
-            if masses.sum() < 1.0 - 1e-6:
-                if width > k_cap:
-                    raise ValueError(f"compound mass beyond k_max={k_cap} exceeds 1e-6 "
-                                     f"at nu={nu:g}; raise k_cap")
-                held = False
-                break
+            if width > k_cap and masses.sum() < 1.0 - 1e-6:
+                raise ValueError(f"compound mass beyond k_max={k_cap} exceeds 1e-6 "
+                                 f"at nu={nu:g}; raise k_cap")
             beyond = np.cumsum(masses[::-1])[::-1] - masses
             cut = int(np.nonzero(beyond <= eps_tail)[0][0])
             held = held and beyond[cut] + q @ outside <= eps_tail
