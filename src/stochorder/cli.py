@@ -54,7 +54,7 @@ from .compound import (
 from .criteria import (
     NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, order_probe, scan_kernel, scan_orders,
 )
-from .oracle import oracle_for, oracle_lr, oracle_st
+from .oracle import oracle_lr, oracle_pair, oracle_st
 from .pairwise import (
     betabin_bin_interpolation,
     check_pairwise,
@@ -287,6 +287,8 @@ def _cmd_check(args) -> tuple[dict, int]:
     fam = family_from_spec(args.family)
     orders = _parse_orders(args.orders)
     nu1, nu2 = float(args.nu1), float(args.nu2)
+    for nu in (nu1, nu2):
+        fam.validate_param(nu)
     tolerances = {
         "tol_shape": args.tol_shape,
         "tol_tail": args.tol_tail,
@@ -306,17 +308,15 @@ def _cmd_check(args) -> tuple[dict, int]:
     nu_list = _parse_nu_list(args.nu_grid, lo, hi) if args.nu_grid else None
 
     if nu1 == nu2:
-        nu = fam.validate_param(nu1)
         grid = default_grid(
-            fam, [nu], tail_eps=args.tail_eps, kmax=args.kmax, grid_points=args.grid_points
+            fam, [nu1], tail_eps=args.tail_eps, kmax=args.kmax, grid_points=args.grid_points
         )
-        d = density(fam, nu, grid)
+        d = density(fam, nu1, grid)
         ok = True
-        for o in orders:
-            v = oracle_for(o)(d, d)
+        for o, (v, _) in zip(orders, oracle_pair(d, d, orders)):
             v = replace(
                 v,
-                claim=f"P[{fam.param_name}={nu:g}] <={o} itself",
+                claim=f"P[{fam.param_name}={nu1:g}] <={o} itself",
                 note=_note_joined(v.note, "identical parameter endpoints: reflexive"),
             )
             verdicts.append(v)
@@ -334,15 +334,12 @@ def _cmd_check(args) -> tuple[dict, int]:
         tol_shape=args.tol_shape, tol_tail=args.tol_tail, known_laws={lo: d_lo, hi: d_hi},
     ))
     ok = True
-    for o in orders:
+    for o, endpoint in zip(orders, oracle_pair(d_lo, d_hi, orders)):
         per_direction = [next(scans), next(scans)]
         verdicts.extend(per_direction)
-        for first, second, direction, tag in (
-            (d_lo, d_hi, "up", f"P[{fam.param_name}={lo:g}] <={o} P[{fam.param_name}={hi:g}]"),
-            (d_hi, d_lo, "down", f"P[{fam.param_name}={hi:g}] <={o} P[{fam.param_name}={lo:g}]"),
-        ):
-            v = oracle_for(o)(first, second)
-            verdicts.append(replace(v, direction=direction, claim=f"{tag} (endpoint pair)"))
+        for v, direction, (a, b) in zip(endpoint, ("up", "down"), ((lo, hi), (hi, lo))):
+            tag = f"P[{fam.param_name}={a:g}] <={o} P[{fam.param_name}={b:g}] (endpoint pair)"
+            verdicts.append(replace(v, direction=direction, claim=tag))
         ok = ok and any(v.holds for v in per_direction)
     return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 

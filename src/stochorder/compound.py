@@ -340,7 +340,8 @@ def make_compound(
             masses = q @ conv
             if width > k_cap and masses.sum() < 1.0 - 1e-6:
                 raise ValueError(f"compound mass beyond k_max={k_cap} exceeds 1e-6 "
-                                 f"at nu={nu:g}; raise k_cap")
+                                 f"at nu={nu:g}; use a summand with less mass far out "
+                                 "or scan a narrower nu range")
             beyond = np.cumsum(masses[::-1])[::-1] - masses
             cut = int(np.nonzero(beyond <= eps_tail)[0][0])
             held = held and beyond[cut] + q @ outside <= eps_tail

@@ -1,8 +1,9 @@
 """Brute-force order checks on concrete distributions.
 
 Ground truth for the kernel criteria: every order is decided directly from
-the two mass vectors, with no kernel or family information. Each op decides
-"first argument below second", e.g. oracle_st(P, Q) decides P <=st Q.
+the two mass vectors, with no kernel or family information. Each one-way op
+decides "first argument below second", e.g. oracle_st(P, Q) decides
+P <=st Q; `oracle_pair(P, Q, orders)` decides each order both ways.
 
 Ratio conventions for the likelihood ratio l = f_P/f_Q on the union support:
 positive/0 is +infinity, as is a ratio past the largest double, and 0/0 is
@@ -10,6 +11,23 @@ positive/0 is +infinity, as is a ratio past the largest double, and 0/0 is
 both laws carry less than eps_tail are skipped so truncation noise cannot
 create false witnesses. Verdicts on continuous or mixed grids certify the
 discretized laws, noted as such.
+
+One alignment serves both directions. Each order's formula is written once,
+for one direction of a `_Pair` (the two laws' aligned mass vectors): a
+one-way call builds a pair and reads one direction, `oracle_pair` reads
+both. The pair derives on first use, and keeps, what both directions read:
+the two survivals (st and hr), the points where either law carries eps_tail
+(lr), and for lc the kept points of a support range with their spacings and
+both log-mass vectors, which the second direction reuses when both laws'
+supports are that one gap-free range on one point array. On these each
+direction runs its own subtractions and divisions, the operations of a
+one-way call in the same order, so each verdict of `oracle_pair` has the
+bits of the one-way call. The down lc margins are not taken as the negated
+up margins, since negation does not commute with subtraction on signed
+zeros: -(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the
+formula selects through a mask, the code slices when the mask is one run,
+as a survival's points above eps_tail always are (a survival is
+nonincreasing); a slice holds the values of the gather in the same order.
 """
 
 from __future__ import annotations
@@ -30,6 +48,7 @@ __all__ = [
     "oracle_hr",
     "oracle_lc",
     "oracle_for",
+    "oracle_pair",
     "total_variation",
 ]
 
@@ -61,23 +80,105 @@ def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, 
     return gp.points, P.masses, Q.masses, gp.kind
 
 
+def _span(mask: np.ndarray) -> tuple[int, int, int]:
+    """(start, stop, count): the index range from the first to the last true
+    entry of `mask` and how many entries are true; (0, 0, 0) when none is."""
+    count = int(np.count_nonzero(mask))
+    if count in (0, mask.size):
+        return 0, count, count
+    return int(np.argmax(mask)), mask.size - int(np.argmax(mask[::-1])), count
+
+
+def _selector(mask: np.ndarray) -> slice | np.ndarray:
+    """Index of the true entries of `mask`: a slice when they form one run."""
+    start, stop, count = _span(mask)
+    return slice(start, stop) if stop - start == count else np.flatnonzero(mask)
+
+
+def _prefix_above(survival: np.ndarray, eps: float) -> int:
+    """Length of the leading run of a nonincreasing survival above eps, found
+    by bisection: `survival > eps` holds exactly on that prefix."""
+    lo, hi = 0, survival.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if survival[mid] > eps:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _survival(masses: np.ndarray) -> np.ndarray:
+    return np.cumsum(masses[::-1])[::-1]
+
+
+class _Pair:
+    """Two laws' aligned masses, and the arrays both directions of an order
+    read, each derived on first use. Direction `down` reads Q below P."""
+
+    def __init__(self, P: Distribution, Q: Distribution) -> None:
+        pts, self.mp, self.mq, self.kind = _aligned(P, Q)
+        # a one-way call places its witnesses on its first law's grid
+        self.points = (pts, pts if self.kind == "discrete" else Q.support.points)
+        self._survivals: tuple[np.ndarray, np.ndarray] | None = None
+        self._keeps: dict[float, slice | np.ndarray] = {}
+        self._logs: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def masses(self, down: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) mass vectors of the direction."""
+        return (self.mq, self.mp) if down else (self.mp, self.mq)
+
+    def survivals(self, down: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) survivals of the direction."""
+        if self._survivals is None:
+            self._survivals = _survival(self.mp), _survival(self.mq)
+        sp, sq = self._survivals
+        return (sq, sp) if down else (sp, sq)
+
+    def keep(self, eps: float) -> slice | np.ndarray:
+        """The points where either law carries at least eps."""
+        if eps not in self._keeps:
+            self._keeps[eps] = _selector((self.mp >= eps) | (self.mq >= eps))
+        return self._keeps[eps]
+
+    def run_logs(self, start: int, stop: int, eps: float, down: bool) -> tuple[np.ndarray, ...]:
+        """(x, its spacings, log first, log second) at the points of
+        start..stop-1 where either law carries at least eps. The points and
+        logs do not depend on the direction, so when both laws' supports are
+        that one range on one point array the second direction reuses them."""
+        points = self.points[down]
+        key = (start, stop, eps, points is self.points[0])
+        if key not in self._logs:
+            run = slice(start, stop)
+            mp, mq = self.mp[run], self.mq[run]
+            keep = _selector((mp >= eps) | (mq >= eps))
+            x = points[run][keep]
+            self._logs[key] = x, np.diff(x), np.log(mp[keep]), np.log(mq[keep])
+        x, dx, log_p, log_q = self._logs[key]
+        return (x, dx, log_q, log_p) if down else (x, dx, log_p, log_q)
+
+
 def _ratio(mp: np.ndarray, mq: np.ndarray) -> np.ndarray:
     """l = mp / mq, extended-real valued by the conventions above."""
-    out = np.zeros(mp.shape)  # covers 0/0 -> 0 and 0/positive -> 0
     pos = mq > 0
     with np.errstate(over="ignore"):  # mass / subnormal mass: +inf, as for mass / 0
+        if pos.all():
+            return mp / mq
+        out = np.zeros(mp.shape)  # covers 0/0 -> 0 and 0/positive -> 0
         out[pos] = mp[pos] / mq[pos]
     out[(mp > 0) & ~pos] = np.inf
     return out
 
 
 def _log_decrements(values: np.ndarray) -> np.ndarray:
-    """Adjacent log-space drops; equal extended values (0/0 or inf/inf pairs)
-    count as flat rather than NaN."""
+    """Adjacent log-space drops of `values`, which it overwrites with their
+    logs; equal extended values (0/0 or inf/inf pairs) count as flat rather
+    than NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.log(values)
+        g = np.log(values, out=values)
         m = g[:-1] - g[1:]
-    return np.where(np.isnan(m), 0.0, m)
+    m[np.isnan(m)] = 0.0
+    return m
 
 
 def _verdict(
@@ -108,14 +209,88 @@ def _monotone_verdict(
     witness_kind: str,
 ) -> OrderVerdict:
     """The oracle's one first-witness search: fails at the first margin below
-    -rel_tol, holds otherwise with the least finite margin."""
-    bad = np.nonzero(margins < -rel_tol)[0]
-    if bad.size:
-        i = int(bad[0])
+    -rel_tol, holds otherwise with the least finite margin. A finite least
+    margin at or above -rel_tol is both at once, with no gather."""
+    lowest = margins.min() if margins.size else math.nan
+    if lowest >= -rel_tol and math.isfinite(lowest):
+        return _verdict(order, kind, tolerances, margin=float(lowest))
+    bad = margins < -rel_tol
+    if bad.any():
+        i = int(np.argmax(bad))
         w = Witness(x=float(pts[i]), margin=float(margins[i]), kind=witness_kind)
         return _verdict(order, kind, tolerances, w)
     finite = margins[np.isfinite(margins)]
     return _verdict(order, kind, tolerances, margin=float(finite.min()) if finite.size else None)
+
+
+# ---------------------------------------------------------------------------
+# each order once, for one direction of a pair
+
+
+def _lr(pair: _Pair, down: bool, rel_tol: float = ORACLE_REL_TOL,
+        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
+    keep = pair.keep(eps_tail)
+    first, second = pair.masses(down)
+    margins = _log_decrements(_ratio(first[keep], second[keep]))
+    return _monotone_verdict(
+        "lr", pair.points[down][keep], margins, rel_tol, pair.kind,
+        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
+    )
+
+
+def _st(pair: _Pair, down: bool, tol: float = ORACLE_ABS_TOL) -> OrderVerdict:
+    first, second = pair.survivals(down)
+    slack = second - first
+    i = int(np.argmin(slack))
+    margin = float(slack[i])
+    x = float(pair.points[down][i])
+    w = Witness(x=x, margin=margin, kind="worst-point") if margin < -tol else None
+    return _verdict("st", pair.kind, {"abs_tol": tol}, w, margin)
+
+
+def _hr(pair: _Pair, down: bool, rel_tol: float = ORACLE_REL_TOL,
+        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
+    first, second = pair.survivals(down)
+    n = _prefix_above(second, eps_tail)
+    first, second = first[:n], second[:n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = first / second
+    ratio[_prefix_above(first, 0.0) :] = 0.0  # 0/positive and 0/0 read 0
+    return _monotone_verdict(
+        "hr", pair.points[down][:n], _log_decrements(ratio), rel_tol, pair.kind,
+        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
+    )
+
+
+def _lc(pair: _Pair, down: bool, tol: float = ORACLE_REL_TOL,
+        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
+    tolerances = {"tol": tol, "eps_tail": eps_tail}
+    first, second = pair.masses(down)
+
+    def refuted(i: int, which: str) -> OrderVerdict:
+        w = Witness(x=float(pair.points[down][i]), margin=-math.inf, kind=which)
+        return _verdict("lc", pair.kind, tolerances, w)
+
+    held = first > 0
+    start, stop, count = _span(held)
+    if count == 0:
+        raise ValueError("first law has empty support")
+    if stop - start != count:
+        return refuted(start + int(np.argmin(held[start:stop])), "support-gap")
+    covered = second[start:stop] > 0
+    if not covered.all():
+        return refuted(start + int(np.argmin(covered)), "support-containment")
+    x, dx, log_first, log_second = pair.run_logs(start, stop, eps_tail, down)
+    logl = log_first - log_second
+    slopes = np.diff(logl)
+    slopes /= dx
+    margins = np.diff(slopes)
+    np.negative(margins, out=margins)
+    return _monotone_verdict("lc", x[1:-1], margins, tol, pair.kind, tolerances, "triplet")
+
+
+# ---------------------------------------------------------------------------
+# the public calls
 
 
 def oracle_lr(
@@ -125,23 +300,12 @@ def oracle_lr(
     eps_tail: float = ORACLE_EPS_TAIL,
 ) -> OrderVerdict:
     """P <=lr Q iff f_P/f_Q is nonincreasing across the union support."""
-    pts, mp, mq, kind = _aligned(P, Q)
-    keep = (mp >= eps_tail) | (mq >= eps_tail)
-    margins = _log_decrements(_ratio(mp[keep], mq[keep]))
-    return _monotone_verdict(
-        "lr", pts[keep], margins, rel_tol, kind,
-        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
-    )
+    return _lr(_Pair(P, Q), False, rel_tol, eps_tail)
 
 
 def oracle_st(P: Distribution, Q: Distribution, tol: float = ORACLE_ABS_TOL) -> OrderVerdict:
     """P <=st Q iff the survival of P never exceeds the survival of Q."""
-    pts, mp, mq, kind = _aligned(P, Q)
-    slack = np.cumsum(mq[::-1])[::-1] - np.cumsum(mp[::-1])[::-1]
-    i = int(np.argmin(slack))
-    margin = float(slack[i])
-    w = Witness(x=float(pts[i]), margin=margin, kind="worst-point") if margin < -tol else None
-    return _verdict("st", kind, {"abs_tol": tol}, w, margin)
+    return _st(_Pair(P, Q), False, tol)
 
 
 def oracle_hr(
@@ -151,17 +315,7 @@ def oracle_hr(
     eps_tail: float = ORACLE_EPS_TAIL,
 ) -> OrderVerdict:
     """P <=hr Q iff the survival ratio of P over Q is nonincreasing."""
-    pts, mp, mq, kind = _aligned(P, Q)
-    sp = np.cumsum(mp[::-1])[::-1]
-    sq = np.cumsum(mq[::-1])[::-1]
-    keep = sq > eps_tail
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(sp[keep] > 0, sp[keep] / sq[keep], 0.0)
-    margins = _log_decrements(ratio)
-    return _monotone_verdict(
-        "hr", pts[keep], margins, rel_tol, kind,
-        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
-    )
+    return _hr(_Pair(P, Q), False, rel_tol, eps_tail)
 
 
 def oracle_lc(
@@ -172,28 +326,7 @@ def oracle_lc(
 ) -> OrderVerdict:
     """P <=lc Q iff supp(P) is an interval inside supp(Q) and log f_P/f_Q is
     concave there. Support violations refute the order outright."""
-    pts, mp, mq, kind = _aligned(P, Q)
-    tolerances = {"tol": tol, "eps_tail": eps_tail}
-
-    def refuted(x: float, which: str) -> OrderVerdict:
-        return _verdict("lc", kind, tolerances, Witness(x=x, margin=-math.inf, kind=which))
-
-    supp = np.nonzero(mp > 0)[0]
-    if supp.size == 0:
-        raise ValueError("first law has empty support")
-    run = np.arange(int(supp[0]), int(supp[-1]) + 1)
-    gaps = run[mp[run] == 0]
-    if gaps.size:
-        return refuted(float(pts[int(gaps[0])]), "support-gap")
-    uncovered = run[mq[run] == 0]
-    if uncovered.size:
-        return refuted(float(pts[int(uncovered[0])]), "support-containment")
-
-    keep = run[(mp[run] >= eps_tail) | (mq[run] >= eps_tail)]
-    x = pts[keep]
-    logl = np.log(mp[keep]) - np.log(mq[keep])
-    slopes = np.diff(logl) / np.diff(x)
-    return _monotone_verdict("lc", x[1:-1], -np.diff(slopes), tol, kind, tolerances, "triplet")
+    return _lc(_Pair(P, Q), False, tol, eps_tail)
 
 
 def total_variation(P: Distribution, Q: Distribution) -> float:
@@ -203,12 +336,37 @@ def total_variation(P: Distribution, Q: Distribution) -> float:
     return 0.5 * float(np.abs(mp - mq).sum())
 
 
-_ORACLES = {"lr": oracle_lr, "st": oracle_st, "hr": oracle_hr, "lc": oracle_lc}
+# order name -> (the public one-way call, the directed formula it runs)
+_ORACLES = {
+    "lr": (oracle_lr, _lr),
+    "st": (oracle_st, _st),
+    "hr": (oracle_hr, _hr),
+    "lc": (oracle_lc, _lc),
+}
 
 
-def oracle_for(order: str):
-    """The oracle deciding P <=order Q, keyed by order name."""
+def _lookup(order: str):
     try:
         return _ORACLES[order]
     except KeyError:
         raise ValueError(f"unknown order {order!r}") from None
+
+
+def oracle_for(order: str):
+    """The oracle deciding P <=order Q, keyed by order name."""
+    return _lookup(order)[0]
+
+
+def oracle_pair(
+    P: Distribution, Q: Distribution, orders
+) -> list[tuple[OrderVerdict, OrderVerdict]]:
+    """(P <=o Q, Q <=o P) for each order o of `orders`, at the default
+    tolerances, from one alignment of the two laws: each verdict is that of
+    `oracle_for(o)` called one way."""
+    pair = _Pair(P, Q)
+    out = []
+    for o in orders:
+        decide = _lookup(o)[1]
+        up = decide(pair, False)
+        out.append((up, up if P is Q else decide(pair, True)))
+    return out

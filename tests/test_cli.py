@@ -412,6 +412,13 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         # a summand longer than the table: the one window is the whole table
         (("compound", "--counting", "poisson", "--summand", "geometric:p=0.01",
           "--nu1", "1", "--nu2", "2"), "compound mass beyond k_max=2000 exceeds 1e-6 at nu=2"),
+        # the cap has no option: the advice names what a user can change
+        (("compound", "--counting", "poisson", "--summand", "delta:j=300",
+          "--nu1", "0.2", "--nu2", "0.5"), "summand with less mass far out or scan a narrower"),
+        # a non-finite endpoint was reported as "nu_scan needs two distinct
+        # finite endpoints", naming neither the option's value nor the family
+        (("check", "--family", "poisson", "--nu1=nan", "--nu2=3"), "poisson: parameter theta=nan"),
+        (("check", "--family", "poisson", "--nu1=1", "--nu2=inf"), "theta=inf outside (0.0, inf)"),
     ]
     for argv, token in cases:
         code = main(list(argv))

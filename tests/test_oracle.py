@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochorder.catalog import (
@@ -18,11 +18,16 @@ from stochorder.catalog import (
     mixed_grid,
 )
 from stochorder.oracle import (
+    ORACLE_EPS_TAIL,
+    ORACLE_REL_TOL,
+    _aligned,
+    _prefix_above,
     _ratio,
     oracle_for,
     oracle_hr,
     oracle_lc,
     oracle_lr,
+    oracle_pair,
     oracle_st,
     total_variation,
 )
@@ -233,3 +238,124 @@ def test_exponential_tilt_always_ratio_orders(weights, c):
     assert oracle_lr(p, q).holds
     assert oracle_hr(p, q).holds
     assert oracle_st(p, q).holds
+
+
+# ---------------------------------------------------------------------------
+# one pair, both directions
+
+ORDERS = ("lr", "lc", "st", "hr")
+# exact zeros (support gaps and ends), masses that stay subnormal after
+# normalising, masses below the oracle's eps_tail, and ordinary ones
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-13, 1.0]),
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws the oracle can align: discrete on supports of their own, or
+    on one shared continuous or mixed grid, or the same law twice."""
+
+    def weights(n):
+        m = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+        assume(m.sum() > 0)
+        return m
+
+    shape = draw(st.sampled_from(["discrete", "continuous", "mixed", "same"]))
+    if shape == "discrete":
+        return tuple(disc(draw(st.integers(0, 6)), weights(draw(st.integers(1, 12))))
+                     for _ in range(2))
+    n = draw(st.integers(3, 40))
+    grid = continuous_grid(0.0, 5.0, n=n) if shape != "mixed" else mixed_grid(5.0, n=n - 1)
+    p = Distribution(grid, (m := weights(grid.size)) / m.sum())
+    if shape == "same":
+        return p, p
+    return p, Distribution(grid, (m := weights(grid.size)) / m.sum())
+
+
+@given(law_pairs(), st.lists(st.sampled_from(ORDERS), min_size=1, max_size=4, unique=True))
+@example((disc(0, [0.5, 0.0, 0.5]), disc(0, [0.4, 0.2, 0.4])), list(ORDERS))  # support gap
+@example((disc(0, [1.0] * 4), disc(1, [1.0] * 2)), list(ORDERS))  # support containment
+@example((disc(0, [1.0, 1e-310, 1.0]), disc(0, [1.0, 1.0, 5e-324])), list(ORDERS))
+@example((disc(2, [0.3, 0.7]),) * 2, ["lc", "hr"])
+@settings(max_examples=400, deadline=None)
+def test_pair_oracle_gives_both_one_way_verdicts(laws, orders):
+    # repr tells every float apart, -0.0 from 0.0 included
+    P, Q = laws
+    got = oracle_pair(P, Q, orders)
+    assert len(got) == len(orders)
+    for o, (up, down) in zip(orders, got):
+        assert repr(up) == repr(oracle_for(o)(P, Q))
+        assert repr(down) == repr(oracle_for(o)(Q, P))
+
+
+def _reference(order, P, Q):
+    """(status, witness, margin) of P <=order Q by each formula written out
+    on boolean-mask gathers of the whole aligned vectors, the witness as
+    (x, margin, kind); floats as repr so that -0.0 differs from 0.0."""
+    pts, mp, mq, _ = _aligned(P, Q)
+    sp, sq = (np.cumsum(m[::-1])[::-1] for m in (mp, mq))
+    eps, tol = ORACLE_EPS_TAIL, ORACLE_REL_TOL
+    if order == "st":
+        slack = sq - sp
+        i = int(np.argmin(slack))
+        w = (repr(float(pts[i])), repr(float(slack[i])), "worst-point") if slack[i] < -tol else None
+        return ("fails" if w else "holds"), w, repr(float(slack[i]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if order == "lc":
+            supp = np.nonzero(mp > 0)[0]
+            run = np.arange(supp[0], supp[-1] + 1)
+            for kind, bad in (("support-gap", mp[run] == 0), ("support-containment", mq[run] == 0)):
+                if bad.any():
+                    return "fails", (repr(float(pts[run[bad][0]])), "-inf", kind), "-inf"
+            keep = run[(mp[run] >= eps) | (mq[run] >= eps)]
+            logl = np.log(mp[keep]) - np.log(mq[keep])
+            margins = -np.diff(np.diff(logl) / np.diff(pts[keep]))
+            x, kind = pts[keep][1:-1], "triplet"
+        else:
+            if order == "lr":
+                keep = (mp >= eps) | (mq >= eps)
+                a, b = mp[keep], mq[keep]
+                values = np.where(b > 0, a / b, np.where(a > 0, np.inf, 0.0))
+            else:
+                keep = sq > eps
+                values = np.where(sp[keep] > 0, sp[keep] / sq[keep], 0.0)
+            g = np.log(values)
+            margins = np.where(np.isnan(g[:-1] - g[1:]), 0.0, g[:-1] - g[1:])
+            x, kind = pts[keep], "adjacent-pair"
+    bad = np.nonzero(margins < -tol)[0]
+    if bad.size:
+        m = repr(float(margins[bad[0]]))
+        return "fails", (repr(float(x[bad[0]])), m, kind), m
+    finite = margins[np.isfinite(margins)]
+    return "holds", None, repr(float(finite.min())) if finite.size else "None"
+
+
+@given(law_pairs(), st.sampled_from(ORDERS))
+@example((disc(0, [0.5, 0.0, 0.5]), disc(0, [0.4, 0.2, 0.4])), "lc")
+@example((disc(0, [1.0] * 4), disc(1, [1.0] * 2)), "lc")
+@example((disc(0, [1.0, 1e-310, 1.0]), disc(0, [1.0, 1.0, 5e-324])), "lr")
+@settings(max_examples=400, deadline=None)
+def test_one_way_oracles_match_the_mask_reference(laws, order):
+    # the oracle slices where a mask is one run and bisects survivals; the
+    # reference gathers through every mask
+    P, Q = laws
+    for first, second in ((P, Q), (Q, P)):
+        v = oracle_for(order)(first, second)
+        w = v.witness and (repr(v.witness.x), repr(v.witness.margin), v.witness.kind)
+        assert (v.status, w, repr(v.margin)) == _reference(order, first, second)
+
+
+def test_pair_oracle_rejects_unknown_order():
+    p = disc(0, [0.5, 0.5])
+    with pytest.raises(ValueError, match="unknown order 'total'"):
+        oracle_pair(p, p, ["lr", "total"])
+
+
+@given(st.lists(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 0.25, 1.0]), max_size=30),
+       st.sampled_from([-1.0, 0.0, 1e-12, 0.5, math.nan]))
+def test_survival_prefix_above_eps_is_the_whole_mask(masses, eps):
+    survival = np.cumsum(np.array(masses[::-1], dtype=float))[::-1]
+    n = _prefix_above(survival, eps)
+    assert n == np.count_nonzero(survival > eps) and (survival[:n] > eps).all()

@@ -69,7 +69,14 @@ Each command runs in-process through `stochorder.cli.main` with
   columns, a `geometric:p=0.01` summand longer than the cap and Poisson
   counts of `delta:j=300` atoms; and a rare Poisson count of `delta:j=32`
   atoms over 1e-4..2e-4, whose first 64 columns hold all but 2e-8 of the
-  mass while the atom at 96 still holds 1.3e-12 (k_max 96).
+  mass while the atom at 96 still holds 1.3e-12 (k_max 96);
+- `check` endpoint pairs that reach the oracle's per-direction branches
+  rather than the shared ones: a binomial with n = 3000 whose masses
+  underflow to zero at either end, so lc fails by support-containment both
+  ways; a negative binomial whose up lc fails by a triplet at x = 352 and
+  whose down lc fails by support-containment at x = 362; and hr alone on
+  the zero-inflated exponential's mixed grid, which reads the survivals
+  only.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -194,6 +201,12 @@ COMPOUND_WINDOWS = (
      "--nu2", "0.0002"],
 )
 
+ORACLE_FALLBACKS = (
+    ["check", "--family", "binomial-in-p:n=3000", "--nu1=0.2", "--nu2=0.6", "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341", "--nu2=0.883407"],
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2", "--orders", "hr"],
+)
+
 TOL = 1e-12
 
 
@@ -222,6 +235,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
     out.extend(COMPOUND_WINDOWS)
+    out.extend(ORACLE_FALLBACKS)
     return [argv + ["--no-timing"] for argv in out]
 
 
