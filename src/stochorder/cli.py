@@ -51,9 +51,7 @@ from .compound import (
     make_counting,
     summand_from_spec,
 )
-from .criteria import (
-    NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, order_probe, scan_kernel, scan_orders,
-)
+from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_kernel, scan_orders
 from .oracle import oracle_lr, oracle_pair, oracle_st
 from .pairwise import (
     betabin_bin_interpolation,
@@ -571,8 +569,8 @@ def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict
     n, r, s = bb["n"], bb["r"], bb["s"]
     p = View("binomial").bind(label, {k: params[k] for k in ("n", "p") if k in params})["p"]
     rep = betabin_bin_interpolation(n, r, s, p)
-    [(witness, margin)] = scan_kernel(
-        lambda c: rep.kernels[c], rep.c_values, discrete_grid(0, n), [order_probe("lr", "up", tol)]
+    [(witness, margin, _)] = scan_kernel(
+        lambda c: rep.kernels[c], rep.c_values, discrete_grid(0, n), [("lr", "up")], tol
     )
     criterion = OrderVerdict(
         order="lr", direction="up", status="fails" if witness else "holds",

@@ -24,7 +24,7 @@ compound support at k_max; truncation budgets are recorded on the objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .catalog import (
     MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, View, _discrete_span, _tail_span,
     checked, discrete_grid, parse_spec,
 )
-from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, order_probe, scan_kernel
+from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, scan_kernel
+from .oracle import oracle_lr
 from .special import log_factorial_vec
 from .verdicts import OrderVerdict, Witness, reconcile
 
@@ -366,7 +367,8 @@ def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
 
 
 def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
-    """Polya frequency of order 2: interval support and log-concave there."""
+    """Polya frequency of order 2: interval support and log-concave there,
+    read by the kernel scan as its log pmf concave (lc down)."""
     p = np.asarray(pmf, dtype=float)
     nz = np.nonzero(p > 0)[0]
     if nz.size == 0:
@@ -375,12 +377,9 @@ def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
     holes = run[p[run] == 0]
     if holes.size:
         return False, Witness(x=float(holes[0]), margin=-math.inf, kind="support-gap")
-    curv = np.diff(np.log(p[run]), 2)
-    bad = np.nonzero(curv > tol)[0]
-    if bad.size:
-        i = int(bad[0])
-        return False, Witness(x=float(run[i + 1]), margin=float(-curv[i]), kind="triplet")
-    return True, None
+    [(witness, _, _)] = scan_kernel(
+        np.log(p[run]), [0.0], discrete_grid(int(run[0]), int(run[-1])), [("lc", "down")], tol)
+    return witness is None, witness and replace(witness, nu=None)  # a pmf's witness has no nu
 
 
 def is_tp2(M, tol: float = _MINOR_TOL) -> tuple[bool, Witness | None]:
@@ -488,8 +487,6 @@ def check_compound_lr(
     cross-checked by the brute oracle on the two endpoint compound laws. A
     non-PF2 summand or a non-monotone kernel yields inconclusive.
     """
-    from .oracle import oracle_lr  # local import keeps oracle kernel-free
-
     lo, hi = sorted((float(nu1), float(nu2)))
     nus = nu_scan(lo, hi, nu_points)
     tolerances = {"tol_shape": tol_shape, "nu_points": int(nu_points)}
@@ -504,9 +501,9 @@ def check_compound_lr(
         )
 
     grid = discrete_grid(m.n_lo, m.n_max)
-    (up_w, up_margin), (down_w, down_margin) = scan_kernel(
-        lambda nu: m.counting.kernel(nu, grid.points), nus, grid,
-        [order_probe("lr", "up", tol_shape), order_probe("lr", "down", tol_shape)],
+    (up_w, up_margin, _), (down_w, down_margin, _) = scan_kernel(
+        lambda nu: m.counting.kernel(nu, grid.points), nus, grid, [("lr", "up"), ("lr", "down")],
+        tol_shape,
     )
     if up_w is not None and down_w is not None:
         return OrderVerdict(

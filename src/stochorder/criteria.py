@@ -31,17 +31,20 @@ lr => hr => st, so st and hr skip that nu: it adds no margin, and a test
 skipped at every nu holds with no margin and says so. Tolerances are >= 0,
 as the skip demands no positive margin. Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
-`scan_orders` runs any list of (order, direction) tests in one pass, and a
-one-test list alone. `scan_kernel` is the criterion route's one first-witness
-search: the pairwise, path and compound kernel tests and the Table-1 sign
-columns run through it as well.
+`scan_kernel` takes any list of (order, direction) tests and runs them in
+one pass, and a one-test list alone; per test it returns the first witness,
+the margin and how many nus the st/hr skip settled. It is the criterion
+route's one first-witness search: `scan_orders`, the pairwise, path and
+compound kernel tests, the PF2 test of a compound summand (lc down on its
+log pmf) and the Table-1 sign columns all run through it.
 
-A direction is a sign carried with each step, not a negated copy: a probe
-yields unsigned margins m and a sign, and the test reads sign * m. Both
-directions of an order thus share one vector per nu. The test takes one
-reduction, min(m) or -max(m), and searches for the first point with
-sign * m < -tol only when that falls below -tol; both are exact, so the
-witness and worst margin equal those of the signed copy bit for bit.
+A direction is a sign, not a negated copy: at each nu a test reads sign * m
+off its order's unsigned margins m (the slopes for lr, the curvature for lc,
+the st or hr tail gap, which hr reads negated), so both directions of an
+order share one vector per nu. The test takes one reduction, min(m) or
+-max(m), and searches for the first point with sign * m < -tol only when
+that falls below -tol; both are exact, so the witness and worst margin
+equal those of the signed copy bit for bit.
 Tail tests keep the points whose survival exceeds eps_tail. The survival is
 a reversed running sum of nonnegative masses, so it is nonincreasing and
 those points are a prefix of the grid, found by one binary search and read
@@ -56,12 +59,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import DensityFamily, Distribution, SupportGrid, density
-from .verdicts import OrderVerdict, Witness
+from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness
 
 __all__ = [
     "TOL_SHAPE",
@@ -71,7 +74,6 @@ __all__ = [
     "nu_scan",
     "TailMeanProfile",
     "tail_mean_profile",
-    "order_probe",
     "scan_kernel",
     "scan_orders",
 ]
@@ -129,7 +131,7 @@ class _Kernel:
     nu; it holds no array of the law."""
 
     def __init__(self, grid: SupportGrid, k: np.ndarray) -> None:
-        self.grid, self.k = grid, k
+        self.k = k
         self.slopes = _slopes(grid, k)
         self._lows: dict[tuple[bool, float], float] = {}
 
@@ -142,7 +144,7 @@ class _Kernel:
     def low(self, m: np.ndarray, sign: float) -> float:
         """min(sign * m) without the signed copy: -max(m) == min(-m). Kept
         per sign for the kernel's own slopes and curvature; any other m is a
-        probe's own array and is not kept."""
+        tail gap of one nu and is not kept."""
         own = m is self.slopes or m is self.__dict__.get("curvature")
         key = (m is self.slopes, sign)
         if own and key in self._lows:
@@ -153,115 +155,81 @@ class _Kernel:
         return value
 
 
-class _Row:
-    """One scanned nu: the kernel there, shared by every nu when K does not
-    depend on nu. tails (the result of `_tail_means` under the law at nu) and
-    tail_gap are derived on first use and shared by every probe of the row."""
-
-    def __init__(self, nu: float, kernel: _Kernel,
-                 law: Callable[[float], np.ndarray] | None) -> None:
-        self.nu, self.kernel = nu, kernel
-        self.grid, self.k, self.slopes = kernel.grid, kernel.k, kernel.slopes
-        self._law = law
-        self._gaps: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def curvature(self) -> np.ndarray:
-        return self.kernel.curvature
-
-    @cached_property
-    def tails(self) -> tuple[np.ndarray, np.ndarray, float]:
-        return _tail_means(self.k, self._law(self.nu))
-
-    def tail_gap(self, order: str, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """The points whose survival exceeds eps, a prefix of the grid, and
-        there E[K | X >= x] - E[K] (st) or K(x) - E[K | X >= x] (hr)."""
-        key = (order, eps)
-        if key not in self._gaps:
-            surv, tail, grand = self.tails
-            n = _prefix_length(surv, eps)
-            gap = tail[:n] - grand if order == "st" else self.k[:n] - tail[:n]
-            self._gaps[key] = self.grid.points[:n], gap
-        return self._gaps[key]
-
-
-# points, margins, tolerance, witness kind, sign: the test reads sign * margins
-Step = tuple[np.ndarray, np.ndarray, float, str, float]
-Probe = Callable[[_Row], Iterator[Step]]
-
-
 def scan_kernel(
     kernel: Callable[[float], np.ndarray] | np.ndarray,
     nus,
     grid: SupportGrid,
-    probes: Sequence[Probe],
+    tests: Sequence[tuple[str, str]],
+    tol_shape: float = TOL_SHAPE,
+    tol_tail: float = TOL_TAIL,
+    eps_tail: float = EPS_TAIL,
     law: Callable[[float], np.ndarray] | None = None,
-) -> list[tuple[Witness | None, float | None]]:
-    """Run every probe over one pass of nus; kernel(nu) gives K_nu on
-    grid.points, or kernel is the one array K that holds at every nu, and
-    law(nu) gives the masses of P_nu there. Returns, per probe, its first
-    witness and that witness's margin, or None and the worst margin seen
-    (None when no margin was tested)."""
+) -> list[tuple[Witness | None, float | None, int]]:
+    """Run every (order, direction) test (see the module docstring) over one
+    pass of nus; kernel(nu) gives K_nu on grid.points, or kernel is the one
+    array K that holds at every nu, and law(nu) gives the masses of P_nu
+    there. Returns, per test, its first witness and that witness's margin, or
+    None and the worst margin seen (None when no margin was tested), and the
+    number of nus whose st or hr test the kernel's shape settled."""
+    for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
+        if not tol >= 0:
+            raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
+    for order, direction in tests:
+        if order not in ORDERS:
+            raise ValueError(f"unknown order {order!r}; valid orders: {', '.join(ORDERS)}")
+        if direction not in DIRECTIONS:
+            raise ValueError(
+                f"unknown direction {direction!r}; valid directions: {', '.join(DIRECTIONS)}")
+    eps = max(eps_tail, 0.0)
+    pts = grid.points
     fixed = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
-    witnesses: list[Witness | None] = [None] * len(probes)
-    worst = [math.inf] * len(probes)
+    witnesses: list[Witness | None] = [None] * len(tests)
+    worst = [math.inf] * len(tests)
+    implied = [0] * len(tests)
     for nu in nus:
         open_tests = [i for i, w in enumerate(witnesses) if w is None]
         if not open_tests:
             break
-        row = _Row(float(nu), fixed if fixed is not None
-                   else _Kernel(grid, np.asarray(kernel(float(nu)), dtype=float)), law)
+        nu = float(nu)
+        kern = fixed if fixed is not None else _Kernel(grid, np.asarray(kernel(nu), dtype=float))
+        tails, gaps = None, {}  # at this nu, from one tail pass shared by st and hr
         for i in open_tests:
-            for xs, m, tol, kind, sign in probes[i](row):
-                if not m.size:
-                    continue
-                low = row.kernel.low(m, sign)
-                if low >= -tol:
-                    worst[i] = min(worst[i], low)
-                    continue
-                bad = np.flatnonzero(sign * m < -tol)
-                if bad.size:
-                    j = bad[0]
-                    witnesses[i] = Witness(x=float(xs[j]), margin=float(sign * m[j]),
-                                           nu=row.nu, kind=kind)
-                    break
-                # a NaN margin: no witness, and the worst margin stays
+            order, direction = tests[i]
+            sign = 1.0 if direction == "up" else -1.0
+            if order == "lr":
+                xs, m, tol, kind = pts[:-1], kern.slopes, tol_shape, "adjacent-pair"
+            elif order == "lc":
+                xs, m, tol, kind = pts[1:-1], kern.curvature, tol_shape, "triplet"
+            elif kern.slopes.size and kern.low(kern.slopes, sign) >= 0:
+                implied[i] += 1  # lr => hr => st at this nu: no tail pass
+                continue
+            else:
+                if order not in gaps:
+                    if tails is None:
+                        surv, tail, grand = _tail_means(kern.k, law(nu))
+                        tails = _prefix_length(surv, eps), tail, grand
+                    # where the survival exceeds eps: E[K | X >= x] - E[K] (st)
+                    # or K(x) - E[K | X >= x] (hr)
+                    n, tail, grand = tails
+                    gaps[order] = tail[:n] - grand if order == "st" else kern.k[:n] - tail[:n]
+                m = gaps[order]
+                xs, tol, kind = pts[:m.size], tol_tail, "grid-point"
+                if order == "hr":
+                    sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
+            if not m.size:
+                continue
+            low = kern.low(m, sign)
+            if low >= -tol:
+                worst[i] = min(worst[i], low)
+                continue
+            bad = np.flatnonzero(sign * m < -tol)
+            if bad.size:  # else a NaN margin: no witness, and the worst margin stays
+                j = bad[0]
+                witnesses[i] = Witness(x=float(xs[j]), margin=float(sign * m[j]), nu=nu, kind=kind)
     return [
-        (w, w.margin) if w is not None else (None, None if math.isinf(m) else m)
-        for w, m in zip(witnesses, worst)
+        (w, w.margin, c) if w is not None else (None, None if math.isinf(m) else m, c)
+        for w, m, c in zip(witnesses, worst, implied)
     ]
-
-
-def order_probe(
-    order: str,
-    direction: str,
-    tol_shape: float = TOL_SHAPE,
-    tol_tail: float = TOL_TAIL,
-    eps_tail: float = EPS_TAIL,
-) -> Probe:
-    """The kernel criterion of one order and direction (see the module docstring);
-    its `implied` attribute counts the rows whose st or hr test it skipped."""
-    for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
-        if not tol >= 0:
-            raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
-    sign = +1.0 if direction == "up" else -1.0
-    eps = max(eps_tail, 0.0)
-
-    def probe(row: _Row) -> Iterator[Step]:
-        pts = row.grid.points
-        if order == "lr":
-            yield pts[:-1], row.slopes, tol_shape, "adjacent-pair", sign
-        elif order == "lc":
-            yield pts[1:-1], row.curvature, tol_shape, "triplet", sign
-        elif row.slopes.size and row.kernel.low(row.slopes, sign) >= 0:
-            probe.implied += 1  # lr => hr => st at this nu: no tail pass
-        else:
-            xs, gap = row.tail_gap(order, eps)
-            # hr's margin is E[K | X >= x] - K(x), the negated gap
-            yield xs, gap, tol_tail, "grid-point", sign if order == "st" else -sign
-
-    probe.implied = 0  # rows whose st or hr test the kernel's shape settled
-    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +306,9 @@ _IMPLIED_NOTE = ("holds on the scanned parameter grid; "
                  "implied by lr: the kernel is monotone at every scanned nu")
 
 
-def _verdict(order: str, direction: str, tolerances: dict, result, note: str) -> OrderVerdict:
+def _verdict(order: str, direction: str, tolerances: dict, witness: Witness | None,
+             margin: float | None, note: str) -> OrderVerdict:
     """The kernel criterion's verdict: fails at its witness, else holds."""
-    witness, margin = result
     status, note = ("holds", note) if witness is None else ("fails", "")
     lohi = ("P[nu1]", "P[nu2]") if direction == "up" else ("P[nu2]", "P[nu1]")
     return OrderVerdict(
@@ -364,7 +332,6 @@ def scan_orders(
     of f over nu_grid; each equals the verdict a scan of that test alone
     gives. known_laws maps nu to `density(f, nu, grid)` already evaluated by
     the caller, which the scan does not evaluate again."""
-    probes = [order_probe(o, d, tol_shape, tol_tail, eps_tail) for o, d in tests]
     nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
     if not nus:
         raise ValueError("empty parameter grid")
@@ -376,11 +343,12 @@ def scan_orders(
         d = known.get(nu)
         return (d if d is not None else density(f, nu, grid)).masses
 
-    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, probes, law=law)
+    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, tests,
+                          tol_shape, tol_tail, eps_tail, law=law)
     size = {"nu_points": len(nus), "grid_points": grid.size}
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
     return [
-        _verdict(o, d, {**(shape if o in ("lr", "lc") else tail), **size}, r,
-                 _IMPLIED_NOTE if p.implied == size["nu_points"] else _SCANNED_NOTE)
-        for (o, d), p, r in zip(tests, probes, results)
+        _verdict(o, d, {**(shape if o in ("lr", "lc") else tail), **size}, w, margin,
+                 _IMPLIED_NOTE if implied == size["nu_points"] else _SCANNED_NOTE)
+        for (o, d), (w, margin, implied) in zip(tests, results)
     ]

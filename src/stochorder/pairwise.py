@@ -44,7 +44,7 @@ from .catalog import (
     LAWS, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid, View,
     _tail_span, discrete_grid, normalized, parse_spec,
 )
-from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, order_probe, scan_kernel
+from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
 from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
 
@@ -223,8 +223,8 @@ def check_pairwise(
             note = "dominated support wholly below the dominating one: f_P/f_Q is +inf, then 0"
         else:
             kernel = kernel or pairwise_kernel(p, q, kmax)
-            probe = order_probe(o, "down", tol_shape)
-            [(witness, margin)] = scan_kernel(kernel.values, [0.0], kernel.grid, [probe])
+            [(witness, margin, _)] = scan_kernel(
+                kernel.values, [0.0], kernel.grid, [(o, "down")], tol_shape)
             witness = witness and replace(witness, nu=None)  # a two-law witness has no nu
         v = OrderVerdict(
             order=o, direction="up", status="fails" if witness else "holds",
@@ -369,9 +369,9 @@ def check_path_order(
         return normalized(grid, family.log_factor(t, grid.points))
 
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
-    probe = order_probe(order, direction, tol_shape, tol_tail)
-    [(witness, margin)] = scan_kernel(
-        _family_kernel(family, grid, ts), ts, grid, [probe], law=lambda t: law(t).masses,
+    [(witness, margin, implied)] = scan_kernel(
+        _family_kernel(family, grid, ts), ts, grid, [(order, direction)], tol_shape, tol_tail,
+        law=lambda t: law(t).masses,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(
@@ -379,7 +379,7 @@ def check_path_order(
         method="path-kernel", tolerances=tolerances, witness=witness, margin=margin,
         claim=f"{lohi[0]} <={order} {lohi[1]} along the path",
         note="implied by lr: the kernel is monotone at every scanned t"
-        if ts.size and probe.implied == ts.size else "",
+        if ts.size and implied == ts.size else "",
     )
     a, b = law(0.0), law(1.0)
     cross = oracle_for(order)(*((a, b) if direction == "up" else (b, a)))

@@ -33,7 +33,9 @@ from stochorder.compound import (
     two_point_summand,
     _conv_table,
 )
+from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
+from stochorder.verdicts import Witness
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +351,55 @@ def test_is_pf2_accepts_log_concave_and_rejects_gaps():
     assert not ok and w.kind == "support-gap"
     ok, w = is_pf2(np.array([0.5, 0.05, 0.45]))
     assert not ok and w.kind == "triplet"
+
+
+def _ref_pf2(p, tol):
+    """The PF2 test by its own second differences of log p on the support run."""
+    nz = np.nonzero(p > 0)[0]
+    run = np.arange(int(nz[0]), int(nz[-1]) + 1)
+    holes = run[p[run] == 0]
+    if holes.size:
+        return False, Witness(x=float(holes[0]), margin=-math.inf, kind="support-gap")
+    curv = np.diff(np.log(p[run]), 2)
+    bad = np.nonzero(curv > tol)[0]
+    if bad.size:
+        i = int(bad[0])
+        return False, Witness(x=float(run[i + 1]), margin=float(-curv[i]), kind="triplet")
+    return True, None
+
+
+@st.composite
+def pf2_cases(draw):
+    """A pmf with leading and trailing zeros around a run of 1 to 10 points,
+    holes in it half the time, and a tolerance that is half the time exactly
+    the size of one of the run's log curvatures."""
+    mass = st.one_of(st.sampled_from([5e-324, 1e-300, 0.125, 0.5, 1.0]),
+                     st.floats(1e-6, 1.0), st.floats(0.0, 1.0, exclude_min=True))
+    if draw(st.booleans()):
+        mass = st.one_of(mass, st.just(0.0))
+    body = draw(st.lists(mass, min_size=1, max_size=10))
+    body[0] = body[-1] = draw(st.sampled_from([0.25, 0.5]))  # the run's ends
+    p = np.array([0.0] * draw(st.integers(0, 3)) + body + [0.0] * draw(st.integers(0, 3)))
+    curv = np.diff(np.log(np.array(body)[np.array(body) > 0]), 2)
+    tol = draw(st.sampled_from([TOL_SHAPE, 0.0, 0.25]))
+    if curv.size and draw(st.booleans()):
+        tol = abs(float(curv[draw(st.integers(0, curv.size - 1))]))
+    return p, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(pf2_cases())
+@example((np.array([0.0, 0.5, 0.0]), TOL_SHAPE))
+@example((np.array([0.5, 0.5, 0.0, 0.0]), 0.0))
+@example((np.array([0.25, 0.5, 0.25]), 2 * math.log(2.0)))
+@example((np.array([0.5, 0.25, 0.5]), 2 * math.log(2.0)))
+def test_is_pf2_equals_its_second_difference_formula_bit_for_bit(case):
+    p, tol = case
+    (ok, w), (ref_ok, ref) = is_pf2(p, tol), _ref_pf2(p, tol)
+    assert ok == ref_ok and (w is None) == (ref is None)
+    if w is not None:
+        assert (w.x, w.nu, w.kind) == (ref.x, None, ref.kind)
+        assert np.float64(w.margin).tobytes() == np.float64(ref.margin).tobytes()
 
 
 def test_is_tp2_on_small_matrices():

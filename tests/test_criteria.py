@@ -33,7 +33,6 @@ from stochorder.criteria import (
     TOL_SHAPE,
     TOL_TAIL,
     nu_scan,
-    order_probe,
     scan_kernel,
     scan_orders,
     tail_mean_profile,
@@ -439,11 +438,24 @@ def test_a_wide_shape_tolerance_does_not_skip_a_failing_tail_pass(capsys):
 @pytest.mark.parametrize("value", [-0.5, -1e-300, math.nan])
 def test_order_probe_refuses_negative_or_nan_tolerances(name, value):
     with pytest.raises(ValueError, match=name):
-        order_probe("st", "up", **{name: value})
+        scan_kernel(np.zeros(3), [1.0], discrete_grid(0, 2), [("st", "up")], **{name: value})
     fam = make_family("poisson")
     order = "st" if name == "tol_tail" else "lr"
     with pytest.raises(ValueError, match=name):
         scan_orders(fam, [1.0, 2.0, 3.0], discrete_grid(0, 40), [(order, "up")], **{name: value})
+
+
+@pytest.mark.parametrize("test,message", [
+    (("xx", "up"), "unknown order 'xx'"),
+    (("lr", "sideways"), "unknown direction 'sideways'"),
+    (("up", "lr"), "unknown order 'up'"),
+], ids=["order", "direction", "swapped"])
+def test_scan_kernel_refuses_an_unknown_order_or_direction(test, message):
+    def kernel(nu):
+        raise AssertionError("the scan started")
+
+    with pytest.raises(ValueError, match=message):
+        scan_kernel(kernel, [1.0], discrete_grid(0, 4), [("lr", "up"), test])
 
 
 def _full_tail_margins(k, masses, order, direction, eps=EPS_TAIL):
@@ -456,13 +468,9 @@ def _full_tail_margins(k, masses, order, direction, eps=EPS_TAIL):
 
 def _skipped(grid, nu, k, masses):
     """The (order, direction) tail tests whose pass the scan skips at this row."""
-    out = []
-    for o, d in [(o, d) for o in ("st", "hr") for d in ("up", "down")]:
-        probe = order_probe(o, d)
-        scan_kernel(lambda _: k, [nu], grid, [probe], law=lambda _: masses)
-        if probe.implied:
-            out.append((o, d))
-    return out
+    tests = [(o, d) for o in ("st", "hr") for d in ("up", "down")]
+    results = scan_kernel(lambda _: k, [nu], grid, tests, law=lambda _: masses)
+    return [test for test, (_, _, implied) in zip(tests, results) if implied]
 
 
 @pytest.mark.parametrize("spec,nus", [(row[0], row[1]) for row in cli._TABLE1])
@@ -620,12 +628,11 @@ def scan_cases(draw):
 def test_scan_equals_the_signed_copy_formulas(case, eps):
     grid, nus, kernels, laws, tol = case
     # all eight tests in one scan, as `check` runs them, sharing each row
-    got = scan_kernel(kernels.__getitem__, nus, grid,
-                      [order_probe(o, d, tol, tol, eps) for o, d in ALL_TESTS],
+    got = scan_kernel(kernels.__getitem__, nus, grid, ALL_TESTS, tol, tol, eps,
                       law=laws.__getitem__)
-    for (o, d), result in zip(ALL_TESTS, got):
+    for (o, d), (witness, margin, _) in zip(ALL_TESTS, got):
         want = _ref_scan(grid, nus, kernels, laws, _ref_order(o, d, tol, eps))
-        assert _bits(*result) == _bits(*want), (o, d)
+        assert _bits(witness, margin) == _bits(*want), (o, d)
 
 
 @settings(max_examples=250, deadline=None)
@@ -635,11 +642,10 @@ def test_a_fixed_kernel_scan_equals_the_signed_copy_formulas(case, eps):
     # extremes are read once, and each nu's law only by a tail pass
     grid, nus, kernels, laws, tol = case
     k = kernels[nus[0]]
-    got = scan_kernel(k, nus, grid, [order_probe(o, d, tol, tol, eps) for o, d in ALL_TESTS],
-                      law=laws.__getitem__)
-    for (o, d), result in zip(ALL_TESTS, got):
+    got = scan_kernel(k, nus, grid, ALL_TESTS, tol, tol, eps, law=laws.__getitem__)
+    for (o, d), (witness, margin, _) in zip(ALL_TESTS, got):
         want = _ref_scan(grid, nus, {nu: k for nu in nus}, laws, _ref_order(o, d, tol, eps))
-        assert _bits(*result) == _bits(*want), (o, d)
+        assert _bits(witness, margin) == _bits(*want), (o, d)
 
 
 @settings(max_examples=250, deadline=None)

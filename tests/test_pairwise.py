@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochorder.catalog import LAWS, continuous_grid, default_grid, density, discrete_grid, normalized
-from stochorder.criteria import order_probe, scan_kernel
+from stochorder.criteria import scan_kernel
 from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
@@ -426,8 +426,7 @@ def test_check_pairwise_lr_reads_the_reversed_kernel_bit_for_bit(p_law, q_law):
     [v] = check_pairwise(p_law, q_law, ["lr"], kmax=60)
     assume(v.witness is None or v.witness.kind != "support")
     rk = pairwise_kernel(q_law, p_law, kmax=60)
-    [(witness, margin)] = scan_kernel(lambda _: rk.values, [0.0], rk.grid,
-                                      [order_probe("lr", "up")])
+    [(witness, margin, _)] = scan_kernel(lambda _: rk.values, [0.0], rk.grid, [("lr", "up")])
     if witness is None and v.status == "inconclusive":
         return  # the oracle refuted a kernel that holds; its witness is reported
     assert v.margin == margin

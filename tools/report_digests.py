@@ -76,7 +76,10 @@ Each command runs in-process through `stochorder.cli.main` with
   ways; a negative binomial whose up lc fails by a triplet at x = 352 and
   whose down lc fails by support-containment at x = 362; and hr alone on
   the zero-inflated exponential's mixed grid, which reads the survivals
-  only.
+  only;
+- how a scan shares one nu's tail pass: hr before st on the zero-inflated
+  Poisson row, where hr reads the tail means first and st reuses them, and
+  a Poisson row scanned at the one value `--nu-grid=2`.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -207,6 +210,11 @@ ORACLE_FALLBACKS = (
     ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2", "--orders", "hr"],
 )
 
+SHARED_ROWS = (
+    ["check", "--family", "zero-inflated-poisson", "--nu1=3", "--nu2=5", "--orders", "hr,st"],
+    ["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--nu-grid=2"],
+)
+
 TOL = 1e-12
 
 
@@ -236,6 +244,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(EQUAL_ENDPOINTS)
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
+    out.extend(SHARED_ROWS)
     return [argv + ["--no-timing"] for argv in out]
 
 
