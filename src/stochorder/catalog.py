@@ -97,8 +97,9 @@ class SupportGrid:
     points      strictly increasing abscissae.
     step        cell width for continuous/mixed grids, None for discrete.
     truncation_tail_mass
-                mass of the true law outside [lower, upper] (estimate for
-                continuous kinds, exact bound for discrete ones).
+                mass of the true law outside [lower, upper]: an estimate for
+                continuous kinds, for discrete ones an upper bound read from
+                the law's log pmf (`_tail_cut`).
     cell_widths np.diff(points), computed once per grid.
 
     points, cell_widths and weights() are read-only arrays, so the per-grid
@@ -244,6 +245,8 @@ class Law:
                     gives the same bits at every point of a view.
     log_normalizer  theta -> log of the factor's total mass.
     quantile        (theta, u) -> u-quantile, for continuous and mixed kinds.
+    tail_ratio      theta -> the limit of p(k+1)/p(k), for an infinite
+                    discrete support; `_tail_cut` bounds the tail with it.
     """
 
     kind: str
@@ -253,6 +256,7 @@ class Law:
     kernels: Mapping[str, Callable[[Theta, np.ndarray], np.ndarray]]
     log_normalizer: Callable[[Theta], float]
     quantile: Callable[[Theta, float], float] | None = None
+    tail_ratio: Callable[[Theta], float] | None = None
     integers: tuple[str, ...] = ()
     fixed_kernels: tuple[str, ...] = ()
 
@@ -392,6 +396,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log(th["theta"]) - log_factorial_vec(k),
         kernels={"theta": lambda th, k: k / th["theta"]},
         log_normalizer=lambda th: th["theta"],
+        tail_ratio=lambda th: 0.0,
     ),
     "geometric-q": Law(
         kind="discrete",
@@ -400,6 +405,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log(th["q"]),
         kernels={"q": lambda th, k: k / th["q"]},
         log_normalizer=lambda th: -math.log1p(-th["q"]),
+        tail_ratio=lambda th: th["q"],
     ),
     "geometric-p": Law(
         kind="discrete",
@@ -408,6 +414,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log1p(-th["p"]),
         kernels={"p": lambda th, k: -k / (1.0 - th["p"])},
         log_normalizer=lambda th: -math.log(th["p"]),
+        tail_ratio=lambda th: 1.0 - th["p"],
     ),
     "negbinomial-q": Law(
         kind="discrete",
@@ -421,6 +428,7 @@ LAWS: dict[str, Law] = {
             "q": lambda th, k: k / th["q"],
         },
         log_normalizer=lambda th: -th["r"] * math.log1p(-th["q"]),
+        tail_ratio=lambda th: th["q"],
     ),
     "negbinomial-p": Law(
         kind="discrete",
@@ -434,6 +442,7 @@ LAWS: dict[str, Law] = {
             "p": lambda th, k: -k / (1.0 - th["p"]),
         },
         log_normalizer=lambda th: -th["r"] * math.log(th["p"]),
+        tail_ratio=lambda th: 1.0 - th["p"],
     ),
     "binomial": Law(
         kind="discrete",
@@ -472,6 +481,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log(th["theta"]) - np.log(k),
         kernels={"theta": lambda th, k: k / th["theta"]},
         log_normalizer=lambda th: math.log(-math.log1p(-th["theta"])),
+        tail_ratio=lambda th: th["theta"],
     ),
     "cmp": Law(
         kind="discrete",
@@ -480,6 +490,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, k: k * math.log(th["lam"]) - th["nu"] * log_factorial_vec(k),
         kernels={"nu": lambda th, k: -log_factorial_vec(k)},
         log_normalizer=_cmp_log_normalizer,
+        tail_ratio=lambda th: 0.0,
         fixed_kernels=("nu",),
     ),
     "zero-inflated-poisson": Law(
@@ -489,6 +500,7 @@ LAWS: dict[str, Law] = {
         log_factor=_zip_log_factor,
         kernels={"theta": _zip_kernel},
         log_normalizer=lambda th: th["theta"],
+        tail_ratio=lambda th: 0.0,
     ),
     # -- continuous --
     "gamma": Law(
@@ -604,6 +616,7 @@ class DensityFamily:
 
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
+    tail_ratio(nu) is the limit of p(k+1)/p(k) on an infinite discrete support.
     fixed_kernel says that kernel(nu, x) gives the same bits at every nu.
     """
 
@@ -617,6 +630,7 @@ class DensityFamily:
     kernel: Callable[[float, np.ndarray], np.ndarray]
     log_normalizer: Callable[[float], float]
     quantile: Callable[[float, float], float] | None = None
+    tail_ratio: Callable[[float], float] | None = None
     fixed_kernel: bool = False
 
     def validate_param(self, nu: float) -> float:
@@ -705,6 +719,7 @@ class View:
             log_factor=lambda s, x: law.log_factor(at(s), x), kernel=kernel,
             log_normalizer=lambda s: law.log_normalizer(at(s)),
             quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
+            tail_ratio=None if law.tail_ratio is None else lambda s: law.tail_ratio(at(s)),
             fixed_kernel=fixed_kernel,
         )
 
@@ -835,63 +850,47 @@ def normalized(grid: SupportGrid, log_weights: np.ndarray) -> Distribution:
 _SPAN_WINDOW = 64  # points of the first window of the tail search
 
 
-def _tail_span(
-    pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
-    own_total: bool = False,
-) -> tuple[int, float, np.ndarray] | None:
-    """Smallest k in [lo, hi] whose tail 1 - sum_{lo..k} pmf is <= tail_eps.
+def _tail_cut(
+    log_pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
+    limit: float, label: str,
+) -> tuple[int, float, np.ndarray]:
+    """First k in lo+1..hi-1 whose bound on the tail past k is <= tail_eps.
 
-    Returns (k, that tail, pmf on lo..k), or None when no k up to hi reaches
-    the target. pmf(ks) gives the masses at the float points ks. The search
-    evaluates a window of 64 points from lo and doubles it, evaluating only
-    the new points, until the target is met or hi is reached. np.cumsum adds
-    sequentially, so every prefix sum, and hence the answer, equals that of
-    one scan over all of lo..hi.
+    Returns (k, that bound, log pmf on lo..k); log_pmf(ks) gives the log
+    masses at the float points ks. The ratio p(k+1)/p(k) of every infinite
+    discrete law in `LAWS` is monotone in k from lo + 1 on (the zero-inflated
+    Poisson's atom breaks it at lo) and tends to `limit`, so past the mode
+    the tail past k is at most p(k+1) / (1 - rho), rho = max(p(k+1)/p(k),
+    limit) (the ratio test; Feller, vol. 1, ch. XI). Read in logs, with
+    nothing subtracted from 1, the normalizer's error only scales the bound.
 
-    With own_total the tail is read relative to the (pairwise) sum S of the
-    masses evaluated so far, so a pmf whose total misses 1 by more than
-    tail_eps (rounding in large log weights) still meets its target. It is
-    read once 1 - S <= max(tail_eps, 1e-9) and the last window added at most
-    1e-4 * tail_eps * S or ended at hi.
+    The search evaluates a window of 64 points from lo and doubles it up to
+    hi, reading the bound at the new k only, and log(1 - rho) only where
+    p(k+1) <= tail_eps and rho < 1; every bound equals that of one pass over
+    lo..hi. No k reaching the target raises ValueError naming `label`, the
+    target and hi.
     """
-    masses = np.empty(0)
+    # a limit of 1 or more bounds no tail: no k then meets the target
+    log_eps = math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
+    log_limit = math.log(limit) if limit > 0 else -math.inf
+    logs = np.empty(0)
     width = _SPAN_WINDOW
-    while lo + masses.size <= hi:
+    while lo + logs.size <= hi:
         top = min(lo + width - 1, hi)
-        new = pmf(np.arange(lo + masses.size, top + 1, dtype=float))
-        masses, width = np.concatenate((masses, new)), 2 * width
-        total = masses.sum() if own_total else 1.0
-        if own_total and (
-            1.0 - total > max(tail_eps, 1e-9) or top < hi and new.sum() > 1e-4 * tail_eps * total
-        ):
-            continue
-        tail = 1.0 - np.cumsum(masses) / total
-        idx = np.flatnonzero(tail <= tail_eps)
-        if idx.size:
-            i = int(idx[0])
-            return lo + i, float(tail[i]), masses[: i + 1]
-    return None
-
-
-def _discrete_span(f: DensityFamily, nus, tail_eps: float, kmax: int) -> tuple[int, float] | None:
-    """(upper end, largest tail beyond it) of a discrete support, uniformly
-    over the scanned nus: the support's own end when finite, else the
-    smallest k with tail <= tail_eps at every nu; None when some nu needs a
-    k past kmax."""
-    lo, hi = int(f.support[0]), f.support[1]
-    if math.isfinite(hi):
-        return int(hi), 0.0
-    need = lo
-    worst_tail = 0.0
-    for nu in nus:
-        span = _tail_span(
-            lambda ks: np.exp(f.log_factor(nu, ks) - f.log_normalizer(nu)), lo, kmax, tail_eps
-        )
-        if span is None:
-            return None
-        need = max(need, span[0])
-        worst_tail = max(worst_tail, max(span[1], 0.0))
-    return need, worst_tail
+        start = max(logs.size - 1, 1)  # offset of the first k this window settles
+        new = log_pmf(np.arange(lo + logs.size, top + 1, dtype=float))
+        logs = np.concatenate((logs, new)) if logs.size else new
+        width *= 2
+        after = logs[start + 1 :]  # log p(k+1)
+        step = after - logs[start:-1]
+        near = ((after <= log_eps) & (step < 0.0)).nonzero()[0]
+        if near.size:
+            bounds = after[near] - np.log(-np.expm1(np.maximum(step[near], log_limit)))
+            hit = (bounds <= log_eps).nonzero()[0]
+            if hit.size:
+                i = start + int(near[hit[0]])
+                return lo + i, math.exp(bounds[hit[0]]), logs[: i + 1]
+    raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within k_max={hi}")
 
 
 def default_grid(
@@ -903,19 +902,23 @@ def default_grid(
     grid_points: int = 2000,
 ) -> SupportGrid:
     """Grid valid for every nu in `nus`: tail-complete, with at most
-    MAX_GRID_POINTS points on a continuous or mixed support."""
+    MAX_GRID_POINTS points on a continuous or mixed support. An infinite
+    discrete support ends at the largest `_tail_cut` over the nus, read up to
+    k = kmax."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
     lo_s, hi_s = f.support
 
     if f.kind == "discrete":
-        span = _discrete_span(f, nus, tail_eps, kmax)
-        if span is None:
-            raise ValueError(
-                f"{f.name}: tail-mass target {tail_eps:g} unreachable within k_max={kmax}"
-            )
-        return discrete_grid(int(lo_s), *span)
+        if math.isfinite(hi_s):
+            return discrete_grid(int(lo_s), int(hi_s))
+        cuts = []
+        for nu in nus:
+            log_a = f.log_normalizer(nu)
+            cuts.append(_tail_cut(lambda ks: f.log_factor(nu, ks) - log_a, int(lo_s), kmax,
+                                  tail_eps, f.tail_ratio(nu), f.name))
+        return discrete_grid(int(lo_s), max(c[0] for c in cuts), max(c[1] for c in cuts))
 
     if f.kind == "mixed":
         # atom at 0 plus the continuous part truncated at its upper quantile

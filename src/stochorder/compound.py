@@ -17,8 +17,11 @@ Each counting law is a one-parameter view of an entry of `catalog.LAWS`
 per-law input. The score centres the compound kernel under the compound law,
 and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
 
-All arrays are truncated: summands at tail eps, counting at n_max, the
-compound support at k_max; truncation budgets are recorded on the objects.
+All arrays are truncated: summands and counting laws where
+`catalog._tail_cut` bounds the tail past the cut by eps (the counting law
+through `catalog.default_grid`, up to n_max), the compound support at k_max;
+truncation budgets are recorded on the objects. The two infinite summands
+are 1 + M, with M the `LAWS` entry poisson or geometric-p.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import (
-    MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, View, _discrete_span, _tail_span,
-    checked, discrete_grid, parse_spec,
+    LAWS, MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, View, _tail_cut, checked,
+    default_grid, discrete_grid, parse_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, scan_kernel
 from .oracle import oracle_lr
-from .special import log_factorial_vec
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -105,18 +107,21 @@ class SummandLaw:
         return float(np.dot(np.arange(1, self.j_max + 1), self.masses))
 
 
+def _one_plus(label: str, law_name: str, theta: dict[str, float], eps_tail: float) -> SummandLaw:
+    """J = 1 + M with M the table law at theta, cut by `catalog._tail_cut`
+    where the bound on its tail is <= eps_tail, and J at most MAX_KMAX."""
+    law = LAWS[law_name]
+    log_a = law.log_normalizer(theta)
+    _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX, eps_tail,
+                              law.tail_ratio(theta), label)
+    return SummandLaw(np.exp(logs), tail)
+
+
 def geometric_summand(p: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
-    """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}, truncated at tail <= eps."""
+    """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}: 1 + a geometric-p law."""
     if not 0 < p < 1:
         raise ValueError("geometric summand needs p in (0,1)")
-    terms = math.log(eps_tail) / math.log1p(-p)
-    if terms > MAX_KMAX:
-        raise ValueError(f"geometric summand: p={p:g} needs more than {MAX_KMAX} terms "
-                         f"to cut its tail at {eps_tail:g}")
-    j_max = max(1, math.ceil(terms))
-    j = np.arange(1, j_max + 1)
-    masses = p * (1.0 - p) ** (j - 1)
-    return SummandLaw(masses, max(1.0 - masses.sum(), 0.0))
+    return _one_plus("geometric summand", "geometric-p", {"p": p}, eps_tail)
 
 
 def delta_summand(j0: int) -> SummandLaw:
@@ -134,16 +139,10 @@ def two_point_summand(w1: float) -> SummandLaw:
 
 
 def poisson_shifted_summand(mu: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
-    """J = 1 + M with M Poisson(mu), truncated at tail <= eps."""
+    """J = 1 + M with M Poisson(mu)."""
     if not mu > 0:
         raise ValueError("shifted-poisson summand needs mu > 0")
-    span = _tail_span(
-        lambda n: np.exp(n * math.log(mu) - mu - log_factorial_vec(n)), 0, 1999, eps_tail
-    )
-    if span is None:
-        raise ValueError("shifted-poisson summand: tail target unreachable")
-    pmf = span[2]
-    return SummandLaw(pmf, max(1.0 - pmf.sum(), 0.0))
+    return _one_plus("shifted-poisson summand", "poisson", {"theta": mu}, eps_tail)
 
 
 def _required(ps: dict, key: str, name: str) -> float:
@@ -317,13 +316,8 @@ def make_compound(
     rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
-    span = _discrete_span(counting, nus, eps_tail, n_cap)
-    if span is None:
-        raise ValueError(
-            f"{counting.name}: counting tail target {eps_tail:g} unreachable within n_max={n_cap}"
-        )
-    n_max = span[0]
-    if n_max > n_cap:  # only a finite support, which the span returns whole
+    n_max = int(default_grid(counting, nus, tail_eps=eps_tail, kmax=n_cap).upper)
+    if n_max > n_cap:  # only a finite support, which the grid holds whole
         raise ValueError(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
         )

@@ -21,8 +21,9 @@ K_t = sum_i theta_i'(t) K^(i) over the entry's kernels of the moved
 parameters. It takes its grid from `catalog.default_grid` over the scanned t,
 as a catalogue family does over nu, and `check_path_order` reads its kernel
 K_t and its law at each t from it. An infinite support is cut by
-`catalog._tail_span`, the catalogue's tail search; laws are normalized
-numerically by `catalog.normalized`.
+`catalog._tail_cut`, the catalogue's one tail cut, under the law's log
+normalizer and tail ratio; laws are normalized numerically by
+`catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
@@ -42,7 +43,7 @@ import numpy as np
 
 from .catalog import (
     LAWS, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid, View,
-    _tail_span, discrete_grid, normalized, parse_spec,
+    _tail_cut, discrete_grid, normalized, parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
@@ -82,10 +83,13 @@ class PairwiseLaw:
     log_weight: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, float] = field(default_factory=dict)
     log_normalizer: float | None = None  # log sum_k w_k, which an infinite support needs
+    tail_ratio: float | None = None  # lim w_(k+1)/w_k, which an infinite support needs
 
     def __post_init__(self) -> None:
-        if self.log_normalizer is None and not math.isfinite(self.support[1]):
-            raise ValueError(f"{self.name}: a law on an infinite support needs its log normalizer")
+        for need in ("log_normalizer", "tail_ratio"):
+            if getattr(self, need) is None and not math.isfinite(self.support[1]):
+                raise ValueError(f"{self.name}: a law on an infinite support needs its "
+                                 f"{need.replace('_', ' ')}")
 
     def describe(self) -> str:
         ps = ",".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -114,7 +118,8 @@ def make_law(name: str, **params: float) -> PairwiseLaw:
     theta = view.bind(f"{name} law", params)
     law = LAWS[view.law]
     return PairwiseLaw(name, law.support(theta), partial(law.log_factor, theta),
-                       view.named(theta), law.log_normalizer(theta))
+                       view.named(theta), law.log_normalizer(theta),
+                       None if law.tail_ratio is None else law.tail_ratio(theta))
 
 
 def law_from_spec(text: str) -> PairwiseLaw:
@@ -124,15 +129,12 @@ def law_from_spec(text: str) -> PairwiseLaw:
 
 def law_distribution(law: PairwiseLaw, eps_tail: float = TAIL_CUT_EPS) -> Distribution:
     """The law's pmf, normalized over its support; an infinite support is first
-    cut by `catalog._tail_span` on exp(log_weight - log_normalizer), at the
-    first k whose tail relative to the evaluated masses' sum is <= eps_tail."""
+    cut by `catalog._tail_cut` on log_weight - log_normalizer, at the first k
+    whose bound on the tail past k is <= eps_tail."""
     lo, hi = int(law.support[0]), law.support[1]
     if not math.isfinite(hi):
-        span = _tail_span(lambda ks: np.exp(law.log_weight(ks) - law.log_normalizer), lo,
-                          TAIL_CUT_KMAX, eps_tail, own_total=True)
-        if span is None:
-            raise ValueError(f"{law.name}: tail target {eps_tail:g} unreachable")
-        hi = span[0]
+        hi = _tail_cut(lambda ks: law.log_weight(ks) - law.log_normalizer, lo, TAIL_CUT_KMAX,
+                       eps_tail, law.tail_ratio, law.name)[0]
     return _on_range(law, lo, int(hi))
 
 

@@ -7,13 +7,17 @@ which shares no code with the weight-function catalogue.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stochorder.catalog import (
     FAMILY_NAMES,
-    _tail_span,
+    LAWS,
+    View,
     continuous_grid,
     default_grid,
     density,
@@ -301,7 +305,7 @@ def test_density_rejects_zero_mass_grid():
 
 
 # ---------------------------------------------------------------------------
-# the tail-span search of infinite discrete supports
+# the tail cut of infinite discrete supports
 
 # every infinite-support discrete Table-1 row; the wider scans reach past the
 # first 64-point window, the negative-binomial ones into the lgamma branch
@@ -317,14 +321,25 @@ INFINITE_DISCRETE = [
 ]
 
 
+def ratio_bound_cut(logs, lo, tail_eps, limit):
+    """(first k >= lo + 1 whose ratio bound p(k+1) / (1 - rho) on the tail
+    past k is <= tail_eps, that bound), read in one pass over the log pmf
+    `logs` on lo, lo + 1, ...; rho = max(p(k+1)/p(k), limit). None when no k
+    reaches the target."""
+    after = logs[2:]
+    log_rho = np.maximum(after - logs[1:-1], math.log(limit) if limit > 0 else -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho >= 1: no bound
+        bound = after - np.log(-np.expm1(log_rho))
+    idx = np.flatnonzero(bound <= (math.log(tail_eps) if tail_eps > 0 else -math.inf))
+    return None if idx.size == 0 else (lo + 1 + int(idx[0]), math.exp(bound[idx[0]]))
+
+
 def full_range_span(fam, nu, kmax, tail_eps):
-    """(first k with tail <= tail_eps, that tail) from one scan over all of
+    """(cut, tail bound) of the ratio bound from one pass over all of
     lo..kmax, or None when no k reaches the target."""
     lo = int(fam.support[0])
-    ks = np.arange(lo, kmax + 1, dtype=float)
-    tail = 1.0 - np.cumsum(np.exp(fam.log_factor(nu, ks) - fam.log_normalizer(nu)))
-    idx = np.nonzero(tail <= tail_eps)[0]
-    return None if idx.size == 0 else (lo + int(idx[0]), float(tail[idx[0]]))
+    logs = fam.log_factor(nu, np.arange(lo, kmax + 1, dtype=float)) - fam.log_normalizer(nu)
+    return ratio_bound_cut(logs, lo, tail_eps, fam.tail_ratio(nu))
 
 
 @pytest.mark.parametrize("name,span", INFINITE_DISCRETE)
@@ -339,9 +354,10 @@ def test_span_search_equals_a_full_range_scan(name, span, tail_eps):
         need, worst = max(need, k), max(worst, tail, 0.0)
     grid = default_grid(fam, nus, tail_eps=tail_eps)
     assert (grid.lower, grid.upper, grid.truncation_tail_mass) == (lo, need, worst)
-    assert default_grid(fam, nus, tail_eps=tail_eps, kmax=need).upper == need
-    with pytest.raises(ValueError, match=f"unreachable within k_max={need - 1}$"):
-        default_grid(fam, nus, tail_eps=tail_eps, kmax=need - 1)
+    # the bound at k reads p(k + 1), so the search reaches one point past the cut
+    assert default_grid(fam, nus, tail_eps=tail_eps, kmax=need + 1).upper == need
+    with pytest.raises(ValueError, match=f"target {tail_eps:g} unreachable within k_max={need}$"):
+        default_grid(fam, nus, tail_eps=tail_eps, kmax=need)
 
 
 def counted_log_factor(fam):
@@ -372,24 +388,93 @@ def test_span_search_walks_to_kmax_when_the_target_is_unreachable():
     assert points == [64, 64, 128, 45]  # windows 0..63, ..127, ..255, ..300
 
 
-def geometric_pmf(scale):
-    """scale * the geometric pmf with p = 1/2 on 0, 1, ..."""
-    return lambda ks: scale * 0.5 ** (ks + 1.0)
+def exact_tail(law, theta, k):
+    """P(X > k) for the table law at theta, at 40 digits: closed forms
+    (regularized incomplete gamma and beta functions, a Lerch sum), and for
+    cmp a direct sum of the series to past where its log terms fall 150 below
+    their largest."""
+    with mpmath.workdps(40):
+        th = {key: mpmath.mpf(v) for key, v in theta.items()}
+        if law in ("poisson", "zero-inflated-poisson"):
+            share = th["pi"] if law == "zero-inflated-poisson" else 1
+            return share * mpmath.gammainc(k + 1, 0, th["theta"], regularized=True)
+        if law in ("geometric-q", "geometric-p"):
+            return (th["q"] if "q" in th else 1 - th["p"]) ** (k + 1)
+        if law in ("negbinomial-q", "negbinomial-p"):
+            q = th["q"] if "q" in th else 1 - th["p"]
+            return mpmath.betainc(k + 1, th["r"], 0, q, regularized=True)
+        if law == "logseries":
+            t = th["theta"]
+            return t ** (k + 1) * mpmath.lerchphi(t, 1, k + 1) / -mpmath.log1p(-t)
+        assert law == "cmp"
+        logs, top = [], -mpmath.inf
+        while len(logs) < k + 3 or logs[-1] > logs[-2] or logs[-1] > top - 150:
+            j = len(logs)
+            logs.append(j * mpmath.log(th["lam"]) - th["nu"] * mpmath.loggamma(j + 1))
+            top = max(top, logs[-1])
+        w = [mpmath.exp(x - top) for x in logs]
+        return mpmath.fsum(w[k + 1 :]) / mpmath.fsum(w)
 
 
-def test_own_total_search_reads_tails_of_the_masses_it_kept():
-    # a pmf summing to 1 - 5e-13 never brings 1 - sum below 5e-13
-    pmf = geometric_pmf(1.0 - 5e-13)
-    assert _tail_span(pmf, 0, 10_000, 1e-13) is None
-    k, tail, _ = _tail_span(pmf, 0, 10_000, 1e-13, own_total=True)
-    assert k == 43 and tail == pytest.approx(0.5 ** 44, rel=1e-3)
-    assert _tail_span(geometric_pmf(1.0 + 5e-13), 0, 10_000, 1e-13, own_total=True)[0] == 43
+def law_cut(law, theta):
+    """The default grid of the table law at theta, through the family that
+    varies its first parameter."""
+    varied = next(iter(LAWS[law].domains))
+    rest = {p: v for p, v in theta.items() if p != varied}
+    return default_grid(View(law, varied).family(law, law, rest), [theta[varied]])
 
 
-def test_own_total_search_waits_for_mass_the_pmf_has_not_yielded():
-    # half the mass on 0..~45, half at k = 1000: the window 64..127 adds
-    # nothing, but 1 - sum is still 1/2 there
-    def pmf(ks):
-        return np.where(ks == 1000.0, 0.5, geometric_pmf(0.5)(ks))
+# the infinite discrete table laws, at parameters whose cut stays below the
+# default k_max and whose cmp series stays short
+RATIO_LAWS = {
+    "poisson": {"theta": st.floats(0.01, 700.0)},
+    "geometric-q": {"q": st.floats(0.01, 0.99)},
+    "geometric-p": {"p": st.floats(0.01, 0.99)},
+    "negbinomial-q": {"r": st.floats(0.1, 60.0), "q": st.floats(0.01, 0.95)},
+    "negbinomial-p": {"r": st.floats(0.1, 100.0), "p": st.floats(0.05, 0.99)},
+    "logseries": {"theta": st.floats(0.01, 0.97)},
+    "cmp": {"lam": st.floats(0.05, 10.0), "nu": st.floats(0.5, 3.0)},
+    "zero-inflated-poisson": {"pi": st.floats(0.01, 0.99), "theta": st.floats(0.1, 300.0)},
+}
 
-    assert _tail_span(pmf, 0, 10_000, 1e-12, own_total=True)[0] == 1000
+
+def test_every_infinite_discrete_law_declares_its_tail_ratio():
+    for name, law in LAWS.items():
+        ends = law.support(dict.fromkeys(law.domains, 1))
+        infinite = law.kind == "discrete" and ends[1] == math.inf
+        assert (law.tail_ratio is not None) == infinite, name
+    assert sorted(RATIO_LAWS) == sorted(n for n, law in LAWS.items() if law.tail_ratio is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(RATIO_LAWS)).flatmap(
+    lambda law: st.fixed_dictionaries(RATIO_LAWS[law]).map(lambda theta: (law, theta))))
+def test_tail_cut_meets_its_target_at_40_digits(case):
+    law, theta = case
+    grid = law_cut(law, theta)
+    cut = int(grid.upper)
+    tail = exact_tail(law, theta, cut)
+    # the bound is read in floats and is exact for a geometric law (at q =
+    # 0.01, q^6 is 1e-12 in floats and 1.0000000000000001e-12 at 40 digits),
+    # so it holds up to rounding
+    assert tail <= 1e-12 * (1.0 + 1e-9), (cut, tail)
+    assert grid.truncation_tail_mass >= tail * (1.0 - 1e-9)
+    # at most 2 points past the exact first k whose tail is <= 1e-12
+    assert cut - 3 < grid.lower or exact_tail(law, theta, cut - 3) > 1e-12
+
+
+@pytest.mark.parametrize("law,theta,cut,first", [
+    # 1 - cumsum cut these at 796, 1901 and 3054, leaving 1.03e-12, 1.42e-12
+    # and 1.34e-12 past the cut
+    ("poisson", {"theta": 614.352}, 797, 797),
+    ("negbinomial-q", {"q": 0.949547837568405, "r": 38.86958350399432}, 1913, 1912),
+    ("negbinomial-p", {"r": 96.959, "p": 0.0571334}, 3065, 3065),
+    # its atom at 0 makes p(1)/p(0) far smaller than the later ratios
+    ("zero-inflated-poisson", {"pi": 0.5, "theta": 180.0}, 281, 281),
+])
+def test_tail_cut_pinned_at_40_digits(law, theta, cut, first):
+    grid = law_cut(law, theta)
+    assert grid.upper == cut
+    assert exact_tail(law, theta, first - 1) > 1e-12 >= exact_tail(law, theta, first)
+    assert grid.truncation_tail_mass >= exact_tail(law, theta, cut)
+

@@ -248,7 +248,8 @@ def test_pairwise_cuts_every_order_at_the_tail_target(capsys, order):
     # lr and lc used to cut their laws at 1e-12, whatever --tail-eps said
     code, out, err = run_cli(capsys, "pairwise", "--p", "geometric:p=0.5",
                              "--q", "poisson:lambda=1", "--orders", order, "--tail-eps", "0")
-    assert (code, out, err) == (2, "", "error: geometric: tail target 0 unreachable\n")
+    assert (code, out, err) == (
+        2, "", "error: geometric: tail-mass target 0 unreachable within k_max=10000\n")
 
 
 def test_compound_subcommand_reports_model_sizes(capsys):
@@ -408,7 +409,20 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         (("path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1,r1=3"), "parameter 'r1' given twice"),
         # about 2.8e10 summand terms: the summand asked numpy for a 206 GiB array
         (("compound", "--counting", "poisson", "--summand", "geometric:p=1e-9",
-          "--nu1", "1", "--nu2", "2"), "p=1e-09 needs more than 100000 terms"),
+          "--nu1", "1", "--nu2", "2"),
+         "geometric summand: tail-mass target 1e-12 unreachable within k_max=100000"),
+        # one message for every unreachable tail target: the law, the target
+        # and the ceiling the search reached
+        (("compound", "--counting", "poisson", "--summand", "poisson-shifted:mu=200000",
+          "--nu1", "1", "--nu2", "2"),
+         "shifted-poisson summand: tail-mass target 1e-12 unreachable within k_max=100000"),
+        (("pairwise", "--p", "geometric:p=0.00001", "--q", "poisson:lambda=4", "--orders", "st"),
+         "geometric: tail-mass target 1e-12 unreachable within k_max=10000"),
+        (("check", "--family", "geometric", "--nu1", "0.5", "--nu2", "0.99999"),
+         "geometric: tail-mass target 1e-12 unreachable within k_max=10000"),
+        (("compound", "--counting", "poisson", "--summand", "delta:j=1",
+          "--nu1", "400", "--nu2", "600"),
+         "poisson: tail-mass target 1e-12 unreachable within k_max=500"),
         # a summand longer than the table: the one window is the whole table
         (("compound", "--counting", "poisson", "--summand", "geometric:p=0.01",
           "--nu1", "1", "--nu2", "2"), "compound mass beyond k_max=2000 exceeds 1e-6 at nu=2"),

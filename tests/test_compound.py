@@ -36,6 +36,7 @@ from stochorder.compound import (
 from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
 from stochorder.verdicts import Witness
+from test_catalog import ratio_bound_cut
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +69,11 @@ def test_poisson_shifted_summand_matches_scipy():
 @pytest.mark.parametrize("mu", [0.5, 1.5, 40.0, 300.0])
 def test_poisson_shifted_summand_equals_a_full_range_scan(mu):
     n = np.arange(0, 2000, dtype=float)
-    pmf = np.exp(n * math.log(mu) - mu - log_factorial_vec(n))
-    cut = int(np.nonzero(1.0 - np.cumsum(pmf) <= 1e-12)[0][0])
+    logs = n * math.log(mu) - log_factorial_vec(n) - mu
+    cut, tail = ratio_bound_cut(logs, 0, 1e-12, 0.0)
     s = poisson_shifted_summand(mu)
-    assert np.array_equal(s.masses, pmf[: cut + 1])
-    assert s.tail_mass == max(1.0 - pmf[: cut + 1].sum(), 0.0)
+    assert np.array_equal(s.masses, np.exp(logs[: cut + 1]))
+    assert s.tail_mass == tail
 
 
 def test_summand_spec_parsing():
@@ -93,10 +94,11 @@ def test_summand_spec_parsing():
 
 
 def test_geometric_summand_refuses_more_terms_than_the_largest_kmax():
-    # p = 1e-9 needs about 2.8e10 terms to cut its tail at 1e-12; the refusal
-    # comes before any array is allocated
+    # p = 1e-9 needs about 2.8e10 terms to cut its tail at 1e-12; the search
+    # stops at J = 100 000
     for p in (1e-9, 2.7e-4, 5e-324):
-        with pytest.raises(ValueError, match=f"p={p:g} needs more than 100000 terms"):
+        with pytest.raises(ValueError, match="^geometric summand: tail-mass target 1e-12 "
+                                             "unreachable within k_max=100000$"):
             summand_from_spec(f"geometric:p={p!r}")
     assert geometric_summand(2.8e-4).j_max <= 100_000
 
@@ -254,15 +256,16 @@ def counting_scans(draw):
 
 def _full_cap_reference(counting, summand, nus, k_cap=2000):
     """(k_max, n_max, conv) from one table to k_cap and the reversed-cumsum
-    cut, or None where the compound mass past k_cap exceeds 1e-6."""
+    cut, or None where the compound mass past k_cap exceeds 1e-6; n_max is
+    the counting law's ratio-bound cut read in one pass."""
     lo, hi = counting.support
     if math.isfinite(hi):
         n_max = int(hi)
     else:
         n, n_max = np.arange(lo, 501, dtype=float), 0
         for nu in nus:
-            q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
-            n_max = max(n_max, int(lo) + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
+            logs = counting.log_factor(nu, n) - counting.log_normalizer(nu)
+            n_max = max(n_max, ratio_bound_cut(logs, int(lo), 1e-12, counting.tail_ratio(nu))[0])
     table = np.zeros((n_max + 1, k_cap + 1))
     table[0, 0] = 1.0
     for n in range(1, n_max + 1):
@@ -321,12 +324,13 @@ def test_counting_n_max_equals_a_full_range_scan(name, fixed, span):
     n = np.arange(lo, 501, dtype=float)
     need = lo
     for nu in span:
-        q = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
-        need = max(need, lo + int(np.nonzero(1.0 - np.cumsum(q) <= 1e-12)[0][0]))
+        logs = counting.log_factor(nu, n) - counting.log_normalizer(nu)
+        need = max(need, ratio_bound_cut(logs, lo, 1e-12, counting.tail_ratio(nu))[0])
     summand = delta_summand(1)
     assert make_compound(counting, summand, span, k_cap=600).n_max == need
-    with pytest.raises(ValueError, match=f"unreachable within n_max={need - 1}$"):
-        make_compound(counting, summand, span, n_cap=need - 1)
+    # the bound at n reads the mass at n + 1, so n_cap = need stops one short
+    with pytest.raises(ValueError, match=f"unreachable within k_max={need}$"):
+        make_compound(counting, summand, span, n_cap=need)
 
 
 def test_finite_counting_support_caps_n_max():

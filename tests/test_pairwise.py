@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +30,7 @@ from stochorder.pairwise import (
     pairwise_kernel,
     path_family,
 )
+from test_catalog import ratio_bound_cut
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +122,11 @@ def test_law_describe():
 
 
 def full_range_cut(law, eps_tail=1e-12):
-    """(cut, tails) of one scan over lo..10 000 whose weights are normalized
-    by their own sum: the reference for the tail search."""
+    """(cut, tail bound) of the ratio bound read in one pass over
+    lo..10 000: the reference for the tail search."""
     lo = int(law.support[0])
-    k = np.arange(lo, 10_001, dtype=float)
-    logw = law.log_weight(k)
-    w = np.exp(logw - logw.max())
-    tail = 1.0 - np.cumsum(w) / w.sum()
-    return lo + int(np.nonzero(tail <= eps_tail)[0][0]), tail
+    logs = law.log_weight(np.arange(lo, 10_001, dtype=float)) - law.log_normalizer
+    return ratio_bound_cut(logs, lo, eps_tail, law.tail_ratio)
 
 
 INFINITE_LAWS = st.one_of(
@@ -150,30 +149,26 @@ INFINITE_LAWS = st.one_of(
 @given(INFINITE_LAWS)
 @example(make_law("geometric", p=0.003))  # cut near 9 170, in the window that ends at 10 000
 def test_law_distribution_cut_is_the_full_range_cut(law):
-    """Both read tails relative to the masses' own sum: the reference over
-    lo..10 000 with weights scaled by their maximum, the search over its
-    settled range with masses under the normalizer. Their running sums of a
-    few thousand terms round differently (by under 2e-14 in a 2000-draw
-    probe), so the cuts agree unless a reference tail lies within 5e-14 of
-    eps_tail."""
-    ref, tail = full_range_cut(law)
-    cut = int(law_distribution(law).support.upper)
-    i = cut - int(law.support[0])
-    assert tail[i] <= 1e-12 + 5e-14, (ref, cut)
-    assert i == 0 or tail[i - 1] > 1e-12 - 5e-14, (ref, cut)
+    # the search reads each bound from the values one pass would give
+    assert law_distribution(law).support.upper == full_range_cut(law)[0]
 
 
-@pytest.mark.parametrize("spec,cut", [
-    ("negbinomial:r=38.86958350399432,p=0.050452162431594796", 1912),  # sums to 1 + 4.5e-13
-    ("negbinomial:r=48.4884,p=0.0579789", 1895),  # sums to 1 - 4.75e-13
+@pytest.mark.parametrize("spec,cut,first", [
+    ("negbinomial:r=38.86958350399432,p=0.050452162431594796", 1913, 1912),  # sums to 1 + 4.5e-13
+    ("negbinomial:r=48.4884,p=0.0579789", 1896, 1895),  # sums to 1 - 4.75e-13
 ])
-def test_law_distribution_cut_ignores_the_error_in_the_pmf_total(spec, cut):
+def test_law_distribution_cut_ignores_the_error_in_the_pmf_total(spec, cut, first):
     law = law_from_spec(spec)
     assert full_range_cut(law)[0] == cut
     assert law_distribution(law).support.upper == cut
+    # at 40 digits: P(X > k) = I_{1-p}(k + 1, r), first at most 1e-12 at `first`
+    r, p = (mpmath.mpf(law.params[k]) for k in ("r", "p"))
+    with mpmath.workdps(40):
+        tail = [mpmath.betainc(k + 1, r, 0, 1 - p, regularized=True) for k in (first - 1, first)]
+    assert tail[0] > 1e-12 >= tail[1]
     for shift in (-1e-11, 1e-11):  # a normalizer off by far more than eps_tail
         off = PairwiseLaw(law.name, law.support, law.log_weight, law.params,
-                          law.log_normalizer + shift)
+                          law.log_normalizer + shift, law.tail_ratio)
         assert law_distribution(off).support.upper == cut
 
 
@@ -198,9 +193,18 @@ def test_hand_built_infinite_law_needs_its_log_normalizer():
         PairwiseLaw("tail", (0, math.inf), lambda k: -k)
     # w_k = e^-k sums to 1 / (1 - e^-1): the geometric law with p = 1 - e^-1
     log_a = -math.log1p(-math.exp(-1.0))
-    law = PairwiseLaw("tail", (0, math.inf), lambda k: -k, log_normalizer=log_a)
+    with pytest.raises(ValueError, match="^tail: a law on an infinite support needs its tail "
+                                         "ratio$"):
+        PairwiseLaw("tail", (0, math.inf), lambda k: -k, log_normalizer=log_a)
+    law = PairwiseLaw("tail", (0, math.inf), lambda k: -k, log_normalizer=log_a,
+                      tail_ratio=math.exp(-1.0))
     geometric = make_law("geometric", p=-math.expm1(-1.0))
     assert law_distribution(law).support.upper == law_distribution(geometric).support.upper
+    # a ratio limit of 1 bounds no tail, so no cut meets the target
+    flat = replace(law, tail_ratio=1.0)
+    with pytest.raises(ValueError, match="^tail: tail-mass target 1e-12 unreachable within "
+                                         "k_max=10000$"):
+        law_distribution(flat)
 
 
 def test_law_distribution_truncation_follows_tail_target():

@@ -79,7 +79,14 @@ Each command runs in-process through `stochorder.cli.main` with
   only;
 - how a scan shares one nu's tail pass: hr before st on the zero-inflated
   Poisson row, where hr reads the tail means first and st reuses them, and
-  a Poisson row scanned at the one value `--nu-grid=2`.
+  a Poisson row scanned at the one value `--nu-grid=2`;
+- tail cuts that the ratio bound of `catalog._tail_cut` places where a cut
+  read as 1 - cumsum(masses) went wrong: a `negbinomial-in-q` row with
+  r = 38.87 up to q = 0.9495 and a `negbinomial-in-shape` row with
+  p = 0.0571 up to r = 96.96, where that cut came early, the
+  zero-inflated Poisson over 150..280, whose atom at 0 breaks the ratio's
+  monotonicity, and a pairwise st, hr pair of Poisson laws at
+  `--tail-eps 1e-300`, a target that 1 - cumsum never reaches.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -215,6 +222,15 @@ SHARED_ROWS = (
     ["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--nu-grid=2"],
 )
 
+RATIO_CUTS = (
+    ["check", "--family", "negbinomial-in-q:r=38.86958350399432", "--nu1=0.5",
+     "--nu2=0.949547837568405"],
+    ["check", "--family", "zero-inflated-poisson", "--nu1=150", "--nu2=280"],
+    ["check", "--family", "negbinomial-in-shape:p=0.0571334", "--nu1=0.631558", "--nu2=96.959"],
+    ["pairwise", "--p", "poisson:lambda=3", "--q", "poisson:lambda=4", "--orders", "st,hr",
+     "--tail-eps", "1e-300"],
+)
+
 TOL = 1e-12
 
 
@@ -245,6 +261,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
+    out.extend(RATIO_CUTS)
     return [argv + ["--no-timing"] for argv in out]
 
 
