@@ -160,25 +160,19 @@ def discrete_grid(lo: int, hi: int, tail_mass: float = 0.0) -> SupportGrid:
     return SupportGrid("discrete", float(lo), float(hi), pts, None, tail_mass)
 
 
-def continuous_grid(
-    lo: float, hi: float, step: float | None = None, n: int | None = None, tail_mass: float = 0.0
-) -> SupportGrid:
-    """Uniform midpoint cells over [lo, hi]; give either the step or the count."""
+def continuous_grid(lo: float, hi: float, n: int, tail_mass: float = 0.0) -> SupportGrid:
+    """n uniform midpoint cells over [lo, hi]; n is a whole number >= 1."""
     if not hi > lo:
         raise ValueError("continuous grid needs hi > lo")
-    if (step is None) == (n is None):
-        raise ValueError("give exactly one of step / n")
-    if n is None:
-        n = max(1, int(round((hi - lo) / step)))
+    n = checked("continuous grid", "n", n, (1, math.inf), integer=True)
     cell = (hi - lo) / n
     pts = lo + (np.arange(n) + 0.5) * cell
     return SupportGrid("continuous", float(lo), float(hi), pts, cell, tail_mass)
 
 
-def mixed_grid(upper: float, step: float | None = None, n: int | None = None,
-               tail_mass: float = 0.0) -> SupportGrid:
-    """Atom at 0 plus uniform midpoint cells over (0, upper]."""
-    inner = continuous_grid(0.0, upper, step=step, n=n)
+def mixed_grid(upper: float, n: int, tail_mass: float = 0.0) -> SupportGrid:
+    """Atom at 0 plus n uniform midpoint cells over (0, upper]."""
+    inner = continuous_grid(0.0, upper, n)
     pts = np.concatenate(([0.0], inner.points))
     return SupportGrid("mixed", 0.0, float(upper), pts, inner.step, tail_mass)
 

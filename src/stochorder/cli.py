@@ -77,19 +77,18 @@ __all__ = ["main", "dumps"]
 def _scalar(x) -> str:
     if x is None:
         return "null"
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isnan(v):
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if math.isnan(x):
             return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        if v == 0.0:
-            v = 0.0  # fold -0.0 so load/dump cycles are stable
-        return format(v, ".17g")
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        if x == 0.0:
+            x = 0.0  # fold -0.0 so load/dump cycles are stable
+        return format(x, ".17g")
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -100,9 +99,7 @@ def dumps(obj) -> str:
     if isinstance(obj, dict):
         body = ", ".join(f"{encode_basestring_ascii(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + body + "}"
-    if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     return _scalar(obj)
 
@@ -111,9 +108,9 @@ def _cell(x) -> str:
     """CSV cell rendering with the same float format as the JSON output."""
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return _scalar(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
     if isinstance(x, dict):
         return ";".join(f"{k}={_cell(v)}" for k, v in x.items())

@@ -18,8 +18,9 @@ per-law input. The score centres the compound kernel under the compound law,
 and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
 
 All arrays are truncated: summands and counting laws where
-`catalog._tail_cut` bounds the tail past the cut by eps (the counting law
-through `catalog.default_grid`, up to n_max), the compound support at k_max;
+`catalog._tail_cut` bounds the tail past the cut by eps (TAIL_CUT_EPS for
+the summands; the counting law through `catalog.default_grid`, up to n_max),
+the compound support at k_max;
 truncation budgets are recorded on the objects. The two infinite summands
 are 1 + M, with M the `LAWS` entry poisson or geometric-p.
 """
@@ -107,21 +108,22 @@ class SummandLaw:
         return float(np.dot(np.arange(1, self.j_max + 1), self.masses))
 
 
-def _one_plus(label: str, law_name: str, theta: dict[str, float], eps_tail: float) -> SummandLaw:
+def _one_plus(label: str, law_name: str, theta: dict[str, float]) -> SummandLaw:
     """J = 1 + M with M the table law at theta, cut by `catalog._tail_cut`
-    where the bound on its tail is <= eps_tail, and J at most MAX_KMAX."""
+    where the bound on its tail is <= TAIL_CUT_EPS, and J at most MAX_KMAX."""
     law = LAWS[law_name]
     log_a = law.log_normalizer(theta)
-    _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX, eps_tail,
-                              law.tail_ratio(theta), label)
+    _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX,
+                              TAIL_CUT_EPS, law.tail_ratio(theta), label)
     return SummandLaw(np.exp(logs), tail)
 
 
-def geometric_summand(p: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
-    """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}: 1 + a geometric-p law."""
+def geometric_summand(p: float) -> SummandLaw:
+    """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}: 1 + a geometric-p law, cut
+    where the bound on its tail is <= TAIL_CUT_EPS."""
     if not 0 < p < 1:
         raise ValueError("geometric summand needs p in (0,1)")
-    return _one_plus("geometric summand", "geometric-p", {"p": p}, eps_tail)
+    return _one_plus("geometric summand", "geometric-p", {"p": p})
 
 
 def delta_summand(j0: int) -> SummandLaw:
@@ -138,11 +140,12 @@ def two_point_summand(w1: float) -> SummandLaw:
     return SummandLaw(np.array([w1, 1.0 - w1]), 0.0)
 
 
-def poisson_shifted_summand(mu: float, eps_tail: float = TAIL_CUT_EPS) -> SummandLaw:
-    """J = 1 + M with M Poisson(mu)."""
+def poisson_shifted_summand(mu: float) -> SummandLaw:
+    """J = 1 + M with M Poisson(mu), cut where the bound on its tail is
+    <= TAIL_CUT_EPS."""
     if not mu > 0:
         raise ValueError("shifted-poisson summand needs mu > 0")
-    return _one_plus("shifted-poisson summand", "poisson", {"theta": mu}, eps_tail)
+    return _one_plus("shifted-poisson summand", "poisson", {"theta": mu})
 
 
 def _required(ps: dict, key: str, name: str) -> float:
@@ -376,13 +379,13 @@ def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
     return witness is None, witness and replace(witness, nu=None)  # a pmf's witness has no nu
 
 
-def is_tp2(M, tol: float = _MINOR_TOL) -> tuple[bool, Witness | None]:
-    """All 2x2 minors nonnegative: adjacent minors when strictly positive,
-    all row/column pairs otherwise (adjacency is only sufficient without
-    zeros). A TP2 posterior P(N = n | X = k) is stochastically increasing in
-    k, the step that carries a monotone counting kernel to the compound
-    kernel (Karlin, Total Positivity, 1968, ch. 3); the PF2 summand that
-    `check_compound_lr` requires makes the posterior TP2."""
+def is_tp2(M) -> tuple[bool, Witness | None]:
+    """All 2x2 minors at least -_MINOR_TOL: adjacent minors when strictly
+    positive, all row/column pairs otherwise (adjacency is only sufficient
+    without zeros). A TP2 posterior P(N = n | X = k) is stochastically
+    increasing in k, the step that carries a monotone counting kernel to the
+    compound kernel (Karlin, Total Positivity, 1968, ch. 3); the PF2 summand
+    that `check_compound_lr` requires makes the posterior TP2."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or min(A.shape) < 1:
         raise ValueError("is_tp2 needs a 2-d matrix")
@@ -394,7 +397,7 @@ def is_tp2(M, tol: float = _MINOR_TOL) -> tuple[bool, Witness | None]:
         minors = A[:-1, :-1] * A[1:, 1:] - A[:-1, 1:] * A[1:, :-1]
         i, j = np.unravel_index(np.argmin(minors), minors.shape)
         worst = float(minors[i, j])
-        if worst < -tol:
+        if worst < -_MINOR_TOL:
             return False, Witness(x=float(j), margin=worst, nu=float(i), kind="minor")
         return True, None
     rows, cols = A.shape
@@ -405,7 +408,7 @@ def is_tp2(M, tol: float = _MINOR_TOL) -> tuple[bool, Witness | None]:
             iu = np.triu_indices(cols, k=1)
             vals = d[iu]
             k = int(np.argmin(vals))
-            if vals[k] < -tol:
+            if vals[k] < -_MINOR_TOL:
                 return False, Witness(
                     x=float(iu[1][k]), margin=float(vals[k]), nu=float(i1), kind="minor"
                 )

@@ -7,32 +7,36 @@ P <=st Q; `oracle_pair(P, Q, orders)` decides each order both ways.
 
 Ratio conventions for the likelihood ratio l = f_P/f_Q on the union support:
 positive/0 is +infinity, as is a ratio past the largest double, and 0/0 is
-0. Monotonicity scans work in log space with relative tolerance; points where
-both laws carry less than eps_tail are skipped so truncation noise cannot
-create false witnesses. Verdicts on continuous or mixed grids certify the
-discretized laws, noted as such.
+0. Monotonicity scans work in log space with relative tolerance
+ORACLE_REL_TOL; points where both laws carry less than ORACLE_EPS_TAIL are
+skipped so truncation noise cannot create false witnesses. The st test
+allows ORACLE_ABS_TOL of survival. These tolerances are fixed, so the
+oracle has one behaviour, and each order reports its own in its verdicts.
+Verdicts on continuous or mixed grids certify the discretized laws, noted
+as such.
 
 One alignment serves both directions. Each order's formula is written once,
 for one direction of a `_Pair` (the two laws' aligned mass vectors): a
 one-way call builds a pair and reads one direction, `oracle_pair` reads
 both. The pair derives on first use, and keeps, what both directions read:
-the two survivals (st and hr), the points where either law carries eps_tail
-(lr), and for lc the kept points of a support range with their spacings and
-both log-mass vectors, which the second direction reuses when both laws'
-supports are that one gap-free range on one point array. On these each
-direction runs its own subtractions and divisions, the operations of a
-one-way call in the same order, so each verdict of `oracle_pair` has the
-bits of the one-way call. The down lc margins are not taken as the negated
-up margins, since negation does not commute with subtraction on signed
-zeros: -(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the
-formula selects through a mask, the code slices when the mask is one run,
-as a survival's points above eps_tail always are (a survival is
+the two survivals (st and hr), the points where either law carries
+ORACLE_EPS_TAIL (lr), and for lc the kept points of a support range with
+their spacings and both log-mass vectors, which the second direction reuses
+when both laws' supports are that one gap-free range on one point array. On
+these each direction runs its own subtractions and divisions, the operations
+of a one-way call in the same order, so each verdict of `oracle_pair` has
+the bits of the one-way call. The down lc margins are not taken as the
+negated up margins, since negation does not commute with subtraction on
+signed zeros: -(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the
+formula selects through a mask, the code slices when the mask is one run, as
+a survival's points above ORACLE_EPS_TAIL always are (a survival is
 nonincreasing); a slice holds the values of the gather in the same order.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +59,14 @@ __all__ = [
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-10
 ORACLE_EPS_TAIL = 1e-12
+
+# the tolerances each order's verdicts report
+_TOLERANCES = {
+    "lr": {"rel_tol": ORACLE_REL_TOL, "eps_tail": ORACLE_EPS_TAIL},
+    "st": {"abs_tol": ORACLE_ABS_TOL},
+    "hr": {"rel_tol": ORACLE_REL_TOL, "eps_tail": ORACLE_EPS_TAIL},
+    "lc": {"tol": ORACLE_REL_TOL, "eps_tail": ORACLE_EPS_TAIL},
+}
 
 
 def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
@@ -121,7 +133,6 @@ class _Pair:
         # a one-way call places its witnesses on its first law's grid
         self.points = (pts, pts if self.kind == "discrete" else Q.support.points)
         self._survivals: tuple[np.ndarray, np.ndarray] | None = None
-        self._keeps: dict[float, slice | np.ndarray] = {}
         self._logs: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def masses(self, down: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -135,23 +146,23 @@ class _Pair:
         sp, sq = self._survivals
         return (sq, sp) if down else (sp, sq)
 
-    def keep(self, eps: float) -> slice | np.ndarray:
-        """The points where either law carries at least eps."""
-        if eps not in self._keeps:
-            self._keeps[eps] = _selector((self.mp >= eps) | (self.mq >= eps))
-        return self._keeps[eps]
+    @cached_property
+    def keep(self) -> slice | np.ndarray:
+        """The points where either law carries at least ORACLE_EPS_TAIL."""
+        return _selector((self.mp >= ORACLE_EPS_TAIL) | (self.mq >= ORACLE_EPS_TAIL))
 
-    def run_logs(self, start: int, stop: int, eps: float, down: bool) -> tuple[np.ndarray, ...]:
+    def run_logs(self, start: int, stop: int, down: bool) -> tuple[np.ndarray, ...]:
         """(x, its spacings, log first, log second) at the points of
-        start..stop-1 where either law carries at least eps. The points and
-        logs do not depend on the direction, so when both laws' supports are
-        that one range on one point array the second direction reuses them."""
+        start..stop-1 where either law carries at least ORACLE_EPS_TAIL. The
+        points and logs do not depend on the direction, so when both laws'
+        supports are that one range on one point array the second direction
+        reuses them."""
         points = self.points[down]
-        key = (start, stop, eps, points is self.points[0])
+        key = (start, stop, points is self.points[0])
         if key not in self._logs:
             run = slice(start, stop)
             mp, mq = self.mp[run], self.mq[run]
-            keep = _selector((mp >= eps) | (mq >= eps))
+            keep = _selector((mp >= ORACLE_EPS_TAIL) | (mq >= ORACLE_EPS_TAIL))
             x = points[run][keep]
             self._logs[key] = x, np.diff(x), np.log(mp[keep]), np.log(mq[keep])
         x, dx, log_p, log_q = self._logs[key]
@@ -182,17 +193,13 @@ def _log_decrements(values: np.ndarray) -> np.ndarray:
 
 
 def _verdict(
-    order: str,
-    kind: str,
-    tolerances: dict,
-    witness: Witness | None = None,
-    margin: float | None = None,
+    order: str, kind: str, witness: Witness | None = None, margin: float | None = None
 ) -> OrderVerdict:
     """The oracle's verdict on "P <=order Q": fails with the witness (and its
     margin) when there is one, holds with `margin` otherwise."""
     return OrderVerdict(
         order=order, direction="up", status="holds" if witness is None else "fails",
-        method="oracle", tolerances=tolerances, witness=witness,
+        method="oracle", tolerances=_TOLERANCES[order], witness=witness,
         margin=margin if witness is None else witness.margin,
         claim=f"P <={order} Q for the given pair (first argument below second)",
         note="" if kind == "discrete" else "grid-certified on the shared discretization",
@@ -200,76 +207,62 @@ def _verdict(
 
 
 def _monotone_verdict(
-    order: str,
-    pts: np.ndarray,
-    margins: np.ndarray,
-    rel_tol: float,
-    kind: str,
-    tolerances: dict,
-    witness_kind: str,
+    order: str, pts: np.ndarray, margins: np.ndarray, kind: str, witness_kind: str
 ) -> OrderVerdict:
     """The oracle's one first-witness search: fails at the first margin below
-    -rel_tol, holds otherwise with the least finite margin. A finite least
-    margin at or above -rel_tol is both at once, with no gather."""
+    -ORACLE_REL_TOL, holds otherwise with the least finite margin. A finite
+    least margin at or above -ORACLE_REL_TOL is both at once, with no gather."""
     lowest = margins.min() if margins.size else math.nan
-    if lowest >= -rel_tol and math.isfinite(lowest):
-        return _verdict(order, kind, tolerances, margin=float(lowest))
-    bad = margins < -rel_tol
+    if lowest >= -ORACLE_REL_TOL and math.isfinite(lowest):
+        return _verdict(order, kind, margin=float(lowest))
+    bad = margins < -ORACLE_REL_TOL
     if bad.any():
         i = int(np.argmax(bad))
         w = Witness(x=float(pts[i]), margin=float(margins[i]), kind=witness_kind)
-        return _verdict(order, kind, tolerances, w)
+        return _verdict(order, kind, w)
     finite = margins[np.isfinite(margins)]
-    return _verdict(order, kind, tolerances, margin=float(finite.min()) if finite.size else None)
+    return _verdict(order, kind, margin=float(finite.min()) if finite.size else None)
 
 
 # ---------------------------------------------------------------------------
 # each order once, for one direction of a pair
 
 
-def _lr(pair: _Pair, down: bool, rel_tol: float = ORACLE_REL_TOL,
-        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
-    keep = pair.keep(eps_tail)
+def _lr(pair: _Pair, down: bool) -> OrderVerdict:
+    keep = pair.keep
     first, second = pair.masses(down)
     margins = _log_decrements(_ratio(first[keep], second[keep]))
-    return _monotone_verdict(
-        "lr", pair.points[down][keep], margins, rel_tol, pair.kind,
-        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
-    )
+    return _monotone_verdict("lr", pair.points[down][keep], margins, pair.kind, "adjacent-pair")
 
 
-def _st(pair: _Pair, down: bool, tol: float = ORACLE_ABS_TOL) -> OrderVerdict:
+def _st(pair: _Pair, down: bool) -> OrderVerdict:
     first, second = pair.survivals(down)
     slack = second - first
     i = int(np.argmin(slack))
     margin = float(slack[i])
     x = float(pair.points[down][i])
-    w = Witness(x=x, margin=margin, kind="worst-point") if margin < -tol else None
-    return _verdict("st", pair.kind, {"abs_tol": tol}, w, margin)
+    w = Witness(x=x, margin=margin, kind="worst-point") if margin < -ORACLE_ABS_TOL else None
+    return _verdict("st", pair.kind, w, margin)
 
 
-def _hr(pair: _Pair, down: bool, rel_tol: float = ORACLE_REL_TOL,
-        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
+def _hr(pair: _Pair, down: bool) -> OrderVerdict:
     first, second = pair.survivals(down)
-    n = _prefix_above(second, eps_tail)
+    n = _prefix_above(second, ORACLE_EPS_TAIL)
     first, second = first[:n], second[:n]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = first / second
     ratio[_prefix_above(first, 0.0) :] = 0.0  # 0/positive and 0/0 read 0
     return _monotone_verdict(
-        "hr", pair.points[down][:n], _log_decrements(ratio), rel_tol, pair.kind,
-        {"rel_tol": rel_tol, "eps_tail": eps_tail}, "adjacent-pair",
+        "hr", pair.points[down][:n], _log_decrements(ratio), pair.kind, "adjacent-pair"
     )
 
 
-def _lc(pair: _Pair, down: bool, tol: float = ORACLE_REL_TOL,
-        eps_tail: float = ORACLE_EPS_TAIL) -> OrderVerdict:
-    tolerances = {"tol": tol, "eps_tail": eps_tail}
+def _lc(pair: _Pair, down: bool) -> OrderVerdict:
     first, second = pair.masses(down)
 
     def refuted(i: int, which: str) -> OrderVerdict:
         w = Witness(x=float(pair.points[down][i]), margin=-math.inf, kind=which)
-        return _verdict("lc", pair.kind, tolerances, w)
+        return _verdict("lc", pair.kind, w)
 
     held = first > 0
     start, stop, count = _span(held)
@@ -280,53 +273,38 @@ def _lc(pair: _Pair, down: bool, tol: float = ORACLE_REL_TOL,
     covered = second[start:stop] > 0
     if not covered.all():
         return refuted(start + int(np.argmin(covered)), "support-containment")
-    x, dx, log_first, log_second = pair.run_logs(start, stop, eps_tail, down)
+    x, dx, log_first, log_second = pair.run_logs(start, stop, down)
     logl = log_first - log_second
     slopes = np.diff(logl)
     slopes /= dx
     margins = np.diff(slopes)
     np.negative(margins, out=margins)
-    return _monotone_verdict("lc", x[1:-1], margins, tol, pair.kind, tolerances, "triplet")
+    return _monotone_verdict("lc", x[1:-1], margins, pair.kind, "triplet")
 
 
 # ---------------------------------------------------------------------------
 # the public calls
 
 
-def oracle_lr(
-    P: Distribution,
-    Q: Distribution,
-    rel_tol: float = ORACLE_REL_TOL,
-    eps_tail: float = ORACLE_EPS_TAIL,
-) -> OrderVerdict:
+def oracle_lr(P: Distribution, Q: Distribution) -> OrderVerdict:
     """P <=lr Q iff f_P/f_Q is nonincreasing across the union support."""
-    return _lr(_Pair(P, Q), False, rel_tol, eps_tail)
+    return _lr(_Pair(P, Q), False)
 
 
-def oracle_st(P: Distribution, Q: Distribution, tol: float = ORACLE_ABS_TOL) -> OrderVerdict:
+def oracle_st(P: Distribution, Q: Distribution) -> OrderVerdict:
     """P <=st Q iff the survival of P never exceeds the survival of Q."""
-    return _st(_Pair(P, Q), False, tol)
+    return _st(_Pair(P, Q), False)
 
 
-def oracle_hr(
-    P: Distribution,
-    Q: Distribution,
-    rel_tol: float = ORACLE_REL_TOL,
-    eps_tail: float = ORACLE_EPS_TAIL,
-) -> OrderVerdict:
+def oracle_hr(P: Distribution, Q: Distribution) -> OrderVerdict:
     """P <=hr Q iff the survival ratio of P over Q is nonincreasing."""
-    return _hr(_Pair(P, Q), False, rel_tol, eps_tail)
+    return _hr(_Pair(P, Q), False)
 
 
-def oracle_lc(
-    P: Distribution,
-    Q: Distribution,
-    tol: float = ORACLE_REL_TOL,
-    eps_tail: float = ORACLE_EPS_TAIL,
-) -> OrderVerdict:
+def oracle_lc(P: Distribution, Q: Distribution) -> OrderVerdict:
     """P <=lc Q iff supp(P) is an interval inside supp(Q) and log f_P/f_Q is
     concave there. Support violations refute the order outright."""
-    return _lc(_Pair(P, Q), False, tol, eps_tail)
+    return _lc(_Pair(P, Q), False)
 
 
 def total_variation(P: Distribution, Q: Distribution) -> float:
@@ -360,9 +338,8 @@ def oracle_for(order: str):
 def oracle_pair(
     P: Distribution, Q: Distribution, orders
 ) -> list[tuple[OrderVerdict, OrderVerdict]]:
-    """(P <=o Q, Q <=o P) for each order o of `orders`, at the default
-    tolerances, from one alignment of the two laws: each verdict is that of
-    `oracle_for(o)` called one way."""
+    """(P <=o Q, Q <=o P) for each order o of `orders`, from one alignment
+    of the two laws: each verdict is that of `oracle_for(o)` called one way."""
     pair = _Pair(P, Q)
     out = []
     for o in orders:

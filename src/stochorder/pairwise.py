@@ -456,6 +456,10 @@ def interpolation_law(n: int, r: float, s: float, p: float, c: float) -> Distrib
     return law_distribution(make_law("betabinomial", n=n, r=r + c * p, s=s + c * (1.0 - p)))
 
 
+# the pseudo-sample weights c at which the interpolation reads its kernel
+_C_VALUES = (0.0, 1.0, 10.0, 100.0)
+
+
 @dataclass(frozen=True)
 class InterpolationReport:
     condition: bool
@@ -465,10 +469,9 @@ class InterpolationReport:
     delta_margins: Mapping[float, float]
 
 
-def betabin_bin_interpolation(
-    n: int, r: float, s: float, p: float, c_values: tuple[float, ...] = (0.0, 1.0, 10.0, 100.0)
-) -> InterpolationReport:
-    """Move from BetaBin(n,r,s) toward Bin(n,p) by adding c pseudo-samples.
+def betabin_bin_interpolation(n: int, r: float, s: float, p: float) -> InterpolationReport:
+    """Move from BetaBin(n,r,s) toward Bin(n,p) by adding c pseudo-samples,
+    for each c of _C_VALUES.
 
     The path kernel at pseudo-sample weight c is
 
@@ -485,15 +488,15 @@ def betabin_bin_interpolation(
     bb = LAWS["betabinomial"]
     kernels: dict[float, np.ndarray] = {}
     delta_margins: dict[float, float] = {}
-    for c in c_values:
+    for c in _C_VALUES:
         th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
         vals = p * bb.kernels["r"](th, k) + (1.0 - p) * bb.kernels["s"](th, k)
-        kernels[float(c)] = vals
-        delta_margins[float(c)] = float(np.diff(vals).min())
+        kernels[c] = vals
+        delta_margins[c] = float(np.diff(vals).min())
     return InterpolationReport(
         condition=p >= threshold,
         threshold=threshold,
-        c_values=tuple(float(c) for c in c_values),
+        c_values=_C_VALUES,
         kernels=kernels,
         delta_margins=delta_margins,
     )

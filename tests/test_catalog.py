@@ -65,6 +65,14 @@ def test_mixed_grid_has_atom_then_cells():
     assert np.allclose(w[1:], 0.5)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("build", [lambda n: continuous_grid(0.0, 1.0, n=n),
+                                   lambda n: mixed_grid(1.0, n=n)], ids=["continuous", "mixed"])
+def test_grids_refuse_a_cell_count_that_is_not_a_whole_number_from_one(build, n):
+    with pytest.raises(ValueError, match=r"\bn\b"):
+        build(n)
+
+
 @pytest.mark.parametrize("grid", [discrete_grid(2, 7), continuous_grid(0.0, 1.0, n=5),
                                   mixed_grid(2.0, n=4)], ids=lambda g: g.kind)
 def test_grid_constants_are_cached_and_read_only(grid):
@@ -232,7 +240,7 @@ def test_half_student_matches_folded_t():
 def test_zero_inflated_exponential_atom_and_tail():
     # the atom at zero keeps weight 1 - pi; the body is pi * Exp(theta)
     fam = family_from_spec("zero-inflated-exponential:pi=0.4")
-    grid = mixed_grid(10.0, step=1e-3)
+    grid = mixed_grid(10.0, n=10000)
     d = density(fam, 1.5, grid)
     assert d.masses[0] == pytest.approx(0.6, abs=1e-6)
     x = grid.points[1:]

@@ -9,7 +9,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import stochorder
@@ -38,10 +37,49 @@ def test_dumps_fixed_float_format():
     assert dumps(-0.0) == "0"
     assert dumps(None) == "null"
     assert dumps(True) == "true"
-    assert dumps(np.array([1.5, 2.0])) == "[1.5, 2]"
+    assert dumps([1.5, 2.0]) == "[1.5, 2]"
     assert dumps({"b": 1, "a": [2, "x"]}) == '{"b": 1, "a": [2, "x"]}'
     with pytest.raises(TypeError):
         dumps({"x": {1, 2}})
+
+
+_REPORT_ARGV = [
+    *(["check", "--family", spec, f"--nu1={lo!r}", f"--nu2={hi!r}"]
+      for spec, (lo, hi), *_ in cli._TABLE1),
+    ["pairwise", "--p", "poisson:lambda=2", "--q", "negbinomial:r=3,p=0.5"],
+    ["pairwise", "--p", "binomial:n=5,p=0.9", "--q", "hypergeometric:B=10,W=2,n=5"],
+    ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1=1", "--nu2=2"],
+    *(["path", "--name", name, "--order", o]
+      for name in ("gamma:r1=1,r2=2,rho1=2,rho2=1", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4",
+                   "betabinomial:n=10,r1=1,r2=2,s1=3,s2=2")
+      for o in ("lr", "lc", "st", "hr")),
+    ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"],
+    ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.2"],
+    *(["table", "--id", t] for t in ("table1", "table2", "katz")),
+]
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=" ".join)
+def test_reports_hold_only_builtin_values(argv):
+    """The serializers handle exactly None, bool, int, float, str, list and
+    dict; a numpy scalar or array in a report would not reach them. Exact
+    types, since np.float64 passes isinstance(x, float)."""
+    args = cli._build_parser().parse_args(argv)
+    report, _ = args.run(args)
+    leaves = {type(None), bool, int, float, str}
+
+    def walk(x, path):
+        if type(x) is dict:
+            for k, v in x.items():
+                assert type(k) is str, f"{path}: key {k!r}"
+                walk(v, f"{path}.{k}")
+        elif type(x) is list:
+            for i, v in enumerate(x):
+                walk(v, f"{path}[{i}]")
+        else:
+            assert type(x) in leaves, f"{path}: {type(x).__name__}"
+
+    walk(report, "report")
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_exact_criterion_decides_st_where_no_certificate_applies():
 def test_unimodal_endpoint_certifies_half_student_decrease():
     fam = make_family("half-student-in-df")
     nus = nu_scan(2.0, 5.0)
-    grid = continuous_grid(0.0, 40.0, step=1e-3)
+    grid = continuous_grid(0.0, 40.0, n=40000)
     # the kernel rises on [0, 1) and falls beyond, so plain monotonicity fails
     up, down = scan_orders(fam, nus, grid, [("lr", "up"), ("lr", "down")])
     assert up.status == "fails"
@@ -288,7 +288,7 @@ def test_concave_endpoint_certifies_zero_inflated_exponential():
     nus = nu_scan(1.0, 2.0)
     # the window must hold essentially all the mass: truncating the far tail
     # biases the grand mean and with it the endpoint score
-    grid = mixed_grid(30.0, step=1e-3)
+    grid = mixed_grid(30.0, n=30000)
     # a concave kernel with a nonnegative score at the left endpoint: the
     # sufficient condition for st and hr down
     for nu in nus:

@@ -1,4 +1,5 @@
-"""The public surface: every exported name has a caller, or states an identity.
+"""The public surface: every exported name has a caller, or states an identity,
+and every parameter of an exported function is set by some program call.
 
 A name in `stochorder.__all__` must be read somewhere in `src/stochorder`
 outside its own definition, or in `tools/`. The few that no program code
@@ -6,9 +7,19 @@ calls stay public because each states one of the identities the paper rests
 on; `KEEP` names them with that identity. The references are read from the
 syntax tree, so a name in a string, a comment or an `__all__` list does not
 count.
+
+A parameter that no program call sets is a setting only a default ever
+takes: for each exported function that `src/stochorder` (outside the
+function itself) or `tools/` calls by name, each parameter must be passed,
+by position or keyword, in some such call, or `KEEP_PARAMETERS` names it
+with the reason it stays. Functions reached only through a table or a
+lookup, such as `oracle_hr` through `oracle_for`, have no call by name and
+are not checked.
 """
 
 import ast
+import inspect
+import math
 from pathlib import Path
 
 import stochorder
@@ -24,6 +35,17 @@ KEEP = {
     "betabin_hyp_condition": "W(r+n-1) <= s(B-n+1) gives BetaBin(n,r,s) <=lr Hyp(B,W,n)",
     "betabin_hyp_delta": "the closed-form step of log(w^Hyp / w^BetaBin)",
     "total_variation": "TV(P, Q) = sup_A |P(A) - Q(A)| = half the L1 distance",
+}
+
+# parameters of called exports that only tests set, and why each stays
+KEEP_PARAMETERS = {
+    ("make_compound", "eps_tail"): "the budget and acceptance tests cut at other tail targets",
+    ("make_compound", "k_cap"): "the cap tests reach the table's column cap with a small one",
+    ("make_compound", "n_cap"): "the boundary test stops the counting cut one short of it",
+    ("is_pf2", "tol"): "its bit-for-bit test samples the tolerance edges",
+    ("scan_orders", "eps_tail"): "the fixed-kernel equality test samples the tail eps",
+    ("check_path_order", "direction"): "every named path's kernel rises, so only a test's "
+                                       "'down' claim reaches a failing path",
 }
 
 
@@ -63,3 +85,53 @@ def test_every_export_has_a_caller_or_states_an_identity():
     assert sorted(set(uncalled) - set(KEEP)) == []
     # the keep list holds exported names that are still uncalled, no more
     assert sorted(set(KEEP) - set(uncalled)) == []
+
+
+def _passed() -> dict[str, tuple[float, set[str]]]:
+    """For each name called in src/stochorder outside its own definition, or
+    in tools/: the most positional arguments any call passes and every
+    keyword any call names (a starred argument counts as all of them)."""
+    out: dict[str, tuple[float, set[str]]] = {}
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is not None and name not in inside:
+                most, keywords = out.get(name, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                most = max(most, math.inf if starred else len(node.args))
+                for kw in node.keywords:
+                    keywords.add("**" if kw.arg is None else kw.arg)
+                out[name] = most, keywords
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    paths = [*sorted((ROOT / "src" / "stochorder").glob("*.py")),
+             *sorted((ROOT / "tools").glob("*.py"))]
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return out
+
+
+def test_every_parameter_of_a_called_export_is_set_by_a_program_call():
+    passed = _passed()
+    unset = []
+    for name in stochorder.__all__:
+        fn = getattr(stochorder, name)
+        if not inspect.isfunction(fn) or name in KEEP or name not in passed:
+            continue
+        most, keywords = passed[name]
+        for i, prm in enumerate(inspect.signature(fn).parameters.values()):
+            if prm.kind in (prm.VAR_POSITIONAL, prm.VAR_KEYWORD):
+                continue
+            by_position = prm.kind != prm.KEYWORD_ONLY and i < most
+            by_keyword = prm.kind != prm.POSITIONAL_ONLY and (
+                prm.name in keywords or "**" in keywords)
+            if not (by_position or by_keyword):
+                unset.append((name, prm.name))
+    assert sorted(set(unset) - set(KEEP_PARAMETERS)) == []
+    # the keep list holds parameters that are still unset, no more
+    assert sorted(set(KEEP_PARAMETERS) - set(unset)) == []

@@ -86,7 +86,11 @@ Each command runs in-process through `stochorder.cli.main` with
   p = 0.0571 up to r = 96.96, where that cut came early, the
   zero-inflated Poisson over 150..280, whose atom at 0 breaks the ratio's
   monotonicity, and a pairwise st, hr pair of Poisson laws at
-  `--tail-eps 1e-300`, a target that 1 - cumsum never reaches.
+  `--tail-eps 1e-300`, a target that 1 - cumsum never reaches;
+- `table --id` katz and table2, a pairwise, a compound and the
+  interpolation path, each as CSV and as text: the renderings of the table
+  rows, of the katz `params` and of the interpolation's `delta_margins`,
+  whose dicts only these forms write cell by cell.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -231,6 +235,21 @@ RATIO_CUTS = (
      "--tail-eps", "1e-300"],
 )
 
+# reports rendered as CSV and as text; the other lists are JSON but for the
+# Table-1 text rows and the half-student CSV rows
+OTHER_FORMATS = tuple(
+    argv + ["--format", fmt]
+    for argv in (
+        ["table", "--id", "katz"],
+        ["table", "--id", "table2"],
+        ["pairwise", "--p", "poisson:lambda=2", "--q", "negbinomial:r=3,p=0.5"],
+        ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1", "1",
+         "--nu2", "2"],
+        ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"],
+    )
+    for fmt in ("csv", "text")
+)
+
 TOL = 1e-12
 
 
@@ -262,6 +281,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
     out.extend(RATIO_CUTS)
+    out.extend(OTHER_FORMATS)
     return [argv + ["--no-timing"] for argv in out]
 
 
