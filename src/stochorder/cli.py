@@ -34,11 +34,9 @@ from .catalog import (
     MAX_KMAX,
     TAIL_CUT_EPS,
     TAIL_CUT_KMAX,
-    View,
     continuous_grid,
     default_grid,
     density,
-    discrete_grid,
     family_from_spec,
     parse_spec,
 )
@@ -51,21 +49,19 @@ from .compound import (
     make_counting,
     summand_from_spec,
 )
-from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_kernel, scan_orders
+from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_orders
 from .oracle import oracle_lr, oracle_pair, oracle_st
 from .pairwise import (
-    betabin_bin_interpolation,
+    check_interpolation,
     check_pairwise,
     check_path_order,
-    interpolation_law,
     katz_laws,
     katz_threshold,
     law_distribution,
     law_from_spec,
-    make_law,
     path_family,
 )
-from .verdicts import ORDERS, OrderVerdict, reconcile
+from .verdicts import ORDERS, OrderVerdict
 
 __all__ = ["main", "dumps"]
 
@@ -114,6 +110,8 @@ def _cell(x) -> str:
         return _scalar(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
     if isinstance(x, dict):
         return ";".join(f"{k}={_cell(v)}" for k, v in x.items())
+    if isinstance(x, list):
+        return ",".join(_cell(v) for v in x)
     return str(x)
 
 
@@ -559,47 +557,19 @@ def _cmd_table(args) -> tuple[dict, int]:
 # paths
 
 
-def _interpolation_verdict(params: dict, tol: float) -> tuple[OrderVerdict, dict]:
-    # n, r, s are the beta-binomial start's parameters and n, p the binomial target's
-    label = "interpolation path"
-    bb = View("betabinomial").bind(label, {k: v for k, v in params.items() if k != "p"})
-    n, r, s = bb["n"], bb["r"], bb["s"]
-    p = View("binomial").bind(label, {k: params[k] for k in ("n", "p") if k in params})["p"]
-    rep = betabin_bin_interpolation(n, r, s, p)
-    [(witness, margin, _)] = scan_kernel(
-        lambda c: rep.kernels[c], rep.c_values, discrete_grid(0, n), [("lr", "up")], tol
-    )
-    criterion = OrderVerdict(
-        order="lr", direction="up", status="fails" if witness else "holds",
-        method="path-kernel", tolerances={"tol_shape": tol}, witness=witness, margin=margin,
-        claim=f"betabinomial(n={n},r={r:g},s={s:g}) <=lr binomial(n={n},p={p:g}) "
-              "along the pseudo-sample path",
-        note=f"lr threshold p >= {rep.threshold:.12g} {'met' if rep.condition else 'unmet'}",
-    )
-    start = interpolation_law(n, r, s, p, 0.0)
-    target = law_distribution(make_law("binomial", n=n, p=p))
-    verdict = reconcile(criterion, oracle_lr(start, target), "path test")
-    path_inputs = {
-        "threshold": rep.threshold,
-        "condition": rep.condition,
-        "c_values": list(rep.c_values),
-        "delta_margins": {format(c, "g"): rep.delta_margins[c] for c in rep.c_values},
-    }
-    return verdict, path_inputs
-
-
 def _cmd_path(args) -> tuple[dict, int]:
     name, params = parse_spec(args.name)
     if args.order not in ORDERS:
         raise ValueError(f"unknown order {args.order!r}; valid orders: {', '.join(ORDERS)}")
-    tolerances = {"tol_shape": args.tol_shape, "tol_tail": args.tol_tail}
-    inputs = {"name": args.name, "order": args.order, "t_points": args.t_points}
-    if name == "interpolation":
+    inputs = {"name": args.name, "order": args.order}
+    if name == "interpolation":  # it scans fixed pseudo-sample weights and no tail
         if args.order != "lr":
             raise ValueError("the interpolation path reports the lr order only")
-        v, path_inputs = _interpolation_verdict(params, args.tol_shape)
-        report = _report("path", {**inputs, **path_inputs}, [v], tolerances)
+        v, path_inputs = check_interpolation(params, args.tol_shape)
+        report = _report("path", {**inputs, **path_inputs}, [v], {"tol_shape": args.tol_shape})
         return report, 0 if v.holds else 1
+    inputs["t_points"] = args.t_points
+    tolerances = {"tol_shape": args.tol_shape, "tol_tail": args.tol_tail}
     family = path_family(name, params)
     t_grid = np.linspace(0.0, 1.0, int(args.t_points))
     grid = default_grid(family, t_grid, kmax=args.kmax, grid_points=args.grid_points)

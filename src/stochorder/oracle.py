@@ -108,16 +108,9 @@ def _selector(mask: np.ndarray) -> slice | np.ndarray:
 
 
 def _prefix_above(survival: np.ndarray, eps: float) -> int:
-    """Length of the leading run of a nonincreasing survival above eps, found
-    by bisection: `survival > eps` holds exactly on that prefix."""
-    lo, hi = 0, survival.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if survival[mid] > eps:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """Length of the leading run of a nonincreasing survival above eps:
+    `survival > eps` holds exactly on that prefix."""
+    return survival.size - int(np.searchsorted(survival[::-1], eps, side="right"))
 
 
 def _survival(masses: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ normalizer and tail ratio; laws are normalized numerically by
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
 inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
-W(r+n-1) <= s(B-n+1) certifies the lr order, and the beta-binomial to
-binomial interpolation checks p >= (r+n-1)/(r+s+n-1) along a pseudo-sample
-path.
+W(r+n-1) <= s(B-n+1) certifies the lr order, and `check_interpolation` scans
+the pseudo-sample path BetaBin(n, r + cp, s + c(1-p)) toward Bin(n, p), which
+moves r and s together, by its kernel p K^r + (1-p) K^s and reports its lr
+threshold p >= (r+n-1)/(r+s+n-1).
 """
 
 from __future__ import annotations
@@ -63,11 +64,9 @@ __all__ = [
     "betabin_hyp_condition",
     "betabin_hyp_delta",
     "check_path_order",
+    "check_interpolation",
     "PATH_NAMES",
     "path_family",
-    "InterpolationReport",
-    "betabin_bin_interpolation",
-    "interpolation_law",
 ]
 
 # ---------------------------------------------------------------------------
@@ -388,6 +387,63 @@ def check_path_order(
     return reconcile(criterion, cross, "path test")
 
 
+# the pseudo-sample weights c at which the interpolation reads its kernel
+_C_VALUES = (0.0, 1.0, 10.0, 100.0)
+
+
+def check_interpolation(
+    params: Mapping[str, float], tol_shape: float = TOL_SHAPE,
+) -> tuple[OrderVerdict, dict]:
+    """Decide BetaBin(n,r,s) <=lr Bin(n,p) along the pseudo-sample path
+    BetaBin(n, r + cp, s + c(1-p)), which adds c pseudo-samples and nears
+    Bin(n, p) as c grows; `params` gives n, r, s and p.
+
+    The path kernel at weight c is K_c = p K^r + (1-p) K^s, over the
+    beta-binomial's kernels at that c:
+
+        K_c(k) = p[psi(r+cp+k) - psi(r+cp)] + (1-p)[psi(s+c(1-p)+n-k) - psi(s+c(1-p))]
+
+    whose forward difference has sign governed by p(s+n-1) - (1-p)r - k for
+    every c. The condition p >= (r+n-1)/(r+s+n-1) makes every difference
+    nonnegative, certifying the order. One `scan_kernel` lr-up pass over the
+    c of _C_VALUES is cross-checked by the oracle on BetaBin(n,r,s) against
+    Bin(n,p). Returns the verdict and the path's report inputs: the
+    threshold, the condition, the c values and the least kernel step at each.
+    """
+    label = "interpolation path"
+    # n, r, s are the beta-binomial start's parameters and n, p the binomial target's
+    bb = View("betabinomial").bind(label, {k: v for k, v in params.items() if k != "p"})
+    n, r, s = bb["n"], bb["r"], bb["s"]
+    p = View("binomial").bind(label, {k: params[k] for k in ("n", "p") if k in params})["p"]
+    threshold = (r + n - 1.0) / (r + s + n - 1.0)
+    condition = p >= threshold
+    grid, law = discrete_grid(0, n), LAWS["betabinomial"]
+    kernels = {}
+    for c in _C_VALUES:
+        th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
+        kernels[c] = (p * law.kernels["r"](th, grid.points)
+                      + (1.0 - p) * law.kernels["s"](th, grid.points))
+    [(witness, margin, _)] = scan_kernel(
+        kernels.__getitem__, _C_VALUES, grid, [("lr", "up")], tol_shape)
+    criterion = OrderVerdict(
+        order="lr", direction="up", status="fails" if witness else "holds",
+        method="path-kernel", tolerances={"tol_shape": tol_shape}, witness=witness,
+        margin=margin,
+        claim=f"betabinomial(n={n},r={r:g},s={s:g}) <=lr binomial(n={n},p={p:g}) "
+              "along the pseudo-sample path",
+        note=f"lr threshold p >= {threshold:.12g} {'met' if condition else 'unmet'}",
+    )
+    start = law_distribution(make_law("betabinomial", n=n, r=r, s=s))
+    target = law_distribution(make_law("binomial", n=n, p=p))
+    path_inputs = {
+        "threshold": threshold,
+        "condition": condition,
+        "c_values": list(_C_VALUES),
+        "delta_margins": {format(c, "g"): float(np.diff(kernels[c]).min()) for c in _C_VALUES},
+    }
+    return reconcile(criterion, oracle_lr(start, target), "path test"), path_inputs
+
+
 # -- named paths for the CLI --------------------------------------------------
 
 
@@ -445,58 +501,3 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
 
     return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at, kernel,
                                 set(moved) <= set(law.fixed_kernels))
-
-
-# ---------------------------------------------------------------------------
-# beta-binomial to binomial interpolation
-
-
-def interpolation_law(n: int, r: float, s: float, p: float, c: float) -> Distribution:
-    """The normalized pseudo-sample law at c: BetaBin(n, r + cp, s + c(1-p))."""
-    return law_distribution(make_law("betabinomial", n=n, r=r + c * p, s=s + c * (1.0 - p)))
-
-
-# the pseudo-sample weights c at which the interpolation reads its kernel
-_C_VALUES = (0.0, 1.0, 10.0, 100.0)
-
-
-@dataclass(frozen=True)
-class InterpolationReport:
-    condition: bool
-    threshold: float
-    c_values: tuple[float, ...]
-    kernels: Mapping[float, np.ndarray]
-    delta_margins: Mapping[float, float]
-
-
-def betabin_bin_interpolation(n: int, r: float, s: float, p: float) -> InterpolationReport:
-    """Move from BetaBin(n,r,s) toward Bin(n,p) by adding c pseudo-samples,
-    for each c of _C_VALUES.
-
-    The path kernel at pseudo-sample weight c is
-
-        K_c(k) = p[psi(r+cp+k) - psi(r+cp)] + (1-p)[psi(s+c(1-p)+n-k) - psi(s+c(1-p))]
-
-    whose forward difference has sign governed by p(s+n-1) - (1-p)r - k for
-    every c. The condition p >= (r+n-1)/(r+s+n-1) makes every difference
-    nonnegative, certifying BetaBin(n,r,s) <=lr Bin(n,p).
-    """
-    if not (n >= 1 and r > 0 and s > 0 and 0 < p < 1):
-        raise ValueError("need n >= 1, r, s > 0 and p in (0,1)")
-    threshold = (r + n - 1.0) / (r + s + n - 1.0)
-    k = np.arange(0, n + 1, dtype=float)
-    bb = LAWS["betabinomial"]
-    kernels: dict[float, np.ndarray] = {}
-    delta_margins: dict[float, float] = {}
-    for c in _C_VALUES:
-        th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
-        vals = p * bb.kernels["r"](th, k) + (1.0 - p) * bb.kernels["s"](th, k)
-        kernels[c] = vals
-        delta_margins[c] = float(np.diff(vals).min())
-    return InterpolationReport(
-        condition=p >= threshold,
-        threshold=threshold,
-        c_values=_C_VALUES,
-        kernels=kernels,
-        delta_margins=delta_margins,
-    )

@@ -29,10 +29,9 @@ from stochorder.compound import (
 from stochorder.criteria import scan_orders
 from stochorder.oracle import oracle_hr, oracle_lc, oracle_lr, oracle_st
 from stochorder.pairwise import (
-    betabin_bin_interpolation,
     betabin_hyp_condition,
     betabin_hyp_delta,
-    interpolation_law,
+    check_interpolation,
     katz_threshold,
     law_distribution,
     make_law,
@@ -313,15 +312,16 @@ def test_betabinomial_hypergeometric_kernel_and_delta_formula():
 
 
 def test_interpolation_between_betabinomial_and_binomial_stays_lr_ordered():
-    report = betabin_bin_interpolation(5, 1.0, 10.0, 0.5)
-    assert report.condition
-    assert report.c_values == (0.0, 1.0, 10.0, 100.0)
-    for c, margin in report.delta_margins.items():
+    verdict, report = check_interpolation({"n": 5, "r": 1.0, "s": 10.0, "p": 0.5})
+    assert verdict.holds and report["condition"]
+    assert report["c_values"] == [0.0, 1.0, 10.0, 100.0]
+    for c, margin in report["delta_margins"].items():
         assert margin >= 0.0, c
     bb = law_distribution(make_law("betabinomial", n=5, r=1.0, s=10.0))
     binom = law_distribution(make_law("binomial", n=5, p=0.5))
     assert oracle_lr(bb, binom).holds
-    far = interpolation_law(5, 1.0, 10.0, 0.5, 1e4)
+    far = law_distribution(make_law("betabinomial", n=5, r=1.0 + 1e4 * 0.5,
+                                    s=10.0 + 1e4 * (1.0 - 0.5)))
     tv = 0.5 * float(np.sum(np.abs(far.masses - binom.masses)))
     assert tv <= 1e-3
 

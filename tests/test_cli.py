@@ -368,6 +368,14 @@ def test_path_interpolation_reports_threshold(capsys):
     assert "threshold" in report["verdicts"][0]["note"]
 
 
+def test_path_interpolation_ignores_the_t_points_and_tail_settings(capsys):
+    argv = ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5", "--no-timing"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == run_cli(capsys, *argv, "--t-points", "2", "--tol-tail", "0.5")[:2]
+    report = json.loads(out)
+    assert "t_points" not in report["inputs"] and "tol_tail" not in report["tolerances"]
+
+
 def test_path_interpolation_below_threshold_fails(capsys):
     code, out, _ = run_cli(
         capsys, "path", "--name", "interpolation:n=5,r=1,s=10,p=0.2", "--no-timing"
@@ -602,6 +610,15 @@ def test_text_format_is_human_readable(capsys):
     assert "lr up: holds [kernel-criterion]" in out
     assert "witness: x=0, nu=1, margin=-1, kind=adjacent-pair" in out
     assert out.rstrip().endswith("runtime_ms: 0")
+
+
+def test_text_renders_a_list_as_its_cells_joined_by_commas(capsys):
+    _, check, _ = run_cli(capsys, "check", "--family", "poisson", "--nu1", "1", "--nu2", "3",
+                          "--format", "text", "--no-timing")
+    assert "\n  orders: lr,lc,st,hr\n" in check
+    _, path, _ = run_cli(capsys, "path", "--name", "interpolation:n=5,r=1,s=10,p=0.5",
+                         "--format", "text", "--no-timing")
+    assert "\n  c_values: 0,1,10,100\n" in path
 
 
 def test_text_and_csv_fold_negative_zero(capsys):

@@ -16,12 +16,11 @@ from stochorder.oracle import oracle_lr, oracle_st, total_variation
 from stochorder.pairwise import (
     LAW_NAMES,
     PairwiseLaw,
-    betabin_bin_interpolation,
     betabin_hyp_condition,
     betabin_hyp_delta,
+    check_interpolation,
     check_pairwise,
     check_path_order,
-    interpolation_law,
     katz_laws,
     katz_threshold,
     law_distribution,
@@ -715,37 +714,74 @@ def test_path_family_validates_parameters():
 # pseudo-sample interpolation
 
 
+def _interpolation_kernels(n, r, s, p, c_values):
+    """K_c = p K^r + (1-p) K^s on 0..n at each c, from the table's kernels of
+    BetaBin(n, r + cp, s + c(1-p))."""
+    bb, k = LAWS["betabinomial"], np.arange(n + 1, dtype=float)
+    out = {}
+    for c in c_values:
+        th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
+        out[c] = p * bb.kernels["r"](th, k) + (1.0 - p) * bb.kernels["s"](th, k)
+    return out
+
+
+def _interpolation(n, r, s, p):
+    return check_interpolation({"n": n, "r": r, "s": s, "p": p})
+
+
 def test_interpolation_above_threshold_certifies_lr():
-    rep = betabin_bin_interpolation(5, 1.0, 10.0, 0.5)
-    assert rep.condition and rep.threshold == pytest.approx(1.0 / 3.0)
-    assert rep.c_values == (0.0, 1.0, 10.0, 100.0)
-    for c in rep.c_values:
-        assert rep.kernels[c].shape == (6,)
-        assert rep.delta_margins[c] == pytest.approx(float(np.diff(rep.kernels[c]).min()))
-        assert rep.delta_margins[c] >= 0.0
+    v, rep = _interpolation(5, 1.0, 10.0, 0.5)
+    assert v.holds and v.method == "path-kernel" and v.witness is None
+    assert rep["condition"] and rep["threshold"] == pytest.approx(1.0 / 3.0)
+    assert rep["c_values"] == [0.0, 1.0, 10.0, 100.0]
+    kernels = _interpolation_kernels(5, 1.0, 10.0, 0.5, rep["c_values"])
+    for c in rep["c_values"]:
+        margin = rep["delta_margins"][format(c, "g")]
+        assert margin == pytest.approx(float(np.diff(kernels[c]).min()))
+        assert margin >= 0.0
     # worst step at c=0, k=4: p/(r+k) - (1-p)/(s+n-k-1) = 1/10 - 1/20
-    assert rep.delta_margins[0.0] == pytest.approx(0.05, abs=1e-10)
+    assert rep["delta_margins"]["0"] == pytest.approx(0.05, abs=1e-10)
 
 
 def test_interpolation_below_threshold_reports_negative_differences():
-    rep = betabin_bin_interpolation(5, 1.0, 10.0, 0.2)
-    assert not rep.condition
-    assert rep.threshold == pytest.approx(1.0 / 3.0)
-    assert all(m < 0.0 for m in rep.delta_margins.values())
-    assert rep.delta_margins[0.0] == pytest.approx(-0.04, abs=1e-10)
+    v, rep = _interpolation(5, 1.0, 10.0, 0.2)
+    assert v.status == "fails" and not rep["condition"]
+    assert rep["threshold"] == pytest.approx(1.0 / 3.0)
+    kernels = _interpolation_kernels(5, 1.0, 10.0, 0.2, rep["c_values"])
+    for c in rep["c_values"]:
+        margin = rep["delta_margins"][format(c, "g")]
+        assert margin == pytest.approx(float(np.diff(kernels[c]).min()))
+        assert margin < 0.0
+    assert rep["delta_margins"]["0"] == pytest.approx(-0.04, abs=1e-10)
 
 
 def test_interpolation_law_endpoints():
-    start = interpolation_law(5, 1.0, 10.0, 0.5, 0.0)
+    # at c = 0 the pseudo-sample law is the start itself, bit for bit
     bb = law_distribution(make_law("betabinomial", n=5, r=1.0, s=10.0))
-    assert np.allclose(start.masses, bb.masses, atol=1e-12)
-    far = interpolation_law(5, 1.0, 10.0, 0.5, 1e4)
+    start = law_distribution(make_law("betabinomial", n=5, r=1.0 + 0.0 * 0.5,
+                                      s=10.0 + 0.0 * (1.0 - 0.5)))
+    assert np.array_equal(start.masses, bb.masses)
+    far = law_distribution(make_law("betabinomial", n=5, r=1.0 + 1e4 * 0.5,
+                                    s=10.0 + 1e4 * (1.0 - 0.5)))
     target = law_distribution(make_law("binomial", n=5, p=0.5))
     assert total_variation(far, target) <= 1e-3
 
 
 def test_interpolation_validates_input():
     with pytest.raises(ValueError, match="n >= 1"):
-        betabin_bin_interpolation(0, 1.0, 1.0, 0.5)
+        _interpolation(0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="p in"):
-        betabin_bin_interpolation(5, 1.0, 1.0, 1.0)
+        _interpolation(5, 1.0, 1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.floats(0.2, 10.0), st.floats(0.2, 10.0), st.floats(0.01, 0.99))
+def test_interpolation_holds_exactly_when_p_meets_the_threshold(n, r, s, p):
+    """The kernel step p(s+n-1) - (1-p)r - k, over a positive denominator, is
+    least at k = n - 1 at every c, so the order holds exactly when
+    p >= (r+n-1)/(r+s+n-1); both routes agree away from that threshold."""
+    threshold = (r + n - 1.0) / (r + s + n - 1.0)
+    assume(abs(p - threshold) >= 0.15 * threshold)
+    v, rep = _interpolation(n, r, s, p)
+    assert rep["condition"] == (p >= threshold)
+    assert v.holds == (p >= threshold), v

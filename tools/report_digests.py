@@ -97,8 +97,9 @@ Each command runs in-process through `stochorder.cli.main` with
 `check` on the two negative-binomial families with random fixed parameters
 and on all 22 Table-1 rows inside their ranges with a random
 `--grid-points` (up to 24 000) and, half the time, a random `--nu-grid` of
-2 to 70 values inside `[nu1, nu2]`, and the betabinomial and negbinomial
-paths and gamma paths with a random `--t-points` and `--grid-points`. The
+2 to 70 values inside `[nu1, nu2]`, the betabinomial and negbinomial
+paths and gamma paths with a random `--t-points` and `--grid-points`, and
+interpolation paths, half of them with p above the lr threshold. The
 ranges keep every factor below the overflow point, so each command gives a
 report in both checkouts.
 
@@ -375,11 +376,16 @@ def _random_check(rng: random.Random, table1) -> list[str]:
 
 def _random_path(rng: random.Random) -> list[str]:
     u, extra = rng.random(), []
-    if u < 0.35:
+    if u < 0.15:  # the interpolation path, half the time above its threshold
+        n, r, s = rng.randint(1, 60), rng.uniform(0.2, 10.0), rng.uniform(0.2, 10.0)
+        threshold = min((r + n - 1.0) / (r + s + n - 1.0), 0.999)
+        p = rng.uniform(threshold, 0.999) if rng.random() < 0.5 else rng.uniform(0.001, threshold)
+        return ["path", "--name", _spec("interpolation", n=n, r=r, s=s, p=p)]
+    if u < 0.45:
         r1, r2 = _pair(rng, 0.2, 10.0)
         s2, s1 = _pair(rng, 0.2, 10.0)
         spec = _spec("betabinomial", n=rng.randint(1, 60), r1=r1, r2=r2, s1=s1, s2=s2)
-    elif u < 0.7:
+    elif u < 0.75:
         r1, r2 = _pair(rng, 0.3, 20.0)
         q1, q2 = _pair(rng, 0.05, 0.9)
         spec = _spec("negbinomial", r1=r1, r2=r2, q1=q1, q2=q2)
