@@ -895,13 +895,14 @@ def default_grid(
     kmax: int = TAIL_CUT_KMAX,
     grid_points: int = 2000,
 ) -> SupportGrid:
-    """Grid valid for every nu in `nus`: tail-complete, with at most
-    MAX_GRID_POINTS points on a continuous or mixed support. An infinite
-    discrete support ends at the largest `_tail_cut` over the nus, read up to
-    k = kmax."""
+    """Grid valid for every nu in `nus`: tail-complete, with grid_points
+    cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed
+    support. An infinite discrete support ends at the largest `_tail_cut`
+    over the nus, read up to k = kmax."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
+    n = checked("default_grid", "grid_points", grid_points, (1, MAX_GRID_POINTS), integer=True)
     lo_s, hi_s = f.support
 
     if f.kind == "discrete":
@@ -918,7 +919,6 @@ def default_grid(
         # atom at 0 plus the continuous part truncated at its upper quantile
         u = 1.0 - _CONT_TAIL
         upper = max(f.quantile(nu, u) for nu in nus) * (1.0 + _PAD)
-        n = min(max(grid_points, 1), MAX_GRID_POINTS)
         return mixed_grid(upper, n=n, tail_mass=_CONT_TAIL)
 
     # continuous
@@ -931,5 +931,4 @@ def default_grid(
         lo = max(lo - pad, lo_s)
         hi = hi + pad if not math.isfinite(hi_s) else min(hi + pad, hi_s)
         tail = 2.0 * _CONT_TAIL
-    n = min(max(grid_points, 1), MAX_GRID_POINTS)
     return continuous_grid(lo, hi, n=n, tail_mass=tail)

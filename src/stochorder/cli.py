@@ -235,10 +235,9 @@ def _tolerance(text: str) -> float:
 # Size options: the least value that makes sense (three points for a second
 # difference, two for a scan) and a ceiling far above every default and
 # benchmark run, past which a command would allocate or scan without a
-# useful bound. --grid-points is capped at catalog.MAX_GRID_POINTS and
-# --kmax at catalog.MAX_KMAX, the ceiling of the integer law parameters.
-MAX_NU_POINTS = 10_000
-MAX_T_POINTS = 10_000
+# useful bound: MAX_SCAN_POINTS for --nu-points and --t-points, and
+# catalog.MAX_GRID_POINTS and catalog.MAX_KMAX for --grid-points and --kmax.
+MAX_SCAN_POINTS = 10_000
 
 
 def _size(least: int, ceiling: int):
@@ -447,22 +446,12 @@ def _build_table1() -> tuple[dict, list[OrderVerdict], bool]:
     return {"id": "table1", "rows": rows}, verdicts, verified
 
 
-_TABLE2_SCANS = {
-    "poisson": (1.0, 2.0),
-    "geometric": (0.3, 0.6),
-    "negbinomial": (0.3, 0.6),
-    "binomial": (0.2, 0.5),
-    "logseries": (0.3, 0.6),
-}
-
-
 def _build_table2() -> tuple[dict, list[OrderVerdict], bool]:
     rows, verdicts = [], []
     verified = True
     summand = geometric_summand(0.5)
-    for name, sign_exp, direction_exp in TABLE2_ROWS:
+    for name, sign_exp, direction_exp, (lo, hi) in TABLE2_ROWS:
         counting = make_counting(name)
-        lo, hi = _TABLE2_SCANS[name]
         model = make_compound(counting, summand, (lo, hi))
         v = check_compound_lr(model, lo, hi)
         verdicts.append(v)
@@ -518,13 +507,6 @@ def _build_katz() -> tuple[dict, list[OrderVerdict], bool]:
 _TABLE_BUILDERS = {"table1": _build_table1, "table2": _build_table2, "katz": _build_katz}
 
 
-def _build_table(table_id: str) -> tuple[dict, list[OrderVerdict], bool]:
-    builder = _TABLE_BUILDERS.get(table_id)
-    if builder is None:
-        raise ValueError(f"unknown table id {table_id!r}; valid: {', '.join(sorted(_TABLE_BUILDERS))}")
-    return builder()
-
-
 def _golden_text(table_id: str) -> str | None:
     res = resources.files(__package__) / "golden" / "v1" / f"{table_id}.json"
     try:
@@ -534,7 +516,7 @@ def _golden_text(table_id: str) -> str | None:
 
 
 def _cmd_table(args) -> tuple[dict, int]:
-    payload, verdicts, verified = _build_table(args.id)
+    payload, verdicts, verified = _TABLE_BUILDERS[args.id]()
     golden = _golden_text(args.id)
     matches = golden is not None and golden == dumps(payload) + "\n"
     report = {
@@ -604,8 +586,8 @@ _OPTIONS = {
     "--tol-tail": {"type": _tolerance, "default": TOL_TAIL},
     "--nu-grid": {"help": "comma-separated scan values overriding the default"},
     "--grid-points": {"type": _size(3, MAX_GRID_POINTS), "default": 2000},
-    "--nu-points": {"type": _size(2, MAX_NU_POINTS), "default": NU_POINTS},
-    "--t-points": {"type": _size(2, MAX_T_POINTS), "default": 33},
+    "--nu-points": {"type": _size(2, MAX_SCAN_POINTS), "default": NU_POINTS},
+    "--t-points": {"type": _size(2, MAX_SCAN_POINTS), "default": 33},
     "--format": {"choices": ("json", "csv", "text"), "default": "json",
                  "help": "report rendering (default json)"},
     "--out": {"help": "write the report to a file instead of stdout"},

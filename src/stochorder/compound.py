@@ -108,10 +108,13 @@ class SummandLaw:
         return float(np.dot(np.arange(1, self.j_max + 1), self.masses))
 
 
-def _one_plus(label: str, law_name: str, theta: dict[str, float]) -> SummandLaw:
-    """J = 1 + M with M the table law at theta, cut by `catalog._tail_cut`
-    where the bound on its tail is <= TAIL_CUT_EPS, and J at most MAX_KMAX."""
+def _one_plus(label: str, law_name: str, name: str, value: float) -> SummandLaw:
+    """J = 1 + M with M the one-parameter table law at `name` = value, checked
+    against the law's domain, cut by `catalog._tail_cut` where the bound on
+    its tail is <= TAIL_CUT_EPS, and J at most MAX_KMAX."""
     law = LAWS[law_name]
+    [(param, domain)] = law.domains.items()
+    theta = {param: checked(label, name, value, domain)}
     log_a = law.log_normalizer(theta)
     _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX,
                               TAIL_CUT_EPS, law.tail_ratio(theta), label)
@@ -121,9 +124,7 @@ def _one_plus(label: str, law_name: str, theta: dict[str, float]) -> SummandLaw:
 def geometric_summand(p: float) -> SummandLaw:
     """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}: 1 + a geometric-p law, cut
     where the bound on its tail is <= TAIL_CUT_EPS."""
-    if not 0 < p < 1:
-        raise ValueError("geometric summand needs p in (0,1)")
-    return _one_plus("geometric summand", "geometric-p", {"p": p})
+    return _one_plus("geometric summand", "geometric-p", "p", p)
 
 
 def delta_summand(j0: int) -> SummandLaw:
@@ -135,17 +136,14 @@ def delta_summand(j0: int) -> SummandLaw:
 
 def two_point_summand(w1: float) -> SummandLaw:
     """Mass w1 at 1 and 1-w1 at 2."""
-    if not 0 < w1 < 1:
-        raise ValueError("two-point summand needs w1 in (0,1)")
+    w1 = checked("two-point summand", "w1", w1, (0.0, 1.0))
     return SummandLaw(np.array([w1, 1.0 - w1]), 0.0)
 
 
 def poisson_shifted_summand(mu: float) -> SummandLaw:
     """J = 1 + M with M Poisson(mu), cut where the bound on its tail is
     <= TAIL_CUT_EPS."""
-    if not mu > 0:
-        raise ValueError("shifted-poisson summand needs mu > 0")
-    return _one_plus("shifted-poisson summand", "poisson", {"theta": mu})
+    return _one_plus("shifted-poisson summand", "poisson", "mu", mu)
 
 
 def _required(ps: dict, key: str, name: str) -> float:
@@ -178,13 +176,14 @@ def summand_from_spec(text: str) -> SummandLaw:
 # ---------------------------------------------------------------------------
 # counting laws
 
-# per-family lr direction of the compound, i.e. the sign of b(nu)
+# Table 2, one row per counting law: the sign of b(nu), the compound's lr
+# direction that sign gives, and the nu range `table --id table2` scans
 TABLE2_ROWS = (
-    ("poisson", "+", "up"),
-    ("geometric", "-", "down"),
-    ("negbinomial", "-", "down"),
-    ("binomial", "+", "up"),
-    ("logseries", "+", "up"),
+    ("poisson", "+", "up", (1.0, 2.0)),
+    ("geometric", "-", "down", (0.3, 0.6)),
+    ("negbinomial", "-", "down", (0.3, 0.6)),
+    ("binomial", "+", "up", (0.2, 0.5)),
+    ("logseries", "+", "up", (0.3, 0.6)),
 )
 
 

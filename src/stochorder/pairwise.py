@@ -48,7 +48,7 @@ from .catalog import (
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
 from .oracle import oracle_for, oracle_lc, oracle_lr
-from .verdicts import ORDERS, OrderVerdict, Witness, reconcile
+from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
     "PairwiseLaw",
@@ -355,10 +355,9 @@ def check_path_order(
     lr/st/hr and 'down' for lc. The laws at t = 0 and t = 1 are compared by
     the brute oracle; disagreement with a conclusive shape verdict downgrades
     the status to inconclusive. A t outside [0, 1] raises before the scan,
-    which may read a kernel that does not depend on t at the first t alone.
+    which may read a kernel that does not depend on t at the first t alone;
+    `scan_kernel` refuses an unknown order before any test.
     """
-    if order not in ORDERS:
-        raise ValueError(f"unknown order {order!r}")
     if direction is None:
         direction = "down" if order == "lc" else "up"
     ts = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)

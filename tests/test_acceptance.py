@@ -257,7 +257,7 @@ def test_geometric_compounds_are_lr_ordered_by_criterion_and_oracle():
     summand = geometric_summand(0.5)
     pf2_ok, _ = is_pf2(summand.masses)
     assert pf2_ok
-    directions = {name: direction for name, _, direction in TABLE2_ROWS}
+    directions = {name: direction for name, _, direction, _ in TABLE2_ROWS}
     assert set(directions) == set(COMPOUND_SCANS)
     for name, (lo, hi) in COMPOUND_SCANS.items():
         model = make_compound(make_counting(name), summand, (lo, hi), eps_tail=1e-10)

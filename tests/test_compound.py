@@ -513,5 +513,8 @@ def test_check_compound_lr_gates_on_pf2():
 def test_table2_rows_cover_the_five_counting_laws():
     names = [row[0] for row in TABLE2_ROWS]
     assert names == ["poisson", "geometric", "negbinomial", "binomial", "logseries"]
-    for name, sign, direction in TABLE2_ROWS:
+    for name, sign, direction, (lo, hi) in TABLE2_ROWS:
         assert (sign == "+") == (direction == "up")
+        # the scanned range lies inside the counting law's parameter domain
+        d_lo, d_hi = make_counting(name).param_interval
+        assert d_lo < lo < hi < d_hi, name

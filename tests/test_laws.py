@@ -82,7 +82,7 @@ def test_counting_kernel_carries_the_normalizer_derivative_and_the_slope():
     # d/dnu log A = E_nu[G_nu(N)] under the counting pmf, and on the Table-2
     # rows G's step in n is the constant slope b(nu) of the recorded sign
     h = 1e-6
-    signs = {name: sign for name, sign, _ in TABLE2_ROWS}
+    signs = {name: sign for name, sign, _, _ in TABLE2_ROWS}
     for name, nu in (("poisson", 2.0), ("geometric", 0.4), ("negbinomial", 0.4),
                      ("binomial", 0.3), ("logseries", 0.5), ("negbinomial-in-shape", 2.0)):
         c = make_counting(name)
