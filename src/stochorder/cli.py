@@ -356,10 +356,10 @@ def _cmd_compound(args) -> tuple[dict, int]:
     counting = counting_from_spec(args.counting)
     summand = summand_from_spec(args.summand)
     nu1, nu2 = float(args.nu1), float(args.nu2)
-    model = make_compound(counting, summand, (nu1, nu2))
     if nu1 == nu2:
         raise ValueError(f"--nu1 and --nu2 are both {nu1:g}; the compound scan needs two "
                          "distinct values")
+    model = make_compound(counting, summand, (nu1, nu2))
     v = check_compound_lr(model, nu1, nu2, nu_points=args.nu_points, tol_shape=args.tol_shape)
     tolerances = {"tol_shape": args.tol_shape, "nu_points": args.nu_points}
     inputs = {

@@ -17,6 +17,7 @@ from scipy import stats
 from stochorder.catalog import (
     FAMILY_NAMES,
     LAWS,
+    MAX_GRID_POINTS,
     View,
     continuous_grid,
     default_grid,
@@ -273,6 +274,16 @@ def test_default_grid_stays_inside_support(name):
     assert grid.points[0] >= lo_s - 1e-12
     if math.isfinite(hi_s):
         assert grid.points[-1] <= hi_s + 1e-12
+
+
+@pytest.mark.parametrize("name", ["gamma-in-rate", "zero-inflated-exponential"])
+@pytest.mark.parametrize("points", [0, -1, 2.5, math.nan, MAX_GRID_POINTS + 1])
+def test_default_grid_refuses_a_cell_count_outside_its_range(name, points):
+    # 0 and -1 gave one cell and a count past the ceiling gave
+    # MAX_GRID_POINTS cells, silently; 2.5 and nan were refused under the
+    # grid constructor's name n
+    with pytest.raises(ValueError, match=r"^default_grid.*\bgrid_points\b"):
+        default_grid(make_family(name), [1.0], grid_points=points)
 
 
 def test_default_grid_discrete_tail_budget():

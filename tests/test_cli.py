@@ -509,6 +509,34 @@ def test_integer_parameters_are_bound_or_refused(capsys, argv, token):
     assert token in err
 
 
+@pytest.mark.parametrize("summand,refusal", [
+    *((f"geometric:p={v}", "geometric summand needs p in (0,1)")
+      for v in ("inf", "nan", "0", "1")),
+    *((f"two-point:w1={v}", "two-point summand needs w1 in (0,1)")
+      for v in ("inf", "nan", "0", "1")),
+    # mu's domain (0, inf) has inf for its upper edge
+    *((f"poisson-shifted:mu={v}", "shifted-poisson summand needs mu > 0")
+      for v in ("inf", "nan", "0")),
+])
+def test_summands_refuse_values_outside_their_domain_by_name(capsys, summand, refusal):
+    # stderr is the one line: poisson-shifted:mu=inf printed two numpy
+    # RuntimeWarnings and then an unreachable tail target
+    code, out, err = run_cli(capsys, "compound", "--counting", "poisson", "--summand", summand,
+                             "--nu1", "1", "--nu2", "2", "--no-timing")
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("summand", ["geometric:p=0.01", "delta:j=300"])
+def test_compound_refuses_equal_endpoints_before_it_builds_the_model(capsys, summand):
+    # the model came first, so a summand past the convolution table's cap
+    # gave the cap's advice to scan a narrower nu range
+    code, out, err = run_cli(capsys, "compound", "--counting", "poisson", "--summand", summand,
+                             "--nu1", "2", "--nu2", "2", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == ("error: --nu1 and --nu2 are both 2; the compound scan needs two distinct "
+                   "values\n")
+
+
 @pytest.mark.parametrize("argv,code,status,note", [
     # log factors past the largest finite exponent (about 709): normalized
     # without subtracting their maximum, these pmfs became NaN and exited 2

@@ -60,8 +60,11 @@ Each command runs in-process through `stochorder.cli.main` with
   kernel rises at every scanned nu: with `--tol-tail=0`, where a full tail
   pass reads a rounding-only st up margin of -1.1e-16 as a failure, and with
   `--tol-shape=1e6`, where st and hr down must still fail;
-- a compound with equal endpoints (`--nu1 2 --nu2 2`), which exits 2 and
-  names both options;
+- compounds with equal endpoints (`--nu1 2 --nu2 2`), which exit 2 and
+  name both options, also with the `geometric:p=0.01` and `delta:j=300`
+  summands whose tables pass the cap of 2000 columns below, as the
+  endpoints are refused before the model is built; and a shifted-Poisson
+  summand with mu = inf, refused by name at its domain;
 - compounds whose convolution table grows past its first column windows:
   a Poisson count of `delta:j=40` atoms (k_max 720), a 527-term
   `geometric:p=0.05` summand (k_max 1063) and a log-series count of
@@ -200,6 +203,15 @@ SKIPPED_TAILS = (
 EQUAL_ENDPOINTS = (
     ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1", "2",
      "--nu2", "2"],
+    ["compound", "--counting", "poisson", "--summand", "geometric:p=0.01", "--nu1", "2",
+     "--nu2", "2"],
+    ["compound", "--counting", "poisson", "--summand", "delta:j=300", "--nu1", "2",
+     "--nu2", "2"],
+)
+
+DOMAIN_REFUSALS = (
+    ["compound", "--counting", "poisson", "--summand", "poisson-shifted:mu=inf", "--nu1", "1",
+     "--nu2", "2"],
 )
 
 COMPOUND_WINDOWS = (
@@ -278,6 +290,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
+    out.extend(DOMAIN_REFUSALS)
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
