@@ -68,7 +68,9 @@ __all__ = [
 _CONT_TAIL = 1e-9
 _PAD = 0.05
 
-# Most points default_grid puts on a continuous or mixed support.
+# Cells default_grid puts on a continuous or mixed support unless told
+# otherwise, and the most it puts there.
+GRID_POINTS = 2000
 MAX_GRID_POINTS = 100_000
 
 # Largest upper end of a discrete support: the ceiling of the integer law
@@ -893,7 +895,7 @@ def default_grid(
     *,
     tail_eps: float = TAIL_CUT_EPS,
     kmax: int = TAIL_CUT_KMAX,
-    grid_points: int = 2000,
+    grid_points: int = GRID_POINTS,
 ) -> SupportGrid:
     """Grid valid for every nu in `nus`: tail-complete, with grid_points
     cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed

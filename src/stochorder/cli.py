@@ -30,6 +30,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .catalog import (
+    GRID_POINTS,
     MAX_GRID_POINTS,
     MAX_KMAX,
     TAIL_CUT_EPS,
@@ -52,6 +53,7 @@ from .compound import (
 from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_orders
 from .oracle import oracle_lr, oracle_pair, oracle_st
 from .pairwise import (
+    PAIRWISE_KMAX,
     check_interpolation,
     check_pairwise,
     check_path_order,
@@ -555,11 +557,8 @@ def _cmd_path(args) -> tuple[dict, int]:
     family = path_family(name, params)
     t_grid = np.linspace(0.0, 1.0, int(args.t_points))
     grid = default_grid(family, t_grid, kmax=args.kmax, grid_points=args.grid_points)
-    v = check_path_order(
-        family, args.order,
-        t_grid=t_grid, grid=grid,
-        tol_shape=args.tol_shape, tol_tail=args.tol_tail,
-    )
+    v = check_path_order(family, args.order, grid=grid, t_grid=t_grid,
+                         tol_shape=args.tol_shape, tol_tail=args.tol_tail)
     return _report("path", inputs, [v], tolerances), 0 if v.holds else 1
 
 
@@ -585,7 +584,7 @@ _OPTIONS = {
     "--tol-shape": {"type": _tolerance, "default": TOL_SHAPE},
     "--tol-tail": {"type": _tolerance, "default": TOL_TAIL},
     "--nu-grid": {"help": "comma-separated scan values overriding the default"},
-    "--grid-points": {"type": _size(3, MAX_GRID_POINTS), "default": 2000},
+    "--grid-points": {"type": _size(3, MAX_GRID_POINTS), "default": GRID_POINTS},
     "--nu-points": {"type": _size(2, MAX_SCAN_POINTS), "default": NU_POINTS},
     "--t-points": {"type": _size(2, MAX_SCAN_POINTS), "default": 33},
     "--format": {"choices": ("json", "csv", "text"), "default": "json",
@@ -601,7 +600,7 @@ _COMMANDS = {
               "--family --nu1 --nu2 --orders --kmax --tail-eps --tol-shape --tol-tail --nu-grid "
               "--grid-points", {}),
     "pairwise": ("compare two concrete laws (claim: p below q)", _cmd_pairwise,
-                 "--p --q --orders --kmax --tail-eps --tol-shape", {"kmax": 200}),
+                 "--p --q --orders --kmax --tail-eps --tol-shape", {"kmax": PAIRWISE_KMAX}),
     "compound": ("lr direction of a random sum in the counting parameter", _cmd_compound,
                  "--counting --summand --nu1 --nu2 --nu-points --tol-shape", {}),
     "table": ("reproduce a reference table and diff against its golden file", _cmd_table,

@@ -17,11 +17,10 @@ Each counting law is a one-parameter view of an entry of `catalog.LAWS`
 per-law input. The score centres the compound kernel under the compound law,
 and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
 
-All arrays are truncated: summands and counting laws where
-`catalog._tail_cut` bounds the tail past the cut by eps (TAIL_CUT_EPS for
-the summands; the counting law through `catalog.default_grid`, up to n_max),
-the compound support at k_max;
-truncation budgets are recorded on the objects. The two infinite summands
+All arrays are truncated where `catalog._tail_cut` bounds the tail past the
+cut by TAIL_CUT_EPS: summands, and counting laws through
+`catalog.default_grid`, up to _N_CAP; the compound support at k_max, up to
+_K_CAP; truncation budgets are recorded on the objects. The two infinite summands
 are 1 + M, with M the `LAWS` entry poisson or geometric-p.
 """
 
@@ -64,7 +63,8 @@ __all__ = [
 ]
 
 _MINOR_TOL = 1e-12
-_N_CAP = 500
+_N_CAP = 500  # largest n of a counting law's cut
+_K_CAP = 2000  # largest k of a compound support
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ class CompoundModel:
 
     conv[n, k] = F^{*n}({k}) for n <= n_max, k <= k_max; `make_compound`
     chooses k_max so the compound law at every construction-time parameter
-    keeps its tail mass below that call's eps_tail, and computes the table
+    keeps its tail mass below TAIL_CUT_EPS, and computes the table
     only in windows of columns until that cut; its bits equal those of one
     pass to k_max.
     """
@@ -290,42 +290,36 @@ class CompoundModel:
 _CONV_WINDOW = 64  # columns of the first window of the convolution table
 
 
-def make_compound(
-    counting: DensityFamily,
-    summand: SummandLaw,
-    nus,
-    *,
-    eps_tail: float = TAIL_CUT_EPS,
-    k_cap: int = 2000,
-    n_cap: int = _N_CAP,
-) -> CompoundModel:
+def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> CompoundModel:
     """Build the model with truncations valid for every nu in `nus`.
 
-    k_max is the smallest k whose compound tail past k is at most eps_tail
-    at every nu. The table is grown in windows of columns: the first holds
-    max(64, j_max + 1), never fewer than the summand (see `_conv_table`),
-    and each later one doubles, up to k_cap + 1. Each window's columns are
-    bit for bit those of one pass to k_cap. The cut is read inside each
-    window, and the search stops once, at every nu, the tail past the cut
-    plus the mass past the window is at most eps_tail. Past the window, row
+    The counting law is cut by `catalog.default_grid` at TAIL_CUT_EPS, at
+    most at n = _N_CAP. k_max is the smallest k whose compound tail past k
+    is at most TAIL_CUT_EPS at every nu. The table is grown in windows of
+    columns: the first holds max(64, j_max + 1), never fewer than the
+    summand (see `_conv_table`), and each later one doubles, up to
+    _K_CAP + 1. Each window's columns are bit for bit those of one pass to
+    _K_CAP. The cut is read inside each window, and the search stops once,
+    at every nu, the tail past the cut plus the mass past the window is at
+    most TAIL_CUT_EPS. Past the window, row
     n of the full table holds at most s^n less the row's sum in the window,
     s being the summand's kept mass. With that bound the full table's cut
     equals the window's in exact arithmetic, and in floating point too
-    except where a tail sum lies within rounding of eps_tail, which random
-    comparisons against the full table have not met. A window missing more
-    than 1e-6 of the mass never stops the search, as its bound then exceeds
-    eps_tail. A window that reaches k_cap is the one-pass table, with its
-    rule and its error.
+    except where a tail sum lies within rounding of TAIL_CUT_EPS, which
+    random comparisons against the full table have not met. A window
+    missing more than 1e-6 of the mass never stops the search, as its bound
+    then exceeds TAIL_CUT_EPS. A window that reaches _K_CAP is the one-pass
+    table, with its rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
-    n_max = int(default_grid(counting, nus, tail_eps=eps_tail, kmax=n_cap).upper)
-    if n_max > n_cap:  # only a finite support, which the grid holds whole
+    n_max = int(default_grid(counting, nus, kmax=_N_CAP).upper)
+    if n_max > _N_CAP:  # only a finite support, which the grid holds whole
         raise ValueError(
-            f"{counting.describe()}: counting support reaches {n_max}, past n_max={n_cap}"
+            f"{counting.describe()}: counting support reaches {n_max}, past n_max={_N_CAP}"
         )
     qs = [_counting_pmf(counting, n_max, nu) for nu in nus]
     reach = summand.masses.sum() ** np.arange(n_max + 1)  # row n's mass over all k
-    width = min(max(_CONV_WINDOW, summand.j_max + 1), k_cap + 1)
+    width = min(max(_CONV_WINDOW, summand.j_max + 1), _K_CAP + 1)
     conv = _conv_table(summand, n_max, width - 1)
     while True:
         # the tail is measured within the computed table (the counting and
@@ -335,17 +329,17 @@ def make_compound(
         need, held = 1, True
         for nu, q in zip(nus, qs):
             masses = q @ conv
-            if width > k_cap and masses.sum() < 1.0 - 1e-6:
-                raise ValueError(f"compound mass beyond k_max={k_cap} exceeds 1e-6 "
+            if width > _K_CAP and masses.sum() < 1.0 - 1e-6:
+                raise ValueError(f"compound mass beyond k_max={_K_CAP} exceeds 1e-6 "
                                  f"at nu={nu:g}; use a summand with less mass far out "
                                  "or scan a narrower nu range")
             beyond = np.cumsum(masses[::-1])[::-1] - masses
-            cut = int(np.nonzero(beyond <= eps_tail)[0][0])
-            held = held and beyond[cut] + q @ outside <= eps_tail
+            cut = int(np.nonzero(beyond <= TAIL_CUT_EPS)[0][0])
+            held = held and beyond[cut] + q @ outside <= TAIL_CUT_EPS
             need = max(need, cut)
-        if width > k_cap or held:
+        if width > _K_CAP or held:
             return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
-        width = min(2 * width, k_cap + 1)
+        width = min(2 * width, _K_CAP + 1)
         conv = _conv_table(summand, n_max, width - 1, conv)
 
 
@@ -362,9 +356,10 @@ def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
 # total positivity
 
 
-def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
+def is_pf2(pmf) -> tuple[bool, Witness | None]:
     """Polya frequency of order 2: interval support and log-concave there,
-    read by the kernel scan as its log pmf concave (lc down)."""
+    read by the kernel scan as its log pmf concave (lc down) within
+    TOL_SHAPE."""
     p = np.asarray(pmf, dtype=float)
     nz = np.nonzero(p > 0)[0]
     if nz.size == 0:
@@ -374,7 +369,7 @@ def is_pf2(pmf, tol: float = TOL_SHAPE) -> tuple[bool, Witness | None]:
     if holes.size:
         return False, Witness(x=float(holes[0]), margin=-math.inf, kind="support-gap")
     [(witness, _, _)] = scan_kernel(
-        np.log(p[run]), [0.0], discrete_grid(int(run[0]), int(run[-1])), [("lc", "down")], tol)
+        np.log(p[run]), [0.0], discrete_grid(int(run[0]), int(run[-1])), [("lc", "down")])
     return witness is None, witness and replace(witness, nu=None)  # a pmf's witness has no nu
 
 

@@ -45,7 +45,7 @@ order share one vector per nu. The test takes one reduction, min(m) or
 -max(m), and searches for the first point with sign * m < -tol only when
 that falls below -tol; both are exact, so the witness and worst margin
 equal those of the signed copy bit for bit.
-Tail tests keep the points whose survival exceeds eps_tail. The survival is
+Tail tests keep the points whose survival exceeds EPS_TAIL. The survival is
 a reversed running sum of nonnegative masses, so it is nonincreasing and
 those points are a prefix of the grid, found by one binary search and read
 as slices.
@@ -162,13 +162,13 @@ def scan_kernel(
     tests: Sequence[tuple[str, str]],
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
-    eps_tail: float = EPS_TAIL,
     law: Callable[[float], np.ndarray] | None = None,
 ) -> list[tuple[Witness | None, float | None, int]]:
     """Run every (order, direction) test (see the module docstring) over one
     pass of nus; kernel(nu) gives K_nu on grid.points, or kernel is the one
     array K that holds at every nu, and law(nu) gives the masses of P_nu
-    there. Returns, per test, its first witness and that witness's margin, or
+    there, read by the st and hr tests where the survival exceeds EPS_TAIL.
+    Returns, per test, its first witness and that witness's margin, or
     None and the worst margin seen (None when no margin was tested), and the
     number of nus whose st or hr test the kernel's shape settled."""
     for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
@@ -180,7 +180,6 @@ def scan_kernel(
         if direction not in DIRECTIONS:
             raise ValueError(
                 f"unknown direction {direction!r}; valid directions: {', '.join(DIRECTIONS)}")
-    eps = max(eps_tail, 0.0)
     pts = grid.points
     fixed = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
     witnesses: list[Witness | None] = [None] * len(tests)
@@ -207,8 +206,8 @@ def scan_kernel(
                 if order not in gaps:
                     if tails is None:
                         surv, tail, grand = _tail_means(kern.k, law(nu))
-                        tails = _prefix_length(surv, eps), tail, grand
-                    # where the survival exceeds eps: E[K | X >= x] - E[K] (st)
+                        tails = _prefix_length(surv, EPS_TAIL), tail, grand
+                    # where the survival exceeds EPS_TAIL: E[K | X >= x] - E[K] (st)
                     # or K(x) - E[K | X >= x] (hr)
                     n, tail, grand = tails
                     gaps[order] = tail[:n] - grand if order == "st" else kern.k[:n] - tail[:n]
@@ -325,13 +324,13 @@ def scan_orders(
     tests: Sequence[tuple[str, str]],
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
-    eps_tail: float = EPS_TAIL,
     known_laws: Mapping[float, Distribution] | None = None,
 ) -> list[OrderVerdict]:
     """Kernel-criterion verdicts of the (order, direction) tests from one scan
     of f over nu_grid; each equals the verdict a scan of that test alone
-    gives. known_laws maps nu to `density(f, nu, grid)` already evaluated by
-    the caller, which the scan does not evaluate again."""
+    gives; the st and hr verdicts report EPS_TAIL, the survival their tail
+    means need. known_laws maps nu to `density(f, nu, grid)` already
+    evaluated by the caller, which the scan does not evaluate again."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
     if not nus:
         raise ValueError("empty parameter grid")
@@ -343,10 +342,10 @@ def scan_orders(
         d = known.get(nu)
         return (d if d is not None else density(f, nu, grid)).masses
 
-    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, tests,
-                          tol_shape, tol_tail, eps_tail, law=law)
+    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, tests, tol_shape, tol_tail,
+                          law=law)
     size = {"nu_points": len(nus), "grid_points": grid.size}
-    shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": eps_tail}
+    shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": EPS_TAIL}
     return [
         _verdict(o, d, {**(shape if o in ("lr", "lc") else tail), **size}, w, margin,
                  _IMPLIED_NOTE if implied == size["nu_points"] else _SCANNED_NOTE)

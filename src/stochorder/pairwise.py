@@ -147,6 +147,11 @@ def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
 # the pairwise comparison
 
 
+# the largest k past the common lower end of the pairwise kernel's range when
+# both supports are infinite
+PAIRWISE_KMAX = 200
+
+
 @dataclass(frozen=True)
 class PairwiseKernel:
     """K(k) = log(w^P_k / w^Q_k) on the common support."""
@@ -163,7 +168,7 @@ def _common_range(p: PairwiseLaw, q: PairwiseLaw, kmax: int) -> tuple[int, int]:
     return lo, int(hi) if math.isfinite(hi) else lo + int(kmax)
 
 
-def pairwise_kernel(p: PairwiseLaw, q: PairwiseLaw, kmax: int = 200) -> PairwiseKernel:
+def pairwise_kernel(p: PairwiseLaw, q: PairwiseLaw, kmax: int = PAIRWISE_KMAX) -> PairwiseKernel:
     """Build the pairwise kernel on the intersection of the two supports, cut
     to kmax + 1 points when both supports are infinite."""
     lo, hi = _common_range(p, q, kmax)
@@ -189,7 +194,7 @@ def _support_refusal(order: str, p: PairwiseLaw, q: PairwiseLaw, lo: int, hi: in
 
 
 def check_pairwise(
-    p: PairwiseLaw, q: PairwiseLaw, orders: Sequence[str], kmax: int = 200,
+    p: PairwiseLaw, q: PairwiseLaw, orders: Sequence[str], kmax: int = PAIRWISE_KMAX,
     tol_shape: float = TOL_SHAPE, eps_tail: float = TAIL_CUT_EPS,
 ) -> list[OrderVerdict]:
     """Decide P <=o Q for each order o in `orders`, in that order.
@@ -342,25 +347,23 @@ def check_path_order(
     family: DensityFamily,
     order: str,
     grid: SupportGrid,
-    t_grid=None,
-    direction: str | None = None,
+    t_grid,
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
 ) -> OrderVerdict:
     """Run the kernel shape test for `order` on a path family's kernel K_t over
-    a t-scan in [0, 1] (the family refuses any other t), 33 points by
-    default; the law at t is the family's factor at t, normalized on the grid.
+    the t-scan `t_grid` in [0, 1] (the family refuses any other t); the law
+    at t is the family's factor at t, normalized on the grid.
 
-    direction defaults to 'up' (law at smaller t below law at larger t) for
-    lr/st/hr and 'down' for lc. The laws at t = 0 and t = 1 are compared by
-    the brute oracle; disagreement with a conclusive shape verdict downgrades
-    the status to inconclusive. A t outside [0, 1] raises before the scan,
-    which may read a kernel that does not depend on t at the first t alone;
+    The claim is 'up' (law at smaller t below law at larger t) for lr/st/hr
+    and 'down' for lc. The laws at t = 0 and t = 1 are compared by the brute
+    oracle; disagreement with a conclusive shape verdict downgrades the
+    status to inconclusive. A t outside [0, 1] raises before the scan, which
+    may read a kernel that does not depend on t at the first t alone;
     `scan_kernel` refuses an unknown order before any test.
     """
-    if direction is None:
-        direction = "down" if order == "lc" else "up"
-    ts = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
+    direction = "down" if order == "lc" else "up"
+    ts = np.asarray(t_grid, dtype=float)
     outside = ts[~((ts >= 0.0) & (ts <= 1.0))]
     if outside.size:
         raise ValueError(f"{family.name}: t={float(outside[0])!r} outside [0, 1]")

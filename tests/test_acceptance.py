@@ -260,7 +260,7 @@ def test_geometric_compounds_are_lr_ordered_by_criterion_and_oracle():
     directions = {name: direction for name, _, direction, _ in TABLE2_ROWS}
     assert set(directions) == set(COMPOUND_SCANS)
     for name, (lo, hi) in COMPOUND_SCANS.items():
-        model = make_compound(make_counting(name), summand, (lo, hi), eps_tail=1e-10)
+        model = make_compound(make_counting(name), summand, (lo, hi))
         assert model.k_max <= 400, name
         verdict = check_compound_lr(model, lo, hi)
         assert verdict.holds and verdict.direction == directions[name], name
@@ -274,7 +274,7 @@ def test_geometric_compounds_are_lr_ordered_by_criterion_and_oracle():
 def test_posterior_matrices_are_tp2_with_nondecreasing_means():
     summand = geometric_summand(0.5)
     for name, kwargs, nu in (("poisson", {}, 2.0), ("negbinomial", {"alpha": 3.0}, 0.5)):
-        model = make_compound(make_counting(name, **kwargs), summand, (nu,), eps_tail=1e-10)
+        model = make_compound(make_counting(name, **kwargs), summand, (nu,))
         pm = posterior_matrix(model, nu)
         matrix = pm.matrix
         minors = (matrix[:-1, :-1] * matrix[1:, 1:]
@@ -285,8 +285,7 @@ def test_posterior_matrices_are_tp2_with_nondecreasing_means():
 
 
 def test_compound_score_matches_finite_difference_of_log_masses():
-    model = make_compound(make_counting("poisson"), geometric_summand(0.5),
-                          (1.0, 3.0), eps_tail=1e-10)
+    model = make_compound(make_counting("poisson"), geometric_summand(0.5), (1.0, 3.0))
     h = 1e-5
     for nu in (1.2, 1.7, 2.3, 2.9):
         _, score = compound_score_all(model, nu)

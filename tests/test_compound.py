@@ -31,8 +31,10 @@ from stochorder.compound import (
     posterior_matrix,
     summand_from_spec,
     two_point_summand,
+    _N_CAP,
     _conv_table,
 )
+from stochorder.catalog import TAIL_CUT_EPS
 from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
 from stochorder.verdicts import Witness
@@ -221,15 +223,18 @@ def test_compound_truncation_tail_within_budget():
         masses = model.compound_masses(nu)
         assert masses.sum() > 1.0 - 1e-6
         assert masses[-1] <= 1e-10  # nothing sizable sits at the cut
-    smaller = make_compound(
-        make_counting("geometric"), geometric_summand(0.5), (0.3, 0.6), eps_tail=1e-8
-    )
-    assert smaller.k_max <= model.k_max
+    # k_max is the first k past which the mass is at most TAIL_CUT_EPS at
+    # both endpoints, read in a table to the cap of 2000 columns
+    full = _conv_table(model.summand, model.n_max, 2000)
+    tails = [model.counting_pmf(nu) @ full[:, model.k_max :] for nu in (0.3, 0.6)]
+    assert max(t[1:].sum() for t in tails) <= TAIL_CUT_EPS < max(t.sum() for t in tails)
 
 
 def test_k_cap_guard_names_the_cap():
-    with pytest.raises(ValueError, match="compound mass beyond k_max=5 exceeds 1e-6 at nu=2;"):
-        make_compound(make_counting("poisson"), geometric_summand(0.5), (2.0,), k_cap=5)
+    # a geometric summand of mean 100 under a Poisson count of mean 2 leaves
+    # more than 1e-6 of the compound mass past the 2000-column cap
+    with pytest.raises(ValueError, match="compound mass beyond k_max=2000 exceeds 1e-6 at nu=2;"):
+        make_compound(make_counting("poisson"), geometric_summand(0.01), (2.0,))
 
 
 # counting law: fixed parameters and the range of the scanned one, drawn on a
@@ -326,11 +331,20 @@ def test_counting_n_max_equals_a_full_range_scan(name, fixed, span):
     for nu in span:
         logs = counting.log_factor(nu, n) - counting.log_normalizer(nu)
         need = max(need, ratio_bound_cut(logs, lo, 1e-12, counting.tail_ratio(nu))[0])
-    summand = delta_summand(1)
-    assert make_compound(counting, summand, span, k_cap=600).n_max == need
-    # the bound at n reads the mass at n + 1, so n_cap = need stops one short
-    with pytest.raises(ValueError, match=f"unreachable within k_max={need}$"):
-        make_compound(counting, summand, span, n_cap=need)
+    assert make_compound(counting, delta_summand(1), span).n_max == need
+
+
+def test_counting_cut_stops_one_short_of_n_cap():
+    # the bound at n reads the mass at n + 1, so the cut of a counting law
+    # reaches at most _N_CAP - 1: Poisson(358) is cut there, Poisson(359) at
+    # _N_CAP, past the search
+    counting, n = make_counting("poisson"), np.arange(0, 801, dtype=float)
+    for theta, cut in ((358.0, _N_CAP - 1), (359.0, _N_CAP)):
+        logs = counting.log_factor(theta, n) - counting.log_normalizer(theta)
+        assert ratio_bound_cut(logs, 0, TAIL_CUT_EPS, counting.tail_ratio(theta))[0] == cut
+    assert make_compound(counting, delta_summand(1), (1.0, 358.0)).n_max == _N_CAP - 1
+    with pytest.raises(ValueError, match=f"^poisson: .* unreachable within k_max={_N_CAP}$"):
+        make_compound(counting, delta_summand(1), (1.0, 359.0))
 
 
 def test_finite_counting_support_caps_n_max():
@@ -375,31 +389,24 @@ def _ref_pf2(p, tol):
 @st.composite
 def pf2_cases(draw):
     """A pmf with leading and trailing zeros around a run of 1 to 10 points,
-    holes in it half the time, and a tolerance that is half the time exactly
-    the size of one of the run's log curvatures."""
+    and holes in it half the time."""
     mass = st.one_of(st.sampled_from([5e-324, 1e-300, 0.125, 0.5, 1.0]),
                      st.floats(1e-6, 1.0), st.floats(0.0, 1.0, exclude_min=True))
     if draw(st.booleans()):
         mass = st.one_of(mass, st.just(0.0))
     body = draw(st.lists(mass, min_size=1, max_size=10))
     body[0] = body[-1] = draw(st.sampled_from([0.25, 0.5]))  # the run's ends
-    p = np.array([0.0] * draw(st.integers(0, 3)) + body + [0.0] * draw(st.integers(0, 3)))
-    curv = np.diff(np.log(np.array(body)[np.array(body) > 0]), 2)
-    tol = draw(st.sampled_from([TOL_SHAPE, 0.0, 0.25]))
-    if curv.size and draw(st.booleans()):
-        tol = abs(float(curv[draw(st.integers(0, curv.size - 1))]))
-    return p, tol
+    return np.array([0.0] * draw(st.integers(0, 3)) + body + [0.0] * draw(st.integers(0, 3)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pf2_cases())
-@example((np.array([0.0, 0.5, 0.0]), TOL_SHAPE))
-@example((np.array([0.5, 0.5, 0.0, 0.0]), 0.0))
-@example((np.array([0.25, 0.5, 0.25]), 2 * math.log(2.0)))
-@example((np.array([0.5, 0.25, 0.5]), 2 * math.log(2.0)))
-def test_is_pf2_equals_its_second_difference_formula_bit_for_bit(case):
-    p, tol = case
-    (ok, w), (ref_ok, ref) = is_pf2(p, tol), _ref_pf2(p, tol)
+@example(np.array([0.0, 0.5, 0.0]))
+@example(np.array([0.5, 0.5, 0.0, 0.0]))
+@example(np.array([0.25, 0.5, 0.25]))
+@example(np.array([0.5, 0.25, 0.5]))
+def test_is_pf2_equals_its_second_difference_formula_bit_for_bit(p):
+    (ok, w), (ref_ok, ref) = is_pf2(p), _ref_pf2(p, TOL_SHAPE)
     assert ok == ref_ok and (w is None) == (ref is None)
     if w is not None:
         assert (w.x, w.nu, w.kind) == (ref.x, None, ref.kind)

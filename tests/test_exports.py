@@ -11,10 +11,10 @@ count.
 A parameter that no program call sets is a setting only a default ever
 takes: for each exported function that `src/stochorder` (outside the
 function itself) or `tools/` calls by name, each parameter must be passed,
-by position or keyword, in some such call, or `KEEP_PARAMETERS` names it
-with the reason it stays. Functions reached only through a table or a
-lookup, such as `oracle_hr` through `oracle_for`, have no call by name and
-are not checked.
+by position or keyword, in some such call; `KEEP_PARAMETERS` may name one
+with the reason it stays, and names none. Functions reached only through a
+table or a lookup, such as `oracle_hr` through `oracle_for`, have no call by
+name and are not checked.
 """
 
 import ast
@@ -37,16 +37,9 @@ KEEP = {
     "total_variation": "TV(P, Q) = sup_A |P(A) - Q(A)| = half the L1 distance",
 }
 
-# parameters of called exports that only tests set, and why each stays
-KEEP_PARAMETERS = {
-    ("make_compound", "eps_tail"): "the budget and acceptance tests cut at other tail targets",
-    ("make_compound", "k_cap"): "the cap tests reach the table's column cap with a small one",
-    ("make_compound", "n_cap"): "the boundary test stops the counting cut one short of it",
-    ("is_pf2", "tol"): "its bit-for-bit test samples the tolerance edges",
-    ("scan_orders", "eps_tail"): "the fixed-kernel equality test samples the tail eps",
-    ("check_path_order", "direction"): "every named path's kernel rises, so only a test's "
-                                       "'down' claim reaches a failing path",
-}
+# parameters of called exports that only tests set, and why each stays: none,
+# as a test reaches every branch through the values the program passes
+KEEP_PARAMETERS: dict[tuple[str, str], str] = {}
 
 
 def _reads(path: Path) -> dict[str, set[frozenset[str]]]:

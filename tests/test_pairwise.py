@@ -608,7 +608,7 @@ def test_gamma_path_orders(order, direction):
     # shape up, rate down: K_t(x) = log(x) + x for every t
     fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
     grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(fam, order, grid=grid)
+    v = check_path_order(fam, order, grid, np.linspace(0.0, 1.0, 33))
     assert v.status == "holds"
     assert v.direction == direction
     if order in ("st", "hr"):
@@ -622,21 +622,24 @@ def test_gamma_path_orders(order, direction):
     assert v.tolerances["t_points"] == 33
 
 
+# a beta-binomial path whose lc down claim fails by both routes
+LC_FAILING_PATH = {"n": 21, "r1": 1.426, "r2": 3.219, "s1": 5.585, "s2": 4.745}
+
+
 def test_path_failure_agrees_with_endpoint_oracle():
-    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
-    grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(fam, "lr", grid=grid, direction="down")
-    assert v.status == "fails"
-    assert v.witness.kind == "adjacent-pair"
+    fam = path_family("betabinomial", LC_FAILING_PATH)
+    v = check_path_order(fam, "lc", discrete_grid(0, 21), np.linspace(0.0, 1.0, 33))
+    assert v.status == "fails" and v.direction == "down"
+    assert v.witness.kind == "triplet"
     assert v.note == "endpoint oracle fails"
 
 
 def test_path_downgrades_when_a_wide_tolerance_hides_the_violation():
     # the criterion holds under tol_shape=1e6, the oracle refutes: inconclusive,
     # carrying the oracle's witness and margin
-    fam = path_family("gamma", {"r1": 1.0, "r2": 2.0, "rho1": 2.0, "rho2": 1.0})
-    grid = continuous_grid(0.0, 60.0, n=3000)
-    v = check_path_order(fam, "lr", grid=grid, direction="down", tol_shape=1e6)
+    fam = path_family("betabinomial", LC_FAILING_PATH)
+    v = check_path_order(fam, "lc", discrete_grid(0, 21), np.linspace(0.0, 1.0, 33),
+                         tol_shape=1e6)
     assert v.status == "inconclusive"
     assert v.note == "endpoint oracle fails; path test and oracle disagree"
     assert v.witness is not None and v.witness.nu is None
@@ -645,7 +648,7 @@ def test_path_downgrades_when_a_wide_tolerance_hides_the_violation():
 
 def test_negbinomial_path_holds_lr():
     fam = path_family("negbinomial", {"r1": 2.0, "r2": 3.0, "q1": 0.4, "q2": 0.5})
-    v = check_path_order(fam, "lr", t_grid=np.linspace(0.0, 1.0, 9), grid=discrete_grid(0, 120))
+    v = check_path_order(fam, "lr", discrete_grid(0, 120), np.linspace(0.0, 1.0, 9))
     assert v.status == "holds" and v.margin > 0.0
     assert v.tolerances["t_points"] == 9
     assert v.note == "endpoint oracle holds"
@@ -653,7 +656,7 @@ def test_negbinomial_path_holds_lr():
 
 def test_betabinomial_path_holds_lr():
     fam = path_family("betabinomial", {"n": 8, "r1": 1.0, "r2": 2.0, "s1": 3.0, "s2": 2.0})
-    v = check_path_order(fam, "lr", grid=discrete_grid(0, 8))
+    v = check_path_order(fam, "lr", discrete_grid(0, 8), np.linspace(0.0, 1.0, 33))
     assert v.status == "holds" and v.note == "endpoint oracle holds"
 
 
@@ -662,7 +665,7 @@ def test_check_path_order_validates_input():
     with pytest.raises(TypeError, match="grid"):
         check_path_order(fam, "lr")
     with pytest.raises(ValueError, match="unknown order"):
-        check_path_order(fam, "total", grid=continuous_grid(0.0, 10.0, n=10))
+        check_path_order(fam, "total", continuous_grid(0.0, 10.0, n=10), [0.0, 1.0])
 
 
 def test_check_path_order_rejects_t_outside_the_unit_interval():
