@@ -683,6 +683,16 @@ class View:
         """theta under the view's names."""
         return {self.shown.get(p, p): v for p, v in theta.items()}
 
+    def log_factor(self, label: str, theta: Theta, x) -> np.ndarray:
+        """The law's log factor at theta on x. One whose terms overflow a
+        double, as `math.lgamma` does on log (r)_k at r = 1e308, is refused
+        naming `label` and theta under the view's names."""
+        try:
+            return LAWS[self.law].log_factor(theta, x)
+        except OverflowError:
+            shown = ",".join(f"{k}={v:g}" for k, v in self.named(theta).items())
+            raise ValueError(f"{label}: log factor overflows a double at {shown}") from None
+
     def bind(self, label: str, given: Mapping[str, float]) -> dict[str, float]:
         """The fixed parameters, checked against their domains, under the
         law's names; errors start with `label` and use the view's names."""
@@ -712,7 +722,7 @@ class View:
         return DensityFamily(
             name=name, kind=law.kind, param_name=param, param_interval=interval,
             fixed_params=self.named(fixed), support=law.support(fixed),
-            log_factor=lambda s, x: law.log_factor(at(s), x), kernel=kernel,
+            log_factor=lambda s, x: self.log_factor(name, at(s), x), kernel=kernel,
             log_normalizer=lambda s: law.log_normalizer(at(s)),
             quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
             tail_ratio=None if law.tail_ratio is None else lambda s: law.tail_ratio(at(s)),
@@ -889,6 +899,18 @@ def _tail_cut(
     raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within k_max={hi}")
 
 
+def _quantile(f: DensityFamily, nu: float, u: float) -> float:
+    """f's u-quantile at nu as a grid end, refused naming f and nu unless
+    twice it is finite, so that the padded span is finite too."""
+    try:
+        q = f.quantile(nu, u)
+    except OverflowError:  # a float power or exp past the largest double
+        q = math.inf
+    if not math.isfinite(2.0 * q):
+        raise ValueError(f"{f.describe()}: grid span not finite at {f.param_name}={nu:g}")
+    return q
+
+
 def default_grid(
     f: DensityFamily,
     nus,
@@ -900,7 +922,9 @@ def default_grid(
     """Grid valid for every nu in `nus`: tail-complete, with grid_points
     cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed
     support. An infinite discrete support ends at the largest `_tail_cut`
-    over the nus, read up to k = kmax."""
+    over the nus, read up to k = kmax; an unbounded continuous one spans the
+    quantiles over the nus, and a quantile too large for a finite span is
+    refused by name."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
@@ -920,15 +944,15 @@ def default_grid(
     if f.kind == "mixed":
         # atom at 0 plus the continuous part truncated at its upper quantile
         u = 1.0 - _CONT_TAIL
-        upper = max(f.quantile(nu, u) for nu in nus) * (1.0 + _PAD)
+        upper = max(_quantile(f, nu, u) for nu in nus) * (1.0 + _PAD)
         return mixed_grid(upper, n=n, tail_mass=_CONT_TAIL)
 
     # continuous
     if math.isfinite(lo_s) and math.isfinite(hi_s):
         lo, hi, tail = lo_s, hi_s, 0.0
     else:
-        lo = min(f.quantile(nu, _CONT_TAIL) for nu in nus)
-        hi = max(f.quantile(nu, 1.0 - _CONT_TAIL) for nu in nus)
+        lo = min(_quantile(f, nu, _CONT_TAIL) for nu in nus)
+        hi = max(_quantile(f, nu, 1.0 - _CONT_TAIL) for nu in nus)
         pad = _PAD * (hi - lo)
         lo = max(lo - pad, lo_s)
         hi = hi + pad if not math.isfinite(hi_s) else min(hi + pad, hi_s)

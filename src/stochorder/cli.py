@@ -9,8 +9,9 @@ Every subcommand emits one report:
 deterministic: fixed key order, floats at 17 significant digits, inf/nan as
 strings; --no-timing zeroes runtime_ms so identical invocations are
 byte-identical. Exit status: 0 when every requested order holds, 1 when some
-check fails or a table diff mismatches, 2 on malformed input or an --out path
-that cannot be written (the diagnostic names the offending token).
+check fails or a table diff mismatches, 2 on malformed input, an in-domain
+value past the double range, or an --out path that cannot be written (the
+diagnostic names the offending token).
 """
 
 from __future__ import annotations

@@ -294,10 +294,19 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid,
                    nus) -> Callable[[float], np.ndarray] | np.ndarray:
     """f's kernel on grid.points as `scan_kernel` reads it over nus: the one
     array, built at the first nu, when f.fixed_kernel says it holds at every
-    nu; else the callable of nu."""
-    if f.fixed_kernel and len(nus):
-        return np.asarray(f.kernel(nus[0], grid.points), dtype=float)
-    return lambda nu: f.kernel(nu, grid.points)
+    nu; else the callable of nu. A kernel that overflows, divides by zero or
+    gives an invalid value at a nu, and so is not finite there, is refused
+    naming f and that nu, from numpy's own flags rather than a pass over it."""
+
+    def kernel(nu: float) -> np.ndarray:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return np.asarray(f.kernel(nu, grid.points), dtype=float)
+        except ArithmeticError:  # numpy's FloatingPointError, or math's own
+            raise ValueError(
+                f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}") from None
+
+    return kernel(nus[0]) if f.fixed_kernel and len(nus) else kernel
 
 
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"

@@ -116,7 +116,7 @@ def make_law(name: str, **params: float) -> PairwiseLaw:
         raise ValueError(f"unknown law {name!r}; valid names: {', '.join(LAW_NAMES)}")
     theta = view.bind(f"{name} law", params)
     law = LAWS[view.law]
-    return PairwiseLaw(name, law.support(theta), partial(law.log_factor, theta),
+    return PairwiseLaw(name, law.support(theta), partial(view.log_factor, name, theta),
                        view.named(theta), law.log_normalizer(theta),
                        None if law.tail_ratio is None else law.tail_ratio(theta))
 

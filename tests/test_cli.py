@@ -554,6 +554,41 @@ def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note)
     assert (v["status"], v["note"]) == (status, note)
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    # math.lgamma overflowed in log_pochhammer_vec: a traceback and exit 1
+    (("check", "--family", "negbinomial-in-q:r=1e308", "--nu1", "0.3", "--nu2", "0.6"),
+     "negbinomial-in-q: log factor overflows a double at r=1e+308,q=0.3"),
+    (("pairwise", "--p", "negbinomial:r=1e308,p=0.5", "--q", "poisson:lambda=2"),
+     "negbinomial: log factor overflows a double at r=1e+308,p=0.5"),
+    # the weibull quantile raised OverflowError; the pareto one was inf, and
+    # the grid refused its NaN steps with a numpy warning, naming nothing
+    (("check", "--family", "weibull-in-rate:beta=1e-308", "--nu1", "0.8", "--nu2", "1.6"),
+     "weibull-in-rate(beta=1e-308): grid span not finite at lam=0.8"),
+    (("check", "--family", "pareto-in-shape:xm=1e308", "--nu1", "1.5", "--nu2", "3"),
+     "pareto-in-shape(xm=1e+308): grid span not finite at alpha=1.5"),
+    # k / theta overflowed: numpy warnings, and wrong verdicts by both routes
+    (("check", "--family", "poisson", "--nu1=1e-308", "--nu2", "3"),
+     "poisson: kernel not finite at theta=1e-308"),
+])
+def test_in_domain_overflows_exit_two_naming_the_law(capsys, argv, refusal):
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("options,status,note", [
+    ((), "fails", "endpoint oracle fails"),
+    (("--tol-shape", "1e6"), "inconclusive", "endpoint oracle fails; path test and oracle disagree"),
+])
+def test_an_lc_path_fails_by_both_routes_or_is_downgraded(capsys, options, status, note):
+    code, out, err = run_cli(capsys, "path", "--name",
+                             "betabinomial:n=21,r1=1.426,r2=3.219,s1=5.585,s2=4.745",
+                             "--order", "lc", *options, "--no-timing")
+    assert (code, err) == (1, "")
+    [v] = json.loads(out)["verdicts"]
+    assert (v["order"], v["direction"], v["status"], v["note"]) == ("lc", "down", status, note)
+    assert v["witness"]["kind"] == "triplet" and v["margin"] == v["witness"]["margin"] < 0
+
+
 TOLERANCE_OPTIONS = [
     (["check", "--family", "poisson", "--nu1", "1", "--nu2", "2", "--orders", "lr"],
      ("--tol-shape", "--tol-tail", "--tail-eps")),

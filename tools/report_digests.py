@@ -65,6 +65,14 @@ Each command runs in-process through `stochorder.cli.main` with
   summands whose tables pass the cap of 2000 columns below, as the
   endpoints are refused before the model is built; and a shifted-Poisson
   summand with mu = inf, refused by name at its domain;
+- in-domain values past the double range, each refused by name with exit
+  2: a `negbinomial-in-q` row and a pairwise negative binomial with
+  r = 1e308, whose log factors overflow `math.lgamma`; `weibull-in-rate`
+  with beta = 1e-308 and `pareto-in-shape` with xm = 1e308, whose grid
+  spans are not finite; and a Poisson row from theta = 1e-308, whose
+  kernel k / theta overflows; and an lc beta-binomial path with n = 21 that
+  fails by both routes, plain and at `--tol-shape 1e6`, where the path test
+  holds and the oracle downgrades it to inconclusive;
 - compounds whose convolution table grows past its first column windows:
   a Poisson count of `delta:j=40` atoms (k_max 720), a 527-term
   `geometric:p=0.05` summand (k_max 1063) and a log-series count of
@@ -214,6 +222,17 @@ DOMAIN_REFUSALS = (
      "--nu2", "2"],
 )
 
+NUMERIC_REFUSALS = (
+    ["check", "--family", "negbinomial-in-q:r=1e308", "--nu1", "0.3", "--nu2", "0.6"],
+    ["pairwise", "--p", "negbinomial:r=1e308,p=0.5", "--q", "poisson:lambda=2"],
+    ["check", "--family", "weibull-in-rate:beta=1e-308", "--nu1", "0.8", "--nu2", "1.6"],
+    ["check", "--family", "pareto-in-shape:xm=1e308", "--nu1", "1.5", "--nu2", "3"],
+    ["check", "--family", "poisson", "--nu1=1e-308", "--nu2", "3"],
+    ["path", "--name", "betabinomial:n=21,r1=1.426,r2=3.219,s1=5.585,s2=4.745", "--order", "lc"],
+    ["path", "--name", "betabinomial:n=21,r1=1.426,r2=3.219,s1=5.585,s2=4.745", "--order", "lc",
+     "--tol-shape", "1e6"],
+)
+
 COMPOUND_WINDOWS = (
     ["compound", "--counting", "poisson", "--summand", "delta:j=40", "--nu1", "1", "--nu2", "2"],
     ["compound", "--counting", "geometric", "--summand", "geometric:p=0.05", "--nu1", "0.5",
@@ -291,6 +310,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
     out.extend(DOMAIN_REFUSALS)
+    out.extend(NUMERIC_REFUSALS)
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
@@ -439,10 +459,16 @@ def load(root: Path):
 
 def run(main, argv: list[str], root: Path | None = None) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one command; the checkout's path in
-    stderr (numpy warnings name their source file) reads `<root>`."""
+    stderr (numpy warnings name their source file) reads `<root>`. An
+    exception that escapes the command exits 1, as the interpreter does, with
+    its last traceback line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     text = err.getvalue()
     return code, out.getvalue(), text if root is None else text.replace(str(root), "<root>")
 
