@@ -11,8 +11,9 @@ hazard-rate orders three ways that deliberately share no code path:
   pairs, parameter paths, and pseudo-sample interpolations.
 
 `catalog` carries the law table, the families and grid policy, `compound` the
-random-sum layer (posterior-averaged kernels, PF2/TP2 certificates), and
-`cli` a deterministic JSON/CSV front end with golden-file table checks.
+random-sum layer (the counting kernel's lr direction and the summand's PF2
+certificate), and `cli` a deterministic JSON/CSV front end with golden-file
+table checks.
 The package exports the `__all__` of each module but `cli`, which importing
 the package does not load.
 """

@@ -3,11 +3,12 @@
 `LAWS` declares each law once, as a multi-parameter entry: its kind, the
 parameters with their domains, the support, the log factor, one kernel
 d/dtheta_i log_factor per parameter that some view varies, the log
-normalizer and, for continuous kinds, the quantile. It also names the kernels
-that read only x and parameters no view varies: such a kernel is the same
-array at every point of a view, so a scan builds it once. The density is
-exp(log_factor - log_normalizer) with respect to counting measure
-(discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
+normalizer and, for continuous kinds with an infinite end, the quantile.
+It also names the kernels that read only x and parameters no view varies:
+such a kernel is the same array at every point of a view, so a scan builds
+it once. The density is exp(log_factor - log_normalizer) with respect to
+counting measure (discrete), Lebesgue measure (continuous), or
+delta_0 + Lebesgue (mixed).
 
 Everything else is a `View` of an entry: a catalogue family (`make_family`)
 fixes all parameters but one, nu, and a named path moves two along a line in
@@ -15,10 +16,10 @@ t; both are `View.curve`s. The counting and pairwise laws are views too.
 Grids discretize the support: integers for discrete laws, uniform midpoint
 cells for continuous ones, an exact atom plus midpoint cells for the mixed
 kind. `normalized` is the one numeric normalizer over a grid. scipy is
-imported only inside the gamma, beta and half-student quantiles, on the
-first call of one; grid spans call the gamma and half-student ones (a beta
-grid spans its whole support [0, 1]). `statistics` is imported likewise,
-inside the half-normal and lognormal quantiles.
+imported only inside the gamma and half-student quantiles, on the first call
+of one, and `statistics` likewise, inside the half-normal and lognormal
+quantiles. Only a support with an infinite end has a quantile: a beta grid
+spans its whole support [0, 1].
 
 Parametrization notes: geometric and the negative binomial each have two
 entries. The q-forms use the power-series argument q (factor q^k, kernel
@@ -201,23 +202,6 @@ class Distribution:
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
-    def survival_all(self) -> np.ndarray:
-        """Right-tail mass including each point."""
-        return np.cumsum(self.masses[::-1])[::-1]
-
-    def density_all(self) -> np.ndarray:
-        """Density w.r.t. the grid measure: mass divided by the point weight."""
-        return self.masses / self.support.weights()
-
-    def hazard_all(self) -> np.ndarray:
-        """density / survival; NaN where the survival has hit zero."""
-        surv = self.survival_all()
-        dens = self.density_all()
-        out = np.full(dens.shape, np.nan)
-        ok = surv > 0
-        out[ok] = dens[ok] / surv[ok]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # the law table
@@ -240,7 +224,9 @@ class Law:
                     that no view varies, as `support` does: that kernel
                     gives the same bits at every point of a view.
     log_normalizer  theta -> log of the factor's total mass.
-    quantile        (theta, u) -> u-quantile, for continuous and mixed kinds.
+    quantile        (theta, u) -> u-quantile, for continuous and mixed kinds
+                    whose support has an infinite end: a grid spans a
+                    finite support whole and reads no quantile.
     tail_ratio      theta -> the limit of p(k+1)/p(k), for an infinite
                     discrete support; `_tail_cut` bounds the tail with it.
     """
@@ -540,7 +526,6 @@ LAWS: dict[str, Law] = {
         log_normalizer=lambda th: (
             math.lgamma(th["alpha"]) + math.lgamma(th["beta"]) - math.lgamma(th["alpha"] + th["beta"])
         ),
-        quantile=lambda th, u: float(_scipy_special().betaincinv(th["alpha"], th["beta"], u)),
         fixed_kernels=("alpha", "beta"),
     ),
     "pareto": Law(

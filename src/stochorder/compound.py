@@ -1,4 +1,4 @@
-"""Compound sums X = J_1 + ... + J_N and their posterior-averaged kernels.
+"""Compound sums X = J_1 + ... + J_N and the lr direction of their laws.
 
 The counting variable N follows a one-parameter law with factor w_n(nu); the
 summands J_i are i.i.d. on {1, 2, ...}. Writing G_nu(n) = d/dnu log w_n(nu)
@@ -6,16 +6,18 @@ for the counting kernel, the compound law has kernel
 
     K_nu(k) = E[G_nu(N) | X = k],
 
-so monotonicity of G_nu in n transfers to K_nu in k whenever the posterior
-P(N = . | X = k) is stochastically increasing in k, which holds when the
-summand pmf is a Polya frequency sequence of order 2. For the catalogued
-counting laws G_nu(n) is affine in n and the lr direction is the sign of
-its slope b(nu).
+the counting kernel averaged by the posterior P(N = n | X = k) =
+q_nu(n) F^{*n}(k) / f_nu(k). So monotonicity of G_nu in n transfers to K_nu
+in k whenever that posterior is stochastically increasing in k, which holds
+when it is TP2, and it is TP2 when the summand pmf is a Polya frequency
+sequence of order 2 (Karlin, Total Positivity, 1968, ch. 3).
+`check_compound_lr` therefore scans G_nu over n and tests the summand for
+PF2; it never forms K_nu. For the catalogued counting laws G_nu(n) is affine
+in n and the lr direction is the sign of its slope b(nu).
 
 Each counting law is a one-parameter view of an entry of `catalog.LAWS`
 (the p-forms for geometric and the negative binomial); its kernel is its only
-per-law input. The score centres the compound kernel under the compound law,
-and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
+per-law input, and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
 
 All arrays are truncated where `catalog._tail_cut` bounds the tail past the
 cut by TAIL_CUT_EPS: summands, and counting laws through
@@ -53,16 +55,10 @@ __all__ = [
     "CompoundModel",
     "make_compound",
     "compound_pmf",
-    "compound_kernel_all",
-    "compound_score_all",
-    "PosteriorMatrix",
-    "posterior_matrix",
     "is_pf2",
-    "is_tp2",
     "check_compound_lr",
 ]
 
-_MINOR_TOL = 1e-12
 _N_CAP = 500  # largest n of a counting law's cut
 _K_CAP = 2000  # largest k of a compound support
 
@@ -103,9 +99,6 @@ class SummandLaw:
     def pmf_from_zero(self) -> np.ndarray:
         """Masses re-indexed from 0 (with P(J=0) = 0), convolution-ready."""
         return np.concatenate(([0.0], self.masses))
-
-    def mean(self) -> float:
-        return float(np.dot(np.arange(1, self.j_max + 1), self.masses))
 
 
 def _one_plus(label: str, law_name: str, name: str, value: float) -> SummandLaw:
@@ -371,93 +364,6 @@ def is_pf2(pmf) -> tuple[bool, Witness | None]:
     [(witness, _, _)] = scan_kernel(
         np.log(p[run]), [0.0], discrete_grid(int(run[0]), int(run[-1])), [("lc", "down")])
     return witness is None, witness and replace(witness, nu=None)  # a pmf's witness has no nu
-
-
-def is_tp2(M) -> tuple[bool, Witness | None]:
-    """All 2x2 minors at least -_MINOR_TOL: adjacent minors when strictly
-    positive, all row/column pairs otherwise (adjacency is only sufficient
-    without zeros). A TP2 posterior P(N = n | X = k) is stochastically
-    increasing in k, the step that carries a monotone counting kernel to the
-    compound kernel (Karlin, Total Positivity, 1968, ch. 3); the PF2 summand
-    that `check_compound_lr` requires makes the posterior TP2."""
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or min(A.shape) < 1:
-        raise ValueError("is_tp2 needs a 2-d matrix")
-    if np.any(A < 0):
-        raise ValueError("is_tp2 needs a nonnegative matrix")
-    if min(A.shape) == 1:
-        return True, None
-    if np.all(A > 0):
-        minors = A[:-1, :-1] * A[1:, 1:] - A[:-1, 1:] * A[1:, :-1]
-        i, j = np.unravel_index(np.argmin(minors), minors.shape)
-        worst = float(minors[i, j])
-        if worst < -_MINOR_TOL:
-            return False, Witness(x=float(j), margin=worst, nu=float(i), kind="minor")
-        return True, None
-    rows, cols = A.shape
-    for i1 in range(rows - 1):
-        for i2 in range(i1 + 1, rows):
-            # d[j1, j2] = A[i1,j1] A[i2,j2] - A[i1,j2] A[i2,j1]
-            d = np.outer(A[i1], A[i2]) - np.outer(A[i2], A[i1])
-            iu = np.triu_indices(cols, k=1)
-            vals = d[iu]
-            k = int(np.argmin(vals))
-            if vals[k] < -_MINOR_TOL:
-                return False, Witness(
-                    x=float(iu[1][k]), margin=float(vals[k]), nu=float(i1), kind="minor"
-                )
-    return True, None
-
-
-# ---------------------------------------------------------------------------
-# posterior and kernels
-
-
-@dataclass(frozen=True)
-class PosteriorMatrix:
-    """P(N = n | X = k) over rows n = 0..n_max and support columns of X."""
-
-    n_values: np.ndarray
-    k_values: np.ndarray
-    matrix: np.ndarray
-
-    def column_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
-
-def posterior_matrix(m: CompoundModel, nu: float) -> PosteriorMatrix:
-    """Bayes' rule on the convolution table: P(N = n | X = k) =
-    q_nu(n) F^{*n}(k) / f_nu(k), the weights that average the counting kernel
-    into the compound kernel."""
-    q = m.counting_pmf(nu)
-    joint = q[:, None] * m.conv
-    f = joint.sum(axis=0)
-    supp = np.nonzero(f > 0)[0]
-    return PosteriorMatrix(
-        n_values=np.arange(m.n_max + 1, dtype=float),
-        k_values=supp.astype(float),
-        matrix=joint[:, supp] / f[supp],
-    )
-
-
-def compound_kernel_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(support points k, E[G_nu(N) | X = k]) over the compound support: the
-    compound kernel K_nu(k) = d/dnu log of the unnormalized compound mass
-    sum_n w_n(nu) F^{*n}(k), the posterior average of the counting kernel."""
-    pm = posterior_matrix(m, nu)
-    g = np.zeros(m.n_max + 1)
-    n = np.arange(m.n_lo, m.n_max + 1, dtype=float)
-    g[m.n_lo :] = np.asarray(m.counting.kernel(nu, n), dtype=float)
-    return pm.k_values, g @ pm.matrix
-
-
-def compound_score_all(m: CompoundModel, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """(k, d/dnu log f_nu(k)): the posterior-averaged kernel K less its mean
-    E[K] under the compound law at nu. This is the compound centring: the
-    normalizer's log derivative is E[K], so the score has mean zero."""
-    ks, vals = compound_kernel_all(m, nu)
-    f = compound_pmf(m, nu).masses[ks.astype(int)]
-    return ks, vals - float(np.dot(f, vals))
 
 
 # ---------------------------------------------------------------------------

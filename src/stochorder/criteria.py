@@ -8,6 +8,11 @@ K_nu(x) = d/dnu log w_nu(x) and of the score s_nu = K_nu - E[K_nu(X)]:
   usual (st)         up  <=>  E[K_nu | X >= x] >= E[K_nu] for every nu, x
   hazard rate        up  <=>  K_nu(x) <= E[K_nu | X >= x] for every nu, x
 
+The st and hr rows are the signs of d/dnu log P(X >= x) = E[K_nu | X >= x]
+- E[K_nu] and d/dnu log hazard(x) = K_nu(x) - E[K_nu | X >= x] (Shaked &
+Shanthikumar, Stochastic Orders, 2007, ch. 1), whose tail means one backward
+pass (`_tail_means`) gives.
+
 Direction semantics: 'up' claims P_{nu1} <= P_{nu2} whenever nu1 <= nu2,
 'down' the reverse. The log-concavity test in direction 'down' is concavity,
 because a concave kernel dominates the larger parameter; 'up' tests convexity.
@@ -57,7 +62,6 @@ every scanned parameter", exact in x per scanned value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -72,8 +76,6 @@ __all__ = [
     "EPS_TAIL",
     "NU_POINTS",
     "nu_scan",
-    "TailMeanProfile",
-    "tail_mean_profile",
     "scan_kernel",
     "scan_orders",
 ]
@@ -229,61 +231,6 @@ def scan_kernel(
         (w, w.margin, c) if w is not None else (None, None if math.isinf(m) else m, c)
         for w, m, c in zip(witnesses, worst, implied)
     ]
-
-
-# ---------------------------------------------------------------------------
-# derivative identities
-
-
-@dataclass(frozen=True)
-class TailMeanProfile:
-    """Kernel and conditional tail means of one family member on a grid.
-
-    Holds K_nu(x) and E[K_nu(X) | X >= x] per grid point with positive
-    survival, plus the grand mean E[K_nu(X)]. The three identities follow by
-    subtraction: score, d/dnu log-survival, and d/dnu log-hazard.
-    """
-
-    nu: float
-    x: np.ndarray
-    kernel_values: np.ndarray
-    tail_means: np.ndarray
-    grand_mean: float
-    survival: np.ndarray
-
-    def score(self) -> np.ndarray:
-        """d/dnu log f_nu(x) = K_nu(x) - E[K_nu]."""
-        return self.kernel_values - self.grand_mean
-
-    def dlog_survival(self) -> np.ndarray:
-        """d/dnu log survival(x) = E[K_nu | X >= x] - E[K_nu]."""
-        return self.tail_means - self.grand_mean
-
-    def dlog_hazard(self) -> np.ndarray:
-        """d/dnu log hazard(x) = K_nu(x) - E[K_nu | X >= x]."""
-        return self.kernel_values - self.tail_means
-
-
-def tail_mean_profile(f: DensityFamily, nu: float, grid: SupportGrid) -> TailMeanProfile:
-    """One backward pass giving E[K | X >= x] at every positive-survival point.
-
-    The profile states the identities behind the st and hr criteria (Shaked
-    & Shanthikumar, Stochastic Orders, 2007, ch. 1): differentiating
-    log E_nu[u(X)] gives E^u[K_nu] - E[K_nu], so the weight u = 1[X >= x]
-    gives `dlog_survival`, and the hazard f / survival gives `dlog_hazard`.
-    The scan reads the same tail means, by the same pass."""
-    d = density(f, nu, grid)
-    k = np.asarray(f.kernel(nu, grid.points), dtype=float)
-    surv, tail, grand = _tail_means(k, d.masses)
-    n = tail.size  # the positive-survival prefix
-    return TailMeanProfile(
-        nu=float(nu),
-        x=grid.points[:n],
-        kernel_values=k[:n],
-        tail_means=tail,
-        grand_mean=grand,
-        survival=surv[:n],
-    )
 
 
 # ---------------------------------------------------------------------------

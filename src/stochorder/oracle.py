@@ -53,7 +53,6 @@ __all__ = [
     "oracle_lc",
     "oracle_for",
     "oracle_pair",
-    "total_variation",
 ]
 
 ORACLE_REL_TOL = 1e-10
@@ -298,13 +297,6 @@ def oracle_lc(P: Distribution, Q: Distribution) -> OrderVerdict:
     """P <=lc Q iff supp(P) is an interval inside supp(Q) and log f_P/f_Q is
     concave there. Support violations refute the order outright."""
     return _lc(_Pair(P, Q), False)
-
-
-def total_variation(P: Distribution, Q: Distribution) -> float:
-    """TV distance between two aligned laws: half the L1 mass difference,
-    which equals sup_A |P(A) - Q(A)|, attained at A = {x: f_P(x) > f_Q(x)}."""
-    _, mp, mq, _ = _aligned(P, Q)
-    return 0.5 * float(np.abs(mp - mq).sum())
 
 
 # order name -> (the public one-way call, the directed formula it runs)

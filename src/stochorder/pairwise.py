@@ -26,8 +26,7 @@ normalizer and tail ratio; laws are normalized numerically by
 `catalog.normalized`.
 
 Closed forms: the Katz-class thresholds evaluate the lr/st boundary
-inequalities exactly, the beta-binomial vs hypergeometric endpoint condition
-W(r+n-1) <= s(B-n+1) certifies the lr order, and `check_interpolation` scans
+inequalities exactly, and `check_interpolation` scans
 the pseudo-sample path BetaBin(n, r + cp, s + c(1-p)) toward Bin(n, p), which
 moves r and s together, by its kernel p K^r + (1-p) K^s and reports its lr
 threshold p >= (r+n-1)/(r+s+n-1).
@@ -61,8 +60,6 @@ __all__ = [
     "check_pairwise",
     "katz_laws",
     "katz_threshold",
-    "betabin_hyp_condition",
-    "betabin_hyp_delta",
     "check_path_order",
     "check_interpolation",
     "PATH_NAMES",
@@ -317,26 +314,6 @@ def katz_threshold(pair: str, params: Mapping[str, float]) -> dict[str, bool]:
         "lr_condition": lam <= r * (1.0 - p),
         "st_condition": math.exp(-lam) >= p**r,
     }
-
-
-def betabin_hyp_delta(B: int, W: int, n: int, r: float, s: float, k) -> np.ndarray:
-    """Forward difference of log(w^Hyp / w^BetaBin) at k, in closed form: the
-    step K(k + 1) - K(k) of the pairwise kernel of Hyp(B, W, n) against
-    BetaBin(n, r, s), whose sign decides lr between the two laws."""
-    k = np.asarray(k, dtype=float)
-    return np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
-
-
-def betabin_hyp_condition(B: int, W: int, n: int, r: float, s: float) -> bool:
-    """W(r+n-1) <= s(B-n+1): the endpoint slope test certifying
-    BetaBin(n,r,s) <=lr Hyp(B,W,n). The slope profile is nonincreasing in k,
-    so the k = n-1 cell governs: the condition is
-    betabin_hyp_delta(..., n - 1) >= 0, exponentiated."""
-    if not (B >= n and W >= n and n >= 1):
-        raise ValueError("need B, W >= n >= 1 so the hypergeometric support is {0..n}")
-    if not (r > 0 and s > 0):
-        raise ValueError("need r, s > 0")
-    return W * (r + n - 1.0) <= s * (B - n + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,24 +19,21 @@ from stochorder.catalog import (
 from stochorder.compound import (
     TABLE2_ROWS,
     check_compound_lr,
-    compound_score_all,
     geometric_summand,
     is_pf2,
     make_compound,
     make_counting,
-    posterior_matrix,
 )
 from stochorder.criteria import scan_orders
 from stochorder.oracle import oracle_hr, oracle_lc, oracle_lr, oracle_st
 from stochorder.pairwise import (
-    betabin_hyp_condition,
-    betabin_hyp_delta,
     check_interpolation,
     katz_threshold,
     law_distribution,
     make_law,
     pairwise_kernel,
 )
+from test_compound import _compound_score, _posterior
 
 # Catalog rows: family spec, a parameter window, the recorded sign of the
 # kernel slope and curvature, and an optional explicit grid window for the
@@ -214,11 +211,11 @@ def test_zero_inflated_exponential_atom_breaks_lr_but_not_st_or_hr():
     assert refuted.witness is not None and refuted.witness.x == 0.0
     assert oracle_st(d2, d1).holds
     assert oracle_hr(d2, d1).holds
-    s1, s2 = d1.survival_all(), d2.survival_all()
+    s1, s2 = (np.cumsum(d.masses[::-1])[::-1] for d in (d1, d2))  # P(X >= x)
     assert np.all(s2 <= s1 + 1e-6)
-    h1, h2 = d1.hazard_all(), d2.hazard_all()
-    mask = np.isfinite(h1) & np.isfinite(h2)
-    assert np.all(h2[mask] >= h1[mask] - 1e-6)
+    # the hazard: density over survival, positive everywhere on this grid
+    h1, h2 = d1.masses / grid.weights() / s1, d2.masses / grid.weights() / s2
+    assert np.all(h2 >= h1 - 1e-6)
 
 
 def test_half_student_tail_criterion_decides_hr_and_st():
@@ -232,11 +229,11 @@ def test_half_student_tail_criterion_decides_hr_and_st():
     assert lr_up.status == "fails" and lr_down.status == "fails"
     d2 = density(fam, 2.0, grid)
     d5 = density(fam, 5.0, grid)
-    s2, s5 = d2.survival_all(), d5.survival_all()
+    s2, s5 = (np.cumsum(d.masses[::-1])[::-1] for d in (d2, d5))  # P(X >= x)
     assert np.all(s5 <= s2 + 1e-6)
-    h2, h5 = d2.hazard_all(), d5.hazard_all()
-    mask = np.isfinite(h2) & np.isfinite(h5)
-    assert np.all(h5[mask] >= h2[mask] - 1e-6)
+    # the hazard: density over survival, positive everywhere on this grid
+    h2, h5 = d2.masses / grid.weights() / s2, d5.masses / grid.weights() / s5
+    assert np.all(h5 >= h2 - 1e-6)
 
 
 COMPOUND_SCANS = {
@@ -275,12 +272,11 @@ def test_posterior_matrices_are_tp2_with_nondecreasing_means():
     summand = geometric_summand(0.5)
     for name, kwargs, nu in (("poisson", {}, 2.0), ("negbinomial", {"alpha": 3.0}, 0.5)):
         model = make_compound(make_counting(name, **kwargs), summand, (nu,))
-        pm = posterior_matrix(model, nu)
-        matrix = pm.matrix
+        _, matrix = _posterior(model, nu)
         minors = (matrix[:-1, :-1] * matrix[1:, 1:]
                   - matrix[:-1, 1:] * matrix[1:, :-1])
         assert float(minors.min()) >= -1e-12, name
-        mean = pm.n_values @ matrix  # E[N | X = k]
+        mean = np.arange(len(matrix)) @ matrix  # E[N | X = k]
         assert float(np.diff(mean).min()) >= -1e-12, name
 
 
@@ -288,7 +284,7 @@ def test_compound_score_matches_finite_difference_of_log_masses():
     model = make_compound(make_counting("poisson"), geometric_summand(0.5), (1.0, 3.0))
     h = 1e-5
     for nu in (1.2, 1.7, 2.3, 2.9):
-        _, score = compound_score_all(model, nu)
+        _, score = _compound_score(model, nu)
         below = np.log(model.compound_masses(nu - h))
         above = np.log(model.compound_masses(nu + h))
         fd = (above - below) / (2.0 * h)
@@ -299,13 +295,14 @@ def test_compound_score_matches_finite_difference_of_log_masses():
 def test_betabinomial_hypergeometric_kernel_and_delta_formula():
     for B, W, n, r, s in ((20, 20, 5, 1.0, 10.0), (30, 20, 5, 1.0, 8.0),
                           (25, 25, 6, 0.5, 12.0), (40, 30, 8, 2.0, 30.0)):
-        assert betabin_hyp_condition(B, W, n, r, s)
+        assert W * (r + n - 1.0) <= s * (B - n + 1.0)  # the k = n-1 step is >= 0
         bb = make_law("betabinomial", n=n, r=r, s=s)
         hyp = make_law("hypergeometric", B=B, W=W, n=n)
         pk = pairwise_kernel(hyp, bb)
         d1 = np.diff(pk.values)
         assert float(d1.min()) >= -1e-12, (B, W, n)
-        delta = betabin_hyp_delta(B, W, n, r, s, pk.grid.points[:-1])
+        k = pk.grid.points[:-1]  # the closed-form step of log(w^Hyp / w^BetaBin)
+        delta = np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
         assert np.max(np.abs(delta - d1)) <= 1e-12, (B, W, n)
         assert oracle_lr(law_distribution(bb), law_distribution(hyp)).holds, (B, W, n)
 

@@ -18,17 +18,13 @@ from stochorder.compound import (
     SummandLaw,
     TABLE2_ROWS,
     check_compound_lr,
-    compound_kernel_all,
     compound_pmf,
-    compound_score_all,
     delta_summand,
     geometric_summand,
     is_pf2,
-    is_tp2,
     make_compound,
     make_counting,
     poisson_shifted_summand,
-    posterior_matrix,
     summand_from_spec,
     two_point_summand,
     _N_CAP,
@@ -50,7 +46,7 @@ def test_geometric_summand_masses_and_mean():
     assert s.masses[0] == pytest.approx(0.5)
     assert s.masses[1] == pytest.approx(0.25)
     assert s.tail_mass <= 1e-10
-    assert s.mean() == pytest.approx(2.0, abs=1e-8)
+    assert np.arange(1, s.j_max + 1) @ s.masses == pytest.approx(2.0, abs=1e-8)
     assert s.pmf_from_zero()[0] == 0.0
 
 
@@ -59,7 +55,7 @@ def test_delta_and_two_point_summands():
     assert np.array_equal(d.masses, [0.0, 0.0, 1.0])
     t = two_point_summand(0.7)
     assert np.allclose(t.masses, [0.7, 0.3])
-    assert t.mean() == pytest.approx(1.3)
+    assert np.arange(1, t.j_max + 1) @ t.masses == pytest.approx(1.3)
 
 
 def test_poisson_shifted_summand_matches_scipy():
@@ -206,7 +202,8 @@ def test_compound_mean_factorizes():
     model = make_compound(make_counting("poisson"), summand, (2.0,))
     d = compound_pmf(model, 2.0)
     mean = float(np.dot(d.support.points, d.masses))
-    assert mean == pytest.approx(2.0 * summand.mean(), abs=1e-6)
+    summand_mean = np.arange(1, summand.j_max + 1) @ summand.masses
+    assert mean == pytest.approx(2.0 * summand_mean, abs=1e-6)
 
 
 def test_compound_with_delta_summand_dilates():
@@ -413,40 +410,47 @@ def test_is_pf2_equals_its_second_difference_formula_bit_for_bit(p):
         assert np.float64(w.margin).tobytes() == np.float64(ref.margin).tobytes()
 
 
-def test_is_tp2_on_small_matrices():
-    assert is_tp2(np.array([[1.0, 1.0], [1.0, 2.0]]))[0]
-    ok, w = is_tp2(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not ok and w.kind == "minor"
-    # zeros force the exhaustive branch; triangular positivity is TP2
-    assert is_tp2(np.array([[1.0, 0.0], [1.0, 1.0]]))[0]
-    ok, _ = is_tp2(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not ok
-    with pytest.raises(ValueError):
-        is_tp2(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        is_tp2(np.array([[-1.0, 2.0], [1.0, 1.0]]))
-
-
 POSTERIOR_MODELS = [
     ("poisson", {}, 2.0),
     ("negbinomial", {"alpha": 3.0}, 0.5),
 ]
 
 
+def _posterior(model, nu):
+    """The compound support k and P(N = n | X = k) over n = 0..n_max there:
+    Bayes' rule q_nu(n) F^{*n}(k) / f_nu(k) on the convolution table."""
+    joint = model.counting_pmf(nu)[:, None] * model.conv
+    ks = np.flatnonzero(joint.sum(axis=0) > 0)
+    return ks, joint[:, ks] / joint[:, ks].sum(axis=0)
+
+
+def _compound_score(model, nu):
+    """(k, d/dnu log f_nu(k)): the compound kernel K_nu(k) = E[G_nu(N) | X = k],
+    the counting kernel averaged by the posterior, less its mean E[K_nu]
+    under the compound law."""
+    ks, post = _posterior(model, nu)
+    n = np.arange(model.n_lo, model.n_max + 1, dtype=float)
+    kernel = model.counting.kernel(nu, n) @ post[model.n_lo :]
+    return ks, kernel - compound_pmf(model, nu).masses[ks] @ kernel
+
+
 @pytest.mark.parametrize("name,fixed,nu", POSTERIOR_MODELS)
 def test_posterior_columns_normalize(name, fixed, nu):
     model = make_compound(make_counting(name, **fixed), geometric_summand(0.5), (nu,))
-    pm = posterior_matrix(model, nu)
-    assert np.allclose(pm.column_sums(), 1.0, atol=1e-12)
+    _, post = _posterior(model, nu)
+    assert np.allclose(post.sum(axis=0), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,fixed,nu", POSTERIOR_MODELS)
 def test_posterior_is_tp2_and_mean_monotone(name, fixed, nu):
+    # every 2x2 minor of P(N = n | X = k), rows n1 < n2 and columns k1 < k2,
+    # is at least -1e-12: the posterior is TP2, so E[N | X = k] rises in k
     model = make_compound(make_counting(name, **fixed), geometric_summand(0.5), (nu,))
-    pm = posterior_matrix(model, nu)
-    ok, w = is_tp2(pm.matrix)
-    assert ok, w
-    means = pm.n_values @ pm.matrix  # E[N | X = k]
+    _, post = _posterior(model, nu)
+    for n1, n2 in zip(*np.triu_indices(len(post), 1)):
+        minors = np.outer(post[n1], post[n2]) - np.outer(post[n2], post[n1])
+        assert np.triu(minors, 1).min() >= -1e-12, (n1, n2)
+    means = np.arange(len(post)) @ post  # E[N | X = k]
     assert np.all(np.diff(means) >= -1e-10)
 
 
@@ -456,7 +460,7 @@ def test_posterior_is_tp2_and_mean_monotone(name, fixed, nu):
 
 def test_compound_score_matches_finite_difference():
     model = make_compound(make_counting("poisson"), geometric_summand(0.5), (1.9, 2.1))
-    ks, score = compound_score_all(model, 2.0)
+    ks, score = _compound_score(model, 2.0)
     h = 1e-5
     lo = compound_pmf(model, 2.0 - h)
     hi = compound_pmf(model, 2.0 + h)
@@ -472,7 +476,7 @@ def test_compound_score_matches_finite_difference():
 def test_compound_score_is_centred_under_the_compound_law(name, nu):
     h = 1e-5
     model = make_compound(make_counting(name), geometric_summand(0.5), (nu - h, nu + h))
-    ks, score = compound_score_all(model, nu)
+    ks, score = _compound_score(model, nu)
     k = ks.astype(int)
     masses = compound_pmf(model, nu).masses[k]
     assert abs(float(np.dot(masses, score))) <= 1e-12, name
@@ -485,8 +489,9 @@ def test_compound_score_is_centred_under_the_compound_law(name, nu):
 
 def test_compound_kernel_monotone_for_poisson_counting():
     model = make_compound(make_counting("poisson"), geometric_summand(0.5), (2.0,))
-    _, vals = compound_kernel_all(model, 2.0)
-    assert np.all(np.diff(vals) >= -1e-10)
+    # the score is the kernel less a constant, so their steps in k agree
+    _, score = _compound_score(model, 2.0)
+    assert np.all(np.diff(score) >= -1e-10)
 
 
 def test_check_compound_lr_directions():

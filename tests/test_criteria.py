@@ -35,7 +35,6 @@ from stochorder.criteria import (
     nu_scan,
     scan_kernel,
     scan_orders,
-    tail_mean_profile,
 )
 from stochorder.pairwise import check_path_order, path_family
 from stochorder.verdicts import ORDERS
@@ -79,81 +78,76 @@ FD_CASES = [
 ]
 
 
+def _tail_pass(fam, nu, grid):
+    """K_nu on the grid's positive-survival prefix, E[K | X >= x] there and
+    E[K], from the backward pass the scan reads (`criteria._tail_means`)."""
+    k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
+    _, tail, grand = criteria._tail_means(k, density(fam, nu, grid).masses)
+    return k[: tail.size], tail, grand
+
+
 @pytest.mark.parametrize("spec,nu", FD_CASES)
 def test_score_matches_log_density_derivative(spec, nu):
+    # d/dnu log f_nu(x) = K_nu(x) - E[K_nu]
     fam = family_from_spec(spec)
     grid = default_grid(fam, [nu - 0.1, nu + 0.1])
-    prof = tail_mean_profile(fam, nu, grid)
-    lo = density(fam, nu - FD_STEP, grid)
-    hi = density(fam, nu + FD_STEP, grid)
-    keep = (lo.masses > 1e-290) & (hi.masses > 1e-290)
-    fd = np.full(grid.points.size, np.nan)
-    fd[keep] = (np.log(hi.masses[keep]) - np.log(lo.masses[keep])) / (2 * FD_STEP)
-    on_profile = np.isin(grid.points, prof.x)
-    score = np.full(grid.points.size, np.nan)
-    score[on_profile] = prof.score()
-    both = keep & on_profile
-    assert np.allclose(score[both], fd[both], atol=FD_TOL, rtol=1e-6)
+    k, _, grand = _tail_pass(fam, nu, grid)
+    lo, hi = (density(fam, v, grid).masses[: k.size] for v in (nu - FD_STEP, nu + FD_STEP))
+    keep = (lo > 1e-290) & (hi > 1e-290)
+    fd = (np.log(hi[keep]) - np.log(lo[keep])) / (2 * FD_STEP)
+    assert np.allclose((k - grand)[keep], fd, atol=FD_TOL, rtol=1e-6)
 
 
 @pytest.mark.parametrize("spec,nu", FD_CASES)
 def test_tail_mean_gap_matches_log_survival_derivative(spec, nu):
+    # d/dnu log P(X >= x) = E[K_nu | X >= x] - E[K_nu]
     fam = family_from_spec(spec)
     grid = default_grid(fam, [nu - 0.1, nu + 0.1])
-    prof = tail_mean_profile(fam, nu, grid)
-    s_lo = density(fam, nu - FD_STEP, grid).survival_all()
-    s_hi = density(fam, nu + FD_STEP, grid).survival_all()
-    on_profile = np.isin(grid.points, prof.x)
-    keep = on_profile & (s_lo > 1e-9) & (s_hi > 1e-9)
+    _, tail, grand = _tail_pass(fam, nu, grid)
+    lo, hi = (density(fam, v, grid).masses for v in (nu - FD_STEP, nu + FD_STEP))
+    s_lo, s_hi = (np.cumsum(m[::-1])[::-1][: tail.size] for m in (lo, hi))
+    keep = (s_lo > 1e-9) & (s_hi > 1e-9)
     fd = (np.log(s_hi[keep]) - np.log(s_lo[keep])) / (2 * FD_STEP)
-    deriv = np.full(grid.points.size, np.nan)
-    deriv[on_profile] = prof.dlog_survival()
-    assert np.allclose(deriv[keep], fd, atol=FD_TOL, rtol=1e-6)
+    assert np.allclose((tail - grand)[keep], fd, atol=FD_TOL, rtol=1e-6)
 
 
 @pytest.mark.parametrize("spec,nu", FD_CASES)
 def test_hazard_gap_matches_log_hazard_derivative(spec, nu):
+    # d/dnu log hazard(x) = K_nu(x) - E[K_nu | X >= x]; the hazard is the mass
+    # over P(X >= x) and the point weight, which cancels in the difference
     fam = family_from_spec(spec)
     grid = default_grid(fam, [nu - 0.1, nu + 0.1])
-    prof = tail_mean_profile(fam, nu, grid)
-    d_lo = density(fam, nu - FD_STEP, grid)
-    d_hi = density(fam, nu + FD_STEP, grid)
-    h_lo, h_hi = d_lo.hazard_all(), d_hi.hazard_all()
-    on_profile = np.isin(grid.points, prof.x)
-    keep = (
-        on_profile
-        & (d_lo.survival_all() > 1e-9)
-        & (d_lo.masses > 1e-290)
-        & (d_hi.masses > 1e-290)
-    )
-    fd = (np.log(h_hi[keep]) - np.log(h_lo[keep])) / (2 * FD_STEP)
-    deriv = np.full(grid.points.size, np.nan)
-    deriv[on_profile] = prof.dlog_hazard()
-    assert np.allclose(deriv[keep], fd, atol=FD_TOL, rtol=1e-6)
+    k, tail, _ = _tail_pass(fam, nu, grid)
+    lo, hi = (density(fam, v, grid).masses for v in (nu - FD_STEP, nu + FD_STEP))
+    s_lo, s_hi = (np.cumsum(m[::-1])[::-1][: k.size] for m in (lo, hi))
+    lo, hi = lo[: k.size], hi[: k.size]
+    keep = (s_lo > 1e-9) & (lo > 1e-290) & (hi > 1e-290)
+    fd = (np.log(hi[keep] / s_hi[keep]) - np.log(lo[keep] / s_lo[keep])) / (2 * FD_STEP)
+    assert np.allclose((k - tail)[keep], fd, atol=FD_TOL, rtol=1e-6)
 
 
 def test_profile_tail_mean_boundary_values():
     fam = make_family("poisson")
     grid = default_grid(fam, [2.0])
-    prof = tail_mean_profile(fam, 2.0, grid)
+    k, tail, grand = _tail_pass(fam, 2.0, grid)
     # at the left edge the conditional mean is the grand mean
-    assert prof.tail_means[0] == pytest.approx(prof.grand_mean, abs=1e-12)
+    assert tail[0] == pytest.approx(grand, abs=1e-12)
     # at the right edge it collapses to the kernel value there
-    assert prof.tail_means[-1] == pytest.approx(prof.kernel_values[-1], rel=1e-9)
+    assert tail[-1] == pytest.approx(k[-1], rel=1e-9)
 
 
 def test_weighted_log_derivative_tail_indicator_recovers_survival_derivative():
     # d/dnu log E[u(X)] = E^u[K] - E[K] under the u-tilted law E^u; the weight
-    # u = 1[X >= x] makes it d/dnu log P(X >= x), the profile's dlog_survival
+    # u = 1[X >= x] makes it d/dnu log P(X >= x), the tail gap
     fam = make_family("poisson")
     grid = default_grid(fam, [2.0])
-    prof = tail_mean_profile(fam, 2.0, grid)
+    _, tail, grand = _tail_pass(fam, 2.0, grid)
     masses = density(fam, 2.0, grid).masses
     k = np.asarray(fam.kernel(2.0, grid.points), dtype=float)
     cut = 4
     wm = (grid.points >= grid.points[cut]) * masses
     got = float(np.dot(k, wm) / wm.sum() - np.dot(k, masses))
-    assert got == pytest.approx(prof.dlog_survival()[cut], rel=1e-10)
+    assert got == pytest.approx(tail[cut] - grand, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +235,8 @@ def test_superlevel_certifies_exponential_decrease():
     # a nonincreasing score, nonnegative at the left endpoint, has an initial
     # interval as its superlevel set: the sufficient condition for st and hr down
     for nu in nus:
-        s = tail_mean_profile(fam, nu, grid).score()
+        k, _, grand = _tail_pass(fam, nu, grid)
+        s = k - grand
         assert s[0] >= -TOL_TAIL and np.all(np.diff(s) <= TOL_SHAPE)
     st_down, hr_down, st_up, hr_up = scan_orders(
         fam, nus, grid, [("st", "down"), ("hr", "down"), ("st", "up"), ("hr", "up")])
@@ -257,7 +252,8 @@ def test_exact_criterion_decides_st_where_no_certificate_applies():
     nus = nu_scan(1.0, 2.0)
     grid = default_grid(fam, nus)
     for nu in nus:
-        s = tail_mean_profile(fam, nu, grid).score()
+        k, _, grand = _tail_pass(fam, nu, grid)
+        s = k - grand
         assert s[0] < -TOL_TAIL and s[-1] > TOL_TAIL
     up, down = scan_orders(fam, nus, grid, [("st", "up"), ("st", "down")])
     assert up.holds
@@ -279,7 +275,8 @@ def test_unimodal_endpoint_certifies_half_student_decrease():
         slopes = _ref_slopes(grid, np.asarray(fam.kernel(nu, pts), dtype=float))
         assert np.all(slopes[pts[1:] <= 1.0] >= -TOL_SHAPE)
         assert np.all(slopes[pts[:-1] >= 1.0] <= TOL_SHAPE)
-        assert tail_mean_profile(fam, nu, grid).score()[0] >= -TOL_TAIL
+        k, _, grand = _tail_pass(fam, nu, grid)
+        assert k[0] - grand >= -TOL_TAIL
     st, hr = scan_orders(fam, nus, grid, [("st", "down"), ("hr", "down")])
     assert st.holds and hr.holds
 
@@ -295,7 +292,7 @@ def test_concave_endpoint_certifies_zero_inflated_exponential():
     for nu in nus:
         k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
         assert np.all(np.diff(_ref_slopes(grid, k)) <= TOL_SHAPE)
-        assert tail_mean_profile(fam, nu, grid).score()[0] >= -TOL_TAIL
+        assert k[0] - _tail_pass(fam, nu, grid)[2] >= -TOL_TAIL
     st, hr = scan_orders(fam, nus, grid, [("st", "down"), ("hr", "down")])
     assert st.holds
     assert hr.holds
@@ -564,31 +561,6 @@ def _bits(witness, margin):
             b(margin))
 
 
-class _TableFamily:
-    """A stand-in family whose kernel and masses at each nu are given arrays."""
-
-    name, param_name = "table", "nu"
-    fixed_kernel = False  # a kernel array per nu
-
-    def __init__(self, grid, kernels, masses):
-        self.support = (float(grid.points[0]), math.inf)
-        self.kernels = kernels
-        with np.errstate(divide="ignore"):
-            self.logs = {nu: np.log(m) for nu, m in masses.items()}
-
-    def validate_param(self, nu):
-        return float(nu)
-
-    def kernel(self, nu, x):
-        return self.kernels[nu]
-
-    def log_factor(self, nu, x):
-        return self.logs[nu]
-
-    def log_normalizer(self, nu):
-        return 0.0
-
-
 @st.composite
 def scan_cases(draw):
     """A discrete, continuous or mixed grid, one to four nus, and per nu a
@@ -665,17 +637,16 @@ def test_a_skipped_tail_pass_finds_no_failure(case, trend):
 @settings(max_examples=150, deadline=None)
 @given(case=scan_cases())
 def test_tail_mean_profile_equals_the_reference_tail_means(case):
+    # the scan's tail pass against the reference formulas, bit for bit, on the
+    # prefix where the survival is positive
     grid, nus, kernels, masses, _ = case
-    nu = nus[0]
-    assume(masses[nu].max() > 1e-300)
-    fam = _TableFamily(grid, kernels, masses)
-    prof = tail_mean_profile(fam, nu, grid)
-    surv, tail, grand = _ref_tail_means(kernels[nu], density(fam, nu, grid).masses)
-    ok = surv > 0.0
-    for a, b in [(prof.x, grid.points[ok]), (prof.kernel_values, kernels[nu][ok]),
-                 (prof.tail_means, tail[ok]), (prof.survival, surv[ok])]:
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert _bits(None, prof.grand_mean) == _bits(None, grand)
+    k, m = kernels[nus[0]], masses[nus[0]]
+    surv, tail, grand = criteria._tail_means(k, m)
+    ref_surv, ref_tail, ref_grand = _ref_tail_means(k, m)
+    ref_tail = ref_tail[ref_surv > 0.0]
+    assert surv.tobytes() == ref_surv.tobytes()
+    assert tail.shape == ref_tail.shape and tail.tobytes() == ref_tail.tobytes()
+    assert _bits(None, grand) == _bits(None, ref_grand)
 
 
 @settings(max_examples=300, deadline=None)

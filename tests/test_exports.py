@@ -1,12 +1,12 @@
-"""The public surface: every exported name has a caller, or states an identity,
-and every parameter of an exported function is set by some program call.
+"""The public surface: every exported name has a caller, and every parameter
+of an exported function is set by some program call.
 
 A name in `stochorder.__all__` must be read somewhere in `src/stochorder`
-outside its own definition, or in `tools/`. The few that no program code
-calls stay public because each states one of the identities the paper rests
-on; `KEEP` names them with that identity. The references are read from the
-syntax tree, so a name in a string, a comment or an `__all__` list does not
-count.
+outside its own definition, or in `tools/`. The paper's identities that no
+command reads are stated in the tests that check them, from the program's
+own pieces, so `KEEP`, the exports kept for an identity alone, names none.
+The references are read from the syntax tree, so a name in a string, a
+comment or an `__all__` list does not count.
 
 A parameter that no program call sets is a setting only a default ever
 takes: for each exported function that `src/stochorder` (outside the
@@ -26,16 +26,8 @@ import stochorder
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# exported, called by no program code, kept for the identity it states
-KEEP = {
-    "tail_mean_profile": "d/dnu log P(X >= x) = E[K | X >= x] - E[K] and "
-                         "d/dnu log hazard(x) = K(x) - E[K | X >= x]",
-    "compound_score_all": "the compound centring: d/dnu log f_nu(k) = K_nu(k) - E[K_nu]",
-    "is_tp2": "a TP2 posterior P(N = n | X = k) is stochastically increasing in k",
-    "betabin_hyp_condition": "W(r+n-1) <= s(B-n+1) gives BetaBin(n,r,s) <=lr Hyp(B,W,n)",
-    "betabin_hyp_delta": "the closed-form step of log(w^Hyp / w^BetaBin)",
-    "total_variation": "TV(P, Q) = sup_A |P(A) - Q(A)| = half the L1 distance",
-}
+# exported, called by no program code, kept for the identity it states: none
+KEEP: dict[str, str] = {}
 
 # parameters of called exports that only tests set, and why each stays: none,
 # as a test reaches every branch through the values the program passes

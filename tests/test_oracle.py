@@ -29,7 +29,6 @@ from stochorder.oracle import (
     oracle_lr,
     oracle_pair,
     oracle_st,
-    total_variation,
 )
 
 
@@ -186,15 +185,6 @@ def test_lc_holds_for_nested_binomials():
     d1, d2 = density(fam, 0.3, grid), density(fam, 0.5, grid)
     assert oracle_lc(d1, d2).holds
     assert oracle_lc(d2, d1).holds  # affine kernels are log-affine in ratio
-
-
-def test_total_variation_basics():
-    p = disc(0, [0.5, 0.5, 0.0])
-    q = disc(0, [0.0, 0.5, 0.5])
-    assert total_variation(p, p) == 0.0
-    assert total_variation(p, q) == pytest.approx(0.5)
-    r = disc(5, [1.0, 1.0])
-    assert total_variation(p, r) == pytest.approx(1.0)
 
 
 def test_oracle_for_rejects_unknown_order():

@@ -12,12 +12,10 @@ from scipy import stats
 
 from stochorder.catalog import LAWS, continuous_grid, default_grid, density, discrete_grid, normalized
 from stochorder.criteria import scan_kernel
-from stochorder.oracle import oracle_lr, oracle_st, total_variation
+from stochorder.oracle import oracle_lr, oracle_st
 from stochorder.pairwise import (
     LAW_NAMES,
     PairwiseLaw,
-    betabin_hyp_condition,
-    betabin_hyp_delta,
     check_interpolation,
     check_pairwise,
     check_path_order,
@@ -94,7 +92,8 @@ def test_cmp_law_normalizes_by_direct_series():
 def test_cmp_with_unit_shape_is_poisson():
     a = law_distribution(make_law("cmp", mu=2.0, nu=1.0))
     b = law_distribution(law_from_spec("poisson:lambda=2"))
-    assert total_variation(a, b) <= 1e-15
+    assert a.masses.shape == b.masses.shape
+    assert 0.5 * np.abs(a.masses - b.masses).sum() <= 1e-15  # total variation
 
 
 def test_law_validation_and_spec_parsing():
@@ -550,28 +549,22 @@ def test_betabin_hyp_delta_matches_kernel_differences():
     pk = pairwise_kernel(
         make_law("hypergeometric", B=B, W=W, n=n), make_law("betabinomial", n=n, r=r, s=s)
     )
-    d = betabin_hyp_delta(B, W, n, r, s, np.arange(n, dtype=float))
+    # the closed-form step K(k + 1) - K(k) of log(w^Hyp / w^BetaBin)
+    k = np.arange(n, dtype=float)
+    d = np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
     assert np.allclose(np.diff(pk.values), d, atol=1e-12)
     assert np.all(np.diff(d) <= 0.0)  # the k = n-1 cell governs
 
 
 def test_betabin_hyp_condition_certifies_lr():
-    assert betabin_hyp_condition(20, 20, 5, 1.0, 10.0)
-    bb = law_distribution(make_law("betabinomial", n=5, r=1.0, s=10.0))
-    hyp = law_distribution(make_law("hypergeometric", B=20, W=20, n=5))
-    assert oracle_lr(bb, hyp).holds
-    # raise r until the endpoint slope flips sign: the order fails with it
-    assert not betabin_hyp_condition(20, 20, 5, 5.0, 10.0)
-    assert betabin_hyp_delta(20, 20, 5, 5.0, 10.0, np.array([4.0]))[0] < 0.0
-    bb5 = law_distribution(make_law("betabinomial", n=5, r=5.0, s=10.0))
-    assert oracle_lr(bb5, hyp).status == "fails"
-
-
-def test_betabin_hyp_condition_validates():
-    with pytest.raises(ValueError, match="B, W >= n >= 1"):
-        betabin_hyp_condition(4, 20, 5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="r, s > 0"):
-        betabin_hyp_condition(20, 20, 5, 0.0, 1.0)
+    # W(r+n-1) <= s(B-n+1) says the least step of log(w^Hyp / w^BetaBin), at
+    # k = n-1, is >= 0: BetaBin(n,r,s) <=lr Hyp(B,W,n); raising r flips it
+    B, W, n, s = 20, 20, 5, 10.0
+    hyp = law_distribution(make_law("hypergeometric", B=B, W=W, n=n))
+    for r, ordered in ((1.0, True), (5.0, False)):
+        assert (W * (r + n - 1.0) <= s * (B - n + 1.0)) == ordered
+        bb = law_distribution(make_law("betabinomial", n=n, r=r, s=s))
+        assert oracle_lr(bb, hyp).status == ("holds" if ordered else "fails")
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +760,7 @@ def test_interpolation_law_endpoints():
     far = law_distribution(make_law("betabinomial", n=5, r=1.0 + 1e4 * 0.5,
                                     s=10.0 + 1e4 * (1.0 - 0.5)))
     target = law_distribution(make_law("binomial", n=5, p=0.5))
-    assert total_variation(far, target) <= 1e-3
+    assert 0.5 * np.abs(far.masses - target.masses).sum() <= 1e-3  # total variation
 
 
 def test_interpolation_validates_input():
