@@ -341,10 +341,12 @@ def _lognormal_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
 
 
 # w_mu(x) = f0(x - mu) e^{-mu}, A = e^{-mu}: the extra e^{-mu} makes
-# d/dmu log w equal the table kernel -e^{-(x-mu)} exactly.
+# d/dmu log w equal the table kernel -e^{-(x-mu)} exactly. Where e^{-z}
+# overflows, the log factor is -inf, its exact limit.
 def _gumbel_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
     z = x - th["mu"]
-    return -z - np.exp(-z) - th["mu"]
+    with np.errstate(over="ignore"):
+        return -z - np.exp(-z) - th["mu"]
 
 
 def _half_student_kernel(th: Theta, x: np.ndarray) -> np.ndarray:

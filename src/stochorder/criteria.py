@@ -286,12 +286,12 @@ def scan_orders(
     of f over nu_grid; each equals the verdict a scan of that test alone
     gives; the st and hr verdicts report EPS_TAIL, the survival their tail
     means need. known_laws maps nu to `density(f, nu, grid)` already
-    evaluated by the caller, which the scan does not evaluate again."""
+    evaluated by the caller, which the scan does not evaluate again. A grid
+    of two points has no triplet, so lc holds there with no margin, as it
+    does in `pairwise`."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(np.asarray(nu_grid, dtype=float))]
     if not nus:
         raise ValueError("empty parameter grid")
-    if grid.size < 3:
-        raise ValueError("support grid needs at least three points")
     known = known_laws or {}
 
     def law(nu: float) -> np.ndarray:

@@ -569,6 +569,9 @@ def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note)
     # k / theta overflowed: numpy warnings, and wrong verdicts by both routes
     (("check", "--family", "poisson", "--nu1=1e-308", "--nu2", "3"),
      "poisson: kernel not finite at theta=1e-308"),
+    # exp(-z) overflowed in the log factor: a numpy warning before the error
+    (("check", "--family", "gumbel-in-location", "--nu1=1e307", "--nu2", "2e307"),
+     "gumbel-in-location: zero total mass on the grid at mu=1e+307"),
 ])
 def test_in_domain_overflows_exit_two_naming_the_law(capsys, argv, refusal):
     code, out, err = run_cli(capsys, *argv, "--no-timing")

@@ -209,12 +209,21 @@ def test_zero_inflated_poisson_blocks_ratio_but_not_tails():
     assert hr.holds
 
 
-def test_criterion_scan_needs_at_least_three_support_points():
-    fam = make_family("poisson")
-    from stochorder.catalog import discrete_grid
-
-    with pytest.raises(ValueError):
-        scan_orders(fam, [1.0, 2.0], discrete_grid(0, 1), [("lr", "up")])
+def test_check_decides_a_two_point_support_as_pairwise_does(capsys):
+    # with no triplet on two points, lc holds with no margin, as in pairwise;
+    # check refused such a grid while pairwise decided the same two laws
+    code = cli.main(["check", "--family", "binomial-in-p:n=1", "--nu1", "0.3", "--nu2", "0.5",
+                     "--no-timing"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    got = {(v["order"], v["direction"], v["method"]): v["status"]
+           for v in json.loads(out)["verdicts"]}
+    for direction, (p, q) in (("up", ("0.3", "0.5")), ("down", ("0.5", "0.3"))):
+        cli.main(["pairwise", "--p", f"binomial:n=1,p={p}", "--q", f"binomial:n=1,p={q}",
+                  "--no-timing"])
+        for v in json.loads(capsys.readouterr()[0])["verdicts"]:
+            for method in ("kernel-criterion", "oracle"):
+                assert got[(v["order"], direction, method)] == v["status"], (v, method)
 
 
 def test_criterion_rejects_parameters_outside_domain():

@@ -69,10 +69,14 @@ Each command runs in-process through `stochorder.cli.main` with
   2: a `negbinomial-in-q` row and a pairwise negative binomial with
   r = 1e308, whose log factors overflow `math.lgamma`; `weibull-in-rate`
   with beta = 1e-308 and `pareto-in-shape` with xm = 1e308, whose grid
-  spans are not finite; and a Poisson row from theta = 1e-308, whose
-  kernel k / theta overflows; and an lc beta-binomial path with n = 21 that
-  fails by both routes, plain and at `--tol-shape 1e6`, where the path test
-  holds and the oracle downgrades it to inconclusive;
+  spans are not finite; a Poisson row from theta = 1e-308, whose
+  kernel k / theta overflows; and a `gumbel-in-location` row near
+  mu = 1e307, whose log factor's exp(-z) overflows to a log factor of
+  -inf, so that no grid cell holds mass; and an lc beta-binomial path with
+  n = 21 that fails by both routes, plain and at `--tol-shape 1e6`, where
+  the path test holds and the oracle downgrades it to inconclusive;
+- a two-point support: `check` on `binomial-in-p:n=1` and `pairwise` on
+  its two endpoint laws in either order, which decide the same statuses;
 - compounds whose convolution table grows past its first column windows:
   a Poisson count of `delta:j=40` atoms (k_max 720), a 527-term
   `geometric:p=0.05` summand (k_max 1063) and a log-series count of
@@ -228,9 +232,16 @@ NUMERIC_REFUSALS = (
     ["check", "--family", "weibull-in-rate:beta=1e-308", "--nu1", "0.8", "--nu2", "1.6"],
     ["check", "--family", "pareto-in-shape:xm=1e308", "--nu1", "1.5", "--nu2", "3"],
     ["check", "--family", "poisson", "--nu1=1e-308", "--nu2", "3"],
+    ["check", "--family", "gumbel-in-location", "--nu1=1e307", "--nu2", "2e307"],
     ["path", "--name", "betabinomial:n=21,r1=1.426,r2=3.219,s1=5.585,s2=4.745", "--order", "lc"],
     ["path", "--name", "betabinomial:n=21,r1=1.426,r2=3.219,s1=5.585,s2=4.745", "--order", "lc",
      "--tol-shape", "1e6"],
+)
+
+TWO_POINT_SUPPORTS = (
+    ["check", "--family", "binomial-in-p:n=1", "--nu1", "0.3", "--nu2", "0.5"],
+    ["pairwise", "--p", "binomial:n=1,p=0.3", "--q", "binomial:n=1,p=0.5"],
+    ["pairwise", "--p", "binomial:n=1,p=0.5", "--q", "binomial:n=1,p=0.3"],
 )
 
 COMPOUND_WINDOWS = (
@@ -311,6 +322,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(EQUAL_ENDPOINTS)
     out.extend(DOMAIN_REFUSALS)
     out.extend(NUMERIC_REFUSALS)
+    out.extend(TWO_POINT_SUPPORTS)
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
