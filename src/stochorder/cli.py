@@ -52,7 +52,7 @@ from .compound import (
     summand_from_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_orders
-from .oracle import oracle_lr, oracle_pair, oracle_st
+from .oracle import oracle_pair
 from .pairwise import (
     PAIRWISE_KMAX,
     check_interpolation,
@@ -307,15 +307,10 @@ def _cmd_check(args) -> tuple[dict, int]:
             fam, [nu1], tail_eps=args.tail_eps, kmax=args.kmax, grid_points=args.grid_points
         )
         d = density(fam, nu1, grid)
-        ok = True
-        for o, (v, _) in zip(orders, oracle_pair(d, d, orders)):
-            v = replace(
-                v,
-                claim=f"P[{fam.param_name}={nu1:g}] <={o} itself",
-                note=_note_joined(v.note, "identical parameter endpoints: reflexive"),
-            )
-            verdicts.append(v)
-            ok = ok and v.holds
+        verdicts = [replace(v, claim=f"P[{fam.param_name}={nu1:g}] <={v.order} itself",
+                            note=_note_joined(v.note, "identical parameter endpoints: reflexive"))
+                    for v in oracle_pair(d, d, [(o, "up") for o in orders])]
+        ok = all(v.holds for v in verdicts)
         return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 
     nus = sorted(nu_list) if nu_list else nu_scan(lo, hi)
@@ -324,18 +319,18 @@ def _cmd_check(args) -> tuple[dict, int]:
     )
     d_lo = density(fam, lo, grid)
     d_hi = density(fam, hi, grid)
-    scans = iter(scan_orders(
-        fam, nus, grid, [(o, d) for o in orders for d in ("up", "down")],
+    tests = [(o, d) for o in orders for d in ("up", "down")]
+    scans = scan_orders(
+        fam, nus, grid, tests,
         tol_shape=args.tol_shape, tol_tail=args.tol_tail, known_laws={lo: d_lo, hi: d_hi},
-    ))
-    ok = True
-    for o, endpoint in zip(orders, oracle_pair(d_lo, d_hi, orders)):
-        per_direction = [next(scans), next(scans)]
-        verdicts.extend(per_direction)
-        for v, direction, (a, b) in zip(endpoint, ("up", "down"), ((lo, hi), (hi, lo))):
-            tag = f"P[{fam.param_name}={a:g}] <={o} P[{fam.param_name}={b:g}] (endpoint pair)"
-            verdicts.append(replace(v, direction=direction, claim=tag))
-        ok = ok and any(v.holds for v in per_direction)
+    )
+    p, ends = fam.param_name, {"up": (lo, hi), "down": (hi, lo)}
+    endpoint = [replace(v, claim=f"P[{p}={ends[v.direction][0]:g}] <={v.order} "
+                                 f"P[{p}={ends[v.direction][1]:g}] (endpoint pair)")
+                for v in oracle_pair(d_lo, d_hi, tests)]
+    for i in range(0, len(tests), 2):  # per order: the two criterion verdicts, then the oracle's
+        verdicts += scans[i : i + 2] + endpoint[i : i + 2]
+    ok = all(scans[i].holds or scans[i + 1].holds for i in range(0, len(tests), 2))
     return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 
 
@@ -486,8 +481,8 @@ def _build_katz() -> tuple[dict, list[OrderVerdict], bool]:
         conds = katz_threshold(pair, params)
         p_law, q_law = katz_laws(pair, params)
         dp, dq = law_distribution(p_law), law_distribution(q_law)
-        v_lr = replace(oracle_lr(dp, dq), claim=f"{p_law.describe()} <=lr {q_law.describe()}")
-        v_st = replace(oracle_st(dp, dq), claim=f"{p_law.describe()} <=st {q_law.describe()}")
+        v_lr, v_st = (replace(v, claim=f"{p_law.describe()} <={v.order} {q_law.describe()}")
+                      for v in oracle_pair(dp, dq, [("lr", "up"), ("st", "up")]))
         verdicts.extend([v_lr, v_st])
         rows.append(
             {

@@ -38,7 +38,7 @@ from .catalog import (
     default_grid, discrete_grid, parse_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, scan_kernel
-from .oracle import oracle_lr
+from .oracle import oracle_pair
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -417,5 +417,5 @@ def check_compound_lr(
         claim=claim,
     )
     low, high = compound_pmf(m, lo), compound_pmf(m, hi)
-    cross = oracle_lr(low, high) if direction == "up" else oracle_lr(high, low)
-    return reconcile(criterion, cross, "kernel criterion")
+    [cross] = oracle_pair(low, high, [("lr", direction)])
+    return reconcile(criterion, cross)

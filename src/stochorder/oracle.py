@@ -1,9 +1,10 @@
 """Brute-force order checks on concrete distributions.
 
 Ground truth for the kernel criteria: every order is decided directly from
-the two mass vectors, with no kernel or family information. Each one-way op
-decides "first argument below second", e.g. oracle_st(P, Q) decides
-P <=st Q; `oracle_pair(P, Q, orders)` decides each order both ways.
+the two mass vectors, with no kernel or family information. The one public
+call, `oracle_pair(P, Q, tests)`, takes the (order, direction) tests that
+`criteria.scan_kernel` takes and gives one verdict per test: "up" decides
+P <= Q and "down" Q <= P.
 
 Ratio conventions for the likelihood ratio l = f_P/f_Q on the union support:
 positive/0 is +infinity, as is a ratio past the largest double, and 0/0 is
@@ -15,21 +16,21 @@ oracle has one behaviour, and each order reports its own in its verdicts.
 Verdicts on continuous or mixed grids certify the discretized laws, noted
 as such.
 
-One alignment serves both directions. Each order's formula is written once,
-for one direction of a `_Pair` (the two laws' aligned mass vectors): a
-one-way call builds a pair and reads one direction, `oracle_pair` reads
-both. The pair derives on first use, and keeps, what both directions read:
-the two survivals (st and hr), the points where either law carries
-ORACLE_EPS_TAIL (lr), and for lc the kept points of a support range with
-their spacings and both log-mass vectors, which the second direction reuses
-when both laws' supports are that one gap-free range on one point array. On
-these each direction runs its own subtractions and divisions, the operations
-of a one-way call in the same order, so each verdict of `oracle_pair` has
-the bits of the one-way call. The down lc margins are not taken as the
-negated up margins, since negation does not commute with subtraction on
-signed zeros: -(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the
-formula selects through a mask, the code slices when the mask is one run, as
-a survival's points above ORACLE_EPS_TAIL always are (a survival is
+One alignment serves every test. Each order's formula is written once, for
+one direction of a `_Pair` (the two laws' aligned mass vectors), and the
+pair derives on first use, and keeps, what both directions read: the two
+survivals (st and hr), the points where either law carries ORACLE_EPS_TAIL
+(lr), and for lc the kept points of a support range with their spacings and
+both log-mass vectors, which the second direction reuses when both laws'
+supports are that one gap-free range on one point array. On these each
+direction runs its own subtractions and divisions, the operations of a
+one-test call in the same order, so each verdict has the bits of a one-test
+call, and a "down" test on (P, Q) those of the "up" test on (Q, P) but for
+its direction. The down lc margins are not taken as the negated up margins,
+since negation does not commute with subtraction on signed zeros:
+-(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the formula
+selects through a mask, the code slices when the mask is one run, as a
+survival's points above ORACLE_EPS_TAIL always are (a survival is
 nonincreasing); a slice holds the values of the gather in the same order.
 """
 
@@ -41,19 +42,9 @@ from functools import cached_property
 import numpy as np
 
 from .catalog import Distribution
-from .verdicts import OrderVerdict, Witness
+from .verdicts import DIRECTIONS, OrderVerdict, Witness
 
-__all__ = [
-    "ORACLE_REL_TOL",
-    "ORACLE_ABS_TOL",
-    "ORACLE_EPS_TAIL",
-    "oracle_lr",
-    "oracle_st",
-    "oracle_hr",
-    "oracle_lc",
-    "oracle_for",
-    "oracle_pair",
-]
+__all__ = ["ORACLE_REL_TOL", "ORACLE_ABS_TOL", "ORACLE_EPS_TAIL", "oracle_pair"]
 
 ORACLE_REL_TOL = 1e-10
 ORACLE_ABS_TOL = 1e-10
@@ -122,7 +113,7 @@ class _Pair:
 
     def __init__(self, P: Distribution, Q: Distribution) -> None:
         pts, self.mp, self.mq, self.kind = _aligned(P, Q)
-        # a one-way call places its witnesses on its first law's grid
+        # a direction places its witnesses on its first law's grid
         self.points = (pts, pts if self.kind == "discrete" else Q.support.points)
         self._survivals: tuple[np.ndarray, np.ndarray] | None = None
         self._logs: dict[tuple, tuple[np.ndarray, ...]] = {}
@@ -185,35 +176,37 @@ def _log_decrements(values: np.ndarray) -> np.ndarray:
 
 
 def _verdict(
-    order: str, kind: str, witness: Witness | None = None, margin: float | None = None
+    order: str, pair: _Pair, down: bool, witness: Witness | None = None,
+    margin: float | None = None,
 ) -> OrderVerdict:
-    """The oracle's verdict on "P <=order Q": fails with the witness (and its
-    margin) when there is one, holds with `margin` otherwise."""
+    """The oracle's verdict on the direction's first law below its second:
+    fails with the witness (and its margin) when there is one, holds with
+    `margin` otherwise."""
     return OrderVerdict(
-        order=order, direction="up", status="holds" if witness is None else "fails",
-        method="oracle", tolerances=_TOLERANCES[order], witness=witness,
+        order=order, direction="down" if down else "up",
+        status="holds" if witness is None else "fails", method="oracle",
+        tolerances=_TOLERANCES[order], witness=witness,
         margin=margin if witness is None else witness.margin,
-        claim=f"P <={order} Q for the given pair (first argument below second)",
-        note="" if kind == "discrete" else "grid-certified on the shared discretization",
+        note="" if pair.kind == "discrete" else "grid-certified on the shared discretization",
     )
 
 
 def _monotone_verdict(
-    order: str, pts: np.ndarray, margins: np.ndarray, kind: str, witness_kind: str
+    order: str, pair: _Pair, down: bool, pts: np.ndarray, margins: np.ndarray, witness_kind: str
 ) -> OrderVerdict:
     """The oracle's one first-witness search: fails at the first margin below
     -ORACLE_REL_TOL, holds otherwise with the least finite margin. A finite
     least margin at or above -ORACLE_REL_TOL is both at once, with no gather."""
     lowest = margins.min() if margins.size else math.nan
     if lowest >= -ORACLE_REL_TOL and math.isfinite(lowest):
-        return _verdict(order, kind, margin=float(lowest))
+        return _verdict(order, pair, down, margin=float(lowest))
     bad = margins < -ORACLE_REL_TOL
     if bad.any():
         i = int(np.argmax(bad))
         w = Witness(x=float(pts[i]), margin=float(margins[i]), kind=witness_kind)
-        return _verdict(order, kind, w)
+        return _verdict(order, pair, down, w)
     finite = margins[np.isfinite(margins)]
-    return _verdict(order, kind, margin=float(finite.min()) if finite.size else None)
+    return _verdict(order, pair, down, margin=float(finite.min()) if finite.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,7 @@ def _lr(pair: _Pair, down: bool) -> OrderVerdict:
     keep = pair.keep
     first, second = pair.masses(down)
     margins = _log_decrements(_ratio(first[keep], second[keep]))
-    return _monotone_verdict("lr", pair.points[down][keep], margins, pair.kind, "adjacent-pair")
+    return _monotone_verdict("lr", pair, down, pair.points[down][keep], margins, "adjacent-pair")
 
 
 def _st(pair: _Pair, down: bool) -> OrderVerdict:
@@ -234,7 +227,7 @@ def _st(pair: _Pair, down: bool) -> OrderVerdict:
     margin = float(slack[i])
     x = float(pair.points[down][i])
     w = Witness(x=x, margin=margin, kind="worst-point") if margin < -ORACLE_ABS_TOL else None
-    return _verdict("st", pair.kind, w, margin)
+    return _verdict("st", pair, down, w, margin)
 
 
 def _hr(pair: _Pair, down: bool) -> OrderVerdict:
@@ -245,7 +238,7 @@ def _hr(pair: _Pair, down: bool) -> OrderVerdict:
         ratio = first / second
     ratio[_prefix_above(first, 0.0) :] = 0.0  # 0/positive and 0/0 read 0
     return _monotone_verdict(
-        "hr", pair.points[down][:n], _log_decrements(ratio), pair.kind, "adjacent-pair"
+        "hr", pair, down, pair.points[down][:n], _log_decrements(ratio), "adjacent-pair"
     )
 
 
@@ -254,7 +247,7 @@ def _lc(pair: _Pair, down: bool) -> OrderVerdict:
 
     def refuted(i: int, which: str) -> OrderVerdict:
         w = Witness(x=float(pair.points[down][i]), margin=-math.inf, kind=which)
-        return _verdict("lc", pair.kind, w)
+        return _verdict("lc", pair, down, w)
 
     held = first > 0
     start, stop, count = _span(held)
@@ -271,64 +264,35 @@ def _lc(pair: _Pair, down: bool) -> OrderVerdict:
     slopes /= dx
     margins = np.diff(slopes)
     np.negative(margins, out=margins)
-    return _monotone_verdict("lc", x[1:-1], margins, pair.kind, "triplet")
+    return _monotone_verdict("lc", pair, down, x[1:-1], margins, "triplet")
 
 
 # ---------------------------------------------------------------------------
-# the public calls
+# the public call
+
+# order name -> its formula, for one direction of a pair
+_FORMULAS = {"lr": _lr, "st": _st, "hr": _hr, "lc": _lc}
 
 
-def oracle_lr(P: Distribution, Q: Distribution) -> OrderVerdict:
-    """P <=lr Q iff f_P/f_Q is nonincreasing across the union support."""
-    return _lr(_Pair(P, Q), False)
+def oracle_pair(P: Distribution, Q: Distribution, tests) -> list[OrderVerdict]:
+    """One verdict per (order, direction) test of `tests`, in that order, all
+    from one alignment of the two laws. An "up" test decides P <=o Q and a
+    "down" test Q <=o P, by the definitions (Shaked & Shanthikumar,
+    Stochastic Orders, 2007, ch. 1), for a law A below a law B:
 
+      A <=lr B  iff  f_A/f_B is nonincreasing across the union support;
+      A <=st B  iff  the survival of A never exceeds the survival of B;
+      A <=hr B  iff  the survival ratio of A over B is nonincreasing;
+      A <=lc B  iff  supp(A) is an interval inside supp(B) and log f_A/f_B
+                     is concave there; support violations refute it outright.
 
-def oracle_st(P: Distribution, Q: Distribution) -> OrderVerdict:
-    """P <=st Q iff the survival of P never exceeds the survival of Q."""
-    return _st(_Pair(P, Q), False)
-
-
-def oracle_hr(P: Distribution, Q: Distribution) -> OrderVerdict:
-    """P <=hr Q iff the survival ratio of P over Q is nonincreasing."""
-    return _hr(_Pair(P, Q), False)
-
-
-def oracle_lc(P: Distribution, Q: Distribution) -> OrderVerdict:
-    """P <=lc Q iff supp(P) is an interval inside supp(Q) and log f_P/f_Q is
-    concave there. Support violations refute the order outright."""
-    return _lc(_Pair(P, Q), False)
-
-
-# order name -> (the public one-way call, the directed formula it runs)
-_ORACLES = {
-    "lr": (oracle_lr, _lr),
-    "st": (oracle_st, _st),
-    "hr": (oracle_hr, _hr),
-    "lc": (oracle_lc, _lc),
-}
-
-
-def _lookup(order: str):
-    try:
-        return _ORACLES[order]
-    except KeyError:
-        raise ValueError(f"unknown order {order!r}") from None
-
-
-def oracle_for(order: str):
-    """The oracle deciding P <=order Q, keyed by order name."""
-    return _lookup(order)[0]
-
-
-def oracle_pair(
-    P: Distribution, Q: Distribution, orders
-) -> list[tuple[OrderVerdict, OrderVerdict]]:
-    """(P <=o Q, Q <=o P) for each order o of `orders`, from one alignment
-    of the two laws: each verdict is that of `oracle_for(o)` called one way."""
+    Each verdict has the bits of a one-test call, and a "down" test's those
+    of the "up" test on (Q, P) but for its direction.
+    """
+    for order, direction in tests:
+        if order not in _FORMULAS:
+            raise ValueError(f"unknown order {order!r}")
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
     pair = _Pair(P, Q)
-    out = []
-    for o in orders:
-        decide = _lookup(o)[1]
-        up = decide(pair, False)
-        out.append((up, up if P is Q else decide(pair, True)))
-    return out
+    return [_FORMULAS[order](pair, direction == "down") for order, direction in tests]

@@ -46,7 +46,7 @@ from .catalog import (
     _tail_cut, discrete_grid, normalized, parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
-from .oracle import oracle_for, oracle_lc, oracle_lr
+from .oracle import oracle_pair
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
@@ -199,24 +199,25 @@ def check_pairwise(
     st and hr are the brute oracle's verdicts; any other order but lr and lc
     raises ValueError. lr and lc read the one kernel K = log(w^P/w^Q), built
     on first use: P <=lr Q needs K nonincreasing and P <=lc Q K concave, each
-    one `scan_kernel` pass cross-checked against the oracle, unless the
-    supports alone refute the claim (`_support_refusal`). An lr claim whose P
-    lies wholly below Q's support holds with no kernel margin. Each law is
-    cut once, at eps_tail, when an order first reaches the oracle.
+    one `scan_kernel` pass cross-checked against the oracle (one call for
+    both, on Q cut no earlier than P), unless the supports alone refute the
+    claim (`_support_refusal`). An lr claim whose P lies wholly below Q's
+    support holds with no kernel margin. Each law is cut once, at eps_tail.
     """
     lo, hi = _common_range(p, q, kmax)
     tolerances = {"tol_shape": tol_shape, "grid_points": max(hi - lo + 1, 0)}
-    kernel, verdicts = None, []
+    kernel, verdicts, crossed = None, {}, []
 
     @cache
     def cut() -> tuple[Distribution, Distribution]:
         return law_distribution(p, eps_tail), law_distribution(q, eps_tail)
 
-    for o in orders:
-        claim = f"{p.describe()} <={o} {q.describe()}"
-        if o not in ("lr", "lc"):  # st or hr; oracle_for refuses any other order
-            verdicts.append(replace(oracle_for(o)(*cut()), claim=claim))
-            continue
+    claim = {o: f"{p.describe()} <={o} {q.describe()}" for o in orders}
+    oracle_only = [(o, "up") for o in orders if o not in ("lr", "lc")]
+    if oracle_only:  # st or hr; oracle_pair refuses any other order
+        verdicts = {v.order: replace(v, claim=claim[v.order])
+                    for v in oracle_pair(*cut(), oracle_only)}
+    for o in [o for o in ("lr", "lc") if o in orders]:
         refusal = _support_refusal(o, p, q, lo, hi)
         witness, margin, note = None, None, ""
         if refusal is not None:
@@ -229,23 +230,25 @@ def check_pairwise(
             [(witness, margin, _)] = scan_kernel(
                 kernel.values, [0.0], kernel.grid, [(o, "down")], tol_shape)
             witness = witness and replace(witness, nu=None)  # a two-law witness has no nu
-        v = OrderVerdict(
+        verdicts[o] = OrderVerdict(
             order=o, direction="up", status="fails" if witness else "holds",
             method="pairwise-kernel", tolerances=tolerances, witness=witness, margin=margin,
-            claim=claim, note=note,
+            claim=claim[o], note=note,
         )
         if refusal is None:
-            dp, dq = cut()
-            cross = oracle_lr(dp, dq) if o == "lr" else oracle_lc(dp, _reaching(q, dq, dp))
-            v = reconcile(v, cross, "kernel test")
-        verdicts.append(v)
-    return verdicts
+            crossed.append((o, "up"))
+    if crossed:
+        dp, dq = cut()
+        for cross in oracle_pair(dp, _reaching(q, dq, dp), crossed):
+            verdicts[cross.order] = reconcile(verdicts[cross.order], cross)
+    return [verdicts[o] for o in orders]
 
 
 def _reaching(law: PairwiseLaw, d: Distribution, other: Distribution) -> Distribution:
     """d, the law cut at its own tail point, extended when needed to the point
-    where the other law is cut. Given as the dominating side to the lc oracle,
-    so the oracle does not read the earlier cut as the end of its support."""
+    where the other law is cut. Given as the dominating side to the lr and lc
+    oracle, so the oracle does not read the earlier cut as the end of its
+    support."""
     hi = int(other.support.upper)
     if math.isfinite(law.support[1]) or d.support.upper >= hi:
         return d
@@ -361,9 +364,8 @@ def check_path_order(
         note="implied by lr: the kernel is monotone at every scanned t"
         if ts.size and implied == ts.size else "",
     )
-    a, b = law(0.0), law(1.0)
-    cross = oracle_for(order)(*((a, b) if direction == "up" else (b, a)))
-    return reconcile(criterion, cross, "path test")
+    [cross] = oracle_pair(law(0.0), law(1.0), [(order, direction)])
+    return reconcile(criterion, cross)
 
 
 # the pseudo-sample weights c at which the interpolation reads its kernel
@@ -420,7 +422,8 @@ def check_interpolation(
         "c_values": list(_C_VALUES),
         "delta_margins": {format(c, "g"): float(np.diff(kernels[c]).min()) for c in _C_VALUES},
     }
-    return reconcile(criterion, oracle_lr(start, target), "path test"), path_inputs
+    [cross] = oracle_pair(start, target, [("lr", "up")])
+    return reconcile(criterion, cross), path_inputs
 
 
 # -- named paths for the CLI --------------------------------------------------

@@ -95,11 +95,17 @@ class OrderVerdict:
         }
 
 
-def reconcile(criterion: OrderVerdict, oracle: OrderVerdict, label: str) -> OrderVerdict:
+# each reconciled method, with the name its disagreement note gives its route
+_DISAGREEING = {"pairwise-kernel": "kernel test", "path-kernel": "path test",
+                "compound-kernel": "kernel criterion"}
+
+
+def reconcile(criterion: OrderVerdict, oracle: OrderVerdict) -> OrderVerdict:
     """Cross-check a criterion verdict against the oracle's on the endpoint
     laws. The note gains the oracle's status; when exactly one of the two
     holds, the verdict becomes inconclusive and keeps the criterion's witness,
-    or else the oracle's, with that witness's margin."""
+    or else the oracle's, with that witness's margin, and the note names the
+    criterion's route by its method."""
     note = f"endpoint oracle {oracle.status}"
     note = f"{criterion.note}; {note}" if criterion.note else note
     if criterion.holds == oracle.holds:
@@ -108,5 +114,5 @@ def reconcile(criterion: OrderVerdict, oracle: OrderVerdict, label: str) -> Orde
     return replace(
         criterion, status="inconclusive", witness=witness,
         margin=criterion.margin if witness is None else witness.margin,
-        note=f"{note}; {label} and oracle disagree",
+        note=f"{note}; {_DISAGREEING[criterion.method]} and oracle disagree",
     )

@@ -25,7 +25,7 @@ from stochorder.compound import (
     make_counting,
 )
 from stochorder.criteria import scan_orders
-from stochorder.oracle import oracle_hr, oracle_lc, oracle_lr, oracle_st
+from stochorder.oracle import oracle_pair
 from stochorder.pairwise import (
     check_interpolation,
     katz_threshold,
@@ -63,8 +63,8 @@ CATALOG_ROWS = (
     ("zero-inflated-exponential", (1.0, 2.0), "mixed", "-", None),
 )
 
-ORACLES = {"lr": oracle_lr, "lc": oracle_lc, "st": oracle_st, "hr": oracle_hr}
-SHAPE_TESTS = [(o, d) for o in ORACLES for d in ("up", "down")]
+SHAPE_TESTS = [(o, d) for o in ("lr", "lc", "st", "hr") for d in ("up", "down")]
+UP = [("lr", "up"), ("st", "up"), ("hr", "up")]
 
 
 def _row_grid(fam, nus, window):
@@ -121,9 +121,8 @@ def test_shape_criteria_agree_with_density_oracles_across_catalog():
         dens = {nu: density(fam, nu, grid) for nu in nus}
         for a, b in zip(nus[:-1], nus[1:]):
             verdicts = scan_orders(fam, [a, b], grid, SHAPE_TESTS)
-            for (order, direction), verdict in zip(SHAPE_TESTS, verdicts):
-                first, second = (a, b) if direction == "up" else (b, a)
-                brute = ORACLES[order](dens[first], dens[second])
+            brutes = oracle_pair(dens[a], dens[b], SHAPE_TESTS)
+            for (order, direction), verdict, brute in zip(SHAPE_TESTS, verdicts, brutes):
                 if verdict.holds != brute.holds:
                     disagreements.append((spec, (a, b), order, direction))
     assert disagreements == []
@@ -168,8 +167,9 @@ def test_katz_closed_forms_match_oracle_on_straddling_sweeps():
             res = katz_threshold(pair, dict(params))
             dp = law_distribution(make_law(p_name, **p_kw))
             dq = law_distribution(make_law(q_name, **q_kw))
-            assert res["lr_condition"] == oracle_lr(dp, dq).holds, (pair, params)
-            assert res["st_condition"] == oracle_st(dp, dq).holds, (pair, params)
+            v_lr, v_st = oracle_pair(dp, dq, [("lr", "up"), ("st", "up")])
+            assert res["lr_condition"] == v_lr.holds, (pair, params)
+            assert res["st_condition"] == v_st.holds, (pair, params)
             seen["lr"].add(res["lr_condition"])
             seen["st"].add(res["st_condition"])
         assert seen["lr"] == {True, False}, pair
@@ -177,10 +177,10 @@ def test_katz_closed_forms_match_oracle_on_straddling_sweeps():
     for pair, params, key, (p_name, p_kw), (q_name, q_kw) in KATZ_BOUNDARY_CELLS:
         res = katz_threshold(pair, dict(params))
         assert res[key] is True, (pair, params)
-        order = oracle_lr if key == "lr_condition" else oracle_st
+        order = "lr" if key == "lr_condition" else "st"
         dp = law_distribution(make_law(p_name, **p_kw))
         dq = law_distribution(make_law(q_name, **q_kw))
-        assert order(dp, dq).holds, (pair, params)
+        assert oracle_pair(dp, dq, [(order, "up")])[0].holds, (pair, params)
 
 
 def test_zero_inflated_poisson_orders_st_and_hr_but_not_lr():
@@ -195,9 +195,10 @@ def test_zero_inflated_poisson_orders_st_and_hr_but_not_lr():
     assert v_hr.holds
     d3 = density(fam, 3.0, grid)
     d5 = density(fam, 5.0, grid)
-    assert oracle_lr(d3, d5).status == "fails"
-    assert oracle_st(d3, d5).holds
-    assert oracle_hr(d3, d5).holds
+    o_lr, o_st, o_hr = oracle_pair(d3, d5, UP)
+    assert o_lr.status == "fails"
+    assert o_st.holds
+    assert o_hr.holds
 
 
 def test_zero_inflated_exponential_atom_breaks_lr_but_not_st_or_hr():
@@ -206,11 +207,11 @@ def test_zero_inflated_exponential_atom_breaks_lr_but_not_st_or_hr():
     d1 = density(fam, 1.0, grid)
     d2 = density(fam, 2.0, grid)
     # Raising the rate shrinks the law, so the claim runs downward: d2 vs d1.
-    refuted = oracle_lr(d2, d1)
+    refuted, o_st, o_hr = oracle_pair(d1, d2, [("lr", "down"), ("st", "down"), ("hr", "down")])
     assert refuted.status == "fails"
     assert refuted.witness is not None and refuted.witness.x == 0.0
-    assert oracle_st(d2, d1).holds
-    assert oracle_hr(d2, d1).holds
+    assert o_st.holds
+    assert o_hr.holds
     s1, s2 = (np.cumsum(d.masses[::-1])[::-1] for d in (d1, d2))  # P(X >= x)
     assert np.all(s2 <= s1 + 1e-6)
     # the hazard: density over survival, positive everywhere on this grid
@@ -264,8 +265,9 @@ def test_geometric_compounds_are_lr_ordered_by_criterion_and_oracle():
         d_lo = _compound_endpoint(model, lo)
         d_hi = _compound_endpoint(model, hi)
         small, large = (d_lo, d_hi) if directions[name] == "up" else (d_hi, d_lo)
-        assert oracle_lr(small, large).holds, name
-        assert oracle_lr(large, small).status == "fails", name
+        up, down = oracle_pair(small, large, [("lr", "up"), ("lr", "down")])
+        assert up.holds, name
+        assert down.status == "fails", name
 
 
 def test_posterior_matrices_are_tp2_with_nondecreasing_means():
@@ -304,7 +306,8 @@ def test_betabinomial_hypergeometric_kernel_and_delta_formula():
         k = pk.grid.points[:-1]  # the closed-form step of log(w^Hyp / w^BetaBin)
         delta = np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
         assert np.max(np.abs(delta - d1)) <= 1e-12, (B, W, n)
-        assert oracle_lr(law_distribution(bb), law_distribution(hyp)).holds, (B, W, n)
+        [v] = oracle_pair(law_distribution(bb), law_distribution(hyp), [("lr", "up")])
+        assert v.holds, (B, W, n)
 
 
 def test_interpolation_between_betabinomial_and_binomial_stays_lr_ordered():
@@ -315,7 +318,7 @@ def test_interpolation_between_betabinomial_and_binomial_stays_lr_ordered():
         assert margin >= 0.0, c
     bb = law_distribution(make_law("betabinomial", n=5, r=1.0, s=10.0))
     binom = law_distribution(make_law("binomial", n=5, p=0.5))
-    assert oracle_lr(bb, binom).holds
+    assert oracle_pair(bb, binom, [("lr", "up")])[0].holds
     far = law_distribution(make_law("betabinomial", n=5, r=1.0 + 1e4 * 0.5,
                                     s=10.0 + 1e4 * (1.0 - 0.5)))
     tv = 0.5 * float(np.sum(np.abs(far.masses - binom.masses)))
@@ -337,9 +340,7 @@ def test_lr_order_implies_hr_and_st_on_randomized_pairs():
         q = q / q.sum()
         grid = discrete_grid(lo, lo + size - 1)
         small, large = Distribution(grid, p), Distribution(grid, q)
-        assert oracle_lr(small, large).holds
-        assert oracle_hr(small, large).holds
-        assert oracle_st(small, large).holds
+        assert all(v.holds for v in oracle_pair(small, large, UP))
         confirmed += 1
     assert confirmed >= 50
     # Unconstrained pairs rarely satisfy the premise; check conditionally.
@@ -350,9 +351,10 @@ def test_lr_order_implies_hr_and_st_on_randomized_pairs():
         b = rng.random(size) + 1e-3
         first = Distribution(grid, a / a.sum())
         second = Distribution(grid, b / b.sum())
-        if oracle_lr(first, second).holds:
-            assert oracle_hr(first, second).holds
-            assert oracle_st(first, second).holds
+        o_lr, o_st, o_hr = oracle_pair(first, second, UP)
+        if o_lr.holds:
+            assert o_hr.holds
+            assert o_st.holds
 
 
 def _poisson_binomial(ps):
@@ -369,4 +371,4 @@ def test_poisson_binomial_is_lr_monotone_in_componentwise_success_rates():
         p = rng.uniform(0.05, 0.9, size=5)
         q = p + (1.0 - p) * rng.uniform(0.05, 0.95, size=5)
         assert np.all(p <= q) and np.all(q < 1.0)
-        assert oracle_lr(_poisson_binomial(p), _poisson_binomial(q)).holds
+        assert oracle_pair(_poisson_binomial(p), _poisson_binomial(q), [("lr", "up")])[0].holds

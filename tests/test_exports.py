@@ -12,9 +12,7 @@ A parameter that no program call sets is a setting only a default ever
 takes: for each exported function that `src/stochorder` (outside the
 function itself) or `tools/` calls by name, each parameter must be passed,
 by position or keyword, in some such call; `KEEP_PARAMETERS` may name one
-with the reason it stays, and names none. Functions reached only through a
-table or a lookup, such as `oracle_hr` through `oracle_for`, have no call by
-name and are not checked.
+with the reason it stays, and names none.
 """
 
 import ast

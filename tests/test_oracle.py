@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,18 +24,19 @@ from stochorder.oracle import (
     _aligned,
     _prefix_above,
     _ratio,
-    oracle_for,
-    oracle_hr,
-    oracle_lc,
-    oracle_lr,
     oracle_pair,
-    oracle_st,
 )
 
 
 def disc(lo, masses):
     m = np.asarray(masses, dtype=float)
     return Distribution(discrete_grid(lo, lo + m.size - 1), m / m.sum())
+
+
+def one(order, P, Q):
+    """The verdict of P <=order Q from a one-test call."""
+    [v] = oracle_pair(P, Q, [(order, "up")])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -58,16 +60,16 @@ def test_discrete_alignment_unions_supports():
     p = disc(0, [0.25, 0.25, 0.25, 0.25])
     q = disc(2, [1.0] * 7)
     # shifted uniform blocks: the ratio falls inf, inf, finite, finite, 0...
-    assert oracle_lr(p, q).holds
-    assert oracle_st(p, q).holds
-    assert oracle_lr(q, p).status == "fails"
+    lr_up, st_up, lr_down = oracle_pair(p, q, [("lr", "up"), ("st", "up"), ("lr", "down")])
+    assert lr_up.holds and st_up.holds
+    assert lr_down.status == "fails" and lr_down.direction == "down"
 
 
 def test_nonidentical_continuous_grids_are_rejected():
     a = Distribution(continuous_grid(0.0, 1.0, n=4), np.full(4, 0.25))
     b = Distribution(continuous_grid(0.0, 2.0, n=4), np.full(4, 0.25))
     with pytest.raises(ValueError, match="identical grid"):
-        oracle_lr(a, b)
+        one("lr", a, b)
 
 
 def test_one_grid_object_aligns_without_a_point_comparison(monkeypatch):
@@ -81,34 +83,34 @@ def test_one_grid_object_aligns_without_a_point_comparison(monkeypatch):
     grid = continuous_grid(0.0, 1.0, n=4)
     a = Distribution(grid, np.full(4, 0.25))
     b = Distribution(grid, np.array([0.1, 0.2, 0.3, 0.4]))
-    assert oracle_lr(a, b).holds and compared == []
+    assert one("lr", a, b).holds and compared == []
     # a distinct grid, equal or not, is still compared point by point
-    assert oracle_lr(a, Distribution(continuous_grid(0.0, 1.0, n=4), b.masses)).holds
+    assert one("lr", a, Distribution(continuous_grid(0.0, 1.0, n=4), b.masses)).holds
     assert len(compared) == 1
     # distinct unequal grids still raise, continuous or mixed
     shifted = Distribution(continuous_grid(0.0, 1.0 + 1e-9, n=4), b.masses)
     with pytest.raises(ValueError, match="identical grid"):
-        oracle_st(a, shifted)
+        one("st", a, shifted)
     m1, m2 = (Distribution(mixed_grid(upper, n=3), np.full(4, 0.25)) for upper in (1.0, 2.0))
     with pytest.raises(ValueError, match="identical grid"):
-        oracle_lc(m1, m2)
+        one("lc", m1, m2)
 
 
 def test_kind_mismatch_is_rejected():
     a = disc(0, [0.5, 0.5])
     b = Distribution(continuous_grid(0.0, 1.0, n=4), np.full(4, 0.25))
     with pytest.raises(ValueError, match="align"):
-        oracle_st(a, b)
+        one("st", a, b)
 
 
 def test_continuous_verdicts_carry_the_grid_note():
     grid = continuous_grid(0.0, 10.0, n=2000)
     fam = make_family("exponential-in-rate")
     d1, d2 = density(fam, 1.0, grid), density(fam, 2.0, grid)
-    v = oracle_lr(d2, d1)
+    v = one("lr", d2, d1)
     assert v.holds
     assert "grid" in v.note
-    assert oracle_lr(disc(0, [0.5, 0.5]), disc(0, [0.5, 0.5])).note == ""
+    assert one("lr", disc(0, [0.5, 0.5]), disc(0, [0.5, 0.5])).note == ""
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +121,8 @@ def test_lr_holds_for_poisson_pair_and_fails_reversed():
     fam = make_family("poisson")
     grid = default_grid(fam, [1.0, 2.0])
     d1, d2 = density(fam, 1.0, grid), density(fam, 2.0, grid)
-    up = oracle_lr(d1, d2)
+    up, down = oracle_pair(d1, d2, [("lr", "up"), ("lr", "down")])
     assert up.holds and up.margin == pytest.approx(math.log(2.0), rel=1e-9)
-    down = oracle_lr(d2, d1)
     assert down.status == "fails"
     assert down.witness.x == 0.0 and down.witness.kind == "adjacent-pair"
 
@@ -129,34 +130,34 @@ def test_lr_holds_for_poisson_pair_and_fails_reversed():
 def test_st_worst_point_witness():
     p = disc(0, [0.3, 0.1, 0.6])
     q = disc(0, [0.5, 0.2, 0.3])
-    v = oracle_st(p, q)
+    v = one("st", p, q)
     assert v.status == "fails"
     assert v.witness.x == 2.0 and v.witness.kind == "worst-point"
     assert v.witness.margin == pytest.approx(-0.3)
-    assert oracle_st(q, p).holds
+    assert one("st", q, p).holds
 
 
 def test_st_is_weaker_than_lr():
     # survivals ordered but the ratio is non-monotone
     p = disc(0, [0.50, 0.20, 0.30])
     q = disc(0, [0.30, 0.40, 0.30])
-    assert oracle_st(p, q).holds
-    assert oracle_lr(p, q).status == "fails"
+    assert one("st", p, q).holds
+    assert one("lr", p, q).status == "fails"
 
 
 def test_hr_on_exponential_rates():
     grid = continuous_grid(0.0, 12.0, n=4000)
     fam = make_family("exponential-in-rate")
     slow, fast = density(fam, 1.0, grid), density(fam, 2.0, grid)
-    assert oracle_hr(fast, slow).holds
-    v = oracle_hr(slow, fast)
+    assert one("hr", fast, slow).holds
+    v = one("hr", slow, fast)
     assert v.status == "fails"
 
 
 def test_lc_support_gap_refutes():
     p = disc(0, [0.5, 0.0, 0.5])
     q = disc(0, [0.4, 0.2, 0.4])
-    v = oracle_lc(p, q)
+    v = one("lc", p, q)
     assert v.status == "fails"
     assert v.witness.kind == "support-gap" and v.witness.margin == -math.inf
     assert v.witness.x == 1.0
@@ -165,7 +166,7 @@ def test_lc_support_gap_refutes():
 def test_lc_support_containment_refutes():
     p = disc(0, [0.25, 0.25, 0.25, 0.25])
     q = disc(0, [0.0, 0.5, 0.5, 0.0])
-    v = oracle_lc(p, q)
+    v = one("lc", p, q)
     assert v.status == "fails"
     assert v.witness.kind == "support-containment"
     assert v.witness.x == 0.0
@@ -174,7 +175,7 @@ def test_lc_support_containment_refutes():
 def test_lc_triplet_refutes_convex_ratio():
     q = disc(0, [1.0, 1.0, 1.0])
     p = disc(0, [0.45, 0.10, 0.45])
-    v = oracle_lc(p, q)
+    v = one("lc", p, q)
     assert v.status == "fails" and v.witness.kind == "triplet"
     assert v.witness.x == 1.0
 
@@ -183,14 +184,8 @@ def test_lc_holds_for_nested_binomials():
     fam = make_family("binomial-in-p")
     grid = discrete_grid(0, 10)
     d1, d2 = density(fam, 0.3, grid), density(fam, 0.5, grid)
-    assert oracle_lc(d1, d2).holds
-    assert oracle_lc(d2, d1).holds  # affine kernels are log-affine in ratio
-
-
-def test_oracle_for_rejects_unknown_order():
-    assert oracle_for("lr") is oracle_lr
-    with pytest.raises(ValueError):
-        oracle_for("total")
+    # affine kernels are log-affine in ratio
+    assert all(v.holds for v in oracle_pair(d1, d2, [("lc", "up"), ("lc", "down")]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +205,10 @@ def test_ratio_order_implies_hazard_and_usual_for_random_pairs():
     rng = np.random.default_rng(7)
     for _ in range(60):
         p, q = _tilted_pair(rng)
-        assert oracle_lr(p, q).holds
-        assert oracle_hr(p, q).holds
-        assert oracle_st(p, q).holds
-        assert oracle_lr(q, p).status == "fails"
+        assert one("lr", p, q).holds
+        assert one("hr", p, q).holds
+        assert one("st", p, q).holds
+        assert one("lr", q, p).status == "fails"
 
 
 @given(
@@ -225,9 +220,9 @@ def test_exponential_tilt_always_ratio_orders(weights, c):
     base = np.asarray(weights)
     tilt = base * np.exp(c * np.arange(base.size))
     p, q = disc(0, base), disc(0, tilt)
-    assert oracle_lr(p, q).holds
-    assert oracle_hr(p, q).holds
-    assert oracle_st(p, q).holds
+    assert one("lr", p, q).holds
+    assert one("hr", p, q).holds
+    assert one("st", p, q).holds
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +259,27 @@ def law_pairs(draw):
     return p, Distribution(grid, (m := weights(grid.size)) / m.sum())
 
 
-@given(law_pairs(), st.lists(st.sampled_from(ORDERS), min_size=1, max_size=4, unique=True))
-@example((disc(0, [0.5, 0.0, 0.5]), disc(0, [0.4, 0.2, 0.4])), list(ORDERS))  # support gap
-@example((disc(0, [1.0] * 4), disc(1, [1.0] * 2)), list(ORDERS))  # support containment
-@example((disc(0, [1.0, 1e-310, 1.0]), disc(0, [1.0, 1.0, 5e-324])), list(ORDERS))
-@example((disc(2, [0.3, 0.7]),) * 2, ["lc", "hr"])
+TESTS = [(o, d) for o in ORDERS for d in ("up", "down")]
+
+
+@given(law_pairs(), st.lists(st.sampled_from(TESTS), min_size=1, max_size=8, unique=True))
+@example((disc(0, [0.5, 0.0, 0.5]), disc(0, [0.4, 0.2, 0.4])), TESTS)  # support gap
+@example((disc(0, [1.0] * 4), disc(1, [1.0] * 2)), TESTS)  # support containment
+@example((disc(0, [1.0, 1e-310, 1.0]), disc(0, [1.0, 1.0, 5e-324])), TESTS)
+@example((disc(2, [0.3, 0.7]),) * 2, [("lc", "down"), ("hr", "up"), ("lc", "up")])
 @settings(max_examples=400, deadline=None)
-def test_pair_oracle_gives_both_one_way_verdicts(laws, orders):
-    # repr tells every float apart, -0.0 from 0.0 included
+def test_pair_oracle_gives_both_one_way_verdicts(laws, tests):
+    # each verdict of a multi-test call is the one-test call's, and a down
+    # test on (P, Q) the up test on (Q, P) but for its direction; repr tells
+    # every float apart, -0.0 from 0.0 included
     P, Q = laws
-    got = oracle_pair(P, Q, orders)
-    assert len(got) == len(orders)
-    for o, (up, down) in zip(orders, got):
-        assert repr(up) == repr(oracle_for(o)(P, Q))
-        assert repr(down) == repr(oracle_for(o)(Q, P))
+    got = oracle_pair(P, Q, tests)
+    assert len(got) == len(tests)
+    for (o, d), v in zip(tests, got):
+        assert (v.order, v.direction) == (o, d)
+        assert repr(v) == repr(oracle_pair(P, Q, [(o, d)])[0])
+        first, second = (P, Q) if d == "up" else (Q, P)
+        assert repr(replace(v, direction="up")) == repr(one(o, first, second))
 
 
 def _reference(order, P, Q):
@@ -332,7 +334,7 @@ def test_one_way_oracles_match_the_mask_reference(laws, order):
     # reference gathers through every mask
     P, Q = laws
     for first, second in ((P, Q), (Q, P)):
-        v = oracle_for(order)(first, second)
+        v = one(order, first, second)
         w = v.witness and (repr(v.witness.x), repr(v.witness.margin), v.witness.kind)
         assert (v.status, w, repr(v.margin)) == _reference(order, first, second)
 
@@ -340,7 +342,9 @@ def test_one_way_oracles_match_the_mask_reference(laws, order):
 def test_pair_oracle_rejects_unknown_order():
     p = disc(0, [0.5, 0.5])
     with pytest.raises(ValueError, match="unknown order 'total'"):
-        oracle_pair(p, p, ["lr", "total"])
+        oracle_pair(p, p, [("lr", "up"), ("total", "up")])
+    with pytest.raises(ValueError, match="unknown direction 'left'"):
+        oracle_pair(p, p, [("lr", "left")])
 
 
 @given(st.lists(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 0.25, 1.0]), max_size=30),

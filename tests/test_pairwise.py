@@ -12,7 +12,7 @@ from scipy import stats
 
 from stochorder.catalog import LAWS, continuous_grid, default_grid, density, discrete_grid, normalized
 from stochorder.criteria import scan_kernel
-from stochorder.oracle import oracle_lr, oracle_st
+from stochorder.oracle import oracle_pair
 from stochorder.pairwise import (
     LAW_NAMES,
     PairwiseLaw,
@@ -482,6 +482,9 @@ def test_katz_boundary_cells_count_as_ordered():
     assert katz_threshold("poi-nb", {"lambda": 1.0, "r": 1.0, "p": p_eq})["st_condition"]
 
 
+LR_ST = [("lr", "up"), ("st", "up")]
+
+
 def test_katz_boundary_cells_agree_with_oracle():
     cells = [
         ("binomial:n=10,p=0.5", "poisson:lambda=10"),
@@ -490,12 +493,13 @@ def test_katz_boundary_cells_agree_with_oracle():
     ]
     for low, high in cells:
         dl, dh = law_distribution(law_from_spec(low)), law_distribution(law_from_spec(high))
-        assert oracle_lr(dl, dh).holds
+        assert oracle_pair(dl, dh, [("lr", "up")])[0].holds
     # the st equality cell fails lr but still dominates stochastically
     db = law_distribution(law_from_spec("binomial:n=10,p=0.5"))
     dn = law_distribution(make_law("negbinomial", r=10.0, p=0.5))
-    assert oracle_lr(db, dn).status == "fails"
-    assert oracle_st(db, dn).holds
+    v_lr, v_st = oracle_pair(db, dn, LR_ST)
+    assert v_lr.status == "fails"
+    assert v_st.holds
 
 
 def test_katz_conditions_match_oracle_on_grid():
@@ -504,8 +508,9 @@ def test_katz_conditions_match_oracle_on_grid():
             cond = katz_threshold("bin-poi", {"n": 6, "p": p, "lambda": lam})
             db = law_distribution(make_law("binomial", n=6, p=p))
             dp = law_distribution(make_law("poisson", **{"lambda": lam}))
-            assert oracle_lr(db, dp).holds == cond["lr_condition"], (p, lam)
-            assert oracle_st(db, dp).holds == cond["st_condition"], (p, lam)
+            v_lr, v_st = oracle_pair(db, dp, LR_ST)
+            assert v_lr.holds == cond["lr_condition"], (p, lam)
+            assert v_st.holds == cond["st_condition"], (p, lam)
 
 
 @settings(max_examples=20, deadline=None)
@@ -521,8 +526,9 @@ def test_bin_poi_condition_matches_oracle_randomized(n, p, lam):
     cond = katz_threshold("bin-poi", {"n": n, "p": p, "lambda": lam})
     db = law_distribution(make_law("binomial", n=n, p=p))
     dp = law_distribution(make_law("poisson", **{"lambda": lam}))
-    assert oracle_lr(db, dp).holds == cond["lr_condition"]
-    assert oracle_st(db, dp).holds == cond["st_condition"]
+    v_lr, v_st = oracle_pair(db, dp, LR_ST)
+    assert v_lr.holds == cond["lr_condition"]
+    assert v_st.holds == cond["st_condition"]
 
 
 def test_katz_validates_input():
@@ -564,7 +570,8 @@ def test_betabin_hyp_condition_certifies_lr():
     for r, ordered in ((1.0, True), (5.0, False)):
         assert (W * (r + n - 1.0) <= s * (B - n + 1.0)) == ordered
         bb = law_distribution(make_law("betabinomial", n=n, r=r, s=s))
-        assert oracle_lr(bb, hyp).status == ("holds" if ordered else "fails")
+        [v] = oracle_pair(bb, hyp, [("lr", "up")])
+        assert v.status == ("holds" if ordered else "fails")
 
 
 # ---------------------------------------------------------------------------

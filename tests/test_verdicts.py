@@ -16,7 +16,7 @@ def verdict(status, method, witness=None, margin=None, note=""):
 
 def test_agreement_keeps_the_criterion_and_records_the_oracle():
     crit = verdict("fails", "path-kernel", CRIT_WITNESS, CRIT_WITNESS.margin, note="threshold unmet")
-    v = reconcile(crit, verdict("fails", "oracle", ORACLE_WITNESS, ORACLE_WITNESS.margin), "path test")
+    v = reconcile(crit, verdict("fails", "oracle", ORACLE_WITNESS, ORACLE_WITNESS.margin))
     assert v.status == "fails" and v.witness == CRIT_WITNESS and v.margin == -0.5
     assert v.method == "path-kernel" and v.claim == "P <=lr Q"
     assert v.note == "threshold unmet; endpoint oracle fails"
@@ -24,8 +24,7 @@ def test_agreement_keeps_the_criterion_and_records_the_oracle():
 
 def test_criterion_holds_oracle_fails_takes_the_oracle_witness():
     crit = verdict("holds", "pairwise-kernel", margin=0.75)
-    v = reconcile(crit, verdict("fails", "oracle", ORACLE_WITNESS, ORACLE_WITNESS.margin),
-                  "kernel test")
+    v = reconcile(crit, verdict("fails", "oracle", ORACLE_WITNESS, ORACLE_WITNESS.margin))
     assert v.status == "inconclusive"
     assert v.witness == ORACLE_WITNESS and v.margin == ORACLE_WITNESS.margin
     assert v.method == "pairwise-kernel"
@@ -34,7 +33,7 @@ def test_criterion_holds_oracle_fails_takes_the_oracle_witness():
 
 def test_criterion_fails_oracle_holds_keeps_the_criterion_witness():
     crit = verdict("fails", "path-kernel", CRIT_WITNESS, CRIT_WITNESS.margin, note="threshold met")
-    v = reconcile(crit, verdict("holds", "oracle", margin=0.1), "path test")
+    v = reconcile(crit, verdict("holds", "oracle", margin=0.1))
     assert v.status == "inconclusive"
     assert v.witness == CRIT_WITNESS and v.margin == CRIT_WITNESS.margin
     assert v.note == "threshold met; endpoint oracle holds; path test and oracle disagree"
@@ -42,5 +41,6 @@ def test_criterion_fails_oracle_holds_keeps_the_criterion_witness():
 
 def test_inconclusive_criterion_against_holding_oracle_keeps_its_own_margin():
     crit = verdict("inconclusive", "compound-kernel", margin=0.2, note="hypothesis unmet")
-    v = reconcile(crit, verdict("holds", "oracle", margin=0.1), "kernel test")
+    v = reconcile(crit, verdict("holds", "oracle", margin=0.1))
     assert v.status == "inconclusive" and v.witness is None and v.margin == 0.2
+    assert v.note == "hypothesis unmet; endpoint oracle holds; kernel criterion and oracle disagree"
