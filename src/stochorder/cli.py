@@ -314,8 +314,10 @@ def _cmd_check(args) -> tuple[dict, int]:
         return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 
     nus = sorted(nu_list) if nu_list else nu_scan(lo, hi)
+    # cut for the endpoint laws too, which the oracle reads, whatever nus are scanned
     grid = default_grid(
-        fam, nus, tail_eps=args.tail_eps, kmax=args.kmax, grid_points=args.grid_points
+        fam, sorted({lo, *nus, hi}), tail_eps=args.tail_eps, kmax=args.kmax,
+        grid_points=args.grid_points,
     )
     d_lo = density(fam, lo, grid)
     d_hi = density(fam, hi, grid)

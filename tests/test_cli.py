@@ -177,6 +177,22 @@ def test_check_accepts_a_nu_grid_override(capsys):
     assert json.loads(out)["inputs"]["nu_grid"] == "1, 2 ,3"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "poisson", "--nu1", "1", "--nu2", "30", "--nu-grid", "1", "--orders", "st"),
+    ("--family", "gamma-in-rate", "--nu1", "0.8", "--nu2", "1.6", "--nu-grid", "1.6"),
+])
+def test_check_nu_grid_leaves_the_endpoint_oracle_as_it_is(capsys, argv):
+    # the oracle reads both endpoint laws, so a --nu-grid that leaves one out
+    # must not cut the grid short of it: Poisson(30) cut for nu = 1 alone ends
+    # at k = 14, and its st down witness moved from x = 9 to x = 7
+    def oracle_verdicts(argv):
+        _, out, _ = run_cli(capsys, "check", *argv, "--no-timing")
+        return [v for v in json.loads(out)["verdicts"] if v["method"] == "oracle"]
+
+    at = argv.index("--nu-grid")
+    assert oracle_verdicts(argv) == oracle_verdicts(argv[:at] + argv[at + 2 :])
+
+
 # ---------------------------------------------------------------------------
 # pairwise and compound
 

@@ -95,6 +95,10 @@ Each command runs in-process through `stochorder.cli.main` with
 - how a scan shares one nu's tail pass: hr before st on the zero-inflated
   Poisson row, where hr reads the tail means first and st reuses them, and
   a Poisson row scanned at the one value `--nu-grid=2`;
+- `--nu-grid` values that leave an endpoint out, whose grid must still be
+  cut for both endpoint laws, which the oracle reads: a Poisson row over
+  1..30 scanned at `--nu-grid 1` alone (Poisson(30) would end at k = 14),
+  and `gamma-in-rate` over 0.8..1.6 scanned at `--nu-grid 1.6`;
 - tail cuts that the ratio bound of `catalog._tail_cut` places where a cut
   read as 1 - cumsum(masses) went wrong: a `negbinomial-in-q` row with
   r = 38.87 up to q = 0.9495 and a `negbinomial-in-shape` row with
@@ -269,6 +273,12 @@ SHARED_ROWS = (
     ["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--nu-grid=2"],
 )
 
+ENDPOINT_GRIDS = (
+    ["check", "--family", "poisson", "--nu1", "1", "--nu2", "30", "--nu-grid", "1",
+     "--orders", "st"],
+    ["check", "--family", "gamma-in-rate", "--nu1", "0.8", "--nu2", "1.6", "--nu-grid", "1.6"],
+)
+
 RATIO_CUTS = (
     ["check", "--family", "negbinomial-in-q:r=38.86958350399432", "--nu1=0.5",
      "--nu2=0.949547837568405"],
@@ -326,6 +336,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
     out.extend(SHARED_ROWS)
+    out.extend(ENDPOINT_GRIDS)
     out.extend(RATIO_CUTS)
     out.extend(OTHER_FORMATS)
     return [argv + ["--no-timing"] for argv in out]
