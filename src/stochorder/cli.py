@@ -298,7 +298,6 @@ def _cmd_check(args) -> tuple[dict, int]:
         "orders": orders,
         "nu_grid": args.nu_grid,
     }
-    verdicts: list[OrderVerdict] = []
     lo, hi = sorted((nu1, nu2))
     nu_list = _parse_nu_list(args.nu_grid, lo, hi) if args.nu_grid else None
 
@@ -330,9 +329,9 @@ def _cmd_check(args) -> tuple[dict, int]:
     endpoint = [replace(v, claim=f"P[{p}={ends[v.direction][0]:g}] <={v.order} "
                                  f"P[{p}={ends[v.direction][1]:g}] (endpoint pair)")
                 for v in oracle_pair(d_lo, d_hi, tests)]
-    for i in range(0, len(tests), 2):  # per order: the two criterion verdicts, then the oracle's
-        verdicts += scans[i : i + 2] + endpoint[i : i + 2]
-    ok = all(scans[i].holds or scans[i + 1].holds for i in range(0, len(tests), 2))
+    pairs = range(0, len(tests), 2)  # per order: the two criterion verdicts, then the oracle's
+    verdicts = [v for i in pairs for v in scans[i : i + 2] + endpoint[i : i + 2]]
+    ok = all(scans[i].holds or scans[i + 1].holds for i in pairs)
     return _report("check", inputs, verdicts, tolerances), 0 if ok else 1
 
 

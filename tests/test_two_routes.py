@@ -1,0 +1,59 @@
+"""The two-route ratchet: every verdict a command prints is reconciled, its
+note carrying `endpoint oracle <status>`, or is a known single-route verdict.
+
+The paper's rule is that a verdict comes from two routes, the kernel
+criterion and the oracle on the two laws. `SINGLE_ROUTE` names each kind of
+verdict that is still reached by one route, keyed by (command, method), with
+the ROADMAP item that gives it a second one. It may only shrink: an entry
+that no verdict needs any more fails the test, as in `test_exports.KEEP`.
+"""
+
+import json
+import re
+
+from stochorder import cli
+from stochorder.cli import main
+
+# (command, method) -> why the verdict has one route, and the item that mends it
+SINGLE_ROUTE: dict[tuple[str, str], str] = {
+    ("check", "kernel-criterion"): "items 2 and 16: check takes its exit code from the kernel "
+                                   "alone and lists the oracle beside it",
+    ("check", "oracle"): "items 2 and 16: the endpoint oracle is listed, not reconciled",
+    ("check (reflexive)", "oracle"): "a law against itself has no kernel test",
+    ("table1", "kernel-criterion"): "item 16: the Table-1 builder runs no oracle",
+    ("pairwise", "oracle"): "item 15: pairwise st and hr come from the oracle alone",
+    ("katz", "oracle"): "none needed: the katz closed-form conditions are the second route",
+}
+
+COMMANDS = [
+    *(("check", ["check", "--family", spec, f"--nu1={lo!r}", f"--nu2={hi!r}"])
+      for spec, (lo, hi), *_ in cli._TABLE1),
+    ("check (reflexive)", ["check", "--family", "poisson", "--nu1=2", "--nu2=2"]),
+    ("pairwise", ["pairwise", "--p", "poisson:lambda=2", "--q", "negbinomial:r=3,p=0.5"]),
+    ("compound", ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5",
+                  "--nu1=1", "--nu2=2"]),
+    *(("path", ["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", o])
+      for o in ("lr", "lc", "st", "hr")),
+    ("path", ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"]),
+    *((t, ["table", "--id", t]) for t in ("table1", "table2", "katz")),
+]
+
+RECONCILED = re.compile(r"endpoint oracle (holds|fails)")
+
+
+def test_every_verdict_is_reconciled_or_a_listed_single_route(capsys):
+    unlisted, used = [], set()
+    for kind, argv in COMMANDS:
+        main([*argv, "--no-timing"])
+        out, _ = capsys.readouterr()
+        for v in json.loads(out)["verdicts"]:
+            if RECONCILED.search(v["note"]):
+                continue
+            key = (kind, v["method"])
+            if key in SINGLE_ROUTE:
+                used.add(key)
+            else:
+                unlisted.append((*key, v["order"], v["direction"], " ".join(argv)))
+    assert unlisted == []
+    # the allow-list holds single-route verdicts that still occur, no more
+    assert sorted(set(SINGLE_ROUTE) - used) == []
