@@ -6,9 +6,11 @@ d/dtheta_i log_factor per parameter that some view varies, the log
 normalizer and, for continuous kinds with an infinite end, the quantile.
 It also names the kernels that read only x and parameters no view varies:
 such a kernel is the same array at every point of a view, so a scan builds
-it once. The density is exp(log_factor - log_normalizer) with respect to
-counting measure (discrete), Lebesgue measure (continuous), or
-delta_0 + Lebesgue (mixed).
+it once. A kernel a(theta) T(x) + b(theta) is declared as that pair
+(`Factored`), its statistic T under the same rule, so a scan builds T once
+and reads the two scalars at each point. The density is
+exp(log_factor - log_normalizer) with respect to counting measure
+(discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
 
 Everything else is a `View` of an entry: a catalogue family (`make_family`)
 fixes all parameters but one, nu, and a named path moves two along a line in
@@ -219,7 +221,8 @@ class Law:
     support         theta -> (lower, upper); it reads only parameters that
                     no view varies.
     kernels         parameter -> d/dtheta_i log_factor, for every parameter
-                    that some view varies.
+                    that some view varies; a `Factored` kernel is declared
+                    as its coefficient and statistic and called as one.
     fixed_kernels   the parameters whose kernel reads only x and parameters
                     that no view varies, as `support` does: that kernel
                     gives the same bits at every point of a view.
@@ -241,6 +244,46 @@ class Law:
     tail_ratio: Callable[[Theta], float] | None = None
     integers: tuple[str, ...] = ()
     fixed_kernels: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Factored:
+    """A kernel a(theta) T(theta, x) + b(theta), declared as the pair.
+
+    coefficient  theta -> (a, b).
+    statistic    (theta, x) -> T; it reads only x and parameters that no view
+                 varies, as a fixed kernel does, so T is one array at every
+                 point of a view.
+    Called, it is the plain kernel a T + b, the one every other reader takes.
+    """
+
+    coefficient: Callable[[Theta], tuple[float, float]]
+    statistic: Callable[[Theta, np.ndarray], np.ndarray]
+
+    def __call__(self, th: Theta, x: np.ndarray) -> np.ndarray:
+        a, b = self.coefficient(th)
+        return a * np.asarray(self.statistic(th, x), dtype=float) + b
+
+
+def _count(th: Theta, k: np.ndarray) -> np.ndarray:
+    return k
+
+
+def _per(p: str) -> Factored:
+    """k / theta_p, the kernel of a power-series factor theta_p^k, as (1/theta_p) k."""
+    return Factored(lambda th: (1.0 / th[p], 0.0), _count)
+
+
+def _binomial_coefficient(th: Theta) -> tuple[float, float]:
+    # k/p - (n - k)/(1 - p) = k / (p (1 - p)) - n / (1 - p)
+    p = th["p"]
+    return 1.0 / (p * (1.0 - p)), -th["n"] / (1.0 - p)
+
+
+def _lognormal_coefficient(th: Theta) -> tuple[float, float]:
+    # (log x - mu) / sigma^2
+    s2 = th["sigma"] * th["sigma"]
+    return 1.0 / s2, -th["mu"] / s2
 
 
 _POSITIVE = (0.0, math.inf)
@@ -378,7 +421,7 @@ LAWS: dict[str, Law] = {
         domains={"theta": _POSITIVE},
         support=_from_zero,
         log_factor=lambda th, k: k * math.log(th["theta"]) - log_factorial_vec(k),
-        kernels={"theta": lambda th, k: k / th["theta"]},
+        kernels={"theta": _per("theta")},
         log_normalizer=lambda th: th["theta"],
         tail_ratio=lambda th: 0.0,
     ),
@@ -387,7 +430,7 @@ LAWS: dict[str, Law] = {
         domains={"q": _UNIT},
         support=_from_zero,
         log_factor=lambda th, k: k * math.log(th["q"]),
-        kernels={"q": lambda th, k: k / th["q"]},
+        kernels={"q": _per("q")},
         log_normalizer=lambda th: -math.log1p(-th["q"]),
         tail_ratio=lambda th: th["q"],
     ),
@@ -409,7 +452,7 @@ LAWS: dict[str, Law] = {
         ),
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
-            "q": lambda th, k: k / th["q"],
+            "q": _per("q"),
         },
         log_normalizer=lambda th: -th["r"] * math.log1p(-th["q"]),
         tail_ratio=lambda th: th["q"],
@@ -433,7 +476,7 @@ LAWS: dict[str, Law] = {
         domains={"n": _POSITIVE_COUNT, "p": _UNIT},
         support=_up_to_n,
         log_factor=_binomial_log_factor,
-        kernels={"p": lambda th, k: k / th["p"] - (th["n"] - k) / (1.0 - th["p"])},
+        kernels={"p": Factored(_binomial_coefficient, _count)},
         log_normalizer=lambda th: 0.0,
         integers=("n",),
     ),
@@ -463,7 +506,7 @@ LAWS: dict[str, Law] = {
         domains={"theta": _UNIT},
         support=lambda th: (1.0, math.inf),
         log_factor=lambda th, k: k * math.log(th["theta"]) - np.log(k),
-        kernels={"theta": lambda th, k: k / th["theta"]},
+        kernels={"theta": _per("theta")},
         log_normalizer=lambda th: math.log(-math.log1p(-th["theta"])),
         tail_ratio=lambda th: th["theta"],
     ),
@@ -545,7 +588,7 @@ LAWS: dict[str, Law] = {
         domains={"sigma": _POSITIVE},
         support=_from_zero,
         log_factor=lambda th, x: _HALFNORMAL_LOG_C - x * x / (2.0 * th["sigma"] * th["sigma"]),
-        kernels={"sigma": lambda th, x: x * x / th["sigma"] ** 3},
+        kernels={"sigma": Factored(lambda th: (th["sigma"] ** -3, 0.0), lambda th, x: x * x)},
         log_normalizer=lambda th: math.log(th["sigma"]),
         quantile=lambda th, u: th["sigma"] * _normal_quantile((1.0 + u) / 2.0),
     ),
@@ -554,7 +597,7 @@ LAWS: dict[str, Law] = {
         domains={"sigma": _POSITIVE, "mu": _REAL},
         support=_from_zero,
         log_factor=_lognormal_log_factor,
-        kernels={"mu": lambda th, x: (np.log(x) - th["mu"]) / (th["sigma"] * th["sigma"])},
+        kernels={"mu": Factored(_lognormal_coefficient, lambda th, x: np.log(x))},
         log_normalizer=lambda th: 0.5 * math.log(2.0 * math.pi) + math.log(th["sigma"]),
         quantile=lambda th, u: math.exp(th["mu"] + th["sigma"] * _normal_quantile(u)),
     ),
@@ -563,6 +606,7 @@ LAWS: dict[str, Law] = {
         domains={"mu": _REAL},
         support=lambda th: _REAL,
         log_factor=_gumbel_log_factor,
+        # not Factored: T = -e^(-x) overflows below x = -709, where this does not
         kernels={"mu": lambda th, x: -np.exp(-(x - th["mu"]))},
         log_normalizer=lambda th: -th["mu"],
         quantile=lambda th, u: th["mu"] - math.log(-math.log(u)),
@@ -600,7 +644,10 @@ class DensityFamily:
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
     quantile(nu, u) picks grid spans for unbounded continuous supports.
     tail_ratio(nu) is the limit of p(k+1)/p(k) on an infinite discrete support.
-    fixed_kernel says that kernel(nu, x) gives the same bits at every nu.
+    factor, when set, is (coefficient, statistic): kernel(nu, x) is
+    a T(x) + b, bit for bit, with (a, b) = coefficient(nu) and T =
+    statistic(x), or T(x) itself at every nu when coefficient is None (a
+    fixed kernel), so a scan builds T once.
     """
 
     name: str
@@ -614,7 +661,8 @@ class DensityFamily:
     log_normalizer: Callable[[float], float]
     quantile: Callable[[float, float], float] | None = None
     tail_ratio: Callable[[float], float] | None = None
-    fixed_kernel: bool = False
+    factor: tuple[Callable[[float], tuple[float, float]] | None,
+                  Callable[[np.ndarray], np.ndarray]] | None = None
 
     def validate_param(self, nu: float) -> float:
         nu = float(nu)
@@ -701,9 +749,9 @@ class View:
     def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
               at: Callable[[float], Theta],
               kernel: Callable[[float, np.ndarray], np.ndarray],
-              fixed_kernel: bool) -> DensityFamily:
+              factor: tuple | None) -> DensityFamily:
         """The family s -> the law at at(s), s in `interval`, with kernel(s, x) =
-        d/ds log_factor, the same at every s when fixed_kernel; the unmoved
+        d/ds log_factor and its `DensityFamily.factor`; the unmoved
         parameters `fixed` give the support."""
         law = LAWS[self.law]
         return DensityFamily(
@@ -713,21 +761,28 @@ class View:
             log_normalizer=lambda s: law.log_normalizer(at(s)),
             quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
             tail_ratio=None if law.tail_ratio is None else lambda s: law.tail_ratio(at(s)),
-            fixed_kernel=fixed_kernel,
+            factor=factor,
         )
 
     def family(self, name: str, label: str, given: Mapping[str, float]) -> DensityFamily:
         """The one-parameter family in `varied`, the other parameters fixed
-        at `given` or their defaults."""
+        at `given` or their defaults. Its factor reads a `Factored` kernel's
+        statistic, or a fixed kernel, at the fixed parameters alone."""
         law = LAWS[self.law]
         fixed = self.bind(label, given)
         free = self.varied
+        declared = law.kernels.get(free)
 
         def at(nu: float) -> dict[str, float]:
             return {**fixed, free: nu}
 
+        if isinstance(declared, Factored):
+            factor = (lambda nu: declared.coefficient(at(nu)),
+                      lambda x: declared.statistic(fixed, x))
+        else:
+            factor = (None, lambda x: declared(fixed, x)) if free in law.fixed_kernels else None
         return self.curve(name, fixed, self.shown.get(free, free), law.domains[free], at,
-                          lambda nu, x: law.kernels[free](at(nu), x), free in law.fixed_kernels)
+                          lambda nu, x: law.kernels[free](at(nu), x), factor)
 
 
 # the Table-1 families: the law each one views, the parameter it varies and

@@ -21,19 +21,27 @@ grids, slope differences otherwise.
 
 Every test is one pass of `scan_kernel` over the parameter grid: per nu it
 builds the kernel once, and the law and tail means only while a test that
-reads them is open, holding one nu at a time (O(grid) memory). A kernel that
-does not depend on nu (`DensityFamily.fixed_kernel`, declared per law in
-`catalog.Law.fixed_kernels`; a pairwise kernel) is one array built for the
-whole scan, and so are its slopes, its curvature and their extremes: after
-the first nu, lr, lc and the st/hr skip below make no pass over the grid
-(but for the witness search past a NaN margin, which finds none), and only
-a tail pass that runs reads the law at its nu. The kernel at any nu
-has the same bits, so every verdict is the one a rebuild per nu gives. Where
-sign * K_nu is nondecreasing on the grid (min of the signed slopes >= 0,
-exactly; a NaN slope says no), Chebyshev's sum inequality on the grid law
-gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step behind
-lr => hr => st, so st and hr skip that nu: it adds no margin, and a test
-skipped at every nu holds with no margin and says so. Tolerances are >= 0,
+reads them is open, holding one nu at a time (O(grid) memory). A kernel
+K_nu = a(nu) T + b(nu) (`DensityFamily.factor`, declared per law as a
+`catalog.Factored` kernel, or as one of `catalog.Law.fixed_kernels` with
+(a, b) = (1, 0); a pairwise kernel is (1, 0) too) is read off one array T
+built for the whole scan, and so are T's slopes, its curvature and their
+extremes. K_nu's slopes and curvature are a times T's, so (Karlin, Total
+Positivity, 1968) K_nu has the shape of sign(a) T: lr and lc read their
+margin at nu as |a| times T's least slope or curvature, taken with the sign
+of a (0 when a is 0), and the st/hr skip below reads T's slopes with that
+sign. After the first nu these make no pass over the grid; a T + b is
+built only for a witness search, whose witness and margin are read off it,
+or for a tail pass, which alone reads the law at its nu. So a witness and
+a tail margin are the ones a rebuild per nu gives, and an lr or lc margin
+differs from a rebuild's by rounding alone, which moves a status only
+where that rounding crosses the tolerance (k / theta at theta = 1e-290 has
+curvature 0, where its rebuild rounds to 1e274); for (1, 0) every bit is
+the same. Where sign * K_nu is nondecreasing on the grid (min of the signed
+slopes >= 0, exactly; a NaN slope says no), Chebyshev's sum inequality on
+the grid law gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step
+behind lr => hr => st, so st and hr skip that nu: it adds no margin, and a
+test skipped at every nu holds with no margin and says so. Tolerances are >= 0,
 as the skip demands no positive margin. Each test
 keeps its first witness, first in nu and then in x, and its worst margin.
 `scan_kernel` takes any list of (order, direction) tests and runs them in
@@ -126,16 +134,22 @@ def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return surv, tail_num[:n] / surv[:n], float(np.dot(k, masses))
 
 
+def _low(m: np.ndarray, sign: float) -> float:
+    """min(sign * m) without the signed copy: -max(m) == min(-m)."""
+    return float(m.min() if sign > 0 else -m.max())
+
+
 class _Kernel:
-    """K on the grid and what is read from K alone: its slopes, its curvature
-    (derived on first use) and their least signed margins, each taken once.
-    A scan builds one per nu, or one for every nu when K does not depend on
-    nu; it holds no array of the law."""
+    """An array T on the grid and what is read from T alone: its slopes, its
+    curvature (derived on first use) and their least signed values, each
+    taken once. A scan builds one per nu, or one for every nu when the
+    kernel at each nu is a T + b with T fixed; it holds no array of the law."""
 
     def __init__(self, grid: SupportGrid, k: np.ndarray) -> None:
+        self.grid = grid
         self.k = k
         self.slopes = _slopes(grid, k)
-        self._lows: dict[tuple[bool, float], float] = {}
+        self._lows: dict[tuple[str, float], float] = {}
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -143,18 +157,22 @@ class _Kernel:
         differences otherwise."""
         return np.diff(self.slopes)
 
-    def low(self, m: np.ndarray, sign: float) -> float:
-        """min(sign * m) without the signed copy: -max(m) == min(-m). Kept
-        per sign for the kernel's own slopes and curvature; any other m is a
-        tail gap of one nu and is not kept."""
-        own = m is self.slopes or m is self.__dict__.get("curvature")
-        key = (m is self.slopes, sign)
-        if own and key in self._lows:
-            return self._lows[key]
-        value = float(m.min() if sign > 0 else -m.max())
-        if own:
-            self._lows[key] = value
-        return value
+    def low(self, name: str, sign: float) -> float:
+        """min(sign * m) for m the "slopes" or the "curvature", kept per sign."""
+        key = (name, sign)
+        if key not in self._lows:
+            self._lows[key] = _low(getattr(self, name), sign)
+        return self._lows[key]
+
+    def affine(self, a: float, b: float) -> _Kernel:
+        """a T + b on the grid, and T itself when (a, b) is (1, 0)."""
+        return self if (a, b) == (1.0, 0.0) else _Kernel(self.grid, a * self.k + b)
+
+
+# per shape order: the vector of the kernel it reads, the witness points
+# (slice of the grid) and the witness kind
+_SHAPES = {"lr": ("slopes", slice(None, -1), "adjacent-pair"),
+           "lc": ("curvature", slice(1, -1), "triplet")}
 
 
 def scan_kernel(
@@ -165,10 +183,12 @@ def scan_kernel(
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
     law: Callable[[float], np.ndarray] | None = None,
+    coefficient: Callable[[float], tuple[float, float]] | None = None,
 ) -> list[tuple[Witness | None, float | None, int]]:
     """Run every (order, direction) test (see the module docstring) over one
-    pass of nus; kernel(nu) gives K_nu on grid.points, or kernel is the one
-    array K that holds at every nu, and law(nu) gives the masses of P_nu
+    pass of nus; kernel(nu) gives K_nu on grid.points, or kernel is one
+    array T and K_nu = a T + b with (a, b) = coefficient(nu), or T itself at
+    every nu when coefficient is None; law(nu) gives the masses of P_nu
     there, read by the st and hr tests where the survival exceeds EPS_TAIL.
     Returns, per test, its first witness and that witness's margin, or
     None and the worst margin seen (None when no margin was tested), and the
@@ -183,7 +203,7 @@ def scan_kernel(
             raise ValueError(
                 f"unknown direction {direction!r}; valid directions: {', '.join(DIRECTIONS)}")
     pts = grid.points
-    fixed = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
+    built = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
     witnesses: list[Witness | None] = [None] * len(tests)
     worst = [math.inf] * len(tests)
     implied = [0] * len(tests)
@@ -192,34 +212,46 @@ def scan_kernel(
         if not open_tests:
             break
         nu = float(nu)
-        kern = fixed if fixed is not None else _Kernel(grid, np.asarray(kernel(nu), dtype=float))
+        if built is None:
+            t, (a, b) = _Kernel(grid, np.asarray(kernel(nu), dtype=float)), (1.0, 0.0)
+        else:
+            t, (a, b) = built, (1.0, 0.0) if coefficient is None else coefficient(nu)
+        k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
         tails, gaps = None, {}  # at this nu, from one tail pass shared by st and hr
         for i in open_tests:
             order, direction = tests[i]
             sign = 1.0 if direction == "up" else -1.0
-            if order == "lr":
-                xs, m, tol, kind = pts[:-1], kern.slopes, tol_shape, "adjacent-pair"
-            elif order == "lc":
-                xs, m, tol, kind = pts[1:-1], kern.curvature, tol_shape, "triplet"
-            elif kern.slopes.size and kern.low(kern.slopes, sign) >= 0:
+            t_sign = sign if a > 0 else -sign  # sign * (a T) has the shape of t_sign * T
+            if order in _SHAPES:
+                name, span, kind = _SHAPES[order]
+                xs, tol = pts[span], tol_shape
+                if not getattr(t, name).size:
+                    continue
+                # the least of sign * (a m) is |a| times that of t_sign * m
+                low = 0.0 if a == 0 else abs(a) * t.low(name, t_sign)
+                if not low >= -tol:  # a witness, and its margin, are read off K_nu itself
+                    k_nu = k_nu or t.affine(a, b)
+                    m, low = getattr(k_nu, name), k_nu.low(name, sign)
+            elif t.slopes.size and (a == 0 or t.low("slopes", t_sign) >= 0):
                 implied[i] += 1  # lr => hr => st at this nu: no tail pass
                 continue
             else:
+                k_nu = k_nu or t.affine(a, b)
                 if order not in gaps:
                     if tails is None:
-                        surv, tail, grand = _tail_means(kern.k, law(nu))
+                        surv, tail, grand = _tail_means(k_nu.k, law(nu))
                         tails = _prefix_length(surv, EPS_TAIL), tail, grand
                     # where the survival exceeds EPS_TAIL: E[K | X >= x] - E[K] (st)
                     # or K(x) - E[K | X >= x] (hr)
                     n, tail, grand = tails
-                    gaps[order] = tail[:n] - grand if order == "st" else kern.k[:n] - tail[:n]
+                    gaps[order] = tail[:n] - grand if order == "st" else k_nu.k[:n] - tail[:n]
                 m = gaps[order]
                 xs, tol, kind = pts[:m.size], tol_tail, "grid-point"
                 if order == "hr":
                     sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
-            if not m.size:
-                continue
-            low = kern.low(m, sign)
+                if not m.size:
+                    continue
+                low = _low(m, sign)
             if low >= -tol:
                 worst[i] = min(worst[i], low)
                 continue
@@ -237,23 +269,45 @@ def scan_kernel(
 # verdicts of a family scan
 
 
-def _family_kernel(f: DensityFamily, grid: SupportGrid,
-                   nus) -> Callable[[float], np.ndarray] | np.ndarray:
-    """f's kernel on grid.points as `scan_kernel` reads it over nus: the one
-    array, built at the first nu, when f.fixed_kernel says it holds at every
-    nu; else the callable of nu. A kernel that overflows, divides by zero or
-    gives an invalid value at a nu, and so is not finite there, is refused
-    naming f and that nu, from numpy's own flags rather than a pass over it."""
+def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
+        Callable[[float], np.ndarray] | np.ndarray, Callable[[float], tuple[float, float]] | None]:
+    """f's kernel on grid.points as `scan_kernel` reads it over nus, and its
+    coefficient: when f has a factor, the statistic's one array, built once,
+    and the coefficient of nu (None for a fixed kernel); else the callable
+    of nu and None. A kernel that overflows, divides by zero or gives an
+    invalid value at a nu, and so is not finite there, is refused naming f
+    and that nu, from numpy's own flags rather than a pass over it; so is a
+    coefficient that raises, and one whose a, b or |a| max|T| + |b|, which
+    bounds |a T + b|, is not finite."""
 
-    def kernel(nu: float) -> np.ndarray:
+    def refused(nu: float) -> ValueError:
+        return ValueError(f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}")
+
+    def on_grid(nu: float, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return np.asarray(f.kernel(nu, grid.points), dtype=float)
+                return np.asarray(make(grid.points), dtype=float)
         except ArithmeticError:  # numpy's FloatingPointError, or math's own
-            raise ValueError(
-                f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}") from None
+            raise refused(nu) from None
 
-    return kernel(nus[0]) if f.fixed_kernel and len(nus) else kernel
+    if f.factor is None or not len(nus):
+        return (lambda nu: on_grid(nu, lambda x: f.kernel(nu, x))), None
+    coefficient, statistic = f.factor
+    t = on_grid(nus[0], statistic)
+    if coefficient is None:
+        return t, None
+    size = float(np.abs(t).max())
+
+    def scaled(nu: float) -> tuple[float, float]:
+        try:
+            a, b = coefficient(nu)
+        except ArithmeticError:  # Python's float arithmetic: sigma ** -3 at sigma = 1e-103
+            raise refused(nu) from None
+        if not math.isfinite(abs(a) * size + abs(b)):
+            raise refused(nu)
+        return a, b
+
+    return t, scaled
 
 
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"
@@ -298,8 +352,9 @@ def scan_orders(
         d = known.get(nu)
         return (d if d is not None else density(f, nu, grid)).masses
 
-    results = scan_kernel(_family_kernel(f, grid, nus), nus, grid, tests, tol_shape, tol_tail,
-                          law=law)
+    kernel, coefficient = _family_kernel(f, grid, nus)
+    results = scan_kernel(kernel, nus, grid, tests, tol_shape, tol_tail, law=law,
+                          coefficient=coefficient)
     size = {"nu_points": len(nus), "grid_points": grid.size}
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": EPS_TAIL}
     return [

@@ -352,9 +352,10 @@ def check_path_order(
         return normalized(grid, family.log_factor(t, grid.points))
 
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
+    kernel, coefficient = _family_kernel(family, grid, ts)
     [(witness, margin, implied)] = scan_kernel(
-        _family_kernel(family, grid, ts), ts, grid, [(order, direction)], tol_shape, tol_tail,
-        law=lambda t: law(t).masses,
+        kernel, ts, grid, [(order, direction)], tol_shape, tol_tail,
+        law=lambda t: law(t).masses, coefficient=coefficient,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(
@@ -473,13 +474,15 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
             raise ValueError(f"{name} path: t={float(t)!r} outside [0, 1]")
         return {**start, **dict(zip(moved, a + t * velocity))}
 
-    def kernel(t: float, x) -> np.ndarray:
-        theta, pts = at(t), np.atleast_1d(np.asarray(x, dtype=float))
+    def chain(theta: Mapping[str, float], x) -> np.ndarray:
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(pts.shape)
         for p, v in zip(moved, velocity):
             if v != 0.0:  # an idle parameter's kernel is not evaluated
                 out += v * np.asarray(law.kernels[p](theta, pts), dtype=float)
         return out
 
-    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at, kernel,
-                                set(moved) <= set(law.fixed_kernels))
+    # fixed kernels read only the unmoved parameters
+    factor = (None, lambda x: chain(fixed, x)) if set(moved) <= set(law.fixed_kernels) else None
+    return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at,
+                                lambda t, x: chain(at(t), x), factor)

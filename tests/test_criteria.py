@@ -19,6 +19,7 @@ from stochorder import cli, criteria
 from stochorder.catalog import (
     _FAMILIES,
     LAWS,
+    Factored,
     continuous_grid,
     default_grid,
     density,
@@ -340,9 +341,19 @@ def test_check_evaluates_the_density_once_per_scanned_nu(monkeypatch):
     assert calls == [1.0, 3.0]
 
 
-# the Table-1 rows whose kernel does not depend on nu, with their scanned ranges
-FIXED_ROWS = [(spec, nus) for spec, nus, *_ in cli._TABLE1
-              if family_from_spec(spec).fixed_kernel]
+def _built_once(spec):
+    """How a scan builds a Table-1 row's kernel: "fixed" (one array at every
+    nu), "factored" (one array T, and a T + b at each nu) or None (per nu)."""
+    factor = family_from_spec(spec).factor
+    return None if factor is None else "fixed" if factor[0] is None else "factored"
+
+
+# the Table-1 rows whose kernel does not depend on nu, and those whose kernel
+# is a(nu) T + b(nu), with their scanned ranges
+FIXED_ROWS, FACTORED_ROWS = ([(spec, nus) for spec, nus, *_ in cli._TABLE1
+                              if _built_once(spec) == how] for how in ("fixed", "factored"))
+# factored rows whose T is k, with curvature exactly 0
+LINEAR_ROWS = ["poisson", "geometric", "negbinomial-in-q", "binomial-in-p", "logseries"]
 
 
 @st.composite
@@ -350,15 +361,15 @@ def random_grids(draw, support, kind):
     """A grid of 3 to 3000 points inside a support."""
     lo, hi = support
     if kind == "discrete":
-        return discrete_grid(int(lo), int(lo) + draw(st.integers(2, 300)))
+        return discrete_grid(int(lo), int(min(lo + draw(st.integers(2, 300)), hi)))
     top = hi if math.isfinite(hi) else lo + 40.0
     a = lo + draw(st.floats(0.0, 0.5)) * (top - lo)
     return continuous_grid(a, a + draw(st.floats(0.05, 1.0)) * (top - a),
                            n=draw(st.integers(3, 3000)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), row=st.sampled_from(FIXED_ROWS),
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), row=st.sampled_from(FIXED_ROWS + FACTORED_ROWS),
        tol=st.sampled_from([TOL_SHAPE, 0.0, 0.25]))
 def test_a_kernel_built_once_scans_as_one_rebuilt_per_nu(data, row, tol):
     spec, (lo, hi) = row
@@ -367,9 +378,25 @@ def test_a_kernel_built_once_scans_as_one_rebuilt_per_nu(data, row, tol):
     # unsorted, with repeats: the scan reads the nus in the order given
     nus = data.draw(st.lists(st.sampled_from(list(np.linspace(lo, hi, 7))), min_size=1,
                              max_size=9))
-    rebuilt = dataclasses.replace(fam, fixed_kernel=False)
+    rebuilt = dataclasses.replace(fam, factor=None)
     once, per_nu = (scan_orders(f, nus, grid, ALL_TESTS, tol, tol) for f in (fam, rebuilt))
-    assert [repr(v) for v in once] == [repr(v) for v in per_nu]
+    if _built_once(spec) == "fixed":
+        assert [repr(v) for v in once] == [repr(v) for v in per_nu]
+        return
+    # a T + b is built for each witness search and tail pass, so a witness
+    # and every st or hr verdict is the rebuild's; lr and lc margins that
+    # hold are |a| times T's and move in their last bits
+    for v, w in zip(once, per_nu):
+        if v.order == "lc" and tol == 0.0 and spec in LINEAR_ROWS:
+            # T = k has curvature 0 exactly; the rebuild's a k + b has
+            # rounding there, which a zero tolerance reads as a failure
+            assert v.holds and v.margin == 0.0
+            continue
+        assert dataclasses.replace(v, margin=None) == dataclasses.replace(w, margin=None)
+        if v.margin is None or w.margin is None:
+            assert v.margin is w.margin
+        else:
+            assert abs(v.margin - w.margin) <= 1e-9 * max(1.0, abs(v.margin), abs(w.margin))
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,10 +404,10 @@ def test_a_kernel_built_once_scans_as_one_rebuilt_per_nu(data, row, tol):
        rho=st.lists(st.floats(0.3, 6.0), min_size=2, max_size=2).map(sorted))
 def test_a_gamma_path_kernel_built_once_scans_as_one_rebuilt_per_t(data, r, rho):
     fam = path_family("gamma", {"r1": r[0], "r2": r[1], "rho1": rho[1], "rho2": rho[0]})
-    assert fam.fixed_kernel
+    assert fam.factor[0] is None  # a fixed kernel
     grid = data.draw(random_grids(fam.support, fam.kind))
     ts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
-    rebuilt = dataclasses.replace(fam, fixed_kernel=False)
+    rebuilt = dataclasses.replace(fam, factor=None)
     for o in ORDERS:
         once, per_t = (check_path_order(f, o, grid, ts) for f in (fam, rebuilt))
         assert repr(once) == repr(per_t), o
@@ -388,19 +415,24 @@ def test_a_gamma_path_kernel_built_once_scans_as_one_rebuilt_per_t(data, r, rho)
 
 def _count_kernel_calls(monkeypatch, law, params):
     """The list that gets the parameter's name at each call of one of the
-    law's kernels in params."""
+    law's kernels in params, or of its statistic for a `Factored` kernel."""
     calls = []
     for p in params:
-        def counted(theta, x, p=p, kernel=LAWS[law].kernels[p]):
-            calls.append(p)
-            return kernel(theta, x)
+        kernel = LAWS[law].kernels[p]
+        factored = isinstance(kernel, Factored)
 
-        monkeypatch.setitem(LAWS[law].kernels, p, counted)
+        def counted(theta, x, p=p, f=kernel.statistic if factored else kernel):
+            calls.append(p)
+            return f(theta, x)
+
+        monkeypatch.setitem(LAWS[law].kernels, p,
+                            dataclasses.replace(kernel, statistic=counted) if factored else counted)
     return calls
 
 
-# and one row whose kernel depends on nu
-COUNTED_ROWS = FIXED_ROWS + [("halfnormal-in-scale", (0.8, 1.6))]
+# and rows whose kernel depends on nu otherwise
+COUNTED_ROWS = FIXED_ROWS + FACTORED_ROWS + [("gumbel-in-location", (0.0, 0.8)),
+                                             ("half-student-in-df", (2.0, 5.0))]
 
 
 @pytest.mark.parametrize("spec,nus", COUNTED_ROWS, ids=[spec for spec, _ in COUNTED_ROWS])
@@ -412,8 +444,9 @@ def test_a_fixed_kernel_is_evaluated_once_per_check(monkeypatch, capsys, spec, n
     cli.main(["check", "--family", spec, f"--nu1={lo!r}", f"--nu2={hi!r}", f"--nu-grid={grid}",
               "--no-timing"])
     capsys.readouterr()
-    # a kernel that depends on nu is built at every scanned nu
-    assert len(calls) == (1 if family_from_spec(spec).fixed_kernel else 65)
+    # a fixed kernel, or a factored kernel's statistic, is built once; any
+    # other kernel at every scanned nu
+    assert len(calls) == (65 if _built_once(spec) is None else 1)
 
 
 @pytest.mark.parametrize("order", ["lr", "lc", "st", "hr"])
@@ -423,6 +456,63 @@ def test_a_fixed_path_kernel_is_evaluated_once_per_path(monkeypatch, capsys, ord
               "--t-points", "129", "--no-timing"])
     capsys.readouterr()
     assert sorted(calls) == ["r", "rho"]
+
+
+@st.composite
+def factored_cases(draw):
+    """Small integer T on an integer grid, laws, and per-nu dyadic (a, b) of
+    either sign or zero, so that a T + b and every margin are exact."""
+    n = draw(st.integers(2, 30))
+    grid = discrete_grid(0, n - 1)
+    t = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), dtype=float)
+    nus = [float(nu) for nu in range(draw(st.integers(1, 6)))]
+    pairs = {nu: (draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0])),
+                  draw(st.sampled_from([-1.5, 0.0, 0.25, 3.0]))) for nu in nus}
+    mass = st.floats(0.0, 1.0)
+    laws = {nu: np.array(draw(st.lists(mass, min_size=n, max_size=n))) for nu in nus}
+    return grid, t, nus, pairs, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=factored_cases())
+def test_a_factored_scan_equals_the_scan_of_a_t_plus_b(case):
+    # |a| times T's least signed slope or curvature, read with the sign of a,
+    # and T's own slopes for the st/hr skip, against a T + b built per nu
+    grid, t, nus, pairs, laws, tol = case
+    factored = scan_kernel(t, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__,
+                           coefficient=pairs.__getitem__)
+    rebuilt = scan_kernel(lambda nu: pairs[nu][0] * t + pairs[nu][1], nus, grid, ALL_TESTS,
+                          tol, tol, law=laws.__getitem__)
+    assert factored == rebuilt
+
+
+@pytest.mark.parametrize("argv", [
+    # K = k / theta at theta = 1e-290 is of size 1e290, and a kernel built
+    # at each nu read its rounding, of size 1e274, as lc failing both ways
+    ["--family", "poisson", "--nu1=1e-290", "--nu2", "3"],
+    # under a zero tolerance, rounding of size 1e-15 in k / q did the same
+    ["--family", "geometric", "--nu1=0.22", "--nu2=0.74", "--tol-shape=0"],
+], ids=["huge", "zero-tolerance"])
+def test_a_linear_kernel_keeps_its_zero_curvature(capsys, argv):
+    code = cli.main(["check", *argv, "--orders", "lc", "--no-timing"])
+    report = json.loads(capsys.readouterr().out)
+    kernel = [(v["direction"], v["status"], v["margin"]) for v in report["verdicts"]
+              if v["method"] == "kernel-criterion"]
+    assert (code, kernel) == (0, [("up", "holds", 0.0), ("down", "holds", 0.0)])
+
+
+@pytest.mark.parametrize("spec,nus,refusal", [
+    # sigma ** -3 raises OverflowError
+    ("halfnormal-in-scale", [1.0, 1e-103], "halfnormal-in-scale: kernel not finite at sigma=1e-103"),
+    # 1 / theta is finite, and its product with max k is not
+    ("poisson", [1.0, 1e-308], "poisson: kernel not finite at theta=1e-308"),
+])
+def test_a_coefficient_that_is_not_finite_is_refused_by_name(spec, nus, refusal):
+    fam = family_from_spec(spec)
+    grid = default_grid(fam, [1.0])
+    with pytest.raises(ValueError) as error:
+        scan_orders(fam, nus, grid, ALL_TESTS)
+    assert str(error.value) == refusal
 
 
 def test_a_wide_shape_tolerance_does_not_skip_a_failing_tail_pass(capsys):

@@ -13,6 +13,7 @@ from scipy import stats
 from stochorder import catalog, cli, compound, pairwise
 from stochorder.catalog import (
     LAWS,
+    Factored,
     default_grid,
     density,
     discrete_grid,
@@ -281,34 +282,52 @@ def parameter_values(law, p):
 
 
 FIXED = sorted((law, p) for law, entry in LAWS.items() for p in entry.fixed_kernels)
+# kernels a(theta) T + b(theta), whose statistic T obeys the same rule
+FACTORED = sorted((law, p) for law, entry in LAWS.items()
+                  for p, kernel in entry.kernels.items() if isinstance(kernel, Factored))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), entry=st.sampled_from(FIXED))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), entry=st.sampled_from(FIXED + FACTORED))
 def test_declared_kernels_give_the_same_bits_at_every_varied_parameter(data, entry):
     law_name, declared = entry
     law, varied = LAWS[law_name], varied_parameters()[law_name]
     assert declared in law.kernels and declared in varied
+    kernel = law.kernels[declared]
+    if entry in FACTORED:
+        kernel = kernel.statistic
     a = {p: data.draw(parameter_values(law_name, p)) for p in law.domains}
     b = {p: data.draw(parameter_values(law_name, p).filter(lambda v, p=p: v != a[p]))
          if p in varied else v for p, v in a.items()}
     lo, hi = law.support(a)  # it reads no varied parameter
     x = lo + (np.arange(200.0) if law.kind == "discrete"
               else np.linspace(0.0, min(hi - lo, 30.0), 202)[1:-1])
-    ka, kb = (np.asarray(law.kernels[declared](th, x), dtype=float) for th in (a, b))
+    ka, kb = (np.asarray(kernel(th, x), dtype=float) for th in (a, b))
     assert ka.tobytes() == kb.tobytes()
 
 
+def built_once(family):
+    """"fixed", "factored" or None, from the family's factor."""
+    if family.factor is None:
+        return None
+    return "fixed" if family.factor[0] is None else "factored"
+
+
 def test_families_and_paths_carry_the_declaration():
-    assert sorted(name for name in catalog.FAMILY_NAMES
-                  if catalog.make_family(name).fixed_kernel) == [
+    families = {name: built_once(catalog.make_family(name)) for name in catalog.FAMILY_NAMES}
+    assert sorted(name for name, how in families.items() if how == "fixed") == [
         "beta-in-alpha", "beta-in-beta", "cmp-in-dispersion", "exponential-in-rate",
         "gamma-in-rate", "gamma-in-shape", "pareto-in-shape", "weibull-in-rate"]
-    assert not any(make_counting(name).fixed_kernel for name in compound.COUNTING_NAMES)
+    assert sorted(name for name, how in families.items() if how == "factored") == [
+        "binomial-in-p", "geometric", "halfnormal-in-scale", "lognormal-in-mu", "logseries",
+        "negbinomial-in-q", "poisson"]
+    assert {name: built_once(make_counting(name)) for name in compound.COUNTING_NAMES} == {
+        "binomial": "factored", "geometric": None, "logseries": "factored",
+        "negbinomial": None, "negbinomial-in-shape": None, "poisson": "factored"}
     # a path's kernel is fixed when every moved parameter's kernel is
-    assert {name: path_family(*parse_spec(spec)).fixed_kernel
+    assert {name: built_once(path_family(*parse_spec(spec)))
             for name, spec in PATH_SPECS.items()} == {
-        "negbinomial": False, "betabinomial": False, "gamma": True}
+        "negbinomial": None, "betabinomial": None, "gamma": "fixed"}
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ Each command runs in-process through `stochorder.cli.main` with
   kernels reading a fixed parameter off its default, the latter on an
   unsorted `--nu-grid` that repeats a value; and the gamma path with both
   parameters idle, whose kernel is zero, under lc;
+- kernels a(nu) T(x) + b(nu), whose statistic T is built once per scan:
+  `lognormal-in-mu` over -2..-0.5, where b(mu) = -mu / sigma^2 is not 0,
+  and a Poisson row from theta = 1e-290, whose kernel k / theta is of size
+  1e290 with curvature 0, so lc holds both ways with margin 0 (a kernel
+  built at each nu read its rounding, of size 1e274, as two lc failures);
 - `half-student-in-df` lr over 2.5..3.9, which reports `lr down holds`
   although the kernel rises in x on [0, 1): the default grid's first
   midpoint lies past that rise;
@@ -206,6 +211,11 @@ FIXED_KERNELS = (
     ["path", "--name", "gamma:r1=1.5,r2=1.5,rho1=2,rho2=2", "--order", "lc"],
 )
 
+FACTORED_KERNELS = (
+    ["check", "--family", "lognormal-in-mu", "--nu1=-2", "--nu2=-0.5"],
+    ["check", "--family", "poisson", "--nu1=1e-290", "--nu2", "3"],
+)
+
 COARSE_GRIDS = (
     ["check", "--family", "half-student-in-df", "--nu1=2.5", "--nu2=3.9", "--orders", "lr"],
 )
@@ -327,6 +337,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(KERNEL_BRANCHES)
     out.extend(IDLE_PARAMETERS)
     out.extend(FIXED_KERNELS)
+    out.extend(FACTORED_KERNELS)
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
     out.extend(EQUAL_ENDPOINTS)
