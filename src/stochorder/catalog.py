@@ -378,9 +378,28 @@ def _zip_kernel(th: Theta, k: np.ndarray) -> np.ndarray:
     return np.where(k == 0, 1.0 - a, k / theta)
 
 
+def _two_sigma2(value: float) -> float:
+    """2 sigma^2, the divisor of the normal log factors. Where it underflows
+    to 0 or overflows, 1 / (2 sigma^2) is past the double range and the law
+    is refused naming sigma (`View.log_factor`)."""
+    if not 0.0 < value < math.inf:
+        raise OverflowError("2 sigma^2 is past the double range")
+    return value
+
+
+# Where the quotient by 2 sigma^2 overflows, the log factor is -inf, its
+# exact limit. A half-normal x^2 that overflows reads as -inf too; the
+# kernel, whose statistic is x^2, refuses that grid by name.
+def _halfnormal_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
+    two_s2 = _two_sigma2(2.0 * th["sigma"] * th["sigma"])
+    with np.errstate(over="ignore"):
+        return _HALFNORMAL_LOG_C - x * x / two_s2
+
+
 def _lognormal_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
-    s2 = th["sigma"] * th["sigma"]
-    return -((np.log(x) - th["mu"]) ** 2) / (2.0 * s2) - np.log(x)
+    two_s2 = _two_sigma2(2.0 * (th["sigma"] * th["sigma"]))
+    with np.errstate(over="ignore"):
+        return -((np.log(x) - th["mu"]) ** 2) / two_s2 - np.log(x)
 
 
 # w_mu(x) = f0(x - mu) e^{-mu}, A = e^{-mu}: the extra e^{-mu} makes
@@ -587,7 +606,7 @@ LAWS: dict[str, Law] = {
         kind="continuous",
         domains={"sigma": _POSITIVE},
         support=_from_zero,
-        log_factor=lambda th, x: _HALFNORMAL_LOG_C - x * x / (2.0 * th["sigma"] * th["sigma"]),
+        log_factor=_halfnormal_log_factor,
         kernels={"sigma": Factored(lambda th: (th["sigma"] ** -3, 0.0), lambda th, x: x * x)},
         log_normalizer=lambda th: math.log(th["sigma"]),
         quantile=lambda th, u: th["sigma"] * _normal_quantile((1.0 + u) / 2.0),

@@ -73,6 +73,16 @@ __all__ = ["main", "dumps"]
 # deterministic serialization
 
 
+def _float(x: float) -> str:
+    """The float format of every output form: 17 significant digits, -0.0
+    folded to 0 so load/dump cycles are stable, nan and inf quoted."""
+    if math.isfinite(x):
+        return f"{x:.17g}" if x else "0"
+    if x != x:
+        return '"nan"'
+    return '"inf"' if x > 0 else '"-inf"'
+
+
 def _scalar(x) -> str:
     if x is None:
         return "null"
@@ -81,13 +91,7 @@ def _scalar(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        if x == 0.0:
-            x = 0.0  # fold -0.0 so load/dump cycles are stable
-        return format(x, ".17g")
+        return _float(x)
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -95,12 +99,45 @@ def _scalar(x) -> str:
 
 def dumps(obj) -> str:
     """Render a report as JSON with insertion key order and fixed float format."""
-    if isinstance(obj, dict):
-        body = ", ".join(f"{encode_basestring_ascii(str(k))}: {dumps(v)}" for k, v in obj.items())
-        return "{" + body + "}"
-    if isinstance(obj, list):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    return _scalar(obj)
+    out: list[str] = []
+    _write(obj, out.append)
+    return "".join(out)
+
+
+def _write(o, put) -> None:
+    """Pass o's JSON to `put` piece by piece. Inside a container, a value of
+    exact type str or float is written in place; any other value, subclasses
+    included, comes back here and, if not a container, goes to _scalar."""
+    if isinstance(o, dict):
+        sep = "{"
+        for k, v in o.items():
+            put(sep)
+            sep = ", "
+            put(encode_basestring_ascii(k if type(k) is str else str(k)))
+            put(": ")
+            t = type(v)
+            if t is str:
+                put(encode_basestring_ascii(v))
+            elif t is float:
+                put(_float(v))
+            else:
+                _write(v, put)
+        put("{}" if sep == "{" else "}")
+    elif isinstance(o, list):
+        sep = "["
+        for v in o:
+            put(sep)
+            sep = ", "
+            t = type(v)
+            if t is str:
+                put(encode_basestring_ascii(v))
+            elif t is float:
+                put(_float(v))
+            else:
+                _write(v, put)
+        put("[]" if sep == "[" else "]")
+    else:
+        put(_scalar(o))
 
 
 def _cell(x) -> str:
@@ -110,7 +147,7 @@ def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return _scalar(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
+        return _float(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
     if isinstance(x, dict):
         return ";".join(f"{k}={_cell(v)}" for k, v in x.items())
     if isinstance(x, list):

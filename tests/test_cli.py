@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochorder
 from stochorder import cli
@@ -41,6 +46,101 @@ def test_dumps_fixed_float_format():
     assert dumps({"b": 1, "a": [2, "x"]}) == '{"b": 1, "a": [2, "x"]}'
     with pytest.raises(TypeError):
         dumps({"x": {1, 2}})
+
+
+# The recursive encoder and CSV cell rule that `dumps` and `_cell` replaced,
+# kept as the reference they must match.
+
+
+def _old_scalar(x) -> str:
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        if x == 0.0:
+            x = 0.0  # fold -0.0 so load/dump cycles are stable
+        return format(x, ".17g")
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _old_dumps(obj) -> str:
+    """Render a report as JSON with insertion key order and fixed float format."""
+    if isinstance(obj, dict):
+        body = ", ".join(f"{encode_basestring_ascii(str(k))}: {_old_dumps(v)}" for k, v in obj.items())
+        return "{" + body + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(_old_dumps(v) for v in obj) + "]"
+    return _old_scalar(obj)
+
+
+def _old_cell(x) -> str:
+    """CSV cell rendering with the same float format as the JSON output."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return _old_scalar(x).strip('"')  # JSON's format, -0 folded, nan/inf unquoted
+    if isinstance(x, dict):
+        return ";".join(f"{k}={_old_cell(v)}" for k, v in x.items())
+    if isinstance(x, list):
+        return ",".join(_old_cell(v) for v in x)
+    return str(x)
+
+
+def _outcome(render, x):
+    """What `render` gives for x: its string, or the type and text of its error."""
+    try:
+        return render(x)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+)
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\n\té€𝄞\u2028 a')),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**300), _FLOATS, _STRINGS,
+    _FLOATS.map(np.float64),
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.booleans(), st.none(), _FLOATS)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_KEYS, kids, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_and_cell_match_the_recursive_encoder(tree):
+    assert dumps(tree) == _old_dumps(tree)
+    assert cli._cell(tree) == _old_cell(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES, st.sampled_from([{1, 2}, set(), (1.5,), np.int64(3), np.float32(0.5),
+                                np.array([1.0]), b"x"]))
+def test_dumps_refuses_the_same_values_as_the_recursive_encoder(tree, bad):
+    for wrapped in ([tree, bad], {"k": tree, "bad": bad}, bad):
+        got = _outcome(dumps, wrapped)
+        assert got == _outcome(_old_dumps, wrapped)
+        assert got[0] is TypeError
 
 
 _REPORT_ARGV = [
@@ -588,6 +688,13 @@ def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note)
     # exp(-z) overflowed in the log factor: a numpy warning before the error
     (("check", "--family", "gumbel-in-location", "--nu1=1e307", "--nu2", "2e307"),
      "gumbel-in-location: zero total mass on the grid at mu=1e+307"),
+    # x^2 / (2 sigma^2) overflowed: a numpy warning before the error
+    (("check", "--family", "halfnormal-in-scale", "--nu1=1.386199985852166e-99",
+      "--nu2=5.383274468648785e+56"),
+     "halfnormal-in-scale: zero total mass on the grid at sigma=1.386199985852166e-99"),
+    # sigma^2 underflowed to 0: a numpy warning, then a zero mass it did not cause
+    (("check", "--family", "lognormal-in-mu:sigma=1e-200", "--nu1=0", "--nu2=1"),
+     "lognormal-in-mu: log factor overflows a double at sigma=1e-200,mu=0"),
 ])
 def test_in_domain_overflows_exit_two_naming_the_law(capsys, argv, refusal):
     code, out, err = run_cli(capsys, *argv, "--no-timing")

@@ -114,7 +114,9 @@ Each command runs in-process through `stochorder.cli.main` with
 - `table --id` katz and table2, a pairwise, a compound and the
   interpolation path, each as CSV and as text: the renderings of the table
   rows, of the katz `params` and of the interpolation's `delta_margins`,
-  whose dicts only these forms write cell by cell.
+  whose dicts only these forms write cell by cell; and a pairwise binomial
+  against a hypergeometric law whose lc margin is -inf, so that both forms
+  render an infinite float.
 
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
@@ -309,6 +311,7 @@ OTHER_FORMATS = tuple(
         ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1", "1",
          "--nu2", "2"],
         ["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"],
+        ["pairwise", "--p", "binomial:n=5,p=0.9", "--q", "hypergeometric:B=10,W=2,n=5"],
     )
     for fmt in ("csv", "text")
 )
