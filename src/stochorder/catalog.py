@@ -274,6 +274,10 @@ def _per(p: str) -> Factored:
     return Factored(lambda th: (1.0 / th[p], 0.0), _count)
 
 
+# -k / (1 - p), the kernel of a factor (1 - p)^k in p, as (-1 / (1 - p)) k
+_FAILURES = Factored(lambda th: (-1.0 / (1.0 - th["p"]), 0.0), _count)
+
+
 def _binomial_coefficient(th: Theta) -> tuple[float, float]:
     # k/p - (n - k)/(1 - p) = k / (p (1 - p)) - n / (1 - p)
     p = th["p"]
@@ -458,7 +462,7 @@ LAWS: dict[str, Law] = {
         domains={"p": _UNIT},
         support=_from_zero,
         log_factor=lambda th, k: k * math.log1p(-th["p"]),
-        kernels={"p": lambda th, k: -k / (1.0 - th["p"])},
+        kernels={"p": _FAILURES},
         log_normalizer=lambda th: -math.log(th["p"]),
         tail_ratio=lambda th: 1.0 - th["p"],
     ),
@@ -485,7 +489,7 @@ LAWS: dict[str, Law] = {
         ),
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
-            "p": lambda th, k: -k / (1.0 - th["p"]),
+            "p": _FAILURES,
         },
         log_normalizer=lambda th: -th["r"] * math.log(th["p"]),
         tail_ratio=lambda th: 1.0 - th["p"],

@@ -17,7 +17,10 @@ in n and the lr direction is the sign of its slope b(nu).
 
 Each counting law is a one-parameter view of an entry of `catalog.LAWS`
 (the p-forms for geometric and the negative binomial); its kernel is its only
-per-law input, and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n).
+per-law input, and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n). The
+scan reads it as every family scan does (`criteria._family_kernel`), so a
+`Factored` kernel, which all five Table-2 counting laws declare, builds its
+statistic n once per scan and reads each nu through its coefficient.
 
 All arrays are truncated where `catalog._tail_cut` bounds the tail past the
 cut by TAIL_CUT_EPS: summands, and counting laws through
@@ -30,14 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
 from .catalog import (
-    LAWS, MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, View, _tail_cut, checked,
-    default_grid, discrete_grid, parse_spec,
+    LAWS, MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, SupportGrid, View, _tail_cut,
+    checked, default_grid, discrete_grid, parse_spec,
 )
-from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, scan_kernel
+from .criteria import NU_POINTS, TOL_SHAPE, _family_kernel, nu_scan, scan_kernel
 from .oracle import oracle_pair
 from .verdicts import OrderVerdict, Witness, reconcile
 
@@ -247,6 +251,7 @@ def _counting_pmf(counting: DensityFamily, n_max: int, nu: float) -> np.ndarray:
     n = np.arange(n_lo, n_max + 1, dtype=float)
     q = np.zeros(n_max + 1)
     q[n_lo:] = np.exp(counting.log_factor(nu, n) - counting.log_normalizer(nu))
+    q.flags.writeable = False  # a model keeps it and hands it out
     return q
 
 
@@ -258,7 +263,9 @@ class CompoundModel:
     chooses k_max so the compound law at every construction-time parameter
     keeps its tail mass below TAIL_CUT_EPS, and computes the table
     only in windows of columns until that cut; its bits equal those of one
-    pass to k_max.
+    pass to k_max. grid is the compound support {0..k_max}, and
+    counting_pmfs maps each construction-time parameter to q_nu on
+    0..n_max, which the model was cut with and reads again.
     """
 
     counting: DensityFamily
@@ -266,21 +273,27 @@ class CompoundModel:
     k_max: int
     n_max: int
     conv: np.ndarray
+    grid: SupportGrid
+    counting_pmfs: Mapping[float, np.ndarray]
 
     @property
     def n_lo(self) -> int:
         return int(self.counting.support[0])
 
     def counting_pmf(self, nu: float) -> np.ndarray:
-        """q_nu(n) for n = 0..n_max (zero below the counting support)."""
-        return _counting_pmf(self.counting, self.n_max, self.counting.validate_param(nu))
+        """q_nu(n) for n = 0..n_max (zero below the counting support): the
+        kept one at a parameter the model was cut for, else built."""
+        q = self.counting_pmfs.get(nu)
+        if q is None:
+            q = _counting_pmf(self.counting, self.n_max, self.counting.validate_param(nu))
+        return q
 
     def compound_masses(self, nu: float) -> np.ndarray:
         """Unnormalized compound pmf on {0..k_max}; deficit <= eps budgets."""
         return self.counting_pmf(nu) @ self.conv
 
 
-_CONV_WINDOW = 64  # columns of the first window of the convolution table
+_CONV_WINDOW = 256  # columns of the first window of the convolution table
 
 
 def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> CompoundModel:
@@ -289,7 +302,7 @@ def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> Compound
     The counting law is cut by `catalog.default_grid` at TAIL_CUT_EPS, at
     most at n = _N_CAP. k_max is the smallest k whose compound tail past k
     is at most TAIL_CUT_EPS at every nu. The table is grown in windows of
-    columns: the first holds max(64, j_max + 1), never fewer than the
+    columns: the first holds max(256, j_max + 1), never fewer than the
     summand (see `_conv_table`), and each later one doubles, up to
     _K_CAP + 1. Each window's columns are bit for bit those of one pass to
     _K_CAP. The cut is read inside each window, and the search stops once,
@@ -331,18 +344,19 @@ def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> Compound
             held = held and beyond[cut] + q @ outside <= TAIL_CUT_EPS
             need = max(need, cut)
         if width > _K_CAP or held:
-            return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1])
+            return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1],
+                                 discrete_grid(0, need), dict(zip(nus, qs)))
         width = min(2 * width, _K_CAP + 1)
         conv = _conv_table(summand, n_max, width - 1, conv)
 
 
 def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
-    """The compound law at nu as a Distribution on {0..k_max}."""
+    """The compound law at nu as a Distribution on the model's grid."""
     masses = m.compound_masses(nu)
     total = masses.sum()
     if not total > 0:
         raise ValueError("compound pmf has zero mass on the truncated support")
-    return Distribution(discrete_grid(0, m.k_max), masses / total)
+    return Distribution(m.grid, masses / total)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +412,9 @@ def check_compound_lr(
         )
 
     grid = discrete_grid(m.n_lo, m.n_max)
+    kernel, coefficient = _family_kernel(m.counting, grid, nus)
     (up_w, up_margin, _), (down_w, down_margin, _) = scan_kernel(
-        lambda nu: m.counting.kernel(nu, grid.points), nus, grid, [("lr", "up"), ("lr", "down")],
-        tol_shape,
-    )
+        kernel, nus, grid, [("lr", "up"), ("lr", "down")], tol_shape, coefficient=coefficient)
     if up_w is not None and down_w is not None:
         return OrderVerdict(
             order="lr", direction="up", status="inconclusive", method="compound-kernel",

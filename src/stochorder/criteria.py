@@ -127,11 +127,15 @@ def _prefix_length(surv: np.ndarray, eps: float) -> int:
 
 def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Survival P(X >= x), tail mean E[K | X >= x] on the prefix where the
-    survival is positive, and grand mean E[K], by one backward pass."""
+    survival is positive, and grand mean E[K], by one backward pass. E[K] is
+    the tail mean at the first point, read off the same sums (0 for a law
+    with no mass), so the st margin there is exactly 0 and no BLAS dot
+    product, whose sum order follows its thread count, enters a report."""
     surv = np.cumsum(masses[::-1])[::-1]
     tail_num = np.cumsum((k * masses)[::-1])[::-1]
     n = _prefix_length(surv, 0.0)
-    return surv, tail_num[:n] / surv[:n], float(np.dot(k, masses))
+    means = tail_num[:n] / surv[:n]
+    return surv, means, float(means[0]) if n else 0.0
 
 
 def _low(m: np.ndarray, sign: float) -> float:

@@ -1086,12 +1086,22 @@ def test_usage_error_bytes_are_pinned(capsys, monkeypatch, command, argv, messag
     assert run_cli(capsys, *argv) == (2, "", f"{usage}\n{prog}: error: {message}\n")
 
 
-def fresh(*argv):
-    """Run one command in a new interpreter: (exit code, stdout, stderr)."""
+def fresh(*argv, **env):
+    """Run one command in a new interpreter, with `env` added to the
+    environment: (exit code, stdout, stderr)."""
     path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-m", "stochorder", *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+                         text=True, env={**os.environ, "PYTHONPATH": path, **env})
     return run.returncode, run.stdout, run.stderr
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product over 20 000 points across its threads,
+    # which changes the order of its sum; no report reads one
+    argv = ["check", "--family", "gamma-in-rate", "--nu1=0.8", "--nu2=1.6",
+            "--grid-points=20000", "--no-timing"]
+    one, two = (fresh(*argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one[0] == 0 and one == two
 
 
 def test_one_process_runs_each_command_as_a_fresh_interpreter_does(capsys, monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ The compound Poisson masses are cross-checked with the Panjer recursion,
 an entirely separate computation route.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from stochorder.compound import (
     poisson_shifted_summand,
     summand_from_spec,
     two_point_summand,
+    _COUNTING,
     _N_CAP,
     _conv_table,
 )
@@ -35,6 +37,7 @@ from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
 from stochorder.verdicts import Witness
 from test_catalog import ratio_bound_cut
+from test_criteria import _count_kernel_calls
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,8 @@ def test_delta_convolution_shifts():
 
 
 # summands drawn over the four kinds the CLI parses; geometric summands with
-# p < 0.35 have more terms than a 64-column window
+# p < 0.1, and delta summands past 255, have more terms than a 256-column
+# window
 SUMMANDS = st.one_of(
     st.floats(0.05, 0.95).map(geometric_summand),
     st.floats(0.2, 5.0).map(poisson_shifted_summand),
@@ -290,9 +294,11 @@ def _full_cap_reference(counting, summand, nus, k_cap=2000):
 @example((make_counting("poisson"), (1.0, 2.0)), geometric_summand(0.2))
 @example((make_counting("geometric"), (0.5, 0.8)), geometric_summand(0.05))
 # atoms at 0 and 32 fill the first 64 columns but for 2e-8 of the mass, and
-# the atom at 96 still holds 1.3e-12 of it
+# the atom at 96 still holds 1.3e-12 of it; atoms at 0 and 128 fill the first
+# window, of 256 columns, but for 2e-8, and the atom at 384 holds 1.3e-12
 @example((make_counting("poisson"), (1e-4, 2e-4)), delta_summand(32))
 @example((make_counting("binomial", n0=5), (1e-4, 3e-4)), delta_summand(32))
+@example((make_counting("poisson"), (1e-4, 2e-4)), delta_summand(128))
 def test_make_compound_equals_the_full_cap_table_and_cut(scan, summand):
     counting, nus = scan
     reference = _full_cap_reference(counting, summand, nus)
@@ -520,6 +526,36 @@ def test_check_compound_lr_gates_on_pf2():
     v = check_compound_lr(model, 1.0, 2.0)
     assert v.status == "inconclusive"
     assert "PF2" in v.note
+
+
+@pytest.mark.parametrize("name,sign,direction,span", TABLE2_ROWS,
+                         ids=[row[0] for row in TABLE2_ROWS])
+def test_the_compound_scan_builds_the_counting_statistic_once(monkeypatch, name, sign,
+                                                             direction, span):
+    view = _COUNTING[name]
+    calls = _count_kernel_calls(monkeypatch, view.law, [view.varied])
+    model = make_compound(make_counting(name), geometric_summand(0.5), span)
+    v = check_compound_lr(model, *span, nu_points=65)
+    # each Table-2 counting kernel is Factored: its statistic is built once
+    # for the 65 scanned nus, and read at each through its coefficient
+    assert (v.direction, v.status, len(calls)) == (direction, "holds", 1)
+
+
+def test_a_model_reads_the_counting_pmfs_it_was_cut_with():
+    counting = make_counting("negbinomial", alpha=3.0)
+    model = make_compound(counting, geometric_summand(0.5), (0.6, 0.3))
+    assert sorted(model.counting_pmfs) == [0.3, 0.6]
+    for nu, q in model.counting_pmfs.items():
+        assert model.counting_pmf(nu) is q and not q.flags.writeable
+        rebuilt = dataclasses.replace(model, counting_pmfs={})
+        assert model.counting_pmf(nu).tobytes() == rebuilt.counting_pmf(nu).tobytes()
+        d, e = compound_pmf(model, nu), compound_pmf(rebuilt, nu)
+        assert d.support is model.grid and d.masses.tobytes() == e.masses.tobytes()
+    assert (model.grid.lower, model.grid.upper) == (0, model.k_max)
+    # a parameter it was not cut for is validated and built
+    assert model.counting_pmf(0.45).tobytes() != model.counting_pmf(0.3).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        compound_pmf(model, 1.5)
 
 
 def test_table2_rows_cover_the_five_counting_laws():

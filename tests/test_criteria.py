@@ -501,6 +501,19 @@ def test_a_linear_kernel_keeps_its_zero_curvature(capsys, argv):
     assert (code, kernel) == (0, [("up", "holds", 0.0), ("down", "holds", 0.0)])
 
 
+def test_a_zero_tail_tolerance_finds_the_st_witness_past_the_first_point(capsys):
+    # at the first grid point E[K | X >= x] and E[K] are one quotient of the
+    # same two sums, so the st margin there is 0, not rounding, and st down
+    # fails at its real witness
+    code = cli.main(["check", "--family", "poisson", "--nu1=1", "--nu2=3", "--orders", "st",
+                     "--tol-tail=0", "--no-timing"])
+    report = json.loads(capsys.readouterr().out)
+    up, down = (v for v in report["verdicts"] if v["method"] == "kernel-criterion")
+    assert (code, up["status"], down["status"]) == (0, "holds", "fails")
+    assert (down["witness"]["x"], down["witness"]["nu"]) == (1, 1)
+    assert down["margin"] == pytest.approx(-0.5819767068693265, rel=1e-12)
+
+
 @pytest.mark.parametrize("spec,nus,refusal", [
     # sigma ** -3 raises OverflowError
     ("halfnormal-in-scale", [1.0, 1e-103], "halfnormal-in-scale: kernel not finite at sigma=1e-103"),
@@ -605,9 +618,12 @@ def _ref_slopes(grid, v):
 
 
 def _ref_tail_means(k, masses):
+    """Survival, tail means and E[K], the tail mean at the first point (0 for
+    no mass): both sides of the st margin there come from the same sums."""
     surv = np.cumsum(masses[::-1])[::-1]
     tail_num = np.cumsum((k * masses)[::-1])[::-1]
-    return surv, tail_num / np.where(surv > 0.0, surv, 1.0), float(np.dot(k, masses))
+    tail = tail_num / np.where(surv > 0.0, surv, 1.0)
+    return surv, tail, float(tail[0]) if surv[0] > 0.0 else 0.0
 
 
 def _ref_scan(grid, nus, kernels, laws, probe):

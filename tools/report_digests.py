@@ -62,9 +62,10 @@ Each command runs in-process through `stochorder.cli.main` with
   although the kernel rises in x on [0, 1): the default grid's first
   midpoint lies past that rise;
 - the tail tests at the edges of the st/hr skip, on a Poisson row whose
-  kernel rises at every scanned nu: with `--tol-tail=0`, where a full tail
-  pass reads a rounding-only st up margin of -1.1e-16 as a failure, and with
-  `--tol-shape=1e6`, where st and hr down must still fail;
+  kernel rises at every scanned nu: with `--tol-tail=0`, where st down
+  must fail at x = 1 and not at x = 0, whose st margin is exactly 0 (the
+  tail mean and E[K] there are one quotient), and with `--tol-shape=1e6`,
+  where st and hr down must still fail;
 - compounds with equal endpoints (`--nu1 2 --nu2 2`), which exit 2 and
   name both options, also with the `geometric:p=0.01` and `delta:j=300`
   summands whose tables pass the cap of 2000 columns below, as the
@@ -82,14 +83,16 @@ Each command runs in-process through `stochorder.cli.main` with
   the path test holds and the oracle downgrades it to inconclusive;
 - a two-point support: `check` on `binomial-in-p:n=1` and `pairwise` on
   its two endpoint laws in either order, which decide the same statuses;
-- compounds whose convolution table grows past its first column windows:
-  a Poisson count of `delta:j=40` atoms (k_max 720), a 527-term
-  `geometric:p=0.05` summand (k_max 1063) and a log-series count of
-  two-point summands; and two that exit 2 at the table's cap of 2000
-  columns, a `geometric:p=0.01` summand longer than the cap and Poisson
-  counts of `delta:j=300` atoms; and a rare Poisson count of `delta:j=32`
-  atoms over 1e-4..2e-4, whose first 64 columns hold all but 2e-8 of the
-  mass while the atom at 96 still holds 1.3e-12 (k_max 96);
+- compounds whose convolution table grows past its first window of 256
+  columns: a Poisson count of `delta:j=40` atoms (k_max 720) and a
+  527-term `geometric:p=0.05` summand (k_max 1063); a log-series count of
+  two-point summands (k_max 114); two that exit 2 at the table's cap of
+  2000 columns, a `geometric:p=0.01` summand longer than the cap and
+  Poisson counts of `delta:j=300` atoms; and rare Poisson counts over
+  1e-4..2e-4 of `delta:j=32` atoms, whose first 64 columns hold all but
+  2e-8 of the mass while the atom at 96 still holds 1.3e-12 (k_max 96),
+  and of `delta:j=128` atoms, the same sliver past the first window of
+  256 columns (k_max 384);
 - `check` endpoint pairs that reach the oracle's per-direction branches
   rather than the shared ones: a binomial with n = 3000 whose masses
   underflow to zero at either end, so lc fails by support-containment both
@@ -271,6 +274,8 @@ COMPOUND_WINDOWS = (
     ["compound", "--counting", "poisson", "--summand", "delta:j=300", "--nu1", "0.2",
      "--nu2", "0.5"],
     ["compound", "--counting", "poisson", "--summand", "delta:j=32", "--nu1", "0.0001",
+     "--nu2", "0.0002"],
+    ["compound", "--counting", "poisson", "--summand", "delta:j=128", "--nu1", "0.0001",
      "--nu2", "0.0002"],
 )
 
