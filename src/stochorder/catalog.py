@@ -86,6 +86,10 @@ MAX_KMAX = 100_000
 TAIL_CUT_EPS = 1e-12
 TAIL_CUT_KMAX = 10_000
 
+# the largest k past the common lower end of the pairwise kernel's range when
+# both supports are infinite: the default of `pairwise --kmax`
+PAIRWISE_KMAX = 200
+
 
 # ---------------------------------------------------------------------------
 # grids

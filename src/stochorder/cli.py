@@ -17,7 +17,6 @@ diagnostic names the offending token).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -34,6 +33,7 @@ from .catalog import (
     GRID_POINTS,
     MAX_GRID_POINTS,
     MAX_KMAX,
+    PAIRWISE_KMAX,
     TAIL_CUT_EPS,
     TAIL_CUT_KMAX,
     continuous_grid,
@@ -42,28 +42,8 @@ from .catalog import (
     family_from_spec,
     parse_spec,
 )
-from .compound import (
-    TABLE2_ROWS,
-    check_compound_lr,
-    counting_from_spec,
-    geometric_summand,
-    make_compound,
-    make_counting,
-    summand_from_spec,
-)
 from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_orders
 from .oracle import oracle_pair
-from .pairwise import (
-    PAIRWISE_KMAX,
-    check_interpolation,
-    check_pairwise,
-    check_path_order,
-    katz_laws,
-    katz_threshold,
-    law_distribution,
-    law_from_spec,
-    path_family,
-)
 from .verdicts import ORDERS, OrderVerdict
 
 __all__ = ["main", "dumps"]
@@ -171,6 +151,8 @@ def _verdict_row(v: dict) -> list[str]:
 
 
 def _to_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     table = report.get("table")
@@ -377,6 +359,8 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_pairwise(args) -> tuple[dict, int]:
+    from .pairwise import check_pairwise, law_from_spec
+
     p_law, q_law, orders = law_from_spec(args.p), law_from_spec(args.q), _parse_orders(args.orders)
     verdicts = check_pairwise(p_law, q_law, orders, args.kmax, args.tol_shape, args.tail_eps)
     tolerances = {"tol_shape": args.tol_shape, "tail_eps": args.tail_eps, "kmax": args.kmax}
@@ -389,6 +373,8 @@ def _cmd_pairwise(args) -> tuple[dict, int]:
 
 
 def _cmd_compound(args) -> tuple[dict, int]:
+    from .compound import check_compound_lr, counting_from_spec, make_compound, summand_from_spec
+
     counting = counting_from_spec(args.counting)
     summand = summand_from_spec(args.summand)
     nu1, nu2 = float(args.nu1), float(args.nu2)
@@ -483,6 +469,10 @@ def _build_table1() -> tuple[dict, list[OrderVerdict], bool]:
 
 
 def _build_table2() -> tuple[dict, list[OrderVerdict], bool]:
+    from .compound import (
+        TABLE2_ROWS, check_compound_lr, geometric_summand, make_compound, make_counting,
+    )
+
     rows, verdicts = [], []
     verified = True
     summand = geometric_summand(0.5)
@@ -513,6 +503,8 @@ _KATZ_CELLS = (
 
 
 def _build_katz() -> tuple[dict, list[OrderVerdict], bool]:
+    from .pairwise import katz_laws, katz_threshold, law_distribution
+
     rows, verdicts = [], []
     verified = True
     for pair, params in _KATZ_CELLS:
@@ -576,6 +568,8 @@ def _cmd_table(args) -> tuple[dict, int]:
 
 
 def _cmd_path(args) -> tuple[dict, int]:
+    from .pairwise import check_interpolation, check_path_order, path_family
+
     name, params = parse_spec(args.name)
     if args.order not in ORDERS:
         raise ValueError(f"unknown order {args.order!r}; valid orders: {', '.join(ORDERS)}")

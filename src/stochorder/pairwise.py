@@ -42,8 +42,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (
-    LAWS, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid, View,
-    _tail_cut, discrete_grid, normalized, parse_spec,
+    LAWS, PAIRWISE_KMAX, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid,
+    View, _tail_cut, discrete_grid, normalized, parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
 from .oracle import oracle_pair
@@ -142,11 +142,6 @@ def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
 
 # ---------------------------------------------------------------------------
 # the pairwise comparison
-
-
-# the largest k past the common lower end of the pairwise kernel's range when
-# both supports are infinite
-PAIRWISE_KMAX = 200
 
 
 @dataclass(frozen=True)

@@ -42,25 +42,32 @@ _DIGAMMA_TAIL = (
 # log (a)_k is summed term by term up to this k, lgamma(a+k) - lgamma(a) beyond.
 _POCH_SUM_MAX = 64
 
-# log-factorial lookup: exact compensated cumulative sums for k <= _LOG_FACT_N.
+# log-factorial lookup: exact compensated cumulative sums for k <= _LOG_FACT_N,
+# grown on demand. _log_fact holds the table of log k! for k below its size
+# and the Kahan state (total, comp) after its last entry, from which the next
+# growth goes on, so every entry has the bits of one eager loop to 10^4.
 _LOG_FACT_N = 10_000
+_log_fact = (np.zeros(1), 0.0, 0.0)
 
 
-def _build_log_factorial_table() -> np.ndarray:
-    table = np.empty(_LOG_FACT_N + 1)
-    table[0] = 0.0
-    total = 0.0
-    comp = 0.0  # Kahan compensation: keeps the running sum within ~2 ulp
-    for k in range(1, _LOG_FACT_N + 1):
+def _log_fact_table(top: int) -> np.ndarray:
+    """The log-factorial table through at least k = min(top, _LOG_FACT_N)."""
+    global _log_fact
+    table, total, comp = _log_fact
+    top = min(top, _LOG_FACT_N)
+    if top < table.size:
+        return table
+    size = min(max(top + 1, 2 * table.size), _LOG_FACT_N + 1)
+    sums = []
+    for k in range(table.size, size):
         term = math.log(k) - comp
         new_total = total + term
-        comp = (new_total - total) - term
+        comp = (new_total - total) - term  # Kahan compensation: within ~2 ulp
         total = new_total
-        table[k] = total
+        sums.append(total)
+    table = np.concatenate((table, sums))
+    _log_fact = table, total, comp
     return table
-
-
-_LOG_FACT_TABLE = _build_log_factorial_table()
 
 
 def digamma(x: float) -> float:
@@ -115,7 +122,7 @@ def log_factorial(k: int) -> float:
         raise ValueError(f"log_factorial requires integer k >= 0, got {k!r}")
     k = int(k)
     if k <= _LOG_FACT_N:
-        return float(_LOG_FACT_TABLE[k])
+        return float(_log_fact_table(k)[k])
     return math.lgamma(k + 1.0)
 
 
@@ -182,7 +189,7 @@ def log_factorial_vec(k: np.ndarray) -> np.ndarray:
     arr = arr.astype(np.int64)
     out = np.empty(arr.shape)
     small = arr <= _LOG_FACT_N
-    out[small] = _LOG_FACT_TABLE[arr[small]]
+    out[small] = _log_fact_table(int(arr.max(initial=0)))[arr[small]]
     if np.any(~small):
         big = arr[~small].astype(float)
         out[~small] = np.array([math.lgamma(v + 1.0) for v in big])

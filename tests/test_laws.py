@@ -143,13 +143,14 @@ class GridSeen(Exception):
 
 
 def cli_path_grid(spec, *options):
-    """The grid `path --name spec` checks its path on, caught before the check."""
+    """The grid `path --name spec` checks its path on, caught before the check;
+    the command imports `check_path_order` from `pairwise` when it runs."""
 
     def stop(*args, grid, **kwargs):
         raise GridSeen(grid)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "check_path_order", stop)
+        mp.setattr(pairwise, "check_path_order", stop)
         with pytest.raises(GridSeen) as seen:
             cli.main(["path", "--name", spec, *options])
     return seen.value.args[0]
