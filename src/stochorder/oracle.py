@@ -232,10 +232,12 @@ def _st(pair: _Pair, down: bool) -> OrderVerdict:
 
 def _hr(pair: _Pair, down: bool) -> OrderVerdict:
     first, second = pair.survivals(down)
-    n = _prefix_above(second, ORACLE_EPS_TAIL)
+    # up to where both survivals have fallen to ORACLE_EPS_TAIL, as lr keeps
+    # the points where either law carries it
+    n = max(_prefix_above(first, ORACLE_EPS_TAIL), _prefix_above(second, ORACLE_EPS_TAIL))
     first, second = first[:n], second[:n]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = first / second
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = first / second  # positive / 0 or / subnormal: +inf
     ratio[_prefix_above(first, 0.0) :] = 0.0  # 0/positive and 0/0 read 0
     return _monotone_verdict(
         "hr", pair, down, pair.points[down][:n], _log_decrements(ratio), "adjacent-pair"

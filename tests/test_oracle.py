@@ -311,7 +311,7 @@ def _reference(order, P, Q):
                 a, b = mp[keep], mq[keep]
                 values = np.where(b > 0, a / b, np.where(a > 0, np.inf, 0.0))
             else:
-                keep = sq > eps
+                keep = (sp > eps) | (sq > eps)
                 values = np.where(sp[keep] > 0, sp[keep] / sq[keep], 0.0)
             g = np.log(values)
             margins = np.where(np.isnan(g[:-1] - g[1:]), 0.0, g[:-1] - g[1:])
