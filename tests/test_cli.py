@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report formats, byte determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochorder
-from stochorder import cli
+from stochorder import cli, special
 from stochorder.catalog import continuous_grid, default_grid, family_from_spec
 from stochorder.cli import dumps, main
 from stochorder.criteria import scan_orders
@@ -866,35 +867,123 @@ def test_module_entry_points_run_as_subprocesses():
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy and statistics are imported only by the inverse CDFs that
-# need them
+# cold start: a command loads only the modules it runs, and scipy and
+# statistics are imported only by the inverse CDFs that need them
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs `cli.main` on its arguments (or only imports the package and the CLI
-# when there are none) and writes to stderr which of scipy and statistics
-# were loaded
+# runs `imports`, then `cli.main` on its arguments when there are any, and
+# writes to stderr the repr of a dict: which of scipy and statistics were
+# loaded, and every stochorder module loaded
 _COLD_START = """
 import sys
-import stochorder
-import stochorder.cli
-code = 0
-if sys.argv[1:]:
-    code = stochorder.cli.main(sys.argv[1:])
-sys.stderr.write(repr([m for m in ("scipy", "statistics") if m in sys.modules]))
+{imports}
+code = stochorder.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stderr.write(repr({{
+    "loaded": [m for m in ("scipy", "statistics") if m in sys.modules],
+    "stochorder": sorted(m for m in sys.modules if m.split(".")[0] == "stochorder"),
+}}))
 sys.exit(code)
 """
 
 
-def cold_start(*argv):
+def cold_start(*argv, imports="import stochorder\nimport stochorder.cli"):
     path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", _COLD_START, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-c", _COLD_START.format(imports=imports), *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def cold_loads(run) -> dict:
+    """What a `cold_start` run loaded; its stderr holds nothing else."""
+    return ast.literal_eval(run.stderr)
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
     run = cold_start()
-    assert (run.returncode, run.stdout, run.stderr) == (0, "", "[]")
+    assert (run.returncode, run.stdout, cold_loads(run)["loaded"]) == (0, "", [])
+
+
+def test_importing_the_package_loads_no_submodule():
+    run = cold_start(imports="import stochorder")
+    assert (run.returncode, cold_loads(run)["stochorder"]) == (0, ["stochorder"])
+
+
+# the modules `import stochorder.cli` loads, which every command reads
+CLI_MODULES = ["stochorder", "stochorder.catalog", "stochorder.cli", "stochorder.criteria",
+               "stochorder.oracle", "stochorder.special", "stochorder.verdicts"]
+
+
+@pytest.mark.parametrize(
+    "argv, more",
+    [
+        ([], []),
+        (["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"], []),
+        (["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3", "--format", "csv"], []),
+        (["table", "--id", "table1"], []),
+        (["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"], ["pairwise"]),
+        (["table", "--id", "katz"], ["pairwise"]),
+        (["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"],
+         ["pairwise"]),
+        (["path", "--name", "interpolation:n=5,r=1,s=10,p=0.5"], ["pairwise"]),
+        (["compound", "--counting", "poisson", "--summand", "delta:j=1",
+          "--nu1", "1", "--nu2", "2"], ["compound"]),
+        (["table", "--id", "table2"], ["compound"]),
+    ],
+    ids=["import", "check-poisson", "check-csv", "table-table1", "pairwise", "table-katz",
+         "path-negbinomial", "path-interpolation", "compound", "table-table2"],
+)
+def test_each_command_loads_only_the_stochorder_modules_it_runs(argv, more):
+    # a ratchet: a module that a command does not run must not load with it
+    run = cold_start(*argv, *(["--no-timing"] if argv else []))
+    assert run.returncode in (0, 1)
+    assert cold_loads(run)["stochorder"] == sorted(CLI_MODULES + [f"stochorder.{m}" for m in more])
+
+
+def test_star_import_binds_every_export_in_a_cold_package():
+    run = cold_start(imports="\n".join([
+        "from stochorder import *",
+        "import stochorder",
+        "print(len(stochorder.__all__), [n for n in stochorder.__all__"
+        " if globals()[n] is not getattr(stochorder, n)])",
+    ]))
+    assert (run.returncode, run.stdout) == (0, "68 []\n")
+    assert "stochorder.cli" not in cold_loads(run)["stochorder"]
+
+
+def _eager_log_factorials() -> np.ndarray:
+    """log k! for k <= 10 000 by the one Kahan loop that once built the whole
+    table when `special` was imported."""
+    table = np.empty(10_001)
+    table[0] = 0.0
+    total = 0.0
+    comp = 0.0
+    for k in range(1, 10_001):
+        term = math.log(k) - comp
+        new_total = total + term
+        comp = (new_total - total) - term
+        total = new_total
+        table[k] = total
+    return table
+
+
+EAGER_LOG_FACTORIALS = _eager_log_factorials()
+
+
+@given(st.lists(st.tuples(st.integers(0, 12_000), st.booleans()), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_the_log_factorial_table_grown_on_demand_has_the_eager_bits(calls):
+    # each (k, vector) grows the table from its saved Kahan state, through
+    # the array form or the scalar one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_log_fact", (np.zeros(1), 0.0, 0.0))
+        for k, vector in calls:
+            got = special.log_factorial_vec(np.array([k]))[0] if vector else special.log_factorial(k)
+            want = EAGER_LOG_FACTORIALS[k] if k <= 10_000 else math.lgamma(k + 1.0)
+            assert got.hex() == float(want).hex(), k
+            table = special._log_fact[0]
+            assert table.tobytes() == EAGER_LOG_FACTORIALS[: table.size].tobytes()
+        whole = special.log_factorial_vec(np.arange(10_001))
+        assert whole.tobytes() == EAGER_LOG_FACTORIALS.tobytes()
 
 
 def test_the_package_exports_each_module_list_once():
@@ -928,7 +1017,7 @@ def test_the_package_exports_each_module_list_once():
 )
 def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv, loaded):
     run = cold_start(*argv, "--no-timing")
-    assert run.stderr == repr(loaded)
+    assert cold_loads(run)["loaded"] == loaded
     code, out, _ = run_cli(capsys, *argv, "--no-timing")
     assert (run.returncode, run.stdout) == (code, out)
 

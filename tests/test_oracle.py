@@ -15,6 +15,7 @@ from stochorder.catalog import (
     default_grid,
     density,
     discrete_grid,
+    family_from_spec,
     make_family,
     mixed_grid,
 )
@@ -26,6 +27,7 @@ from stochorder.oracle import (
     _ratio,
     oracle_pair,
 )
+from stochorder.pairwise import law_distribution, law_from_spec
 
 
 def disc(lo, masses):
@@ -353,3 +355,51 @@ def test_survival_prefix_above_eps_is_the_whole_mask(masses, eps):
     survival = np.cumsum(np.array(masses[::-1], dtype=float))[::-1]
     n = _prefix_above(survival, eps)
     assert n == np.count_nonzero(survival > eps) and (survival[:n] > eps).all()
+
+
+# ---------------------------------------------------------------------------
+# hr implies st, where the supports end apart
+
+
+def _law(spec):
+    return law_distribution(law_from_spec(spec))
+
+
+def _poisson_ends(lo, hi):
+    """The two endpoint laws `check --family poisson` hands the oracle."""
+    fam = family_from_spec("poisson")
+    grid = default_grid(fam, [lo, hi])
+    return density(fam, lo, grid), density(fam, hi, grid)
+
+
+@st.composite
+def ragged_pairs(draw):
+    """Two discrete laws whose supports end at different points."""
+    lows = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    assume(lows[0] + sizes[0] != lows[1] + sizes[1])
+    laws = []
+    for lo, n in zip(lows, sizes):
+        m = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+        assume(m[0] > 0 and m[-1] > 0)
+        laws.append(disc(lo, m))
+    return tuple(laws)
+
+
+@given(ragged_pairs())
+# pairs drawn by `report_digests --random 800` at seeds 1 and 2, where the
+# second law's support ends first: hr used to hold on the points before
+# that end while st failed
+@example((_law("cmp:mu=1.5457,nu=0.981079"), _law("betabinomial:n=10,r=8.18839,s=1.31764")))
+@example((_law("geometric:p=0.491045"), _law("betabinomial:n=1,r=6.22939,s=0.968631")))
+@example((_law("cmp:mu=9.63568,nu=1.60863"), _law("hypergeometric:B=39,W=8,n=14")))
+# Poisson(1e-290) underflows past k = 1: hr down (Poisson(3) below it) held
+@example(_poisson_ends(1e-290, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_hazard_order_implies_usual_order_on_pairs_with_different_support_ends(laws):
+    # P <=hr Q implies P <=st Q (Shaked & Shanthikumar, Stochastic Orders,
+    # 2007, Thm 1.B.1); both directions, from one call
+    hr_up, st_up, hr_down, st_down = oracle_pair(
+        *laws, [("hr", "up"), ("st", "up"), ("hr", "down"), ("st", "down")])
+    assert st_up.holds or not hr_up.holds
+    assert st_down.holds or not hr_down.holds

@@ -100,6 +100,11 @@ Each command runs in-process through `stochorder.cli.main` with
   whose down lc fails by support-containment at x = 362; and hr alone on
   the zero-inflated exponential's mixed grid, which reads the survivals
   only;
+- hr oracle verdicts that read the first law's tail past the second's
+  (the cut is where both survivals fall below the oracle's eps): a Poisson
+  row from theta = 1e-290, whose law there ends at k = 1, so hr down fails
+  at x = 0, and three pairwise st, hr pairs whose second law's support ends
+  below the first's, where st fails and so hr must fail too;
 - how a scan shares one nu's tail pass: hr before st on the zero-inflated
   Poisson row, where hr reads the tail means first and st reuses them, and
   a Poisson row scanned at the one value `--nu-grid=2`;
@@ -283,6 +288,13 @@ ORACLE_FALLBACKS = (
     ["check", "--family", "binomial-in-p:n=3000", "--nu1=0.2", "--nu2=0.6", "--orders", "lc"],
     ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341", "--nu2=0.883407"],
     ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2", "--orders", "hr"],
+    ["check", "--family", "poisson", "--nu1=1e-290", "--nu2", "3", "--orders", "hr"],
+    ["pairwise", "--p", "cmp:mu=1.5457,nu=0.981079", "--q", "betabinomial:n=10,r=8.18839,s=1.31764",
+     "--orders", "st,hr"],
+    ["pairwise", "--p", "geometric:p=0.491045", "--q", "betabinomial:n=1,r=6.22939,s=0.968631",
+     "--orders", "st,hr"],
+    ["pairwise", "--p", "cmp:mu=9.63568,nu=1.60863", "--q", "hypergeometric:B=39,W=8,n=14",
+     "--orders", "st,hr"],
 )
 
 SHARED_ROWS = (
