@@ -182,15 +182,18 @@ def log_pochhammer_vec(a: float, k: np.ndarray) -> np.ndarray:
 
 
 def log_factorial_vec(k: np.ndarray) -> np.ndarray:
-    """Elementwise log k! for nonnegative integer arrays."""
+    """Elementwise log k! for nonnegative integer arrays: one gather from the
+    table when it holds every k, lgamma(k+1) for the entries past it."""
     arr = np.asarray(k)
     if arr.size and (np.any(arr < 0) or np.any(arr != np.floor(arr))):
         raise ValueError("log_factorial_vec requires nonnegative integers")
     arr = arr.astype(np.int64)
+    top = int(arr.max(initial=0))
+    table = _log_fact_table(top)
+    if top <= _LOG_FACT_N:
+        return np.asarray(table[arr])  # a 0-d k gives a 0-d array, not a scalar
     out = np.empty(arr.shape)
     small = arr <= _LOG_FACT_N
-    out[small] = _log_fact_table(int(arr.max(initial=0)))[arr[small]]
-    if np.any(~small):
-        big = arr[~small].astype(float)
-        out[~small] = np.array([math.lgamma(v + 1.0) for v in big])
+    out[small] = table[arr[small]]
+    out[~small] = np.array([math.lgamma(v + 1.0) for v in arr[~small].astype(float)])
     return out
