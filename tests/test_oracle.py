@@ -387,13 +387,13 @@ def ragged_pairs(draw):
 
 
 @given(ragged_pairs())
-# pairs drawn by `report_digests --random 800` at seeds 1 and 2, where the
-# second law's support ends first: hr used to hold on the points before
-# that end while st failed
+# pairs from `report_digests --random 800` at seeds 1 and 2 whose second
+# law's support ends first and whose st fails, so hr must fail too
 @example((_law("cmp:mu=1.5457,nu=0.981079"), _law("betabinomial:n=10,r=8.18839,s=1.31764")))
 @example((_law("geometric:p=0.491045"), _law("betabinomial:n=1,r=6.22939,s=0.968631")))
 @example((_law("cmp:mu=9.63568,nu=1.60863"), _law("hypergeometric:B=39,W=8,n=14")))
-# Poisson(1e-290) underflows past k = 1: hr down (Poisson(3) below it) held
+# Poisson(1e-290) underflows past k = 1, and Poisson(3) lies below it in
+# neither st nor hr
 @example(_poisson_ends(1e-290, 3.0))
 @settings(max_examples=300, deadline=None)
 def test_hazard_order_implies_usual_order_on_pairs_with_different_support_ends(laws):
