@@ -25,8 +25,9 @@ statistic n once per scan and reads each nu through its coefficient.
 All arrays are truncated where `catalog._tail_cut` bounds the tail past the
 cut by TAIL_CUT_EPS: summands, and counting laws through
 `catalog.default_grid`, up to _N_CAP; the compound support at k_max, up to
-_K_CAP; truncation budgets are recorded on the objects. The two infinite summands
-are 1 + M, with M the `LAWS` entry poisson or geometric-p.
+_K_CAP. A summand is a `Distribution` on 1..j_max whose grid records its
+truncation budget. The two infinite summands are 1 + M, with M the `LAWS`
+entry poisson or geometric-p.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .oracle import oracle_pair
 from .verdicts import OrderVerdict, Witness, reconcile
 
 __all__ = [
-    "SummandLaw",
     "geometric_summand",
     "delta_summand",
     "two_point_summand",
@@ -71,41 +71,12 @@ _K_CAP = 2000  # largest k of a compound support
 # summands
 
 
-@dataclass(frozen=True)
-class SummandLaw:
-    """Truncated summand pmf on {1, 2, ...}; masses[j-1] = P(J = j)."""
-
-    masses: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.masses, dtype=float)
-        object.__setattr__(self, "masses", m)
-        if m.ndim != 1 or m.size == 0:
-            raise ValueError("summand needs a nonempty mass vector")
-        if np.any(m < 0):
-            raise ValueError("summand masses must be nonnegative")
-        nz = np.nonzero(m > 0)[0]
-        if nz.size == 0:
-            raise ValueError("summand has no mass")
-        if np.any(m[nz[0] : nz[-1] + 1] == 0):
-            raise ValueError("summand support must be an interval")
-        total = m.sum() + self.tail_mass
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"summand masses + tail must sum to 1, got {total!r}")
-        if not 0.0 <= self.tail_mass <= 1e-10:
-            raise ValueError(f"summand tail mass {self.tail_mass!r} exceeds budget")
-
-    @property
-    def j_max(self) -> int:
-        return int(self.masses.size)
-
-    def pmf_from_zero(self) -> np.ndarray:
-        """Masses re-indexed from 0 (with P(J=0) = 0), convolution-ready."""
-        return np.concatenate(([0.0], self.masses))
+def _summand(masses: np.ndarray, tail_mass: float = 0.0) -> Distribution:
+    """The summand law with P(J = j) = masses[j - 1] on 1..masses.size."""
+    return Distribution(discrete_grid(1, masses.size, tail_mass), masses)
 
 
-def _one_plus(label: str, law_name: str, name: str, value: float) -> SummandLaw:
+def _one_plus(label: str, law_name: str, name: str, value: float) -> Distribution:
     """J = 1 + M with M the one-parameter table law at `name` = value, checked
     against the law's domain, cut by `catalog._tail_cut` where the bound on
     its tail is <= TAIL_CUT_EPS, and J at most MAX_KMAX."""
@@ -115,29 +86,29 @@ def _one_plus(label: str, law_name: str, name: str, value: float) -> SummandLaw:
     log_a = law.log_normalizer(theta)
     _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX,
                               TAIL_CUT_EPS, law.tail_ratio(theta), label)
-    return SummandLaw(np.exp(logs), tail)
+    return _summand(np.exp(logs), tail)
 
 
-def geometric_summand(p: float) -> SummandLaw:
+def geometric_summand(p: float) -> Distribution:
     """P(J = j) = p (1-p)^(j-1) on {1, 2, ...}: 1 + a geometric-p law, cut
     where the bound on its tail is <= TAIL_CUT_EPS."""
     return _one_plus("geometric summand", "geometric-p", "p", p)
 
 
-def delta_summand(j0: int) -> SummandLaw:
+def delta_summand(j0: int) -> Distribution:
     """The point mass at j0, a whole number in [1, MAX_KMAX]."""
     masses = np.zeros(checked("delta summand", "j", j0, (1, MAX_KMAX), integer=True))
     masses[-1] = 1.0
-    return SummandLaw(masses, 0.0)
+    return _summand(masses)
 
 
-def two_point_summand(w1: float) -> SummandLaw:
+def two_point_summand(w1: float) -> Distribution:
     """Mass w1 at 1 and 1-w1 at 2."""
     w1 = checked("two-point summand", "w1", w1, (0.0, 1.0))
-    return SummandLaw(np.array([w1, 1.0 - w1]), 0.0)
+    return _summand(np.array([w1, 1.0 - w1]))
 
 
-def poisson_shifted_summand(mu: float) -> SummandLaw:
+def poisson_shifted_summand(mu: float) -> Distribution:
     """J = 1 + M with M Poisson(mu), cut where the bound on its tail is
     <= TAIL_CUT_EPS."""
     return _one_plus("shifted-poisson summand", "poisson", "mu", mu)
@@ -157,7 +128,7 @@ _SUMMAND_BUILDERS = {
 }
 
 
-def summand_from_spec(text: str) -> SummandLaw:
+def summand_from_spec(text: str) -> Distribution:
     name, params = parse_spec(text)
     builder = _SUMMAND_BUILDERS.get(name)
     if builder is None:
@@ -215,28 +186,28 @@ def counting_from_spec(text: str) -> DensityFamily:
 
 
 def _conv_table(
-    F: SummandLaw, n_max: int, k_max: int, table: np.ndarray | None = None
+    F: Distribution, n_max: int, k_max: int, table: np.ndarray | None = None
 ) -> np.ndarray:
     """Row n is F^{*n} on {0..k_max}, for n = 0..n_max; F^{*0} is the point
     mass at 0.
 
-    Given `table`, the same rows on {0..w-1} with w > F.j_max, only columns
-    w..k_max are computed, each row from the previous row's columns
-    w - j_max onward. np.convolve takes entry k >= j_max of a row as the dot
-    product of the previous row's entries k - j_max..k with the reversed
-    summand, in the same order whatever the row's length, so every bit
-    equals one pass over 0..k_max. A row shorter than the summand would make
+    Given `table`, the same rows on {0..w-1} with w > j_max, F's largest
+    point, only columns w..k_max are computed, each row from the previous
+    row's columns w - j_max onward. np.convolve takes entry k >= j_max of a
+    row as the dot product of the previous row's entries k - j_max..k with
+    the reversed summand, in the same order whatever the row's length, so
+    every bit equals one pass over 0..k_max. A row shorter than the summand would make
     np.convolve swap its operands and sum each product in reverse order,
     which is why w must exceed j_max.
     """
-    base = F.pmf_from_zero()
+    base = np.concatenate(([0.0], F.masses))  # F on 0..j_max, F(0) = 0
     out = np.zeros((n_max + 1, k_max + 1))
     if table is None:
         out[0, 0] = 1.0
         for n in range(1, n_max + 1):
             out[n] = np.convolve(out[n - 1], base)[: k_max + 1]
         return out
-    w, j = table.shape[1], F.j_max
+    w, j = table.shape[1], int(F.support.upper)
     if not j < w <= k_max:
         raise ValueError(f"a convolution table grows only from w columns, j_max={j} < w "
                          f"<= k_max={k_max}; got w={w}")
@@ -269,7 +240,7 @@ class CompoundModel:
     """
 
     counting: DensityFamily
-    summand: SummandLaw
+    summand: Distribution
     k_max: int
     n_max: int
     conv: np.ndarray
@@ -296,26 +267,26 @@ class CompoundModel:
 _CONV_WINDOW = 256  # columns of the first window of the convolution table
 
 
-def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> CompoundModel:
+def make_compound(counting: DensityFamily, summand: Distribution, nus) -> CompoundModel:
     """Build the model with truncations valid for every nu in `nus`.
 
     The counting law is cut by `catalog.default_grid` at TAIL_CUT_EPS, at
-    most at n = _N_CAP. k_max is the smallest k whose compound tail past k
-    is at most TAIL_CUT_EPS at every nu. The table is grown in windows of
-    columns: the first holds max(256, j_max + 1), never fewer than the
-    summand (see `_conv_table`), and each later one doubles, up to
-    _K_CAP + 1. Each window's columns are bit for bit those of one pass to
-    _K_CAP. The cut is read inside each window, and the search stops once,
-    at every nu, the tail past the cut plus the mass past the window is at
-    most TAIL_CUT_EPS. Past the window, row
-    n of the full table holds at most s^n less the row's sum in the window,
-    s being the summand's kept mass. With that bound the full table's cut
-    equals the window's in exact arithmetic, and in floating point too
-    except where a tail sum lies within rounding of TAIL_CUT_EPS, which
-    random comparisons against the full table have not met. A window
-    missing more than 1e-6 of the mass never stops the search, as its bound
-    then exceeds TAIL_CUT_EPS. A window that reaches _K_CAP is the one-pass
-    table, with its rule and its error.
+    most at n = _N_CAP. k_max is the
+    smallest k whose compound tail past k is at most TAIL_CUT_EPS at every
+    nu. The table is grown in windows of columns: the first holds
+    max(256, j_max + 1), j_max being the summand's largest point, never
+    fewer than the summand (see `_conv_table`), and each later one doubles,
+    up to _K_CAP + 1. Each window's columns are bit for bit those of one
+    pass to _K_CAP. The cut is read inside each window, and the search stops
+    once, at every nu, the tail past the cut plus the mass past the window
+    is at most TAIL_CUT_EPS. Past the window, row n of the full table holds
+    at most s^n less the row's sum in the window, s being the summand's kept
+    mass. With that bound the full table's cut equals the window's in exact
+    arithmetic, and in floating point too except where a tail sum lies
+    within rounding of TAIL_CUT_EPS, which random comparisons against the
+    full table have not met. A window missing more than 1e-6 of the mass
+    never stops the search, as its bound then exceeds TAIL_CUT_EPS. A window
+    that reaches _K_CAP is the one-pass table, with its rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
     n_max = int(default_grid(counting, nus, kmax=_N_CAP).upper)
@@ -325,7 +296,7 @@ def make_compound(counting: DensityFamily, summand: SummandLaw, nus) -> Compound
         )
     qs = [_counting_pmf(counting, n_max, nu) for nu in nus]
     reach = summand.masses.sum() ** np.arange(n_max + 1)  # row n's mass over all k
-    width = min(max(_CONV_WINDOW, summand.j_max + 1), _K_CAP + 1)
+    width = min(max(_CONV_WINDOW, int(summand.support.upper) + 1), _K_CAP + 1)
     conv = _conv_table(summand, n_max, width - 1)
     while True:
         # the tail is measured within the computed table (the counting and
@@ -403,7 +374,7 @@ def check_compound_lr(
     tolerances = {"tol_shape": tol_shape, "nu_points": int(nu_points)}
     claim = "C[nu1] <=lr C[nu2] whenever nu1 <= nu2 in the scanned range"
 
-    ok, w = is_pf2(m.summand.pmf_from_zero())
+    ok, w = is_pf2(np.concatenate(([0.0], m.summand.masses)))
     if not ok:
         return OrderVerdict(
             order="lr", direction="up", status="inconclusive", method="compound-kernel",

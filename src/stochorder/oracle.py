@@ -16,28 +16,27 @@ oracle has one behaviour, and each order reports its own in its verdicts.
 Verdicts on continuous or mixed grids certify the discretized laws, noted
 as such.
 
-One alignment serves every test. Each order's formula is written once, for
-one direction of a `_Pair` (the two laws' aligned mass vectors), and the
-pair derives on first use, and keeps, what both directions read: the two
-survivals (st and hr), the points where either law carries ORACLE_EPS_TAIL
-(lr), and for lc the kept points of a support range with their spacings and
-both log-mass vectors, which the second direction reuses when both laws'
-supports are that one gap-free range on one point array. On these each
-direction runs its own subtractions and divisions, the operations of a
-one-test call in the same order, so each verdict has the bits of a one-test
-call, and a "down" test on (P, Q) those of the "up" test on (Q, P) but for
-its direction. The down lc margins are not taken as the negated up margins,
-since negation does not commute with subtraction on signed zeros:
--(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the formula
-selects through a mask, the code slices when the mask is one run, as a
-survival's points above ORACLE_EPS_TAIL always are (a survival is
-nonincreasing); a slice holds the values of the gather in the same order.
+One alignment serves every test. `oracle_pair` aligns the two laws once
+and derives up front, once for both directions, only what the asked orders
+read: the two survivals (st and hr), the masses at the points where either
+law carries ORACLE_EPS_TAIL (lr), and the logs of both aligned mass vectors
+(lc), from which each direction slices its own support run. Each order's
+formula is written once, for the first law of a direction below its second,
+and runs the subtractions and divisions of a one-test call in the same
+order, so each verdict has the bits of a one-test call, and a "down" test
+on (P, Q) those of the "up" test on (Q, P) but for its direction. The down
+lc margins are not taken as the negated up margins, since negation does not
+commute with subtraction on signed zeros: -(0.0 - 0.0) is -0.0 while
+(-0.0) - (-0.0) is 0.0. Where the formula selects through a mask, the code
+slices when the mask is one run, as a survival's points above
+ORACLE_EPS_TAIL always are (a survival is nonincreasing); a slice holds the
+values of the gather in the same order, and a log taken before the slice
+the values of one taken after it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -107,51 +106,6 @@ def _survival(masses: np.ndarray) -> np.ndarray:
     return np.cumsum(masses[::-1])[::-1]
 
 
-class _Pair:
-    """Two laws' aligned masses, and the arrays both directions of an order
-    read, each derived on first use. Direction `down` reads Q below P."""
-
-    def __init__(self, P: Distribution, Q: Distribution) -> None:
-        pts, self.mp, self.mq, self.kind = _aligned(P, Q)
-        # a direction places its witnesses on its first law's grid
-        self.points = (pts, pts if self.kind == "discrete" else Q.support.points)
-        self._survivals: tuple[np.ndarray, np.ndarray] | None = None
-        self._logs: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-    def masses(self, down: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) mass vectors of the direction."""
-        return (self.mq, self.mp) if down else (self.mp, self.mq)
-
-    def survivals(self, down: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) survivals of the direction."""
-        if self._survivals is None:
-            self._survivals = _survival(self.mp), _survival(self.mq)
-        sp, sq = self._survivals
-        return (sq, sp) if down else (sp, sq)
-
-    @cached_property
-    def keep(self) -> slice | np.ndarray:
-        """The points where either law carries at least ORACLE_EPS_TAIL."""
-        return _selector((self.mp >= ORACLE_EPS_TAIL) | (self.mq >= ORACLE_EPS_TAIL))
-
-    def run_logs(self, start: int, stop: int, down: bool) -> tuple[np.ndarray, ...]:
-        """(x, its spacings, log first, log second) at the points of
-        start..stop-1 where either law carries at least ORACLE_EPS_TAIL. The
-        points and logs do not depend on the direction, so when both laws'
-        supports are that one range on one point array the second direction
-        reuses them."""
-        points = self.points[down]
-        key = (start, stop, points is self.points[0])
-        if key not in self._logs:
-            run = slice(start, stop)
-            mp, mq = self.mp[run], self.mq[run]
-            keep = _selector((mp >= ORACLE_EPS_TAIL) | (mq >= ORACLE_EPS_TAIL))
-            x = points[run][keep]
-            self._logs[key] = x, np.diff(x), np.log(mp[keep]), np.log(mq[keep])
-        x, dx, log_p, log_q = self._logs[key]
-        return (x, dx, log_q, log_p) if down else (x, dx, log_p, log_q)
-
-
 def _ratio(mp: np.ndarray, mq: np.ndarray) -> np.ndarray:
     """l = mp / mq, extended-real valued by the conventions above."""
     pos = mq > 0
@@ -175,63 +129,47 @@ def _log_decrements(values: np.ndarray) -> np.ndarray:
     return m
 
 
-def _verdict(
-    order: str, pair: _Pair, down: bool, witness: Witness | None = None,
-    margin: float | None = None,
-) -> OrderVerdict:
-    """The oracle's verdict on the direction's first law below its second:
-    fails with the witness (and its margin) when there is one, holds with
-    `margin` otherwise."""
-    return OrderVerdict(
-        order=order, direction="down" if down else "up",
-        status="holds" if witness is None else "fails", method="oracle",
-        tolerances=_TOLERANCES[order], witness=witness,
-        margin=margin if witness is None else witness.margin,
-        note="" if pair.kind == "discrete" else "grid-certified on the shared discretization",
-    )
-
-
-def _monotone_verdict(
-    order: str, pair: _Pair, down: bool, pts: np.ndarray, margins: np.ndarray, witness_kind: str
-) -> OrderVerdict:
-    """The oracle's one first-witness search: fails at the first margin below
-    -ORACLE_REL_TOL, holds otherwise with the least finite margin. A finite
-    least margin at or above -ORACLE_REL_TOL is both at once, with no gather."""
+def _first_witness(
+    x: np.ndarray, margins: np.ndarray, kind: str
+) -> tuple[Witness | None, float | None]:
+    """The oracle's one first-witness search: the first margin below
+    -ORACLE_REL_TOL as a witness at its point, else no witness and the least
+    finite margin. A finite least margin at or above -ORACLE_REL_TOL is both
+    at once, with no gather."""
     lowest = margins.min() if margins.size else math.nan
     if lowest >= -ORACLE_REL_TOL and math.isfinite(lowest):
-        return _verdict(order, pair, down, margin=float(lowest))
+        return None, float(lowest)
     bad = margins < -ORACLE_REL_TOL
     if bad.any():
         i = int(np.argmax(bad))
-        w = Witness(x=float(pts[i]), margin=float(margins[i]), kind=witness_kind)
-        return _verdict(order, pair, down, w)
+        return Witness(x=float(x[i]), margin=float(margins[i]), kind=kind), float(margins[i])
     finite = margins[np.isfinite(margins)]
-    return _verdict(order, pair, down, margin=float(finite.min()) if finite.size else None)
+    return None, float(finite.min()) if finite.size else None
 
 
 # ---------------------------------------------------------------------------
-# each order once, for one direction of a pair
+# each order once, for the first law of a direction below its second: each
+# takes the direction's points and the two laws' arrays that the order reads,
+# and gives the witness, if any, and the margin
 
 
-def _lr(pair: _Pair, down: bool) -> OrderVerdict:
-    keep = pair.keep
-    first, second = pair.masses(down)
-    margins = _log_decrements(_ratio(first[keep], second[keep]))
-    return _monotone_verdict("lr", pair, down, pair.points[down][keep], margins, "adjacent-pair")
+def _lr(x: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """x, first and second at the kept points: masses."""
+    return _first_witness(x, _log_decrements(_ratio(first, second)), "adjacent-pair")
 
 
-def _st(pair: _Pair, down: bool) -> OrderVerdict:
-    first, second = pair.survivals(down)
+def _st(x: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """first and second: survivals."""
     slack = second - first
     i = int(np.argmin(slack))
     margin = float(slack[i])
-    x = float(pair.points[down][i])
-    w = Witness(x=x, margin=margin, kind="worst-point") if margin < -ORACLE_ABS_TOL else None
-    return _verdict("st", pair, down, w, margin)
+    if margin < -ORACLE_ABS_TOL:
+        return Witness(x=float(x[i]), margin=margin, kind="worst-point"), margin
+    return None, margin
 
 
-def _hr(pair: _Pair, down: bool) -> OrderVerdict:
-    first, second = pair.survivals(down)
+def _hr(x: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """first and second: survivals."""
     # up to where both survivals have fallen to ORACLE_EPS_TAIL, as lr keeps
     # the points where either law carries it
     n = max(_prefix_above(first, ORACLE_EPS_TAIL), _prefix_above(second, ORACLE_EPS_TAIL))
@@ -239,34 +177,30 @@ def _hr(pair: _Pair, down: bool) -> OrderVerdict:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = first / second  # positive / 0 or / subnormal: +inf
     ratio[_prefix_above(first, 0.0) :] = 0.0  # 0/positive and 0/0 read 0
-    return _monotone_verdict(
-        "hr", pair, down, pair.points[down][:n], _log_decrements(ratio), "adjacent-pair"
-    )
+    return _first_witness(x[:n], _log_decrements(ratio), "adjacent-pair")
 
 
-def _lc(pair: _Pair, down: bool) -> OrderVerdict:
-    first, second = pair.masses(down)
-
-    def refuted(i: int, which: str) -> OrderVerdict:
-        w = Witness(x=float(pair.points[down][i]), margin=-math.inf, kind=which)
-        return _verdict("lc", pair, down, w)
-
+def _lc(x: np.ndarray, first: tuple, second: tuple):
+    """first and second: (masses, log masses)."""
+    (first, log_first), (second, log_second) = first, second
     held = first > 0
     start, stop, count = _span(held)
     if count == 0:
         raise ValueError("first law has empty support")
     if stop - start != count:
-        return refuted(start + int(np.argmin(held[start:stop])), "support-gap")
-    covered = second[start:stop] > 0
-    if not covered.all():
-        return refuted(start + int(np.argmin(covered)), "support-containment")
-    x, dx, log_first, log_second = pair.run_logs(start, stop, down)
-    logl = log_first - log_second
-    slopes = np.diff(logl)
-    slopes /= dx
-    margins = np.diff(slopes)
-    np.negative(margins, out=margins)
-    return _monotone_verdict("lc", pair, down, x[1:-1], margins, "triplet")
+        i, kind = start + int(np.argmin(held[start:stop])), "support-gap"
+    elif not (covered := second[start:stop] > 0).all():
+        i, kind = start + int(np.argmin(covered)), "support-containment"
+    else:
+        run = slice(start, stop)
+        keep = _selector((first[run] >= ORACLE_EPS_TAIL) | (second[run] >= ORACLE_EPS_TAIL))
+        x = x[run][keep]
+        slopes = np.diff(log_first[run][keep] - log_second[run][keep])
+        slopes /= np.diff(x)
+        margins = np.diff(slopes)
+        np.negative(margins, out=margins)
+        return _first_witness(x[1:-1], margins, "triplet")
+    return Witness(x=float(x[i]), margin=-math.inf, kind=kind), -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -296,5 +230,29 @@ def oracle_pair(P: Distribution, Q: Distribution, tests) -> list[OrderVerdict]:
             raise ValueError(f"unknown order {order!r}")
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
-    pair = _Pair(P, Q)
-    return [_FORMULAS[order](pair, direction == "down") for order, direction in tests]
+    pts, mp, mq, kind = _aligned(P, Q)
+    orders = {order for order, _ in tests}
+    # each order's (P's, Q's) arrays, derived once for both directions
+    laws: dict[str, tuple] = {}
+    if "lr" in orders:
+        keep = _selector((mp >= ORACLE_EPS_TAIL) | (mq >= ORACLE_EPS_TAIL))
+        laws["lr"] = mp[keep], mq[keep]
+    if orders & {"st", "hr"}:
+        laws["st"] = laws["hr"] = _survival(mp), _survival(mq)
+    if "lc" in orders:
+        with np.errstate(divide="ignore"):  # log 0 = -inf lies outside every support run
+            laws["lc"] = (mp, np.log(mp)), (mq, np.log(mq))
+    note = "" if kind == "discrete" else "grid-certified on the shared discretization"
+    verdicts = []
+    for order, direction in tests:
+        down = direction == "down"
+        # a direction places its witnesses on its first law's grid
+        x = Q.support.points if down and kind != "discrete" else pts
+        first, second = laws[order][::-1] if down else laws[order]
+        witness, margin = _FORMULAS[order](x[keep] if order == "lr" else x, first, second)
+        verdicts.append(OrderVerdict(
+            order=order, direction=direction, status="holds" if witness is None else "fails",
+            method="oracle", tolerances=_TOLERANCES[order], witness=witness, margin=margin,
+            note=note,
+        ))
+    return verdicts

@@ -55,7 +55,6 @@ __all__ = [
     "make_law",
     "law_from_spec",
     "law_distribution",
-    "PairwiseKernel",
     "pairwise_kernel",
     "check_pairwise",
     "katz_laws",
@@ -144,14 +143,6 @@ def _on_range(law: PairwiseLaw, lo: int, hi: int) -> Distribution:
 # the pairwise comparison
 
 
-@dataclass(frozen=True)
-class PairwiseKernel:
-    """K(k) = log(w^P_k / w^Q_k) on the common support."""
-
-    grid: SupportGrid
-    values: np.ndarray
-
-
 def _common_range(p: PairwiseLaw, q: PairwiseLaw, kmax: int) -> tuple[int, int]:
     """lo..hi, the intersection of the two supports, cut to kmax + 1 points
     when both are infinite; hi < lo when they are disjoint."""
@@ -160,9 +151,11 @@ def _common_range(p: PairwiseLaw, q: PairwiseLaw, kmax: int) -> tuple[int, int]:
     return lo, int(hi) if math.isfinite(hi) else lo + int(kmax)
 
 
-def pairwise_kernel(p: PairwiseLaw, q: PairwiseLaw, kmax: int = PAIRWISE_KMAX) -> PairwiseKernel:
-    """Build the pairwise kernel on the intersection of the two supports, cut
-    to kmax + 1 points when both supports are infinite."""
+def pairwise_kernel(
+    p: PairwiseLaw, q: PairwiseLaw, kmax: int = PAIRWISE_KMAX
+) -> tuple[SupportGrid, np.ndarray]:
+    """(grid, K) with K(k) = log(w^P_k / w^Q_k) on the intersection of the two
+    supports, cut to kmax + 1 points when both supports are infinite."""
     lo, hi = _common_range(p, q, kmax)
     if hi < lo:
         raise ValueError(f"{p.name} and {q.name} have no common support")
@@ -170,7 +163,7 @@ def pairwise_kernel(p: PairwiseLaw, q: PairwiseLaw, kmax: int = PAIRWISE_KMAX) -
     vals = np.asarray(p.log_weight(k), dtype=float) - np.asarray(q.log_weight(k), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("pairwise kernel undefined: factor vanishes on the common support")
-    return PairwiseKernel(grid=discrete_grid(lo, hi), values=vals)
+    return discrete_grid(lo, hi), vals
 
 
 def _support_refusal(order: str, p: PairwiseLaw, q: PairwiseLaw, lo: int, hi: int):
@@ -201,11 +194,15 @@ def check_pairwise(
     """
     lo, hi = _common_range(p, q, kmax)
     tolerances = {"tol_shape": tol_shape, "grid_points": max(hi - lo + 1, 0)}
-    kernel, verdicts, crossed = None, {}, []
+    verdicts, crossed = {}, []
 
     @cache
     def cut() -> tuple[Distribution, Distribution]:
         return law_distribution(p, eps_tail), law_distribution(q, eps_tail)
+
+    @cache
+    def kernel() -> tuple[SupportGrid, np.ndarray]:
+        return pairwise_kernel(p, q, kmax)
 
     claim = {o: f"{p.describe()} <={o} {q.describe()}" for o in orders}
     oracle_only = [(o, "up") for o in orders if o not in ("lr", "lc")]
@@ -221,9 +218,8 @@ def check_pairwise(
         elif hi < lo:  # lr only: lc's support test needs P's support inside Q's
             note = "dominated support wholly below the dominating one: f_P/f_Q is +inf, then 0"
         else:
-            kernel = kernel or pairwise_kernel(p, q, kmax)
-            [(witness, margin, _)] = scan_kernel(
-                kernel.values, [0.0], kernel.grid, [(o, "down")], tol_shape)
+            grid, values = kernel()
+            [(witness, margin, _)] = scan_kernel(values, [0.0], grid, [(o, "down")], tol_shape)
             witness = witness and replace(witness, nu=None)  # a two-law witness has no nu
         verdicts[o] = OrderVerdict(
             order=o, direction="up", status="fails" if witness else "holds",

@@ -300,10 +300,10 @@ def test_betabinomial_hypergeometric_kernel_and_delta_formula():
         assert W * (r + n - 1.0) <= s * (B - n + 1.0)  # the k = n-1 step is >= 0
         bb = make_law("betabinomial", n=n, r=r, s=s)
         hyp = make_law("hypergeometric", B=B, W=W, n=n)
-        pk = pairwise_kernel(hyp, bb)
-        d1 = np.diff(pk.values)
+        grid, values = pairwise_kernel(hyp, bb)
+        d1 = np.diff(values)
         assert float(d1.min()) >= -1e-12, (B, W, n)
-        k = pk.grid.points[:-1]  # the closed-form step of log(w^Hyp / w^BetaBin)
+        k = grid.points[:-1]  # the closed-form step of log(w^Hyp / w^BetaBin)
         delta = np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
         assert np.max(np.abs(delta - d1)) <= 1e-12, (B, W, n)
         [v] = oracle_pair(law_distribution(bb), law_distribution(hyp), [("lr", "up")])

@@ -946,7 +946,7 @@ def test_star_import_binds_every_export_in_a_cold_package():
         "print(len(stochorder.__all__), [n for n in stochorder.__all__"
         " if globals()[n] is not getattr(stochorder, n)])",
     ]))
-    assert (run.returncode, run.stdout) == (0, "68 []\n")
+    assert (run.returncode, run.stdout) == (0, "66 []\n")
     assert "stochorder.cli" not in cold_loads(run)["stochorder"]
 
 

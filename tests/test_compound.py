@@ -16,7 +16,6 @@ from scipy import stats
 from stochorder.compound import (
     COUNTING_NAMES,
     CompoundModel,
-    SummandLaw,
     TABLE2_ROWS,
     check_compound_lr,
     compound_pmf,
@@ -32,7 +31,7 @@ from stochorder.compound import (
     _N_CAP,
     _conv_table,
 )
-from stochorder.catalog import TAIL_CUT_EPS
+from stochorder.catalog import TAIL_CUT_EPS, Distribution, discrete_grid
 from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
 from stochorder.verdicts import Witness
@@ -48,9 +47,8 @@ def test_geometric_summand_masses_and_mean():
     s = geometric_summand(0.5)
     assert s.masses[0] == pytest.approx(0.5)
     assert s.masses[1] == pytest.approx(0.25)
-    assert s.tail_mass <= 1e-10
-    assert np.arange(1, s.j_max + 1) @ s.masses == pytest.approx(2.0, abs=1e-8)
-    assert s.pmf_from_zero()[0] == 0.0
+    assert s.support.lower == 1 and s.support.truncation_tail_mass <= 1e-10
+    assert s.support.points @ s.masses == pytest.approx(2.0, abs=1e-8)
 
 
 def test_delta_and_two_point_summands():
@@ -58,13 +56,12 @@ def test_delta_and_two_point_summands():
     assert np.array_equal(d.masses, [0.0, 0.0, 1.0])
     t = two_point_summand(0.7)
     assert np.allclose(t.masses, [0.7, 0.3])
-    assert np.arange(1, t.j_max + 1) @ t.masses == pytest.approx(1.3)
+    assert t.support.points @ t.masses == pytest.approx(1.3)
 
 
 def test_poisson_shifted_summand_matches_scipy():
     s = poisson_shifted_summand(1.5)
-    j = np.arange(1, s.j_max + 1)
-    assert np.allclose(s.masses, stats.poisson(1.5).pmf(j - 1), atol=1e-12)
+    assert np.allclose(s.masses, stats.poisson(1.5).pmf(s.support.points - 1), atol=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.5, 40.0, 300.0])
@@ -74,13 +71,13 @@ def test_poisson_shifted_summand_equals_a_full_range_scan(mu):
     cut, tail = ratio_bound_cut(logs, 0, 1e-12, 0.0)
     s = poisson_shifted_summand(mu)
     assert np.array_equal(s.masses, np.exp(logs[: cut + 1]))
-    assert s.tail_mass == tail
+    assert s.support.truncation_tail_mass == tail
 
 
 def test_summand_spec_parsing():
     s = summand_from_spec("geometric:p=0.5")
     assert s.masses[0] == pytest.approx(0.5)
-    assert summand_from_spec("delta:j=2").j_max == 2
+    assert summand_from_spec("delta:j=2").support.upper == 2
     with pytest.raises(ValueError, match="unknown summand"):
         summand_from_spec("zeta:a=2")
     with pytest.raises(ValueError, match="unknown parameters"):
@@ -101,16 +98,7 @@ def test_geometric_summand_refuses_more_terms_than_the_largest_kmax():
         with pytest.raises(ValueError, match="^geometric summand: tail-mass target 1e-12 "
                                              "unreachable within k_max=100000$"):
             summand_from_spec(f"geometric:p={p!r}")
-    assert geometric_summand(2.8e-4).j_max <= 100_000
-
-
-def test_summand_validation_rejects_support_gaps():
-    with pytest.raises(ValueError, match="interval"):
-        SummandLaw(np.array([0.5, 0.0, 0.5]), 0.0)
-    with pytest.raises(ValueError, match="sum to 1"):
-        SummandLaw(np.array([0.5, 0.4]), 0.0)
-    with pytest.raises(ValueError, match="budget"):
-        SummandLaw(np.array([0.5, 0.4]), 0.1)
+    assert geometric_summand(2.8e-4).support.upper <= 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +127,7 @@ def test_convolution_power_is_a_row_of_the_table():
     out[0] = 1.0
     for n in range(6):
         assert np.array_equal(table[n], out)
-        out = np.convolve(out, s.pmf_from_zero())[:41]
+        out = np.convolve(out, np.concatenate(([0.0], s.masses)))[:41]
 
 
 def test_delta_convolution_shifts():
@@ -164,7 +152,7 @@ SUMMANDS = st.one_of(
 @example(geometric_summand(0.05), 10, 0, 600)
 def test_conv_table_grown_from_a_narrower_table_equals_one_pass(summand, n_max, extra, more):
     # both widths hold the whole summand, so np.convolve never swaps operands
-    width = summand.j_max + 1 + extra
+    width = int(summand.support.upper) + 1 + extra
     k_max = width - 1 + more
     narrow = _conv_table(summand, n_max, width - 1)
     assert np.array_equal(_conv_table(summand, n_max, k_max, narrow),
@@ -173,8 +161,9 @@ def test_conv_table_grown_from_a_narrower_table_equals_one_pass(summand, n_max, 
 
 def test_conv_table_grows_only_from_more_columns_than_the_summand():
     s = geometric_summand(0.2)  # 124 terms
-    for width, k_max in ((s.j_max, 300), (s.j_max + 1, s.j_max)):
-        with pytest.raises(ValueError, match=f"j_max={s.j_max} < w <= k_max={k_max}; got w="):
+    j_max = int(s.support.upper)
+    for width, k_max in ((j_max, 300), (j_max + 1, j_max)):
+        with pytest.raises(ValueError, match=f"j_max={j_max} < w <= k_max={k_max}; got w="):
             _conv_table(s, 3, k_max, _conv_table(s, 3, width - 1))
 
 
@@ -182,9 +171,9 @@ def test_conv_table_grows_only_from_more_columns_than_the_summand():
 # compound models
 
 
-def _panjer_poisson(lam: float, summand: SummandLaw, k_max: int) -> np.ndarray:
+def _panjer_poisson(lam: float, summand: Distribution, k_max: int) -> np.ndarray:
     # f(0) = e^-lam; k f(k) = lam * sum_j j g(j) f(k-j)
-    g = summand.pmf_from_zero()
+    g = np.concatenate(([0.0], summand.masses))
     f = np.zeros(k_max + 1)
     f[0] = math.exp(-lam)
     for k in range(1, k_max + 1):
@@ -206,7 +195,7 @@ def test_compound_mean_factorizes():
     model = make_compound(make_counting("poisson"), summand, (2.0,))
     d = compound_pmf(model, 2.0)
     mean = float(np.dot(d.support.points, d.masses))
-    summand_mean = np.arange(1, summand.j_max + 1) @ summand.masses
+    summand_mean = summand.support.points @ summand.masses
     assert mean == pytest.approx(2.0 * summand_mean, abs=1e-6)
 
 
@@ -275,7 +264,7 @@ def _full_cap_reference(counting, summand, nus, k_cap=2000):
     table = np.zeros((n_max + 1, k_cap + 1))
     table[0, 0] = 1.0
     for n in range(1, n_max + 1):
-        table[n] = np.convolve(table[n - 1], summand.pmf_from_zero())[: k_cap + 1]
+        table[n] = np.convolve(table[n - 1], np.concatenate(([0.0], summand.masses)))[: k_cap + 1]
     need = 1
     n = np.arange(lo, n_max + 1, dtype=float)
     for nu in nus:
@@ -367,7 +356,7 @@ def test_compound_pmf_is_normalized_distribution():
 
 
 def test_is_pf2_accepts_log_concave_and_rejects_gaps():
-    assert is_pf2(geometric_summand(0.5).pmf_from_zero())[0]
+    assert is_pf2(np.concatenate(([0.0], geometric_summand(0.5).masses)))[0]
     ok, w = is_pf2(np.array([0.5, 0.0, 0.5]))
     assert not ok and w.kind == "support-gap"
     ok, w = is_pf2(np.array([0.5, 0.05, 0.45]))
@@ -521,7 +510,7 @@ def test_check_compound_lr_downgrades_on_oracle_disagreement():
 
 
 def test_check_compound_lr_gates_on_pf2():
-    bumpy = SummandLaw(np.array([0.5, 0.05, 0.45]), 0.0)
+    bumpy = Distribution(discrete_grid(1, 3), np.array([0.5, 0.05, 0.45]))
     model = make_compound(make_counting("poisson"), bumpy, (1.0, 2.0))
     v = check_compound_lr(model, 1.0, 2.0)
     assert v.status == "inconclusive"

@@ -220,33 +220,33 @@ def test_law_distribution_truncation_follows_tail_target():
 
 def test_pairwise_kernel_on_support_intersection():
     p, q = law_from_spec("poisson:lambda=0.6"), law_from_spec("binomial:n=10,p=0.05")
-    pk = pairwise_kernel(p, q)
-    assert pk.grid.kind == "discrete"
-    assert np.array_equal(pk.grid.points, np.arange(11, dtype=float))
-    k = pk.grid.points
-    direct = p.log_weight(k) - q.log_weight(k)
-    assert np.allclose(pk.values, direct, atol=1e-14)
+    grid, values = pairwise_kernel(p, q)
+    assert grid.kind == "discrete"
+    assert np.array_equal(grid.points, np.arange(11, dtype=float))
+    direct = p.log_weight(grid.points) - q.log_weight(grid.points)
+    assert np.allclose(values, direct, atol=1e-14)
 
 
 def test_pairwise_kernel_closed_form_differences():
     # log w^Poi - log w^Bin steps by log(lam) - log(n-k) - logit(p)
     n, p, lam = 10, 0.05, 0.6
-    pk = pairwise_kernel(law_from_spec(f"poisson:lambda={lam}"),
-                         law_from_spec(f"binomial:n={n},p={p}"))
+    _, values = pairwise_kernel(law_from_spec(f"poisson:lambda={lam}"),
+                                law_from_spec(f"binomial:n={n},p={p}"))
     k = np.arange(n, dtype=float)
     expected = math.log(lam) - np.log(n - k) - (math.log(p) - math.log1p(-p))
-    assert np.allclose(np.diff(pk.values), expected, atol=1e-12)
+    assert np.allclose(np.diff(values), expected, atol=1e-12)
 
 
 def test_pairwise_kernel_kmax_and_grid_clip():
     # kmax cuts a common infinite support; a finite one ends the grid whatever kmax is
     poisson1 = law_from_spec("poisson:lambda=1")
-    pk = pairwise_kernel(law_from_spec("poisson:lambda=2"), make_law("geometric", p=0.5), kmax=50)
-    assert pk.grid.points[0] == 0.0 and pk.grid.points[-1] == 50.0
-    inner = pairwise_kernel(make_law("binomial", n=4, p=0.5), poisson1, kmax=99)
-    assert np.array_equal(inner.grid.points, np.arange(0.0, 5.0))
-    shifted = pairwise_kernel(make_law("hypergeometric", B=10, W=2, n=5), poisson1)
-    assert np.array_equal(shifted.grid.points, np.arange(3.0, 6.0))
+    grid, _ = pairwise_kernel(law_from_spec("poisson:lambda=2"), make_law("geometric", p=0.5),
+                              kmax=50)
+    assert grid.points[0] == 0.0 and grid.points[-1] == 50.0
+    inner, _ = pairwise_kernel(make_law("binomial", n=4, p=0.5), poisson1, kmax=99)
+    assert np.array_equal(inner.points, np.arange(0.0, 5.0))
+    shifted, _ = pairwise_kernel(make_law("hypergeometric", B=10, W=2, n=5), poisson1)
+    assert np.array_equal(shifted.points, np.arange(3.0, 6.0))
 
 
 def test_pairwise_kernel_rejects_bad_input():
@@ -261,18 +261,18 @@ def test_pairwise_kernel_rejects_bad_input():
 def test_poisson_and_unit_cmp_share_pairwise_kernels():
     # two parameterizations of the same law must give the same kernel
     q = make_law("geometric", p=0.5)
-    a = pairwise_kernel(law_from_spec("poisson:lambda=2"), q, kmax=60)
-    b = pairwise_kernel(make_law("cmp", mu=2.0, nu=1.0), q, kmax=60)
-    assert np.allclose(a.values, b.values, atol=1e-12)
-    assert np.allclose(np.diff(a.values), np.diff(b.values), atol=1e-12)
+    _, a = pairwise_kernel(law_from_spec("poisson:lambda=2"), q, kmax=60)
+    _, b = pairwise_kernel(make_law("cmp", mu=2.0, nu=1.0), q, kmax=60)
+    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(np.diff(a), np.diff(b), atol=1e-12)
 
 
 def test_geometric_and_unit_negbinomial_share_pairwise_kernels():
     q = law_from_spec("poisson:lambda=1")
-    a = pairwise_kernel(make_law("geometric", p=0.3), q, kmax=60)
-    b = pairwise_kernel(make_law("negbinomial", r=1.0, p=0.3), q, kmax=60)
-    assert np.allclose(a.values, b.values, atol=1e-12)
-    assert np.allclose(np.diff(a.values), np.diff(b.values), atol=1e-12)
+    _, a = pairwise_kernel(make_law("geometric", p=0.3), q, kmax=60)
+    _, b = pairwise_kernel(make_law("negbinomial", r=1.0, p=0.3), q, kmax=60)
+    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(np.diff(a), np.diff(b), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +381,15 @@ def any_law(draw):
     return make_law(name, **params)
 
 
-def first_index_reference(pk, order, tol=1e-9):
+def first_index_reference(kernel, order, tol=1e-9):
     """(status, witness, margin) of the kernel test by the first-index rule:
     the first margin below -tol is the witness, else the least margin holds.
     P <=lr Q reads K = log(w^P/w^Q) nonincreasing, P <=lc Q reads it concave."""
+    grid, values = kernel
     if order == "lr":
-        margins, xs, kind = -np.diff(pk.values), pk.grid.points[:-1], "adjacent-pair"
+        margins, xs, kind = -np.diff(values), grid.points[:-1], "adjacent-pair"
     else:
-        margins, xs, kind = -np.diff(pk.values, 2), pk.grid.points[1:-1], "triplet"
+        margins, xs, kind = -np.diff(values, 2), grid.points[1:-1], "triplet"
     bad = np.nonzero(margins < -tol)[0]
     if bad.size:
         i = int(bad[0])
@@ -405,11 +406,11 @@ def witness_bits(w):
 @example(make_law("negbinomial", r=3, p=0.5), make_law("poisson", **{"lambda": 2.0}), "lc")
 @example(make_law("poisson", **{"lambda": 2.0}), make_law("negbinomial", r=3, p=0.5), "lc")
 def test_check_pairwise_finds_the_first_index_witness(p_law, q_law, order):
-    pk = pairwise_kernel(p_law, q_law, kmax=60)
+    kernel = pairwise_kernel(p_law, q_law, kmax=60)
     [v] = check_pairwise(p_law, q_law, [order], kmax=60)
     # the support guard decides before any kernel margin is read
     assume(v.witness is None or v.witness.kind != "support")
-    status, witness, margin = first_index_reference(pk, order)
+    status, witness, margin = first_index_reference(kernel, order)
     if v.note.endswith("kernel test and oracle disagree"):
         # reconciled: the criterion's witness is kept when it has one
         assert v.status == "inconclusive"
@@ -427,8 +428,8 @@ def test_check_pairwise_lr_reads_the_reversed_kernel_bit_for_bit(p_law, q_law):
     # the margins and witness of log(w^Q/w^P) read as nondecreasing
     [v] = check_pairwise(p_law, q_law, ["lr"], kmax=60)
     assume(v.witness is None or v.witness.kind != "support")
-    rk = pairwise_kernel(q_law, p_law, kmax=60)
-    [(witness, margin, _)] = scan_kernel(lambda _: rk.values, [0.0], rk.grid, [("lr", "up")])
+    grid, reversed_kernel = pairwise_kernel(q_law, p_law, kmax=60)
+    [(witness, margin, _)] = scan_kernel(lambda _: reversed_kernel, [0.0], grid, [("lr", "up")])
     if witness is None and v.status == "inconclusive":
         return  # the oracle refuted a kernel that holds; its witness is reported
     assert v.margin == margin
@@ -552,13 +553,13 @@ def test_katz_laws_take_each_parameter_from_the_pair():
 
 def test_betabin_hyp_delta_matches_kernel_differences():
     B, W, n, r, s = 20, 20, 5, 1.0, 10.0
-    pk = pairwise_kernel(
+    _, values = pairwise_kernel(
         make_law("hypergeometric", B=B, W=W, n=n), make_law("betabinomial", n=n, r=r, s=s)
     )
     # the closed-form step K(k + 1) - K(k) of log(w^Hyp / w^BetaBin)
     k = np.arange(n, dtype=float)
     d = np.log((B - k) * (s + n - k - 1.0)) - np.log((W - n + k + 1.0) * (r + k))
-    assert np.allclose(np.diff(pk.values), d, atol=1e-12)
+    assert np.allclose(np.diff(values), d, atol=1e-12)
     assert np.all(np.diff(d) <= 0.0)  # the k = n-1 cell governs
 
 
