@@ -927,7 +927,7 @@ _SPAN_WINDOW = 64  # points of the first window of the tail search
 
 def _tail_cut(
     log_pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
-    limit: float, label: str,
+    limit: float, label: str, cap: str = "k_max",
 ) -> tuple[int, float, np.ndarray]:
     """First k in lo+1..hi-1 whose bound on the tail past k is <= tail_eps.
 
@@ -943,7 +943,7 @@ def _tail_cut(
     hi, reading the bound at the new k only, and log(1 - rho) only where
     p(k+1) <= tail_eps and rho < 1; every bound equals that of one pass over
     lo..hi. No k reaching the target raises ValueError naming `label`, the
-    target and hi.
+    target and hi, as `cap`=hi.
     """
     # a limit of 1 or more bounds no tail: no k then meets the target
     log_eps = math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
@@ -965,7 +965,7 @@ def _tail_cut(
             if hit.size:
                 i = start + int(near[hit[0]])
                 return lo + i, math.exp(bounds[hit[0]]), logs[: i + 1]
-    raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within k_max={hi}")
+    raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
 
 
 def _quantile(f: DensityFamily, nu: float, u: float) -> float:
@@ -987,13 +987,14 @@ def default_grid(
     tail_eps: float = TAIL_CUT_EPS,
     kmax: int = TAIL_CUT_KMAX,
     grid_points: int = GRID_POINTS,
+    cap: str = "k_max",
 ) -> SupportGrid:
     """Grid valid for every nu in `nus`: tail-complete, with grid_points
     cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed
     support. An infinite discrete support ends at the largest `_tail_cut`
-    over the nus, read up to k = kmax; an unbounded continuous one spans the
-    quantiles over the nus, and a quantile too large for a finite span is
-    refused by name."""
+    over the nus, read up to k = kmax, which a refusal names as `cap`; an
+    unbounded continuous one spans the quantiles over the nus, and a quantile
+    too large for a finite span is refused by name."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
@@ -1007,7 +1008,7 @@ def default_grid(
         for nu in nus:
             log_a = f.log_normalizer(nu)
             cuts.append(_tail_cut(lambda ks: f.log_factor(nu, ks) - log_a, int(lo_s), kmax,
-                                  tail_eps, f.tail_ratio(nu), f.name))
+                                  tail_eps, f.tail_ratio(nu), f.name, cap))
         return discrete_grid(int(lo_s), max(c[0] for c in cuts), max(c[1] for c in cuts))
 
     if f.kind == "mixed":

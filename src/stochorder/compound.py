@@ -196,9 +196,9 @@ def _conv_table(
     row's columns w - j_max onward. np.convolve takes entry k >= j_max of a
     row as the dot product of the previous row's entries k - j_max..k with
     the reversed summand, in the same order whatever the row's length, so
-    every bit equals one pass over 0..k_max. A row shorter than the summand would make
-    np.convolve swap its operands and sum each product in reverse order,
-    which is why w must exceed j_max.
+    every bit equals one pass over 0..k_max. A row shorter than the summand
+    would make np.convolve swap its operands and sum each product in
+    reverse order, which is why w must exceed j_max.
     """
     base = np.concatenate(([0.0], F.masses))  # F on 0..j_max, F(0) = 0
     out = np.zeros((n_max + 1, k_max + 1))
@@ -271,7 +271,7 @@ def make_compound(counting: DensityFamily, summand: Distribution, nus) -> Compou
     """Build the model with truncations valid for every nu in `nus`.
 
     The counting law is cut by `catalog.default_grid` at TAIL_CUT_EPS, at
-    most at n = _N_CAP. k_max is the
+    most at n = _N_CAP; a cut past it is refused naming n_max. k_max is the
     smallest k whose compound tail past k is at most TAIL_CUT_EPS at every
     nu. The table is grown in windows of columns: the first holds
     max(256, j_max + 1), j_max being the summand's largest point, never
@@ -289,7 +289,7 @@ def make_compound(counting: DensityFamily, summand: Distribution, nus) -> Compou
     that reaches _K_CAP is the one-pass table, with its rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
-    n_max = int(default_grid(counting, nus, kmax=_N_CAP).upper)
+    n_max = int(default_grid(counting, nus, kmax=_N_CAP, cap="n_max").upper)
     if n_max > _N_CAP:  # only a finite support, which the grid holds whole
         raise ValueError(
             f"{counting.describe()}: counting support reaches {n_max}, past n_max={_N_CAP}"

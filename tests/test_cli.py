@@ -585,7 +585,11 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
          "geometric: tail-mass target 1e-12 unreachable within k_max=10000"),
         (("compound", "--counting", "poisson", "--summand", "delta:j=1",
           "--nu1", "400", "--nu2", "600"),
-         "poisson: tail-mass target 1e-12 unreachable within k_max=500"),
+         "poisson: tail-mass target 1e-12 unreachable within n_max=500"),
+        # the counting law's cap is n_max; k_max names the compound support's
+        (("compound", "--counting", "logseries", "--summand", "delta",
+          "--nu1", "0.1", "--nu2", "0.99"),
+         "logseries: tail-mass target 1e-12 unreachable within n_max=500"),
         # a summand longer than the table: the one window is the whole table
         (("compound", "--counting", "poisson", "--summand", "geometric:p=0.01",
           "--nu1", "1", "--nu2", "2"), "compound mass beyond k_max=2000 exceeds 1e-6 at nu=2"),

@@ -335,7 +335,7 @@ def test_counting_cut_stops_one_short_of_n_cap():
         logs = counting.log_factor(theta, n) - counting.log_normalizer(theta)
         assert ratio_bound_cut(logs, 0, TAIL_CUT_EPS, counting.tail_ratio(theta))[0] == cut
     assert make_compound(counting, delta_summand(1), (1.0, 358.0)).n_max == _N_CAP - 1
-    with pytest.raises(ValueError, match=f"^poisson: .* unreachable within k_max={_N_CAP}$"):
+    with pytest.raises(ValueError, match=f"^poisson: .* unreachable within n_max={_N_CAP}$"):
         make_compound(counting, delta_summand(1), (1.0, 359.0))
 
 

@@ -6,10 +6,16 @@ criterion and the oracle on the two laws. `SINGLE_ROUTE` names each kind of
 verdict that is still reached by one route, keyed by (command, method), with
 the ROADMAP item that gives it a second one. It may only shrink: an entry
 that no verdict needs any more fails the test, as in `test_exports.KEEP`.
+
+The two routes share no code: read from the syntax trees, `oracle.py` takes
+nothing from the package but `catalog.Distribution` and `verdicts`, and
+neither `oracle.py` nor `criteria.py` imports the other.
 """
 
+import ast
 import json
 import re
+from pathlib import Path
 
 from stochorder import cli
 from stochorder.cli import main
@@ -57,3 +63,37 @@ def test_every_verdict_is_reconciled_or_a_listed_single_route(capsys):
     assert unlisted == []
     # the allow-list holds single-route verdicts that still occur, no more
     assert sorted(set(SINGLE_ROUTE) - used) == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stochorder"
+
+
+def _package_imports(module: str) -> dict[str, set[str]]:
+    """The package's modules that `module` imports anywhere in its file, each
+    with the names taken from it; "*" stands for the module itself."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0 and path[0] != "stochorder":
+                continue
+            if node.level == 0:
+                path = path[1:]  # the submodule, after "stochorder."
+            if path and path[0]:
+                found.setdefault(path[0], set()).update(a.name for a in node.names)
+            else:  # `from . import m` or `from stochorder import m`
+                for alias in node.names:
+                    found.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "stochorder":
+                    found.setdefault(path[1] if len(path) > 1 else "", set()).add("*")
+    return found
+
+
+def test_the_oracle_and_the_criteria_share_no_code():
+    oracle, criteria = _package_imports("oracle"), _package_imports("criteria")
+    assert sorted(oracle) == ["catalog", "verdicts"]
+    assert oracle["catalog"] == {"Distribution"}
+    assert "criteria" not in oracle and "oracle" not in criteria

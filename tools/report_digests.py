@@ -92,7 +92,9 @@ Each command runs in-process through `stochorder.cli.main` with
   1e-4..2e-4 of `delta:j=32` atoms, whose first 64 columns hold all but
   2e-8 of the mass while the atom at 96 still holds 1.3e-12 (k_max 96),
   and of `delta:j=128` atoms, the same sliver past the first window of
-  256 columns (k_max 384);
+  256 columns (k_max 384); and a log-series count up to theta = 0.99,
+  whose cut passes the counting cap and is refused naming n_max = 500
+  before any table is built;
 - `check` endpoint pairs that reach the oracle's per-direction branches
   rather than the shared ones: a binomial with n = 3000 whose masses
   underflow to zero at either end, so lc fails by support-containment both
@@ -282,6 +284,8 @@ COMPOUND_WINDOWS = (
      "--nu2", "0.0002"],
     ["compound", "--counting", "poisson", "--summand", "delta:j=128", "--nu1", "0.0001",
      "--nu2", "0.0002"],
+    ["compound", "--counting", "logseries", "--summand", "delta", "--nu1", "0.1",
+     "--nu2", "0.99"],
 )
 
 ORACLE_FALLBACKS = (
