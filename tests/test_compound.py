@@ -101,6 +101,18 @@ def test_geometric_summand_refuses_more_terms_than_the_largest_kmax():
     assert geometric_summand(2.8e-4).support.upper <= 100_000
 
 
+def test_a_summand_is_a_distribution_on_one_to_its_largest_point():
+    for spec, j_max in (("delta:j=3", 3), ("two-point:w1=0.4", 2), ("geometric:p=0.5", 40)):
+        s = summand_from_spec(spec)
+        assert (s.support.kind, s.support.lower, s.support.upper) == ("discrete", 1.0, j_max)
+        assert s.masses.size == j_max
+    # the summand's masses are checked as every law's are
+    with pytest.raises(ValueError, match="sum to 1"):
+        Distribution(discrete_grid(1, 2), np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Distribution(discrete_grid(1, 2), np.array([1.5, -0.5]))
+
+
 # ---------------------------------------------------------------------------
 # convolution powers
 

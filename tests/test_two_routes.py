@@ -75,9 +75,9 @@ def _package_imports(module: str) -> dict[str, set[str]]:
     for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             path = (node.module or "").split(".")
-            if node.level == 0 and path[0] != "stochorder":
-                continue
             if node.level == 0:
+                if path[0] != "stochorder":
+                    continue
                 path = path[1:]  # the submodule, after "stochorder."
             if path and path[0]:
                 found.setdefault(path[0], set()).update(a.name for a in node.names)
