@@ -185,35 +185,14 @@ def counting_from_spec(text: str) -> DensityFamily:
 # convolution and the compound law
 
 
-def _conv_table(
-    F: Distribution, n_max: int, k_max: int, table: np.ndarray | None = None
-) -> np.ndarray:
+def _conv_table(F: Distribution, n_max: int, k_max: int) -> np.ndarray:
     """Row n is F^{*n} on {0..k_max}, for n = 0..n_max; F^{*0} is the point
-    mass at 0.
-
-    Given `table`, the same rows on {0..w-1} with w > j_max, F's largest
-    point, only columns w..k_max are computed, each row from the previous
-    row's columns w - j_max onward. np.convolve takes entry k >= j_max of a
-    row as the dot product of the previous row's entries k - j_max..k with
-    the reversed summand, in the same order whatever the row's length, so
-    every bit equals one pass over 0..k_max. A row shorter than the summand
-    would make np.convolve swap its operands and sum each product in
-    reverse order, which is why w must exceed j_max.
-    """
+    mass at 0."""
     base = np.concatenate(([0.0], F.masses))  # F on 0..j_max, F(0) = 0
     out = np.zeros((n_max + 1, k_max + 1))
-    if table is None:
-        out[0, 0] = 1.0
-        for n in range(1, n_max + 1):
-            out[n] = np.convolve(out[n - 1], base)[: k_max + 1]
-        return out
-    w, j = table.shape[1], int(F.support.upper)
-    if not j < w <= k_max:
-        raise ValueError(f"a convolution table grows only from w columns, j_max={j} < w "
-                         f"<= k_max={k_max}; got w={w}")
-    out[:, :w] = table
+    out[0, 0] = 1.0
     for n in range(1, n_max + 1):
-        out[n, w:] = np.convolve(out[n - 1, w - j :], base, mode="valid")
+        out[n] = np.convolve(out[n - 1], base)[: k_max + 1]
     return out
 
 
@@ -273,20 +252,21 @@ def make_compound(counting: DensityFamily, summand: Distribution, nus) -> Compou
     The counting law is cut by `catalog.default_grid` at TAIL_CUT_EPS, at
     most at n = _N_CAP; a cut past it is refused naming n_max. k_max is the
     smallest k whose compound tail past k is at most TAIL_CUT_EPS at every
-    nu. The table is grown in windows of columns: the first holds
-    max(256, j_max + 1), j_max being the summand's largest point, never
-    fewer than the summand (see `_conv_table`), and each later one doubles,
-    up to _K_CAP + 1. Each window's columns are bit for bit those of one
-    pass to _K_CAP. The cut is read inside each window, and the search stops
-    once, at every nu, the tail past the cut plus the mass past the window
-    is at most TAIL_CUT_EPS. Past the window, row n of the full table holds
-    at most s^n less the row's sum in the window, s being the summand's kept
-    mass. With that bound the full table's cut equals the window's in exact
-    arithmetic, and in floating point too except where a tail sum lies
-    within rounding of TAIL_CUT_EPS, which random comparisons against the
-    full table have not met. A window missing more than 1e-6 of the mass
-    never stops the search, as its bound then exceeds TAIL_CUT_EPS. A window
-    that reaches _K_CAP is the one-pass table, with its rule and its error.
+    nu. The table is computed in windows of columns, each in one pass: the
+    first holds max(256, j_max + 1), j_max being the summand's largest
+    point, and each later one doubles, up to _K_CAP + 1. A window that holds
+    the whole summand keeps np.convolve from swapping its operands, so each
+    window's columns have the bits of one pass to _K_CAP. The cut is read
+    inside each window, and the search stops once, at every nu, the tail
+    past the cut plus the mass past the window is at most TAIL_CUT_EPS. Past
+    the window, row n of the full table holds at most s^n less the row's sum
+    in the window, s being the summand's kept mass. With that bound the full
+    table's cut equals the window's in exact arithmetic, and in floating
+    point too except where a tail sum lies within rounding of TAIL_CUT_EPS,
+    which random comparisons against the full table have not met. A window
+    missing more than 1e-6 of the mass never stops the search, as its bound
+    then exceeds TAIL_CUT_EPS. A window that reaches _K_CAP is the one-pass
+    table, with its rule and its error.
     """
     nus = [counting.validate_param(nu) for nu in np.atleast_1d(nus)]
     n_max = int(default_grid(counting, nus, kmax=_N_CAP, cap="n_max").upper)
@@ -318,7 +298,7 @@ def make_compound(counting: DensityFamily, summand: Distribution, nus) -> Compou
             return CompoundModel(counting, summand, need, n_max, conv[:, : need + 1],
                                  discrete_grid(0, need), dict(zip(nus, qs)))
         width = min(2 * width, _K_CAP + 1)
-        conv = _conv_table(summand, n_max, width - 1, conv)
+        conv = _conv_table(summand, n_max, width - 1)
 
 
 def compound_pmf(m: CompoundModel, nu: float) -> Distribution:
