@@ -111,7 +111,7 @@ def two_point_summand(w1: float) -> Distribution:
 def poisson_shifted_summand(mu: float) -> Distribution:
     """J = 1 + M with M Poisson(mu), cut where the bound on its tail is
     <= TAIL_CUT_EPS."""
-    return _one_plus("shifted-poisson summand", "poisson", "mu", mu)
+    return _one_plus("poisson-shifted summand", "poisson", "mu", mu)
 
 
 def _required(ps: dict, key: str, name: str) -> float:

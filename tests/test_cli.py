@@ -578,7 +578,7 @@ def test_errors_exit_two_and_name_the_offending_token(capsys):
         # and the ceiling the search reached
         (("compound", "--counting", "poisson", "--summand", "poisson-shifted:mu=200000",
           "--nu1", "1", "--nu2", "2"),
-         "shifted-poisson summand: tail-mass target 1e-12 unreachable within k_max=100000"),
+         "poisson-shifted summand: tail-mass target 1e-12 unreachable within k_max=100000"),
         (("pairwise", "--p", "geometric:p=0.00001", "--q", "poisson:lambda=4", "--orders", "st"),
          "geometric: tail-mass target 1e-12 unreachable within k_max=10000"),
         (("check", "--family", "geometric", "--nu1", "0.5", "--nu2", "0.99999"),
@@ -636,7 +636,7 @@ def test_integer_parameters_are_bound_or_refused(capsys, argv, token):
     *((f"two-point:w1={v}", "two-point summand needs w1 in (0,1)")
       for v in ("inf", "nan", "0", "1")),
     # mu's domain (0, inf) has inf for its upper edge
-    *((f"poisson-shifted:mu={v}", "shifted-poisson summand needs mu > 0")
+    *((f"poisson-shifted:mu={v}", "poisson-shifted summand needs mu > 0")
       for v in ("inf", "nan", "0")),
 ])
 def test_summands_refuse_values_outside_their_domain_by_name(capsys, summand, refusal):
@@ -645,6 +645,25 @@ def test_summands_refuse_values_outside_their_domain_by_name(capsys, summand, re
     code, out, err = run_cli(capsys, "compound", "--counting", "poisson", "--summand", summand,
                              "--nu1", "1", "--nu2", "2", "--no-timing")
     assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+@pytest.mark.parametrize("name,params", [
+    (name, params)
+    for name, cases in {
+        "geometric": ("q=0.5", "p=0", "p=0.5,q=1", "p=1e-9"),
+        "delta": ("j=0", "j=2.5", "j=100001", "j=2,q=1"),
+        "two-point": ("w=0.5", "w1=1", "w1=0.5,q=1"),
+        # poisson-shifted's domain refusal called it a shifted-poisson summand
+        "poisson-shifted": ("lambda=1", "mu=0", "mu=inf", "mu=200000", "mu=1,q=1"),
+    }.items()
+    for params in cases
+])
+def test_every_summand_refusal_names_the_summand_as_typed(capsys, name, params):
+    # a missing, out-of-domain or unknown parameter, or an unreachable tail
+    code, out, err = run_cli(capsys, "compound", "--counting", "poisson", "--summand",
+                             f"{name}:{params}", "--nu1", "1", "--nu2", "2", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and name in err
 
 
 @pytest.mark.parametrize("summand", ["geometric:p=0.01", "delta:j=300"])

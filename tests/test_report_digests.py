@@ -1,7 +1,7 @@
 """The digest tool that proves a refactor keeps every report's bytes:
-`tools/report_digests.py` must run only commands the CLI parses, must tell
-a changed report from a float tail and from a mended error, and must draw
-the same random commands from the same seed.
+`tools/report_digests.py` must run only commands the CLI parses, each once,
+must tell a changed report from a float tail and from a mended error, and
+must draw the same random commands from the same seed.
 """
 
 import importlib.util
@@ -27,9 +27,12 @@ workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
 
 def test_every_fixed_command_parses():
     parser = cli._build_parser()
-    for argv in digests.commands(cli._TABLE1, workloads):
+    fixed = digests.commands(cli._TABLE1, workloads)
+    for argv in fixed:
         assert argv[-1] == "--no-timing"
         parser.parse_args(argv)  # argparse exits 2 on a command it refuses
+    # `table --id table2` and `katz` ran three times each
+    assert len({tuple(argv) for argv in fixed}) == len(fixed)
 
 
 @pytest.mark.parametrize("here,there,allow_mended,verdict", [

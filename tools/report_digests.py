@@ -128,6 +128,9 @@ Each command runs in-process through `stochorder.cli.main` with
   against a hypergeometric law whose lc margin is -inf, so that both forms
   render an infinite float.
 
+A command in more than one of these groups runs once, where it first
+appears.
+
 `--random N` replaces the fixed list with N commands drawn from `--seed`:
 `pairwise` over all seven laws, `compound` over all six counting laws,
 `check` on the two negative-binomial families with random fixed parameters
@@ -374,7 +377,8 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(ENDPOINT_GRIDS)
     out.extend(RATIO_CUTS)
     out.extend(OTHER_FORMATS)
-    return [argv + ["--no-timing"] for argv in out]
+    # the workload passes repeat the `table` commands: each runs once, first
+    return [list(argv) + ["--no-timing"] for argv in dict.fromkeys(map(tuple, out))]
 
 
 # ---------------------------------------------------------------------------
