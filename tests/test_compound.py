@@ -162,7 +162,7 @@ SUMMANDS = st.one_of(
 @given(SUMMANDS, st.integers(0, 30), st.integers(0, 200), st.integers(1, 600))
 @example(geometric_summand(0.2), 20, 0, 300)
 @example(geometric_summand(0.05), 10, 0, 600)
-def test_conv_table_columns_are_a_prefix_of_a_wider_table(summand, n_max, extra, more):
+def test_conv_table_grown_from_a_narrower_table_equals_one_pass(summand, n_max, extra, more):
     # the narrow width holds the whole summand, so np.convolve never swaps
     # operands and its columns have the bits of the wider pass
     width = int(summand.support.upper) + 1 + extra
