@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
 from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer, log_pochhammer_vec
+from .verdicts import known
 
 __all__ = [
     "SupportGrid",
@@ -125,8 +126,7 @@ class SupportGrid:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("discrete", "continuous", "mixed"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
+        known("grid kind", self.kind, ("discrete", "continuous", "mixed"))
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid needs a nonempty 1-d point array")
@@ -705,6 +705,18 @@ class DensityFamily:
         return f"{self.name}({fixed})" if fixed else self.name
 
 
+def given(label: str, params: Mapping[str, float], keys: Collection[str]) -> dict[str, float]:
+    """{key: float(params[key])} for each key; a missing key, or any other key
+    in params, raises starting with `label`."""
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"{label} needs parameter {key!r}")
+    unknown = set(params).difference(keys)
+    if unknown:
+        raise ValueError(f"{label}: unknown parameters {sorted(unknown)}")
+    return {key: float(params[key]) for key in keys}
+
+
 def checked(label: str, name: str, value: float, domain: tuple[float, float],
             integer: bool = False) -> float:
     """value, checked against its domain: the open interval, or for a whole
@@ -755,23 +767,14 @@ class View:
             shown = ",".join(f"{k}={v:g}" for k, v in self.named(theta).items())
             raise ValueError(f"{label}: log factor overflows a double at {shown}") from None
 
-    def bind(self, label: str, given: Mapping[str, float]) -> dict[str, float]:
+    def bind(self, label: str, params: Mapping[str, float]) -> dict[str, float]:
         """The fixed parameters, checked against their domains, under the
         law's names; errors start with `label` and use the view's names."""
         law = LAWS[self.law]
-        values = {**self.defaults, **given}
-        theta: dict[str, float] = {}
-        for p, domain in law.domains.items():
-            if p == self.varied:
-                continue
-            name = self.shown.get(p, p)
-            if name not in values:
-                raise ValueError(f"{label} needs parameter {name!r}")
-            theta[p] = checked(label, name, values.pop(name), self.domains.get(p, domain),
-                               p in law.integers)
-        if values:
-            raise ValueError(f"{label}: unknown parameters {sorted(values)}")
-        return theta
+        fixed = {p: self.shown.get(p, p) for p in law.domains if p != self.varied}
+        values = given(label, {**self.defaults, **params}, fixed.values())
+        return {p: checked(label, name, values[name], self.domains.get(p, law.domains[p]),
+                           p in law.integers) for p, name in fixed.items()}
 
     def curve(self, name: str, fixed: Theta, param: str, interval: tuple[float, float],
               at: Callable[[float], Theta],
@@ -791,12 +794,12 @@ class View:
             factor=factor,
         )
 
-    def family(self, name: str, label: str, given: Mapping[str, float]) -> DensityFamily:
+    def family(self, name: str, label: str, params: Mapping[str, float]) -> DensityFamily:
         """The one-parameter family in `varied`, the other parameters fixed
-        at `given` or their defaults. Its factor reads a `Factored` kernel's
+        at `params` or their defaults. Its factor reads a `Factored` kernel's
         statistic, or a fixed kernel, at the fixed parameters alone."""
         law = LAWS[self.law]
-        fixed = self.bind(label, given)
+        fixed = self.bind(label, params)
         free = self.varied
         declared = law.kernels.get(free)
 
@@ -844,10 +847,8 @@ FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 def make_family(name: str, **fixed_params: float) -> DensityFamily:
     """Build a catalogue family; unknown names and bad parameters error."""
-    view = _FAMILIES.get(name)
-    if view is None:
-        raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}")
-    return view.family(name, name, fixed_params)
+    known("family", name, FAMILY_NAMES)
+    return _FAMILIES[name].family(name, name, fixed_params)
 
 
 def parse_spec(text: str) -> tuple[str, dict[str, float]]:

@@ -44,7 +44,7 @@ from .catalog import (
 )
 from .criteria import NU_POINTS, TOL_SHAPE, TOL_TAIL, nu_scan, scan_orders
 from .oracle import oracle_pair
-from .verdicts import ORDERS, OrderVerdict
+from .verdicts import ORDERS, OrderVerdict, known
 
 __all__ = ["main", "dumps"]
 
@@ -219,8 +219,7 @@ def _parse_orders(text: str) -> list[str]:
         token = token.strip()
         if not token:
             continue
-        if token not in ORDERS:
-            raise ValueError(f"unknown order {token!r}; valid orders: {', '.join(ORDERS)}")
+        known("order", token, ORDERS)
         if token not in orders:
             orders.append(token)
     if not orders:
@@ -571,8 +570,7 @@ def _cmd_path(args) -> tuple[dict, int]:
     from .pairwise import check_interpolation, check_path_order, path_family
 
     name, params = parse_spec(args.name)
-    if args.order not in ORDERS:
-        raise ValueError(f"unknown order {args.order!r}; valid orders: {', '.join(ORDERS)}")
+    known("order", args.order, ORDERS)
     inputs = {"name": args.name, "order": args.order}
     if name == "interpolation":  # it scans fixed pseudo-sample weights and no tail
         if args.order != "lr":

@@ -40,11 +40,11 @@ import numpy as np
 
 from .catalog import (
     LAWS, MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, SupportGrid, View, _tail_cut,
-    checked, default_grid, discrete_grid, parse_spec,
+    checked, default_grid, discrete_grid, given, parse_spec,
 )
 from .criteria import NU_POINTS, TOL_SHAPE, _family_kernel, nu_scan, scan_kernel
 from .oracle import oracle_pair
-from .verdicts import OrderVerdict, Witness, reconcile
+from .verdicts import OrderVerdict, Witness, known, reconcile
 
 __all__ = [
     "geometric_summand",
@@ -114,31 +114,21 @@ def poisson_shifted_summand(mu: float) -> Distribution:
     return _one_plus("poisson-shifted summand", "poisson", "mu", mu)
 
 
-def _required(ps: dict, key: str, name: str) -> float:
-    if key not in ps:
-        raise ValueError(f"{name} summand needs parameter {key!r}")
-    return float(ps.pop(key))
-
-
+# summand: its builder, its one parameter and that parameter's default (None: required)
 _SUMMAND_BUILDERS = {
-    "geometric": lambda ps: geometric_summand(_required(ps, "p", "geometric")),
-    "delta": lambda ps: delta_summand(ps.pop("j", 1)),
-    "two-point": lambda ps: two_point_summand(_required(ps, "w1", "two-point")),
-    "poisson-shifted": lambda ps: poisson_shifted_summand(_required(ps, "mu", "poisson-shifted")),
+    "delta": (delta_summand, "j", 1),
+    "geometric": (geometric_summand, "p", None),
+    "poisson-shifted": (poisson_shifted_summand, "mu", None),
+    "two-point": (two_point_summand, "w1", None),
 }
 
 
 def summand_from_spec(text: str) -> Distribution:
     name, params = parse_spec(text)
-    builder = _SUMMAND_BUILDERS.get(name)
-    if builder is None:
-        raise ValueError(
-            f"unknown summand {name!r}; valid: {', '.join(sorted(_SUMMAND_BUILDERS))}"
-        )
-    out = builder(params)
-    if params:
-        raise ValueError(f"summand {name!r}: unknown parameters {sorted(params)}")
-    return out
+    known("summand", name, _SUMMAND_BUILDERS)
+    builder, key, default = _SUMMAND_BUILDERS[name]
+    defaults = {} if default is None else {key: default}
+    return builder(given(f"{name} summand", {**defaults, **params}, [key])[key])
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +160,8 @@ COUNTING_NAMES = tuple(sorted(_COUNTING))
 
 def make_counting(name: str, **fixed: float) -> DensityFamily:
     """A counting law: a family view of a table law."""
-    view = _COUNTING.get(name)
-    if view is None:
-        raise ValueError(f"unknown counting law {name!r}; valid: {', '.join(COUNTING_NAMES)}")
-    return view.family(name, f"{name} counting law", fixed)
+    known("counting law", name, COUNTING_NAMES)
+    return _COUNTING[name].family(name, f"{name} counting law", fixed)
 
 
 def counting_from_spec(text: str) -> DensityFamily:

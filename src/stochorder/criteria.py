@@ -76,7 +76,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DensityFamily, Distribution, SupportGrid, density
-from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness
+from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness, known
 
 __all__ = [
     "TOL_SHAPE",
@@ -201,11 +201,8 @@ def scan_kernel(
         if not tol >= 0:
             raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
     for order, direction in tests:
-        if order not in ORDERS:
-            raise ValueError(f"unknown order {order!r}; valid orders: {', '.join(ORDERS)}")
-        if direction not in DIRECTIONS:
-            raise ValueError(
-                f"unknown direction {direction!r}; valid directions: {', '.join(DIRECTIONS)}")
+        known("order", order, ORDERS)
+        known("direction", direction, DIRECTIONS)
     pts = grid.points
     built = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
     witnesses: list[Witness | None] = [None] * len(tests)

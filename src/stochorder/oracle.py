@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .catalog import Distribution
-from .verdicts import DIRECTIONS, OrderVerdict, Witness
+from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness, known
 
 __all__ = ["ORACLE_REL_TOL", "ORACLE_ABS_TOL", "ORACLE_EPS_TAIL", "oracle_pair"]
 
@@ -226,10 +226,8 @@ def oracle_pair(P: Distribution, Q: Distribution, tests) -> list[OrderVerdict]:
     of the "up" test on (Q, P) but for its direction.
     """
     for order, direction in tests:
-        if order not in _FORMULAS:
-            raise ValueError(f"unknown order {order!r}")
-        if direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {direction!r}")
+        known("order", order, ORDERS)
+        known("direction", direction, DIRECTIONS)
     pts, mp, mq, kind = _aligned(P, Q)
     orders = {order for order, _ in tests}
     # each order's (P's, Q's) arrays, derived once for both directions

@@ -43,11 +43,11 @@ import numpy as np
 
 from .catalog import (
     LAWS, PAIRWISE_KMAX, TAIL_CUT_EPS, TAIL_CUT_KMAX, DensityFamily, Distribution, SupportGrid,
-    View, _tail_cut, discrete_grid, normalized, parse_spec,
+    View, _tail_cut, discrete_grid, given, normalized, parse_spec,
 )
 from .criteria import TOL_SHAPE, TOL_TAIL, _family_kernel, scan_kernel
 from .oracle import oracle_pair
-from .verdicts import OrderVerdict, Witness, reconcile
+from .verdicts import OrderVerdict, Witness, known, reconcile
 
 __all__ = [
     "PairwiseLaw",
@@ -107,9 +107,8 @@ LAW_NAMES = tuple(sorted(_LAW_VIEWS))
 
 def make_law(name: str, **params: float) -> PairwiseLaw:
     """The named law with every parameter fixed; its factor is the table's."""
-    view = _LAW_VIEWS.get(name)
-    if view is None:
-        raise ValueError(f"unknown law {name!r}; valid names: {', '.join(LAW_NAMES)}")
+    known("law", name, LAW_NAMES)
+    view = _LAW_VIEWS[name]
     theta = view.bind(f"{name} law", params)
     law = LAWS[view.law]
     return PairwiseLaw(name, law.support(theta), partial(view.log_factor, name, theta),
@@ -261,23 +260,16 @@ _KATZ_PAIRS: dict[str, tuple[tuple[str, dict[str, str]], ...]] = {
 
 def _katz_params(pair: str, params: Mapping[str, float]) -> dict[str, float]:
     """The pair's parameters, in `_KATZ_PAIRS` order; a missing or unknown one raises."""
-    row = _KATZ_PAIRS.get(pair)
-    if row is None:
-        raise ValueError(f"unknown katz pair {pair!r}; valid: {', '.join(_KATZ_PAIRS)}")
-    keys = [key for _, given in row for key in given.values()]
-    for key in keys:
-        if key not in params:
-            raise ValueError(f"katz pair {pair!r} needs parameter {key!r}")
-    if set(params) - set(keys):
-        raise ValueError(f"katz pair {pair!r}: unknown parameters {sorted(set(params) - set(keys))}")
-    return {key: float(params[key]) for key in keys}
+    known("katz pair", pair, _KATZ_PAIRS)
+    keys = [key for _, names in _KATZ_PAIRS[pair] for key in names.values()]
+    return given(f"katz pair {pair!r}", params, keys)
 
 
 def katz_laws(pair: str, params: Mapping[str, float]) -> tuple[PairwiseLaw, PairwiseLaw]:
     """The pair's two laws at `params`, in the pair's order."""
     ps = _katz_params(pair, params)
-    first, second = (make_law(law, **{k: ps[v] for k, v in given.items()})
-                     for law, given in _KATZ_PAIRS[pair])
+    first, second = (make_law(law, **{k: ps[v] for k, v in names.items()})
+                     for law, names in _KATZ_PAIRS[pair])
     return first, second
 
 
@@ -442,10 +434,8 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     is one of the law's `fixed_kernels`, as for the gamma path.
     For t in [0, 1], theta(t) lies between the two ends, inside the law's
     domains, which are intervals; any other t raises ValueError naming it."""
-    row = _PATHS.get(name)
-    if row is None:
-        raise ValueError(f"unknown path {name!r}; valid names: {', '.join(PATH_NAMES)}")
-    law_name, moves = row
+    known("path", name, PATH_NAMES)
+    law_name, moves = _PATHS[name]
     ends = []
     for end, other in (("1", "2"), ("2", "1")):
         skip = {p + other for p, _ in moves}

@@ -10,7 +10,7 @@ criterion verdict the oracle contradicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 __all__ = ["ORDERS", "DIRECTIONS", "STATUSES", "METHODS", "Witness", "OrderVerdict", "reconcile"]
 
@@ -18,6 +18,13 @@ ORDERS = ("lr", "lc", "st", "hr")
 DIRECTIONS = ("up", "down")
 STATUSES = ("holds", "fails", "inconclusive")
 METHODS = ("kernel-criterion", "oracle", "pairwise-kernel", "compound-kernel", "path-kernel")
+
+
+def known(kind: str, name: str, valid: Collection[str]) -> None:
+    """Refuse a `name` that is not in `valid`, naming its kind and every
+    valid one; the one refusal of an unknown name in the package."""
+    if name not in valid:
+        raise ValueError(f"unknown {kind} {name!r}; valid: {', '.join(valid)}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,10 @@ class OrderVerdict:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.order not in ORDERS:
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        known("order", self.order, ORDERS)
+        known("direction", self.direction, DIRECTIONS)
+        known("status", self.status, STATUSES)
+        known("method", self.method, METHODS)
         if self.status == "fails" and self.witness is None:
             raise ValueError("failing verdict requires a witness")
 
