@@ -769,8 +769,12 @@ class View:
 
     def bind(self, label: str, params: Mapping[str, float]) -> dict[str, float]:
         """The fixed parameters, checked against their domains, under the
-        law's names; errors start with `label` and use the view's names."""
+        law's names; errors start with `label` and use the view's names. The
+        varied parameter is refused by name: the scan, not params, sets it."""
         law = LAWS[self.law]
+        scanned = self.shown.get(self.varied, self.varied)
+        if scanned in params:
+            raise ValueError(f"{label}: {scanned!r} is the scanned parameter, not a fixed one")
         fixed = {p: self.shown.get(p, p) for p in law.domains if p != self.varied}
         values = given(label, {**self.defaults, **params}, fixed.values())
         return {p: checked(label, name, values[name], self.domains.get(p, law.domains[p]),

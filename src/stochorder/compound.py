@@ -18,7 +18,7 @@ in n and the lr direction is the sign of its slope b(nu).
 Each counting law is a one-parameter view of an entry of `catalog.LAWS`
 (the p-forms for geometric and the negative binomial); its kernel is its only
 per-law input, and b(nu) is the kernel's step G_nu(n + 1) - G_nu(n). The
-scan reads it as every family scan does (`criteria._family_kernel`), so a
+scan reads it as every family scan does (`criteria.scan_orders`), so a
 `Factored` kernel, which all five Table-2 counting laws declare, builds its
 statistic n once per scan and reads each nu through its coefficient.
 
@@ -42,7 +42,7 @@ from .catalog import (
     LAWS, MAX_KMAX, TAIL_CUT_EPS, DensityFamily, Distribution, SupportGrid, View, _tail_cut,
     checked, default_grid, discrete_grid, given, parse_spec,
 )
-from .criteria import NU_POINTS, TOL_SHAPE, _family_kernel, nu_scan, scan_kernel
+from .criteria import NU_POINTS, TOL_SHAPE, nu_scan, scan_kernel, scan_orders
 from .oracle import oracle_pair
 from .verdicts import OrderVerdict, Witness, known, reconcile
 
@@ -350,24 +350,18 @@ def check_compound_lr(
             note="summand is not a PF2 sequence; hypothesis unmet",
         )
 
-    grid = discrete_grid(m.n_lo, m.n_max)
-    kernel, coefficient = _family_kernel(m.counting, grid, nus)
-    (up_w, up_margin, _), (down_w, down_margin, _) = scan_kernel(
-        kernel, nus, grid, [("lr", "up"), ("lr", "down")], tol_shape, coefficient=coefficient)
-    if up_w is not None and down_w is not None:
+    up, down = scan_orders(m.counting, nus, discrete_grid(m.n_lo, m.n_max),
+                           [("lr", "up"), ("lr", "down")], tol_shape)
+    if up.witness is not None and down.witness is not None:
         return OrderVerdict(
             order="lr", direction="up", status="inconclusive", method="compound-kernel",
-            tolerances=tolerances, witness=up_w, margin=up_w.margin, claim=claim,
+            tolerances=tolerances, witness=up.witness, margin=up.margin, claim=claim,
             note="counting kernel is not monotone in n; hypothesis unmet",
         )
-    direction = "up" if up_w is None else "down"
-    if direction == "down":
+    held = up if up.witness is None else down
+    if held.direction == "down":
         claim = "C[nu2] <=lr C[nu1] whenever nu1 <= nu2 in the scanned range"
-    criterion = OrderVerdict(
-        order="lr", direction=direction, status="holds", method="compound-kernel",
-        tolerances=tolerances, margin=up_margin if direction == "up" else down_margin,
-        claim=claim,
-    )
+    criterion = replace(held, method="compound-kernel", tolerances=tolerances, claim=claim, note="")
     low, high = compound_pmf(m, lo), compound_pmf(m, hi)
-    [cross] = oracle_pair(low, high, [("lr", direction)])
+    [cross] = oracle_pair(low, high, [("lr", held.direction)])
     return reconcile(criterion, cross)

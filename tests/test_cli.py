@@ -534,6 +534,21 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys):
     assert json.loads(spaced)["inputs"]["nu1"] == -4.6e-05
 
 
+@pytest.mark.parametrize("argv,scanned", [
+    (("check", "--family", "poisson:theta=2", "--nu1", "1", "--nu2", "2"), "theta"),
+    (("check", "--family", "negbinomial-in-shape:nu=2", "--nu1", "1", "--nu2", "2"), "nu"),
+    (("compound", "--counting", "poisson:lam=2", "--summand", "geometric:p=0.5",
+      "--nu1", "1", "--nu2", "2"), "lam"),
+    (("compound", "--counting", "negbinomial:p=0.5", "--summand", "geometric:p=0.5",
+      "--nu1", "0.3", "--nu2", "0.6"), "p"),
+])
+def test_a_spec_that_gives_the_scanned_parameter_is_refused_by_name(capsys, argv, scanned):
+    # the scanned parameter was called unknown, as if the law had no such one
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, out) == (2, "")
+    assert f"'{scanned}' is the scanned parameter" in err
+
+
 def test_errors_exit_two_and_name_the_offending_token(capsys):
     cases = [
         (("check", "--family", "binormal", "--nu1", "1", "--nu2", "2"), "binormal"),

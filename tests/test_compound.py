@@ -31,7 +31,7 @@ from stochorder.compound import (
     _N_CAP,
     _conv_table,
 )
-from stochorder.catalog import TAIL_CUT_EPS, Distribution, discrete_grid
+from stochorder.catalog import TAIL_CUT_EPS, Distribution, discrete_grid, make_family
 from stochorder.criteria import TOL_SHAPE
 from stochorder.special import log_factorial_vec
 from stochorder.verdicts import Witness
@@ -519,6 +519,18 @@ def test_check_compound_lr_gates_on_pf2():
     v = check_compound_lr(model, 1.0, 2.0)
     assert v.status == "inconclusive"
     assert "PF2" in v.note
+
+
+def test_check_compound_lr_gates_on_a_counting_kernel_monotone_in_n():
+    # the zero-inflated Poisson kernel falls from n = 0 to 1 and then rises,
+    # so neither direction holds and the transfer to the compound is unmet
+    model = make_compound(make_family("zero-inflated-poisson"), geometric_summand(0.5), (3.0, 5.0))
+    v = check_compound_lr(model, 3.0, 5.0)
+    assert (v.status, v.direction) == ("inconclusive", "up")
+    assert v.note == "counting kernel is not monotone in n; hypothesis unmet"
+    w = v.witness
+    assert (w.x, w.nu, w.kind) == (0.0, 3.0, "adjacent-pair")
+    assert w.margin < 0 and v.margin == w.margin
 
 
 @pytest.mark.parametrize("name,sign,direction,span", TABLE2_ROWS,

@@ -1,6 +1,17 @@
-"""The one rule that reconciles a criterion verdict with the oracle's."""
+"""The one rule that reconciles a criterion verdict with the oracle's, and
+the one refusal of an unknown name."""
 
-from stochorder.verdicts import OrderVerdict, Witness, reconcile
+import numpy as np
+import pytest
+
+from stochorder.catalog import FAMILY_NAMES, Distribution, SupportGrid, discrete_grid, make_family
+from stochorder.compound import COUNTING_NAMES, make_counting, summand_from_spec
+from stochorder.criteria import scan_kernel
+from stochorder.oracle import oracle_pair
+from stochorder.pairwise import LAW_NAMES, PATH_NAMES, katz_threshold, make_law, path_family
+from stochorder.verdicts import (
+    DIRECTIONS, METHODS, ORDERS, STATUSES, OrderVerdict, Witness, reconcile,
+)
 
 CRIT_WITNESS = Witness(x=3.0, margin=-0.5, nu=1.5, kind="adjacent-pair")
 ORACLE_WITNESS = Witness(x=7.0, margin=-0.25, kind="adjacent-pair")
@@ -44,3 +55,37 @@ def test_inconclusive_criterion_against_holding_oracle_keeps_its_own_margin():
     v = reconcile(crit, verdict("holds", "oracle", margin=0.1))
     assert v.status == "inconclusive" and v.witness is None and v.margin == 0.2
     assert v.note == "hypothesis unmet; endpoint oracle holds; kernel criterion and oracle disagree"
+
+
+def _fields(**changes):
+    return {"order": "lr", "direction": "up", "status": "holds", "method": "oracle",
+            "tolerances": {}, **changes}
+
+
+_GRID = discrete_grid(0, 2)
+_LAW = Distribution(_GRID, np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("refuse,kind,valid", [
+    (lambda n: OrderVerdict(**_fields(order=n)), "order", ORDERS),
+    (lambda n: OrderVerdict(**_fields(direction=n)), "direction", DIRECTIONS),
+    (lambda n: OrderVerdict(**_fields(status=n)), "status", STATUSES),
+    (lambda n: OrderVerdict(**_fields(method=n)), "method", METHODS),
+    (lambda n: scan_kernel(np.zeros(3), [1.0], _GRID, [(n, "up")]), "order", ORDERS),
+    (lambda n: scan_kernel(np.zeros(3), [1.0], _GRID, [("lr", n)]), "direction", DIRECTIONS),
+    (lambda n: oracle_pair(_LAW, _LAW, [(n, "up")]), "order", ORDERS),
+    (lambda n: oracle_pair(_LAW, _LAW, [("lr", n)]), "direction", DIRECTIONS),
+    (lambda n: SupportGrid(n, 0.0, 2.0, np.arange(3.0), None), "grid kind",
+     ("discrete", "continuous", "mixed")),
+    (make_family, "family", FAMILY_NAMES),
+    (make_counting, "counting law", COUNTING_NAMES),
+    (summand_from_spec, "summand", ("delta", "geometric", "poisson-shifted", "two-point")),
+    (make_law, "law", LAW_NAMES),
+    (lambda n: katz_threshold(n, {}), "katz pair", ("bin-poi", "bin-nb", "poi-nb")),
+    (lambda n: path_family(n, {}), "path", PATH_NAMES),
+])
+def test_every_unknown_name_is_refused_with_the_valid_ones(refuse, kind, valid):
+    # five wordings, seven of them listing no valid name, became one
+    with pytest.raises(ValueError) as refused:
+        refuse("zz")
+    assert str(refused.value) == f"unknown {kind} 'zz'; valid: {', '.join(valid)}"
