@@ -69,7 +69,7 @@ Each command runs in-process through `stochorder.cli.main` with
 - compounds with equal endpoints (`--nu1 2 --nu2 2`), which exit 2 and
   name both options, also with the `geometric:p=0.01` and `delta:j=300`
   summands whose tables pass the cap of 2000 columns below, as the
-  endpoints are refused before the model is built; and a shifted-Poisson
+  endpoints are refused before the model is built; and a poisson-shifted
   summand with mu = inf, refused by name at its domain;
 - in-domain values past the double range, each refused by name with exit
   2: a `negbinomial-in-q` row and a pairwise negative binomial with
