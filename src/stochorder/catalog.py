@@ -3,7 +3,7 @@
 `LAWS` declares each law once, as a multi-parameter entry: its kind, the
 parameters with their domains, the support, the log factor, one kernel
 d/dtheta_i log_factor per parameter that some view varies, the log
-normalizer and, for continuous kinds with an infinite end, the quantile.
+normalizer and, for continuous kinds with an infinite end, the span.
 It also names the kernels that read only x and parameters no view varies:
 such a kernel is the same array at every point of a view, so a scan builds
 it once. A kernel a(theta) T(x) + b(theta) is declared as that pair
@@ -17,11 +17,13 @@ fixes all parameters but one, nu, and a named path moves two along a line in
 t; both are `View.curve`s. The counting and pairwise laws are views too.
 Grids discretize the support: integers for discrete laws, uniform midpoint
 cells for continuous ones, an exact atom plus midpoint cells for the mixed
-kind. `normalized` is the one numeric normalizer over a grid. scipy is
-imported only inside the gamma and half-student quantiles, on the first call
-of one, and `statistics` likewise, inside the half-normal and lognormal
-quantiles. Only a support with an infinite end has a quantile: a beta grid
-spans its whole support [0, 1].
+kind. `normalized` is the one numeric normalizer over a grid. A law whose
+support has an infinite end declares its span: ends past which each tail
+holds at most a target mass. The exponential, Weibull, Pareto, Gumbel and
+zero-inflated exponential laws read them off closed-form quantiles; the
+gamma, half-Student, half-normal and lognormal laws solve elementary tail
+bounds for them with `math` alone, so no module beyond numpy is imported. A
+finite support has no span: a beta grid covers its whole support [0, 1].
 
 Parametrization notes: geometric and the negative binomial each have two
 entries. The q-forms use the power-series argument q (factor q^k, kernel
@@ -35,6 +37,7 @@ takes log(1 - p) for log1p(-p), or the reverse, and moves tail cuts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping
 
@@ -67,8 +70,9 @@ __all__ = [
     "TAIL_CUT_KMAX",
 ]
 
-# Quantile span for continuous supports; the grid covers [q(CONT_TAIL),
-# q(1 - CONT_TAIL)] padded by 5% a side, so the omitted mass is ~2e-9.
+# Tail target of a continuous span: a law's `span` gives ends past which each
+# tail holds at most _CONT_TAIL, and the grid pads them by 5% of the span a
+# side, so the mass it leaves out is at most 2 * _CONT_TAIL.
 _CONT_TAIL = 1e-9
 _PAD = 0.05
 
@@ -107,9 +111,10 @@ class SupportGrid:
     points      strictly increasing abscissae.
     step        cell width for continuous/mixed grids, None for discrete.
     truncation_tail_mass
-                mass of the true law outside [lower, upper]: an estimate for
-                continuous kinds, for discrete ones an upper bound read from
-                the law's log pmf (`_tail_cut`).
+                an upper bound on the mass of the true law outside [lower,
+                upper]: for discrete kinds read from the law's log pmf
+                (`_tail_cut`), for the others the sum of the tail targets
+                that the law's `span` certifies.
     cell_widths np.diff(points), computed once per grid.
 
     points, cell_widths and weights() are read-only arrays, so the per-grid
@@ -190,12 +195,36 @@ def mixed_grid(upper: float, n: int, tail_mass: float = 0.0) -> SupportGrid:
 # distributions
 
 
+# the smallest normal double: a mass below it has lost bits, or all of them
+_TINY = sys.float_info.min
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """A law on a SupportGrid: masses aligned to the points, summing to one."""
+    """A law on a SupportGrid: masses aligned to the points, summing to one.
+
+    log_density, when known, is (log d, log c) with masses = d * weights / c
+    in exact arithmetic, the logs that `density` and `normalized` take the
+    masses from; `log_masses` reads it where a mass underflows.
+    """
 
     support: SupportGrid
     masses: np.ndarray
+    log_density: tuple[np.ndarray, float] | None = field(default=None, repr=False,
+                                                         compare=False)
+
+    @property
+    def log_masses(self) -> np.ndarray:
+        """log(masses): np.log(masses) wherever a mass is a normal double,
+        and log d + log weight - log c from log_density where it is below the
+        smallest normal double, so that an underflowed mass keeps its log."""
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            logs = np.log(self.masses)
+        if self.log_density is not None and self.masses.min() < _TINY:
+            tiny = self.masses < _TINY
+            log_d, log_c = self.log_density
+            logs[tiny] = log_d[tiny] + np.log(self.support.weights()[tiny]) - log_c
+        return logs
 
     def __post_init__(self) -> None:
         m = np.asarray(self.masses, dtype=float)
@@ -231,9 +260,10 @@ class Law:
                     that no view varies, as `support` does: that kernel
                     gives the same bits at every point of a view.
     log_normalizer  theta -> log of the factor's total mass.
-    quantile        (theta, u) -> u-quantile, for continuous and mixed kinds
-                    whose support has an infinite end: a grid spans a
-                    finite support whole and reads no quantile.
+    span            (theta, eps) -> (lower, upper), ends with at most eps of
+                    mass below lower and at most eps above upper, for
+                    continuous and mixed kinds whose support has an infinite
+                    end: a grid spans a finite support whole and reads none.
     tail_ratio      theta -> the limit of p(k+1)/p(k), for an infinite
                     discrete support; `_tail_cut` bounds the tail with it.
     """
@@ -244,7 +274,7 @@ class Law:
     log_factor: Callable[[Theta, np.ndarray], np.ndarray]
     kernels: Mapping[str, Callable[[Theta, np.ndarray], np.ndarray]]
     log_normalizer: Callable[[Theta], float]
-    quantile: Callable[[Theta, float], float] | None = None
+    span: Callable[[Theta, float], tuple[float, float]] | None = None
     tail_ratio: Callable[[Theta], float] | None = None
     integers: tuple[str, ...] = ()
     fixed_kernels: tuple[str, ...] = ()
@@ -302,16 +332,102 @@ _POSITIVE_COUNT = (1, MAX_KMAX)
 _HALFNORMAL_LOG_C = 0.5 * math.log(2.0 / math.pi)
 
 
-def _scipy_special():
-    """`scipy.special`, imported by the first quantile that needs it."""
-    import scipy.special
-    return scipy.special
+# Spans from tail bounds. Each solver works in the law's standard variable
+# (rho x, z or t), so a scale parameter only divides, and returns ends whose
+# bound on the tail past them is at most eps. Where a bound is solved by
+# Newton's method, its log is concave and decreasing in the variable solved
+# for near the root, so each step lands at or past the root, on the side
+# where the bound holds. The loop stops once a step is below _NEWTON_STEP,
+# which leaves an error of the order of its square; from the starts below,
+# near the root, that takes two or three steps.
+_NEWTON_STEP = 1e-4
+_NEWTON_STEPS = 50  # the most it takes; a solve that does not settle by then gives nan
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _normal_quantile(u: float) -> float:
-    """The standard normal u-quantile; `statistics` is imported on the first call."""
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(u)
+def _quantiles(q: Callable[[Theta, float], float]) -> Callable[[Theta, float],
+                                                               tuple[float, float]]:
+    """The span of a law with a closed-form quantile q(theta, u): its eps- and
+    (1 - eps)-quantiles."""
+    return lambda th, eps: (q(th, eps), q(th, 1.0 - eps))
+
+
+def _newton(f: Callable[[float], tuple[float, float]], s: float) -> float:
+    """The root of the function whose (value, slope) at s is f(s), by Newton's
+    method from s; nan when no step falls below _NEWTON_STEP in _NEWTON_STEPS."""
+    for _ in range(_NEWTON_STEPS):
+        value, slope = f(s)
+        step = value / slope
+        s -= step
+        if abs(step) <= _NEWTON_STEP:
+            return s
+    return math.nan
+
+
+def _gamma_upper(r: float, log_eps: float) -> float:
+    """y with P(Y >= y) <= eps for Y ~ Gamma(r, 1), from the bound
+    y^(r-1) e^-y / Gamma(r) * max(1, y / (y - r + 1)) for y > r - 1 (the
+    max is y / (y - r + 1) exactly when r > 1), solved for s = log y. Its
+    log is concave in s for r <= 1, and for r > 1 past y = r - 1 + (r - 1)^0.5,
+    below the root. The start is the asymptotic root L + (r - 1) log y -
+    log Gamma(r), L = -log eps, iterated once for r <= 8, and the
+    Wilson-Hilferty root above, with the normal quantile (2L - log 4 pi L)^0.5."""
+    c, big = -math.lgamma(r) - log_eps, -log_eps
+    if r > 8.0:
+        z = math.sqrt(2.0 * big - math.log(4.0 * math.pi * big))
+        s = 3.0 * math.log1p(z / (3.0 * math.sqrt(r)) - 1.0 / (9.0 * r)) + math.log(r)
+    else:
+        y = big + (r - 1.0) * math.log(big) - math.lgamma(r)
+        if r > 1.0:
+            y = big + (r - 1.0) * math.log(y) - math.lgamma(r)
+        s = math.log(max(y, 1.0))  # y <= 0 for tiny r; a step from 1 lands past the root
+
+    def log_bound(s: float) -> tuple[float, float]:
+        y = math.exp(s)
+        if r > 1.0:
+            return r * s - y - math.log(y - r + 1.0) + c, r - y - y / (y - r + 1.0)
+        return (r - 1.0) * s - y + c, r - 1.0 - y
+
+    return math.exp(_newton(log_bound, s))
+
+
+def _gamma_span(th: Theta, eps: float) -> tuple[float, float]:
+    """Gamma(r, rho) ends y / rho: below, P(Y <= y) <= y^r / Gamma(r + 1),
+    solved in closed form; above, `_gamma_upper`."""
+    r, log_eps = th["r"], math.log(eps)
+    lower = math.exp((log_eps + math.lgamma(r + 1.0)) / r)
+    return lower / th["rho"], _gamma_upper(r, log_eps) / th["rho"]
+
+
+def _half_student_span(th: Theta, eps: float) -> tuple[float, float]:
+    """Half-Student(nu) ends in closed form. The density c (1 + t^2/nu)^(-(nu+1)/2)
+    is at most c, so P(T <= t) <= c t; and at most c nu^((nu+1)/2) t^(-(nu+1)),
+    so P(T >= t) <= c nu^((nu-1)/2) t^-nu."""
+    nu, log_c, log_eps = th["nu"], -_half_student_log_normalizer(th), math.log(eps)
+    upper = (0.5 * (nu - 1.0) * math.log(nu) + log_c - log_eps) / nu
+    return math.exp(log_eps - log_c), math.exp(upper)
+
+
+def _mills_end(log_eps: float) -> float:
+    """z with P(Z >= z) <= eps for a standard normal Z, from the Mills ratio
+    bound phi(z) / z, solved from (2C)^0.5, C = -log eps - log(2 pi) / 2. The
+    log bound -z^2/2 - log z + C is concave for z > 1, and the start lies
+    past the root."""
+    c = -log_eps - 0.5 * _LOG_2PI
+    return _newton(lambda z: (0.5 * z * z + math.log(z) - c, z + 1.0 / z), math.sqrt(2.0 * c))
+
+
+def _halfnormal_span(th: Theta, eps: float) -> tuple[float, float]:
+    """Half-normal(sigma) ends sigma z: the density 2 phi(z) is at most
+    2 phi(0) = (2 / pi)^0.5, and P(|Z| >= z) <= 2 phi(z) / z."""
+    sigma = th["sigma"]
+    return sigma * eps * math.sqrt(0.5 * math.pi), sigma * _mills_end(math.log(0.5 * eps))
+
+
+def _lognormal_span(th: Theta, eps: float) -> tuple[float, float]:
+    """Lognormal(mu, sigma) ends exp(mu -+ sigma z), z from `_mills_end`."""
+    z = th["sigma"] * _mills_end(math.log(eps))
+    return math.exp(th["mu"] - z), math.exp(th["mu"] + z)
 
 
 def _from_zero(th: Theta) -> tuple[float, float]:
@@ -564,7 +680,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: (th["r"] - 1.0) * np.log(x) - th["rho"] * x,
         kernels={"r": lambda th, x: np.log(x), "rho": lambda th, x: -x},
         log_normalizer=lambda th: math.lgamma(th["r"]) - th["r"] * math.log(th["rho"]),
-        quantile=lambda th, u: float(_scipy_special().gammaincinv(th["r"], u)) / th["rho"],
+        span=_gamma_span,
         fixed_kernels=("r", "rho"),
     ),
     "exponential": Law(
@@ -574,7 +690,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: -th["theta"] * x,
         kernels={"theta": lambda th, x: -x},
         log_normalizer=lambda th: -math.log(th["theta"]),
-        quantile=lambda th, u: -math.log1p(-u) / th["theta"],
+        span=_quantiles(lambda th, u: -math.log1p(-u) / th["theta"]),
         fixed_kernels=("theta",),
     ),
     "weibull": Law(
@@ -586,7 +702,7 @@ LAWS: dict[str, Law] = {
         ),
         kernels={"lam": lambda th, x: -(x ** th["beta"])},
         log_normalizer=lambda th: -math.log(th["lam"]),
-        quantile=lambda th, u: (-math.log1p(-u) / th["lam"]) ** (1.0 / th["beta"]),
+        span=_quantiles(lambda th, u: (-math.log1p(-u) / th["lam"]) ** (1.0 / th["beta"])),
         fixed_kernels=("lam",),
     ),
     "beta": Law(
@@ -607,7 +723,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: -(th["alpha"] + 1.0) * np.log(x),
         kernels={"alpha": lambda th, x: -np.log(x)},
         log_normalizer=lambda th: -th["alpha"] * math.log(th["xm"]) - math.log(th["alpha"]),
-        quantile=lambda th, u: th["xm"] * (1.0 - u) ** (-1.0 / th["alpha"]),
+        span=_quantiles(lambda th, u: th["xm"] * (1.0 - u) ** (-1.0 / th["alpha"])),
         fixed_kernels=("alpha",),
     ),
     "halfnormal": Law(
@@ -617,7 +733,7 @@ LAWS: dict[str, Law] = {
         log_factor=_halfnormal_log_factor,
         kernels={"sigma": Factored(lambda th: (th["sigma"] ** -3, 0.0), lambda th, x: x * x)},
         log_normalizer=lambda th: math.log(th["sigma"]),
-        quantile=lambda th, u: th["sigma"] * _normal_quantile((1.0 + u) / 2.0),
+        span=_halfnormal_span,
     ),
     "lognormal": Law(
         kind="continuous",
@@ -626,7 +742,7 @@ LAWS: dict[str, Law] = {
         log_factor=_lognormal_log_factor,
         kernels={"mu": Factored(_lognormal_coefficient, lambda th, x: np.log(x))},
         log_normalizer=lambda th: 0.5 * math.log(2.0 * math.pi) + math.log(th["sigma"]),
-        quantile=lambda th, u: math.exp(th["mu"] + th["sigma"] * _normal_quantile(u)),
+        span=_lognormal_span,
     ),
     "gumbel": Law(
         kind="continuous",
@@ -636,7 +752,7 @@ LAWS: dict[str, Law] = {
         # not Factored: T = -e^(-x) overflows below x = -709, where this does not
         kernels={"mu": lambda th, x: -np.exp(-(x - th["mu"]))},
         log_normalizer=lambda th: -th["mu"],
-        quantile=lambda th, u: th["mu"] - math.log(-math.log(u)),
+        span=_quantiles(lambda th, u: th["mu"] - math.log(-math.log(u))),
     ),
     "half-student": Law(
         kind="continuous",
@@ -645,7 +761,7 @@ LAWS: dict[str, Law] = {
         log_factor=lambda th, x: -((th["nu"] + 1.0) / 2.0) * np.log1p(x * x / th["nu"]),
         kernels={"nu": _half_student_kernel},
         log_normalizer=_half_student_log_normalizer,
-        quantile=lambda th, u: float(_scipy_special().stdtrit(th["nu"], (1.0 + u) / 2.0)),
+        span=_half_student_span,
     ),
     # -- mixed: an atom at 0 plus a density on (0, inf) --
     "zero-inflated-exponential": Law(
@@ -655,7 +771,7 @@ LAWS: dict[str, Law] = {
         log_factor=_zie_log_factor,
         kernels={"theta": lambda th, x: np.where(x == 0.0, 0.0, 1.0 / th["theta"] - x)},
         log_normalizer=lambda th: 0.0,
-        quantile=lambda th, u: -math.log1p(-u) / th["theta"],
+        span=_quantiles(lambda th, u: -math.log1p(-u) / th["theta"]),
     ),
 }
 
@@ -669,7 +785,8 @@ class DensityFamily:
     """One-parameter family f_nu = exp(log_factor - log_normalizer) on a support.
 
     kernel(nu, x) = d/dnu log_factor(nu, x); its centred version is the score.
-    quantile(nu, u) picks grid spans for unbounded continuous supports.
+    span(nu, eps) gives the ends of an unbounded continuous support past which
+    each tail holds at most eps (`Law.span`).
     tail_ratio(nu) is the limit of p(k+1)/p(k) on an infinite discrete support.
     factor, when set, is (coefficient, statistic): kernel(nu, x) is
     a T(x) + b, bit for bit, with (a, b) = coefficient(nu) and T =
@@ -686,7 +803,7 @@ class DensityFamily:
     log_factor: Callable[[float, np.ndarray], np.ndarray]
     kernel: Callable[[float, np.ndarray], np.ndarray]
     log_normalizer: Callable[[float], float]
-    quantile: Callable[[float, float], float] | None = None
+    span: Callable[[float, float], tuple[float, float]] | None = None
     tail_ratio: Callable[[float], float] | None = None
     factor: tuple[Callable[[float], tuple[float, float]] | None,
                   Callable[[np.ndarray], np.ndarray]] | None = None
@@ -793,7 +910,7 @@ class View:
             fixed_params=self.named(fixed), support=law.support(fixed),
             log_factor=lambda s, x: self.log_factor(name, at(s), x), kernel=kernel,
             log_normalizer=lambda s: law.log_normalizer(at(s)),
-            quantile=None if law.quantile is None else lambda s, u: law.quantile(at(s), u),
+            span=None if law.span is None else lambda s, eps: law.span(at(s), eps),
             tail_ratio=None if law.tail_ratio is None else lambda s: law.tail_ratio(at(s)),
             factor=factor,
         )
@@ -903,13 +1020,16 @@ def density(f: DensityFamily, nu: float, grid: SupportGrid) -> Distribution:
     quantities are exact for the discretized law.
     """
     nu = f.validate_param(nu)
-    vals = np.exp(f.log_factor(nu, grid.points) - f.log_normalizer(nu)) * grid.weights()
+    log_d = f.log_factor(nu, grid.points) - f.log_normalizer(nu)
+    vals = np.exp(log_d) * grid.weights()
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{f.name}: non-finite density values at {f.param_name}={nu}")
     total = vals.sum()
     if not total > 0:
-        raise ValueError(f"{f.name}: zero total mass on the grid at {f.param_name}={nu}")
-    return Distribution(grid, vals / total)
+        cells = "" if grid.step is None else (f": its cells, {grid.step:.3g} wide, miss the "
+                                              "law's mass; --grid-points sets their count")
+        raise ValueError(f"{f.name}: zero total mass on the grid at {f.param_name}={nu}{cells}")
+    return Distribution(grid, vals / total, (log_d, math.log(total)))
 
 
 def normalized(grid: SupportGrid, log_weights: np.ndarray) -> Distribution:
@@ -919,8 +1039,10 @@ def normalized(grid: SupportGrid, log_weights: np.ndarray) -> Distribution:
     Subtracting the maximum keeps every weight finite however large the
     factor; laws without a closed-form normalizer on the grid use this.
     """
-    w = np.exp(log_weights - log_weights.max()) * grid.weights()
-    return Distribution(grid, w / w.sum())
+    log_d = log_weights - log_weights.max()
+    w = np.exp(log_d) * grid.weights()
+    total = w.sum()
+    return Distribution(grid, w / total, (log_d, math.log(total)))
 
 
 # ---------------------------------------------------------------------------
@@ -973,16 +1095,16 @@ def _tail_cut(
     raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
 
 
-def _quantile(f: DensityFamily, nu: float, u: float) -> float:
-    """f's u-quantile at nu as a grid end, refused naming f and nu unless
-    twice it is finite, so that the padded span is finite too."""
+def _ends(f: DensityFamily, nu: float) -> tuple[float, float]:
+    """f's span at nu for the tail target _CONT_TAIL, refused naming f and nu
+    unless twice each end is finite, so that the padded span is finite too."""
     try:
-        q = f.quantile(nu, u)
-    except OverflowError:  # a float power or exp past the largest double
-        q = math.inf
-    if not math.isfinite(2.0 * q):
+        ends = f.span(nu, _CONT_TAIL)
+    except (OverflowError, ValueError):  # a float past the largest double, or a
+        ends = math.inf, math.inf        # Newton step past a double's precision
+    if not all(math.isfinite(2.0 * end) for end in ends):
         raise ValueError(f"{f.describe()}: grid span not finite at {f.param_name}={nu:g}")
-    return q
+    return ends
 
 
 def default_grid(
@@ -998,8 +1120,8 @@ def default_grid(
     cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed
     support. An infinite discrete support ends at the largest `_tail_cut`
     over the nus, read up to k = kmax, which a refusal names as `cap`; an
-    unbounded continuous one spans the quantiles over the nus, and a quantile
-    too large for a finite span is refused by name."""
+    unbounded continuous one spans the ends of `_ends` over the nus, padded,
+    and an end too large for a finite span is refused by name."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
@@ -1017,17 +1139,17 @@ def default_grid(
         return discrete_grid(int(lo_s), max(c[0] for c in cuts), max(c[1] for c in cuts))
 
     if f.kind == "mixed":
-        # atom at 0 plus the continuous part truncated at its upper quantile
-        u = 1.0 - _CONT_TAIL
-        upper = max(_quantile(f, nu, u) for nu in nus) * (1.0 + _PAD)
+        # atom at 0 plus the continuous part truncated at its upper end
+        upper = max(_ends(f, nu)[1] for nu in nus) * (1.0 + _PAD)
         return mixed_grid(upper, n=n, tail_mass=_CONT_TAIL)
 
     # continuous
     if math.isfinite(lo_s) and math.isfinite(hi_s):
         lo, hi, tail = lo_s, hi_s, 0.0
     else:
-        lo = min(_quantile(f, nu, _CONT_TAIL) for nu in nus)
-        hi = max(_quantile(f, nu, 1.0 - _CONT_TAIL) for nu in nus)
+        ends = [_ends(f, nu) for nu in nus]
+        lo = min(end[0] for end in ends)
+        hi = max(end[1] for end in ends)
         pad = _PAD * (hi - lo)
         lo = max(lo - pad, lo_s)
         hi = hi + pad if not math.isfinite(hi_s) else min(hi + pad, hi_s)

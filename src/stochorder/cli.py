@@ -654,7 +654,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache  # once per process
+def _keep_grid_arrays_on_the_heap() -> None:
+    """Allocate and free one 1 MiB array, so that later arrays up to that size
+    reuse heap pages. glibc's malloc maps a block above its mmap threshold
+    (128 KiB at start) afresh and unmaps it when freed, so each temporary of a
+    20 000-point grid (160 KB) would fault its pages in again; freeing a
+    mapped block raises the threshold to that block's size, and the heap's
+    trim threshold to twice it. Under another allocator this is one
+    allocation."""
+    np.empty(1 << 17)
+
+
 def main(argv=None) -> int:
+    _keep_grid_arrays_on_the_heap()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already written its diagnostic

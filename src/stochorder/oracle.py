@@ -19,19 +19,21 @@ as such.
 One alignment serves every test. `oracle_pair` aligns the two laws once
 and derives up front, once for both directions, only what the asked orders
 read: the two survivals (st and hr), the masses at the points where either
-law carries ORACLE_EPS_TAIL (lr), and the logs of both aligned mass vectors
-(lc), from which each direction slices its own support run. Each order's
-formula is written once, for the first law of a direction below its second,
-and runs the subtractions and divisions of a one-test call in the same
-order, so each verdict has the bits of a one-test call, and a "down" test
-on (P, Q) those of the "up" test on (Q, P) but for its direction. The down
-lc margins are not taken as the negated up margins, since negation does not
-commute with subtraction on signed zeros: -(0.0 - 0.0) is -0.0 while
-(-0.0) - (-0.0) is 0.0. Where the formula selects through a mask, the code
-slices when the mask is one run, as a survival's points above
-ORACLE_EPS_TAIL always are (a survival is nonincreasing); a slice holds the
-values of the gather in the same order, and a log taken before the slice
-the values of one taken after it.
+law carries ORACLE_EPS_TAIL (lr), and both laws' aligned masses and log
+masses (lc), from which each direction slices its own support run. The log
+masses are `Distribution.log_masses`, which keep the log of a mass that
+underflows, so such a mass makes neither a gap in a support nor a rounded
+triplet. Each order's formula is written once, for the first law of a
+direction below its second, and runs the subtractions and divisions of a
+one-test call in the same order, so each verdict has the bits of a one-test
+call, and a "down" test on (P, Q) those of the "up" test on (Q, P) but for
+its direction. The down lc margins are not taken as the negated up margins,
+since negation does not commute with subtraction on signed zeros:
+-(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the formula
+selects through a mask, the code slices when the mask is one run, as a
+survival's points above ORACLE_EPS_TAIL always are (a survival is
+nonincreasing); a slice holds the values of the gather in the same order,
+and a log taken before the slice the values of one taken after it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,17 @@ def _aligned(P: Distribution, Q: Distribution) -> tuple[np.ndarray, np.ndarray, 
     ):
         raise ValueError(f"{gp.kind} laws must share an identical grid")
     return gp.points, P.masses, Q.masses, gp.kind
+
+
+def _aligned_logs(d: Distribution, pts: np.ndarray) -> np.ndarray:
+    """d's log masses on the common points `_aligned` gives, -inf off a
+    discrete law's support."""
+    if d.support.kind != "discrete":
+        return d.log_masses
+    out = np.full(pts.size, -np.inf)
+    start = int(d.support.lower - pts[0])
+    out[start : start + d.support.size] = d.log_masses
+    return out
 
 
 def _span(mask: np.ndarray) -> tuple[int, int, int]:
@@ -181,15 +194,16 @@ def _hr(x: np.ndarray, first: np.ndarray, second: np.ndarray):
 
 
 def _lc(x: np.ndarray, first: tuple, second: tuple):
-    """first and second: (masses, log masses)."""
+    """first and second: (masses, log masses); a law's support is where its
+    log mass is finite."""
     (first, log_first), (second, log_second) = first, second
-    held = first > 0
+    held = log_first > -np.inf  # a mass that underflows to 0 keeps a finite log
     start, stop, count = _span(held)
     if count == 0:
         raise ValueError("first law has empty support")
     if stop - start != count:
         i, kind = start + int(np.argmin(held[start:stop])), "support-gap"
-    elif not (covered := second[start:stop] > 0).all():
+    elif not (covered := log_second[start:stop] > -np.inf).all():
         i, kind = start + int(np.argmin(covered)), "support-containment"
     else:
         run = slice(start, stop)
@@ -237,9 +251,8 @@ def oracle_pair(P: Distribution, Q: Distribution, tests) -> list[OrderVerdict]:
         laws["lr"] = mp[keep], mq[keep]
     if orders & {"st", "hr"}:
         laws["st"] = laws["hr"] = _survival(mp), _survival(mq)
-    if "lc" in orders:
-        with np.errstate(divide="ignore"):  # log 0 = -inf lies outside every support run
-            laws["lc"] = (mp, np.log(mp)), (mq, np.log(mq))
+    if "lc" in orders:  # log 0 = -inf lies outside every support run
+        laws["lc"] = (mp, _aligned_logs(P, pts)), (mq, _aligned_logs(Q, pts))
     note = "" if kind == "discrete" else "grid-certified on the shared discretization"
     verdicts = []
     for order, direction in tests:

@@ -485,3 +485,101 @@ def test_tail_cut_pinned_at_40_digits(law, theta, cut, first):
     assert exact_tail(law, theta, first - 1) > 1e-12 >= exact_tail(law, theta, first)
     assert grid.truncation_tail_mass >= exact_tail(law, theta, cut)
 
+
+
+# ---------------------------------------------------------------------------
+# continuous spans from tail bounds
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _gamma_tails(th, lower, upper):
+    r, rho = mpmath.mpf(th["r"]), mpmath.mpf(th["rho"])
+    return (mpmath.gammainc(r, 0, rho * mpmath.mpf(lower), regularized=True),
+            mpmath.gammainc(r, rho * mpmath.mpf(upper), mpmath.inf, regularized=True))
+
+
+def _half_student_tails(th, lower, upper):
+    nu = mpmath.mpf(th["nu"])
+
+    def inside(t):  # P(|T| <= t) = I_{t^2 / (nu + t^2)}(1/2, nu/2)
+        t2 = mpmath.mpf(t) ** 2
+        return mpmath.betainc(0.5, nu / 2, 0, t2 / (nu + t2), regularized=True)
+
+    t2 = mpmath.mpf(upper) ** 2
+    return inside(lower), mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t2), regularized=True)
+
+
+def _halfnormal_tails(th, lower, upper):
+    sigma, root2 = mpmath.mpf(th["sigma"]), mpmath.sqrt(2)
+    return (mpmath.erf(mpmath.mpf(lower) / sigma / root2),
+            mpmath.erfc(mpmath.mpf(upper) / sigma / root2))
+
+
+def _lognormal_tails(th, lower, upper):
+    mu, sigma = mpmath.mpf(th["mu"]), mpmath.mpf(th["sigma"])
+    return (mpmath.ncdf((mpmath.log(mpmath.mpf(lower)) - mu) / sigma),
+            mpmath.ncdf(-(mpmath.log(mpmath.mpf(upper)) - mu) / sigma))
+
+
+# law -> (parameter strategy, exact (lower, upper) tail masses at 40 digits)
+SOLVED_SPANS = {
+    "gamma": (st.fixed_dictionaries({"r": _log_uniform(0.05, 200.0),
+                                     "rho": _log_uniform(1e-3, 1e3)}), _gamma_tails),
+    "half-student": (st.fixed_dictionaries({"nu": _log_uniform(0.2, 200.0)}),
+                     _half_student_tails),
+    "halfnormal": (st.fixed_dictionaries({"sigma": _log_uniform(1e-3, 1e3)}), _halfnormal_tails),
+    "lognormal": (st.fixed_dictionaries({"mu": st.floats(-5.0, 5.0),
+                                         "sigma": _log_uniform(0.01, 10.0)}), _lognormal_tails),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SOLVED_SPANS)).flatmap(
+    lambda law: st.tuples(st.just(law), SOLVED_SPANS[law][0], _log_uniform(1e-15, 1e-3))))
+def test_each_solved_end_leaves_at_most_its_target_at_40_digits(case):
+    law, theta, eps = case
+    lower, upper = LAWS[law].span(theta, eps)
+    assert 0.0 <= lower < upper < math.inf
+    with mpmath.workdps(40):
+        below, above = SOLVED_SPANS[law][1](theta, lower, upper)
+    # a bound met with equality (gamma at r = 1, the gamma lower bound near
+    # r = 1) holds up to the rounding of the end to a double
+    assert below <= eps * (1.0 + 1e-12), (lower, float(below / eps))
+    assert above <= eps * (1.0 + 1e-12), (upper, float(above / eps))
+
+
+@pytest.mark.parametrize("law,theta,exact", [
+    *(("gamma", {"r": r, "rho": 2.0}, stats.gamma(r, scale=0.5))
+      for r in (0.5, 1.0, 2.0, 10.0, 50.0)),
+    *(("half-student", {"nu": nu}, stats.t(nu)) for nu in (2.0, 3.0, 5.0)),
+    ("halfnormal", {"sigma": 1.5}, stats.halfnorm(scale=1.5)),
+    ("lognormal", {"mu": 0.5, "sigma": 0.7}, stats.lognorm(0.7, scale=math.exp(0.5))),
+])
+def test_solved_ends_lie_just_past_the_exact_quantiles(law, theta, exact):
+    # the bounds are tight where the catalogue scans: each upper end lies at
+    # most 1% past the exact (1 - 1e-9)-quantile, which scipy gives here
+    lower, upper = LAWS[law].span(theta, 1e-9)
+    if law == "half-student":  # |T|: the folded law's quantiles
+        q_lo, q_hi = exact.ppf(0.5 + 0.5e-9), exact.isf(0.5e-9)
+    else:
+        q_lo, q_hi = exact.ppf(1e-9), exact.isf(1e-9)
+    assert lower <= q_lo * (1.0 + 1e-9)
+    assert q_hi <= upper <= 1.01 * q_hi
+
+
+@pytest.mark.parametrize("spec,nus", [
+    ("gamma-in-shape", [0.5, 50.0]), ("gamma-in-rate", [0.8, 1.6]),
+    ("half-student-in-df", [2.0, 30.0]), ("halfnormal-in-scale", [1e-3, 1e3]),
+    ("lognormal-in-mu:sigma=2", [-1.0, 1.0]),
+])
+def test_a_default_grid_certifies_its_truncated_mass(spec, nus):
+    # each scanned law leaves at most one target past each padded end
+    fam = family_from_spec(spec)
+    grid = default_grid(fam, nus)
+    assert grid.truncation_tail_mass == 2e-9
+    for nu in nus:
+        ends = fam.span(nu, 1e-9)
+        assert grid.lower <= ends[0] and ends[1] <= grid.upper

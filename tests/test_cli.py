@@ -726,11 +726,13 @@ def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note)
      "poisson: kernel not finite at theta=1e-308"),
     # exp(-z) overflowed in the log factor: a numpy warning before the error
     (("check", "--family", "gumbel-in-location", "--nu1=1e307", "--nu2", "2e307"),
-     "gumbel-in-location: zero total mass on the grid at mu=1e+307"),
+     "gumbel-in-location: zero total mass on the grid at mu=1e+307: its cells, 5.5e+303 wide, "
+     "miss the law's mass; --grid-points sets their count"),
     # x^2 / (2 sigma^2) overflowed: a numpy warning before the error
     (("check", "--family", "halfnormal-in-scale", "--nu1=1.386199985852166e-99",
       "--nu2=5.383274468648785e+56"),
-     "halfnormal-in-scale: zero total mass on the grid at sigma=1.386199985852166e-99"),
+     "halfnormal-in-scale: zero total mass on the grid at sigma=1.386199985852166e-99: its "
+     "cells, 1.73e+54 wide, miss the law's mass; --grid-points sets their count"),
     # sigma^2 underflowed to 0: a numpy warning, then a zero mass it did not cause
     (("check", "--family", "lognormal-in-mu:sigma=1e-200", "--nu1=0", "--nu2=1"),
      "lognormal-in-mu: log factor overflows a double at sigma=1e-200,mu=0"),
@@ -738,6 +740,18 @@ def test_overflowing_log_factors_give_verdicts(capsys, argv, code, status, note)
 def test_in_domain_overflows_exit_two_naming_the_law(capsys, argv, refusal):
     code, out, err = run_cli(capsys, *argv, "--no-timing")
     assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+
+def test_a_grid_too_coarse_for_the_law_is_refused_naming_its_cells(capsys):
+    # Lognormal(0, 1e-5): 2000 cells over both endpoint spans are 9.5e-4 (95
+    # sigma) wide, so every point reads exp(-1000) = 0; the refusal names the
+    # cells, not the law, and finer cells hold the mass
+    argv = ("check", "--family", "lognormal-in-mu:sigma=1e-5", "--nu1=0", "--nu2=1")
+    assert run_cli(capsys, *argv, "--no-timing") == (
+        2, "", "error: lognormal-in-mu: zero total mass on the grid at mu=0.0: its cells, "
+               "0.000945 wide, miss the law's mass; --grid-points sets their count\n")
+    code, out, _ = run_cli(capsys, *argv, "--grid-points=100000", "--no-timing")
+    assert code in (0, 1) and len(json.loads(out)["verdicts"]) == 16
 
 
 @pytest.mark.parametrize("options,status,note", [
@@ -905,8 +919,8 @@ def test_module_entry_points_run_as_subprocesses():
 
 
 # ---------------------------------------------------------------------------
-# cold start: a command loads only the modules it runs, and scipy and
-# statistics are imported only by the inverse CDFs that need them
+# cold start: a command loads only the modules it runs, and neither scipy nor
+# statistics
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1034,28 +1048,39 @@ def test_the_package_exports_each_module_list_once():
             assert getattr(stochorder, name) is getattr(m, name), name
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"], []),
-        (["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"], []),
-        (["compound", "--counting", "poisson", "--summand", "delta:j=1",
-          "--nu1", "1", "--nu2", "2"], []),
-        (["table", "--id", "katz"], []),
-        (["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"], []),
-        (["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3"], ["scipy"]),
-        # the beta law lives on [0, 1]: its grid needs no quantile
-        (["check", "--family", "beta-in-alpha", "--nu1=1.5", "--nu2=3"], []),
-        (["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5"], ["scipy"]),
-        # the normal quantile comes from statistics
-        (["check", "--family", "halfnormal-in-scale", "--nu1=0.8", "--nu2=1.6"], ["statistics"]),
-    ],
-    ids=["check-poisson", "pairwise", "compound", "table-katz", "path-negbinomial",
-         "check-gamma", "check-beta", "check-half-student", "check-halfnormal"],
-)
-def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv, loaded):
+# one command per kind of grid span: discrete, each continuous Table-1 row
+# and the mixed one, and the gamma path
+NO_SCIPY = {
+    "check-poisson": ["check", "--family", "poisson", "--nu1=1", "--nu2=2", "--orders", "lr"],
+    "pairwise": ["pairwise", "--p", "binomial:n=10,p=0.3", "--q", "poisson:lambda=4"],
+    "compound": ["compound", "--counting", "poisson", "--summand", "delta:j=1",
+                 "--nu1", "1", "--nu2", "2"],
+    "table-katz": ["table", "--id", "katz"],
+    "path-negbinomial": ["path", "--name", "negbinomial:r1=1,r2=2,q1=0.3,q2=0.4", "--order", "lr"],
+    "check-gamma": ["check", "--family", "gamma-in-shape", "--nu1=1.5", "--nu2=3"],
+    "check-beta": ["check", "--family", "beta-in-alpha", "--nu1=1.5", "--nu2=3"],
+    "check-half-student": ["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=5"],
+    "check-halfnormal": ["check", "--family", "halfnormal-in-scale", "--nu1=0.8", "--nu2=1.6"],
+    "check-gamma-in-rate": ["check", "--family", "gamma-in-rate", "--nu1=0.8", "--nu2=1.6"],
+    "check-exponential": ["check", "--family", "exponential-in-rate", "--nu1=0.8", "--nu2=1.6"],
+    "check-weibull": ["check", "--family", "weibull-in-rate", "--nu1=0.8", "--nu2=1.6"],
+    "check-beta-in-beta": ["check", "--family", "beta-in-beta", "--nu1=1.5", "--nu2=3"],
+    "check-pareto": ["check", "--family", "pareto-in-shape", "--nu1=1.5", "--nu2=3"],
+    "check-lognormal": ["check", "--family", "lognormal-in-mu:sigma=0.5", "--nu1=0", "--nu2=0.8"],
+    "check-gumbel": ["check", "--family", "gumbel-in-location", "--nu1=0", "--nu2=0.8"],
+    "check-zero-inflated-exponential": ["check", "--family", "zero-inflated-exponential",
+                                        "--nu1=1", "--nu2=2"],
+    "path-gamma": ["path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--order", "st"],
+    "table-table1": ["table", "--id", "table1"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_SCIPY.values(), ids=NO_SCIPY.keys())
+def test_scipy_is_loaded_only_where_a_grid_span_needs_an_inverse_cdf(capsys, argv):
+    # no grid span needs one: the continuous laws solve tail bounds with
+    # `math`, so no command loads scipy or statistics
     run = cold_start(*argv, "--no-timing")
-    assert cold_loads(run)["loaded"] == loaded
+    assert cold_loads(run)["loaded"] == []
     code, out, _ = run_cli(capsys, *argv, "--no-timing")
     assert (run.returncode, run.stdout) == (code, out)
 

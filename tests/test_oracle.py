@@ -1,5 +1,6 @@
 """Brute-force oracle checks on hand-built and randomized distributions."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -18,7 +19,9 @@ from stochorder.catalog import (
     family_from_spec,
     make_family,
     mixed_grid,
+    normalized,
 )
+from stochorder.cli import main
 from stochorder.oracle import (
     ORACLE_EPS_TAIL,
     ORACLE_REL_TOL,
@@ -403,3 +406,87 @@ def test_hazard_order_implies_usual_order_on_pairs_with_different_support_ends(l
         *laws, [("hr", "up"), ("st", "up"), ("hr", "down"), ("st", "down")])
     assert st_up.holds or not hr_up.holds
     assert st_down.holds or not hr_down.holds
+
+
+# ---------------------------------------------------------------------------
+# masses that underflow: the lc oracle reads their logs
+
+
+# commands whose endpoint laws hold masses that underflow to 0 or to a
+# subnormal inside the other law's support; the oracle read those as a
+# support-containment failure or a rounded convex triplet, against a kernel
+# that holds (a log-linear ratio, or one concave in k)
+UNDERFLOWED = [
+    ["check", "--family", "binomial-in-p:n=3000", "--nu1=0.2", "--nu2=0.6", "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341", "--nu2=0.883407",
+     "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=1.69212", "--nu1=0.103781", "--nu2=0.930819",
+     "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=11.70792767863261",
+     "--nu1=0.07618713478295203", "--nu2=0.8771277581511692", "--orders", "lc"],
+    ["pairwise", "--p", "binomial:n=2000,p=0.5", "--q", "poisson:lambda=3", "--orders", "lc"],
+    ["path", "--name", "negbinomial:r1=6.44417,r2=19.1602,q1=0.0820643,q2=0.862807",
+     "--order", "lc"],
+    ["path", "--name", "negbinomial:r1=0.345329,r2=12.7898,q1=0.132144,q2=0.87735",
+     "--order", "lc"],
+]
+
+
+@pytest.mark.parametrize("argv", UNDERFLOWED, ids=lambda argv: " ".join(argv[:3]))
+def test_an_underflowed_mass_is_neither_a_support_gap_nor_a_triplet(capsys, argv):
+    code = main([*argv, "--no-timing"])
+    out, _ = capsys.readouterr()
+    statuses = [(v["order"], v["direction"], v["method"], v["status"])
+                for v in json.loads(out)["verdicts"]]
+    assert code == 0
+    assert statuses and all(status == "holds" for *_, status in statuses), statuses
+
+
+def test_lc_reads_a_convex_kink_where_the_first_law_underflows():
+    # P's log weights are -800 + 5 |k - 3| on 0..7, where its masses
+    # underflow to 0 while Q's are 1/11, and 0 on 8..10: log(f_P / f_Q) is
+    # convex at k = 3, so P <=lc Q fails there, not only where P's masses are
+    # positive
+    grid = discrete_grid(0, 10)
+    k = grid.points
+    P = normalized(grid, np.where(k <= 7, -800.0 + 5.0 * np.abs(k - 3.0), 0.0))
+    Q = normalized(grid, np.zeros(k.size))
+    assert not P.masses[:8].any()
+    [v] = oracle_pair(P, Q, [("lc", "up")])
+    assert (v.status, v.witness.x, v.witness.kind) == ("fails", 3.0, "triplet")
+
+
+def _masses_and_logs(case):
+    """(Distribution, its log_density's log masses) of a drawn law: a Table-1
+    family by `density`, or log weights by `normalized`."""
+    kind, spec, nu, log_weights = case
+    if kind == "density":
+        fam = family_from_spec(spec)
+        d = density(fam, nu, default_grid(fam, [nu]))
+    else:
+        d = normalized(discrete_grid(0, log_weights.size - 1), log_weights)
+    log_d, log_c = d.log_density
+    return d, log_d + np.log(d.support.weights()) - log_c
+
+
+FAMILY_DRAWS = st.sampled_from([
+    ("binomial-in-p:n=3000", (0.01, 0.99)), ("poisson", (1.0, 500.0)),
+    ("negbinomial-in-q:r=12", (0.05, 0.95)), ("gamma-in-rate:r=40", (0.5, 5.0)),
+    ("halfnormal-in-scale", (0.1, 10.0)), ("lognormal-in-mu:sigma=0.2", (-2.0, 2.0)),
+]).flatmap(lambda row: st.tuples(
+    st.just("density"), st.just(row[0]), st.floats(*row[1]), st.just(None)))
+WEIGHT_DRAWS = st.lists(st.floats(-2000.0, 50.0), min_size=2, max_size=60).map(
+    lambda w: ("normalized", None, None, np.array(w)))
+
+
+@given(st.one_of(FAMILY_DRAWS, WEIGHT_DRAWS))
+@settings(max_examples=80, deadline=None)
+def test_log_masses_are_the_log_of_every_normal_mass_bit_for_bit(case):
+    d, from_density = _masses_and_logs(case)
+    logs = d.log_masses
+    normal = d.masses >= np.finfo(float).tiny
+    with np.errstate(divide="ignore"):
+        assert logs[normal].tobytes() == np.log(d.masses[normal]).tobytes()
+    # below the smallest normal double a mass keeps the log it was taken from
+    assert logs[~normal].tobytes() == from_density[~normal].tobytes()
+    assert np.allclose(logs[normal], from_density[normal], rtol=1e-12, atol=1e-9)

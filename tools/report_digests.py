@@ -102,6 +102,16 @@ Each command runs in-process through `stochorder.cli.main` with
   whose down lc fails by support-containment at x = 362; and hr alone on
   the zero-inflated exponential's mixed grid, which reads the survivals
   only;
+- lc oracles whose laws hold masses that underflow inside the other law's
+  support, where the oracle reads the log masses: three more negative
+  binomials in q, a pairwise binomial with n = 2000 against a Poisson law,
+  and two negative-binomial lc paths;
+- grids spanned by solved tail bounds, at the extremes of the four laws that
+  solve them: `gamma-in-shape` near r = 0.5 and r = 50, `gamma-in-rate`
+  with r = 50 over rates 0.05..20, `half-student-in-df` near df = 2 and at
+  df 30..60, `halfnormal-in-scale` at sigma near 1e-6 and 1e5,
+  `lognormal-in-mu` with sigma = 0.1 and 3, and with sigma = 1e-5, whose
+  cells miss the law's mass and are refused by name;
 - hr oracle verdicts that read the first law's tail past the second's
   (the cut is where both survivals fall below the oracle's eps): a Poisson
   row from theta = 1e-290, whose law there ends at k = 1, so hr down fails
@@ -294,6 +304,17 @@ COMPOUND_WINDOWS = (
 ORACLE_FALLBACKS = (
     ["check", "--family", "binomial-in-p:n=3000", "--nu1=0.2", "--nu2=0.6", "--orders", "lc"],
     ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341", "--nu2=0.883407"],
+    ["check", "--family", "negbinomial-in-q:r=14.6042", "--nu1=0.109341", "--nu2=0.883407",
+     "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=1.69212", "--nu1=0.103781", "--nu2=0.930819",
+     "--orders", "lc"],
+    ["check", "--family", "negbinomial-in-q:r=11.70792767863261", "--nu1=0.07618713478295203",
+     "--nu2=0.8771277581511692", "--orders", "lc"],
+    ["pairwise", "--p", "binomial:n=2000,p=0.5", "--q", "poisson:lambda=3", "--orders", "lc"],
+    ["path", "--name", "negbinomial:r1=6.44417,r2=19.1602,q1=0.0820643,q2=0.862807",
+     "--order", "lc"],
+    ["path", "--name", "negbinomial:r1=0.345329,r2=12.7898,q1=0.132144,q2=0.87735",
+     "--order", "lc"],
     ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2", "--orders", "hr"],
     ["check", "--family", "poisson", "--nu1=1e-290", "--nu2", "3", "--orders", "hr"],
     ["pairwise", "--p", "cmp:mu=1.5457,nu=0.981079", "--q", "betabinomial:n=10,r=8.18839,s=1.31764",
@@ -302,6 +323,19 @@ ORACLE_FALLBACKS = (
      "--orders", "st,hr"],
     ["pairwise", "--p", "cmp:mu=9.63568,nu=1.60863", "--q", "hypergeometric:B=39,W=8,n=14",
      "--orders", "st,hr"],
+)
+
+TAIL_BOUND_SPANS = (
+    ["check", "--family", "gamma-in-shape", "--nu1=0.5", "--nu2=0.6"],
+    ["check", "--family", "gamma-in-shape", "--nu1=45", "--nu2=50"],
+    ["check", "--family", "gamma-in-rate:r=50", "--nu1=0.05", "--nu2=20"],
+    ["check", "--family", "half-student-in-df", "--nu1=2", "--nu2=2.1"],
+    ["check", "--family", "half-student-in-df", "--nu1=30", "--nu2=60"],
+    ["check", "--family", "halfnormal-in-scale", "--nu1=1e-6", "--nu2=2e-6"],
+    ["check", "--family", "halfnormal-in-scale", "--nu1=1e5", "--nu2=3e5"],
+    ["check", "--family", "lognormal-in-mu:sigma=0.1", "--nu1=-1", "--nu2=1"],
+    ["check", "--family", "lognormal-in-mu:sigma=3", "--nu1=0", "--nu2=2"],
+    ["check", "--family", "lognormal-in-mu:sigma=1e-5", "--nu1=0", "--nu2=1"],
 )
 
 SHARED_ROWS = (
@@ -373,6 +407,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(TWO_POINT_SUPPORTS)
     out.extend(COMPOUND_WINDOWS)
     out.extend(ORACLE_FALLBACKS)
+    out.extend(TAIL_BOUND_SPANS)
     out.extend(SHARED_ROWS)
     out.extend(ENDPOINT_GRIDS)
     out.extend(RATIO_CUTS)
