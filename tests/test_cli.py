@@ -166,7 +166,7 @@ def test_reports_hold_only_builtin_values(argv):
     dict; a numpy scalar or array in a report would not reach them. Exact
     types, since np.float64 passes isinstance(x, float)."""
     args = cli._build_parser().parse_args(argv)
-    report, _ = args.run(args)
+    report = args.run(args)
     leaves = {type(None), bool, int, float, str}
 
     def walk(x, path):

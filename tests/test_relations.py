@@ -8,6 +8,10 @@ tail tests' d/dnu log S_nu(x) = E[K | X >= x] - E[K] carries st and hr. So:
 (a) a `check` whose kernel holds for order o in direction d implies that
     `pairwise` on its two endpoint laws, the lower one first for "up",
     holds for o;
+(b) a named path that holds one of its two parameters still moves only
+    the other, so it is that family's scan: the path's status for each
+    order equals the family `check`'s kernel status in the path's direction
+    ("up" for lr, st and hr, "down" for lc);
 (c) `pairwise` on (P, Q) and on (Q, P) cannot both hold lr, st or hr for
     two laws whose survivals differ: swapping P and Q swaps which direction
     can hold (Shaked & Shanthikumar, Stochastic Orders, 2007, ch. 1).
@@ -88,6 +92,42 @@ def test_a_check_that_holds_carries_to_pairwise_on_its_endpoint_laws(case):
         _, pair = run("pairwise", "--p", p, "--q", q, "--orders", v["order"])
         [w] = pair["verdicts"]
         assert w["status"] == "holds", (v["order"], v["direction"], p, q, w)
+
+
+# named path with one parameter held: the path spec from n (read by the
+# betabinomial only), the held value and the two ends of the moved one, the
+# family that scans the moved one at the held value, and their ranges
+HELD_PATHS = {
+    "negbinomial": (lambda n, r, q1, q2: _spec("negbinomial", r1=r, r2=r, q1=q1, q2=q2),
+                    lambda n, r: _spec("negbinomial-in-q", r=r), (0.3, 20.0), (0.05, 0.9)),
+    "betabinomial": (lambda n, s, r1, r2: _spec("betabinomial", n=n, r1=r1, r2=r2, s1=s, s2=s),
+                     lambda n, s: _spec("betabinomial-in-r", n=n, s=s), (0.2, 10.0), (0.2, 10.0)),
+    "gamma": (lambda n, rho, r1, r2: _spec("gamma", r1=r1, r2=r2, rho1=rho, rho2=rho),
+              lambda n, rho: _spec("gamma-in-shape", rho=rho), (0.5, 4.0), (0.5, 5.0)),
+}
+
+
+@st.composite
+def held_paths(draw):
+    name = draw(st.sampled_from(sorted(HELD_PATHS)))
+    path, family, held_range, moved_range = HELD_PATHS[name]
+    n = draw(st.integers(1, 40))
+    held = draw(st.floats(*held_range))
+    lo, hi = sorted(draw(st.lists(st.floats(*moved_range), min_size=2, max_size=2, unique=True)))
+    return path(n, held, lo, hi), family(n, held), lo, hi
+
+
+@given(held_paths())
+@settings(max_examples=20, deadline=None)
+def test_a_path_with_one_parameter_held_is_its_family_scan(case):
+    path, family, lo, hi = case
+    _, check = run("check", "--family", family, f"--nu1={lo!r}", f"--nu2={hi!r}")
+    kernel = {(v["order"], v["direction"]): v["status"] for v in check["verdicts"]
+              if v["method"] == "kernel-criterion"}
+    for order in ("lr", "lc", "st", "hr"):
+        _, report = run("path", "--name", path, "--order", order)
+        [v] = report["verdicts"]
+        assert v["status"] == kernel[order, v["direction"]], (order, path, family, v)
 
 
 PAIRWISE = st.sampled_from([

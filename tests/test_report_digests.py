@@ -1,10 +1,13 @@
 """The digest tool that proves a refactor keeps every report's bytes:
 `tools/report_digests.py` must run only commands the CLI parses, each once,
-must tell a changed report from a float tail and from a mended error, and
-must draw the same random commands from the same seed.
+must tell a changed report from a float tail and from a mended error, must
+draw the same random commands from the same seed, and under `--env` must
+find a setting that no program reads changes no report.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,22 @@ def test_random_commands_are_drawn_from_the_seed():
     parser = cli._build_parser()
     for argv in first:
         parser.parse_args(argv)
+
+
+def test_a_setting_that_nothing_reads_changes_no_report():
+    """`--env` runs the commands again in a child interpreter with the
+    setting; one that neither numpy nor the package reads moves nothing."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digests.py"),
+         "--env", "REPORT_DIGESTS_UNREAD_SETTING=1", "--random", "5"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("5 commands: 5 identical, 0 moved")
+
+
+def test_env_takes_a_name_and_a_value():
+    assert digests._setting("A=b=c") == ("A", "b=c")
+    for text in ("NAME", "=VALUE", ""):
+        with pytest.raises(digests.argparse.ArgumentTypeError):
+            digests._setting(text)

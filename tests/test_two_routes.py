@@ -1,5 +1,7 @@
 """The two-route ratchet: every verdict a command prints is reconciled, its
-note carrying `endpoint oracle <status>`, or is a known single-route verdict.
+note carrying `endpoint oracle <status>`, or is a known single-route verdict;
+and every command but `table` takes its exit code from all the verdicts it
+prints, by both routes.
 
 The paper's rule is that a verdict comes from two routes, the kernel
 criterion and the oracle on the two laws. `SINGLE_ROUTE` names each kind of
@@ -17,14 +19,17 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from stochorder import cli
 from stochorder.cli import main
 
 # (command, method) -> why the verdict has one route, and the item that mends it
 SINGLE_ROUTE: dict[tuple[str, str], str] = {
-    ("check", "kernel-criterion"): "items 2 and 16: check takes its exit code from the kernel "
-                                   "alone and lists the oracle beside it",
-    ("check", "oracle"): "items 2 and 16: the endpoint oracle is listed, not reconciled",
+    ("check", "kernel-criterion"): "items 2 and 16: the kernel rows are listed beside the "
+                                   "oracle's, not reconciled into one verdict",
+    ("check", "oracle"): "items 2 and 16: the endpoint oracle rows are listed beside the "
+                         "kernel's, not reconciled into one verdict",
     ("check (reflexive)", "oracle"): "a law against itself has no kernel test",
     ("table1", "kernel-criterion"): "item 16: the Table-1 builder runs no oracle",
     ("pairwise", "oracle"): "item 15: pairwise st and hr come from the oracle alone",
@@ -63,6 +68,41 @@ def test_every_verdict_is_reconciled_or_a_listed_single_route(capsys):
     assert unlisted == []
     # the allow-list holds single-route verdicts that still occur, no more
     assert sorted(set(SINGLE_ROUTE) - used) == []
+
+
+def _claimed(verdicts: list[dict]) -> int:
+    """The exit rule, written out apart from `cli`: 0 when every printed
+    order has a direction all of whose printed verdicts hold, else 1."""
+    statuses: dict[tuple[str, str], set[str]] = {}
+    for v in verdicts:
+        statuses.setdefault((v["order"], v["direction"]), set()).add(v["status"])
+    orders = {order for order, _ in statuses}
+    held = {order for (order, _), seen in statuses.items() if seen == {"holds"}}
+    return 0 if held == orders else 1
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in COMMANDS if argv[0] != "table"],
+                         ids=" ".join)
+def test_the_exit_code_reads_every_printed_verdict(capsys, argv):
+    code = main([*argv, "--no-timing"])
+    out, _ = capsys.readouterr()
+    assert code == _claimed(json.loads(out)["verdicts"])
+
+
+# kernel rows that hold both ways at a loose tolerance, beside oracle rows
+# that fail both ways: no direction holds by both routes
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "zero-inflated-poisson", "--nu1=3", "--nu2=5", "--orders", "lr",
+     "--tol-shape=1e6"],
+    ["check", "--family", "half-student-in-df", "--nu1=3", "--nu2=5", "--orders", "lr,lc",
+     "--tol-shape=1e6"],
+], ids=" ".join)
+def test_a_check_whose_routes_disagree_exits_one(capsys, argv):
+    code = main([*argv, "--no-timing"])
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    by_route = {(v["method"], v["status"]) for v in verdicts}
+    assert by_route == {("kernel-criterion", "holds"), ("oracle", "fails")}
+    assert code == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stochorder"

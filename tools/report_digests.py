@@ -7,6 +7,7 @@ the reports of two checkouts command by command.
 
     python3 tools/report_digests.py --against ../parent-checkout
     python3 tools/report_digests.py --against ../parent-checkout --random 800 --seed 1
+    python3 tools/report_digests.py --env NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL"
 
 Each command runs in-process through `stochorder.cli.main` with
 `--no-timing`, so a report depends only on the program. Each digest line is
@@ -131,6 +132,10 @@ Each command runs in-process through `stochorder.cli.main` with
   zero-inflated Poisson over 150..280, whose atom at 0 breaks the ratio's
   monotonicity, and a pairwise st, hr pair of Poisson laws at
   `--tail-eps 1e-300`, a target that 1 - cumsum never reaches;
+- `check` commands whose two routes disagree, which must exit 1: at
+  `--tol-shape=1e6` the kernel rows of the zero-inflated Poisson (lr) and of
+  `half-student-in-df` (lr and lc) hold both ways, while the endpoint
+  oracle fails both ways;
 - `table --id` katz and table2, a pairwise, a compound and the
   interpolation path, each as CSV and as text: the renderings of the table
   rows, of the katz `params` and of the interpolation's `delta_margins`,
@@ -160,6 +165,12 @@ of stderr or of a text or CSV report, and on a JSON change other than a
 float within 1e-12 * max(1, |a|, |b|). `--allow-mended` also accepts a
 command that exits 2 (an error) in ROOT and gives a report here.
 
+With `--env NAME=VALUE` instead, the same commands of this checkout run
+once in this process and once in a fresh child interpreter with NAME set to
+VALUE, and are compared and summed up as under `--against`. A fresh
+interpreter is needed for settings read at import, such as numpy's
+`NPY_DISABLE_CPU_FEATURES`.
+
 No digest is committed: the script compares two checkouts, so a correctness
 fix that changes a report shows as a diff to explain, not a failing test.
 """
@@ -173,7 +184,9 @@ import importlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -358,6 +371,13 @@ RATIO_CUTS = (
      "--tail-eps", "1e-300"],
 )
 
+DISAGREEING_ROUTES = (
+    ["check", "--family", "zero-inflated-poisson", "--nu1=3", "--nu2=5", "--orders", "lr",
+     "--tol-shape=1e6"],
+    ["check", "--family", "half-student-in-df", "--nu1=3", "--nu2=5", "--orders", "lr,lc",
+     "--tol-shape=1e6"],
+)
+
 # reports rendered as CSV and as text; the other lists are JSON but for the
 # Table-1 text rows and the half-student CSV rows
 OTHER_FORMATS = tuple(
@@ -411,6 +431,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(SHARED_ROWS)
     out.extend(ENDPOINT_GRIDS)
     out.extend(RATIO_CUTS)
+    out.extend(DISAGREEING_ROUTES)
     out.extend(OTHER_FORMATS)
     # the workload passes repeat the `table` commands: each runs once, first
     return [list(argv) + ["--no-timing"] for argv in dict.fromkeys(map(tuple, out))]
@@ -570,6 +591,37 @@ def run(main, argv: list[str], root: Path | None = None) -> tuple[int, str, str]
     return code, out.getvalue(), text if root is None else text.replace(str(root), "<root>")
 
 
+# run in the child interpreter of --env: the tool's directory, the checkout
+# and, on stdin, the commands; (code, stdout, stderr) of each on stdout
+_CHILD = """import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import report_digests as rd
+root = Path(sys.argv[2])
+cli, _ = rd.load(root)
+print(json.dumps([rd.run(cli.main, argv, root) for argv in json.load(sys.stdin)]))
+"""
+
+
+def run_in_child(root: Path, argvs: list[list[str]], name: str, value: str):
+    """(exit code, stdout, stderr) of each command, run as `run` does in a
+    fresh interpreter whose environment sets `name` to `value`."""
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent), str(root)],
+        input=json.dumps(argvs), stdout=subprocess.PIPE, text=True, check=True,
+        env={**os.environ, name: value},
+    )
+    return [tuple(r) for r in json.loads(child.stdout)]
+
+
+def _setting(text: str) -> tuple[str, str]:
+    """argparse type of --env: NAME=VALUE, NAME not empty."""
+    name, sep, value = text.partition("=")
+    if not (name and sep):
+        raise argparse.ArgumentTypeError(f"{text!r} is not NAME=VALUE")
+    return name, value
+
+
 def digest(main, argv: list[str]) -> tuple[str, int]:
     code, out, err = run(main, argv)
     return hashlib.sha256((out + "\0" + err).encode("utf-8")).hexdigest(), code
@@ -638,8 +690,12 @@ def main() -> int:
     here = Path(__file__).resolve().parent.parent
     ap.add_argument("--root", type=Path, default=here,
                     help="checkout whose src/ and perfbench/ are run (default: this one)")
-    ap.add_argument("--against", type=Path, default=None,
-                    help="compare the reports of --root with those of this checkout")
+    other = ap.add_mutually_exclusive_group()
+    other.add_argument("--against", type=Path, default=None,
+                       help="compare the reports of --root with those of this checkout")
+    other.add_argument("--env", type=_setting, default=None, metavar="NAME=VALUE",
+                       help="compare the reports of --root with its own, run in a fresh "
+                            "interpreter with NAME set to VALUE")
     ap.add_argument("--random", type=int, default=0, metavar="N",
                     help="run N commands drawn from --seed instead of the fixed list")
     ap.add_argument("--seed", type=int, default=1)
@@ -647,18 +703,22 @@ def main() -> int:
                     help="accept a command that is an error (exit 2) in --against only")
     args = ap.parse_args()
 
-    cli, workloads = load(args.root.resolve())
+    root = args.root.resolve()
+    cli, workloads = load(root)
     argvs = (random_commands(args.random, args.seed, cli._TABLE1) if args.random
              else commands(cli._TABLE1, workloads))
-    if args.against is None:
+    if args.against is None and args.env is None:
         for argv in argvs:
             sha, code = digest(cli.main, argv)
             print(sha, code, " ".join(argv))
         return 0
 
-    ours = [run(cli.main, argv, args.root.resolve()) for argv in argvs]
-    theirs_cli, _ = load(args.against.resolve())
-    theirs = [run(theirs_cli.main, argv, args.against.resolve()) for argv in argvs]
+    ours = [run(cli.main, argv, root) for argv in argvs]
+    if args.env is not None:
+        theirs = run_in_child(root, argvs, *args.env)
+    else:
+        theirs_cli, _ = load(args.against.resolve())
+        theirs = [run(theirs_cli.main, argv, args.against.resolve()) for argv in argvs]
     counts = dict.fromkeys(("same", "float", "mended", "changed"), 0)
     worst = 0.0
     for argv, a, b in zip(argvs, ours, theirs):
