@@ -231,7 +231,7 @@ class Distribution:
         object.__setattr__(self, "masses", m)
         if m.shape != self.support.points.shape:
             raise ValueError("masses must align with the grid points")
-        if np.any(m < 0):
+        if m.min() < 0:  # a NaN mass passes here, as under np.any(m < 0)
             raise ValueError("masses must be nonnegative")
         total = m.sum()
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
@@ -550,11 +550,19 @@ def _half_student_log_normalizer(th: Theta) -> float:
     )
 
 
-# density w.r.t. delta_0 + Lebesgue: f(0) = 1-pi, f(x) = pi theta e^{-theta x}
+# density w.r.t. delta_0 + Lebesgue: f(0) = 1-pi, f(x) = pi theta e^{-theta x};
+# the log factor and the kernel write the atom's value over the body's at x = 0
 def _zie_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
     pi, theta = th["pi"], th["theta"]
-    body = math.log(pi) + math.log(theta) - theta * x
-    return np.where(x == 0.0, math.log1p(-pi), body)
+    out = np.asarray(math.log(pi) + math.log(theta) - theta * x, dtype=float)
+    out[x == 0.0] = math.log1p(-pi)
+    return out
+
+
+def _zie_kernel(th: Theta, x: np.ndarray) -> np.ndarray:
+    out = np.asarray(1.0 / th["theta"] - x, dtype=float)
+    out[x == 0.0] = 0.0
+    return out
 
 
 LAWS: dict[str, Law] = {
@@ -769,7 +777,7 @@ LAWS: dict[str, Law] = {
         domains={"pi": _UNIT, "theta": _POSITIVE},
         support=_from_zero,
         log_factor=_zie_log_factor,
-        kernels={"theta": lambda th, x: np.where(x == 0.0, 0.0, 1.0 / th["theta"] - x)},
+        kernels={"theta": _zie_kernel},
         log_normalizer=lambda th: 0.0,
         span=_quantiles(lambda th, u: -math.log1p(-u) / th["theta"]),
     ),
@@ -1022,7 +1030,7 @@ def density(f: DensityFamily, nu: float, grid: SupportGrid) -> Distribution:
     nu = f.validate_param(nu)
     log_d = f.log_factor(nu, grid.points) - f.log_normalizer(nu)
     vals = np.exp(log_d) * grid.weights()
-    if not np.all(np.isfinite(vals)):
+    if not math.isfinite(vals.max()):  # vals are >= 0 or NaN; max keeps every NaN and inf
         raise ValueError(f"{f.name}: non-finite density values at {f.param_name}={nu}")
     total = vals.sum()
     if not total > 0:

@@ -11,7 +11,8 @@ K_nu(x) = d/dnu log w_nu(x) and of the score s_nu = K_nu - E[K_nu(X)]:
 The st and hr rows are the signs of d/dnu log P(X >= x) = E[K_nu | X >= x]
 - E[K_nu] and d/dnu log hazard(x) = K_nu(x) - E[K_nu | X >= x] (Shaked &
 Shanthikumar, Stochastic Orders, 2007, ch. 1), whose tail means one backward
-pass (`_tail_means`) gives.
+pass (`_tail_means`) gives: the survival and the tail sum of K are paired
+in one complex running sum, which gives each the bits of its own real one.
 
 Direction semantics: 'up' claims P_{nu1} <= P_{nu2} whenever nu1 <= nu2,
 'down' the reverse. The log-concavity test in direction 'down' is concavity,
@@ -57,7 +58,11 @@ the st or hr tail gap, which hr reads negated), so both directions of an
 order share one vector per nu. The test takes one reduction, min(m) or
 -max(m), and searches for the first point with sign * m < -tol only when
 that falls below -tol; both are exact, so the witness and worst margin
-equal those of the signed copy bit for bit.
+equal those of the signed copy bit for bit. The st gap E[K | X >= x] - E[K]
+is a tail mean less one number, and rounding is monotone, so its least
+signed value is read off the extreme tail mean, min(tail) - E[K] or
+-(max(tail) - E[K]), with the bits of the extreme of the gaps; the gaps
+are built only for a witness search.
 Tail tests keep the points whose survival exceeds EPS_TAIL. The survival is
 a reversed running sum of nonnegative masses, so it is nonincreasing and
 those points are a prefix of the grid, found by one binary search and read
@@ -130,9 +135,18 @@ def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarr
     survival is positive, and grand mean E[K], by one backward pass. E[K] is
     the tail mean at the first point, read off the same sums (0 for a law
     with no mass), so the st margin there is exactly 0 and no BLAS dot
-    product, whose sum order follows its thread count, enters a report."""
-    surv = np.cumsum(masses[::-1])[::-1]
-    tail_num = np.cumsum((k * masses)[::-1])[::-1]
+    product, whose sum order follows its thread count, enters a report.
+
+    The two running sums are one: the reversed masses fill the real part of
+    one complex buffer and the reversed k * masses its imaginary part, and
+    one `np.cumsum` runs over it in place. Complex addition adds the real
+    and the imaginary parts apart, each in the order a real running sum
+    takes, so the survival and the tail numerator have that sum's bits."""
+    sums = np.empty(masses.size, dtype=complex)
+    sums.real = masses[::-1]
+    np.multiply(k[::-1], masses[::-1], out=sums.imag)
+    np.cumsum(sums, out=sums)
+    surv, tail_num = sums.real[::-1], sums.imag[::-1]
     n = _prefix_length(surv, 0.0)
     means = tail_num[:n] / surv[:n]
     return surv, means, float(means[0]) if n else 0.0
@@ -218,7 +232,7 @@ def scan_kernel(
         else:
             t, (a, b) = built, (1.0, 0.0) if coefficient is None else coefficient(nu)
         k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
-        tails, gaps = None, {}  # at this nu, from one tail pass shared by st and hr
+        tails, hr_gap = None, None  # at this nu, from one tail pass shared by st and hr
         for i in open_tests:
             order, direction = tests[i]
             sign = 1.0 if direction == "up" else -1.0
@@ -238,24 +252,32 @@ def scan_kernel(
                 continue
             else:
                 k_nu = k_nu or t.affine(a, b)
-                if order not in gaps:
-                    if tails is None:
-                        surv, tail, grand = _tail_means(k_nu.k, law(nu))
-                        tails = _prefix_length(surv, EPS_TAIL), tail, grand
-                    # where the survival exceeds EPS_TAIL: E[K | X >= x] - E[K] (st)
-                    # or K(x) - E[K | X >= x] (hr)
-                    n, tail, grand = tails
-                    gaps[order] = tail[:n] - grand if order == "st" else k_nu.k[:n] - tail[:n]
-                m = gaps[order]
-                xs, tol, kind = pts[:m.size], tol_tail, "grid-point"
-                if order == "hr":
-                    sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
-                if not m.size:
+                if tails is None:
+                    surv, tail, grand = _tail_means(k_nu.k, law(nu))
+                    n = _prefix_length(surv, EPS_TAIL)
+                    tails = tail[:n], grand
+                # where the survival exceeds EPS_TAIL: the gap E[K | X >= x] - E[K]
+                # (st) or K(x) - E[K | X >= x] (hr)
+                tail, grand = tails
+                xs, tol, kind = pts[:tail.size], tol_tail, "grid-point"
+                if not tail.size:
                     continue
-                low = _low(m, sign)
+                if order == "st":
+                    # rounding is monotone, so the least signed gap is that of the
+                    # least signed tail mean; the gaps are built for a witness search
+                    m = None
+                    low = float(tail.min() - grand if sign > 0 else -(tail.max() - grand))
+                else:
+                    if hr_gap is None:
+                        hr_gap = k_nu.k[:tail.size] - tail
+                    m = hr_gap
+                    sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
+                    low = _low(m, sign)
             if low >= -tol:
                 worst[i] = min(worst[i], low)
                 continue
+            if m is None:
+                m = tail - grand
             bad = np.flatnonzero(sign * m < -tol)
             if bad.size:  # else a NaN margin: no witness, and the worst margin stays
                 j = bad[0]

@@ -16,22 +16,23 @@ oracle has one behaviour, and each order reports its own in its verdicts.
 Verdicts on continuous or mixed grids certify the discretized laws, noted
 as such.
 
-One alignment serves every test. `oracle_pair` aligns the two laws once
-and derives up front, once for both directions, only what the asked orders
-read: the two survivals (st and hr), the masses at the points where either
-law carries ORACLE_EPS_TAIL (lr), and both laws' aligned masses and log
-masses (lc), from which each direction slices its own support run. The log
-masses are `Distribution.log_masses`, which keep the log of a mass that
-underflows, so such a mass makes neither a gap in a support nor a rounded
-triplet. Each order's formula is written once, for the first law of a
-direction below its second, and runs the subtractions and divisions of a
-one-test call in the same order, so each verdict has the bits of a one-test
-call, and a "down" test on (P, Q) those of the "up" test on (Q, P) but for
-its direction. The down lc margins are not taken as the negated up margins,
-since negation does not commute with subtraction on signed zeros:
--(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the formula
-selects through a mask, the code slices when the mask is one run, as a
-survival's points above ORACLE_EPS_TAIL always are (a survival is
+One alignment serves every test. `oracle_pair` aligns the two laws once and
+derives up front, once for both directions, only what the asked orders
+read: the two survivals (st and hr), paired in one complex running sum that
+gives each the bits of its own real one (`_survivals`), the masses at the
+points where either law carries ORACLE_EPS_TAIL (lr), and both laws'
+aligned masses and log masses (lc), from which each direction slices its
+own support run. The log masses are `Distribution.log_masses`, which keep
+the log of a mass that underflows, so such a mass makes neither a gap in a
+support nor a rounded triplet. Each order's formula is written once, for
+the first law of a direction below its second, and runs the subtractions
+and divisions of a one-test call in the same order, so each verdict has the
+bits of a one-test call, and a "down" test on (P, Q) those of the "up" test
+on (Q, P) but for its direction. The down lc margins are not taken as the
+negated up margins, since negation does not commute with subtraction on
+signed zeros: -(0.0 - 0.0) is -0.0 while (-0.0) - (-0.0) is 0.0. Where the
+formula selects through a mask, the code slices when the mask is one run,
+as a survival's points above ORACLE_EPS_TAIL always are (a survival is
 nonincreasing); a slice holds the values of the gather in the same order,
 and a log taken before the slice the values of one taken after it.
 """
@@ -115,8 +116,16 @@ def _prefix_above(survival: np.ndarray, eps: float) -> int:
     return survival.size - int(np.searchsorted(survival[::-1], eps, side="right"))
 
 
-def _survival(masses: np.ndarray) -> np.ndarray:
-    return np.cumsum(masses[::-1])[::-1]
+def _survivals(mp: np.ndarray, mq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The survivals of the two aligned mass vectors by one running sum: mp
+    reversed in the real part of a complex buffer and mq reversed in its
+    imaginary part, summed in place. Complex addition adds the two parts
+    apart, each in the order of a real running sum, so each survival has the
+    bits of `np.cumsum(m[::-1])[::-1]` of its own masses."""
+    sums = np.empty(mp.size, dtype=complex)
+    sums.real, sums.imag = mp[::-1], mq[::-1]
+    np.cumsum(sums, out=sums)
+    return sums.real[::-1], sums.imag[::-1]
 
 
 def _ratio(mp: np.ndarray, mq: np.ndarray) -> np.ndarray:
@@ -250,7 +259,7 @@ def oracle_pair(P: Distribution, Q: Distribution, tests) -> list[OrderVerdict]:
         keep = _selector((mp >= ORACLE_EPS_TAIL) | (mq >= ORACLE_EPS_TAIL))
         laws["lr"] = mp[keep], mq[keep]
     if orders & {"st", "hr"}:
-        laws["st"] = laws["hr"] = _survival(mp), _survival(mq)
+        laws["st"] = laws["hr"] = _survivals(mp, mq)
     if "lc" in orders:  # log 0 = -inf lies outside every support run
         laws["lc"] = (mp, _aligned_logs(P, pts)), (mq, _aligned_logs(Q, pts))
     note = "" if kind == "discrete" else "grid-certified on the shared discretization"

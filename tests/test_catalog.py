@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,6 +18,7 @@ from stochorder.catalog import (
     FAMILY_NAMES,
     LAWS,
     MAX_GRID_POINTS,
+    Distribution,
     View,
     continuous_grid,
     default_grid,
@@ -29,6 +30,7 @@ from stochorder.catalog import (
     parse_spec,
 )
 from stochorder.criteria import nu_scan
+from stochorder.pairwise import PairwiseLaw, law_distribution
 
 ALL_FAMILIES = sorted(FAMILY_NAMES)
 
@@ -309,6 +311,59 @@ def test_density_rejects_zero_mass_grid():
     grid = discrete_grid(0, 5)
     with pytest.raises(ValueError):
         density(fam, math.nan, grid)
+
+
+# a log factor of +inf or NaN gives a value that is not finite; -inf a zero mass
+LOG_FACTORS = st.one_of(st.floats(-50.0, 50.0),
+                        st.sampled_from([-math.inf, math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(logs=st.lists(LOG_FACTORS, min_size=1, max_size=12), discrete=st.booleans())
+@example(logs=[1.0, math.nan, 1.0], discrete=True)
+@example(logs=[1.0, math.inf, math.nan], discrete=False)
+@example(logs=[-math.inf, 0.0], discrete=True)
+def test_density_refuses_exactly_the_values_the_two_pass_check_refused(logs, discrete):
+    # density values are >= 0 or NaN, so `density` reads their finiteness off
+    # their largest value; the check it replaced read np.isfinite of each
+    grid = discrete_grid(0, len(logs) - 1) if discrete else continuous_grid(0.0, 1.0, n=len(logs))
+    fam = dataclasses.replace(make_family("poisson"), log_factor=lambda nu, x: np.array(logs),
+                              log_normalizer=lambda nu: 0.0)
+    vals = np.exp(np.array(logs)) * grid.weights()
+    if not np.all(np.isfinite(vals)):
+        with pytest.raises(ValueError, match="non-finite density values"):
+            density(fam, 1.0, grid)
+    elif not vals.sum() > 0:
+        with pytest.raises(ValueError, match="zero total mass"):
+            density(fam, 1.0, grid)
+    else:
+        assert np.array_equal(density(fam, 1.0, grid).masses, vals / vals.sum())
+
+
+@pytest.mark.parametrize("mass,refusal", [
+    (-1e-300, "must be nonnegative"),
+    (-5e-324, "must be nonnegative"),
+    (-0.0, None),
+    (math.nan, "must sum to 1"),  # no mass is below 0, as under np.any(m < 0)
+])
+def test_distribution_refuses_exactly_the_masses_the_two_pass_check_refused(mass, refusal):
+    masses = np.array([0.5, mass, 0.5])
+    if refusal is None:
+        assert Distribution(discrete_grid(0, 2), masses).masses[1] == 0.0
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            Distribution(discrete_grid(0, 2), masses)
+
+
+def test_law_distribution_keeps_a_vanishing_weight_and_refuses_a_nan_one():
+    # `law_distribution` builds its masses through `normalized`, which
+    # `Distribution` checks: a weight of 0 is a mass of 0, a NaN weight no law
+    def law(logs):
+        return PairwiseLaw("stub", (0.0, 2.0), lambda ks: np.array(logs))
+
+    assert law_distribution(law([0.0, -math.inf, 0.0])).masses.tolist() == [0.5, 0.0, 0.5]
+    with pytest.raises(ValueError, match="must sum to 1"):
+        law_distribution(law([0.0, math.nan, 0.0]))
 
 
 # ---------------------------------------------------------------------------

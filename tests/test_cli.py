@@ -1291,3 +1291,44 @@ def test_out_that_cannot_be_written_exits_two(capsys, tmp_path, target):
                              "--orders", "lr", "--out", path)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --out {path!r}: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# verdicts that do not depend on the SIMD kernels numpy dispatches to
+
+# a 20 000-point zero-inflated exponential, whose st and hr tests run a tail
+# pass at every nu; a half-student pass whose lr down test fails; and the
+# first wide-grid gumbel pass at seed 7, whose margins move under dispatch
+DISPATCHED = [
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
+     "--grid-points=20000"],
+    ["check", "--family", "half-student-in-df", "--nu1=2.1374", "--nu2=5.20156",
+     "--grid-points=21929"],
+    ["check", "--family", "gumbel-in-location", "--nu1=0.0473185", "--nu2=0.745325",
+     "--grid-points=17184",
+     "--nu-grid=" + ",".join(f"{0.0473185 + 0.010418 * i:.6g}" for i in range(68))],
+]
+WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _decided(code, out):
+    """A report's exit code and, per verdict, its test, route, status and
+    witness point, parameter and kind: all of it but the margins."""
+    return code, [
+        (v["order"], v["direction"], v["method"], v["status"],
+         v["witness"] and (v["witness"]["x"], v["witness"]["nu"], v["witness"]["kind"]))
+        for v in json.loads(out)["verdicts"]
+    ]
+
+
+@pytest.mark.parametrize("argv", DISPATCHED, ids=lambda argv: argv[2])
+def test_statuses_witnesses_and_exit_codes_do_not_depend_on_avx512_dispatch(argv):
+    """Each command, run in a fresh interpreter with numpy's AVX-512 kernels
+    on and off, decides the same statuses at the same witnesses and exits
+    the same; only margins may move (ROADMAP item 24). numpy reads the
+    setting at import. On a host without AVX-512 both runs dispatch to the
+    same kernels, so there this passes trivially."""
+    on = fresh(*argv, "--no-timing", NPY_DISABLE_CPU_FEATURES="")
+    off = fresh(*argv, "--no-timing", NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    assert on[2] == "" and off[2] == ""
+    assert _decided(*on[:2]) == _decided(*off[:2])

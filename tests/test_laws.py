@@ -335,6 +335,43 @@ def test_families_and_paths_carry_the_declaration():
 # the cmp series normalizer
 
 
+ZIE = LAWS["zero-inflated-exponential"]
+
+
+def _zie_where_forms(th, x):
+    """The zero-inflated exponential's log factor and kernel as np.where
+    selections over the whole grid."""
+    pi, theta = th["pi"], th["theta"]
+    return (np.where(x == 0.0, math.log1p(-pi), math.log(pi) + math.log(theta) - theta * x),
+            np.where(x == 0.0, 0.0, 1.0 / theta - x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi=st.floats(1e-6, 1.0 - 1e-6), theta=st.floats(1e-3, 1e3),
+       x=st.one_of(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1e4)),
+                            min_size=1, max_size=30).map(np.array),
+                   st.one_of(st.just(0.0), st.floats(0.0, 1e4))))
+@example(pi=0.4, theta=1.0, x=np.array([0.0, 0.5, 1.5]))
+@example(pi=0.4, theta=2.0, x=0.0)
+def test_zie_factor_and_kernel_equal_their_where_forms_bit_for_bit(pi, theta, x):
+    # the atom's value written over the body at x == 0, on a grid or at a scalar
+    th = {"pi": pi, "theta": theta}
+    got = ZIE.log_factor(th, x), ZIE.kernels["theta"](th, x)
+    for a, b in zip(got, _zie_where_forms(th, x)):
+        assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == b.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(nu=st.floats(0.1, 10.0), points=st.integers(2, 400))
+def test_zie_family_on_its_mixed_grid_equals_the_where_forms(nu, points):
+    fam = make_family("zero-inflated-exponential")
+    grid = default_grid(fam, [nu], grid_points=points)
+    th = {"pi": fam.fixed_params["pi"], "theta": nu}
+    log_factor, kernel = _zie_where_forms(th, grid.points)
+    assert fam.log_factor(nu, grid.points).tobytes() == log_factor.tobytes()
+    assert np.asarray(fam.kernel(nu, grid.points)).tobytes() == kernel.tobytes()
+
+
 @pytest.mark.parametrize("lam", [0.5, 0.9999, 1.0, 9.0])
 @pytest.mark.parametrize("nu", [0.3, 1.0, 2.0])
 def test_cmp_log_normalizer_matches_mpmath(lam, nu):

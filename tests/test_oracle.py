@@ -28,6 +28,7 @@ from stochorder.oracle import (
     _aligned,
     _prefix_above,
     _ratio,
+    _survivals,
     oracle_pair,
 )
 from stochorder.pairwise import law_distribution, law_from_spec
@@ -350,6 +351,40 @@ def test_pair_oracle_rejects_unknown_order():
         oracle_pair(p, p, [("lr", "up"), ("total", "up")])
     with pytest.raises(ValueError, match="unknown direction 'left'"):
         oracle_pair(p, p, [("lr", "left")])
+
+
+def _running_sum_bits(masses):
+    """The bytes of the survival one real running sum gives."""
+    return np.cumsum(masses[::-1])[::-1].tobytes()
+
+
+# exact zeros, the least subnormal, masses near the top of the double range
+# (whose sums may overflow to inf) and ordinary ones
+RAW_MASSES = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(0.0, 1.0),
+                       st.floats(0.0, 1e300))
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.lists(RAW_MASSES, min_size=n, max_size=n), min_size=2, max_size=2)))
+@example([[5e-324, 0.0, 1e300, 1e300], [0.0, 5e-324, 5e-324, 1.0]])
+@settings(max_examples=300, deadline=None)
+def test_paired_survivals_are_each_running_sum_bit_for_bit(pair):
+    mp, mq = (np.array(m, dtype=float) for m in pair)
+    sp, sq = _survivals(mp, mq)
+    assert sp.tobytes() == _running_sum_bits(mp)
+    assert sq.tobytes() == _running_sum_bits(mq)
+
+
+@given(law_pairs())
+@example((disc(3, [5e-324, 1.0, 0.0, 5e-324]), disc(0, [0.0, 1.0, 1.0])))
+@example((disc(0, [1.0, 5e-324]), disc(5, [5e-324, 0.0, 1.0])))
+@settings(max_examples=200, deadline=None)
+def test_paired_survivals_of_aligned_laws_are_each_running_sum_bit_for_bit(laws):
+    # discrete laws on supports of their own are aligned on the union first
+    _, mp, mq, _ = _aligned(*laws)
+    sp, sq = _survivals(mp, mq)
+    assert sp.tobytes() == _running_sum_bits(mp)
+    assert sq.tobytes() == _running_sum_bits(mq)
 
 
 @given(st.lists(st.sampled_from([0.0, 5e-324, 1e-13, 1e-12, 0.25, 1.0]), max_size=30),

@@ -136,6 +136,9 @@ Each command runs in-process through `stochorder.cli.main` with
   `--tol-shape=1e6` the kernel rows of the zero-inflated Poisson (lr) and of
   `half-student-in-df` (lr and lc) hold both ways, while the endpoint
   oracle fails both ways;
+- a zero-inflated exponential `check` on the largest grid, 100 000 points,
+  whose paired tail-pass sums (16 bytes a point, 1.6 MB) pass the 1 MiB
+  below which `cli._keep_grid_arrays_on_the_heap` keeps arrays on the heap;
 - `table --id` katz and table2, a pairwise, a compound and the
   interpolation path, each as CSV and as text: the renderings of the table
   rows, of the katz `params` and of the interpolation's `delta_margins`,
@@ -378,6 +381,11 @@ DISAGREEING_ROUTES = (
      "--tol-shape=1e6"],
 )
 
+LARGEST_GRIDS = (
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
+     "--grid-points=100000"],
+)
+
 # reports rendered as CSV and as text; the other lists are JSON but for the
 # Table-1 text rows and the half-student CSV rows
 OTHER_FORMATS = tuple(
@@ -432,6 +440,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(ENDPOINT_GRIDS)
     out.extend(RATIO_CUTS)
     out.extend(DISAGREEING_ROUTES)
+    out.extend(LARGEST_GRIDS)
     out.extend(OTHER_FORMATS)
     # the workload passes repeat the `table` commands: each runs once, first
     return [list(argv) + ["--no-timing"] for argv in dict.fromkeys(map(tuple, out))]
