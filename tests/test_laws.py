@@ -332,7 +332,7 @@ def test_families_and_paths_carry_the_declaration():
 
 
 # ---------------------------------------------------------------------------
-# the cmp series normalizer
+# the zero-inflated exponential's atom
 
 
 ZIE = LAWS["zero-inflated-exponential"]
@@ -370,6 +370,10 @@ def test_zie_family_on_its_mixed_grid_equals_the_where_forms(nu, points):
     log_factor, kernel = _zie_where_forms(th, grid.points)
     assert fam.log_factor(nu, grid.points).tobytes() == log_factor.tobytes()
     assert np.asarray(fam.kernel(nu, grid.points)).tobytes() == kernel.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the cmp series normalizer
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.9999, 1.0, 9.0])
