@@ -39,11 +39,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Mapping
+from functools import cache
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .special import digamma, digamma_vec, log_factorial_vec, log_pochhammer, log_pochhammer_vec
+from .special import (
+    _each, digamma, digamma_vec, log_factorial_vec, log_pochhammer, log_pochhammer_vec,
+)
 from .verdicts import known
 
 __all__ = [
@@ -94,6 +97,12 @@ TAIL_CUT_KMAX = 10_000
 # the largest k past the common lower end of the pairwise kernel's range when
 # both supports are infinite: the default of `pairwise --kmax`
 PAIRWISE_KMAX = 200
+
+# The most grid elements that one call reads for a block of scanned
+# parameters (`_tail_cut`, `criteria.scan_kernel`), unless one row holds
+# more: 256 KiB a float array, below the 1 MiB up to which
+# `cli._keep_grid_arrays_on_the_heap` keeps arrays on the heap.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +275,15 @@ class Law:
                     end: a grid spans a finite support whole and reads none.
     tail_ratio      theta -> the limit of p(k+1)/p(k), for an infinite
                     discrete support; `_tail_cut` bounds the tail with it.
+
+    The log factor of a law on an infinite discrete support, and every
+    kernel that a view scans (neither `Factored` nor fixed), also take a
+    column: with the scanned parameter's values in an array of shape
+    (rows, 1), and x the grid's points, they give one row per value, with
+    the bits of the call at that value alone. `math` functions of a scanned
+    parameter are mapped per row (`special._each`) and digamma is read by
+    `digamma_vec`, so each row does the same operations as its own call.
+    Normalizers, spans and tail ratios take one value at a time.
     """
 
     kind: str
@@ -446,9 +464,15 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _digamma_step(a: float, k: np.ndarray) -> np.ndarray:
+def _psi(a):
+    """digamma(a) for a number, and `digamma_vec` on a column, which gives
+    each row the same bits."""
+    return digamma_vec(a) if isinstance(a, np.ndarray) else digamma(a)
+
+
+def _digamma_step(a, k: np.ndarray) -> np.ndarray:
     """psi(a + k) - psi(a): the kernel of a Pochhammer factor (a)_k in a."""
-    return digamma_vec(a + k) - digamma(a)
+    return digamma_vec(a + k) - _psi(a)
 
 
 def _binomial_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
@@ -471,6 +495,15 @@ def _hypergeometric_support(th: Theta) -> tuple[float, float]:
 _CMP_TERMS = (2000, 2000 * 2**9)  # the fewest and the most terms the cmp series sums
 
 
+@cache
+def _cmp_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """k and log k! for k in 0..n-1, read-only, built once per term count."""
+    ks = np.arange(n, dtype=float)
+    log_fact = log_factorial_vec(ks)
+    ks.flags.writeable = log_fact.flags.writeable = False
+    return ks, log_fact
+
+
 def _cmp_log_normalizer(th: Theta) -> float:
     """log sum_k lam^k (k!)^-nu. The log terms are concave in k, so once the
     last term summed is past the peak and more than 60 below the largest (a
@@ -479,8 +512,8 @@ def _cmp_log_normalizer(th: Theta) -> float:
     loglam, nu = math.log(th["lam"]), th["nu"]
     n, most = _CMP_TERMS
     while n <= most:
-        ks = np.arange(n, dtype=float)
-        logs = ks * loglam - nu * log_factorial_vec(ks)
+        ks, log_fact = _cmp_terms(n)
+        logs = ks * loglam - nu * log_fact
         m = logs.max()
         if logs[-1] < min(m - 60.0, logs[-2]):
             return float(m + math.log(np.exp(logs - m).sum()))
@@ -491,14 +524,14 @@ def _cmp_log_normalizer(th: Theta) -> float:
 # factorization w(0) = (1-pi)e^theta + pi, w(k) = pi theta^k/k!, A = e^theta
 def _zip_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
     pi, theta = th["pi"], th["theta"]
-    body = math.log(pi) + k * math.log(theta) - log_factorial_vec(np.maximum(k, 0))
+    body = math.log(pi) + k * _each(math.log, theta) - log_factorial_vec(np.maximum(k, 0))
     at0 = np.logaddexp(math.log1p(-pi) + theta, math.log(pi))
     return np.where(k == 0, at0, body)
 
 
 def _zip_kernel(th: Theta, k: np.ndarray) -> np.ndarray:
     pi, theta = th["pi"], th["theta"]
-    a = math.exp(math.log(pi) - np.logaddexp(math.log1p(-pi) + theta, math.log(pi)))
+    a = _each(math.exp, math.log(pi) - np.logaddexp(math.log1p(-pi) + theta, math.log(pi)))
     return np.where(k == 0, 1.0 - a, k / theta)
 
 
@@ -561,7 +594,7 @@ def _zie_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
 
 def _zie_kernel(th: Theta, x: np.ndarray) -> np.ndarray:
     out = np.asarray(1.0 / th["theta"] - x, dtype=float)
-    out[x == 0.0] = 0.0
+    np.copyto(out, 0.0, where=x == 0.0)  # on every row of a column of theta
     return out
 
 
@@ -571,7 +604,7 @@ LAWS: dict[str, Law] = {
         kind="discrete",
         domains={"theta": _POSITIVE},
         support=_from_zero,
-        log_factor=lambda th, k: k * math.log(th["theta"]) - log_factorial_vec(k),
+        log_factor=lambda th, k: k * _each(math.log, th["theta"]) - log_factorial_vec(k),
         kernels={"theta": _per("theta")},
         log_normalizer=lambda th: th["theta"],
         tail_ratio=lambda th: 0.0,
@@ -580,7 +613,7 @@ LAWS: dict[str, Law] = {
         kind="discrete",
         domains={"q": _UNIT},
         support=_from_zero,
-        log_factor=lambda th, k: k * math.log(th["q"]),
+        log_factor=lambda th, k: k * _each(math.log, th["q"]),
         kernels={"q": _per("q")},
         log_normalizer=lambda th: -math.log1p(-th["q"]),
         tail_ratio=lambda th: th["q"],
@@ -589,7 +622,7 @@ LAWS: dict[str, Law] = {
         kind="discrete",
         domains={"p": _UNIT},
         support=_from_zero,
-        log_factor=lambda th, k: k * math.log1p(-th["p"]),
+        log_factor=lambda th, k: k * _each(math.log1p, -th["p"]),
         kernels={"p": _FAILURES},
         log_normalizer=lambda th: -math.log(th["p"]),
         tail_ratio=lambda th: 1.0 - th["p"],
@@ -599,7 +632,7 @@ LAWS: dict[str, Law] = {
         domains={"r": _POSITIVE, "q": _UNIT},
         support=_from_zero,
         log_factor=lambda th, k: (
-            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k) + k * math.log(th["q"])
+            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k) + k * _each(math.log, th["q"])
         ),
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
@@ -613,7 +646,8 @@ LAWS: dict[str, Law] = {
         domains={"r": _POSITIVE, "p": _UNIT},
         support=_from_zero,
         log_factor=lambda th, k: (
-            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k) + k * math.log1p(-th["p"])
+            log_pochhammer_vec(th["r"], k) - log_factorial_vec(k)
+            + k * _each(math.log1p, -th["p"])
         ),
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
@@ -638,7 +672,7 @@ LAWS: dict[str, Law] = {
         log_factor=_betabinomial_log_factor,
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
-            "s": lambda th, k: digamma_vec(th["s"] + th["n"] - k) - digamma(th["s"]),
+            "s": lambda th, k: digamma_vec(th["s"] + th["n"] - k) - _psi(th["s"]),
         },
         log_normalizer=lambda th: log_pochhammer(th["r"] + th["s"], th["n"]),
         integers=("n",),
@@ -656,7 +690,7 @@ LAWS: dict[str, Law] = {
         kind="discrete",
         domains={"theta": _UNIT},
         support=lambda th: (1.0, math.inf),
-        log_factor=lambda th, k: k * math.log(th["theta"]) - np.log(k),
+        log_factor=lambda th, k: k * _each(math.log, th["theta"]) - np.log(k),
         kernels={"theta": _per("theta")},
         log_normalizer=lambda th: math.log(-math.log1p(-th["theta"])),
         tail_ratio=lambda th: th["theta"],
@@ -800,6 +834,10 @@ class DensityFamily:
     a T(x) + b, bit for bit, with (a, b) = coefficient(nu) and T =
     statistic(x), or T(x) itself at every nu when coefficient is None (a
     fixed kernel), so a scan builds T once.
+    kernel, and log_factor on an infinite discrete support, also take nu as
+    a column of values (shape (rows, 1)) and give one row per value, each
+    with the bits of the call at that value (`Law`): a scan reads them over
+    blocks of nus.
     """
 
     name: str
@@ -885,10 +923,14 @@ class View:
     def log_factor(self, label: str, theta: Theta, x) -> np.ndarray:
         """The law's log factor at theta on x. One whose terms overflow a
         double, as `math.lgamma` does on log (r)_k at r = 1e308, is refused
-        naming `label` and theta under the view's names."""
+        naming `label` and theta under the view's names; at a column of
+        values the OverflowError passes on, for the caller to read those
+        values one at a time."""
         try:
             return LAWS[self.law].log_factor(theta, x)
         except OverflowError:
+            if any(np.ndim(v) for v in theta.values()):
+                raise  # a block of values: the caller reads them one at a time
             shown = ",".join(f"{k}={v:g}" for k, v in self.named(theta).items())
             raise ValueError(f"{label}: log factor overflows a double at {shown}") from None
 
@@ -1061,46 +1103,81 @@ _SPAN_WINDOW = 64  # points of the first window of the tail search
 
 
 def _tail_cut(
-    log_pmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
-    limit: float, label: str, cap: str = "k_max",
-) -> tuple[int, float, np.ndarray]:
-    """First k in lo+1..hi-1 whose bound on the tail past k is <= tail_eps.
+    log_pmf: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: int, hi: int, tail_eps: float,
+    limits: Sequence[float], label: str, cap: str = "k_max",
+) -> list[tuple[int, float]]:
+    """Per row, the first k in lo+1..hi-1 whose bound on the tail past k is
+    <= tail_eps, and that bound.
 
-    Returns (k, that bound, log pmf on lo..k); log_pmf(ks) gives the log
-    masses at the float points ks. The ratio p(k+1)/p(k) of every infinite
-    discrete law in `LAWS` is monotone in k from lo + 1 on (the zero-inflated
-    Poisson's atom breaks it at lo) and tends to `limit`, so past the mode
-    the tail past k is at most p(k+1) / (1 - rho), rho = max(p(k+1)/p(k),
-    limit) (the ratio test; Feller, vol. 1, ch. XI). Read in logs, with
-    nothing subtracted from 1, the normalizer's error only scales the bound.
+    Row j is a law whose p(k+1)/p(k) tends to limits[j]; log_pmf(rows, ks)
+    gives the log masses of the rows `rows` (an index array) at the float
+    points ks, one row each, or a 1-d array for one row. The ratio
+    p(k+1)/p(k) of every infinite discrete law in `LAWS` is monotone in k
+    from lo + 1 on (the zero-inflated Poisson's atom breaks it at lo) and
+    tends to its limit, so past the mode the tail past k is at most
+    p(k+1) / (1 - rho), rho = max(p(k+1)/p(k), limit) (the ratio test;
+    Feller, vol. 1, ch. XI). Read in logs, with nothing subtracted from 1,
+    the normalizer's error only scales the bound.
 
     The search evaluates a window of 64 points from lo and doubles it up to
-    hi, reading the bound at the new k only, and log(1 - rho) only where
-    p(k+1) <= tail_eps and rho < 1; every bound equals that of one pass over
-    lo..hi. No k reaching the target raises ValueError naming `label`, the
-    target and hi, as `cap`=hi.
+    hi, on the rows whose k it has not found, with at most _BLOCK_ELEMENTS
+    points in one call unless one row holds more; it reads the bound at the
+    new k only, and log(1 - rho) only where p(k+1) <= tail_eps and rho < 1.
+    A row reads the windows a search of that row alone reads, and every
+    bound equals that of one pass over lo..hi. A row that no k brings to the
+    target raises ValueError naming `label`, the target and hi, as `cap`=hi.
     """
     # a limit of 1 or more bounds no tail: no k then meets the target
-    log_eps = math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
-    log_limit = math.log(limit) if limit > 0 else -math.inf
-    logs = np.empty(0)
-    width = _SPAN_WINDOW
-    while lo + logs.size <= hi:
+    log_eps = np.array([math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
+                        for limit in limits])
+    log_limit = np.array([math.log(limit) if limit > 0 else -math.inf for limit in limits])
+    cuts: list[tuple[int, float] | None] = [None] * len(limits)
+    rows = np.arange(len(limits))  # the rows whose k is not found yet
+    last = np.empty(len(limits))  # each row's log mass at the last k read
+    size, width = 0, _SPAN_WINDOW
+    while rows.size and lo + size <= hi:
         top = min(lo + width - 1, hi)
-        start = max(logs.size - 1, 1)  # offset of the first k this window settles
-        new = log_pmf(np.arange(lo + logs.size, top + 1, dtype=float))
-        logs = np.concatenate((logs, new)) if logs.size else new
-        width *= 2
-        after = logs[start + 1 :]  # log p(k+1)
-        step = after - logs[start:-1]
-        near = ((after <= log_eps) & (step < 0.0)).nonzero()[0]
-        if near.size:
-            bounds = after[near] - np.log(-np.expm1(np.maximum(step[near], log_limit)))
-            hit = (bounds <= log_eps).nonzero()[0]
-            if hit.size:
-                i = start + int(near[hit[0]])
-                return lo + i, math.exp(bounds[hit[0]]), logs[: i + 1]
-    raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
+        ks = np.arange(lo + size, top + 1, dtype=float)
+        start = max(size - 1, 1)  # offset of the first k this window settles
+        per = max(1, _BLOCK_ELEMENTS // ks.size)
+        for chunk in (rows[c : c + per] for c in range(0, rows.size, per)):
+            new = np.reshape(log_pmf(chunk, ks), (chunk.size, ks.size))
+            eps, limit = log_eps[chunk], log_limit[chunk]
+            # from offset start on: the first window's own, or the last k read and the window
+            logs = new[:, 1:] if size == 0 else np.concatenate((last[chunk, None], new), axis=1)
+            after = logs[:, 1:]  # log p(k+1)
+            step = after - logs[:, :-1]
+            row, col = ((after <= eps[:, None]) & (step < 0.0)).nonzero()
+            if row.size:
+                bounds = after[row, col] - np.log(-np.expm1(np.maximum(step[row, col], limit[row])))
+                hit = bounds <= eps[row]
+                row, col, bounds = row[hit], col[hit], bounds[hit]
+                # the first hit of each row: the hits run row by row, in k within one
+                first = np.ones(row.size, dtype=bool)
+                np.not_equal(row[1:], row[:-1], out=first[1:])
+                for r, c, bound in zip(row[first].tolist(), col[first].tolist(), bounds[first]):
+                    cuts[chunk[r]] = lo + start + c, math.exp(bound)
+            last[chunk] = new[:, -1]
+        rows = np.array([r for r in rows if cuts[r] is None], dtype=int)
+        size, width = top + 1 - lo, width * 2
+    if rows.size:
+        raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
+    return cuts
+
+
+def _cuts(f: DensityFamily, nus: Sequence[float], lo: int, kmax: int, tail_eps: float,
+          cap: str) -> list[tuple[int, float]]:
+    """`_tail_cut` of f at every nu, one row per nu: a column of the nus
+    gives the rows of a window, each with the bits of its own call."""
+    log_a = np.array([f.log_normalizer(nu) for nu in nus])
+    column = np.array(nus)[:, None]
+
+    def log_pmf(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        if rows.size == 1:
+            return f.log_factor(nus[rows[0]], ks) - log_a[rows[0]]
+        return f.log_factor(column[rows], ks) - log_a[rows, None]
+
+    return _tail_cut(log_pmf, lo, kmax, tail_eps, [f.tail_ratio(nu) for nu in nus], f.name, cap)
 
 
 def _ends(f: DensityFamily, nu: float) -> tuple[float, float]:
@@ -1127,9 +1204,12 @@ def default_grid(
     """Grid valid for every nu in `nus`: tail-complete, with grid_points
     cells, a whole number in [1, MAX_GRID_POINTS], on a continuous or mixed
     support. An infinite discrete support ends at the largest `_tail_cut`
-    over the nus, read up to k = kmax, which a refusal names as `cap`; an
-    unbounded continuous one spans the ends of `_ends` over the nus, padded,
-    and an end too large for a finite span is refused by name."""
+    over the nus, read up to k = kmax, which a refusal names as `cap`; one
+    search reads every nu as a row of a window, and where it raises, the
+    nus are read again one at a time, so that the refusal is that of the
+    first nu that gives one, as a search per nu names it. An unbounded
+    continuous support spans the ends of `_ends` over the nus, padded, and
+    an end too large for a finite span is refused by name."""
     nus = [f.validate_param(nu) for nu in np.atleast_1d(nus)]
     if not nus:
         raise ValueError("default_grid needs at least one parameter value")
@@ -1139,11 +1219,12 @@ def default_grid(
     if f.kind == "discrete":
         if math.isfinite(hi_s):
             return discrete_grid(int(lo_s), int(hi_s))
-        cuts = []
-        for nu in nus:
-            log_a = f.log_normalizer(nu)
-            cuts.append(_tail_cut(lambda ks: f.log_factor(nu, ks) - log_a, int(lo_s), kmax,
-                                  tail_eps, f.tail_ratio(nu), f.name, cap))
+        try:
+            cuts = _cuts(f, nus, int(lo_s), kmax, tail_eps, cap)
+        except (ArithmeticError, ValueError):
+            if len(nus) == 1:
+                raise
+            cuts = [cut for nu in nus for cut in _cuts(f, [nu], int(lo_s), kmax, tail_eps, cap)]
         return discrete_grid(int(lo_s), max(c[0] for c in cuts), max(c[1] for c in cuts))
 
     if f.kind == "mixed":

@@ -661,6 +661,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# bytes of the array that `_keep_grid_arrays_on_the_heap` frees
+_HEAP_KEPT = 1 << 20
+
+
 @functools.cache  # once per process
 def _keep_grid_arrays_on_the_heap() -> None:
     """Allocate and free one 1 MiB array, so that later arrays up to that size
@@ -669,9 +673,11 @@ def _keep_grid_arrays_on_the_heap() -> None:
     20 000-point grid (160 KB) would fault its pages in again; freeing a
     mapped block raises the threshold to that block's size, and the heap's
     trim threshold to twice it. A tail pass's paired running sums take 16
-    bytes a point, so they stay on the heap on grids of up to 65 536 points.
-    Under another allocator this is one allocation."""
-    np.empty(1 << 17)
+    bytes a point, so they stay on the heap on grids of up to 65 536 points,
+    and a block of scanned nus, which reads at most `catalog._BLOCK_ELEMENTS`
+    points in one call, stays there too. Under another allocator this is one
+    allocation."""
+    np.empty(_HEAP_KEPT // 8)
 
 
 def main(argv=None) -> int:

@@ -84,9 +84,9 @@ def _one_plus(label: str, law_name: str, name: str, value: float) -> Distributio
     [(param, domain)] = law.domains.items()
     theta = {param: checked(label, name, value, domain)}
     log_a = law.log_normalizer(theta)
-    _, tail, logs = _tail_cut(lambda m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX,
-                              TAIL_CUT_EPS, law.tail_ratio(theta), label)
-    return _summand(np.exp(logs), tail)
+    [(top, tail)] = _tail_cut(lambda rows, m: law.log_factor(theta, m) - log_a, 0, MAX_KMAX,
+                              TAIL_CUT_EPS, [law.tail_ratio(theta)], label)
+    return _summand(np.exp(law.log_factor(theta, np.arange(top + 1.0)) - log_a), tail)
 
 
 def geometric_summand(p: float) -> Distribution:

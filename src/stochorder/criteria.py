@@ -20,9 +20,18 @@ because a concave kernel dominates the larger parameter; 'up' tests convexity.
 Triplet tests use increment differences: second differences on integer
 grids, slope differences otherwise.
 
-Every test is one pass of `scan_kernel` over the parameter grid: per nu it
-builds the kernel once, and the law and tail means only while a test that
-reads them is open, holding one nu at a time (O(grid) memory). A kernel
+Every test is one pass of `scan_kernel` over the parameter grid. A kernel
+that changes with nu is read over blocks of nus, one broadcast call a block
+(`DensityFamily.kernel` takes a column of nus, each row with the bits of
+its own call): the first nu alone, so a test that fails there pays for no
+more, then as many nus as keep a block within `catalog._BLOCK_ELEMENTS`
+grid points (a 20 000-point grid holds one nu a block). Each block gives
+its kernels' slopes, curvature and their signed extremes row by row. A
+block that raises a floating-point or overflow refusal is read again one
+nu at a time, so the nu a refusal names, and whether one is raised at all
+once every test has closed, are those of a scan one nu at a time. The law
+and the tail means are built per nu, only while a test that reads them is
+open; a scan holds one block of kernels and one law at a time. A kernel
 K_nu = a(nu) T + b(nu) (`DensityFamily.factor`, declared per law as a
 `catalog.Factored` kernel, or as one of `catalog.Law.fixed_kernels` with
 (a, b) = (1, 0); a pairwise kernel is (1, 0) too) is read off one array T
@@ -76,11 +85,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import DensityFamily, Distribution, SupportGrid, density
+from .catalog import _BLOCK_ELEMENTS, DensityFamily, Distribution, SupportGrid, density
 from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness, known
 
 __all__ = [
@@ -152,22 +161,24 @@ def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return surv, means, float(means[0]) if n else 0.0
 
 
-def _low(m: np.ndarray, sign: float) -> float:
-    """min(sign * m) without the signed copy: -max(m) == min(-m)."""
-    return float(m.min() if sign > 0 else -m.max())
+def _low(m: np.ndarray, sign: float):
+    """min(sign * m) over the last axis without the signed copy: -max(m) ==
+    min(-m)."""
+    return m.min(axis=-1) if sign > 0 else -m.max(axis=-1)
 
 
 class _Kernel:
-    """An array T on the grid and what is read from T alone: its slopes, its
-    curvature (derived on first use) and their least signed values, each
-    taken once. A scan builds one per nu, or one for every nu when the
-    kernel at each nu is a T + b with T fixed; it holds no array of the law."""
+    """An array T on the grid, or a block of them, one row per nu, and what
+    is read from them alone: slopes, curvature (derived on first use) and
+    the least signed value of each, per row, each taken once for all rows.
+    A scan builds one per block of nus, or one for every nu when the kernel
+    at each nu is a T + b with T fixed; it holds no array of the law."""
 
     def __init__(self, grid: SupportGrid, k: np.ndarray) -> None:
         self.grid = grid
         self.k = k
         self.slopes = _slopes(grid, k)
-        self._lows: dict[tuple[str, float], float] = {}
+        self._lows: dict[tuple[str, float], float | list[float]] = {}
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -175,11 +186,17 @@ class _Kernel:
         differences otherwise."""
         return np.diff(self.slopes)
 
-    def low(self, name: str, sign: float) -> float:
-        """min(sign * m) for m the "slopes" or the "curvature", kept per sign."""
+    def vector(self, name: str) -> np.ndarray:
+        """The "slopes" or the "curvature"."""
+        return getattr(self, name)
+
+    def low(self, name: str, sign: float):
+        """min(sign * m) for m the "slopes" or the "curvature", kept per sign:
+        a float for one array, a list of one per row for a block."""
         key = (name, sign)
         if key not in self._lows:
-            self._lows[key] = _low(getattr(self, name), sign)
+            low = _low(getattr(self, name), sign)
+            self._lows[key] = float(low) if self.k.ndim == 1 else low.tolist()
         return self._lows[key]
 
     def affine(self, a: float, b: float) -> _Kernel:
@@ -187,14 +204,67 @@ class _Kernel:
         return self if (a, b) == (1.0, 0.0) else _Kernel(self.grid, a * self.k + b)
 
 
+class _Row:
+    """Row r of a block `_Kernel`, read as the one array at its nu."""
+
+    def __init__(self, block: _Kernel, r: int) -> None:
+        self.block, self.r = block, r
+        self.k = block.k[r]
+        self._lows: dict[tuple[str, float], float] = {}
+
+    def vector(self, name: str) -> np.ndarray:
+        return getattr(self.block, name)[self.r]
+
+    def low(self, name: str, sign: float) -> float:
+        key = (name, sign)
+        if key not in self._lows:
+            self._lows[key] = self.block.low(name, sign)[self.r]
+        return self._lows[key]
+
+    def affine(self, a: float, b: float) -> _Row | _Kernel:
+        return self if (a, b) == (1.0, 0.0) else _Kernel(self.block.grid, a * self.k + b)
+
+
+def _read(kernel: Callable[[list[float]], np.ndarray] | np.ndarray, nus: list[float],
+          grid: SupportGrid) -> Iterator[tuple[float, _Kernel | _Row]]:
+    """Each nu and the kernel there. A callable kernel is read over blocks
+    of nus, one call a block: the first nu alone, then as many as keep a
+    block within _BLOCK_ELEMENTS grid points (one at least). A block that
+    raises ArithmeticError is read again one nu at a time, so a nu's own
+    refusal is raised only when the scan reaches it. Blocks are read as the
+    scan asks for them."""
+    if not callable(kernel):
+        t = _Kernel(grid, np.asarray(kernel, dtype=float))
+        yield from ((nu, t) for nu in nus)
+        return
+    per = max(1, _BLOCK_ELEMENTS // grid.size)
+    start, size = 0, 1
+    while start < len(nus):
+        block, start, size = nus[start : start + size], start + size, per
+        try:
+            rows = np.asarray(kernel(block), dtype=float)
+        except ArithmeticError:
+            if len(block) == 1:
+                raise
+            for nu in block:
+                yield nu, _Kernel(grid, np.asarray(kernel([nu]), dtype=float)[0])
+            continue
+        if len(block) == 1:
+            yield block[0], _Kernel(grid, rows[0])
+        else:
+            rows = _Kernel(grid, rows)
+            yield from ((nu, _Row(rows, r)) for r, nu in enumerate(block))
+
+
 # per shape order: the vector of the kernel it reads, the witness points
-# (slice of the grid) and the witness kind
-_SHAPES = {"lr": ("slopes", slice(None, -1), "adjacent-pair"),
-           "lc": ("curvature", slice(1, -1), "triplet")}
+# (slice of the grid), the witness kind and the fewest grid points that give
+# the vector a value
+_SHAPES = {"lr": ("slopes", slice(None, -1), "adjacent-pair", 2),
+           "lc": ("curvature", slice(1, -1), "triplet", 3)}
 
 
 def scan_kernel(
-    kernel: Callable[[float], np.ndarray] | np.ndarray,
+    kernel: Callable[[list[float]], np.ndarray] | np.ndarray,
     nus,
     grid: SupportGrid,
     tests: Sequence[tuple[str, str]],
@@ -204,13 +274,16 @@ def scan_kernel(
     coefficient: Callable[[float], tuple[float, float]] | None = None,
 ) -> list[tuple[Witness | None, float | None, int]]:
     """Run every (order, direction) test (see the module docstring) over one
-    pass of nus; kernel(nu) gives K_nu on grid.points, or kernel is one
-    array T and K_nu = a T + b with (a, b) = coefficient(nu), or T itself at
-    every nu when coefficient is None; law(nu) gives the masses of P_nu
-    there, read by the st and hr tests where the survival exceeds EPS_TAIL.
-    Returns, per test, its first witness and that witness's margin, or
-    None and the worst margin seen (None when no margin was tested), and the
-    number of nus whose st or hr test the kernel's shape settled."""
+    pass of nus; kernel(block) gives K_nu on grid.points at each nu of a
+    list of them, one row per nu, and may raise ArithmeticError on a block
+    of several nus, which are then read one at a time (`_read`); or kernel
+    is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or T
+    itself at every nu when coefficient is None; law(nu) gives the masses
+    of P_nu there, read by the st and hr tests where the survival exceeds
+    EPS_TAIL. Returns, per test, its first witness and that witness's
+    margin, or None and the worst margin seen (None when no margin was
+    tested), and the number of nus whose st or hr test the kernel's shape
+    settled."""
     for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
         if not tol >= 0:
             raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
@@ -218,36 +291,30 @@ def scan_kernel(
         known("order", order, ORDERS)
         known("direction", direction, DIRECTIONS)
     pts = grid.points
-    built = None if callable(kernel) else _Kernel(grid, np.asarray(kernel, dtype=float))
     witnesses: list[Witness | None] = [None] * len(tests)
     worst = [math.inf] * len(tests)
     implied = [0] * len(tests)
-    for nu in nus:
-        open_tests = [i for i, w in enumerate(witnesses) if w is None]
-        if not open_tests:
-            break
-        nu = float(nu)
-        if built is None:
-            t, (a, b) = _Kernel(grid, np.asarray(kernel(nu), dtype=float)), (1.0, 0.0)
-        else:
-            t, (a, b) = built, (1.0, 0.0) if coefficient is None else coefficient(nu)
+    nus = [float(nu) for nu in nus]
+    scaled = None if callable(kernel) else coefficient
+    for nu, t in _read(kernel, nus, grid) if tests else ():
+        a, b = (1.0, 0.0) if scaled is None else scaled(nu)
         k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
         tails, hr_gap = None, None  # at this nu, from one tail pass shared by st and hr
-        for i in open_tests:
+        for i in [i for i, w in enumerate(witnesses) if w is None]:
             order, direction = tests[i]
             sign = 1.0 if direction == "up" else -1.0
             t_sign = sign if a > 0 else -sign  # sign * (a T) has the shape of t_sign * T
             if order in _SHAPES:
-                name, span, kind = _SHAPES[order]
+                name, span, kind, fewest = _SHAPES[order]
                 xs, tol = pts[span], tol_shape
-                if not getattr(t, name).size:
+                if pts.size < fewest:
                     continue
                 # the least of sign * (a m) is |a| times that of t_sign * m
                 low = 0.0 if a == 0 else abs(a) * t.low(name, t_sign)
                 if not low >= -tol:  # a witness, and its margin, are read off K_nu itself
                     k_nu = k_nu or t.affine(a, b)
-                    m, low = getattr(k_nu, name), k_nu.low(name, sign)
-            elif t.slopes.size and (a == 0 or t.low("slopes", t_sign) >= 0):
+                    m, low = k_nu.vector(name), k_nu.low(name, sign)
+            elif pts.size > 1 and (a == 0 or t.low("slopes", t_sign) >= 0):
                 implied[i] += 1  # lr => hr => st at this nu: no tail pass
                 continue
             else:
@@ -272,7 +339,7 @@ def scan_kernel(
                         hr_gap = k_nu.k[:tail.size] - tail
                     m = hr_gap
                     sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
-                    low = _low(m, sign)
+                    low = float(_low(m, sign))
             if low >= -tol:
                 worst[i] = min(worst[i], low)
                 continue
@@ -282,6 +349,8 @@ def scan_kernel(
             if bad.size:  # else a NaN margin: no witness, and the worst margin stays
                 j = bad[0]
                 witnesses[i] = Witness(x=float(xs[j]), margin=float(sign * m[j]), nu=nu, kind=kind)
+        if all(witnesses):
+            break  # before the next nu is read
     return [
         (w, w.margin, c) if w is not None else (None, None if math.isinf(m) else m, c)
         for w, m, c in zip(witnesses, worst, implied)
@@ -293,30 +362,44 @@ def scan_kernel(
 
 
 def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
-        Callable[[float], np.ndarray] | np.ndarray, Callable[[float], tuple[float, float]] | None]:
+        Callable[[list[float]], np.ndarray] | np.ndarray,
+        Callable[[float], tuple[float, float]] | None]:
     """f's kernel on grid.points as `scan_kernel` reads it over nus, and its
     coefficient: when f has a factor, the statistic's one array, built once,
     and the coefficient of nu (None for a fixed kernel); else the callable
-    of nu and None. A kernel that overflows, divides by zero or gives an
-    invalid value at a nu, and so is not finite there, is refused naming f
-    and that nu, from numpy's own flags rather than a pass over it; so is a
-    coefficient that raises, and one whose a, b or |a| max|T| + |b|, which
-    bounds |a T + b|, is not finite."""
+    of a block of nus, which reads one nu as a number and several as a
+    column (`DensityFamily.kernel`), and None. A kernel that overflows,
+    divides by zero or gives an invalid value at a nu, and so is not finite
+    there, is refused naming f and that nu, from numpy's own flags rather
+    than a pass over it; on a block of several nus the ArithmeticError
+    passes to the scan, which reads them one at a time. So is a coefficient
+    that raises, and one whose a, b or |a| max|T| + |b|, which bounds
+    |a T + b|, is not finite."""
 
     def refused(nu: float) -> ValueError:
         return ValueError(f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}")
 
-    def on_grid(nu: float, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    def on_grid(nus: list[float], make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return np.asarray(make(grid.points), dtype=float)
         except ArithmeticError:  # numpy's FloatingPointError, or math's own
-            raise refused(nu) from None
+            if len(nus) > 1:
+                raise
+            raise refused(nus[0]) from None
 
     if f.factor is None or not len(nus):
-        return (lambda nu: on_grid(nu, lambda x: f.kernel(nu, x))), None
+        def rows(block: list[float]) -> np.ndarray:
+            nu = block[0] if len(block) == 1 else np.array(block)[:, None]
+            k = on_grid(block, lambda x: f.kernel(nu, x))
+            # a kernel that reads no scanned value gives one row for all
+            if k.ndim == 2:
+                return k
+            return k[None] if len(block) == 1 else np.broadcast_to(k, (len(block), k.size))
+
+        return rows, None
     coefficient, statistic = f.factor
-    t = on_grid(nus[0], statistic)
+    t = on_grid(nus[:1], statistic)
     if coefficient is None:
         return t, None
     size = float(np.abs(t).max())

@@ -127,8 +127,8 @@ def law_distribution(law: PairwiseLaw, eps_tail: float = TAIL_CUT_EPS) -> Distri
     whose bound on the tail past k is <= eps_tail."""
     lo, hi = int(law.support[0]), law.support[1]
     if not math.isfinite(hi):
-        hi = _tail_cut(lambda ks: law.log_weight(ks) - law.log_normalizer, lo, TAIL_CUT_KMAX,
-                       eps_tail, law.tail_ratio, law.name)[0]
+        [(hi, _)] = _tail_cut(lambda rows, ks: law.log_weight(ks) - law.log_normalizer, lo,
+                              TAIL_CUT_KMAX, eps_tail, [law.tail_ratio], law.name)
     return _on_range(law, lo, int(hi))
 
 
@@ -383,13 +383,15 @@ def check_interpolation(
     threshold = (r + n - 1.0) / (r + s + n - 1.0)
     condition = p >= threshold
     grid, law = discrete_grid(0, n), LAWS["betabinomial"]
-    kernels = {}
-    for c in _C_VALUES:
+
+    def kernels(cs: Sequence[float]) -> np.ndarray:
+        """K_c at each c, one row each."""
+        c = np.array(cs)[:, None]
         th = {"n": n, "r": r + c * p, "s": s + c * (1.0 - p)}
-        kernels[c] = (p * law.kernels["r"](th, grid.points)
-                      + (1.0 - p) * law.kernels["s"](th, grid.points))
-    [(witness, margin, _)] = scan_kernel(
-        kernels.__getitem__, _C_VALUES, grid, [("lr", "up")], tol_shape)
+        return (p * law.kernels["r"](th, grid.points)
+                + (1.0 - p) * law.kernels["s"](th, grid.points))
+
+    [(witness, margin, _)] = scan_kernel(kernels, _C_VALUES, grid, [("lr", "up")], tol_shape)
     criterion = OrderVerdict(
         order="lr", direction="up", status="fails" if witness else "holds",
         method="path-kernel", tolerances={"tol_shape": tol_shape}, witness=witness,
@@ -404,7 +406,8 @@ def check_interpolation(
         "threshold": threshold,
         "condition": condition,
         "c_values": list(_C_VALUES),
-        "delta_margins": {format(c, "g"): float(np.diff(kernels[c]).min()) for c in _C_VALUES},
+        "delta_margins": {format(c, "g"): float(low)
+                          for c, low in zip(_C_VALUES, np.diff(kernels(_C_VALUES)).min(axis=1))},
     }
     [cross] = oracle_pair(start, target, [("lr", "up")])
     return reconcile(criterion, cross), path_inputs
@@ -450,14 +453,16 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
     velocity = b - a
     fixed = {p: v for p, v in start.items() if p not in moved}
 
-    def at(t: float) -> dict[str, float]:
-        if not 0.0 <= t <= 1.0:  # theta(t) may leave the law's domains
-            raise ValueError(f"{name} path: t={float(t)!r} outside [0, 1]")
-        return {**start, **dict(zip(moved, a + t * velocity))}
+    def at(t) -> dict:
+        """theta(t) at a number t, or at a column of them, one row each."""
+        for s in t.ravel() if isinstance(t, np.ndarray) else (t,):
+            if not 0.0 <= s <= 1.0:  # theta(t) may leave the law's domains
+                raise ValueError(f"{name} path: t={float(s)!r} outside [0, 1]")
+        return {**start, **{p: a0 + t * v for p, a0, v in zip(moved, a, velocity)}}
 
-    def chain(theta: Mapping[str, float], x) -> np.ndarray:
+    def chain(theta: Mapping, x) -> np.ndarray:
         pts = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(pts.shape)
+        out = np.zeros(np.broadcast_shapes(pts.shape, *map(np.shape, theta.values())))
         for p, v in zip(moved, velocity):
             if v != 0.0:  # an idle parameter's kernel is not evaluated
                 out += v * np.asarray(law.kernels[p](theta, pts), dtype=float)

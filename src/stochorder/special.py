@@ -7,6 +7,8 @@ Each has a scalar form and an array form built on math and numpy only. The
 array forms give the scalar's result bit for bit: they perform the same
 floating-point operations in the same order per element, and take
 logarithms with math.log, whose last bit np.log does not always match.
+`log_pochhammer_vec` also takes a column of values a, one row per value,
+and gives each row the bits of its call at that a alone.
 """
 
 from __future__ import annotations
@@ -126,9 +128,13 @@ def log_factorial(k: int) -> float:
     return math.lgamma(k + 1.0)
 
 
-def _math_log(x: np.ndarray) -> np.ndarray:
-    """math.log per element."""
-    return np.fromiter(map(math.log, x.ravel()), float, x.size).reshape(x.shape)
+def _each(fn, x):
+    """fn(x) for a number x, and fn per element for an array: a `math`
+    function read on a column of parameter values gives each row the bits
+    of its call on that row's value."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel()), float, x.size).reshape(x.shape)
 
 
 def digamma_vec(x: np.ndarray) -> np.ndarray:
@@ -154,30 +160,33 @@ def digamma_vec(x: np.ndarray) -> np.ndarray:
     for c in _DIGAMMA_TAIL:
         tail += c * power
         power = power * inv2
-    return acc + _math_log(x) - 0.5 / x - tail
+    return acc + _each(math.log, x) - 0.5 / x - tail
 
 
-def log_pochhammer_vec(a: float, k: np.ndarray) -> np.ndarray:
+def log_pochhammer_vec(a, k: np.ndarray) -> np.ndarray:
     """Elementwise log (a)_k over nonnegative integers k, equal to
-    `log_pochhammer` bit for bit.
+    `log_pochhammer` bit for bit; a is a number, or a column of numbers
+    (shape (rows, 1)) that gives one row per value.
 
     For k <= 64 the entries index one running sum of log(a + j), which adds
     the same terms in the same order as the scalar; beyond, lgamma(a + k) -
     lgamma(a) as the scalar does.
     """
-    a = float(a)
-    if not a > 0.0:
+    a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else float(a)
+    if not np.all(a > 0.0):
         raise ValueError(f"log_pochhammer_vec requires a > 0, got {a!r}")
     arr = np.asarray(k)
     if arr.size and (arr.min() < 0 or np.any(arr != np.floor(arr))):
         raise ValueError("log_pochhammer_vec requires nonnegative integers k")
     ki = arr.astype(np.int64)
     top = min(int(ki.max(initial=0)), _POCH_SUM_MAX)
-    terms = _math_log(a + np.arange(top, dtype=float))
-    out = np.concatenate(([0.0], np.cumsum(terms)))[np.minimum(ki, _POCH_SUM_MAX)]
+    terms = _each(math.log, a + np.arange(top, dtype=float))
+    sums = np.zeros(terms.shape[:-1] + (top + 1,))
+    np.cumsum(terms, axis=-1, out=sums[..., 1:])
+    out = sums[..., np.minimum(ki, _POCH_SUM_MAX)]
     big = ki > _POCH_SUM_MAX
     if np.any(big):
-        out[big] = np.fromiter(map(math.lgamma, a + ki[big]), float) - math.lgamma(a)
+        out[..., big] = _each(math.lgamma, a + ki[big]) - _each(math.lgamma, a)
     return out
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from stochorder import catalog
 from stochorder.catalog import (
     FAMILY_NAMES,
     LAWS,
@@ -427,7 +428,7 @@ def counted_log_factor(fam):
     points = []
 
     def log_factor(nu, ks):
-        points.append(ks.size)
+        points.append(np.size(nu) * ks.size)
         return fam.log_factor(nu, ks)
 
     return dataclasses.replace(fam, log_factor=log_factor), points
@@ -448,6 +449,33 @@ def test_span_search_walks_to_kmax_when_the_target_is_unreachable():
     with pytest.raises(ValueError, match="unreachable within k_max=300"):
         default_grid(counted, [0.95], kmax=300)
     assert points == [64, 64, 128, 45]  # windows 0..63, ..127, ..255, ..300
+
+
+@pytest.mark.parametrize("nus,refusal", [
+    # no k up to 100 brings r = 200 to the target, and the second window's
+    # lgamma overflows at r = 1e308: the search reads both as rows of one
+    # window and, once that raises, each nu alone, in order
+    ([200.0, 1e308], "negbinomial-in-shape: tail-mass target 1e-12 unreachable within k_max=100"),
+    ([2.0, 200.0, 1e308],
+     "negbinomial-in-shape: tail-mass target 1e-12 unreachable within k_max=100"),
+    ([1e308, 200.0], "negbinomial-in-shape: log factor overflows a double at p=0.5,nu=1e+308"),
+    ([150.0, 200.0, 250.0],
+     "negbinomial-in-shape: tail-mass target 1e-12 unreachable within k_max=100"),
+])
+def test_a_tail_cut_refusal_is_that_of_the_first_nu_that_gives_one(nus, refusal):
+    with pytest.raises(ValueError) as error:
+        default_grid(make_family("negbinomial-in-shape"), nus, kmax=100)
+    assert str(error.value) == refusal
+
+
+def test_a_tail_cut_reads_its_rows_in_windows_of_at_most_the_block_cap():
+    counted, points = counted_log_factor(make_family("negbinomial-in-shape"))
+    nus = list(np.linspace(1.0, 2000.0, 65))
+    grid = default_grid(counted, nus)
+    # each window call reads as many rows as fit in the cap, one at least
+    assert max(points) <= catalog._BLOCK_ELEMENTS and max(points) > 64 * 2
+    assert grid.upper == max(default_grid(make_family("negbinomial-in-shape"), [nu]).upper
+                             for nu in nus)
 
 
 def exact_tail(law, theta, k):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochorder
-from stochorder import cli, special
+from stochorder import catalog, cli, criteria, special
 from stochorder.catalog import continuous_grid, default_grid, family_from_spec
 from stochorder.cli import dumps, main
 from stochorder.criteria import scan_orders
@@ -1332,3 +1332,37 @@ def test_statuses_witnesses_and_exit_codes_do_not_depend_on_avx512_dispatch(argv
     off = fresh(*argv, "--no-timing", NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
     assert on[2] == "" and off[2] == ""
     assert _decided(*on[:2]) == _decided(*off[:2])
+
+
+def test_no_block_of_scanned_values_passes_the_heap_that_main_keeps(monkeypatch, capsys):
+    # a block reads at most _BLOCK_ELEMENTS points in one call; its float
+    # arrays, and a tail-cut window with the last point read before it, stay
+    # below the 1 MiB array that main frees first, so they reuse heap pages
+    assert 2 * catalog._BLOCK_ELEMENTS * np.dtype(float).itemsize <= cli._HEAP_KEPT
+    sizes = []
+    kernel_init, tail_cut = criteria._Kernel.__init__, catalog._tail_cut
+
+    def counted_kernel(self, grid, k):
+        sizes.append(k.nbytes)
+        kernel_init(self, grid, k)
+
+    def counted_cut(log_pmf, *args):
+        def counted(rows, ks):
+            out = np.asarray(log_pmf(rows, ks))
+            sizes.append(out.nbytes)
+            return out
+        return tail_cut(counted, *args)
+
+    monkeypatch.setattr(criteria._Kernel, "__init__", counted_kernel)
+    monkeypatch.setattr(catalog, "_tail_cut", counted_cut)
+    nu_grid = ",".join(repr(float(nu)) for nu in np.linspace(1.0, 2.0, 65))
+    for argv in (
+        ["--family", "negbinomial-in-shape", "--nu1=1", "--nu2=2000"],
+        ["--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2", f"--nu-grid={nu_grid}",
+         "--grid-points=12000"],
+        ["--family", "half-student-in-df", "--nu1=1", "--nu2=2", f"--nu-grid={nu_grid}"],
+    ):
+        assert cli.main(["check", *argv, "--no-timing"]) in (0, 1)
+    capsys.readouterr()
+    # two rows of the 12 001-point grid were read as one block
+    assert 2 * 12_001 * 8 <= max(sizes) <= catalog._BLOCK_ELEMENTS * 8

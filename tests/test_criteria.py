@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochorder import cli, criteria
+from stochorder import catalog, cli, criteria
 from stochorder.catalog import (
     _FAMILIES,
     LAWS,
@@ -414,15 +414,16 @@ def test_a_gamma_path_kernel_built_once_scans_as_one_rebuilt_per_t(data, r, rho)
 
 
 def _count_kernel_calls(monkeypatch, law, params):
-    """The list that gets the parameter's name at each call of one of the
-    law's kernels in params, or of its statistic for a `Factored` kernel."""
+    """The list that gets the parameter's name, and the number of its values
+    read (the rows of a column), at each call of one of the law's kernels in
+    params, or of its statistic for a `Factored` kernel."""
     calls = []
     for p in params:
         kernel = LAWS[law].kernels[p]
         factored = isinstance(kernel, Factored)
 
         def counted(theta, x, p=p, f=kernel.statistic if factored else kernel):
-            calls.append(p)
+            calls.append((p, len(theta[p]) if np.ndim(theta.get(p)) else 1))
             return f(theta, x)
 
         monkeypatch.setitem(LAWS[law].kernels, p,
@@ -445,8 +446,11 @@ def test_a_fixed_kernel_is_evaluated_once_per_check(monkeypatch, capsys, spec, n
               "--no-timing"])
     capsys.readouterr()
     # a fixed kernel, or a factored kernel's statistic, is built once; any
-    # other kernel at every scanned nu
-    assert len(calls) == (65 if _built_once(spec) is None else 1)
+    # other kernel at every scanned nu, the first alone and then in blocks of
+    # as many nus as fit in _BLOCK_ELEMENTS grid points
+    per = catalog._BLOCK_ELEMENTS // catalog.GRID_POINTS
+    assert [rows for _, rows in calls] == ([1] + [per] * (64 // per)
+                                           if _built_once(spec) is None else [1])
 
 
 @pytest.mark.parametrize("order", ["lr", "lc", "st", "hr"])
@@ -455,7 +459,7 @@ def test_a_fixed_path_kernel_is_evaluated_once_per_path(monkeypatch, capsys, ord
     cli.main(["path", "--name", "gamma:r1=1,r2=2,rho1=2,rho2=1", "--order", order,
               "--t-points", "129", "--no-timing"])
     capsys.readouterr()
-    assert sorted(calls) == ["r", "rho"]
+    assert sorted(calls) == [("r", 1), ("rho", 1)]
 
 
 @st.composite
@@ -481,8 +485,8 @@ def test_a_factored_scan_equals_the_scan_of_a_t_plus_b(case):
     grid, t, nus, pairs, laws, tol = case
     factored = scan_kernel(t, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__,
                            coefficient=pairs.__getitem__)
-    rebuilt = scan_kernel(lambda nu: pairs[nu][0] * t + pairs[nu][1], nus, grid, ALL_TESTS,
-                          tol, tol, law=laws.__getitem__)
+    rebuilt = scan_kernel(_rows(lambda nu: pairs[nu][0] * t + pairs[nu][1]), nus, grid,
+                          ALL_TESTS, tol, tol, law=laws.__getitem__)
     assert factored == rebuilt
 
 
@@ -526,6 +530,53 @@ def test_a_coefficient_that_is_not_finite_is_refused_by_name(spec, nus, refusal)
     with pytest.raises(ValueError) as error:
         scan_orders(fam, nus, grid, ALL_TESTS)
     assert str(error.value) == refusal
+
+
+def _refusing_family():
+    """A family on 0..10 whose kernel (2 - nu) k rises for nu < 2, and
+    overflows past nu = 709 / 300, where numpy's flags refuse it."""
+    def kernel(nu, x):
+        return x * (2.0 - nu) + 0.0 * np.exp(300.0 * nu)
+
+    return dataclasses.replace(make_family("poisson"), kernel=kernel, factor=None), \
+        discrete_grid(0, 10)
+
+
+def _one_nu_a_block(monkeypatch):
+    """Blocks of one nu each, as a scan one nu at a time reads them."""
+    monkeypatch.setattr(criteria, "_BLOCK_ELEMENTS", 1)
+
+
+def test_a_refusal_past_the_last_open_test_is_never_read(monkeypatch):
+    # lr up fails at nu = 2.2, inside the block 1.5..3.0 whose kernel at 2.5
+    # overflows: the block is read again one nu at a time, and the scan
+    # stops at 2.2, as one that reads one nu at a time does
+    fam, grid = _refusing_family()
+    nus = [1.0, 1.5, 2.2, 2.5, 3.0]
+    [v] = scan_orders(fam, nus, grid, [("lr", "up")])
+    assert (v.status, v.witness.nu, v.witness.x) == ("fails", 2.2, 0.0)
+    _one_nu_a_block(monkeypatch)
+    assert scan_orders(fam, nus, grid, [("lr", "up")]) == [v]
+
+
+def test_a_refusal_inside_a_block_names_the_nu_a_scan_one_at_a_time_names(monkeypatch):
+    fam, grid = _refusing_family()
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as error:
+            scan_orders(fam, [1.0, 1.5, 2.0, 2.5, 3.0], grid, [("lr", "up")])
+        refusals.append(str(error.value))
+        _one_nu_a_block(monkeypatch)
+    assert refusals == ["poisson: kernel not finite at theta=2.5"] * 2
+
+
+def test_a_gumbel_kernel_that_overflows_inside_a_block_is_refused_at_its_nu():
+    # -exp(-(x - mu)) overflows where x - mu < -709.8: on the grid of 0..800
+    # (first point near -3), at mu = 700, the 15th nu and in the block of 16
+    fam = make_family("gumbel-in-location")
+    nus = nu_scan(0.0, 800.0)
+    with pytest.raises(ValueError, match=r"^gumbel-in-location: kernel not finite at mu=700$"):
+        scan_orders(fam, nus, default_grid(fam, nus), [("lr", "up"), ("lr", "down")])
 
 
 def test_a_wide_shape_tolerance_does_not_skip_a_failing_tail_pass(capsys):
@@ -579,7 +630,7 @@ def _full_tail_margins(k, masses, order, direction, eps=EPS_TAIL):
 def _skipped(grid, nu, k, masses):
     """The (order, direction) tail tests whose pass the scan skips at this row."""
     tests = [(o, d) for o in ("st", "hr") for d in ("up", "down")]
-    results = scan_kernel(lambda _: k, [nu], grid, tests, law=lambda _: masses)
+    results = scan_kernel(lambda block: [k], [nu], grid, tests, law=lambda _: masses)
     return [test for test, (_, _, implied) in zip(tests, results) if implied]
 
 
@@ -615,6 +666,12 @@ def test_lr_only_scan_never_evaluates_the_density(monkeypatch):
 def _ref_slopes(grid, v):
     dv = np.diff(v)
     return dv if grid.kind == "discrete" else dv / np.diff(grid.points)
+
+
+def _rows(kernel_at):
+    """A kernel given at one nu, read as `scan_kernel` reads a callable: one
+    row per nu of a block."""
+    return lambda block: np.array([kernel_at(nu) for nu in block])
 
 
 def _ref_tail_means(k, masses):
@@ -716,7 +773,8 @@ def scan_cases(draw):
 def test_scan_equals_the_signed_copy_formulas(case):
     grid, nus, kernels, laws, tol = case
     # all eight tests in one scan, as `check` runs them, sharing each row
-    got = scan_kernel(kernels.__getitem__, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__)
+    got = scan_kernel(_rows(kernels.__getitem__), nus, grid, ALL_TESTS, tol, tol,
+                      law=laws.__getitem__)
     for (o, d), (witness, margin, _) in zip(ALL_TESTS, got):
         want = _ref_scan(grid, nus, kernels, laws, _ref_order(o, d, tol))
         assert _bits(witness, margin) == _bits(*want), (o, d)

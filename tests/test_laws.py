@@ -22,6 +22,7 @@ from stochorder.catalog import (
     parse_spec,
 )
 from stochorder.compound import TABLE2_ROWS, make_counting
+from stochorder.special import log_pochhammer_vec
 from stochorder.pairwise import (
     PATH_NAMES, law_distribution, make_law, path_family,
 )
@@ -390,21 +391,39 @@ def test_cmp_log_normalizer_matches_mpmath(lam, nu):
     assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
 
-def counted_log_factorial(monkeypatch):
-    """The sizes of the arrays the cmp normalizer takes log-factorials of."""
+def counted_cmp_sums(monkeypatch):
+    """The term counts of the series the cmp normalizer sums, one per sum."""
     sizes = []
 
-    def log_factorial_vec(k):
-        sizes.append(np.asarray(k).size)
-        return real(k)
+    def cmp_terms(n):
+        sizes.append(n)
+        return real(n)
 
-    real = catalog.log_factorial_vec
-    monkeypatch.setattr(catalog, "log_factorial_vec", log_factorial_vec)
+    real = catalog._cmp_terms
+    monkeypatch.setattr(catalog, "_cmp_terms", cmp_terms)
     return sizes
 
 
+def test_cmp_log_normalizer_builds_its_log_factorials_once_per_term_count(monkeypatch):
+    built = []
+    real = catalog.log_factorial_vec
+    monkeypatch.setattr(catalog, "log_factorial_vec", lambda k: built.append(k.size) or real(k))
+    catalog._cmp_terms.cache_clear()
+    try:
+        values = [LAWS["cmp"].log_normalizer({"lam": 0.5, "nu": nu}) for nu in (0.8, 1.2, 1.6)]
+    finally:
+        catalog._cmp_terms.cache_clear()
+    assert built == [2000]
+    # the bits of a sum that builds its own log-factorials
+    for value, nu in zip(values, (0.8, 1.2, 1.6)):
+        ks = np.arange(2000, dtype=float)
+        logs = ks * math.log(0.5) - nu * real(ks)
+        m = logs.max()
+        assert value == float(m + math.log(np.exp(logs - m).sum()))
+
+
 def test_cmp_log_normalizer_near_unit_lam_sums_a_bounded_series(monkeypatch):
-    sizes = counted_log_factorial(monkeypatch)
+    sizes = counted_cmp_sums(monkeypatch)
     for lam in (0.9999, 0.9999999, 1.0):
         sizes.clear()
         LAWS["cmp"].log_normalizer({"lam": lam, "nu": 0.8})
@@ -412,7 +431,7 @@ def test_cmp_log_normalizer_near_unit_lam_sums_a_bounded_series(monkeypatch):
 
 
 def test_cmp_log_normalizer_doubles_its_series_past_the_peak(monkeypatch):
-    sizes = counted_log_factorial(monkeypatch)
+    sizes = counted_cmp_sums(monkeypatch)
     # the terms peak near k = 9**(1/0.3) ~ 1500 and fall 60 below it by ~2300
     LAWS["cmp"].log_normalizer({"lam": 9.0, "nu": 0.3})
     assert sizes == [2000, 4000]
@@ -421,3 +440,111 @@ def test_cmp_log_normalizer_doubles_its_series_past_the_peak(monkeypatch):
     with pytest.raises(ValueError, match="cmp normalizer: the series needs more than 8000 terms"):
         LAWS["cmp"].log_normalizer({"lam": 2.0, "nu": 0.05})  # peak near 2**20
     assert sizes == [2000, 4000, 8000]
+
+
+# ---------------------------------------------------------------------------
+# blocks of scanned values: a column of parameter values, one row each
+
+# what a scan reads in blocks: the log factors of the laws on an infinite
+# discrete support (their tail cuts) and the kernels a view scans that are
+# neither fixed nor given only as a statistic, each in a parameter some view
+# or path moves; the q kernel is `Factored`, called whole by the path
+BLOCK_READS = [
+    ("poisson", "theta", "log_factor"),
+    ("geometric-q", "q", "log_factor"),
+    ("geometric-p", "p", "log_factor"),
+    ("negbinomial-q", "r", "log_factor"),
+    ("negbinomial-q", "q", "log_factor"),
+    ("negbinomial-p", "r", "log_factor"),
+    ("negbinomial-p", "p", "log_factor"),
+    ("logseries", "theta", "log_factor"),
+    ("cmp", "nu", "log_factor"),
+    ("zero-inflated-poisson", "theta", "log_factor"),
+    ("negbinomial-q", "r", "kernel"),
+    ("negbinomial-q", "q", "kernel"),
+    ("negbinomial-p", "r", "kernel"),
+    ("betabinomial", "r", "kernel"),
+    ("betabinomial", "s", "kernel"),
+    ("zero-inflated-poisson", "theta", "kernel"),
+    ("gumbel", "mu", "kernel"),
+    ("half-student", "nu", "kernel"),
+    ("zero-inflated-exponential", "theta", "kernel"),
+]
+
+
+def in_domain(law, p):
+    """Values of the law's parameter p inside its domain: -0.0 among the real
+    ones, and log-Pochhammer arguments past its summed range."""
+    if p in LAWS[law].integers:
+        return st.integers(1, 60)
+    lo, hi = LAWS[law].domains[p]
+    if (lo, hi) == (0.0, 1.0):
+        return st.floats(1e-6, 1.0 - 1e-6)
+    if lo == 0.0:
+        return st.floats(1e-3, 1e3)
+    return st.one_of(st.just(-0.0), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def block_reads(draw):
+    """A law function, its fixed parameters, a column of values of the
+    scanned one and the points it reads."""
+    law, p, name = draw(st.sampled_from(BLOCK_READS))
+    table = LAWS[law]
+    fixed = {q: draw(in_domain(law, q)) for q in table.domains if q != p}
+    values = draw(st.lists(in_domain(law, p), min_size=1, max_size=8))
+    if table.kind == "discrete":
+        lo, hi = table.support(fixed)
+        if not math.isfinite(hi):
+            hi = lo + draw(st.integers(0, 200))
+        x = np.arange(lo, hi + 1.0)  # k = 0 is zip's atom
+    else:
+        # the zero-inflated exponential's atom at 0; gumbel kernels that
+        # underflow to -0.0 far above mu
+        x = np.sort(np.array(draw(st.lists(st.floats(0.0, 800.0), min_size=1, max_size=40))
+                             + [0.0, -0.0]))
+    fn = table.kernels[p] if name == "kernel" else table.log_factor
+    return fn, fixed, p, values, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=block_reads())
+def test_a_block_of_values_gives_each_row_the_bits_of_its_own_call(case):
+    fn, fixed, p, values, x = case
+    block = np.asarray(fn({**fixed, p: np.array(values)[:, None]}, x), dtype=float)
+    assert block.shape == (len(values), x.size)
+    for value, row in zip(values, block):
+        assert row.tobytes() == np.asarray(fn({**fixed, p: value}, x), dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["negbinomial", "betabinomial"]),
+       ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1,
+                   max_size=8),
+       r=st.tuples(st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
+       other=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)))
+def test_a_path_reads_a_block_of_t_with_the_bits_of_each_t(name, ts, r, other):
+    r1, r2 = sorted(r)
+    if name == "negbinomial":
+        params = {"r1": r1, "r2": r2, "q1": min(other), "q2": max(other)}
+    else:
+        params = {"n": 30, "r1": r1, "r2": r2, "s1": 60 * max(other), "s2": 60 * min(other)}
+    fam = path_family(name, params)
+    ks = np.arange(0.0, 150.0 if name == "negbinomial" else 31.0)
+    column = np.array(ts)[:, None]
+    reads = [fam.kernel] + ([fam.log_factor] if name == "negbinomial" else [])
+    for fn in reads:
+        block = fn(column, ks)
+        assert block.shape == (len(ts), ks.size)
+        for t, row in zip(ts, block):
+            assert row.tobytes() == np.asarray(fn(t, ks)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=6),
+       top=st.integers(0, 300))
+def test_log_pochhammer_reads_a_column_of_a_row_by_row(values, top):
+    ks = np.arange(0.0, top + 1.0)
+    block = log_pochhammer_vec(np.array(values)[:, None], ks)
+    for a, row in zip(values, block):
+        assert row.tobytes() == log_pochhammer_vec(a, ks).tobytes()

@@ -429,7 +429,8 @@ def test_check_pairwise_lr_reads_the_reversed_kernel_bit_for_bit(p_law, q_law):
     [v] = check_pairwise(p_law, q_law, ["lr"], kmax=60)
     assume(v.witness is None or v.witness.kind != "support")
     grid, reversed_kernel = pairwise_kernel(q_law, p_law, kmax=60)
-    [(witness, margin, _)] = scan_kernel(lambda _: reversed_kernel, [0.0], grid, [("lr", "up")])
+    [(witness, margin, _)] = scan_kernel(lambda block: [reversed_kernel], [0.0], grid,
+                                         [("lr", "up")])
     if witness is None and v.status == "inconclusive":
         return  # the oracle refuted a kernel that holds; its witness is reported
     assert v.margin == margin

@@ -139,6 +139,13 @@ Each command runs in-process through `stochorder.cli.main` with
 - a zero-inflated exponential `check` on the largest grid, 100 000 points,
   whose paired tail-pass sums (16 bytes a point, 1.6 MB) pass the 1 MiB
   below which `cli._keep_grid_arrays_on_the_heap` keeps arrays on the heap;
+- blocks of scanned parameters at their edges: 65-value `--nu-grid` checks
+  on `negbinomial-in-shape`, on the zero-inflated exponential at
+  `--grid-points=12000`, where a block holds two nus, and on a Poisson row
+  over 0.5..60, whose tail cuts differ from nu to nu; a negative-binomial
+  path at `--t-points 65`; and a `gumbel-in-location` check over 0..800,
+  whose kernel overflows at mu = 700, inside a block, and is refused
+  naming that nu;
 - `table --id` katz and table2, a pairwise, a compound and the
   interpolation path, each as CSV and as text: the renderings of the table
   rows, of the katz `params` and of the interpolation's `delta_margins`,
@@ -386,6 +393,22 @@ LARGEST_GRIDS = (
      "--grid-points=100000"],
 )
 
+
+def _nu_grid(lo: float, hi: float, n: int = 65) -> str:
+    """A `--nu-grid` option of n evenly spaced values from lo to hi."""
+    return "--nu-grid=" + ",".join(format(lo + (hi - lo) * i / (n - 1), ".6g") for i in range(n))
+
+
+BLOCK_EDGES = (
+    ["check", "--family", "negbinomial-in-shape", "--nu1=1.5", "--nu2=40", _nu_grid(1.5, 40.0)],
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
+     "--grid-points=12000", _nu_grid(1.0, 2.0)],
+    ["check", "--family", "poisson", "--nu1=0.5", "--nu2=60", _nu_grid(0.5, 60.0)],
+    ["path", "--name", "negbinomial:r1=1,r2=30,q1=0.2,q2=0.7", "--order", "st",
+     "--t-points", "65"],
+    ["check", "--family", "gumbel-in-location", "--nu1=0", "--nu2=800", "--orders", "lr"],
+)
+
 # reports rendered as CSV and as text; the other lists are JSON but for the
 # Table-1 text rows and the half-student CSV rows
 OTHER_FORMATS = tuple(
@@ -441,6 +464,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(RATIO_CUTS)
     out.extend(DISAGREEING_ROUTES)
     out.extend(LARGEST_GRIDS)
+    out.extend(BLOCK_EDGES)
     out.extend(OTHER_FORMATS)
     # the workload passes repeat the `table` commands: each runs once, first
     return [list(argv) + ["--no-timing"] for argv in dict.fromkeys(map(tuple, out))]
