@@ -1129,40 +1129,45 @@ def _tail_cut(
     """
     # a limit of 1 or more bounds no tail: no k then meets the target
     log_eps = np.array([math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
-                        for limit in limits])
-    log_limit = np.array([math.log(limit) if limit > 0 else -math.inf for limit in limits])
+                        for limit in limits])[:, None]
+    log_limit = np.array([math.log(limit) if limit > 0 else -math.inf for limit in limits])[:, None]
     cuts: list[tuple[int, float] | None] = [None] * len(limits)
-    rows = np.arange(len(limits))  # the rows whose k is not found yet
-    last = np.empty(len(limits))  # each row's log mass at the last k read
+    rows = np.arange(len(limits))  # the rows whose k is not found yet, and their
+    last = None  # log masses at the last k read, one per row
     size, width = 0, _SPAN_WINDOW
-    while rows.size and lo + size <= hi:
+    while lo + size <= hi:
         top = min(lo + width - 1, hi)
         ks = np.arange(lo + size, top + 1, dtype=float)
         start = max(size - 1, 1)  # offset of the first k this window settles
         per = max(1, _BLOCK_ELEMENTS // ks.size)
-        for chunk in (rows[c : c + per] for c in range(0, rows.size, per)):
-            new = np.reshape(log_pmf(chunk, ks), (chunk.size, ks.size))
-            eps, limit = log_eps[chunk], log_limit[chunk]
+        ends, found = [], 0
+        for c in range(0, rows.size, per):
+            new = log_pmf(rows[c : c + per], ks)
+            new = new if new.ndim == 2 else new[None]
+            ends.append(new[:, -1:])
             # from offset start on: the first window's own, or the last k read and the window
-            logs = new[:, 1:] if size == 0 else np.concatenate((last[chunk, None], new), axis=1)
+            logs = new[:, 1:] if last is None else np.concatenate((last[c : c + per], new), axis=1)
             after = logs[:, 1:]  # log p(k+1)
             step = after - logs[:, :-1]
-            row, col = ((after <= eps[:, None]) & (step < 0.0)).nonzero()
-            if row.size:
-                bounds = after[row, col] - np.log(-np.expm1(np.maximum(step[row, col], limit[row])))
-                hit = bounds <= eps[row]
-                row, col, bounds = row[hit], col[hit], bounds[hit]
-                # the first hit of each row: the hits run row by row, in k within one
-                first = np.ones(row.size, dtype=bool)
-                np.not_equal(row[1:], row[:-1], out=first[1:])
-                for r, c, bound in zip(row[first].tolist(), col[first].tolist(), bounds[first]):
-                    cuts[chunk[r]] = lo + start + c, math.exp(bound)
-            last[chunk] = new[:, -1]
-        rows = np.array([r for r in rows if cuts[r] is None], dtype=int)
+            eps = log_eps[c : c + per]
+            near = (after <= eps) & (step < 0.0)
+            if not np.count_nonzero(near):
+                continue
+            with np.errstate(invalid="ignore", divide="ignore"):  # read where near alone
+                bounds = after - np.log(-np.expm1(np.maximum(step, log_limit[c : c + per])))
+            hit = near & (bounds <= eps)
+            for r, j in enumerate(hit.argmax(axis=1).tolist()):  # each row's first hit
+                if hit[r, j]:
+                    cuts[rows[c + r]] = lo + start + j, math.exp(bounds[r, j])
+                    found += 1
+        if found == rows.size:
+            return cuts
+        last = ends[0] if len(ends) == 1 else np.concatenate(ends)
+        if found:
+            keep = np.array([cuts[r] is None for r in rows.tolist()])
+            rows, log_eps, log_limit, last = rows[keep], log_eps[keep], log_limit[keep], last[keep]
         size, width = top + 1 - lo, width * 2
-    if rows.size:
-        raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
-    return cuts
+    raise ValueError(f"{label}: tail-mass target {tail_eps:g} unreachable within {cap}={hi}")
 
 
 def _cuts(f: DensityFamily, nus: Sequence[float], lo: int, kmax: int, tail_eps: float,

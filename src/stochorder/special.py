@@ -172,8 +172,9 @@ def log_pochhammer_vec(a, k: np.ndarray) -> np.ndarray:
     the same terms in the same order as the scalar; beyond, lgamma(a + k) -
     lgamma(a) as the scalar does.
     """
-    a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else float(a)
-    if not np.all(a > 0.0):
+    column = isinstance(a, np.ndarray)
+    a = a.astype(float, copy=False) if column else float(a)
+    if not ((a > 0.0).all() if column else a > 0.0):
         raise ValueError(f"log_pochhammer_vec requires a > 0, got {a!r}")
     arr = np.asarray(k)
     if arr.size and (arr.min() < 0 or np.any(arr != np.floor(arr))):
@@ -181,7 +182,8 @@ def log_pochhammer_vec(a, k: np.ndarray) -> np.ndarray:
     ki = arr.astype(np.int64)
     top = min(int(ki.max(initial=0)), _POCH_SUM_MAX)
     terms = _each(math.log, a + np.arange(top, dtype=float))
-    sums = np.zeros(terms.shape[:-1] + (top + 1,))
+    sums = np.empty(terms.shape[:-1] + (top + 1,))
+    sums[..., 0] = 0.0
     np.cumsum(terms, axis=-1, out=sums[..., 1:])
     out = sums[..., np.minimum(ki, _POCH_SUM_MAX)]
     big = ki > _POCH_SUM_MAX
