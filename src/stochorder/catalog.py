@@ -1122,18 +1122,19 @@ def _tail_cut(
     The search evaluates a window of 64 points from lo and doubles it up to
     hi, on the rows whose k it has not found, with at most _BLOCK_ELEMENTS
     points in one call unless one row holds more; it reads the bound at the
-    new k only, and log(1 - rho) only where p(k+1) <= tail_eps and rho < 1.
-    A row reads the windows a search of that row alone reads, and every
-    bound equals that of one pass over lo..hi. A row that no k brings to the
-    target raises ValueError naming `label`, the target and hi, as `cap`=hi.
+    new k only, where p(k+1) <= tail_eps and rho < 1, and takes each row's
+    first k there. A row reads the windows a search of that row alone reads,
+    and every bound equals that of one pass over lo..hi. A row that no k
+    brings to the target raises ValueError naming `label`, the target and
+    hi, as `cap`=hi.
     """
     # a limit of 1 or more bounds no tail: no k then meets the target
     log_eps = np.array([math.log(tail_eps) if tail_eps > 0 and limit < 1 else -math.inf
                         for limit in limits])[:, None]
     log_limit = np.array([math.log(limit) if limit > 0 else -math.inf for limit in limits])[:, None]
     cuts: list[tuple[int, float] | None] = [None] * len(limits)
-    rows = np.arange(len(limits))  # the rows whose k is not found yet, and their
-    last = None  # log masses at the last k read, one per row
+    rows = np.arange(len(limits))  # the rows whose k is not found yet
+    last = None  # their log masses at the last k read
     size, width = 0, _SPAN_WINDOW
     while lo + size <= hi:
         top = min(lo + width - 1, hi)

@@ -221,8 +221,9 @@ class _Row:
             self._lows[key] = self.block.low(name, sign)[self.r]
         return self._lows[key]
 
-    def affine(self, a: float, b: float) -> _Row | _Kernel:
-        return self if (a, b) == (1.0, 0.0) else _Kernel(self.block.grid, a * self.k + b)
+    def affine(self, a: float, b: float) -> _Row:
+        """Itself: a block holds a callable kernel's rows, read with (a, b) = (1, 0)."""
+        return self
 
 
 def _read(kernel: Callable[[list[float]], np.ndarray] | np.ndarray, nus: list[float],
