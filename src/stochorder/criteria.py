@@ -372,10 +372,10 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
     column (`DensityFamily.kernel`), and None. A kernel that overflows,
     divides by zero or gives an invalid value at a nu, and so is not finite
     there, is refused naming f and that nu, from numpy's own flags rather
-    than a pass over it; on a block of several nus the ArithmeticError
-    passes to the scan, which reads them one at a time. So is a coefficient
-    that raises, and one whose a, b or |a| max|T| + |b|, which bounds
-    |a T + b|, is not finite."""
+    than a pass over it; so is a coefficient that raises, and one whose a,
+    b or |a| max|T| + |b|, which bounds |a T + b|, is not finite. On a
+    block of several nus the kernel's ArithmeticError passes to the scan,
+    which reads them one at a time."""
 
     def refused(nu: float) -> ValueError:
         return ValueError(f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}")
