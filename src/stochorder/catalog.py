@@ -8,7 +8,9 @@ It also names the kernels that read only x and parameters no view varies:
 such a kernel is the same array at every point of a view, so a scan builds
 it once. A kernel a(theta) T(x) + b(theta) is declared as that pair
 (`Factored`), its statistic T under the same rule, so a scan builds T once
-and reads the two scalars at each point. The density is
+and reads the two scalars at each point; an atom x0 where the kernel takes
+a value of its own (the zero-inflated exponential's 0 at x = 0) is declared
+with it, and a scan reads that value at each point too. The density is
 exp(log_factor - log_normalizer) with respect to counting measure
 (discrete), Lebesgue measure (continuous), or delta_0 + Lebesgue (mixed).
 
@@ -264,7 +266,8 @@ class Law:
                     no view varies.
     kernels         parameter -> d/dtheta_i log_factor, for every parameter
                     that some view varies; a `Factored` kernel is declared
-                    as its coefficient and statistic and called as one.
+                    as its coefficient and statistic, with the atom where
+                    its value is its own, and called as one.
     fixed_kernels   the parameters whose kernel reads only x and parameters
                     that no view varies, as `support` does: that kernel
                     gives the same bits at every point of a view.
@@ -280,9 +283,10 @@ class Law:
     kernel that a view scans (neither `Factored` nor fixed), also take a
     column: with the scanned parameter's values in an array of shape
     (rows, 1), and x the grid's points, they give one row per value, with
-    the bits of the call at that value alone. `math` functions of a scanned
-    parameter are mapped per row (`special._each`) and digamma is read by
-    `digamma_vec`, so each row does the same operations as its own call.
+    the bits of the call at that value alone. `math` functions and digamma
+    of a scanned parameter are mapped per row (`special._each`), and
+    digamma on the grid, psi(a + k), is read by `digamma_vec`, so each row
+    does the same operations as its own call.
     Normalizers, spans and tail ratios take one value at a time.
     """
 
@@ -300,21 +304,33 @@ class Law:
 
 @dataclass(frozen=True)
 class Factored:
-    """A kernel a(theta) T(theta, x) + b(theta), declared as the pair.
+    """A kernel a(theta) T(theta, x) + b(theta), declared as the pair, and
+    an atom where the kernel takes a value of its own.
 
     coefficient  theta -> (a, b).
     statistic    (theta, x) -> T; it reads only x and parameters that no view
                  varies, as a fixed kernel does, so T is one array at every
                  point of a view.
-    Called, it is the plain kernel a T + b, the one every other reader takes.
+    atom         None, or (x0, value): at x == x0 the kernel is value(theta),
+                 not a T + b, as the zero-inflated exponential's is 0 at its
+                 atom x0 = 0.
+    Called, it is the plain kernel a T + b with value(theta) written at x0,
+    on every row of a column of theta, the one every other reader takes.
     """
 
     coefficient: Callable[[Theta], tuple[float, float]]
     statistic: Callable[[Theta, np.ndarray], np.ndarray]
+    atom: tuple[float, Callable[[Theta], float]] | None = None
 
     def __call__(self, th: Theta, x: np.ndarray) -> np.ndarray:
         a, b = self.coefficient(th)
-        return a * np.asarray(self.statistic(th, x), dtype=float) + b
+        k = a * np.asarray(self.statistic(th, x), dtype=float) + b
+        if self.atom is None:
+            return k
+        x0, value = self.atom
+        k = np.asarray(k)
+        np.copyto(k, value(th), where=np.asarray(x) == x0)
+        return k
 
 
 def _count(th: Theta, k: np.ndarray) -> np.ndarray:
@@ -465,9 +481,9 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
 
 
 def _psi(a):
-    """digamma(a) for a number, and `digamma_vec` on a column, which gives
-    each row the same bits."""
-    return digamma_vec(a) if isinstance(a, np.ndarray) else digamma(a)
+    """digamma(a) for a number, and the scalar `digamma` per row of a column,
+    so each row has the bits of its own call."""
+    return _each(digamma, a)
 
 
 def _digamma_step(a, k: np.ndarray) -> np.ndarray:
@@ -584,17 +600,12 @@ def _half_student_log_normalizer(th: Theta) -> float:
 
 
 # density w.r.t. delta_0 + Lebesgue: f(0) = 1-pi, f(x) = pi theta e^{-theta x};
-# the log factor and the kernel write the atom's value over the body's at x = 0
+# the log factor writes the atom's value over the body's at x = 0, and the
+# kernel, 1/theta - x on the body and 0 at the atom, is `Factored` with that atom
 def _zie_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
     pi, theta = th["pi"], th["theta"]
     out = np.asarray(math.log(pi) + math.log(theta) - theta * x, dtype=float)
     out[x == 0.0] = math.log1p(-pi)
-    return out
-
-
-def _zie_kernel(th: Theta, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(1.0 / th["theta"] - x, dtype=float)
-    np.copyto(out, 0.0, where=x == 0.0)  # on every row of a column of theta
     return out
 
 
@@ -811,7 +822,8 @@ LAWS: dict[str, Law] = {
         domains={"pi": _UNIT, "theta": _POSITIVE},
         support=_from_zero,
         log_factor=_zie_log_factor,
-        kernels={"theta": _zie_kernel},
+        kernels={"theta": Factored(lambda th: (1.0, 1.0 / th["theta"]), lambda th, x: -x,
+                                   atom=(0.0, lambda th: 0.0))},
         log_normalizer=lambda th: 0.0,
         span=_quantiles(lambda th, u: -math.log1p(-u) / th["theta"]),
     ),
@@ -830,10 +842,11 @@ class DensityFamily:
     span(nu, eps) gives the ends of an unbounded continuous support past which
     each tail holds at most eps (`Law.span`).
     tail_ratio(nu) is the limit of p(k+1)/p(k) on an infinite discrete support.
-    factor, when set, is (coefficient, statistic): kernel(nu, x) is
+    factor, when set, is (coefficient, statistic, atom): kernel(nu, x) is
     a T(x) + b, bit for bit, with (a, b) = coefficient(nu) and T =
     statistic(x), or T(x) itself at every nu when coefficient is None (a
-    fixed kernel), so a scan builds T once.
+    fixed kernel), so a scan builds T once; atom is None, or (x0, value)
+    when kernel(nu, x0) is value(nu) in place of a T(x0) + b (`Factored`).
     kernel, and log_factor on an infinite discrete support, also take nu as
     a column of values (shape (rows, 1)) and give one row per value, each
     with the bits of the call at that value (`Law`): a scan reads them over
@@ -852,7 +865,8 @@ class DensityFamily:
     span: Callable[[float, float], tuple[float, float]] | None = None
     tail_ratio: Callable[[float], float] | None = None
     factor: tuple[Callable[[float], tuple[float, float]] | None,
-                  Callable[[np.ndarray], np.ndarray]] | None = None
+                  Callable[[np.ndarray], np.ndarray],
+                  tuple[float, Callable[[float], float]] | None] | None = None
 
     def validate_param(self, nu: float) -> float:
         nu = float(nu)
@@ -968,7 +982,8 @@ class View:
     def family(self, name: str, label: str, params: Mapping[str, float]) -> DensityFamily:
         """The one-parameter family in `varied`, the other parameters fixed
         at `params` or their defaults. Its factor reads a `Factored` kernel's
-        statistic, or a fixed kernel, at the fixed parameters alone."""
+        statistic, or a fixed kernel, at the fixed parameters alone, and a
+        `Factored` kernel's coefficient and atom value at each nu."""
         law = LAWS[self.law]
         fixed = self.bind(label, params)
         free = self.varied
@@ -978,10 +993,13 @@ class View:
             return {**fixed, free: nu}
 
         if isinstance(declared, Factored):
+            x0, value = declared.atom or (None, None)
             factor = (lambda nu: declared.coefficient(at(nu)),
-                      lambda x: declared.statistic(fixed, x))
+                      lambda x: declared.statistic(fixed, x),
+                      None if value is None else (x0, lambda nu: value(at(nu))))
         else:
-            factor = (None, lambda x: declared(fixed, x)) if free in law.fixed_kernels else None
+            factor = ((None, lambda x: declared(fixed, x), None)
+                      if free in law.fixed_kernels else None)
         return self.curve(name, fixed, self.shown.get(free, free), law.domains[free], at,
                           lambda nu, x: law.kernels[free](at(nu), x), factor)
 

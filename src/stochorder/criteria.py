@@ -40,9 +40,17 @@ extremes. K_nu's slopes and curvature are a times T's, so (Karlin, Total
 Positivity, 1968) K_nu has the shape of sign(a) T: lr and lc read their
 margin at nu as |a| times T's least slope or curvature, taken with the sign
 of a (0 when a is 0), and the st/hr skip below reads T's slopes with that
-sign. After the first nu these make no pass over the grid; a T + b is
-built only for a witness search, whose witness and margin are read off it,
-or for a tail pass, which alone reads the law at its nu. So a witness and
+sign. A factored kernel may have an atom at the grid's first point, where
+K_nu takes a value k0(nu) of its own in place of a T + b (the
+zero-inflated exponential's 0 at x = 0, `catalog.Factored`): T's vectors
+past their first entry then give the body, and the one cell and the one
+triplet that touch the atom are read off k0 and a T + b at the next two
+points, with the bits of a rebuild's, in O(1) a nu; lr and lc take the
+least of the body's margin and the atom's, and the st/hr skip asks both
+for a sign. After the first nu these make no pass over the grid; a T + b
+(with k0 at the atom) is built only for a witness search, whose witness
+and margin are read off it, or for a tail pass, which alone reads the law
+at its nu. So a witness and
 a tail margin are the ones a rebuild per nu gives, and an lr or lc margin
 differs from a rebuild's by rounding alone, which moves a status only
 where that rounding crosses the tolerance (k / theta at theta = 1e-290 has
@@ -125,12 +133,13 @@ def nu_scan(nu_lo: float, nu_hi: float, n: int = NU_POINTS) -> np.ndarray:
 
 
 def _slopes(grid: SupportGrid, v: np.ndarray) -> np.ndarray:
-    """Adjacent-pair increments: plain differences for integer grids, divided
+    """Adjacent-pair increments of v, the values at the grid's first points
+    or at all of them: plain differences for integer grids, divided
     differences elsewhere so the uneven atom cell of mixed grids is handled."""
     dv = np.diff(v)
     if grid.kind == "discrete":
         return dv
-    return dv / grid.cell_widths
+    return dv / grid.cell_widths[: dv.shape[-1]]
 
 
 def _prefix_length(surv: np.ndarray, eps: float) -> int:
@@ -167,18 +176,30 @@ def _low(m: np.ndarray, sign: float):
     return m.min(axis=-1) if sign > 0 else -m.max(axis=-1)
 
 
+def _affine(t: np.ndarray, a: float, b: float, k0: float | None) -> np.ndarray:
+    """a t + b, one pass when a is 1 (1 t is t), with k0 at the first point
+    when given."""
+    k = t + b if a == 1.0 else a * t + b
+    if k0 is not None:
+        k[0] = k0
+    return k
+
+
 class _Kernel:
     """An array T on the grid, or a block of them, one row per nu, and what
-    is read from them alone: slopes, curvature (derived on first use) and
-    the least signed value of each, per row, each taken once for all rows.
-    A scan builds one per block of nus, or one for every nu when the kernel
-    at each nu is a T + b with T fixed; it holds no array of the law."""
+    is read from them alone: slopes, curvature (each derived on first use)
+    and the least signed value of each, per row, each taken once for all
+    rows. A scan builds one per block of nus, or one for every nu when the
+    kernel at each nu is a T + b with T fixed; it holds no array of the law."""
 
     def __init__(self, grid: SupportGrid, k: np.ndarray) -> None:
         self.grid = grid
         self.k = k
-        self.slopes = _slopes(grid, k)
-        self._lows: dict[tuple[str, float], float | list[float]] = {}
+        self._lows: dict[tuple[str, float, int], float | list[float]] = {}
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        return _slopes(self.grid, self.k)
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -190,18 +211,30 @@ class _Kernel:
         """The "slopes" or the "curvature"."""
         return getattr(self, name)
 
-    def low(self, name: str, sign: float):
-        """min(sign * m) for m the "slopes" or the "curvature", kept per sign:
-        a float for one array, a list of one per row for a block."""
-        key = (name, sign)
+    def low(self, name: str, sign: float, start: int = 0):
+        """min(sign * m) for m the "slopes" or the "curvature" from its entry
+        `start` on (inf where there is none), kept per sign: a float for one
+        array, a list of one per row for a block."""
+        key = (name, sign, start)
         if key not in self._lows:
-            low = _low(getattr(self, name), sign)
+            m = getattr(self, name)[..., start:]
+            low = _low(m, sign) if m.shape[-1] else np.full(m.shape[:-1], math.inf)
             self._lows[key] = float(low) if self.k.ndim == 1 else low.tolist()
         return self._lows[key]
 
-    def affine(self, a: float, b: float) -> _Kernel:
-        """a T + b on the grid, and T itself when (a, b) is (1, 0)."""
-        return self if (a, b) == (1.0, 0.0) else _Kernel(self.grid, a * self.k + b)
+    def affine(self, a: float, b: float, k0: float | None = None) -> _Kernel:
+        """a T + b on the grid with k0 written at its first point when given,
+        and T itself when (a, b) is (1, 0) and k0 is None."""
+        if (a, b) == (1.0, 0.0) and k0 is None:
+            return self
+        return _Kernel(self.grid, _affine(self.k, a, b, k0))
+
+    def head(self, a: float, b: float, k0: float) -> dict[str, np.ndarray]:
+        """The slope of the first cell and the curvature of the first triplet
+        of affine(a, b, k0), read off its first three values alone with the
+        bits of the whole one's (none where the grid is too short)."""
+        slopes = _slopes(self.grid, _affine(self.k[:3], a, b, k0))
+        return {"slopes": slopes[:1], "curvature": np.diff(slopes)}
 
 
 class _Row:
@@ -215,14 +248,15 @@ class _Row:
     def vector(self, name: str) -> np.ndarray:
         return getattr(self.block, name)[self.r]
 
-    def low(self, name: str, sign: float) -> float:
-        key = (name, sign)
+    def low(self, name: str, sign: float, start: int = 0) -> float:
+        key = (name, sign, start)
         if key not in self._lows:
-            self._lows[key] = self.block.low(name, sign)[self.r]
+            self._lows[key] = self.block.low(name, sign, start)[self.r]
         return self._lows[key]
 
-    def affine(self, a: float, b: float) -> _Row:
-        """Itself: a block holds a callable kernel's rows, read with (a, b) = (1, 0)."""
+    def affine(self, a: float, b: float, k0: float | None = None) -> _Row:
+        """Itself: a block holds a callable kernel's rows, read with (a, b) =
+        (1, 0) and no k0."""
         return self
 
 
@@ -272,14 +306,16 @@ def scan_kernel(
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
     law: Callable[[float], np.ndarray] | None = None,
-    coefficient: Callable[[float], tuple[float, float]] | None = None,
+    coefficient: Callable[[float], tuple[float, ...]] | None = None,
 ) -> list[tuple[Witness | None, float | None, int]]:
     """Run every (order, direction) test (see the module docstring) over one
     pass of nus; kernel(block) gives K_nu on grid.points at each nu of a
     list of them, one row per nu, and may raise ArithmeticError on a block
     of several nus, which are then read one at a time (`_read`); or kernel
-    is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or T
-    itself at every nu when coefficient is None; law(nu) gives the masses
+    is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or
+    with (a, b, k0) = coefficient(nu) K_nu is a T + b but k0 at the first
+    grid point (an atom), or K_nu is T itself at every nu when coefficient
+    is None; law(nu) gives the masses
     of P_nu there, read by the st and hr tests where the survival exceeds
     EPS_TAIL. Returns, per test, its first witness and that witness's
     margin, or None and the worst margin seen (None when no margin was
@@ -298,7 +334,11 @@ def scan_kernel(
     nus = [float(nu) for nu in nus]
     scaled = None if callable(kernel) else coefficient
     for nu, t in _read(kernel, nus, grid) if tests else ():
-        a, b = (1.0, 0.0) if scaled is None else scaled(nu)
+        a, b, *atom = (1.0, 0.0) if scaled is None else scaled(nu)
+        k0 = atom[0] if atom else None
+        # an atom's cell and triplet, read apart; T's own vectors give the rest
+        head = t.head(a, b, k0) if k0 is not None and pts.size > 1 else None
+        body = 0 if k0 is None else 1
         k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
         tails, hr_gap = None, None  # at this nu, from one tail pass shared by st and hr
         for i in [i for i, w in enumerate(witnesses) if w is None]:
@@ -310,16 +350,21 @@ def scan_kernel(
                 xs, tol = pts[span], tol_shape
                 if pts.size < fewest:
                     continue
-                # the least of sign * (a m) is |a| times that of t_sign * m
-                low = 0.0 if a == 0 else abs(a) * t.low(name, t_sign)
+                low = math.inf
+                if pts.size - fewest >= body:  # m has entries past the atom's
+                    # the least of sign * (a m) is |a| times that of t_sign * m
+                    low = 0.0 if a == 0 else abs(a) * t.low(name, t_sign, body)
+                if head is not None:
+                    low = min(low, float(_low(head[name], sign)))
                 if not low >= -tol:  # a witness, and its margin, are read off K_nu itself
-                    k_nu = k_nu or t.affine(a, b)
+                    k_nu = k_nu or t.affine(a, b, k0)
                     m, low = k_nu.vector(name), k_nu.low(name, sign)
-            elif pts.size > 1 and (a == 0 or t.low("slopes", t_sign) >= 0):
+            elif pts.size > 1 and (a == 0 or t.low("slopes", t_sign, body) >= 0) and (
+                    head is None or sign * head["slopes"][0] >= 0):
                 implied[i] += 1  # lr => hr => st at this nu: no tail pass
                 continue
             else:
-                k_nu = k_nu or t.affine(a, b)
+                k_nu = k_nu or t.affine(a, b, k0)
                 if tails is None:
                     surv, tail, grand = _tail_means(k_nu.k, law(nu))
                     n = _prefix_length(surv, EPS_TAIL)
@@ -364,18 +409,21 @@ def scan_kernel(
 
 def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
         Callable[[list[float]], np.ndarray] | np.ndarray,
-        Callable[[float], tuple[float, float]] | None]:
+        Callable[[float], tuple[float, ...]] | None]:
     """f's kernel on grid.points as `scan_kernel` reads it over nus, and its
     coefficient: when f has a factor, the statistic's one array, built once,
-    and the coefficient of nu (None for a fixed kernel); else the callable
-    of a block of nus, which reads one nu as a number and several as a
-    column (`DensityFamily.kernel`), and None. A kernel that overflows,
-    divides by zero or gives an invalid value at a nu, and so is not finite
-    there, is refused naming f and that nu, from numpy's own flags rather
-    than a pass over it; so is a coefficient that raises, and one whose a,
-    b or |a| max|T| + |b|, which bounds |a T + b|, is not finite. On a
-    block of several nus the kernel's ArithmeticError passes to the scan,
-    which reads them one at a time."""
+    and the coefficient of nu (None for a fixed kernel), with the atom's
+    value at nu after a and b when the factor's atom is the grid's first
+    point; else the callable of a block of nus, which reads one nu as a
+    number and several as a column (`DensityFamily.kernel`), and None. An
+    atom off the grid leaves a T + b there; one on a later point than the
+    first is read with the callable. A kernel that overflows, divides by
+    zero or gives an invalid value at a nu, and so is not finite there, is
+    refused naming f and that nu, from numpy's own flags rather than a pass
+    over it; so is a coefficient or atom value that raises, and one whose
+    a, b, atom value or |a| max|T| + |b|, which bounds |a T + b|, is not
+    finite. On a block of several nus the kernel's ArithmeticError passes
+    to the scan, which reads them one at a time."""
 
     def refused(nu: float) -> ValueError:
         return ValueError(f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}")
@@ -389,7 +437,9 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
                 raise
             raise refused(nus[0]) from None
 
-    if f.factor is None or not len(nus):
+    x0, value = (f.factor and f.factor[2]) or (None, None)
+    on = np.flatnonzero(grid.points == x0) if value else ()
+    if f.factor is None or not len(nus) or any(on):  # any(on): an atom past the first point
         def rows(block: list[float]) -> np.ndarray:
             nu = block[0] if len(block) == 1 else np.array(block)[:, None]
             k = on_grid(block, lambda x: f.kernel(nu, x))
@@ -399,20 +449,22 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
             return k[None] if len(block) == 1 else np.broadcast_to(k, (len(block), k.size))
 
         return rows, None
-    coefficient, statistic = f.factor
+    coefficient, statistic, _ = f.factor
     t = on_grid(nus[:1], statistic)
     if coefficient is None:
         return t, None
     size = float(np.abs(t).max())
+    value = value if len(on) else None
 
-    def scaled(nu: float) -> tuple[float, float]:
+    def scaled(nu: float) -> tuple[float, ...]:
         try:
-            a, b = coefficient(nu)
+            coefs = coefficient(nu) if value is None else (*coefficient(nu), value(nu))
         except ArithmeticError:  # Python's float arithmetic: sigma ** -3 at sigma = 1e-103
             raise refused(nu) from None
-        if not math.isfinite(abs(a) * size + abs(b)):
+        a, b, *atom = coefs
+        if not math.isfinite(abs(a) * size + abs(b) + sum(map(abs, atom))):
             raise refused(nu)
-        return a, b
+        return coefs
 
     return t, scaled
 

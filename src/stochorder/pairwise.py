@@ -469,6 +469,7 @@ def path_family(name: str, params: Mapping[str, float]) -> DensityFamily:
         return out
 
     # fixed kernels read only the unmoved parameters
-    factor = (None, lambda x: chain(fixed, x)) if set(moved) <= set(law.fixed_kernels) else None
+    factor = ((None, lambda x: chain(fixed, x), None)
+              if set(moved) <= set(law.fixed_kernels) else None)
     return View(law_name).curve(f"{name} path", fixed, "t", (-math.inf, math.inf), at,
                                 lambda t, x: chain(at(t), x), factor)

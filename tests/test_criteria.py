@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochorder import catalog, cli, criteria
@@ -352,8 +352,9 @@ def _built_once(spec):
 # is a(nu) T + b(nu), with their scanned ranges
 FIXED_ROWS, FACTORED_ROWS = ([(spec, nus) for spec, nus, *_ in cli._TABLE1
                               if _built_once(spec) == how] for how in ("fixed", "factored"))
-# factored rows whose T is k, with curvature exactly 0
-LINEAR_ROWS = ["poisson", "geometric", "negbinomial-in-q", "binomial-in-p", "logseries"]
+# factored rows whose T, k or -x, has curvature exactly 0
+LINEAR_ROWS = ["poisson", "geometric", "negbinomial-in-q", "binomial-in-p", "logseries",
+               "zero-inflated-exponential"]
 
 
 @st.composite
@@ -388,8 +389,8 @@ def test_a_kernel_built_once_scans_as_one_rebuilt_per_nu(data, row, tol):
     # hold are |a| times T's and move in their last bits
     for v, w in zip(once, per_nu):
         if v.order == "lc" and tol == 0.0 and spec in LINEAR_ROWS:
-            # T = k has curvature 0 exactly; the rebuild's a k + b has
-            # rounding there, which a zero tolerance reads as a failure
+            # T = k or -x has curvature 0 exactly; the rebuild's a T + b
+            # has rounding there, which a zero tolerance reads as a failure
             assert v.holds and v.margin == 0.0
             continue
         assert dataclasses.replace(v, margin=None) == dataclasses.replace(w, margin=None)
@@ -464,45 +465,64 @@ def test_a_fixed_path_kernel_is_evaluated_once_per_path(monkeypatch, capsys, ord
 
 @st.composite
 def factored_cases(draw):
-    """Small integer T on an integer grid, laws, and per-nu dyadic (a, b) of
-    either sign or zero, so that a T + b and every margin are exact."""
-    n = draw(st.integers(2, 30))
+    """Small integer T on an integer grid of 1 to 30 points, laws, and per-nu
+    dyadic (a, b) of either sign or zero, and in half the cases an integer
+    atom value k0 at the first point, so that a T + b and every margin are
+    exact."""
+    n = draw(st.integers(1, 30))
     grid = discrete_grid(0, n - 1)
     t = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), dtype=float)
     nus = [float(nu) for nu in range(draw(st.integers(1, 6)))]
-    pairs = {nu: (draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0])),
-                  draw(st.sampled_from([-1.5, 0.0, 0.25, 3.0]))) for nu in nus}
+    atom = draw(st.booleans())
+    coefficients = {nu: (draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0])),
+                         draw(st.sampled_from([-1.5, 0.0, 0.25, 3.0])),
+                         *([float(draw(st.integers(-40, 40)))] if atom else [])) for nu in nus}
     mass = st.floats(0.0, 1.0)
     laws = {nu: np.array(draw(st.lists(mass, min_size=n, max_size=n))) for nu in nus}
-    return grid, t, nus, pairs, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
+    return grid, t, nus, coefficients, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
+
+
+def _a_t_plus_b(t, a, b, *k0):
+    """a T + b, with the atom's value k0 at the first point when given."""
+    k = a * t + b
+    k[:len(k0)] = k0
+    return k
 
 
 @settings(max_examples=250, deadline=None)
 @given(case=factored_cases())
+@example(case=(discrete_grid(0, 1), np.array([0.0, 1.0]), [0.0], {0.0: (0.0, 3.0, 5.0)},
+               {0.0: np.array([0.5, 0.5])}, 0.0))
 def test_a_factored_scan_equals_the_scan_of_a_t_plus_b(case):
     # |a| times T's least signed slope or curvature, read with the sign of a,
-    # and T's own slopes for the st/hr skip, against a T + b built per nu
-    grid, t, nus, pairs, laws, tol = case
+    # and T's own slopes for the st/hr skip, with the atom's cell and triplet
+    # read apart, against a T + b built per nu with the atom's value
+    grid, t, nus, coefficients, laws, tol = case
     factored = scan_kernel(t, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__,
-                           coefficient=pairs.__getitem__)
-    rebuilt = scan_kernel(_rows(lambda nu: pairs[nu][0] * t + pairs[nu][1]), nus, grid,
+                           coefficient=coefficients.__getitem__)
+    rebuilt = scan_kernel(_rows(lambda nu: _a_t_plus_b(t, *coefficients[nu])), nus, grid,
                           ALL_TESTS, tol, tol, law=laws.__getitem__)
     assert factored == rebuilt
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,up", [
     # K = k / theta at theta = 1e-290 is of size 1e290, and a kernel built
     # at each nu read its rounding, of size 1e274, as lc failing both ways
-    ["--family", "poisson", "--nu1=1e-290", "--nu2", "3"],
+    (["--family", "poisson", "--nu1=1e-290", "--nu2", "3"], ("up", "holds", 0.0)),
     # under a zero tolerance, rounding of size 1e-15 in k / q did the same
-    ["--family", "geometric", "--nu1=0.22", "--nu2=0.74", "--tol-shape=0"],
-], ids=["huge", "zero-tolerance"])
-def test_a_linear_kernel_keeps_its_zero_curvature(capsys, argv):
+    (["--family", "geometric", "--nu1=0.22", "--nu2=0.74", "--tol-shape=0"],
+     ("up", "holds", 0.0)),
+    # K = 1/theta - x past the atom at 0, where it is 0: the body's rounding
+    # read as lc down holding with margin -3.3e-13; the atom's triplet fails up
+    (["--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2"],
+     ("up", "fails", -183.8283518774821)),
+], ids=["huge", "zero-tolerance", "atom"])
+def test_a_linear_kernel_keeps_its_zero_curvature(capsys, argv, up):
     code = cli.main(["check", *argv, "--orders", "lc", "--no-timing"])
     report = json.loads(capsys.readouterr().out)
     kernel = [(v["direction"], v["status"], v["margin"]) for v in report["verdicts"]
               if v["method"] == "kernel-criterion"]
-    assert (code, kernel) == (0, [("up", "holds", 0.0), ("down", "holds", 0.0)])
+    assert (code, kernel) == (0, [up, ("down", "holds", 0.0)])
 
 
 def test_a_zero_tail_tolerance_finds_the_st_witness_past_the_first_point(capsys):
@@ -523,6 +543,10 @@ def test_a_zero_tail_tolerance_finds_the_st_witness_past_the_first_point(capsys)
     ("halfnormal-in-scale", [1.0, 1e-103], "halfnormal-in-scale: kernel not finite at sigma=1e-103"),
     # 1 / theta is finite, and its product with max k is not
     ("poisson", [1.0, 1e-308], "poisson: kernel not finite at theta=1e-308"),
+    # b = 1 / theta is not finite: a kernel built at this nu was inf past
+    # the atom, which read as hr down failing with margin -inf
+    ("zero-inflated-exponential", [1.0, 1e-310],
+     "zero-inflated-exponential(pi=0.4): kernel not finite at theta=1e-310"),
 ])
 def test_a_coefficient_that_is_not_finite_is_refused_by_name(spec, nus, refusal):
     fam = family_from_spec(spec)

@@ -322,7 +322,20 @@ def test_families_and_paths_carry_the_declaration():
         "gamma-in-rate", "gamma-in-shape", "pareto-in-shape", "weibull-in-rate"]
     assert sorted(name for name, how in families.items() if how == "factored") == [
         "binomial-in-p", "geometric", "halfnormal-in-scale", "lognormal-in-mu", "logseries",
-        "negbinomial-in-q", "poisson"]
+        "negbinomial-in-q", "poisson", "zero-inflated-exponential"]
+    # the zero-inflated exponential alone declares an atom: (1, 1/theta), T = -x,
+    # and 0 at x = 0, at a number and at a column of theta
+    atoms = {name: catalog.make_family(name).factor[2] for name, how in families.items() if how}
+    assert [name for name, atom in atoms.items() if atom is not None] == [
+        "zero-inflated-exponential"]
+    coefficient, statistic, (x0, value) = catalog.make_family("zero-inflated-exponential").factor
+    x = np.array([0.0, 0.5, 7.25, 30.0])
+    assert (x0, statistic(x).tobytes()) == (0.0, (-x).tobytes())
+    for theta in (0.5, 3.0, np.array([0.5, 3.0, 1e-3])[:, None]):
+        a, b = coefficient(theta)
+        assert (np.float64(a).tobytes(), np.asarray(b).tobytes()) == (
+            np.float64(1.0).tobytes(), np.asarray(1.0 / theta).tobytes())
+        assert np.float64(value(theta)).tobytes() == np.float64(0.0).tobytes()
     assert {name: built_once(make_counting(name)) for name in compound.COUNTING_NAMES} == {
         "binomial": "factored", "geometric": "factored", "logseries": "factored",
         "negbinomial": "factored", "negbinomial-in-shape": None, "poisson": "factored"}
@@ -349,17 +362,34 @@ def _zie_where_forms(th, x):
 
 @settings(max_examples=200, deadline=None)
 @given(pi=st.floats(1e-6, 1.0 - 1e-6), theta=st.floats(1e-3, 1e3),
+       others=st.lists(st.floats(1e-3, 1e3), max_size=3),
        x=st.one_of(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1e4)),
                             min_size=1, max_size=30).map(np.array),
                    st.one_of(st.just(0.0), st.floats(0.0, 1e4))))
-@example(pi=0.4, theta=1.0, x=np.array([0.0, 0.5, 1.5]))
-@example(pi=0.4, theta=2.0, x=0.0)
-def test_zie_factor_and_kernel_equal_their_where_forms_bit_for_bit(pi, theta, x):
+@example(pi=0.4, theta=1.0, others=[], x=np.array([0.0, 0.5, 1.5]))
+@example(pi=0.4, theta=2.0, others=[], x=0.0)
+def test_zie_factor_and_kernel_equal_their_where_forms_bit_for_bit(pi, theta, others, x):
     # the atom's value written over the body at x == 0, on a grid or at a scalar
     th = {"pi": pi, "theta": theta}
-    got = ZIE.log_factor(th, x), ZIE.kernels["theta"](th, x)
+    kernel = ZIE.kernels["theta"]
+    got = ZIE.log_factor(th, x), kernel(th, x)
     for a, b in zip(got, _zie_where_forms(th, x)):
         assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == b.tobytes()
+    # the declaration: (a, b) = (1, 1/theta), T = -x and the atom 0 at x = 0
+    assert isinstance(kernel, Factored) and kernel.atom[0] == 0.0
+    assert np.asarray(kernel.statistic(th, x)).tobytes() == np.negative(x).tobytes()
+    # at a number and at a column of theta, a row per value with its own bits
+    column = np.array([theta, *others])[:, None]
+    for value in (theta, column):
+        at = {"pi": pi, "theta": value}
+        a, b = kernel.coefficient(at)
+        assert (np.float64(a).tobytes(), np.asarray(b).tobytes()) == (
+            np.float64(1.0).tobytes(), np.asarray(1.0 / value).tobytes())
+        assert np.float64(kernel.atom[1](at)).tobytes() == np.float64(0.0).tobytes()
+    rows = np.asarray(kernel({"pi": pi, "theta": column}, x))
+    for value, row in zip(column[:, 0], rows.reshape(column.size, -1)):
+        where = _zie_where_forms({"pi": pi, "theta": value}, x)[1]
+        assert row.tobytes() == where.reshape(-1).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -448,7 +478,9 @@ def test_cmp_log_normalizer_doubles_its_series_past_the_peak(monkeypatch):
 # what a scan reads in blocks: the log factors of the laws on an infinite
 # discrete support (their tail cuts) and the kernels a view scans that are
 # neither fixed nor given only as a statistic, each in a parameter some view
-# or path moves; the q kernel is `Factored`, called whole by the path
+# or path moves; the q kernel is `Factored`, called whole by the path, and
+# the zero-inflated exponential's, `Factored` with its atom, is called whole
+# by every reader of the family's kernel but the scan
 BLOCK_READS = [
     ("poisson", "theta", "log_factor"),
     ("geometric-q", "q", "log_factor"),

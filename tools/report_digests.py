@@ -59,6 +59,10 @@ Each command runs in-process through `stochorder.cli.main` with
   and a Poisson row from theta = 1e-290, whose kernel k / theta is of size
   1e290 with curvature 0, so lc holds both ways with margin 0 (a kernel
   built at each nu read its rounding, of size 1e274, as two lc failures);
+  and the zero-inflated exponential, 1/theta - x past its atom at 0, where
+  it is 0, whose atom's cell and triplet the scan reads apart: over 1..2 at
+  the default grid, on 20 000 points with a 65-value `--nu-grid`, and from
+  theta = 1e-300, where the grid runs to about 5e301;
 - `half-student-in-df` lr over 2.5..3.9, which reports `lr down holds`
   although the kernel rises in x on [0, 1): the default grid's first
   midpoint lies past that rise;
@@ -259,9 +263,18 @@ FIXED_KERNELS = (
     ["path", "--name", "gamma:r1=1.5,r2=1.5,rho1=2,rho2=2", "--order", "lc"],
 )
 
+def _nu_grid(lo: float, hi: float, n: int = 65) -> str:
+    """A `--nu-grid` option of n evenly spaced values from lo to hi."""
+    return "--nu-grid=" + ",".join(format(lo + (hi - lo) * i / (n - 1), ".6g") for i in range(n))
+
+
 FACTORED_KERNELS = (
     ["check", "--family", "lognormal-in-mu", "--nu1=-2", "--nu2=-0.5"],
     ["check", "--family", "poisson", "--nu1=1e-290", "--nu2", "3"],
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2"],
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
+     "--grid-points=20000", _nu_grid(1.0, 2.0)],
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1e-300", "--nu2=1"],
 )
 
 COARSE_GRIDS = (
@@ -392,11 +405,6 @@ LARGEST_GRIDS = (
     ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
      "--grid-points=100000"],
 )
-
-
-def _nu_grid(lo: float, hi: float, n: int = 65) -> str:
-    """A `--nu-grid` option of n evenly spaced values from lo to hi."""
-    return "--nu-grid=" + ",".join(format(lo + (hi - lo) * i / (n - 1), ".6g") for i in range(n))
 
 
 BLOCK_EDGES = (
