@@ -480,15 +480,9 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _psi(a):
-    """digamma(a) for a number, and the scalar `digamma` per row of a column,
-    so each row has the bits of its own call."""
-    return _each(digamma, a)
-
-
 def _digamma_step(a, k: np.ndarray) -> np.ndarray:
     """psi(a + k) - psi(a): the kernel of a Pochhammer factor (a)_k in a."""
-    return digamma_vec(a + k) - _psi(a)
+    return digamma_vec(a + k) - _each(digamma, a)
 
 
 def _binomial_log_factor(th: Theta, k: np.ndarray) -> np.ndarray:
@@ -683,7 +677,7 @@ LAWS: dict[str, Law] = {
         log_factor=_betabinomial_log_factor,
         kernels={
             "r": lambda th, k: _digamma_step(th["r"], k),
-            "s": lambda th, k: digamma_vec(th["s"] + th["n"] - k) - _psi(th["s"]),
+            "s": lambda th, k: digamma_vec(th["s"] + th["n"] - k) - _each(digamma, th["s"]),
         },
         log_normalizer=lambda th: log_pochhammer(th["r"] + th["s"], th["n"]),
         integers=("n",),

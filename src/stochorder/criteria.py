@@ -50,12 +50,14 @@ least of the body's margin and the atom's, and the st/hr skip asks both
 for a sign. After the first nu these make no pass over the grid; a T + b
 (with k0 at the atom) is built only for a witness search, whose witness
 and margin are read off it, or for a tail pass, which alone reads the law
-at its nu. So a witness and
-a tail margin are the ones a rebuild per nu gives, and an lr or lc margin
-differs from a rebuild's by rounding alone, which moves a status only
-where that rounding crosses the tolerance (k / theta at theta = 1e-290 has
-curvature 0, where its rebuild rounds to 1e274); for (1, 0) every bit is
-the same. Where sign * K_nu is nondecreasing on the grid (min of the signed
+at its nu. So a witness and a tail margin are the ones a rebuild per nu
+gives, and an lr or lc margin differs from a rebuild's by rounding alone,
+which moves a status only where that rounding crosses the tolerance (k /
+theta at theta = 1e-290 has curvature 0, where its rebuild rounds to
+1e274, and 1/theta - x at theta = 1 has curvature 0, where its rebuild
+rounds to -3e-13); the skip reads T's sign, and a rebuild's differs only
+where a T + b rounds every step against that sign to a flat one. For (1, 0)
+every bit is the same. Where sign * K_nu is nondecreasing on the grid (min of the signed
 slopes >= 0, exactly; a NaN slope says no), Chebyshev's sum inequality on
 the grid law gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step
 behind lr => hr => st, so st and hr skip that nu: it adds no margin, and a
@@ -315,9 +317,8 @@ def scan_kernel(
     is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or
     with (a, b, k0) = coefficient(nu) K_nu is a T + b but k0 at the first
     grid point (an atom), or K_nu is T itself at every nu when coefficient
-    is None; law(nu) gives the masses
-    of P_nu there, read by the st and hr tests where the survival exceeds
-    EPS_TAIL. Returns, per test, its first witness and that witness's
+    is None; law(nu) gives the masses of P_nu there, read by the st and hr
+    tests where the survival exceeds EPS_TAIL. Returns, per test, its first witness and that witness's
     margin, or None and the worst margin seen (None when no margin was
     tested), and the number of nus whose st or hr test the kernel's shape
     settled."""
