@@ -219,7 +219,9 @@ class _Kernel:
         array, a list of one per row for a block."""
         key = (name, sign, start)
         if key not in self._lows:
-            m = getattr(self, name)[..., start:]
+            m = getattr(self, name)
+            if start:
+                m = m[..., start:]
             low = _low(m, sign) if m.shape[-1] else np.full(m.shape[:-1], math.inf)
             self._lows[key] = float(low) if self.k.ndim == 1 else low.tolist()
         return self._lows[key]
@@ -231,12 +233,16 @@ class _Kernel:
             return self
         return _Kernel(self.grid, _affine(self.k, a, b, k0))
 
-    def head(self, a: float, b: float, k0: float) -> dict[str, np.ndarray]:
+    def head(self, a: float, b: float, k0: float) -> dict[str, float]:
         """The slope of the first cell and the curvature of the first triplet
-        of affine(a, b, k0), read off its first three values alone with the
-        bits of the whole one's (none where the grid is too short)."""
-        slopes = _slopes(self.grid, _affine(self.k[:3], a, b, k0))
-        return {"slopes": slopes[:1], "curvature": np.diff(slopes)}
+        of affine(a, b, k0), where the grid has them, from its first three
+        values alone, in float arithmetic, which has numpy's bits."""
+        k = [k0, *(_affine(t, a, b, None) for t in self.k[1:3].tolist())]
+        slopes = [v - u for u, v in zip(k, k[1:])]
+        if self.grid.kind != "discrete":
+            slopes = [d / w for d, w in zip(slopes, self.grid.cell_widths[:2].tolist())]
+        return {"slopes": slopes[0], "curvature": slopes[1] - slopes[0]} if slopes[1:] else {
+            "slopes": slopes[0]}
 
 
 class _Row:
@@ -308,17 +314,18 @@ def scan_kernel(
     tol_shape: float = TOL_SHAPE,
     tol_tail: float = TOL_TAIL,
     law: Callable[[float], np.ndarray] | None = None,
-    coefficient: Callable[[float], tuple[float, ...]] | None = None,
+    coefficient: Callable[[float], tuple[float, float]] | None = None,
+    atom: Callable[[float], float] | None = None,
 ) -> list[tuple[Witness | None, float | None, int]]:
     """Run every (order, direction) test (see the module docstring) over one
     pass of nus; kernel(block) gives K_nu on grid.points at each nu of a
     list of them, one row per nu, and may raise ArithmeticError on a block
     of several nus, which are then read one at a time (`_read`); or kernel
-    is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or
-    with (a, b, k0) = coefficient(nu) K_nu is a T + b but k0 at the first
-    grid point (an atom), or K_nu is T itself at every nu when coefficient
-    is None; law(nu) gives the masses of P_nu there, read by the st and hr
-    tests where the survival exceeds EPS_TAIL. Returns, per test, its first witness and that witness's
+    is one array T and K_nu = a T + b with (a, b) = coefficient(nu), or T
+    itself at every nu when coefficient is None, but K_nu = atom(nu) at the
+    first grid point when atom is given; law(nu) gives the masses of P_nu
+    there, read by the st and hr tests where the survival exceeds
+    EPS_TAIL. Returns, per test, its first witness and that witness's
     margin, or None and the worst margin seen (None when no margin was
     tested), and the number of nus whose st or hr test the kernel's shape
     settled."""
@@ -333,13 +340,13 @@ def scan_kernel(
     worst = [math.inf] * len(tests)
     implied = [0] * len(tests)
     nus = [float(nu) for nu in nus]
-    scaled = None if callable(kernel) else coefficient
+    scaled, atom = (None, None) if callable(kernel) else (coefficient, atom)
+    body = 0 if atom is None else 1  # T's vectors from this entry on are the body's
     for nu, t in _read(kernel, nus, grid) if tests else ():
-        a, b, *atom = (1.0, 0.0) if scaled is None else scaled(nu)
-        k0 = atom[0] if atom else None
-        # an atom's cell and triplet, read apart; T's own vectors give the rest
-        head = t.head(a, b, k0) if k0 is not None and pts.size > 1 else None
-        body = 0 if k0 is None else 1
+        a, b = (1.0, 0.0) if scaled is None else scaled(nu)
+        k0 = None if atom is None else atom(nu)
+        # the atom's cell and triplet, read apart from the body
+        head = None if k0 is None or pts.size < 2 else t.head(a, b, k0)
         k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
         tails, hr_gap = None, None  # at this nu, from one tail pass shared by st and hr
         for i in [i for i, w in enumerate(witnesses) if w is None]:
@@ -351,17 +358,18 @@ def scan_kernel(
                 xs, tol = pts[span], tol_shape
                 if pts.size < fewest:
                     continue
-                low = math.inf
-                if pts.size - fewest >= body:  # m has entries past the atom's
-                    # the least of sign * (a m) is |a| times that of t_sign * m
-                    low = 0.0 if a == 0 else abs(a) * t.low(name, t_sign, body)
+                # the least of sign * (a m) is |a| times that of t_sign * m;
+                # inf where m has no entry past the atom's
+                low = t.low(name, t_sign, body)
+                if low != math.inf:
+                    low = 0.0 if a == 0 else abs(a) * low
                 if head is not None:
-                    low = min(low, float(_low(head[name], sign)))
+                    low = min(low, sign * head[name])
                 if not low >= -tol:  # a witness, and its margin, are read off K_nu itself
                     k_nu = k_nu or t.affine(a, b, k0)
                     m, low = k_nu.vector(name), k_nu.low(name, sign)
             elif pts.size > 1 and (a == 0 or t.low("slopes", t_sign, body) >= 0) and (
-                    head is None or sign * head["slopes"][0] >= 0):
+                    head is None or sign * head["slopes"] >= 0):
                 implied[i] += 1  # lr => hr => st at this nu: no tail pass
                 continue
             else:
@@ -410,21 +418,21 @@ def scan_kernel(
 
 def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
         Callable[[list[float]], np.ndarray] | np.ndarray,
-        Callable[[float], tuple[float, ...]] | None]:
-    """f's kernel on grid.points as `scan_kernel` reads it over nus, and its
-    coefficient: when f has a factor, the statistic's one array, built once,
-    and the coefficient of nu (None for a fixed kernel), with the atom's
-    value at nu after a and b when the factor's atom is the grid's first
-    point; else the callable of a block of nus, which reads one nu as a
-    number and several as a column (`DensityFamily.kernel`), and None. An
-    atom off the grid leaves a T + b there; one on a later point than the
-    first is read with the callable. A kernel that overflows, divides by
-    zero or gives an invalid value at a nu, and so is not finite there, is
-    refused naming f and that nu, from numpy's own flags rather than a pass
-    over it; so is a coefficient or atom value that raises, and one whose
-    a, b, atom value or |a| max|T| + |b|, which bounds |a T + b|, is not
-    finite. On a block of several nus the kernel's ArithmeticError passes
-    to the scan, which reads them one at a time."""
+        Callable[[float], tuple[float, float]] | None, Callable[[float], float] | None]:
+    """f's kernel on grid.points as `scan_kernel` reads it over nus, its
+    coefficient and its atom: when f has a factor, the statistic's one
+    array, built once, the coefficient of nu (None for a fixed kernel) and,
+    where the factor's atom is the grid's first point, the atom's value at
+    nu (else None); otherwise the callable of a block of nus, which reads
+    one nu as a number and several as a column (`DensityFamily.kernel`),
+    and None twice. An atom off the grid leaves a T + b there, and one on a
+    later point than the first is read with the callable. A kernel that
+    overflows, divides by zero or gives an invalid value at a nu, and so is
+    not finite there, is refused naming f and that nu, from numpy's own
+    flags rather than a pass over it; so is a coefficient or atom value
+    that raises, and one whose a, b, atom value or |a| max|T| + |b|, which
+    bounds |a T + b|, is not finite. On a block of several nus the kernel's
+    ArithmeticError passes to the scan, which reads them one at a time."""
 
     def refused(nu: float) -> ValueError:
         return ValueError(f"{f.describe()}: kernel not finite at {f.param_name}={nu:g}")
@@ -449,25 +457,32 @@ def _family_kernel(f: DensityFamily, grid: SupportGrid, nus) -> tuple[
                 return k
             return k[None] if len(block) == 1 else np.broadcast_to(k, (len(block), k.size))
 
-        return rows, None
+        return rows, None, None
     coefficient, statistic, _ = f.factor
     t = on_grid(nus[:1], statistic)
     if coefficient is None:
-        return t, None
+        return t, None, None
     size = float(np.abs(t).max())
-    value = value if len(on) else None
 
-    def scaled(nu: float) -> tuple[float, ...]:
+    def scaled(nu: float) -> tuple[float, float]:
         try:
-            coefs = coefficient(nu) if value is None else (*coefficient(nu), value(nu))
+            a, b = coefficient(nu)
         except ArithmeticError:  # Python's float arithmetic: sigma ** -3 at sigma = 1e-103
             raise refused(nu) from None
-        a, b, *atom = coefs
-        if not math.isfinite(abs(a) * size + abs(b) + sum(map(abs, atom))):
+        if not math.isfinite(abs(a) * size + abs(b)):
             raise refused(nu)
-        return coefs
+        return a, b
 
-    return t, scaled
+    def at_atom(nu: float) -> float:
+        try:
+            k0 = value(nu)
+        except ArithmeticError:
+            raise refused(nu) from None
+        if not math.isfinite(k0):
+            raise refused(nu)
+        return k0
+
+    return t, scaled, at_atom if len(on) else None
 
 
 _SCANNED_NOTE = "holds on the scanned parameter grid; exact in x per scanned value"
@@ -512,9 +527,9 @@ def scan_orders(
         d = known.get(nu)
         return (d if d is not None else density(f, nu, grid)).masses
 
-    kernel, coefficient = _family_kernel(f, grid, nus)
+    kernel, coefficient, atom = _family_kernel(f, grid, nus)
     results = scan_kernel(kernel, nus, grid, tests, tol_shape, tol_tail, law=law,
-                          coefficient=coefficient)
+                          coefficient=coefficient, atom=atom)
     size = {"nu_points": len(nus), "grid_points": grid.size}
     shape, tail = {"tol_shape": tol_shape}, {"tol_tail": tol_tail, "eps_tail": EPS_TAIL}
     return [

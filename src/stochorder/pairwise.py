@@ -335,10 +335,10 @@ def check_path_order(
         return normalized(grid, family.log_factor(t, grid.points))
 
     tolerances = {"tol_shape": tol_shape, "tol_tail": tol_tail, "t_points": int(ts.size)}
-    kernel, coefficient = _family_kernel(family, grid, ts)
+    kernel, coefficient, atom = _family_kernel(family, grid, ts)
     [(witness, margin, implied)] = scan_kernel(
         kernel, ts, grid, [(order, direction)], tol_shape, tol_tail,
-        law=lambda t: law(t).masses, coefficient=coefficient,
+        law=lambda t: law(t).masses, coefficient=coefficient, atom=atom,
     )
     lohi = ("P[t0]", "P[t1]") if direction == "up" else ("P[t1]", "P[t0]")
     criterion = OrderVerdict(

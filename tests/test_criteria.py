@@ -465,43 +465,43 @@ def test_a_fixed_path_kernel_is_evaluated_once_per_path(monkeypatch, capsys, ord
 
 @st.composite
 def factored_cases(draw):
-    """Small integer T on an integer grid of 1 to 30 points, laws, and per-nu
-    dyadic (a, b) of either sign or zero, and in half the cases an integer
-    atom value k0 at the first point, so that a T + b and every margin are
-    exact."""
+    """Small integer T on an integer grid of 1 to 30 points, laws, per-nu
+    dyadic (a, b) of either sign or zero, and in half the cases per-nu
+    integer atom values k0 at the first point, so that a T + b and every
+    margin are exact."""
     n = draw(st.integers(1, 30))
     grid = discrete_grid(0, n - 1)
     t = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), dtype=float)
     nus = [float(nu) for nu in range(draw(st.integers(1, 6)))]
-    atom = draw(st.booleans())
-    coefficients = {nu: (draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0])),
-                         draw(st.sampled_from([-1.5, 0.0, 0.25, 3.0])),
-                         *([float(draw(st.integers(-40, 40)))] if atom else [])) for nu in nus}
+    pairs = {nu: (draw(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0])),
+                  draw(st.sampled_from([-1.5, 0.0, 0.25, 3.0]))) for nu in nus}
+    atoms = {nu: float(draw(st.integers(-40, 40))) for nu in nus} if draw(st.booleans()) else None
     mass = st.floats(0.0, 1.0)
     laws = {nu: np.array(draw(st.lists(mass, min_size=n, max_size=n))) for nu in nus}
-    return grid, t, nus, coefficients, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
+    return grid, t, nus, pairs, atoms, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
 
 
-def _a_t_plus_b(t, a, b, *k0):
+def _a_t_plus_b(t, a, b, k0=None):
     """a T + b, with the atom's value k0 at the first point when given."""
     k = a * t + b
-    k[:len(k0)] = k0
+    if k0 is not None:
+        k[0] = k0
     return k
 
 
 @settings(max_examples=250, deadline=None)
 @given(case=factored_cases())
-@example(case=(discrete_grid(0, 1), np.array([0.0, 1.0]), [0.0], {0.0: (0.0, 3.0, 5.0)},
+@example(case=(discrete_grid(0, 1), np.array([0.0, 1.0]), [0.0], {0.0: (0.0, 3.0)}, {0.0: 5.0},
                {0.0: np.array([0.5, 0.5])}, 0.0))
 def test_a_factored_scan_equals_the_scan_of_a_t_plus_b(case):
     # |a| times T's least signed slope or curvature, read with the sign of a,
     # and T's own slopes for the st/hr skip, with the atom's cell and triplet
     # read apart, against a T + b built per nu with the atom's value
-    grid, t, nus, coefficients, laws, tol = case
+    grid, t, nus, pairs, atoms, laws, tol = case
     factored = scan_kernel(t, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__,
-                           coefficient=coefficients.__getitem__)
-    rebuilt = scan_kernel(_rows(lambda nu: _a_t_plus_b(t, *coefficients[nu])), nus, grid,
-                          ALL_TESTS, tol, tol, law=laws.__getitem__)
+                           coefficient=pairs.__getitem__, atom=atoms and atoms.__getitem__)
+    rebuilt = scan_kernel(_rows(lambda nu: _a_t_plus_b(t, *pairs[nu], atoms and atoms[nu])),
+                          nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__)
     assert factored == rebuilt
 
 
