@@ -241,8 +241,10 @@ class _Kernel:
         slopes = [v - u for u, v in zip(k, k[1:])]
         if self.grid.kind != "discrete":
             slopes = [d / w for d, w in zip(slopes, self.grid.cell_widths[:2].tolist())]
-        return {"slopes": slopes[0], "curvature": slopes[1] - slopes[0]} if slopes[1:] else {
-            "slopes": slopes[0]}
+        head = {"slopes": slopes[0]}
+        if len(slopes) > 1:
+            head["curvature"] = slopes[1] - slopes[0]
+        return head
 
 
 class _Row:
@@ -251,7 +253,7 @@ class _Row:
     def __init__(self, block: _Kernel, r: int) -> None:
         self.block, self.r = block, r
         self.k = block.k[r]
-        self._lows: dict[tuple[str, float], float] = {}
+        self._lows: dict[tuple[str, float, int], float] = {}
 
     def vector(self, name: str) -> np.ndarray:
         return getattr(self.block, name)[self.r]
