@@ -106,6 +106,17 @@ PAIRWISE_KMAX = 200
 # `cli._keep_grid_arrays_on_the_heap` keeps arrays on the heap.
 _BLOCK_ELEMENTS = 1 << 15
 
+# The fewest grid points on which `criteria.scan_kernel` reads a scanned
+# nu's st and hr tail means only up to the first point from which the
+# kernel is monotone to the grid's end. Below it the search for that point
+# and the two pairwise sums that seed the shorter pass cost more than the
+# full pass they spare: on a kernel that rises past its first point, the
+# shape read and the tail pass took 25 against 14 us at 30 points, 30
+# against 28 us at 2000 and 35 against 41 us at 4096 (timeit, best of 7,
+# 2-vCPU Xeon), and without the gate a zero-inflated Poisson check, on 28
+# points, ran 13 % slower.
+_HEAD_POINTS = 4096
+
 
 # ---------------------------------------------------------------------------
 # grids
@@ -598,7 +609,8 @@ def _half_student_log_normalizer(th: Theta) -> float:
 # kernel, 1/theta - x on the body and 0 at the atom, is `Factored` with that atom
 def _zie_log_factor(th: Theta, x: np.ndarray) -> np.ndarray:
     pi, theta = th["pi"], th["theta"]
-    out = np.asarray(math.log(pi) + math.log(theta) - theta * x, dtype=float)
+    with np.errstate(over="ignore"):  # theta x past the double range: -inf is the limit
+        out = np.asarray(math.log(pi) + math.log(theta) - theta * x, dtype=float)
     out[x == 0.0] = math.log1p(-pi)
     return out
 

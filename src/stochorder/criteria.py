@@ -13,6 +13,7 @@ The st and hr rows are the signs of d/dnu log P(X >= x) = E[K_nu | X >= x]
 Shanthikumar, Stochastic Orders, 2007, ch. 1), whose tail means one backward
 pass (`_tail_means`) gives: the survival and the tail sum of K are paired
 in one complex running sum, which gives each the bits of its own real one.
+On a long grid the pass runs over a head of the grid alone (below).
 
 Direction semantics: 'up' claims P_{nu1} <= P_{nu2} whenever nu1 <= nu2,
 'down' the reverse. The log-concavity test in direction 'down' is concavity,
@@ -39,31 +40,47 @@ built for the whole scan, and so are T's slopes, its curvature and their
 extremes. K_nu's slopes and curvature are a times T's, so (Karlin, Total
 Positivity, 1968) K_nu has the shape of sign(a) T: lr and lc read their
 margin at nu as |a| times T's least slope or curvature, taken with the sign
-of a (0 when a is 0), and the st/hr skip below reads T's slopes with that
-sign. A factored kernel may have an atom at the grid's first point, where
-K_nu takes a value k0(nu) of its own in place of a T + b (the
-zero-inflated exponential's 0 at x = 0, `catalog.Factored`): T's vectors
-past their first entry then give the body, and the one cell and the one
-triplet that touch the atom are read off k0 and a T + b at the next two
-points, with the bits of a rebuild's, in O(1) a nu; lr and lc take the
-least of the body's margin and the atom's, and the st/hr skip asks both
-for a sign. After the first nu these make no pass over the grid; a T + b
-(with k0 at the atom) is built only for a witness search, whose witness
-and margin are read off it, or for a tail pass, which alone reads the law
-at its nu. So a witness and a tail margin are the ones a rebuild per nu
-gives, and an lr or lc margin differs from a rebuild's by rounding alone,
-which moves a status only where that rounding crosses the tolerance (k /
-theta at theta = 1e-290 has curvature 0, where its rebuild rounds to
-1e274, and 1/theta - x at theta = 1 has curvature 0, where its rebuild
-rounds to -3e-13); the skip reads T's sign, and a rebuild's differs only
-where a T + b rounds every step against that sign to a flat one. For (1, 0)
-every bit is the same. Where sign * K_nu is nondecreasing on the grid (min of the signed
-slopes >= 0, exactly; a NaN slope says no), Chebyshev's sum inequality on
-the grid law gives E[K | X >= x] >= E[K] and >= K(x) at every x, the step
-behind lr => hr => st, so st and hr skip that nu: it adds no margin, and a
-test skipped at every nu holds with no margin and says so. Tolerances are >= 0,
-as the skip demands no positive margin. Each test
-keeps its first witness, first in nu and then in x, and its worst margin.
+of a (0 when a is 0), and the head end below is read off T's slopes with
+that sign, once per scan and sign. A factored kernel may have an atom at
+the grid's first point, where K_nu takes a value k0(nu) of its own in place
+of a T + b (the zero-inflated exponential's 0 at x = 0,
+`catalog.Factored`): T's vectors past their first entry then give the body,
+and the one cell and the one triplet that touch the atom are read off k0
+and a T + b at the next two points, with the bits of a rebuild's, in O(1) a
+nu; lr and lc take the least of the body's margin and the atom's, and the
+head end reads the atom's cell at each nu. After the first nu these make no
+pass over the grid; a T + b (with k0 at the atom) is built only for a
+witness search, whose witness and margin are read off it, or for a tail
+pass, which alone reads the law at its nu. So a witness and a tail margin
+are the ones a rebuild per nu gives, and an lr or lc margin differs from a
+rebuild's by rounding alone, which moves a status only where that rounding
+crosses the tolerance (k / theta at theta = 1e-290 has curvature 0, where
+its rebuild rounds to 1e274, and 1/theta - x at theta = 1 has curvature 0,
+where its rebuild rounds to -3e-13); the head end reads T's sign, and a
+rebuild's is less only where a T + b rounds steps against that sign to flat
+ones. For (1, 0) every bit is the same.
+
+The head rule. Let s be the first grid point from which sign * K_nu is
+nondecreasing to the grid's end (its signed slopes there >= 0, exactly; a
+NaN slope says no). Past s, Chebyshev's sum inequality on the grid law
+given X >= x gives E[K | X >= x] >= K(x), and so E[K | X >= x] is
+nondecreasing in x: the step behind lr => hr => st. So hr holds at every
+point past s and st's least gap there is its gap at s, and the st and hr
+tests read the tail means at the points 0..s alone; the points past s are
+implied and add no margin. At s = 0 the whole grid is implied: st and hr
+skip that nu with no tail pass, and a test skipped at every nu holds with
+no margin and says so. The pass over the head is seeded at s with the
+survival and the tail numerator there, two pairwise `np.sum`s (not BLAS,
+whose sum order follows its thread count), and one backward running sum
+gives the points before s; at the last point it is the whole grid's pass,
+bit for bit. Each direction reads its own s, one pass per s shared by st
+and hr and the law read once per nu, so a test's verdict is that of a scan
+of it alone. On a grid of fewer than `catalog._HEAD_POINTS` points no s is
+searched for: a nu is skipped where s is 0 and reads the whole grid
+otherwise, as the search and the seeded pass cost more there than they
+spare. Tolerances are >= 0, as the implied points demand no positive
+margin. Each test keeps its first witness, first in nu and then in x, and
+its worst margin.
 `scan_kernel` takes any list of (order, direction) tests and runs them in
 one pass, and a one-test list alone; per test it returns the first witness,
 the margin and how many nus the st/hr skip settled. It is the criterion
@@ -99,7 +116,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import _BLOCK_ELEMENTS, DensityFamily, Distribution, SupportGrid, density
+from .catalog import (
+    _BLOCK_ELEMENTS, _HEAD_POINTS, DensityFamily, Distribution, SupportGrid, density,
+)
 from .verdicts import DIRECTIONS, ORDERS, OrderVerdict, Witness, known
 
 __all__ = [
@@ -150,21 +169,29 @@ def _prefix_length(surv: np.ndarray, eps: float) -> int:
     return surv.size - int(np.searchsorted(surv[::-1], eps, side="right"))
 
 
-def _tail_means(k: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _tail_means(k: np.ndarray, masses: np.ndarray, s: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, float]:
     """Survival P(X >= x), tail mean E[K | X >= x] on the prefix where the
-    survival is positive, and grand mean E[K], by one backward pass. E[K] is
-    the tail mean at the first point, read off the same sums (0 for a law
-    with no mass), so the st margin there is exactly 0 and no BLAS dot
-    product, whose sum order follows its thread count, enters a report.
+    survival is positive, and grand mean E[K], by one backward pass over the
+    points 0..s (all of them when s is None). E[K] is the tail mean at the
+    first point, read off the same sums (0 for a law with no mass), so the
+    st margin there is exactly 0 and no BLAS dot product, whose sum order
+    follows its thread count, enters a report.
 
     The two running sums are one: the reversed masses fill the real part of
     one complex buffer and the reversed k * masses its imaginary part, and
     one `np.cumsum` runs over it in place. Complex addition adds the real
     and the imaginary parts apart, each in the order a real running sum
-    takes, so the survival and the tail numerator have that sum's bits."""
-    sums = np.empty(masses.size, dtype=complex)
-    sums.real = masses[::-1]
-    np.multiply(k[::-1], masses[::-1], out=sums.imag)
+    takes, so the survival and the tail numerator have that sum's bits.
+    Before the last point the pass is seeded at s with the survival and the
+    tail numerator there, two `np.sum` pairwise sums over the points from s
+    on; at the last point it is the whole grid's pass, bit for bit."""
+    s = masses.size - 1 if s is None else s
+    sums = np.empty(s + 1, dtype=complex)
+    sums.real = masses[s::-1]
+    np.multiply(k[s::-1], masses[s::-1], out=sums.imag)
+    if s < masses.size - 1:
+        sums[0] = complex(np.sum(masses[s:]), np.sum(k[s:] * masses[s:]))
     np.cumsum(sums, out=sums)
     surv, tail_num = sums.real[::-1], sums.imag[::-1]
     n = _prefix_length(surv, 0.0)
@@ -187,7 +214,29 @@ def _affine(t: np.ndarray, a: float, b: float, k0: float | None) -> np.ndarray:
     return k
 
 
-class _Kernel:
+class _Reads:
+    """What a `_Kernel` of one array and a `_Row` read alike."""
+
+    def rise(self, sign: float, start: int = 0) -> int:
+        """The first point i >= start from which sign * K is nondecreasing
+        to the grid's end: one past the last slope from entry `start` on
+        whose signed value is not >= 0 (a NaN is not), else start; kept per
+        sign."""
+        key = ("rise", sign, start)
+        if key not in self._lows:
+            m = self.vector("slopes")[start:]
+            if not m.size or self.low("slopes", sign, start) >= 0:
+                rise = start
+            elif not sign * m[-1] >= 0:
+                rise = start + m.size  # the last point
+            else:  # the last entry that is not >= 0, searched from the end
+                good = m >= 0 if sign > 0 else m <= 0
+                rise = start + m.size - int(good[::-1].argmin())
+            self._lows[key] = rise
+        return self._lows[key]
+
+
+class _Kernel(_Reads):
     """An array T on the grid, or a block of them, one row per nu, and what
     is read from them alone: slopes, curvature (each derived on first use)
     and the least signed value of each, per row, each taken once for all
@@ -247,7 +296,7 @@ class _Kernel:
         return head
 
 
-class _Row:
+class _Row(_Reads):
     """Row r of a block `_Kernel`, read as the one array at its nu."""
 
     def __init__(self, block: _Kernel, r: int) -> None:
@@ -327,10 +376,15 @@ def scan_kernel(
     itself at every nu when coefficient is None, but K_nu = atom(nu) at the
     first grid point when atom is given; law(nu) gives the masses of P_nu
     there, read by the st and hr tests where the survival exceeds
-    EPS_TAIL. Returns, per test, its first witness and that witness's
+    EPS_TAIL, at the points up to the head end s of their direction (the
+    module docstring's head rule): on a grid of at least
+    catalog._HEAD_POINTS points s is searched for at each nu, off a fixed
+    or factored T once per scan and sign, with the atom's cell read at each
+    nu, and off a callable's own row, and on a shorter grid s is 0 or the
+    last point. Returns, per test, its first witness and that witness's
     margin, or None and the worst margin seen (None when no margin was
     tested), and the number of nus whose st or hr test the kernel's shape
-    settled."""
+    settled at s = 0."""
     for name, tol in (("tol_shape", tol_shape), ("tol_tail", tol_tail)):
         if not tol >= 0:
             raise ValueError(f"{name} must be a number >= 0, got {tol!r}")
@@ -344,13 +398,18 @@ def scan_kernel(
     nus = [float(nu) for nu in nus]
     scaled, atom = (None, None) if callable(kernel) else (coefficient, atom)
     body = 0 if atom is None else 1  # T's vectors from this entry on are the body's
+    last, long = pts.size - 1, pts.size >= _HEAD_POINTS
     for nu, t in _read(kernel, nus, grid) if tests else ():
         a, b = (1.0, 0.0) if scaled is None else scaled(nu)
         k0 = None if atom is None else atom(nu)
         # the atom's cell and triplet, read apart from the body
         head = None if k0 is None or pts.size < 2 else t.head(a, b, k0)
         k_nu = None  # K_nu = a T + b, built for a witness search or a tail pass
-        tails, hr_gap = None, None  # at this nu, from one tail pass shared by st and hr
+        masses = None  # the law at nu, read once for every tail pass
+        # per head end s, from one tail pass shared by st and hr: the tail
+        # means where the survival exceeds EPS_TAIL, E[K], and hr's gaps
+        tails: dict[int, tuple[np.ndarray, float]] = {}
+        hr_gaps: dict[int, np.ndarray] = {}
         for i in [i for i, w in enumerate(witnesses) if w is None]:
             order, direction = tests[i]
             sign = 1.0 if direction == "up" else -1.0
@@ -370,19 +429,29 @@ def scan_kernel(
                 if not low >= -tol:  # a witness, and its margin, are read off K_nu itself
                     k_nu = k_nu or t.affine(a, b, k0)
                     m, low = k_nu.vector(name), k_nu.low(name, sign)
-            elif pts.size > 1 and (a == 0 or t.low("slopes", t_sign, body) >= 0) and (
-                    head is None or sign * head["slopes"] >= 0):
-                implied[i] += 1  # lr => hr => st at this nu: no tail pass
-                continue
             else:
+                # s, the first point from which sign * K_nu is nondecreasing to
+                # the grid's end (the body's is flat when a is 0); on a short
+                # grid 0 or the last point
+                if long and a != 0:
+                    s = t.rise(t_sign, body)
+                else:
+                    s = body if a == 0 or t.low("slopes", t_sign, body) >= 0 else last
+                if s == body and (head is None or sign * head["slopes"] >= 0):
+                    s = 0
+                elif not long:
+                    s = last
+                if s == 0 and last:
+                    implied[i] += 1  # lr => hr => st at this nu: no tail pass
+                    continue
                 k_nu = k_nu or t.affine(a, b, k0)
-                if tails is None:
-                    surv, tail, grand = _tail_means(k_nu.k, law(nu))
-                    n = _prefix_length(surv, EPS_TAIL)
-                    tails = tail[:n], grand
-                # where the survival exceeds EPS_TAIL: the gap E[K | X >= x] - E[K]
-                # (st) or K(x) - E[K | X >= x] (hr)
-                tail, grand = tails
+                if s not in tails:
+                    masses = law(nu) if masses is None else masses
+                    surv, tail, grand = _tail_means(k_nu.k, masses, s)
+                    tails[s] = tail[:_prefix_length(surv, EPS_TAIL)], grand
+                # at the points up to s where the survival exceeds EPS_TAIL: the
+                # gap E[K | X >= x] - E[K] (st) or K(x) - E[K | X >= x] (hr)
+                tail, grand = tails[s]
                 xs, tol, kind = pts[:tail.size], tol_tail, "grid-point"
                 if not tail.size:
                     continue
@@ -392,9 +461,9 @@ def scan_kernel(
                     m = None
                     low = float(tail.min() - grand if sign > 0 else -(tail.max() - grand))
                 else:
-                    if hr_gap is None:
-                        hr_gap = k_nu.k[:tail.size] - tail
-                    m = hr_gap
+                    if s not in hr_gaps:
+                        hr_gaps[s] = k_nu.k[:tail.size] - tail
+                    m = hr_gaps[s]
                     sign = -sign  # hr's margin is E[K | X >= x] - K(x), the negated gap
                     low = float(_low(m, sign))
             if low >= -tol:

@@ -257,6 +257,19 @@ def test_subnormal_oracle_masses_leave_stderr_empty(capsys):
         assert run_cli(capsys, *argv) == (code, out, err)
 
 
+def test_a_zero_inflated_exponential_log_factor_past_the_double_range_leaves_stderr_empty(
+        capsys):
+    # the grid of theta = 1e-300 runs to about 5e301, where theta x at
+    # theta = 1e300 is inf: the log factor's limit there is -inf, read
+    # without numpy's overflow warning
+    argv = ["check", "--family", "zero-inflated-exponential", "--nu1=1e-300", "--nu2=1e+300",
+            "--no-timing"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+
+
 def test_check_exits_one_when_no_direction_holds(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--family", "zero-inflated-poisson:pi=0.5",

@@ -5,10 +5,12 @@ The derivative identities are validated against central finite differences of
 independently computed log densities, log survivals, and log hazards.
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,14 +316,29 @@ def test_concave_endpoint_certifies_zero_inflated_exponential():
 ALL_TESTS = [(o, d) for o in ("lr", "lc", "st", "hr") for d in ("up", "down")]
 
 
-@pytest.mark.parametrize("spec,nus", [(row[0], row[1]) for row in cli._TABLE1])
-def test_multi_order_scan_matches_the_per_order_views(spec, nus):
+# at their first nu on 20 000 points, st and hr up read the whole grid and
+# down only up to a head end of its own: 1 for the zero-inflated
+# exponential, whose atom at 0 falls to the body, and past the rise of the
+# half-Student kernel near x = 0
+LONG_ROWS = [("zero-inflated-exponential", (1.0, 2.0), 20_000),
+             ("half-student-in-df", (5.0, 30.0), 20_000)]
+
+
+@pytest.mark.parametrize("spec,nus,points",
+                         [(row[0], row[1], catalog.GRID_POINTS) for row in cli._TABLE1]
+                         + LONG_ROWS,
+                         ids=[f"{row[0]}-nus{i}" for i, row in enumerate(cli._TABLE1)]
+                         + [f"{spec}-{points}" for spec, _, points in LONG_ROWS])
+def test_multi_order_scan_matches_the_per_order_views(spec, nus, points):
     fam = family_from_spec(spec)
     scan = nu_scan(*nus)
-    grid = default_grid(fam, scan)
-    together = scan_orders(fam, scan, grid, ALL_TESTS)
+    grid = default_grid(fam, scan, grid_points=points)
+    with _heads_read() as heads:
+        together = scan_orders(fam, scan, grid, ALL_TESTS)
     alone = [scan_orders(fam, scan, grid, [test])[0] for test in ALL_TESTS]
     assert [v.to_dict() for v in together] == [v.to_dict() for v in alone]
+    if points > catalog.GRID_POINTS:
+        assert heads[0] != heads[1] and grid.size - 1 in heads[:2]
 
 
 def test_check_evaluates_the_density_once_per_scanned_nu(monkeypatch):
@@ -831,6 +848,109 @@ def test_a_skipped_tail_pass_finds_no_failure(case, trend):
             assert not (m < -TOL_TAIL).any(), (nu, o, d, m.min())
 
 
+TAIL_TESTS = [(o, d) for o in ("st", "hr") for d in ("up", "down")]
+
+
+@contextlib.contextmanager
+def _heads_read():
+    """The head end s of each tail pass the scan runs inside the block, in
+    order: the pass reads the points 0..s, all of them at the last point."""
+    heads, tail_means = [], criteria._tail_means
+
+    def recorded(k, masses, s=None):
+        heads.append(s)
+        return tail_means(k, masses, s)
+
+    with mock.patch.object(criteria, "_tail_means", recorded):
+        yield heads
+
+
+def _head_read(grid, nu, k, masses, test):
+    """The last point a scan of the one tail test reads at this row: None
+    where the kernel's shape settles the test and no tail pass runs."""
+    with _heads_read() as heads:
+        [(_, _, implied)] = scan_kernel(lambda block: [k], [nu], grid, [test],
+                                        law=lambda _: masses)
+    return None if implied else heads[0]
+
+
+def _least_past_the_head(k, masses, test, s):
+    """The full pass's least signed margin of a tail test at the points the
+    scan left unread, past its head end s (every point when s is None), and
+    the floor it may not fall below: 0 for hr, and for st its gap at s when
+    that is less, since st's least gap past s is its gap at s."""
+    m = _full_tail_margins(k, masses, *test)
+    past = m if s is None else m[s + 1:]
+    floor = 0.0 if s is None or test[0] == "hr" or s >= m.size else min(0.0, m[s])
+    return (past.min() if past.size else math.inf), floor
+
+
+@st.composite
+def long_cases(draw):
+    """A discrete, continuous or mixed grid at or just above the head gate,
+    one to three nus, and per nu a kernel that rises or falls, with ties,
+    past a head of 0 to 60 random values, and masses that hold exact zeros
+    and may decay so that the survival falls below EPS_TAIL on the grid."""
+    n = draw(st.integers(criteria._HEAD_POINTS, criteria._HEAD_POINTS + 200))
+    grid = draw(st.sampled_from([discrete_grid(0, n - 1), continuous_grid(0.0, 1.0, n=n),
+                                 mixed_grid(1.0, n=n - 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nus = [float(i) for i in range(1, draw(st.integers(1, 3)) + 1)]
+    kernels, laws = {}, {}
+    for nu in nus:
+        head, trend = draw(st.integers(0, 60)), draw(st.sampled_from([1.0, -1.0]))
+        k = trend * np.sort(np.round(rng.normal(size=n) * 8) / 8)
+        k[:head] = rng.normal(size=head) * draw(st.sampled_from([0.5, 4.0]))
+        rate = draw(st.sampled_from([0.0, 2e-3, 2e-2]))
+        masses = rng.random(n) * np.exp(-rate * np.arange(n))
+        masses[rng.random(n) < 0.1] = 0.0
+        kernels[nu], laws[nu] = k, masses / masses.sum()
+    return grid, nus, kernels, laws
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=long_cases(), tol=st.sampled_from([TOL_TAIL, 0.05]))
+def test_a_tail_pass_read_to_its_head_finds_no_failure_past_it(case, tol):
+    # past the head end s sign * K is nondecreasing, so hr holds there and
+    # st's least gap there is its gap at s: the full pass finds no failure
+    # past s that s does not show, and where none of its margins lies within
+    # rounding of -tol, the scan fails where the full pass fails, at its
+    # witness, and holds where it holds
+    grid, nus, kernels, laws = case
+    for test in TAIL_TESTS:
+        for nu in nus:
+            k, masses = kernels[nu], laws[nu]
+            least, floor = _least_past_the_head(k, masses, test,
+                                                _head_read(grid, nu, k, masses, test))
+            assert least >= floor - TOL_TAIL, (nu, test, least, floor)
+        [(witness, margin, _)] = scan_kernel(_rows(kernels.__getitem__), nus, grid, [test],
+                                             tol, tol, law=laws.__getitem__)
+        want, want_margin = _ref_scan(grid, nus, kernels, laws, _ref_order(*test, tol))
+        full = [_full_tail_margins(kernels[nu], laws[nu], *test) for nu in nus]
+        if any((np.abs(m + tol) <= 1e-10).any() for m in full):
+            continue
+        assert (witness is None) == (want is None), test
+        if want is not None:
+            assert (witness.x, witness.nu, witness.kind) == want[:3], test
+            assert witness.margin == pytest.approx(want_margin, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec,nus", [(row[0], row[1]) for row in cli._TABLE1])
+def test_a_tail_pass_read_to_its_head_finds_no_failure_past_it_on_table1_rows(spec, nus):
+    # on 20 000 points, where a continuous or mixed row's pass stops at its
+    # head end; a discrete row's grid keeps its cut and reads every point
+    fam = family_from_spec(spec)
+    scan = nu_scan(*nus)
+    grid = default_grid(fam, scan, grid_points=20_000)
+    for nu in scan:
+        k = np.asarray(fam.kernel(nu, grid.points), dtype=float)
+        masses = density(fam, nu, grid).masses
+        for test in TAIL_TESTS:
+            least, floor = _least_past_the_head(k, masses, test,
+                                                _head_read(grid, nu, k, masses, test))
+            assert least >= floor - TOL_TAIL, (nu, test, least, floor)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=scan_cases())
 def test_tail_mean_profile_equals_the_reference_tail_means(case):
@@ -844,6 +964,28 @@ def test_tail_mean_profile_equals_the_reference_tail_means(case):
     assert surv.tobytes() == ref_surv.tobytes()
     assert tail.shape == ref_tail.shape and tail.tobytes() == ref_tail.tobytes()
     assert _bits(None, grand) == _bits(None, ref_grand)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scan_cases(), data=st.data())
+def test_a_head_pass_equals_the_reference_tail_means_up_to_its_end(case, data):
+    # a pass over the points 0..s seeded with the survival and the tail
+    # numerator at s: the reference's values there up to rounding, and its
+    # bits when s is the last point
+    grid, nus, kernels, masses, _ = case
+    k, m = kernels[nus[0]], masses[nus[0]]
+    assume(not np.isnan(k).any())
+    s = data.draw(st.integers(0, k.size - 1))
+    surv, tail, grand = criteria._tail_means(k, m, s)
+    ref_surv, ref_tail, ref_grand = _ref_tail_means(k, m)
+    ref_tail = ref_tail[: s + 1][ref_surv[: s + 1] > 0.0]
+    assert surv.shape == (s + 1,) and tail.shape == ref_tail.shape
+    scale = np.abs(k).max() * m.size * 1e-15
+    assert np.allclose(surv, ref_surv[: s + 1], rtol=1e-12, atol=1e-300)
+    assert np.allclose(tail, ref_tail, rtol=0.0, atol=scale)
+    assert grand == pytest.approx(ref_grand, rel=0.0, abs=scale)
+    if s == k.size - 1:
+        assert (surv.tobytes(), tail.tobytes()) == (ref_surv.tobytes(), ref_tail.tobytes())
 
 
 @settings(max_examples=300, deadline=None)

@@ -71,6 +71,15 @@ Each command runs in-process through `stochorder.cli.main` with
   must fail at x = 1 and not at x = 0, whose st margin is exactly 0 (the
   tail mean and E[K] there are one quotient), and with `--tol-shape=1e6`,
   where st and hr down must still fail;
+- the zero-inflated exponential on 20 000 points with `--orders hr,st
+  --tol-tail=0`, whose down tests read its tail means up to the first body
+  point alone, where the kernel starts to fall to the grid's end, and whose
+  up tests read the whole grid: hr runs first and st reuses each pass, and
+  no tolerance absorbs the rounding of a pass seeded at that point;
+- `half-student-in-df` over 3..5 on 20 000 points with `--orders st,hr`,
+  whose kernel rises near x = 0 and falls past it: at the first nu st and
+  hr down read the 15 points up to the end of that rise and up reads the
+  whole grid, and both directions are open there;
 - compounds with equal endpoints (`--nu1 2 --nu2 2`), which exit 2 and
   name both options, also with the `geometric:p=0.01` and `delta:j=300`
   summands whose tables pass the cap of 2000 columns below, as the
@@ -287,6 +296,13 @@ SKIPPED_TAILS = (
      "--tol-shape=1e6"],
 )
 
+HEAD_TAILS = (
+    ["check", "--family", "zero-inflated-exponential", "--nu1=1", "--nu2=2",
+     "--grid-points=20000", "--orders", "hr,st", "--tol-tail=0"],
+    ["check", "--family", "half-student-in-df", "--nu1=3", "--nu2=5", "--grid-points=20000",
+     "--orders", "st,hr"],
+)
+
 EQUAL_ENDPOINTS = (
     ["compound", "--counting", "poisson", "--summand", "geometric:p=0.5", "--nu1", "2",
      "--nu2", "2"],
@@ -460,6 +476,7 @@ def commands(table1, workloads) -> list[list[str]]:
     out.extend(FACTORED_KERNELS)
     out.extend(COARSE_GRIDS)
     out.extend(SKIPPED_TAILS)
+    out.extend(HEAD_TAILS)
     out.extend(EQUAL_ENDPOINTS)
     out.extend(DOMAIN_REFUSALS)
     out.extend(NUMERIC_REFUSALS)
