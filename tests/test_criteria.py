@@ -498,6 +498,25 @@ def factored_cases(draw):
     return grid, t, nus, pairs, atoms, laws, draw(st.sampled_from([0.0, TOL_SHAPE, 0.5]))
 
 
+@st.composite
+def long_factored_cases(draw):
+    """As `factored_cases`, on an integer grid at or just above the head
+    gate: T rises or falls, with ties, past a head of 0 to 40 integers, so
+    that the sign of each a and each direction read a head of their own."""
+    n = draw(st.integers(criteria._HEAD_POINTS, criteria._HEAD_POINTS + 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.sampled_from([1.0, -1.0])) * np.sort(rng.integers(-20, 21, n)).astype(float)
+    head = draw(st.integers(0, 40))
+    t[:head] = rng.integers(-20, 21, head)
+    nus = [float(nu) for nu in range(draw(st.integers(1, 4)))]
+    pairs = {nu: (draw(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 4.0])),
+                  draw(st.sampled_from([-1.5, 0.0, 3.0]))) for nu in nus}
+    atoms = {nu: float(draw(st.integers(-40, 40))) for nu in nus} if draw(st.booleans()) else None
+    laws = {nu: rng.random(n) for nu in nus}
+    return discrete_grid(0, n - 1), t, nus, pairs, atoms, laws, draw(
+        st.sampled_from([0.0, TOL_SHAPE, 0.5]))
+
+
 def _a_t_plus_b(t, a, b, k0=None):
     """a T + b, with the atom's value k0 at the first point when given."""
     k = a * t + b
@@ -507,13 +526,15 @@ def _a_t_plus_b(t, a, b, k0=None):
 
 
 @settings(max_examples=250, deadline=None)
-@given(case=factored_cases())
+@given(case=st.one_of(factored_cases(), long_factored_cases()))
 @example(case=(discrete_grid(0, 1), np.array([0.0, 1.0]), [0.0], {0.0: (0.0, 3.0)}, {0.0: 5.0},
                {0.0: np.array([0.5, 0.5])}, 0.0))
 def test_a_factored_scan_equals_the_scan_of_a_t_plus_b(case):
     # |a| times T's least signed slope or curvature, read with the sign of a,
     # and T's own slopes for the st/hr skip, with the atom's cell and triplet
-    # read apart, against a T + b built per nu with the atom's value
+    # read apart, against a T + b built per nu with the atom's value; on a
+    # long grid the head end of each sign of a and each direction, off T's
+    # slopes, against the one off the row's own
     grid, t, nus, pairs, atoms, laws, tol = case
     factored = scan_kernel(t, nus, grid, ALL_TESTS, tol, tol, law=laws.__getitem__,
                            coefficient=pairs.__getitem__, atom=atoms and atoms.__getitem__)
@@ -853,7 +874,7 @@ TAIL_TESTS = [(o, d) for o in ("st", "hr") for d in ("up", "down")]
 
 @contextlib.contextmanager
 def _heads_read():
-    """The head end s of each tail pass the scan runs inside the block, in
+    """The head end s of each tail pass a scan runs in the `with` block, in
     order: the pass reads the points 0..s, all of them at the last point."""
     heads, tail_means = [], criteria._tail_means
 
@@ -923,8 +944,8 @@ def test_a_tail_pass_read_to_its_head_finds_no_failure_past_it(case, tol):
             least, floor = _least_past_the_head(k, masses, test,
                                                 _head_read(grid, nu, k, masses, test))
             assert least >= floor - TOL_TAIL, (nu, test, least, floor)
-        [(witness, margin, _)] = scan_kernel(_rows(kernels.__getitem__), nus, grid, [test],
-                                             tol, tol, law=laws.__getitem__)
+        [(witness, _, _)] = scan_kernel(_rows(kernels.__getitem__), nus, grid, [test],
+                                        tol, tol, law=laws.__getitem__)
         want, want_margin = _ref_scan(grid, nus, kernels, laws, _ref_order(*test, tol))
         full = [_full_tail_margins(kernels[nu], laws[nu], *test) for nu in nus]
         if any((np.abs(m + tol) <= 1e-10).any() for m in full):
